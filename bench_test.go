@@ -321,7 +321,7 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkObsEmitDisabled is the acceptance guard for the event bus:
-// with no subscribers (the default — nothing called EnableTrace or
+// with no subscribers (the default — no recorder attached, no
 // Observe), Emit on the hot path must cost two compares and zero
 // allocations. A regression here taxes every simulated cache access.
 func BenchmarkObsEmitDisabled(b *testing.B) {
@@ -350,7 +350,7 @@ func BenchmarkSimulateSCCObserved(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.EnableTrace()
+		obs.NewRecorder().Attach(s.Bus())
 		agg := s.Observe()
 		s.Run()
 		if len(agg.StageStats()) == 0 {

@@ -5,37 +5,9 @@ import (
 
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
-
-// policySpec maps a Config's policy selection onto the experiment
-// suite's PolicySpec so capacity probes can share the suite-wide
-// memoized run cache. The mapping mirrors policyBuilders exactly:
-// the MRD-* aliases become option toggles on the MRD kind.
-func policySpec(cfg Config) (experiments.PolicySpec, error) {
-	name := cfg.Policy
-	if name == "" {
-		name = "MRD"
-	}
-	if _, ok := policyBuilders[name]; !ok {
-		return experiments.PolicySpec{}, fmt.Errorf("mrdspark: unknown policy %q (have %v)", name, Policies())
-	}
-	spec := experiments.PolicySpec{Kind: name, AdHoc: cfg.AdHoc}
-	switch name {
-	case "MRD":
-		spec.MRD = cfg.MRD
-	case "MRD-evict":
-		spec.Kind, spec.MRD = "MRD", cfg.MRD
-		spec.MRD.DisablePrefetch = true
-	case "MRD-prefetch":
-		spec.Kind, spec.MRD = "MRD", cfg.MRD
-		spec.MRD.DisableEviction = true
-	case "MRD-dynamic":
-		spec.Kind, spec.MRD = "MRD", cfg.MRD
-		spec.MRD.DynamicThreshold = true
-	}
-	return spec, nil
-}
 
 // CacheNeeded finds, by bisection, the smallest per-node cache size at
 // which the configured policy reaches the target hit ratio on the
@@ -64,9 +36,9 @@ func CacheNeeded(cfg Config, targetHit float64) (int64, Result, error) {
 	if cl.Nodes == 0 {
 		cl = cluster.Main()
 	}
-	pspec, err := policySpec(cfg)
+	pspec, err := policyspec.Parse(cfg.Policy, cfg.MRD, cfg.AdHoc)
 	if err != nil {
-		return 0, Result{}, err
+		return 0, Result{}, fmt.Errorf("mrdspark: %w", err)
 	}
 	spec, err := workload.Build(cfg.Workload, cfg.Params)
 	if err != nil {

@@ -25,45 +25,14 @@ import (
 
 	"mrdspark/internal/core"
 	"mrdspark/internal/exec"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
 
-// policyNames lists the selectable policies in display order.
-var policyNames = []string{
-	"MRD", "MRD-evict", "MRD-prefetch", "MRD-dynamic",
-	"LRU", "FIFO", "LFU", "Hyperbolic", "GDS", "MemTune", "MIN", "LRC",
-}
-
-// parsePolicy maps a policy name onto the experiment suite's spec —
-// the same aliases the simulator's front door accepts, so a policy
-// name means the same thing to mrdsim and mrdexec.
-func parsePolicy(name string, adhoc, jobDist bool) (experiments.PolicySpec, error) {
-	spec := experiments.PolicySpec{Kind: name, AdHoc: adhoc}
-	if jobDist {
-		spec.MRD.Metric = core.JobDistance
-	}
-	switch name {
-	case "MRD-evict":
-		spec.Kind = "MRD"
-		spec.MRD.DisablePrefetch = true
-	case "MRD-prefetch":
-		spec.Kind = "MRD"
-		spec.MRD.DisableEviction = true
-	case "MRD-dynamic":
-		spec.Kind = "MRD"
-		spec.MRD.DynamicThreshold = true
-	case "MRD", "LRU", "FIFO", "LFU", "Hyperbolic", "GDS", "MemTune", "MIN", "LRC":
-	default:
-		return spec, fmt.Errorf("unknown policy %q (have %s)", name, strings.Join(policyNames, ", "))
-	}
-	return spec, nil
-}
-
 func main() {
 	name := flag.String("workload", "PR", "workload name (see -list)")
-	policy := flag.String("policy", "MRD", "cache policy: "+strings.Join(policyNames, ", "))
+	policy := flag.String("policy", "MRD", "cache policy: "+strings.Join(policyspec.Names(), ", "))
 	workers := flag.Int("workers", exec.DefaultWorkers, "worker goroutines (one block manager each)")
 	cache := flag.String("cache", "", "per-worker cache size, e.g. 64M or 1G (default 64M)")
 	rows := flag.Int("rows", 0, "generated rows per source partition (0 = default 512)")
@@ -83,7 +52,7 @@ func main() {
 
 	if *list {
 		fmt.Println("workloads:", strings.Join(workload.Names(), " "))
-		fmt.Println("policies: ", strings.Join(policyNames, " "))
+		fmt.Println("policies: ", strings.Join(policyspec.Names(), " "))
 		return
 	}
 
@@ -97,7 +66,11 @@ func main() {
 		fatal(err)
 	}
 
-	pol, err := parsePolicy(*policy, *adhoc, *jobDist)
+	var mrd core.Options
+	if *jobDist {
+		mrd.Metric = core.JobDistance
+	}
+	pol, err := policyspec.Parse(*policy, mrd, *adhoc)
 	if err != nil {
 		fatal(err)
 	}

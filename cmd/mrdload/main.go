@@ -33,8 +33,8 @@ import (
 	"time"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs/trace"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/service/client"
 	"mrdspark/internal/workload"
@@ -183,7 +183,7 @@ func main() {
 	advCfg := service.AdvisorConfig{
 		Nodes:      *nodes,
 		CacheBytes: *cache * cluster.MB,
-		Policy:     experiments.PolicySpec{Kind: *policyKind},
+		Policy:     policyspec.Spec{Kind: *policyKind},
 	}
 
 	var tracer *trace.Tracer

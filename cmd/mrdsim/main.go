@@ -31,9 +31,7 @@ func main() {
 	iters := flag.Int("iterations", 0, "override the workload's iteration parameter")
 	adhoc := flag.Bool("adhoc", false, "build the DAG profile one job at a time (no recurring profile)")
 	jobDist := flag.Bool("jobdistance", false, "use job distance instead of stage distance (MRD)")
-	failNode := flag.Int("failnode", 0, "inject a failure of node N-1 (1-based; 0 = none)")
-	failStage := flag.Int("failstage", 0, "executed-stage index at which the failure hits")
-	chaos := flag.String("chaos", "", "fault-schedule preset (see -list; overrides -failnode)")
+	chaos := flag.String("chaos", "", "fault-schedule preset (see -list)")
 	replication := flag.Int("replication", 0, "replica copies per cached/shuffle block (0 = schedule default)")
 	fetchFail := flag.Float64("fetchfail", -1, "remote-fetch failure probability in [0,1) (-1 = schedule default)")
 	seed := flag.Int64("seed", 0, "fault-schedule RNG seed (0 = schedule default)")
@@ -54,12 +52,10 @@ func main() {
 	}
 
 	cfg := mrdspark.Config{
-		Workload:    *name,
-		Policy:      *policy,
-		Params:      mrdspark.WorkloadParams{Iterations: *iters},
-		AdHoc:       *adhoc,
-		FailNode:    *failNode,
-		FailAtStage: *failStage,
+		Workload: *name,
+		Policy:   *policy,
+		Params:   mrdspark.WorkloadParams{Iterations: *iters},
+		AdHoc:    *adhoc,
 	}
 	if *jobDist {
 		cfg.MRD.Metric = 1 // core.JobDistance

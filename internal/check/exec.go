@@ -59,8 +59,9 @@ func runExecLeg(w *Workload, p experiments.PolicySpec, dataSeed int64, kill *exe
 //     engine is deterministic despite its concurrency.
 //   - The executed advice fingerprints are byte-identical to the online
 //     advisor's over the same graph, policy and cluster shape — for
-//     EVERY policy, because the engine's boundary decision phase is the
-//     advisor's procedure run against live stores.
+//     EVERY policy: the engine drives an Advisor of its own, so this
+//     leg proves its driving order (kills, submissions, boundaries) and
+//     its byte-plane hook never perturb the accounting.
 //   - For class A policies the executed per-stage decision digests also
 //     match the batch simulator's: sim-predicted and executed cache
 //     decisions are the same decisions.

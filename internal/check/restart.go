@@ -72,14 +72,7 @@ func runRestartLeg(w *Workload, p experiments.PolicySpec, restoreAt map[int]bool
 
 	leg := &advisorLeg{advice: advice, events: rec.Events(), agg: agg}
 	for _, a := range advice {
-		leg.sum.Hits += a.Counters.Hits
-		leg.sum.Misses += a.Counters.Misses
-		leg.sum.Promotes += a.Counters.Promotes
-		leg.sum.Recomputes += a.Counters.Recomputes
-		leg.sum.Inserts += a.Counters.Inserts
-		leg.sum.Evictions += a.Counters.Evictions
-		leg.sum.Purged += a.Counters.Purged
-		leg.sum.Prefetches += a.Counters.Prefetches
+		leg.sum.Add(a.Counters)
 	}
 	leg.issued, leg.used, leg.wasted, leg.pending = adv.PrefetchLedger()
 	return leg, nil

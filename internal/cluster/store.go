@@ -166,6 +166,20 @@ func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bo
 	return plan, true
 }
 
+// PutPrefetch is the arrival path of a prefetched block. Arbitrated
+// policies (the MRD CacheMonitor) veto arrivals whose evictions would
+// displace blocks at least as urgent as the incoming one, evicting
+// nothing; other policies take the paper's fully aggressive Put.
+func (s *MemoryStore) PutPrefetch(info block.Info) (evicted []block.Info, ok bool) {
+	arb, isArb := s.pol.(policy.PrefetchArbiter)
+	if !isArb {
+		return s.Put(info)
+	}
+	return s.PutGuarded(info, func(victim block.ID) bool {
+		return arb.AllowPrefetchEviction(info, victim)
+	})
+}
+
 // Remove drops the block without policy-initiated victim selection
 // (purge orders, failure injection). It reports whether the block was
 // resident.

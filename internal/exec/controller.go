@@ -2,273 +2,57 @@ package exec
 
 import (
 	"mrdspark/internal/block"
-	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
-	"mrdspark/internal/obs"
-	"mrdspark/internal/policy"
-	"mrdspark/internal/service"
 )
 
-// This file is the engine's decision phase: the cache-management work
-// the master does at every stage boundary, single-threaded, on the
-// live stores. It deliberately mirrors service.(*Advisor).Advance
-// operation for operation — same two-phase read resolution, same
-// insert order, same ClusterOps semantics for the policy's purge and
-// prefetch orders — because that exact mirroring is what the
-// sim-vs-exec differential leg (internal/check) holds it to: an
-// executed run's advice fingerprints must be byte-identical to the
-// advisor's over the same graph, policy and cluster shape. Where the
-// advisor only mutates accounting, the engine also moves the real
-// bytes (spills, drops, prefetch loads) so the workers' data plane
-// tracks the decisions.
+// This file is the engine's side of the stage boundary. The boundary
+// procedure itself — Algorithm 1's purge and prefetch, the two-phase
+// read resolution, the inserts and the prefetch ledger — is
+// service.(*Advisor).Advance, run on the advisor's own stores; the
+// engine only tells the advisor about worker kills, and moves real
+// bytes when the advisor's BytePlane hook says the accounting moved.
 
 // advance runs the boundary for one stage: pending worker-loss
-// bookkeeping, the policy's stage-start phase (purges and prefetches
-// through execOps), then the stage's frontier reads and cached-output
-// inserts against the live stores.
-func (e *Engine) advance(s *dag.Stage) service.Advice {
-	if k := e.cfg.Kill; k != nil && !k.Mid && k.Stage == s.ID && !e.killApplied {
+// bookkeeping, then the advisor's Advance. curCreates is published
+// here, before the task wave, so tasks know which cached RDDs to read
+// and which to materialize.
+func (e *Engine) advance(s *dag.Stage) error {
+	if k := e.cfg.Kill; k != nil && !k.Mid && k.Stage == s.ID {
 		// Boundary kill: both planes die at once, deterministically.
 		e.nodes[k.Worker].wipeData()
-		e.applyNodeFailure(k.Worker)
-		e.killApplied = true
+		e.pendingFail = true
 	}
 	if e.pendingFail {
-		// A mid-stage kill already destroyed the bytes; the master
-		// "hears about it" now and settles the accounting.
-		e.applyNodeFailure(e.cfg.Kill.Worker)
+		// The bytes are already gone (for a mid-stage kill, since the
+		// previous task wave); the master "hears about it" now and the
+		// advisor settles the accounting.
+		if err := e.adv.OnNodeFailure(e.cfg.Kill.Worker); err != nil {
+			return err
+		}
 		e.pendingFail = false
-		e.killApplied = true
 	}
 
-	e.cur = &service.Advice{Stage: s.ID, Job: s.FirstJob.ID, Decisions: []service.Decision{}}
-	e.bus.SetStage(s.ID, s.FirstJob.ID)
-
-	if e.stageObs != nil {
-		e.stageObs.OnStageStart(s.ID, s.FirstJob.ID)
-	}
-	e.applyStage(s)
-
-	adv := *e.cur
-	e.cur = nil
-	e.history = append(e.history, adv)
-	return adv
-}
-
-// applyNodeFailure settles the accounting for a lost worker: stores
-// cleared, pending prefetches wasted, the policy notified (MRD's §4.4
-// table re-issue path).
-func (e *Engine) applyNodeFailure(nodeID int) {
-	n := e.nodes[nodeID]
-	n.mem.Clear()
-	n.disk.Clear()
-	e.pfWaste += int64(len(n.prefetched))
-	n.prefetched = map[block.ID]bool{}
-	if e.failObs != nil {
-		e.failObs.OnNodeFailure(nodeID)
-	}
-	e.bus.Emit(obs.Ev(obs.KindNodeFail, nodeID))
-}
-
-// applyStage folds the stage into the live cluster state: two-phase
-// frontier reads (all reads resolved against stage-start state, then
-// the missed blocks re-inserted), then the stage's cached outputs.
-// curCreates is published here, before the task wave, so tasks know
-// which cached RDDs to read and which to materialize.
-func (e *Engine) applyStage(s *dag.Stage) {
-	reads, creates := dag.StageFrontier(s, func(id int) bool { return e.created[id] })
+	_, creates := dag.StageFrontier(s, e.adv.Materialized)
 	e.curCreates = map[int]bool{}
 	for _, r := range creates {
 		e.curCreates[r.ID] = true
 	}
-	var missed []block.Info
-	for _, r := range reads {
-		for p := 0; p < r.NumPartitions; p++ {
-			if !e.resolveRead(r.BlockInfo(p)) {
-				missed = append(missed, r.BlockInfo(p))
-			}
-		}
-	}
-	for _, info := range missed {
-		e.insertBlock(e.home(info.ID), info, "evict")
-	}
-	for _, r := range creates {
-		for p := 0; p < r.NumPartitions; p++ {
-			e.insertBlock(e.home(r.Block(p)), r.BlockInfo(p), "evict")
-		}
-		e.created[r.ID] = true
+	_, err := e.adv.Advance(s.ID)
+	return err
+}
+
+// The three service.BytePlane calls, all made by the advisor on the
+// master goroutine, between task waves.
+
+// Spill follows a MEMORY_AND_DISK eviction or purge.
+func (e *Engine) Spill(node int, id block.ID) {
+	if moved, ok := e.nodes[node].spillToDisk(id); ok {
+		e.ctr.add(func(c *counters) { c.spills++; c.spillBytes += moved })
 	}
 }
 
-// resolveRead resolves one demand read of a cached block against the
-// current accounting: hit, or miss classified as disk promote or
-// lineage recompute. The data plane settles later, when the reading
-// task actually touches the bytes.
-func (e *Engine) resolveRead(info block.Info) bool {
-	nodeID := e.home(info.ID)
-	n := e.nodes[nodeID]
-	if n.mem.Get(info.ID) {
-		e.cur.Counters.Hits++
-		if n.prefetched[info.ID] {
-			e.pfUsed++
-			delete(n.prefetched, info.ID)
-		}
-		e.bus.Emit(obs.BlockEv(obs.KindHit, nodeID, info.ID, info.Size))
-		return true
-	}
-	e.cur.Counters.Misses++
-	e.bus.Emit(obs.BlockEv(obs.KindMiss, nodeID, info.ID, info.Size))
-	if n.disk.Has(info.ID) {
-		e.cur.Counters.Promotes++
-		e.bus.Emit(obs.BlockEv(obs.KindPromote, nodeID, info.ID, info.Size))
-	} else {
-		e.cur.Counters.Recomputes++
-		e.bus.Emit(obs.BlockEv(obs.KindRecompute, nodeID, info.ID, info.Size))
-	}
-	return false
-}
+// Drop follows a MEMORY_ONLY eviction or purge.
+func (e *Engine) Drop(node int, id block.ID) { e.nodes[node].dropMem(id) }
 
-// insertBlock admits the block into the node's memory accounting,
-// settling the demand evictions it forces.
-func (e *Engine) insertBlock(nodeID int, info block.Info, evictKind string) {
-	n := e.nodes[nodeID]
-	if n.mem.Contains(info.ID) {
-		return
-	}
-	evicted, ok := n.mem.Put(info)
-	for _, v := range evicted {
-		e.settleEviction(nodeID, v, evictKind)
-	}
-	if !ok {
-		return // oversized or fully protected: the read stays uncached
-	}
-	e.cur.Counters.Inserts++
-	e.bus.Emit(obs.BlockEv(obs.KindInsert, nodeID, info.ID, info.Size))
-}
-
-// settleEviction records one eviction's side effects on both planes:
-// the accounting spill (MEMORY_AND_DISK) or loss (MEMORY_ONLY), the
-// matching byte movement, and prefetch-waste accounting.
-func (e *Engine) settleEviction(nodeID int, v block.Info, kind string) {
-	n := e.nodes[nodeID]
-	if v.Level == block.MemoryAndDisk {
-		n.disk.Put(v.ID, v.Size)
-		if moved, ok := n.spillToDisk(v.ID); ok {
-			e.ctr.add(func(c *counters) { c.spills++; c.spillBytes += moved })
-		}
-	} else {
-		n.dropMem(v.ID)
-	}
-	if n.prefetched[v.ID] {
-		e.pfWaste++
-		delete(n.prefetched, v.ID)
-	}
-	e.cur.Decisions = append(e.cur.Decisions, service.Decision{Kind: kind, Node: nodeID, Block: v.ID.String()})
-	e.cur.Counters.Evictions++
-	e.bus.Emit(obs.BlockEv(obs.KindEvict, nodeID, v.ID, v.Size))
-}
-
-// home returns the block's locality-preferred worker — the same single
-// placement rule the simulator and the advisor use.
-func (e *Engine) home(id block.ID) int { return cluster.HomeNode(id, len(e.nodes)) }
-
-// blockInfo reconstructs a block's cache metadata from the DAG.
-func (e *Engine) blockInfo(id block.ID) block.Info {
-	if id.RDD < 0 || id.RDD >= len(e.graph.RDDs) {
-		return block.Info{ID: id}
-	}
-	return e.graph.RDDs[id.RDD].BlockInfo(id.Partition)
-}
-
-// execOps is the policy.ClusterOps control surface over the engine's
-// live cluster — the seam through which the MRD manager's purge and
-// prefetch orders act on real stores and real bytes.
-type execOps struct{ e *Engine }
-
-var _ policy.ClusterOps = execOps{}
-
-func (o execOps) NumNodes() int             { return len(o.e.nodes) }
-func (o execOps) HomeNode(id block.ID) int  { return o.e.home(id) }
-func (o execOps) FreeBytes(node int) int64  { return o.e.nodes[node].mem.Free() }
-func (o execOps) CapacityBytes(n int) int64 { return o.e.nodes[n].mem.Capacity() }
-func (o execOps) Resident(node int, id block.ID) bool {
-	return o.e.nodes[node].mem.Contains(id)
-}
-func (o execOps) OnDisk(node int, id block.ID) bool {
-	return o.e.nodes[node].disk.Has(id)
-}
-
-// Evict implements the manager's all-out purge order on both planes.
-func (o execOps) Evict(nodeID int, id block.ID) bool {
-	e := o.e
-	n := e.nodes[nodeID]
-	if !n.mem.Contains(id) {
-		return false
-	}
-	info := e.blockInfo(id)
-	if !n.mem.Remove(id) {
-		return false
-	}
-	if info.Level == block.MemoryAndDisk {
-		n.disk.Put(id, info.Size)
-		if moved, ok := n.spillToDisk(id); ok {
-			e.ctr.add(func(c *counters) { c.spills++; c.spillBytes += moved })
-		}
-	} else {
-		n.dropMem(id)
-	}
-	if n.prefetched[id] {
-		e.pfWaste++
-		delete(n.prefetched, id)
-	}
-	if e.cur != nil {
-		e.cur.Decisions = append(e.cur.Decisions, service.Decision{Kind: "purge", Node: nodeID, Block: id.String()})
-		e.cur.Counters.Purged++
-	}
-	e.bus.Emit(obs.BlockEv(obs.KindPurge, nodeID, id, info.Size))
-	return true
-}
-
-// Prefetch implements the manager's prefetch order: the block loads
-// from local disk into memory — accounting through the policy's victim
-// walk (arbitrated when supported), bytes by a disk-to-memory copy.
-func (o execOps) Prefetch(nodeID int, info block.Info) {
-	e := o.e
-	n := e.nodes[nodeID]
-	if n.mem.Contains(info.ID) || !n.disk.Has(info.ID) {
-		return
-	}
-	var evicted []block.Info
-	var ok bool
-	if arb, isArb := n.pol.(policy.PrefetchArbiter); isArb {
-		evicted, ok = n.mem.PutGuarded(info, func(v block.ID) bool {
-			return arb.AllowPrefetchEviction(info, v)
-		})
-	} else {
-		evicted, ok = n.mem.Put(info)
-	}
-	for _, v := range evicted {
-		e.settleEviction(nodeID, v, "prefetch-evict")
-	}
-	if !ok {
-		if e.cur != nil {
-			e.cur.Decisions = append(e.cur.Decisions, service.Decision{Kind: "prefetch-drop", Node: nodeID, Block: info.ID.String()})
-		}
-		return
-	}
-	n.promoteToMem(info.ID)
-	n.prefetched[info.ID] = true
-	e.pfIssued++
-	if e.cur != nil {
-		e.cur.Decisions = append(e.cur.Decisions, service.Decision{Kind: "prefetch", Node: nodeID, Block: info.ID.String()})
-		e.cur.Counters.Prefetches++
-	}
-	e.bus.Emit(obs.BlockEv(obs.KindPrefetchIssue, nodeID, info.ID, info.Size))
-	e.bus.Emit(obs.BlockEv(obs.KindPrefetchArrive, nodeID, info.ID, info.Size))
-}
-
-// PrefetchOutcomes reports the cluster-wide prefetch feedback the
-// dynamic-threshold controller consumes.
-func (o execOps) PrefetchOutcomes() (used, wasted int64) {
-	return o.e.pfUsed, o.e.pfWaste
-}
+// Load follows a prefetch arrival.
+func (e *Engine) Load(node int, id block.ID) { e.nodes[node].promoteToMem(id) }

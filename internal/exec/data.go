@@ -1,14 +1,15 @@
 // Package exec is the real data plane: a master/worker execution
 // runtime that actually runs the DAG's operators over deterministically
-// generated partitioned data, with the live cluster BlockManager —
-// memory stores driven by the configured cache policy, spill-to-disk
-// under pressure, shuffle write/read between stages, and lineage
-// recompute on worker loss — standing where the simulator only models
-// one. The cache-decision phase at every stage boundary mirrors the
-// online Advisor's semantics exactly (DESIGN.md §9), so an executed
-// run's decision stream is directly comparable, byte for byte, with
-// the simulator's and the advisor's: the sim is the oracle for the
-// engine, and the engine is the measured ground truth for the sim.
+// generated partitioned data, with a live block manager — cache
+// accounting driven by the configured policy, spill-to-disk under
+// pressure, shuffle write/read between stages, and lineage recompute
+// on worker loss — standing where the simulator only models one. The
+// cache decisions at every stage boundary are made by a
+// service.Advisor the engine drives (DESIGN.md §15); the engine moves
+// the real bytes after it. An executed run's decision stream is
+// therefore directly comparable, byte for byte, with the simulator's
+// and the advisor's: the sim is the oracle for the engine, and the
+// engine is the measured ground truth for the sim.
 package exec
 
 import (

@@ -7,9 +7,8 @@ import (
 
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
-	"mrdspark/internal/policy"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/workload"
 )
@@ -40,7 +39,7 @@ type KillSpec struct {
 }
 
 // Config shapes one execution: the cluster (workers, per-worker cache
-// budget), the cache policy advising the live stores, and optional
+// budget), the cache policy the engine's Advisor runs, and optional
 // chaos. Data-plane parameters (rows per partition, key skew, seed)
 // come from the workload spec's Params.
 type Config struct {
@@ -52,7 +51,7 @@ type Config struct {
 	// DefaultCacheBytes.
 	CacheBytes int64
 	// Policy selects the cache policy; the zero value means MRD.
-	Policy experiments.PolicySpec
+	Policy policyspec.Spec
 	// Kill, when non-nil, kills a worker during the run.
 	Kill *KillSpec
 }
@@ -104,52 +103,39 @@ type shuffleInfo struct {
 }
 
 // Engine executes one workload: a master (the caller of Run) that
-// walks the DAG's stage graph, makes cache decisions on the live
-// stores at every stage boundary, and schedules tasks onto worker
-// goroutines that move real bytes. Not safe for concurrent use; Run
-// may be called once.
+// walks the DAG's stage graph, advances its Advisor at every stage
+// boundary — the advisor owns the cache accounting and decisions, the
+// engine follows with the real bytes through the BytePlane hook — and
+// schedules tasks onto worker goroutines. Not safe for concurrent use;
+// Run may be called once.
 type Engine struct {
-	spec    *workload.Spec
-	graph   *dag.Graph
-	cfg     Config
-	factory policy.Factory
-	nodes   []*node
-
-	stageObs policy.StageObserver
-	jobObs   policy.JobObserver
-	failObs  policy.NodeFailureObserver
+	spec  *workload.Spec
+	graph *dag.Graph
+	cfg   Config
+	adv   *service.Advisor
+	nodes []*node
 
 	stages   map[int]*dag.Stage
 	shuffles map[int]*shuffleInfo
 
-	// created marks cached RDDs materialized at some past boundary;
-	// curCreates marks the ones the current stage materializes. Both
-	// are written only between task waves.
-	created    map[int]bool
+	// curCreates marks the cached RDDs the current stage materializes
+	// (the advisor already counts them as materialized). Written only
+	// between task waves.
 	curCreates map[int]bool
 
 	seed int64
 	rows int
 	skew float64
 
-	cur     *service.Advice
-	history []service.Advice
-	nextJob int
-
-	pfIssued, pfUsed, pfWaste int64
-
 	bus   *obs.Bus
 	start time.Time
 
 	workerCh []chan func()
 
-	// Kill state. killApplied covers the accounting half; midArmed is
-	// the loaded trigger a completing task of the kill stage fires;
-	// pendingFail defers the accounting half of a mid-stage kill to the
-	// next boundary.
-	killApplied bool
+	// Kill state. midArmed is the loaded trigger a completing task of
+	// the kill stage fires; pendingFail marks a worker whose bytes are
+	// gone and whose loss the advisor learns at the next boundary.
 	midArmed    chan struct{}
-	midFired    bool
 	pendingFail bool
 
 	ctr counters
@@ -179,10 +165,8 @@ func (c *counters) add(f func(*counters)) {
 	c.mu.Unlock()
 }
 
-// New builds an engine over the workload. The policy factory is
-// instantiated against the graph exactly as the simulator and the
-// advisor instantiate it, and cluster-aware policies are attached to
-// the engine's live stores.
+// New builds an engine over the workload: an Advisor over the cluster
+// shape and policy, with the engine's byte plane hooked in.
 func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 	if spec == nil || spec.Graph == nil {
 		return nil, fmt.Errorf("exec: nil workload")
@@ -193,24 +177,22 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
-	if cfg.Policy.Kind == "" {
-		cfg.Policy.Kind = "MRD"
-	}
 	if cfg.Workers < 1 || cfg.CacheBytes < 0 {
 		return nil, fmt.Errorf("exec: bad cluster shape (workers=%d, cacheBytes=%d)", cfg.Workers, cfg.CacheBytes)
 	}
-	factory, err := buildFactory(cfg.Policy, spec.Graph)
+	adv, err := service.NewAdvisor(spec.Graph, service.AdvisorConfig{
+		Nodes: cfg.Workers, CacheBytes: cfg.CacheBytes, Policy: cfg.Policy,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exec: %w", err)
 	}
 	e := &Engine{
 		spec:     spec,
 		graph:    spec.Graph,
 		cfg:      cfg,
-		factory:  factory,
+		adv:      adv,
 		stages:   map[int]*dag.Stage{},
 		shuffles: map[int]*shuffleInfo{},
-		created:  map[int]bool{},
 		seed:     dataSeed(spec.Params.Seed),
 		rows:     spec.Params.DataRows,
 		skew:     spec.Params.DataSkew,
@@ -231,14 +213,9 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.stageObs, _ = factory.(policy.StageObserver)
-	e.jobObs, _ = factory.(policy.JobObserver)
-	e.failObs, _ = factory.(policy.NodeFailureObserver)
-	if ca, ok := factory.(policy.ClusterAware); ok {
-		ca.Attach(execOps{e})
-	}
+	adv.SetBytePlane(e)
 	for i := 0; i < cfg.Workers; i++ {
-		e.nodes = append(e.nodes, newNode(i, cfg.CacheBytes, factory.NewNodePolicy(i)))
+		e.nodes = append(e.nodes, newNode(i))
 	}
 	if k := cfg.Kill; k != nil {
 		if k.Worker < 0 || k.Worker >= cfg.Workers {
@@ -251,41 +228,12 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// buildFactory instantiates the policy spec against the DAG, mapping
-// the panic-on-unknown contract of experiments.PolicySpec.Factory into
-// an error — the same wrapping the advisory tier applies, so both
-// construct policies identically.
-func buildFactory(spec experiments.PolicySpec, g *dag.Graph) (f policy.Factory, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("exec: %v", r)
-		}
-	}()
-	return spec.Factory(&workload.Spec{Graph: g}), nil
-}
-
 // AttachBus connects the run (and a bus-aware policy) to an
 // observability bus. All events are emitted from the master goroutine;
 // the engine stamps them with the elapsed wall-clock microseconds.
 func (e *Engine) AttachBus(b *obs.Bus) {
 	e.bus = b
-	if at, ok := e.factory.(obs.Attacher); ok {
-		at.AttachBus(b)
-	}
-}
-
-// PolicyName returns the instantiated policy's display name.
-func (e *Engine) PolicyName() string { return e.factory.Name() }
-
-// History returns the per-stage decision log (valid after Run).
-func (e *Engine) History() []service.Advice { return e.history }
-
-// PrefetchLedger returns the run's prefetch conservation counters.
-func (e *Engine) PrefetchLedger() (issued, used, wasted, pending int64) {
-	for _, n := range e.nodes {
-		pending += int64(len(n.prefetched))
-	}
-	return e.pfIssued, e.pfUsed, e.pfWaste, pending
+	e.adv.AttachBus(b)
 }
 
 // Run executes the whole application — every job, stage by stage — and
@@ -317,7 +265,7 @@ func (e *Engine) Run() (Result, error) {
 
 	for _, st := range service.Schedule(e.graph) {
 		if st.Stage < 0 {
-			if err := e.submitJob(st.Job); err != nil {
+			if err := e.adv.SubmitJob(st.Job); err != nil {
 				return Result{}, err
 			}
 			continue
@@ -329,22 +277,15 @@ func (e *Engine) Run() (Result, error) {
 
 	res := Result{
 		Workload:   e.spec.Name,
-		Policy:     e.factory.Name(),
+		Policy:     e.adv.PolicyName(),
 		Workers:    len(e.nodes),
 		JCT:        time.Since(e.start),
-		History:    e.history,
+		History:    e.adv.History(),
 		JobDigests: e.jobDigests,
 	}
 	res.OutputDigest = combineDigests(e.jobDigests)
-	for _, a := range e.history {
-		res.Counters.Hits += a.Counters.Hits
-		res.Counters.Misses += a.Counters.Misses
-		res.Counters.Promotes += a.Counters.Promotes
-		res.Counters.Recomputes += a.Counters.Recomputes
-		res.Counters.Inserts += a.Counters.Inserts
-		res.Counters.Evictions += a.Counters.Evictions
-		res.Counters.Purged += a.Counters.Purged
-		res.Counters.Prefetches += a.Counters.Prefetches
+	for _, a := range res.History {
+		res.Counters.Add(a.Counters)
 	}
 	res.TasksRun = e.ctr.tasksRun
 	res.TaskRetries = e.ctr.taskRetries
@@ -353,22 +294,8 @@ func (e *Engine) Run() (Result, error) {
 	res.ShuffleBytes = e.ctr.shuffleBytes
 	res.RemoteFetches = e.ctr.remoteFetches
 	res.LineageRecomputes = e.ctr.lineageRecomputes
-	res.PrefetchIssued, res.PrefetchUsed, res.PrefetchWasted, res.PrefetchPending = e.PrefetchLedger()
+	res.PrefetchIssued, res.PrefetchUsed, res.PrefetchWasted, res.PrefetchPending = e.adv.PrefetchLedger()
 	return res, nil
-}
-
-// submitJob feeds the next job's DAG to the policy, mirroring the
-// advisor's SubmitJob (jobs arrive in ID order by construction of the
-// canonical schedule).
-func (e *Engine) submitJob(jobID int) error {
-	if jobID != e.nextJob {
-		return fmt.Errorf("exec: job %d out of order (next is %d)", jobID, e.nextJob)
-	}
-	if e.jobObs != nil {
-		e.jobObs.OnJobSubmit(e.graph.Jobs[jobID])
-	}
-	e.nextJob++
-	return nil
 }
 
 // runStage executes one stage: the boundary decision phase on the
@@ -381,13 +308,14 @@ func (e *Engine) runStage(s *dag.Stage) error {
 	e.bus.SetStage(s.ID, s.FirstJob.ID)
 	e.bus.Emit(obs.Ev(obs.KindStageStart, obs.ClusterScope).
 		WithValue(int64(s.NumTasks)).WithVerdict(s.Kind.String()))
-	e.advance(s)
+	if err := e.advance(s); err != nil {
+		return err
+	}
 	stageStart := time.Now()
 
-	if k := e.cfg.Kill; k != nil && k.Mid && k.Stage == s.ID && !e.midFired {
+	if k := e.cfg.Kill; k != nil && k.Mid && k.Stage == s.ID {
 		e.midArmed = make(chan struct{}, 1)
 		e.midArmed <- struct{}{}
-		e.midFired = true
 	}
 
 	workers := make([]int, s.NumTasks)

@@ -4,40 +4,24 @@ import (
 	"sync"
 
 	"mrdspark/internal/block"
-	"mrdspark/internal/cluster"
-	"mrdspark/internal/policy"
 )
 
 // shuffleKey addresses one map-output bucket: shuffle sid's map task
 // mapPart wrote it for reduce partition reducePart.
 type shuffleKey struct{ sid, mapPart, reducePart int }
 
-// node is one worker's full storage stack, in two planes:
-//
-// The accounting plane — the live cluster.MemoryStore (policy-driven
-// capacity accounting) and cluster.DiskStore — is mutated only by the
-// master's stage-boundary decision phase, exactly as the online
-// Advisor mutates its model stores, which is what keeps the engine's
-// decision stream byte-comparable with the simulator's and the
-// advisor's. Worker goroutines read residency (Contains/Has)
-// concurrently; the stores' own locks make that safe.
-//
-// The byte plane — memBytes, diskBytes and the shuffle bucket map —
-// holds the actual encoded rows and is read and written by worker
-// goroutines under the node's mutex. Accounting leads, bytes follow:
-// a block's bytes are stored where the accounting says it is resident,
-// and a byte-plane lookup that comes up empty (worker killed, or a
-// MEMORY_ONLY eviction dropped the bytes) falls back to lineage
-// recompute.
+// node is one worker's byte plane: memBytes, diskBytes and the shuffle
+// bucket map hold the actual encoded rows and are read and written by
+// worker goroutines under the node's mutex. The accounting plane —
+// which block is resident where — lives in the engine's Advisor, is
+// mutated only at stage boundaries on the master, and is read by
+// workers through Advisor.Resident/OnDisk (the stores' own locks make
+// that safe). Accounting leads, bytes follow: a block's bytes are
+// stored where the accounting says it is resident, and a byte-plane
+// lookup that comes up empty (worker killed, or a MEMORY_ONLY eviction
+// dropped the bytes) falls back to lineage recompute.
 type node struct {
 	id int
-
-	mem  *cluster.MemoryStore
-	disk *cluster.DiskStore
-	pol  policy.Policy
-	// prefetched tracks blocks loaded by prefetch and not yet hit
-	// (master-only, like the rest of the accounting plane).
-	prefetched map[block.ID]bool
 
 	mu        sync.Mutex
 	memBytes  map[block.ID][]byte
@@ -48,16 +32,12 @@ type node struct {
 	epoch int
 }
 
-func newNode(id int, cacheBytes int64, pol policy.Policy) *node {
+func newNode(id int) *node {
 	return &node{
-		id:         id,
-		mem:        cluster.NewMemoryStore(cacheBytes, pol),
-		disk:       cluster.NewDiskStore(),
-		pol:        pol,
-		prefetched: map[block.ID]bool{},
-		memBytes:   map[block.ID][]byte{},
-		diskBytes:  map[block.ID][]byte{},
-		shuffle:    map[shuffleKey][]byte{},
+		id:        id,
+		memBytes:  map[block.ID][]byte{},
+		diskBytes: map[block.ID][]byte{},
+		shuffle:   map[shuffleKey][]byte{},
 	}
 }
 
@@ -159,8 +139,8 @@ func (n *node) getBucket(k shuffleKey) ([]byte, bool) {
 // wipeData destroys the worker's byte plane — cached bytes, spilled
 // bytes, and every shuffle bucket it served — and bumps the kill
 // epoch. This is the data half of a worker kill; the accounting half
-// (store Clear, policy notification) is applied by the master, at the
-// next stage boundary for mid-stage kills.
+// (Advisor.OnNodeFailure) is applied by the master, at the next stage
+// boundary for mid-stage kills.
 func (n *node) wipeData() {
 	n.mu.Lock()
 	defer n.mu.Unlock()

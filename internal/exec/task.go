@@ -45,6 +45,10 @@ func (e *Engine) runTask(s *dag.Stage, part, workerID int) (digest uint64, durUs
 	return digest, time.Since(t0).Microseconds()
 }
 
+// home returns the block's locality-preferred worker — the same single
+// placement rule the simulator and the advisor use.
+func (e *Engine) home(id block.ID) *node { return e.nodes[cluster.HomeNode(id, len(e.nodes))] }
+
 // maybeFireMidKill pulls the mid-stage kill trigger: the first task of
 // the kill stage to complete wipes the victim worker's byte plane. The
 // accounting half is deferred to the next stage boundary (the master's
@@ -72,7 +76,7 @@ func (e *Engine) eval(t *taskCtx, r *dag.RDD, p int) []Row {
 		return rows
 	}
 	var rows []Row
-	if r.Cached && e.created[r.ID] && !e.curCreates[r.ID] {
+	if r.Cached && e.adv.Materialized(r.ID) && !e.curCreates[r.ID] {
 		rows = e.readCached(t, r, p)
 	} else {
 		rows = e.computeRows(t, r, p)
@@ -91,7 +95,7 @@ func (e *Engine) eval(t *taskCtx, r *dag.RDD, p int) []Row {
 // rebuilt from its lineage, once, however many tasks need it.
 func (e *Engine) readCached(t *taskCtx, r *dag.RDD, p int) []Row {
 	id := r.Block(p)
-	home := e.nodes[e.home(id)]
+	home := e.home(id)
 	if home.id != t.worker {
 		e.ctr.add(func(c *counters) { c.remoteFetches++ })
 	}
@@ -100,7 +104,7 @@ func (e *Engine) readCached(t *taskCtx, r *dag.RDD, p int) []Row {
 		return rows
 	}
 	if b, ok := home.loadDisk(id); ok {
-		if home.mem.Contains(id) {
+		if e.adv.Resident(home.id, id) {
 			home.storeMem(id, b)
 		}
 		rows, _ := DecodeRows(b)
@@ -120,13 +124,13 @@ func (e *Engine) readCached(t *taskCtx, r *dag.RDD, p int) []Row {
 // (the accounting refused or already dropped it — the next read
 // recomputes).
 func (e *Engine) materialize(info block.Info, rows []Row) {
-	home := e.nodes[e.home(info.ID)]
+	home := e.home(info.ID)
 	b := EncodeRows(rows)
-	if home.mem.Contains(info.ID) {
+	if e.adv.Resident(home.id, info.ID) {
 		home.storeMem(info.ID, b)
 		return
 	}
-	if home.disk.Has(info.ID) {
+	if e.adv.OnDisk(home.id, info.ID) {
 		if home.storeDisk(info.ID, b) {
 			e.ctr.add(func(c *counters) { c.spills++; c.spillBytes += int64(len(b)) })
 		}

@@ -9,25 +9,15 @@ import (
 	"mrdspark/internal/core"
 	"mrdspark/internal/fault"
 	"mrdspark/internal/metrics"
-	"mrdspark/internal/policy"
-	"mrdspark/internal/refdist"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/sim"
 	"mrdspark/internal/workload"
 )
 
-// PolicySpec identifies one policy configuration under test.
-type PolicySpec struct {
-	// Kind selects the policy family: LRU, FIFO, LFU, LRC, MemTune,
-	// MIN, or MRD.
-	Kind string
-	// MRD holds the MRD variant options (Kind == "MRD").
-	MRD core.Options
-	// AdHoc runs DAG-aware policies (MRD, LRC) without a recurring
-	// profile: they learn the DAG one job at a time.
-	AdHoc bool
-	// Label overrides the reported policy name.
-	Label string
-}
+// PolicySpec identifies one policy configuration under test. The type,
+// with Factory and Name, lives in internal/policyspec; the alias keeps
+// the name the suite's drivers and the benchmark module compile against.
+type PolicySpec = policyspec.Spec
 
 // Common policy specs.
 var (
@@ -39,67 +29,6 @@ var (
 	SpecMRDEvictOnly = PolicySpec{Kind: "MRD", MRD: core.Options{DisablePrefetch: true}}
 	SpecMRDPrefOnly  = PolicySpec{Kind: "MRD", MRD: core.Options{DisableEviction: true}}
 )
-
-// Factory builds the policy factory for a workload's DAG.
-func (p PolicySpec) Factory(spec *workload.Spec) policy.Factory {
-	g := spec.Graph
-	switch p.Kind {
-	case "LRU":
-		return policy.NewLRU()
-	case "FIFO":
-		return policy.NewFIFO()
-	case "LFU":
-		return policy.NewLFU()
-	case "Hyperbolic":
-		return policy.NewHyperbolic()
-	case "GDS":
-		return policy.NewGDS()
-	case "MemTune":
-		return policy.NewMemTune(g)
-	case "MIN":
-		return policy.NewMIN(g)
-	case "LRC":
-		if p.AdHoc {
-			return policy.NewLRCAdHoc()
-		}
-		return policy.NewLRC(g)
-	case "MRD":
-		var prof *core.AppProfiler
-		if p.AdHoc {
-			prof = core.NewAppProfiler()
-		} else {
-			prof = core.NewRecurringProfiler(refdist.FromGraph(g))
-		}
-		return core.NewManager(g, prof, p.MRD)
-	default:
-		panic(fmt.Sprintf("experiments: unknown policy kind %q", p.Kind))
-	}
-}
-
-// Name returns the display name for result tables.
-func (p PolicySpec) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	name := p.Kind
-	if p.Kind == "MRD" {
-		switch {
-		case p.MRD.DisablePrefetch && p.MRD.DisableEviction:
-			name = "MRD(off)"
-		case p.MRD.DisablePrefetch:
-			name = "MRD-evict"
-		case p.MRD.DisableEviction:
-			name = "MRD-prefetch"
-		}
-		if p.MRD.Metric == core.JobDistance {
-			name += "(job)"
-		}
-		if p.AdHoc {
-			name += "(ad-hoc)"
-		}
-	}
-	return name
-}
 
 // faultKey identifies the fault schedule a run was simulated under.
 // The zero value is the healthy, unreplicated run. Presets are seeded

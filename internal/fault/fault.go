@@ -57,8 +57,8 @@ func (k Kind) String() string {
 }
 
 // Event is one scheduled fault. Stage is the executed-stage index
-// (0-based, in execution order, the same counter the old FailAtStage
-// used); the event fires just before that stage starts.
+// (0-based, in execution order); the event fires just before that
+// stage starts.
 type Event struct {
 	Stage int
 	Kind  Kind
@@ -210,9 +210,8 @@ func (s *Schedule) Validate(nodes int) error {
 	return nil
 }
 
-// Crash returns the minimal schedule the old FailNode/FailAtStage pair
-// expressed: one permanent crash of the node before the given executed
-// stage.
+// Crash returns the minimal schedule: one permanent crash of the node
+// before the given executed stage.
 func Crash(node, stage int) *Schedule {
 	return &Schedule{Events: []Event{{Stage: stage, Kind: NodeCrash, Node: node}}}
 }

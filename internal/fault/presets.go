@@ -32,7 +32,7 @@ var presetBuilders = map[string]func(nodes, stages int) *Schedule{
 		}}
 	},
 	// rolling: two different nodes lost at the 1/3 and 2/3 marks —
-	// the multi-failure case a single FailNode could never express.
+	// the multi-failure case a single crash cannot express.
 	"rolling": func(nodes, stages int) *Schedule {
 		second := 2 % nodes
 		return &Schedule{Seed: 42, Events: []Event{

@@ -6,7 +6,7 @@
 //
 // The heart of the package is the Advisor: a deterministic advisory
 // session that owns one application's DAG, a pluggable cache policy
-// (experiments.PolicySpec — MRD and every baseline), and a model of the
+// (policyspec.Spec — MRD and every baseline), and a model of the
 // cluster's cache state built from the same cluster.MemoryStore /
 // cluster.DiskStore components the simulator runs on. Feeding the same
 // jobs and stage boundaries to two Advisors — one behind the server,
@@ -22,9 +22,9 @@ import (
 	"mrdspark/internal/block"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
 
@@ -38,7 +38,7 @@ type AdvisorConfig struct {
 	CacheBytes int64 `json:"cacheBytes,omitempty"`
 	// Policy selects the cache policy; the zero value means full MRD in
 	// recurring mode.
-	Policy experiments.PolicySpec `json:"policy"`
+	Policy policyspec.Spec `json:"policy"`
 }
 
 // Advisory-model defaults.
@@ -91,6 +91,18 @@ type Counters struct {
 	Prefetches int `json:"prefetches"`
 }
 
+// Add folds another set of counters into c.
+func (c *Counters) Add(o Counters) {
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Promotes += o.Promotes
+	c.Recomputes += o.Recomputes
+	c.Inserts += o.Inserts
+	c.Evictions += o.Evictions
+	c.Purged += o.Purged
+	c.Prefetches += o.Prefetches
+}
+
 // Advice is the full response to one stage-boundary advance: the
 // decisions in issue order plus the resulting model counters.
 type Advice struct {
@@ -127,14 +139,33 @@ func (a Advice) Fingerprint() string {
 type advNode struct {
 	mem  *cluster.MemoryStore
 	disk *cluster.DiskStore
-	pol  policy.Policy
 	// prefetched tracks blocks loaded by prefetch and not yet hit, for
 	// the manager's reportCacheStatus feedback loop.
 	prefetched map[block.ID]bool
 }
 
+// BytePlane is the optional hook through which a host that holds real
+// data (internal/exec) keeps its bytes in step with the advisor's
+// accounting. The advisor owns every residency decision and calls the
+// hook synchronously (on the goroutine driving it; the shipped policies
+// only act inside Advance), right after the accounting change each call
+// names; the host owns the bytes and never touches the accounting.
+type BytePlane interface {
+	// Spill moves the block's bytes from memory to disk: an eviction or
+	// purge of a MEMORY_AND_DISK block.
+	Spill(node int, id block.ID)
+	// Drop discards the block's in-memory bytes: an eviction or purge
+	// of a MEMORY_ONLY block.
+	Drop(node int, id block.ID)
+	// Load copies the block's on-disk bytes into memory: a prefetch
+	// arrival.
+	Load(node int, id block.ID)
+}
+
 // Advisor is one application's advisory session. It is not safe for
-// concurrent use; the server serializes calls per session.
+// concurrent use; the server serializes calls per session. (The
+// read-only Resident/OnDisk/Materialized accessors may be called from
+// other goroutines between calls.)
 type Advisor struct {
 	graph   *dag.Graph
 	cfg     AdvisorConfig
@@ -177,7 +208,8 @@ type Advisor struct {
 	pfUsed   int64
 	pfWaste  int64
 
-	bus *obs.Bus // nil-safe; shared with the server's aggregator
+	bus   *obs.Bus  // nil-safe; shared with the server's aggregator
+	bytes BytePlane // nil for a model-only session
 }
 
 // NewAdvisor builds a session over the application DAG. The config's
@@ -188,9 +220,9 @@ func NewAdvisor(g *dag.Graph, cfg AdvisorConfig) (*Advisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	factory, err := buildFactory(cfg.Policy, g)
+	factory, err := cfg.Policy.Build(g)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	a := &Advisor{
 		graph:     g,
@@ -210,27 +242,13 @@ func NewAdvisor(g *dag.Graph, cfg AdvisorConfig) (*Advisor, error) {
 		ca.Attach(advOps{a})
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		pol := factory.NewNodePolicy(i)
 		a.nodes = append(a.nodes, &advNode{
-			mem:        cluster.NewMemoryStore(cfg.CacheBytes, pol),
+			mem:        cluster.NewMemoryStore(cfg.CacheBytes, factory.NewNodePolicy(i)),
 			disk:       cluster.NewDiskStore(),
-			pol:        pol,
 			prefetched: map[block.ID]bool{},
 		})
 	}
 	return a, nil
-}
-
-// buildFactory instantiates the policy spec against the DAG, mapping
-// the panic-on-unknown contract of experiments.PolicySpec.Factory into
-// an error the server can return to the client.
-func buildFactory(spec experiments.PolicySpec, g *dag.Graph) (f policy.Factory, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("service: %v", r)
-		}
-	}()
-	return spec.Factory(&workload.Spec{Graph: g}), nil
 }
 
 // AttachBus connects the advisor (and, when the policy supports it, the
@@ -242,6 +260,9 @@ func (a *Advisor) AttachBus(b *obs.Bus) {
 		at.AttachBus(b)
 	}
 }
+
+// SetBytePlane installs the byte-plane hook (before the first Advance).
+func (a *Advisor) SetBytePlane(p BytePlane) { a.bytes = p }
 
 // Config returns the normalized session configuration.
 func (a *Advisor) Config() AdvisorConfig { return a.cfg }
@@ -448,17 +469,29 @@ func (a *Advisor) insertBlock(node int, info block.Info, evictKind string) {
 	a.bus.Emit(obs.BlockEv(obs.KindInsert, node, info.ID, info.Size))
 }
 
-// settleEviction records one eviction's side effects: the decision log
-// entry, the MEMORY_AND_DISK spill, and prefetch-waste accounting.
-func (a *Advisor) settleEviction(node int, v block.Info, kind string) {
+// vacate settles a block that just left the node's memory store, by
+// eviction or purge: a MEMORY_AND_DISK block spills to disk, a
+// MEMORY_ONLY one is lost, and an unused prefetch becomes wasted.
+func (a *Advisor) vacate(node int, v block.Info) {
 	n := a.nodes[node]
 	if v.Level == block.MemoryAndDisk {
 		n.disk.Put(v.ID, v.Size)
+		if a.bytes != nil {
+			a.bytes.Spill(node, v.ID)
+		}
+	} else if a.bytes != nil {
+		a.bytes.Drop(node, v.ID)
 	}
 	if n.prefetched[v.ID] {
 		a.pfWaste++
 		delete(n.prefetched, v.ID)
 	}
+}
+
+// settleEviction records one policy-chosen eviction: its side effects
+// and the decision log entry.
+func (a *Advisor) settleEviction(node int, v block.Info, kind string) {
+	a.vacate(node, v)
 	a.record(Decision{Kind: kind, Node: node, Block: v.ID.String()})
 	a.cur.Counters.Evictions++
 	a.bus.Emit(obs.BlockEv(obs.KindEvict, node, v.ID, v.Size))
@@ -471,6 +504,18 @@ func (a *Advisor) record(d Decision) { a.cur.Decisions = append(a.cur.Decisions,
 // placement rule, so advisory decisions and simulated runs speak about
 // the same cluster layout.
 func (a *Advisor) home(id block.ID) int { return cluster.HomeNode(id, len(a.nodes)) }
+
+// Resident reports whether the accounting holds the block in the node's
+// memory store.
+func (a *Advisor) Resident(node int, id block.ID) bool { return a.nodes[node].mem.Contains(id) }
+
+// OnDisk reports whether the accounting holds a copy of the block on
+// the node's disk.
+func (a *Advisor) OnDisk(node int, id block.ID) bool { return a.nodes[node].disk.Has(id) }
+
+// Materialized reports whether an advanced stage has created the cached
+// RDD.
+func (a *Advisor) Materialized(rddID int) bool { return a.created[rddID] }
 
 // ResidentBlocks returns the node's resident block IDs in deterministic
 // order (test and debug helper).
@@ -487,16 +532,12 @@ type advOps struct{ a *Advisor }
 
 var _ policy.ClusterOps = advOps{}
 
-func (o advOps) NumNodes() int             { return len(o.a.nodes) }
-func (o advOps) HomeNode(id block.ID) int  { return o.a.home(id) }
-func (o advOps) FreeBytes(node int) int64  { return o.a.nodes[node].mem.Free() }
-func (o advOps) CapacityBytes(n int) int64 { return o.a.nodes[n].mem.Capacity() }
-func (o advOps) Resident(node int, id block.ID) bool {
-	return o.a.nodes[node].mem.Contains(id)
-}
-func (o advOps) OnDisk(node int, id block.ID) bool {
-	return o.a.nodes[node].disk.Has(id)
-}
+func (o advOps) NumNodes() int                       { return len(o.a.nodes) }
+func (o advOps) HomeNode(id block.ID) int            { return o.a.home(id) }
+func (o advOps) FreeBytes(node int) int64            { return o.a.nodes[node].mem.Free() }
+func (o advOps) CapacityBytes(n int) int64           { return o.a.nodes[n].mem.Capacity() }
+func (o advOps) Resident(node int, id block.ID) bool { return o.a.Resident(node, id) }
+func (o advOps) OnDisk(node int, id block.ID) bool   { return o.a.OnDisk(node, id) }
 
 // Evict implements the manager's all-out purge order.
 func (o advOps) Evict(node int, id block.ID) bool {
@@ -509,13 +550,7 @@ func (o advOps) Evict(node int, id block.ID) bool {
 	if !n.mem.Remove(id) {
 		return false
 	}
-	if info.Level == block.MemoryAndDisk {
-		n.disk.Put(id, info.Size)
-	}
-	if n.prefetched[id] {
-		a.pfWaste++
-		delete(n.prefetched, id)
-	}
+	a.vacate(node, info)
 	if a.cur != nil {
 		a.record(Decision{Kind: "purge", Node: node, Block: id.String()})
 		a.cur.Counters.Purged++
@@ -533,15 +568,7 @@ func (o advOps) Prefetch(node int, info block.Info) {
 	if n.mem.Contains(info.ID) || !n.disk.Has(info.ID) {
 		return
 	}
-	var evicted []block.Info
-	var ok bool
-	if arb, isArb := n.pol.(policy.PrefetchArbiter); isArb {
-		evicted, ok = n.mem.PutGuarded(info, func(v block.ID) bool {
-			return arb.AllowPrefetchEviction(info, v)
-		})
-	} else {
-		evicted, ok = n.mem.Put(info)
-	}
+	evicted, ok := n.mem.PutPrefetch(info)
 	for _, v := range evicted {
 		a.settleEviction(node, v, "prefetch-evict")
 	}
@@ -550,6 +577,9 @@ func (o advOps) Prefetch(node int, info block.Info) {
 			a.record(Decision{Kind: "prefetch-drop", Node: node, Block: info.ID.String()})
 		}
 		return
+	}
+	if a.bytes != nil {
+		a.bytes.Load(node, info.ID)
 	}
 	n.prefetched[info.ID] = true
 	a.pfIssued++

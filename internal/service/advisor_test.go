@@ -71,10 +71,7 @@ func TestReplayExercisesDecisions(t *testing.T) {
 	var c Counters
 	decisions := 0
 	for _, adv := range advice {
-		c.Hits += adv.Counters.Hits
-		c.Misses += adv.Counters.Misses
-		c.Inserts += adv.Counters.Inserts
-		c.Evictions += adv.Counters.Evictions
+		c.Add(adv.Counters)
 		decisions += len(adv.Decisions)
 	}
 	if c.Hits == 0 || c.Inserts == 0 {

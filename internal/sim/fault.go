@@ -86,8 +86,7 @@ func (s *Simulation) crashNode(ev fault.Event) {
 
 	n.mem.Clear()
 	n.disk.Clear()
-	n.pol = s.factory.NewNodePolicy(n.id)
-	n.mem = cluster.NewMemoryStore(s.cfg.CacheBytes, n.pol)
+	n.mem = cluster.NewMemoryStore(s.cfg.CacheBytes, s.factory.NewNodePolicy(n.id))
 
 	// Other homes lose the replicas this node held for them.
 	s.dropReplicaCounts(n.id)

@@ -9,6 +9,7 @@ import (
 	"mrdspark/internal/dag"
 	"mrdspark/internal/fault"
 	"mrdspark/internal/metrics"
+	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
 )
 
@@ -62,7 +63,7 @@ func TestCrashWithRejoin(t *testing.T) {
 		{Stage: 2, Kind: fault.NodeCrash, Node: 1, RejoinAfter: 3},
 	}}
 	s := mustRunFault(t, g, 1<<20, mrdFactory(g, core.Options{}), sched)
-	s.EnableTrace()
+	rec := traced(s)
 	run := s.Run()
 	if run.Jobs != len(g.Jobs) {
 		t.Errorf("run incomplete: %d jobs", run.Jobs)
@@ -71,11 +72,11 @@ func TestCrashWithRejoin(t *testing.T) {
 		t.Errorf("crashes/rejoins = %d/%d, want 1/1", run.NodeCrashes, run.NodeRejoins)
 	}
 	var failAt, rejoinAt int64 = -1, -1
-	for _, ev := range s.Trace() {
+	for _, ev := range rec.Events() {
 		switch ev.Kind {
-		case "node-fail":
+		case obs.KindNodeFail:
 			failAt = ev.At
-		case "node-rejoin":
+		case obs.KindNodeRejoin:
 			rejoinAt = ev.At
 		}
 	}

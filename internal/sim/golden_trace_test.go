@@ -32,10 +32,10 @@ func sccTraceBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := traced(s)
 	s.Run()
 	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
+	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -80,19 +80,7 @@ func (o clusterOps) Prefetch(node int, info block.Info) {
 			s.run.PrefetchWasted++
 			return
 		}
-		// Arbitrated policies (the MRD CacheMonitor) veto arrivals
-		// whose evictions would displace blocks at least as urgent as
-		// the incoming one; other policies take the paper's fully
-		// aggressive path.
-		var evicted []block.Info
-		var ok bool
-		if arb, isArb := n.pol.(policy.PrefetchArbiter); isArb {
-			evicted, ok = n.mem.PutGuarded(info, func(victim block.ID) bool {
-				return arb.AllowPrefetchEviction(info, victim)
-			})
-		} else {
-			evicted, ok = n.mem.Put(info)
-		}
+		evicted, ok := n.mem.PutPrefetch(info)
 		s.noteEvictions(evicted)
 		s.notePeak()
 		if !ok {

@@ -17,9 +17,8 @@ type Options struct {
 	// Fault is the fault-injection and recovery schedule: node crashes
 	// (with optional rejoin), stragglers, block loss/corruption, flaky
 	// remote fetches with bounded retry, and the replication factor
-	// for cached and shuffle blocks. nil injects nothing. It replaces
-	// the old single FailNode/FailAtStage pair (see fault.Crash for
-	// the equivalent one-event schedule).
+	// for cached and shuffle blocks. nil injects nothing; fault.Crash
+	// builds the one-event single-crash schedule.
 	Fault *fault.Schedule
 }
 
@@ -31,7 +30,6 @@ type node struct {
 	id      int
 	mem     *cluster.MemoryStore
 	disk    *cluster.DiskStore
-	pol     policy.Policy
 	cpu     *Slots
 	diskDev *Device
 	netDev  *Device
@@ -79,9 +77,8 @@ type Simulation struct {
 
 	// bus is the run's observability event bus (internal/obs). It exists
 	// on every simulation but stays disabled — and free — until
-	// something subscribes (EnableTrace, Observe, or a direct Bus call).
+	// something subscribes (Observe, or a recorder on Bus).
 	bus *obs.Bus
-	rec *obs.Recorder
 	agg *obs.Aggregator
 }
 
@@ -114,12 +111,10 @@ func New(g *dag.Graph, cfg cluster.Config, factory policy.Factory, workload stri
 	s.run.Workload = workload
 	s.run.Policy = factory.Name()
 	for i := 0; i < cfg.Nodes; i++ {
-		pol := factory.NewNodePolicy(i)
 		s.nodes = append(s.nodes, &node{
 			id:      i,
-			mem:     cluster.NewMemoryStore(cfg.CacheBytes, pol),
+			mem:     cluster.NewMemoryStore(cfg.CacheBytes, factory.NewNodePolicy(i)),
 			disk:    cluster.NewDiskStore(),
-			pol:     pol,
 			cpu:     NewSlots(s.eng, cfg.CoresPerNode),
 			diskDev: NewDevice(s.eng, cfg.DiskBytesPerSec),
 			netDev:  NewDevice(s.eng, cfg.NetBytesPerSec),

@@ -13,6 +13,13 @@ import (
 	"mrdspark/internal/policy"
 )
 
+// traced attaches a recorder to the simulation's bus (before Run).
+func traced(s *Simulation) *obs.Recorder {
+	rec := obs.NewRecorder()
+	rec.Attach(s.Bus())
+	return rec
+}
+
 func TestTraceDisabledByDefault(t *testing.T) {
 	g, _ := cachedReuseGraph(block.MemoryAndDisk)
 	s, err := New(g, tinyCluster(1<<20), policy.NewLRU(), "t")
@@ -20,8 +27,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	if len(s.Trace()) != 0 {
-		t.Errorf("trace collected without EnableTrace: %d events", len(s.Trace()))
+	if s.Bus().Enabled() {
+		t.Error("event bus enabled without a subscriber")
 	}
 }
 
@@ -32,13 +39,13 @@ func TestTraceRecordsCacheLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := traced(s)
 	run := s.Run()
 
 	kinds := map[string]int{}
 	var prev int64
-	for _, ev := range s.Trace() {
-		kinds[ev.Kind]++
+	for _, ev := range rec.Events() {
+		kinds[ev.Kind.String()]++
 		if ev.At < prev {
 			t.Fatalf("trace out of order at %+v", ev)
 		}
@@ -70,18 +77,18 @@ func TestWriteTraceJSONLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := traced(s)
 	s.Run()
 	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
+	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(s.Trace()) {
-		t.Fatalf("wrote %d lines for %d events", len(lines), len(s.Trace()))
+	if len(lines) != len(rec.Events()) {
+		t.Fatalf("wrote %d lines for %d events", len(lines), len(rec.Events()))
 	}
 	for _, ln := range lines {
-		var ev TraceEvent
+		var ev obs.Event
 		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
 			t.Fatalf("bad JSON line %q: %v", ln, err)
 		}
@@ -94,13 +101,13 @@ func TestTraceFailureEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := traced(s)
 	if err := s.SetOptions(Options{Fault: fault.Crash(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	for _, ev := range s.Trace() {
-		if ev.Kind == "node-fail" && ev.Node == 1 {
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindNodeFail && ev.Node == 1 {
 			return
 		}
 	}
@@ -117,13 +124,13 @@ func TestTraceStageJobContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := traced(s)
 	s.Run()
 
 	stage, job := -1, -1
 	blockEvents := 0
-	for _, ev := range s.Trace() {
-		if ev.Kind == "stage-start" {
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindStageStart {
 			stage, job = ev.Stage, ev.Job
 		}
 		if stage < 0 {
@@ -133,7 +140,7 @@ func TestTraceStageJobContext(t *testing.T) {
 			t.Fatalf("%s at t=%d carries stage %d/job %d, executing stage is %d/job %d",
 				ev.Kind, ev.At, ev.Stage, ev.Job, stage, job)
 		}
-		if ev.Block != "" {
+		if ev.HasBlock {
 			blockEvents++
 		}
 	}
@@ -152,10 +159,10 @@ func TestTraceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.EnableTrace()
+		rec := traced(s)
 		s.Run()
 		var buf bytes.Buffer
-		if err := s.WriteTrace(&buf); err != nil {
+		if err := rec.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -178,12 +185,12 @@ func TestReplayMatchesLiveAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := traced(s)
 	live := s.Observe()
 	s.Run()
 
 	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
+	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	events, err := obs.ReadJSONL(&buf)

@@ -27,7 +27,6 @@ package mrdspark
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/core"
@@ -36,7 +35,7 @@ import (
 	"mrdspark/internal/metrics"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
-	"mrdspark/internal/refdist"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/sim"
 	"mrdspark/internal/workload"
 )
@@ -135,89 +134,21 @@ type Config struct {
 	AdHoc bool
 	// Fault is a full fault-injection schedule (crashes, stragglers,
 	// lost/corrupt blocks, flaky fetches, replication). Build one
-	// directly or via FaultPreset. Takes precedence over FailNode.
+	// directly or via FaultPreset.
 	Fault *FaultSchedule
-	// FailNode injects a single worker failure before executed stage
-	// FailAtStage when >= 1 (node index FailNode-1), exercising the
-	// §4.4 fault-tolerance path. Shorthand for a one-crash Fault
-	// schedule; kept for backward compatibility.
-	FailNode    int
-	FailAtStage int
 }
 
-// faultSchedule resolves the Config's fault configuration: an explicit
-// schedule wins, then the legacy single-crash shorthand, else none.
-func (cfg Config) faultSchedule() *FaultSchedule {
-	if cfg.Fault != nil {
-		return cfg.Fault
-	}
-	if cfg.FailNode >= 1 {
-		return fault.Crash(cfg.FailNode-1, cfg.FailAtStage)
-	}
-	return nil
-}
+// Policies returns the available policy names, sorted.
+func Policies() []string { return policyspec.Names() }
 
-// Policies returns the available policy names.
-func Policies() []string {
-	names := make([]string, 0, len(policyBuilders))
-	for name := range policyBuilders {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-var policyBuilders = map[string]func(cfg Config, g *Graph) PolicyFactory{
-	"LRU":        func(Config, *Graph) PolicyFactory { return policy.NewLRU() },
-	"FIFO":       func(Config, *Graph) PolicyFactory { return policy.NewFIFO() },
-	"LFU":        func(Config, *Graph) PolicyFactory { return policy.NewLFU() },
-	"Hyperbolic": func(Config, *Graph) PolicyFactory { return policy.NewHyperbolic() },
-	"GDS":        func(Config, *Graph) PolicyFactory { return policy.NewGDS() },
-	"MIN":        func(_ Config, g *Graph) PolicyFactory { return policy.NewMIN(g) },
-	"MemTune":    func(_ Config, g *Graph) PolicyFactory { return policy.NewMemTune(g) },
-	"LRC": func(cfg Config, g *Graph) PolicyFactory {
-		if cfg.AdHoc {
-			return policy.NewLRCAdHoc()
-		}
-		return policy.NewLRC(g)
-	},
-	"MRD": buildMRD,
-	"MRD-evict": func(cfg Config, g *Graph) PolicyFactory {
-		cfg.MRD.DisablePrefetch = true
-		return buildMRD(cfg, g)
-	},
-	"MRD-prefetch": func(cfg Config, g *Graph) PolicyFactory {
-		cfg.MRD.DisableEviction = true
-		return buildMRD(cfg, g)
-	},
-	"MRD-dynamic": func(cfg Config, g *Graph) PolicyFactory {
-		cfg.MRD.DynamicThreshold = true
-		return buildMRD(cfg, g)
-	},
-}
-
-// buildMRD assembles the paper's policy: an AppProfiler in the
-// configured mode feeding an MRDManager.
-func buildMRD(cfg Config, g *Graph) PolicyFactory {
-	var prof *core.AppProfiler
-	if cfg.AdHoc {
-		prof = core.NewAppProfiler()
-	} else {
-		prof = core.NewRecurringProfiler(refdist.FromGraph(g))
-	}
-	return core.NewManager(g, prof, cfg.MRD)
-}
-
-// NewPolicy builds a policy factory by name for the given DAG.
+// NewPolicy builds a policy factory by name for the given DAG; cfg
+// supplies the MRD options and the ad-hoc mode.
 func NewPolicy(name string, cfg Config, g *Graph) (PolicyFactory, error) {
-	if name == "" {
-		name = "MRD"
+	spec, err := policyspec.Parse(name, cfg.MRD, cfg.AdHoc)
+	if err != nil {
+		return nil, fmt.Errorf("mrdspark: %w", err)
 	}
-	b, ok := policyBuilders[name]
-	if !ok {
-		return nil, fmt.Errorf("mrdspark: unknown policy %q (have %v)", name, Policies())
-	}
-	return b(cfg, g), nil
+	return spec.Build(g)
 }
 
 // Run builds the configured benchmark workload and simulates it.
@@ -260,8 +191,8 @@ func newGraphSim(g *Graph, name string, cfg Config) (*sim.Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f := cfg.faultSchedule(); f != nil {
-		if err := s.SetOptions(sim.Options{Fault: f}); err != nil {
+	if cfg.Fault != nil {
+		if err := s.SetOptions(sim.Options{Fault: cfg.Fault}); err != nil {
 			return nil, err
 		}
 	}
@@ -303,12 +234,14 @@ func RunTraced(cfg Config, trace io.Writer) (Result, []StageSpan, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
+	var rec *obs.Recorder
 	if trace != nil {
-		s.EnableTrace()
+		rec = obs.NewRecorder()
+		rec.Attach(s.Bus())
 	}
 	run := s.Run()
-	if trace != nil {
-		if err := s.WriteTrace(trace); err != nil {
+	if rec != nil {
+		if err := rec.WriteJSONL(trace); err != nil {
 			return run, s.Timeline(), err
 		}
 	}
@@ -326,7 +259,7 @@ type RunReport = obs.Report
 type Observed struct {
 	Run      Result
 	Timeline []StageSpan
-	sim      *sim.Simulation
+	rec      *obs.Recorder
 	agg      *obs.Aggregator
 }
 
@@ -338,10 +271,11 @@ func RunObserved(cfg Config) (*Observed, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.EnableTrace()
+	rec := obs.NewRecorder()
+	rec.Attach(s.Bus())
 	agg := s.Observe()
 	run := s.Run()
-	return &Observed{Run: run, Timeline: s.Timeline(), sim: s, agg: agg}, nil
+	return &Observed{Run: run, Timeline: s.Timeline(), rec: rec, agg: agg}, nil
 }
 
 // Report snapshots the run into a renderable report.
@@ -351,7 +285,7 @@ func (o *Observed) Report() *RunReport { return o.agg.Report(o.Run) }
 func (o *Observed) WriteHTML(w io.Writer) error { return o.Report().WriteHTML(w) }
 
 // WriteTrace writes the run's full JSONL event trace.
-func (o *Observed) WriteTrace(w io.Writer) error { return o.sim.WriteTrace(w) }
+func (o *Observed) WriteTrace(w io.Writer) error { return o.rec.WriteJSONL(w) }
 
 // WritePrometheus writes the aggregates in the Prometheus text
 // exposition format.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mrdspark/internal/block"
+	"mrdspark/internal/fault"
 )
 
 func TestRunEveryPolicyOnSmallWorkload(t *testing.T) {
@@ -90,8 +91,7 @@ func TestFailureInjectionThroughFacade(t *testing.T) {
 	run, err := Run(Config{
 		Workload:     "SP",
 		CachePerNode: 64 << 20,
-		FailNode:     1,
-		FailAtStage:  2,
+		Fault:        fault.Crash(0, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
