@@ -20,9 +20,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
+	"mrdspark/internal/cli"
 	"mrdspark/internal/core"
 	"mrdspark/internal/exec"
 	"mrdspark/internal/obs"
@@ -77,7 +77,7 @@ func main() {
 
 	cfg := exec.Config{Workers: *workers, Policy: pol}
 	if *cache != "" {
-		b, err := parseBytes(*cache)
+		b, err := cli.ParseBytes(*cache)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,18 +118,18 @@ func main() {
 	}
 
 	if rec != nil {
-		if err := writeTo(*traceFile, rec.WriteJSONL); err != nil {
+		if err := cli.WriteTo(*traceFile, rec.WriteJSONL); err != nil {
 			fatal(err)
 		}
 	}
 	if *promFile != "" {
-		if err := writeTo(*promFile, func(w io.Writer) error { return obs.WritePrometheus(w, agg) }); err != nil {
+		if err := cli.WriteTo(*promFile, func(w io.Writer) error { return obs.WritePrometheus(w, agg) }); err != nil {
 			fatal(err)
 		}
 	}
 	if *reportFile != "" {
 		run := agg.SynthesizeRun(res.Workload, res.Policy)
-		if err := writeTo(*reportFile, agg.Report(run).WriteHTML); err != nil {
+		if err := cli.WriteTo(*reportFile, agg.Report(run).WriteHTML); err != nil {
 			fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func main() {
 		cacheBytes = exec.DefaultCacheBytes
 	}
 	fmt.Printf("workload:        %s executed on %d workers (%s cache/worker, %d rows/partition)\n",
-		res.Workload, res.Workers, mb(cacheBytes), pick(*rows, exec.DefaultRows))
+		res.Workload, res.Workers, cli.MB(cacheBytes), pick(*rows, exec.DefaultRows))
 	fmt.Printf("policy:          %s\n", res.Policy)
 	fmt.Printf("JCT:             %v (measured wall clock)\n", res.JCT)
 	fmt.Printf("hit ratio:       %.1f%% (%d hits / %d misses)\n", 100*ratio, hits, misses)
@@ -153,7 +153,7 @@ func main() {
 	fmt.Printf("prefetch:        %d issued, %d used, %d wasted, %d pending\n",
 		res.PrefetchIssued, res.PrefetchUsed, res.PrefetchWasted, res.PrefetchPending)
 	fmt.Printf("data plane:      %d tasks (%d retried), %s spilled in %d blocks, %s shuffled, %d remote fetches\n",
-		res.TasksRun, res.TaskRetries, mb(res.SpillBytes), res.Spills, mb(res.ShuffleBytes), res.RemoteFetches)
+		res.TasksRun, res.TaskRetries, cli.MB(res.SpillBytes), res.Spills, cli.MB(res.ShuffleBytes), res.RemoteFetches)
 	fmt.Printf("lineage:         %d block/map-output recomputes\n", res.LineageRecomputes)
 	fmt.Printf("output digest:   %#016x (%d jobs)\n", res.OutputDigest, len(res.JobDigests))
 	if cfg.Kill != nil {
@@ -175,37 +175,4 @@ func pick(v, def int) int {
 		return v
 	}
 	return def
-}
-
-func mb(b int64) string { return fmt.Sprintf("%.1fMB", float64(b)/(1<<20)) }
-
-// writeTo creates the file and streams fn's output into it.
-func writeTo(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// parseBytes parses sizes like 512M, 1G, 64K or plain byte counts.
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "G")
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %v", s, err)
-	}
-	return int64(v * float64(mult)), nil
 }

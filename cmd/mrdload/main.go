@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mrdspark/internal/cli"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/obs/trace"
 	"mrdspark/internal/policyspec"
@@ -61,6 +62,7 @@ type api interface {
 	Advance(ctx context.Context, sessionID string, stage int) (service.Advice, error)
 	RunBatch(ctx context.Context, sessionID string, steps []service.Step) (service.BatchResponse, error)
 	DeleteSession(ctx context.Context, sessionID string) error
+	Close()
 }
 
 // killer SIGKILLs a victim process after the Nth successful advance —
@@ -196,28 +198,25 @@ func main() {
 	if *bin {
 		transport = "bin"
 	}
-	shardList := splitList(*shards)
+	shardList := cli.SplitList(*shards)
 	var c api
 	var sharded *client.Sharded
+	target := *addr
 	if len(shardList) > 0 {
 		sharded = client.NewSharded(client.ShardedConfig{
 			Shards: shardList, MaxRetryWait: *retryWait,
 			Tracer: tracer, OnHops: hops.add, Binary: *bin,
 		})
-		defer sharded.Close()
-		c = sharded
-		fmt.Printf("mrdload: %d sessions x %s (%d workloads) against %d shards (%s), policy %s, parity %v\n",
-			*sessions, *group, len(names), len(shardList), transport, *policyKind, *parity)
+		c, target = sharded, fmt.Sprintf("%d shards", len(shardList))
 	} else {
-		cl := client.New(client.Config{
+		c = client.New(client.Config{
 			BaseURL: *addr, MaxRetryWait: *retryWait,
 			Tracer: tracer, OnHops: hops.add, Binary: *bin,
 		})
-		defer cl.Close()
-		c = cl
-		fmt.Printf("mrdload: %d sessions x %s (%d workloads) against %s (%s), policy %s, parity %v\n",
-			*sessions, *group, len(names), *addr, transport, *policyKind, *parity)
 	}
+	defer c.Close()
+	fmt.Printf("mrdload: %d sessions x %s (%d workloads) against %s (%s), policy %s, parity %v\n",
+		*sessions, *group, len(names), target, transport, *policyKind, *parity)
 	chaos := &killer{after: *killAfter, pid: *killPid}
 
 	start := time.Now()
@@ -290,38 +289,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mrdload: MISMATCH %s\n", m)
 		}
 	}
-	exportTraces(tracer, *traceOut, *traceChrome)
+	// A nil tracer writes empty-but-valid files so scripted runs can rely
+	// on the artifact existing.
+	summary, err := cli.ExportTraces(tracer, *traceOut, *traceChrome)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrdload: trace export: %v\n", err)
+	}
+	if summary != "" {
+		fmt.Printf("traces:        %s\n", summary)
+	}
 	if failed > 0 || len(mismatches) > 0 {
 		os.Exit(1)
-	}
-}
-
-// exportTraces writes the client-side span exports (either path empty
-// means skip). A nil tracer writes empty-but-valid files so scripted
-// runs can rely on the artifact existing.
-func exportTraces(tracer *trace.Tracer, jsonlPath, chromePath string) {
-	write := func(path string, render func(f *os.File) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrdload: trace export: %v\n", err)
-			return
-		}
-		if err := render(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mrdload: trace export %s: %v\n", path, err)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "mrdload: trace export %s: %v\n", path, err)
-		}
-	}
-	spans := tracer.Spans()
-	write(jsonlPath, func(f *os.File) error { return trace.WriteJSONL(f, spans) })
-	write(chromePath, func(f *os.File) error { return trace.WriteChromeTrace(f, spans) })
-	if jsonlPath != "" || chromePath != "" {
-		total, dropped := tracer.Stats()
-		fmt.Printf("traces:        exported %d spans (recorded %d, ring dropped %d)\n", len(spans), total, dropped)
 	}
 }
 
@@ -476,14 +454,4 @@ func percentile(d []time.Duration, p int) time.Duration {
 		ix--
 	}
 	return s[ix]
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -25,6 +25,7 @@ import (
 
 	"flag"
 
+	"mrdspark/internal/cli"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/obs/trace"
 )
@@ -77,7 +78,7 @@ func main() {
 	agg := obs.Replay(events)
 
 	if *promFile != "" {
-		if err := writeTo(*promFile, func(w io.Writer) error { return obs.WritePrometheus(w, agg) }); err != nil {
+		if err := cli.WriteTo(*promFile, func(w io.Writer) error { return obs.WritePrometheus(w, agg) }); err != nil {
 			fmt.Fprintln(os.Stderr, "mrdreport:", err)
 			os.Exit(1)
 		}
@@ -85,7 +86,7 @@ func main() {
 	if *out != "" {
 		rep := agg.Report(agg.SynthesizeRun(*title, ""))
 		rep.Title = *title
-		if err := writeTo(*out, rep.WriteHTML); err != nil {
+		if err := cli.WriteTo(*out, rep.WriteHTML); err != nil {
 			fmt.Fprintln(os.Stderr, "mrdreport:", err)
 			os.Exit(1)
 		}
@@ -134,7 +135,7 @@ func runSpans(files, out, chromeOut, title string) {
 		title = "request waterfall"
 	}
 	if chromeOut != "" {
-		if err := writeTo(chromeOut, func(w io.Writer) error { return trace.WriteChromeTrace(w, spans) }); err != nil {
+		if err := cli.WriteTo(chromeOut, func(w io.Writer) error { return trace.WriteChromeTrace(w, spans) }); err != nil {
 			fmt.Fprintln(os.Stderr, "mrdreport:", err)
 			os.Exit(1)
 		}
@@ -145,24 +146,8 @@ func runSpans(files, out, chromeOut, title string) {
 	if out == "" {
 		out = "-"
 	}
-	if err := writeTo(out, func(w io.Writer) error { return obs.WriteTraceWaterfall(w, spans, title) }); err != nil {
+	if err := cli.WriteTo(out, func(w io.Writer) error { return obs.WriteTraceWaterfall(w, spans, title) }); err != nil {
 		fmt.Fprintln(os.Stderr, "mrdreport:", err)
 		os.Exit(1)
 	}
-}
-
-// writeTo streams fn's output into path, or stdout for "-".
-func writeTo(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -28,15 +28,16 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"mrdspark/internal/cli"
 	"mrdspark/internal/obs/trace"
 	"mrdspark/internal/service"
 )
@@ -76,7 +77,7 @@ func main() {
 	}
 
 	if *router {
-		runRouter(*addr, *frameAddr, splitList(*shards), *probeEvery, *drain, tracer, *traceOut, *traceChrome)
+		runRouter(*addr, *frameAddr, cli.SplitList(*shards), *probeEvery, *drain, tracer, *traceOut, *traceChrome)
 		return
 	}
 
@@ -88,7 +89,7 @@ func main() {
 		}
 		snapStore = ds
 	}
-	peerList := splitList(*peers)
+	peerList := cli.SplitList(*peers)
 	if len(peerList) > 0 && *self == "" {
 		log.Fatalf("mrdserver: -peers requires -self")
 	}
@@ -104,66 +105,25 @@ func main() {
 	})
 	defer srv.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatalf("mrdserver: %v", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	var frameLn net.Listener
-	if *frameAddr != "" {
-		frameLn, err = net.Listen("tcp", *frameAddr)
-		if err != nil {
-			log.Fatalf("mrdserver: frame listener: %v", err)
+	detail := fmt.Sprintf("(max-sessions=%d, max-inflight=%d, snapshots=%v, peers=%d)",
+		*maxSessions, *inflight, snapStore != nil, len(peerList))
+	serve("", *addr, *frameAddr, detail, srv.Handler(), srv.ServeFrames, *drain, func() {
+		// Drain order matters: snapshot every live session FIRST, while
+		// the listener still answers, so (a) no session state is lost if
+		// the drain budget expires, and (b) CI can scrape
+		// mrdserver_drain_snapshots_written from /metrics during the
+		// linger window to assert the drain actually persisted everything.
+		if n := srv.DrainSnapshots(); snapStore != nil {
+			log.Printf("mrdserver: drain snapshots written: %d", n)
 		}
-		go func() {
-			if err := srv.ServeFrames(frameLn); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("mrdserver: frame listener: %v", err)
-			}
-		}()
-		log.Printf("mrdserver: frame protocol on %s", frameLn.Addr())
-	}
-	log.Printf("mrdserver: listening on %s (max-sessions=%d, max-inflight=%d, snapshots=%v, peers=%d)",
-		ln.Addr(), *maxSessions, *inflight, snapStore != nil, len(peerList))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		log.Fatalf("mrdserver: %v", err)
-	case <-ctx.Done():
-	}
-
-	// Drain order matters: snapshot every live session FIRST, while the
-	// listener still answers, so (a) no session state is lost if the
-	// drain budget expires, and (b) CI can scrape
-	// mrdserver_drain_snapshots_written from /metrics during the linger
-	// window to assert the drain actually persisted everything.
-	log.Printf("mrdserver: signal received, draining")
-	if frameLn != nil {
-		// Stop accepting frame connections before snapshotting, so no
-		// new mutations slip in behind the drain passes. In-flight frame
-		// requests on live connections still finish serially.
-		frameLn.Close()
-	}
-	if n := srv.DrainSnapshots(); snapStore != nil {
-		log.Printf("mrdserver: drain snapshots written: %d", n)
-	}
-	if *drainLinger > 0 {
-		time.Sleep(*drainLinger)
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		log.Fatalf("mrdserver: drain failed: %v", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatalf("mrdserver: %v", err)
-	}
-	// A final pass catches mutations that raced the first drain pass.
-	srv.DrainSnapshots()
-	exportTraces(tracer, *traceOut, *traceChrome)
+		if *drainLinger > 0 {
+			time.Sleep(*drainLinger)
+		}
+	}, func() {
+		// A final pass catches mutations that raced the first drain pass.
+		srv.DrainSnapshots()
+	})
+	logTraceExport(tracer, *traceOut, *traceChrome)
 	log.Printf("mrdserver: drained")
 }
 
@@ -177,11 +137,26 @@ func runRouter(addr, frameAddr string, shards []string, probeEvery, drain time.D
 		Trace: service.TraceConfig{Tracer: tracer},
 	})
 	defer rt.Close()
+	serve("router ", addr, frameAddr, fmt.Sprintf("over %d shards", len(shards)), rt, rt.ServeFrames, drain, func() {}, func() {})
+	logTraceExport(tracer, traceOut, traceChrome)
+	log.Printf("mrdserver: drained")
+}
 
+// serve runs one tier — an advisory shard (tier ""), or the "router " —
+// on addr, and on frameAddr for the binary protocol when set, until
+// SIGTERM or SIGINT. Then it drains: the frame listener closes first,
+// so no new mutations slip in behind the drain (in-flight frame
+// requests on live connections still finish serially); draining runs
+// while HTTP still answers; in-flight requests get the drain budget to
+// finish; closed runs once the HTTP listener is gone.
+func serve(tier, addr, frameAddr, detail string, h http.Handler, serveFrames func(net.Listener) error, drain time.Duration, draining, closed func()) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("mrdserver: %v", err)
 	}
+	hs := &http.Server{Handler: h}
+	errCh := make(chan error, 1)
+	go func() { errCh <- hs.Serve(ln) }()
 	var frameLn net.Listener
 	if frameAddr != "" {
 		frameLn, err = net.Listen("tcp", frameAddr)
@@ -189,16 +164,13 @@ func runRouter(addr, frameAddr string, shards []string, probeEvery, drain time.D
 			log.Fatalf("mrdserver: frame listener: %v", err)
 		}
 		go func() {
-			if err := rt.ServeFrames(frameLn); err != nil && !errors.Is(err, net.ErrClosed) {
+			if err := serveFrames(frameLn); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("mrdserver: frame listener: %v", err)
 			}
 		}()
-		log.Printf("mrdserver: router frame protocol on %s", frameLn.Addr())
+		log.Printf("mrdserver: %sframe protocol on %s", tier, frameLn.Addr())
 	}
-	hs := &http.Server{Handler: rt}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	log.Printf("mrdserver: router listening on %s over %d shards", ln.Addr(), len(shards))
+	log.Printf("mrdserver: %slistening on %s %s", tier, ln.Addr(), detail)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -212,6 +184,7 @@ func runRouter(addr, frameAddr string, shards []string, probeEvery, drain time.D
 	if frameLn != nil {
 		frameLn.Close()
 	}
+	draining()
 	dctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
@@ -220,8 +193,7 @@ func runRouter(addr, frameAddr string, shards []string, probeEvery, drain time.D
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("mrdserver: %v", err)
 	}
-	exportTraces(tracer, traceOut, traceChrome)
-	log.Printf("mrdserver: drained")
+	closed()
 }
 
 // serveDebug starts the debug listener: pprof plus the live span
@@ -240,41 +212,15 @@ func serveDebug(addr string, tracer *trace.Tracer) {
 	}()
 }
 
-// exportTraces writes the drain-time span exports (either path empty
-// means skip). A nil tracer writes empty-but-valid files so callers
-// can rely on the artifact existing.
-func exportTraces(tracer *trace.Tracer, jsonlPath, chromePath string) {
-	write := func(path string, render func(f *os.File) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Printf("mrdserver: trace export: %v", err)
-			return
-		}
-		if err := render(f); err != nil {
-			log.Printf("mrdserver: trace export %s: %v", path, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Printf("mrdserver: trace export %s: %v", path, err)
-		}
+// logTraceExport writes the drain-time span exports and logs the outcome.
+// A nil tracer writes empty-but-valid files so callers can rely on the
+// artifact existing.
+func logTraceExport(tracer *trace.Tracer, jsonlPath, chromePath string) {
+	summary, err := cli.ExportTraces(tracer, jsonlPath, chromePath)
+	if err != nil {
+		log.Printf("mrdserver: trace export: %v", err)
 	}
-	spans := tracer.Spans()
-	write(jsonlPath, func(f *os.File) error { return trace.WriteJSONL(f, spans) })
-	write(chromePath, func(f *os.File) error { return trace.WriteChromeTrace(f, spans) })
-	if jsonlPath != "" || chromePath != "" {
-		total, dropped := tracer.Stats()
-		log.Printf("mrdserver: exported %d spans (recorded %d, ring dropped %d)", len(spans), total, dropped)
+	if summary != "" {
+		log.Printf("mrdserver: %s", summary)
 	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -16,11 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"mrdspark"
+	"mrdspark/internal/cli"
 )
 
 func main() {
@@ -73,7 +73,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *cache != "" {
-		b, err := parseBytes(*cache)
+		b, err := cli.ParseBytes(*cache)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mrdsim:", err)
 			os.Exit(2)
@@ -140,7 +140,7 @@ func main() {
 			}
 		}
 		if *promFile != "" {
-			if err := writeTo(*promFile, o.WritePrometheus); err != nil {
+			if err := cli.WriteTo(*promFile, o.WritePrometheus); err != nil {
 				fmt.Fprintln(os.Stderr, "mrdsim:", err)
 				os.Exit(1)
 			}
@@ -161,7 +161,7 @@ func main() {
 				}
 				rep.AddBaseline(brun)
 			}
-			if err := writeTo(*reportFile, rep.WriteHTML); err != nil {
+			if err := cli.WriteTo(*reportFile, rep.WriteHTML); err != nil {
 				fmt.Fprintln(os.Stderr, "mrdsim:", err)
 				os.Exit(1)
 			}
@@ -184,14 +184,14 @@ func main() {
 	fmt.Printf("prefetch:        %d issued, %d used, %d wasted (%.0f%% accuracy)\n",
 		run.PrefetchIssued, run.PrefetchUsed, run.PrefetchWasted, 100*run.PrefetchAccuracy())
 	fmt.Printf("I/O:             %s disk read, %s disk write, %s network\n",
-		mb(run.DiskReadBytes), mb(run.DiskWriteBytes), mb(run.NetReadBytes))
+		cli.MB(run.DiskReadBytes), cli.MB(run.DiskWriteBytes), cli.MB(run.NetReadBytes))
 	fmt.Printf("workflow:        %d jobs, %d stages executed, %d skipped, %d tasks\n",
 		run.Jobs, run.StagesExecuted, run.StagesSkipped, run.TasksExecuted)
 	if cfg.Fault != nil || run.NodeCrashes > 0 {
 		fmt.Printf("faults:          %d crashes (%d rejoined), %d stragglers, %d blocks lost, %d corrupted\n",
 			run.NodeCrashes, run.NodeRejoins, run.StragglerEvents, run.BlocksLost, run.BlocksCorrupted)
 		fmt.Printf("recovery:        %s recomputed, %d replica hits (%s replica writes), %d fetch retries, %d give-ups\n",
-			mb(run.RecomputeBytes), run.ReplicaHits, mb(run.ReplicaWriteBytes), run.FetchRetries, run.FetchGiveUps)
+			cli.MB(run.RecomputeBytes), run.ReplicaHits, cli.MB(run.ReplicaWriteBytes), run.FetchRetries, run.FetchGiveUps)
 	}
 	if run.FaultWarning != "" {
 		fmt.Printf("WARNING:         %s\n", run.FaultWarning)
@@ -215,37 +215,4 @@ func main() {
 				sp.Duration())
 		}
 	}
-}
-
-func mb(b int64) string { return fmt.Sprintf("%.1fMB", float64(b)/(1<<20)) }
-
-// writeTo creates the file and streams fn's output into it.
-func writeTo(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// parseBytes parses sizes like 512M, 1G, 64K or plain byte counts.
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "G")
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %v", s, err)
-	}
-	return int64(v * float64(mult)), nil
 }

@@ -14,11 +14,13 @@ import (
 // ultimately drives.
 //
 // A mutex guards every method, making the store safe for concurrent
-// use: the single-threaded simulator never contends, but the execution
-// engine's worker goroutines consult residency (and a node kill wipes
-// the store) while other executors run. The per-node policy is only
-// ever called from inside store methods, so the store lock also
-// serializes all policy callbacks — policies themselves stay
+// use. Every mutation comes from one goroutine — the simulator, or the
+// advisor's boundary procedure, which the execution engine runs on its
+// master between task waves — so writers never contend; the lock is
+// there for the engine's worker goroutines, which read residency
+// through the advisor (Resident/OnDisk) during a wave. The per-node
+// policy is only ever called from inside store methods, so the store
+// lock also serializes all policy callbacks — policies themselves stay
 // single-threaded, as their contract requires.
 type MemoryStore struct {
 	mu       sync.Mutex
@@ -26,13 +28,6 @@ type MemoryStore struct {
 	used     int64
 	blocks   map[block.ID]block.Info
 	pol      policy.Policy
-
-	// replicas tracks, per resident block, how many surviving off-node
-	// disk replicas the simulator has placed for it — the home node's
-	// view of how cheaply the block could be restored after loss. Pure
-	// bookkeeping: the store never acts on it, but the simulator and
-	// metrics read it back (NodeStats, audits).
-	replicas map[block.ID]int
 
 	// Evictions counts demand evictions (victim selection under
 	// pressure); proactive removals via Remove are counted by the
@@ -206,35 +201,8 @@ func (s *MemoryStore) Clear() {
 
 func (s *MemoryStore) dropLocked(info block.Info) {
 	delete(s.blocks, info.ID)
-	delete(s.replicas, info.ID)
 	s.used -= info.Size
 	s.pol.OnRemove(info.ID)
-}
-
-// SetReplicaCount records how many off-node disk replicas a resident
-// block currently has; non-resident blocks are ignored.
-func (s *MemoryStore) SetReplicaCount(id block.ID, n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blocks[id]; !ok {
-		return
-	}
-	if s.replicas == nil {
-		s.replicas = map[block.ID]int{}
-	}
-	if n <= 0 {
-		delete(s.replicas, id)
-		return
-	}
-	s.replicas[id] = n
-}
-
-// ReplicaCount returns the recorded off-node replica count for the
-// block (0 when unknown or non-resident).
-func (s *MemoryStore) ReplicaCount(id block.ID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replicas[id]
 }
 
 // Blocks returns a snapshot of resident block IDs (test helper; order
@@ -253,10 +221,9 @@ func (s *MemoryStore) Blocks() []block.ID {
 // HDFS-resident source data, and — under replication — replica copies
 // of blocks homed on other nodes. Capacity is not modeled (the paper's
 // nodes have 200 GB disks, never a constraint); bandwidth is charged
-// by the simulator's device queues. Unlike MemoryStore, whose policy
-// callbacks make it strictly single-owner, DiskStore has no reentrant
-// callbacks, so its map is guarded by a mutex and it is safe for
-// concurrent use (internal/experiments runs simulations in parallel).
+// by the simulator's device queues. Its map is guarded by a mutex for
+// the same reason MemoryStore's is: the execution engine's workers read
+// it (through the advisor's OnDisk) while a task wave runs.
 type DiskStore struct {
 	mu     sync.Mutex
 	blocks map[block.ID]diskEntry

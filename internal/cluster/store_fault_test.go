@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mrdspark/internal/block"
-	"mrdspark/internal/policy"
 )
 
 func TestDiskStoreReplicaSemantics(t *testing.T) {
@@ -82,35 +81,4 @@ func TestDiskStoreConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-func TestMemoryStoreReplicaCounts(t *testing.T) {
-	s := NewMemoryStore(1<<20, policy.NewLRU().NewNodePolicy(0))
-	id := block.ID{RDD: 1, Partition: 0}
-	info := block.Info{ID: id, Size: 100, Level: block.MemoryAndDisk}
-
-	// Counting a non-resident block is ignored.
-	s.SetReplicaCount(id, 2)
-	if s.ReplicaCount(id) != 0 {
-		t.Error("replica count recorded for non-resident block")
-	}
-
-	if _, ok := s.Put(info); !ok {
-		t.Fatal("put failed")
-	}
-	s.SetReplicaCount(id, 2)
-	if s.ReplicaCount(id) != 2 {
-		t.Errorf("replica count = %d, want 2", s.ReplicaCount(id))
-	}
-	s.SetReplicaCount(id, 0)
-	if s.ReplicaCount(id) != 0 {
-		t.Error("zero count not cleared")
-	}
-
-	// Dropping the block clears its count.
-	s.SetReplicaCount(id, 1)
-	s.Remove(id)
-	if s.ReplicaCount(id) != 0 {
-		t.Error("replica count survived the block's removal")
-	}
 }

@@ -67,8 +67,6 @@ func TestMemoryStoreConcurrentHammer(t *testing.T) {
 					mem.Remove(in.ID)
 					disk.Remove(in.ID)
 				case 8:
-					mem.SetReplicaCount(in.ID, int(next()%3))
-					mem.ReplicaCount(in.ID)
 					mem.Blocks()
 				default:
 					if next()%64 == 0 {

@@ -2,14 +2,13 @@ package metrics
 
 import "fmt"
 
-// Accum is an order-independent, mergeable aggregate over Runs — the
-// partition-then-merge form the sweep fabric reduces per-shard row
-// tables with. Every field is an exact integer sum (or min/max), so
-// Add and Merge are commutative and associative bit-for-bit: a shard
-// may accumulate its own rows and merge with its siblings in any
-// order, and the result is identical to one sequential pass. Derived
-// ratios (means, hit rate) are computed only at render time, from the
-// merged integers, so no float ever crosses a merge boundary.
+// Accum is an order-independent aggregate over Runs — what the sweep
+// report folds the merged row table into, one Add per row. Every field
+// is an exact integer sum (or min/max), so Add is commutative and
+// associative bit-for-bit: the rows may arrive in any order (the sweep
+// fabric merges shards' rows, not accumulators) and the result is
+// identical to one sequential pass. Derived ratios (means, hit rate)
+// are computed only at render time, from the integers.
 type Accum struct {
 	N int64 `json:"n"`
 
@@ -48,31 +47,6 @@ func (a *Accum) Add(r Run) {
 	a.DiskReadBytes += r.DiskReadBytes
 	a.NetReadBytes += r.NetReadBytes
 	a.RecomputeBytes += r.RecomputeBytes
-}
-
-// Merge folds another accumulator in. Merging a zero Accum is the
-// identity.
-func (a *Accum) Merge(b Accum) {
-	if b.N == 0 {
-		return
-	}
-	if a.N == 0 || b.MinJCT < a.MinJCT {
-		a.MinJCT = b.MinJCT
-	}
-	if a.N == 0 || b.MaxJCT > a.MaxJCT {
-		a.MaxJCT = b.MaxJCT
-	}
-	a.N += b.N
-	a.SumJCT += b.SumJCT
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Evictions += b.Evictions
-	a.PrefetchIssued += b.PrefetchIssued
-	a.PrefetchUsed += b.PrefetchUsed
-	a.Recomputes += b.Recomputes
-	a.DiskReadBytes += b.DiskReadBytes
-	a.NetReadBytes += b.NetReadBytes
-	a.RecomputeBytes += b.RecomputeBytes
 }
 
 // MeanJCT returns the mean job completion time in simulated

@@ -15,51 +15,22 @@ func accumRuns() []Run {
 	}
 }
 
-// TestAccumMergeOrderIndependent pins the fabric's reduction contract:
-// any partition of the runs into sub-accumulators, merged in any
-// order, equals the sequential fold.
-func TestAccumMergeOrderIndependent(t *testing.T) {
+// TestAccumAddOrderIndependent pins the report's reduction contract:
+// the rows folded in any order equal the sequential fold.
+func TestAccumAddOrderIndependent(t *testing.T) {
 	runs := accumRuns()
-
-	var want Accum
+	var want, reversed, scrambled Accum
 	for _, r := range runs {
 		want.Add(r)
 	}
-
-	// Every split point, merged both left-into-right and
-	// right-into-left.
-	for cut := 0; cut <= len(runs); cut++ {
-		var left, right Accum
-		for _, r := range runs[:cut] {
-			left.Add(r)
-		}
-		for _, r := range runs[cut:] {
-			right.Add(r)
-		}
-
-		lr := left
-		lr.Merge(right)
-		if lr != want {
-			t.Fatalf("cut=%d left.Merge(right) = %+v, want %+v", cut, lr, want)
-		}
-		rl := right
-		rl.Merge(left)
-		if rl != want {
-			t.Fatalf("cut=%d right.Merge(left) = %+v, want %+v", cut, rl, want)
-		}
+	for i := len(runs) - 1; i >= 0; i-- {
+		reversed.Add(runs[i])
 	}
-
-	// Three-way, merged in a scrambled order.
-	var a, b, c Accum
-	a.Add(runs[3])
-	b.Add(runs[0])
-	b.Add(runs[4])
-	c.Add(runs[1])
-	c.Add(runs[2])
-	c.Merge(a)
-	c.Merge(b)
-	if c != want {
-		t.Fatalf("scrambled three-way merge = %+v, want %+v", c, want)
+	for _, i := range []int{3, 0, 4, 1, 2} {
+		scrambled.Add(runs[i])
+	}
+	if reversed != want || scrambled != want {
+		t.Fatalf("order-dependent fold: reversed %+v scrambled %+v, want %+v", reversed, scrambled, want)
 	}
 }
 
@@ -80,19 +51,12 @@ func TestAccumMinMax(t *testing.T) {
 }
 
 func TestAccumZeroIdentity(t *testing.T) {
-	var filled Accum
-	filled.Add(accumRuns()[0])
-	before := filled
-
-	filled.Merge(Accum{})
-	if filled != before {
-		t.Fatalf("merging a zero Accum changed the receiver: %+v vs %+v", filled, before)
-	}
-
-	var zero Accum
-	zero.Merge(before)
-	if zero != before {
-		t.Fatalf("merging into a zero Accum lost data: %+v vs %+v", zero, before)
+	// The zero Accum is the fold's identity: the first Add sets min and
+	// max from the run rather than comparing against zero.
+	var a Accum
+	a.Add(accumRuns()[0])
+	if a.N != 1 || a.MinJCT != 500 || a.MaxJCT != 500 {
+		t.Fatalf("first Add into a zero Accum = %+v, want n=1 min=max=500", a)
 	}
 
 	// Zero-value derived ratios must not divide by zero.

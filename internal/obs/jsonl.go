@@ -28,9 +28,6 @@ func (r *Recorder) Record(ev Event) { r.events = append(r.events, ev) }
 // Events returns the recorded stream in emission order.
 func (r *Recorder) Events() []Event { return r.events }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
-
 // WriteJSONL writes the recorded stream as JSON lines.
 func (r *Recorder) WriteJSONL(w io.Writer) error { return WriteJSONL(w, r.events) }
 

@@ -239,9 +239,6 @@ func (b *Bus) SetStage(stage, job int) {
 	b.stage, b.job = stage, job
 }
 
-// StageContext returns the current stage/job context (test helper).
-func (b *Bus) StageContext() (stage, job int) { return b.stage, b.job }
-
 // Subscribe registers a delivery function and enables the bus. It
 // returns a detach function that removes the subscription again,
 // disabling the bus when no subscribers remain. Subscribers run

@@ -203,8 +203,8 @@ func TestChromeTraceShape(t *testing.T) {
 }
 
 // BenchmarkSpanDisabled is the zero-alloc benchmark guard for the
-// disabled tracer (also recorded in BENCH_baseline.json via the root
-// package's wrapper).
+// disabled tracer (the root package wraps it as
+// BenchmarkTraceSpanDisabled).
 func BenchmarkSpanDisabled(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()

@@ -274,10 +274,6 @@ func (a *Advisor) SetOrigin(name string, p workload.Params) {
 	a.origin = &Origin{Workload: name, Params: p}
 }
 
-// Origin returns the recorded workload identity, or nil when the
-// advisor was built over a caller-supplied graph.
-func (a *Advisor) Origin() *Origin { return a.origin }
-
 // AdviceFor returns the recorded advice of an already-advanced stage.
 // It lets the server serve idempotent retries: a client that re-issues
 // an advance after a failover handover gets the byte-identical advice
@@ -293,9 +289,6 @@ func (a *Advisor) AdviceFor(stageID int) (Advice, bool) {
 
 // History returns the session's full decision log in advance order.
 func (a *Advisor) History() []Advice { return a.history }
-
-// Ops returns the session's operation log (test and snapshot helper).
-func (a *Advisor) Ops() []Op { return a.ops }
 
 // PolicyName returns the instantiated policy's display name.
 func (a *Advisor) PolicyName() string { return a.factory.Name() }

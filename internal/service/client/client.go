@@ -1,10 +1,11 @@
 // Package client is the typed Go client of the cache-advisory server's
-// /v1 HTTP API, with retry/backoff on shed (503) and transport errors
-// driven by the same fault.Schedule backoff parameters the simulator's
-// fetch-retry path uses. Retries honor the server's Retry-After hint,
-// spread under jittered exponential backoff, and are capped by a total
-// retry wall-time so a dead server fails fast instead of hanging the
-// caller. Sharded (sharded.go) layers consistent-hash routing and
+// /v1 API over either of its transports (JSON over HTTP, or the binary
+// frame protocol), with retry/backoff on shed (503) and transport
+// errors driven by the same fault.Schedule backoff parameters the
+// simulator's fetch-retry path uses. Retries honor the server's
+// Retry-After hint, spread under jittered exponential backoff, and are
+// capped by a total retry wall-time so a dead server fails fast instead
+// of hanging the caller. Sharded (sharded.go) layers consistent-hash routing and
 // failover over several of these.
 package client
 
@@ -17,7 +18,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -97,15 +97,8 @@ type Client struct {
 	jitter  atomic.Uint64 // splitmix64 state
 	tracer  *trace.Tracer
 	onHops  func(Hops)
-
-	// Frame-protocol state (Config.Binary; see wire.go).
-	binary         bool
-	framePin       string
-	frameAddrCache atomic.Value // string
-	wmu            sync.Mutex
-	wconns         map[string]*frameConn
-	wireEpoch      atomic.Uint32
-	epochFlips     atomic.Int64
+	// t carries the session operations; New picks it once.
+	t transport
 }
 
 // New builds a client.
@@ -125,10 +118,30 @@ func New(cfg Config) *Client {
 	c := &Client{
 		base: strings.TrimRight(cfg.BaseURL, "/"), hc: hc, retry: cfg.Retry,
 		maxWait: maxWait, tracer: cfg.Tracer, onHops: cfg.OnHops,
-		binary: cfg.Binary, framePin: cfg.FrameAddr,
 	}
 	c.jitter.Store(seed)
+	if cfg.Binary {
+		c.t = &frameTransport{c: c, pin: cfg.FrameAddr}
+	} else {
+		c.t = httpTransport{c}
+	}
 	return c
+}
+
+// transport carries the six session operations to one server: JSON
+// over HTTP (httpTransport) or the persistent-connection frame protocol
+// (frameTransport, wire.go). Both run every attempt under
+// Client.retryLoop and report a server's refusal as the same *Error,
+// so callers — Sharded's failover included — are transport-blind.
+type transport interface {
+	createSession(ctx context.Context, req service.CreateSessionRequest) (service.CreateSessionResponse, error)
+	getSession(ctx context.Context, sessionID string) (service.SessionStatus, error)
+	submitJob(ctx context.Context, sessionID string, job int) (service.SubmitJobResponse, error)
+	advance(ctx context.Context, sessionID string, stage int) (service.Advice, error)
+	runBatch(ctx context.Context, sessionID string, steps []service.Step) (service.BatchResponse, error)
+	deleteSession(ctx context.Context, sessionID string) error
+	// close releases whatever the transport keeps open between calls.
+	close()
 }
 
 // Error is a non-2xx API response.
@@ -143,44 +156,24 @@ func (e *Error) Error() string {
 
 // CreateSession registers an application and returns its session.
 func (c *Client) CreateSession(ctx context.Context, req service.CreateSessionRequest) (service.CreateSessionResponse, error) {
-	if c.binary {
-		return c.createWire(ctx, req)
-	}
-	var resp service.CreateSessionResponse
-	err := c.do(ctx, http.MethodPost, "/v1/sessions", req, &resp)
-	return resp, err
+	return c.t.createSession(ctx, req)
 }
 
 // GetSession fetches the session's replay cursor (restoring it from
 // the snapshot store on demand server-side).
 func (c *Client) GetSession(ctx context.Context, sessionID string) (service.SessionStatus, error) {
-	if c.binary {
-		return c.statusWire(ctx, sessionID)
-	}
-	var resp service.SessionStatus
-	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+sessionID, nil, &resp)
-	return resp, err
+	return c.t.getSession(ctx, sessionID)
 }
 
 // SubmitJob feeds the next job to the session.
 func (c *Client) SubmitJob(ctx context.Context, sessionID string, job int) (service.SubmitJobResponse, error) {
-	if c.binary {
-		return c.submitJobWire(ctx, sessionID, job)
-	}
-	var resp service.SubmitJobResponse
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/jobs", service.SubmitJobRequest{Job: job}, &resp)
-	return resp, err
+	return c.t.submitJob(ctx, sessionID, job)
 }
 
 // Advance moves the session to a stage boundary and returns the
 // server's advice.
 func (c *Client) Advance(ctx context.Context, sessionID string, stage int) (service.Advice, error) {
-	if c.binary {
-		return c.advanceWire(ctx, sessionID, stage)
-	}
-	var resp service.Advice
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/stage", service.AdvanceRequest{Stage: stage}, &resp)
-	return resp, err
+	return c.t.advance(ctx, sessionID, stage)
 }
 
 // RunBatch drives a run of schedule steps (job submits and advances)
@@ -188,21 +181,52 @@ func (c *Client) Advance(ctx context.Context, sessionID string, stage int) (serv
 // protocol the advices stream back as they are computed; over JSON the
 // server buffers them into one response.
 func (c *Client) RunBatch(ctx context.Context, sessionID string, steps []service.Step) (service.BatchResponse, error) {
-	if c.binary {
-		return c.batchWire(ctx, sessionID, steps)
-	}
-	var resp service.BatchResponse
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/batch", service.BatchRequest{Steps: steps}, &resp)
-	return resp, err
+	return c.t.runBatch(ctx, sessionID, steps)
 }
 
 // DeleteSession tears the session down.
 func (c *Client) DeleteSession(ctx context.Context, sessionID string) error {
-	if c.binary {
-		return c.deleteWire(ctx, sessionID)
-	}
-	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+sessionID, nil, nil)
+	return c.t.deleteSession(ctx, sessionID)
 }
+
+// Close closes every open frame connection (a no-op on the JSON
+// transport). The client stays usable — the next call redials.
+func (c *Client) Close() { c.t.close() }
+
+// httpTransport is the JSON-over-HTTP transport: each operation is one
+// route of the /v1 API.
+type httpTransport struct{ c *Client }
+
+func (t httpTransport) createSession(ctx context.Context, req service.CreateSessionRequest) (resp service.CreateSessionResponse, err error) {
+	err = t.c.do(ctx, http.MethodPost, "/v1/sessions", req, &resp)
+	return resp, err
+}
+
+func (t httpTransport) getSession(ctx context.Context, sessionID string) (resp service.SessionStatus, err error) {
+	err = t.c.do(ctx, http.MethodGet, "/v1/sessions/"+sessionID, nil, &resp)
+	return resp, err
+}
+
+func (t httpTransport) submitJob(ctx context.Context, sessionID string, job int) (resp service.SubmitJobResponse, err error) {
+	err = t.c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/jobs", service.SubmitJobRequest{Job: job}, &resp)
+	return resp, err
+}
+
+func (t httpTransport) advance(ctx context.Context, sessionID string, stage int) (resp service.Advice, err error) {
+	err = t.c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/stage", service.AdvanceRequest{Stage: stage}, &resp)
+	return resp, err
+}
+
+func (t httpTransport) runBatch(ctx context.Context, sessionID string, steps []service.Step) (resp service.BatchResponse, err error) {
+	err = t.c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/batch", service.BatchRequest{Steps: steps}, &resp)
+	return resp, err
+}
+
+func (t httpTransport) deleteSession(ctx context.Context, sessionID string) error {
+	return t.c.do(ctx, http.MethodDelete, "/v1/sessions/"+sessionID, nil, nil)
+}
+
+func (httpTransport) close() {}
 
 // Healthz fetches the server's health summary.
 func (c *Client) Healthz(ctx context.Context) (service.Healthz, error) {
@@ -211,15 +235,7 @@ func (c *Client) Healthz(ctx context.Context) (service.Healthz, error) {
 	return resp, err
 }
 
-// do issues one API call, retrying shed responses (503) and transport
-// errors. The wait before each retry is the larger of the schedule's
-// jittered exponential backoff and the server's Retry-After hint; the
-// whole call is bounded by MaxRetryWait via a context deadline, so
-// "retries exhausted" and "dead server" both fail within a known
-// budget. 503s are safe to retry because every mutating operation is
-// idempotent server-side: a shed 503 never touched handler state, and
-// a timeout 503 that raced a mutation which then completed converges
-// on the retry's idempotent replay.
+// do issues one JSON API call under the retry loop.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -228,6 +244,23 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return err
 		}
 	}
+	return c.retryLoop(ctx, func(ctx context.Context) (bool, time.Duration, error) {
+		return c.attempt(ctx, method, path, body, out)
+	})
+}
+
+// retryLoop is the one retry policy of both transports: it repeats try
+// — one attempt of a call, reporting whether its failure is worth
+// retrying and any server-sent Retry-After hint — while the server
+// sheds (503) or the transport fails. The wait before each retry is the
+// larger of the schedule's jittered exponential backoff and the hint;
+// the whole call is bounded by MaxRetryWait via a context deadline, so
+// "retries exhausted" and "dead server" both fail within a known
+// budget. 503s are safe to retry because every mutating operation is
+// idempotent server-side: a shed 503 never touched handler state, and
+// a timeout 503 that raced a mutation which then completed converges
+// on the retry's idempotent replay.
+func (c *Client) retryLoop(ctx context.Context, try func(ctx context.Context) (retryable bool, retryAfter time.Duration, err error)) error {
 	if c.maxWait > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.maxWait)
@@ -235,7 +268,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	var lastErr error
 	for attempt := 0; attempt <= c.retry.Retries(); attempt++ {
-		retryable, retryAfter, err := c.attempt(ctx, method, path, body, out)
+		retryable, retryAfter, err := try(ctx)
 		if err == nil {
 			return nil
 		}
@@ -246,17 +279,24 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if attempt == c.retry.Retries() {
 			break
 		}
-		wait := c.backoff(attempt)
-		if retryAfter > wait {
-			wait = min(retryAfter, maxRetryAfter)
-		}
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("client: retry budget exhausted: %w (last: %v)", ctx.Err(), lastErr)
-		case <-time.After(wait):
+		case <-time.After(c.retryWait(attempt, retryAfter)):
 		}
 	}
 	return fmt.Errorf("client: retries exhausted: %w", lastErr)
+}
+
+// retryWait is the pause before retry number attempt+1: the jittered
+// backoff, or the server's Retry-After hint when that is longer (capped
+// at maxRetryAfter).
+func (c *Client) retryWait(attempt int, retryAfter time.Duration) time.Duration {
+	wait := c.backoff(attempt)
+	if retryAfter > wait {
+		wait = min(retryAfter, maxRetryAfter)
+	}
+	return wait
 }
 
 // backoff is the schedule's exponential base for this attempt with

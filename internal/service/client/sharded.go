@@ -3,7 +3,7 @@
 // shard dies mid-session, the client marks it dead, re-routes the
 // session to the rendezvous successor, converges the successor's copy
 // (restored from the shared snapshot store) by replaying the session's
-// recorded operation history — every replayed op is idempotent
+// recorded steps as batches — every replayed step is idempotent
 // server-side — and then retries the operation that failed. Callers
 // see a slow call, not an error.
 package client
@@ -52,26 +52,14 @@ type ShardedConfig struct {
 	Binary bool
 }
 
-// opKind tags one recorded session operation.
-type opKind uint8
-
-const (
-	opJob opKind = iota
-	opAdvance
-)
-
-type op struct {
-	kind opKind
-	arg  int
-}
-
 // sessionState is the client-side replay source for one session: the
-// create request (to re-materialize the session anywhere) and the op
-// history (to fast-forward a restored copy past any snapshot lag).
+// create request (to re-materialize the session anywhere) and every
+// acknowledged step (to fast-forward a restored copy past any snapshot
+// lag).
 type sessionState struct {
 	mu     sync.Mutex
 	create service.CreateSessionRequest
-	ops    []op
+	steps  []service.Step
 }
 
 // Sharded routes sessions across shards with failover. It is safe for
@@ -84,10 +72,8 @@ type Sharded struct {
 	clients  map[string]*Client
 	sessions map[string]*sessionState
 
-	statsMu   sync.Mutex
-	failovers int64
-	reroutes  []time.Duration
-	events    []RerouteEvent
+	statsMu sync.Mutex
+	events  []RerouteEvent // one per successful failover, in order
 }
 
 // NewSharded builds a sharded client over the shard group.
@@ -133,11 +119,24 @@ func (s *Sharded) clientFor(shard string) *Client {
 	return c
 }
 
-func (s *Sharded) state(id string) (*sessionState, bool) {
+// on runs call for a session created through this client: under the
+// session's lock, against its owner with failover, and — once the
+// server has acknowledged it — with the steps it applied recorded for
+// post-failover replay.
+func (s *Sharded) on(ctx context.Context, sessionID string, applies []service.Step, call func(c *Client) error) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.sessions[id]
-	return st, ok
+	st, ok := s.sessions[sessionID]
+	s.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("client: unknown session %q", sessionID)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	err := s.withFailover(ctx, sessionID, st, call)
+	if err == nil {
+		st.steps = append(st.steps, applies...)
+	}
+	return err
 }
 
 // CreateSession registers the session on its owning shard. The request
@@ -172,88 +171,39 @@ func (s *Sharded) CreateSession(ctx context.Context, req service.CreateSessionRe
 	return resp, err
 }
 
-// SubmitJob feeds the next job to the session, recording it for
-// post-failover replay.
-func (s *Sharded) SubmitJob(ctx context.Context, sessionID string, job int) (service.SubmitJobResponse, error) {
-	st, ok := s.state(sessionID)
-	if !ok {
-		return service.SubmitJobResponse{}, fmt.Errorf("client: unknown session %q", sessionID)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var resp service.SubmitJobResponse
-	err := s.withFailover(ctx, sessionID, st, func(c *Client) error {
-		var err error
+// SubmitJob feeds the next job to the session.
+func (s *Sharded) SubmitJob(ctx context.Context, sessionID string, job int) (resp service.SubmitJobResponse, err error) {
+	err = s.on(ctx, sessionID, []service.Step{{Job: job, Stage: -1}}, func(c *Client) (err error) {
 		resp, err = c.SubmitJob(ctx, sessionID, job)
 		return err
 	})
-	if err == nil {
-		st.ops = append(st.ops, op{opJob, job})
-	}
 	return resp, err
 }
 
-// Advance moves the session to a stage boundary, recording the op for
-// post-failover replay.
-func (s *Sharded) Advance(ctx context.Context, sessionID string, stage int) (service.Advice, error) {
-	st, ok := s.state(sessionID)
-	if !ok {
-		return service.Advice{}, fmt.Errorf("client: unknown session %q", sessionID)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var adv service.Advice
-	err := s.withFailover(ctx, sessionID, st, func(c *Client) error {
-		var err error
+// Advance moves the session to a stage boundary.
+func (s *Sharded) Advance(ctx context.Context, sessionID string, stage int) (adv service.Advice, err error) {
+	err = s.on(ctx, sessionID, []service.Step{{Stage: stage}}, func(c *Client) (err error) {
 		adv, err = c.Advance(ctx, sessionID, stage)
 		return err
 	})
-	if err == nil {
-		st.ops = append(st.ops, op{opAdvance, stage})
-	}
 	return adv, err
 }
 
-// RunBatch drives a run of schedule steps in one call, recording each
-// step for post-failover replay — a batch that died mid-stream on a
-// shard failure replays step-by-step on the successor (each op is
-// idempotent), then the whole batch retries there.
-func (s *Sharded) RunBatch(ctx context.Context, sessionID string, steps []service.Step) (service.BatchResponse, error) {
-	st, ok := s.state(sessionID)
-	if !ok {
-		return service.BatchResponse{}, fmt.Errorf("client: unknown session %q", sessionID)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var resp service.BatchResponse
-	err := s.withFailover(ctx, sessionID, st, func(c *Client) error {
-		var err error
+// RunBatch drives a run of schedule steps in one call — a batch that
+// died mid-stream on a shard failure retries whole on the successor
+// once the recorded steps have converged there (each step is
+// idempotent).
+func (s *Sharded) RunBatch(ctx context.Context, sessionID string, steps []service.Step) (resp service.BatchResponse, err error) {
+	err = s.on(ctx, sessionID, steps, func(c *Client) (err error) {
 		resp, err = c.RunBatch(ctx, sessionID, steps)
 		return err
 	})
-	if err == nil {
-		for _, step := range steps {
-			if step.Stage < 0 {
-				st.ops = append(st.ops, op{opJob, step.Job})
-			} else {
-				st.ops = append(st.ops, op{opAdvance, step.Stage})
-			}
-		}
-	}
 	return resp, err
 }
 
 // DeleteSession tears the session down and drops its replay state.
 func (s *Sharded) DeleteSession(ctx context.Context, sessionID string) error {
-	st, ok := s.state(sessionID)
-	if !ok {
-		return fmt.Errorf("client: unknown session %q", sessionID)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	err := s.withFailover(ctx, sessionID, st, func(c *Client) error {
-		return c.DeleteSession(ctx, sessionID)
-	})
+	err := s.on(ctx, sessionID, nil, func(c *Client) error { return c.DeleteSession(ctx, sessionID) })
 	if err == nil {
 		s.mu.Lock()
 		delete(s.sessions, sessionID)
@@ -273,88 +223,71 @@ func (s *Sharded) Close() {
 }
 
 // withFailover runs call against the session's current owner; on a
-// transport-level failure it marks the owner dead, converges the
-// session on the rendezvous successor, and tries again there. API
-// errors (the server answered) pass through untouched — a 409 is the
-// caller's bug, not a dead shard.
+// transport-level failure the owner walk marks it dead and moves to the
+// rendezvous successor, where the session is converged before call
+// tries again. API errors (the server answered) pass through untouched
+// — a 409 is the caller's bug, not a dead shard.
 func (s *Sharded) withFailover(ctx context.Context, sessionID string, st *sessionState, call func(c *Client) error) error {
 	var lastErr error
-	for hop := 0; hop <= s.cfg.Failovers; hop++ {
-		owner := s.shards.Owner(sessionID)
-		if owner == "" {
-			if lastErr != nil {
-				return fmt.Errorf("client: no live shard for %q: %w", sessionID, lastErr)
-			}
-			return fmt.Errorf("client: no live shard for %q", sessionID)
-		}
+	owner := s.shards.Walk(sessionID, s.cfg.Failovers+1, func(owner string, hop int) bool {
 		c := s.clientFor(owner)
 		if hop > 0 {
-			// The successor may only have the session as a snapshot, and
-			// that snapshot may trail the ops this client has had
-			// acknowledged. Converge before retrying: adopt (or
-			// re-create) the session, then replay the full recorded
-			// history — every op is idempotent server-side, so replaying
-			// already-applied ops is a cheap no-op.
-			sp := s.cfg.Tracer.Start(trace.FromContext(ctx), "re-route")
-			cctx := ctx
-			if sp.Recording() {
-				// The convergence replay's client-calls nest under the
-				// re-route span, so a failover reads as one block in the
-				// waterfall.
-				cctx = trace.ContextWith(ctx, sp.Context())
-			}
-			start := time.Now()
-			if err := s.converge(cctx, c, sessionID, st); err != nil {
-				sp.EndWith("failed: " + owner)
+			if err := s.reroute(ctx, c, owner, sessionID, st); err != nil {
 				lastErr = err
 				if isAPIError(err) {
-					return fmt.Errorf("client: failover convergence for %q: %w", sessionID, err)
+					lastErr = fmt.Errorf("client: failover convergence for %q: %w", sessionID, err)
 				}
-				s.shards.MarkDead(owner)
-				continue
+				return isAPIError(err)
 			}
-			sp.EndWith(fmt.Sprintf("session=%s successor=%s ops=%d", sessionID, owner, len(st.ops)))
-			s.noteFailover(RerouteEvent{
-				Session: sessionID,
-				Owner:   owner,
-				Ops:     len(st.ops),
-				Latency: time.Since(start),
-				Trace:   traceIDString(sp),
-			})
 		}
-		err := call(c)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if isAPIError(err) {
-			return err
-		}
-		s.shards.MarkDead(owner)
+		lastErr = call(c)
+		return lastErr == nil || isAPIError(lastErr)
+	})
+	switch {
+	case owner != "":
+		return lastErr
+	case lastErr == nil:
+		return fmt.Errorf("client: no live shard for %q", sessionID)
+	case s.shards.Owner(sessionID) == "":
+		return fmt.Errorf("client: no live shard for %q: %w", sessionID, lastErr)
 	}
 	return fmt.Errorf("client: failovers exhausted for %q: %w", sessionID, lastErr)
 }
 
-// converge makes the shard's copy of the session catch up with
-// everything this client has had acknowledged.
-func (s *Sharded) converge(ctx context.Context, c *Client, sessionID string, st *sessionState) error {
-	// Idempotent create: 200 with the restored/live session, 201 with a
-	// fresh one (snapshot lost), either way the session exists.
-	if _, err := c.CreateSession(ctx, st.create); err != nil {
+// reroute converges the session on its new owner and notes the
+// failover. The successor may only have the session as a snapshot, and
+// that snapshot may trail the steps this client has had acknowledged,
+// so it adopts (or re-creates) the session — idempotent create: 200
+// with the restored/live session, 201 with a fresh one (snapshot lost)
+// — and then replays every recorded step through RunBatch, chunked at
+// the server's per-batch cap. Every step is idempotent server-side, so
+// already-applied ones are cheap no-ops.
+func (s *Sharded) reroute(ctx context.Context, c *Client, owner, sessionID string, st *sessionState) error {
+	sp := s.cfg.Tracer.Start(trace.FromContext(ctx), "re-route")
+	if sp.Recording() {
+		// The convergence calls nest under the re-route span, so a
+		// failover reads as one block in the waterfall.
+		ctx = trace.ContextWith(ctx, sp.Context())
+	}
+	start := time.Now()
+	_, err := c.CreateSession(ctx, st.create)
+	for rest := st.steps; err == nil && len(rest) > 0; {
+		n := min(len(rest), service.MaxBatchSteps)
+		_, err = c.RunBatch(ctx, sessionID, rest[:n])
+		rest = rest[n:]
+	}
+	if err != nil {
+		sp.EndWith("failed: " + owner)
 		return err
 	}
-	for _, o := range st.ops {
-		var err error
-		switch o.kind {
-		case opJob:
-			_, err = c.SubmitJob(ctx, sessionID, o.arg)
-		case opAdvance:
-			_, err = c.Advance(ctx, sessionID, o.arg)
-		}
-		if err != nil {
-			return err
-		}
+	ev := RerouteEvent{Session: sessionID, Owner: owner, Ops: len(st.steps), Latency: time.Since(start)}
+	if sp.Recording() {
+		ev.Trace = sp.Context().Trace.String()
 	}
+	sp.EndWith(fmt.Sprintf("session=%s successor=%s ops=%d", sessionID, owner, len(st.steps)))
+	s.statsMu.Lock()
+	s.events = append(s.events, ev)
+	s.statsMu.Unlock()
 	return nil
 }
 
@@ -363,22 +296,6 @@ func (s *Sharded) converge(ctx context.Context, c *Client, sessionID string, st 
 func isAPIError(err error) bool {
 	var apiErr *Error
 	return errors.As(err, &apiErr)
-}
-
-// traceIDString renders the span's trace ID, or "" for an inert span.
-func traceIDString(sp trace.ActiveSpan) string {
-	if !sp.Recording() {
-		return ""
-	}
-	return sp.Context().Trace.String()
-}
-
-func (s *Sharded) noteFailover(ev RerouteEvent) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	s.failovers++
-	s.reroutes = append(s.reroutes, ev.Latency)
-	s.events = append(s.events, ev)
 }
 
 // RerouteEvent is one successful session failover: which session moved
@@ -411,13 +328,15 @@ type Stats struct {
 // Stats computes the current failover summary.
 func (s *Sharded) Stats() Stats {
 	s.statsMu.Lock()
-	lat := append([]time.Duration(nil), s.reroutes...)
 	events := append([]RerouteEvent(nil), s.events...)
-	n := s.failovers
 	s.statsMu.Unlock()
 
-	st := Stats{Failovers: n, Reroutes: events, SessionsPerShard: map[string]int{}}
-	if len(lat) > 0 {
+	st := Stats{Failovers: int64(len(events)), Reroutes: events, SessionsPerShard: map[string]int{}}
+	if len(events) > 0 {
+		lat := make([]time.Duration, len(events))
+		for i, ev := range events {
+			lat[i] = ev.Latency
+		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		st.RerouteP50 = lat[len(lat)/2]
 		st.RerouteP99 = lat[(len(lat)*99)/100]

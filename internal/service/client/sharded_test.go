@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,5 +252,109 @@ func TestParseRetryAfter(t *testing.T) {
 	future := time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat)
 	if got := parseRetryAfter(future); got <= 0 || got > 4*time.Second {
 		t.Errorf("parseRetryAfter(future date) = %v, want ~3s", got)
+	}
+}
+
+// TestShardedConvergesInBatches: after a shard dies, the successor is
+// converged with one create plus ⌈recorded steps / MaxBatchSteps⌉ batch
+// calls — not a round trip per recorded step — and every advice served
+// after the failover equals an uninterrupted in-process replay's.
+func TestShardedConvergesInBatches(t *testing.T) {
+	const name, id = "SCC", "converge-1"
+	store := service.NewMemStore()
+	var mu sync.Mutex
+	requests := map[string]int{} // "METHOD /path" -> count, across all shards
+	servers := map[string]*httptest.Server{}
+	var urls []string
+	for i := 0; i < 3; i++ {
+		srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			requests[r.Method+" "+r.URL.Path]++
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		servers[ts.URL] = ts
+		urls = append(urls, ts.URL)
+	}
+	cfg := fastRetry()
+	cfg.Shards = urls
+	s := NewSharded(cfg)
+	ctx := context.Background()
+
+	spec, err := workload.Build(name, workload.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := service.NewAdvisor(spec.Graph, shardedAdvisorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := service.Replay(oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: name, Advisor: shardedAdvisorConfig()}); err != nil {
+		t.Fatal(err)
+	}
+
+	steps := service.Schedule(spec.Graph)
+	half := len(steps) / 2
+	first, err := s.RunBatch(ctx, id, steps[:half])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pad the recorded history past one batch: re-advancing an
+	// already-served stage is acknowledged (and recorded) every time.
+	served := first.Advices[0].Stage
+	pad := make([]service.Step, service.MaxBatchSteps)
+	for i := range pad {
+		pad[i] = service.Step{Stage: served}
+	}
+	if _, err := s.RunBatch(ctx, id, pad); err != nil {
+		t.Fatal(err)
+	}
+	recorded := half + len(pad)
+
+	servers[s.Shards().Owner(id)].Close() // the owner dies
+	mu.Lock()
+	clear(requests)
+	mu.Unlock()
+	second, err := s.RunBatch(ctx, id, steps[half:])
+	if err != nil {
+		t.Fatalf("batch across the failover: %v", err)
+	}
+
+	got := append(first.Advices, second.Advices...)
+	if len(got) != len(want) {
+		t.Fatalf("%d advices across the failover, the replay has %d", len(got), len(want))
+	}
+	for i := range want {
+		if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
+			t.Fatalf("advice %d diverges across the failover:\n  server %s\n  replay %s", i, g, w)
+		}
+	}
+
+	// On the successor: one create and ⌈recorded/MaxBatchSteps⌉ batches
+	// converge it, then the interrupted batch itself runs.
+	mu.Lock()
+	defer mu.Unlock()
+	convergeBatches := (recorded + service.MaxBatchSteps - 1) / service.MaxBatchSteps
+	if n := requests["POST /v1/sessions"]; n != 1 {
+		t.Errorf("%d creates after the failover, want 1 (%v)", n, requests)
+	}
+	if n := requests["POST /v1/sessions/"+id+"/batch"]; n != convergeBatches+1 {
+		t.Errorf("%d batch calls after the failover, want %d to converge + 1 (%v)", n, convergeBatches, requests)
+	}
+	if n := requests["POST /v1/sessions/"+id+"/stage"] + requests["POST /v1/sessions/"+id+"/jobs"]; n != 0 {
+		t.Errorf("%d per-step calls after the failover, want none (%v)", n, requests)
+	}
+	if ev := s.Stats().Reroutes; len(ev) != 1 || ev[0].Ops != recorded {
+		t.Errorf("re-route events = %+v, want one replaying %d steps", ev, recorded)
 	}
 }

@@ -8,32 +8,42 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mrdspark/internal/service"
 	"mrdspark/internal/service/wire"
 )
 
-// The client side of the binary frame protocol. The typed API is
-// identical to the JSON path — Config.Binary just reroutes the session
-// operations onto persistent frame connections, one per session (the
-// router splices a connection to the shard owning the session named in
-// its hello, so connection-per-session is what keeps routing affinity).
-// Retries reuse the same backoff schedule as the HTTP path: transport
-// and protocol errors poison the connection (it is closed and redialed
-// on the next attempt), API errors keep it.
+// frameTransport is the client side of the binary frame protocol:
+// Config.Binary reroutes the session operations onto persistent frame
+// connections, one per session (the router splices a connection to the
+// shard owning the session named in its hello, so connection-per-session
+// is what keeps routing affinity). Transport and protocol errors poison
+// the connection (it is closed and redialed on the next attempt), API
+// errors keep it.
+type frameTransport struct {
+	c *Client
+	// pin is Config.FrameAddr; empty means discover the listener through
+	// /healthz and cache it.
+	pin       string
+	addrCache atomic.Value // string
+
+	mu    sync.Mutex
+	conns map[string]*frameConn
+}
 
 // frameConn is one persistent frame-protocol connection with its
-// reusable encode/decode state. Calls on a connection are serialized
-// under mu; a caller wanting concurrency uses more sessions.
+// reusable encode/decode state. Calls on a connection are serialized by
+// the caller; a caller wanting concurrency uses more sessions.
 type frameConn struct {
-	nc    net.Conn
-	br    *bufio.Reader
-	bw    *bufio.Writer
-	enc   wire.Enc
-	rbuf  []byte
-	seq   uint64
-	epoch uint32
+	nc   net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	enc  wire.Enc
+	rbuf []byte
+	seq  uint64
 }
 
 // send writes one request frame and flushes it, returning the sequence
@@ -56,125 +66,140 @@ func (fc *frameConn) send(op byte, build func(*wire.Enc)) (uint64, error) {
 
 // recv reads one response frame, which must echo seq. The payload view
 // aliases the connection's reused buffer — decode before the next recv.
-func (fc *frameConn) recv(seq uint64) (wire.Header, []byte, error) {
+// An OpError frame comes back as the same *Error the JSON path returns,
+// so Sharded failover and caller error handling are transport-blind.
+func (fc *frameConn) recv(seq uint64) (byte, []byte, error) {
 	h, payload, nbuf, err := wire.ReadFrame(fc.br, fc.rbuf)
 	fc.rbuf = nbuf
 	if err != nil {
-		return h, nil, err
+		return 0, nil, err
 	}
 	if h.Seq != seq {
-		return h, nil, fmt.Errorf("client: wire response seq %d, want %d", h.Seq, seq)
+		return 0, nil, fmt.Errorf("client: wire response seq %d, want %d", h.Seq, seq)
 	}
-	return h, payload, nil
+	if h.Op == wire.OpError {
+		d := wire.NewDec(payload)
+		apiErr := &Error{Status: int(d.Uvarint()), Msg: d.Str()}
+		if err := d.Err(); err != nil {
+			return 0, nil, err
+		}
+		return 0, nil, apiErr
+	}
+	return h.Op, payload, nil
 }
 
-// wireError decodes an OpError payload into the same *Error the JSON
-// path returns, so Sharded failover and caller error handling are
-// transport-blind.
-func wireError(payload []byte) error {
-	d := wire.NewDec(payload)
-	status := int(d.Uvarint())
-	msg := d.Str()
-	if err := d.Err(); err != nil {
+// exchange is one unary request/response: send reqOp with the encoded
+// payload, expect okOp back and hand its payload to decode (nil when
+// the acknowledgement carries nothing).
+func (fc *frameConn) exchange(reqOp, okOp byte, encode func(*wire.Enc), decode func(payload []byte) error) error {
+	seq, err := fc.send(reqOp, encode)
+	if err != nil {
 		return err
 	}
-	return &Error{Status: status, Msg: msg}
+	op, payload, err := fc.recv(seq)
+	if err != nil {
+		return err
+	}
+	if op != okOp {
+		return fmt.Errorf("client: unexpected response op %#x to request op %#x", op, reqOp)
+	}
+	if decode == nil {
+		return nil
+	}
+	return decode(payload)
 }
 
-// frameConnFor returns the session's live frame connection, dialing on
+// connFor returns the session's live frame connection, dialing on
 // first use.
-func (c *Client) frameConnFor(ctx context.Context, sessionID string) (*frameConn, error) {
-	c.wmu.Lock()
-	fc, ok := c.wconns[sessionID]
-	c.wmu.Unlock()
+func (t *frameTransport) connFor(ctx context.Context, sessionID string) (*frameConn, error) {
+	t.mu.Lock()
+	fc, ok := t.conns[sessionID]
+	t.mu.Unlock()
 	if ok {
 		return fc, nil
 	}
-	fc, err := c.dialFrame(ctx, sessionID)
+	fc, err := t.dial(ctx, sessionID)
 	if err != nil {
 		return nil, err
 	}
-	c.wmu.Lock()
-	if prev, ok := c.wconns[sessionID]; ok {
-		c.wmu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev, ok := t.conns[sessionID]; ok {
 		fc.nc.Close()
 		return prev, nil
 	}
-	if c.wconns == nil {
-		c.wconns = map[string]*frameConn{}
+	if t.conns == nil {
+		t.conns = map[string]*frameConn{}
 	}
-	c.wconns[sessionID] = fc
-	c.wmu.Unlock()
+	t.conns[sessionID] = fc
 	return fc, nil
 }
 
-// dropFrameConn retires a poisoned connection; the next call redials.
-func (c *Client) dropFrameConn(sessionID string, fc *frameConn) {
+// drop retires a poisoned connection; the next call redials.
+func (t *frameTransport) drop(sessionID string, fc *frameConn) {
 	fc.nc.Close()
-	c.wmu.Lock()
-	if c.wconns[sessionID] == fc {
-		delete(c.wconns, sessionID)
+	t.mu.Lock()
+	if t.conns[sessionID] == fc {
+		delete(t.conns, sessionID)
 	}
-	c.wmu.Unlock()
+	t.mu.Unlock()
 }
 
-// Close closes every open frame connection. The client stays usable —
-// the next binary call redials.
-func (c *Client) Close() {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	for id, fc := range c.wconns {
+func (t *frameTransport) close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for id, fc := range t.conns {
 		fc.nc.Close()
-		delete(c.wconns, id)
+		delete(t.conns, id)
 	}
 }
 
-// dialFrame resolves the frame listener address (pinned, cached, or
+// dial resolves the frame listener address (pinned, cached, or
 // discovered via /healthz) and performs the hello handshake. A stale
 // cached address (server restarted onto a new port) gets one
 // re-discovery.
-func (c *Client) dialFrame(ctx context.Context, sessionID string) (*frameConn, error) {
-	addr := c.framePin
+func (t *frameTransport) dial(ctx context.Context, sessionID string) (*frameConn, error) {
+	addr := t.pin
 	cached := false
 	if addr == "" {
-		if v, _ := c.frameAddrCache.Load().(string); v != "" {
+		if v, _ := t.addrCache.Load().(string); v != "" {
 			addr, cached = v, true
 		}
 	}
 	if addr == "" {
-		a, err := c.discoverFrameAddr(ctx)
+		a, err := t.discover(ctx)
 		if err != nil {
 			return nil, err
 		}
 		addr = a
 	}
-	fc, err := c.dialFrameAddr(ctx, addr, sessionID)
+	fc, err := dialFrameAddr(ctx, addr, sessionID)
 	if err != nil && cached {
-		c.frameAddrCache.Store("")
-		a, derr := c.discoverFrameAddr(ctx)
+		t.addrCache.Store("")
+		a, derr := t.discover(ctx)
 		if derr != nil {
 			return nil, err
 		}
-		return c.dialFrameAddr(ctx, a, sessionID)
+		return dialFrameAddr(ctx, a, sessionID)
 	}
 	return fc, err
 }
 
-// discoverFrameAddr asks the server's /healthz (which both shards and
-// routers serve, each advertising their own frame listener).
-func (c *Client) discoverFrameAddr(ctx context.Context) (string, error) {
-	hz, err := c.Healthz(ctx)
+// discover asks the server's /healthz (which both shards and routers
+// serve, each advertising their own frame listener).
+func (t *frameTransport) discover(ctx context.Context) (string, error) {
+	hz, err := t.c.Healthz(ctx)
 	if err != nil {
 		return "", err
 	}
 	if hz.FrameAddr == "" {
 		return "", errors.New("client: server advertises no frame listener")
 	}
-	c.frameAddrCache.Store(hz.FrameAddr)
+	t.addrCache.Store(hz.FrameAddr)
 	return hz.FrameAddr, nil
 }
 
-func (c *Client) dialFrameAddr(ctx context.Context, addr, sessionID string) (*frameConn, error) {
+func dialFrameAddr(ctx context.Context, addr, sessionID string) (*frameConn, error) {
 	d := net.Dialer{Timeout: 5 * time.Second}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -186,191 +211,98 @@ func (c *Client) dialFrameAddr(ctx context.Context, addr, sessionID string) (*fr
 		bw:   bufio.NewWriterSize(nc, 32<<10),
 		rbuf: make([]byte, 4<<10),
 	}
-	seq, err := fc.send(wire.OpHello, func(e *wire.Enc) { e.Str(sessionID) })
-	if err != nil {
+	if err := fc.exchange(wire.OpHello, wire.OpHelloOK, func(e *wire.Enc) { e.Str(sessionID) }, nil); err != nil {
 		nc.Close()
 		return nil, err
-	}
-	h, payload, err := fc.recv(seq)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	switch h.Op {
-	case wire.OpHelloOK:
-	case wire.OpError:
-		err := wireError(payload)
-		nc.Close()
-		return nil, err
-	default:
-		nc.Close()
-		return nil, fmt.Errorf("client: unexpected hello response op %#x", h.Op)
-	}
-	fc.epoch = h.Epoch
-	// A changed epoch across reconnects means the server restarted under
-	// us; the count is observability for callers (state convergence is
-	// the failover layer's job, via idempotent replay).
-	if prev := c.wireEpoch.Swap(h.Epoch); prev != 0 && prev != h.Epoch {
-		c.epochFlips.Add(1)
 	}
 	return fc, nil
 }
 
-// WireEpochFlips counts server-restart detections on the frame path:
-// reconnects whose hello came back with a different session epoch.
-func (c *Client) WireEpochFlips() int64 { return c.epochFlips.Load() }
-
-// doWire is the binary path's analogue of do: the same retry budget and
-// jittered backoff, with "the server answered an error frame" playing
-// the role of an HTTP status. Only 503s retry; transport and protocol
-// failures retry on a fresh connection.
-func (c *Client) doWire(ctx context.Context, sessionID string, fn func(fc *frameConn) error) error {
-	if c.maxWait > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.maxWait)
-		defer cancel()
-	}
-	var lastErr error
-	for attempt := 0; attempt <= c.retry.Retries(); attempt++ {
-		err := c.oneWire(ctx, sessionID, fn)
+// do runs fn on the session's connection under the client's retry
+// loop, with "the server answered an error frame" playing the role of
+// an HTTP status: only 503s retry; transport and protocol failures
+// retry on a fresh connection. The frame protocol carries no
+// Retry-After, so the wait is always the backoff.
+func (t *frameTransport) do(ctx context.Context, sessionID string, fn func(fc *frameConn) error) error {
+	return t.c.retryLoop(ctx, func(ctx context.Context) (bool, time.Duration, error) {
+		fc, err := t.connFor(ctx, sessionID)
 		if err == nil {
-			return nil
+			dl, _ := ctx.Deadline() // zero (no deadline) when the context has none
+			fc.nc.SetDeadline(dl)
+			if err = fn(fc); err != nil && !isAPIError(err) {
+				// Anything but a well-formed error frame leaves the
+				// connection's framing in an unknown state; redial rather
+				// than resync.
+				t.drop(sessionID, fc)
+			}
 		}
-		lastErr = err
 		var apiErr *Error
-		if errors.As(err, &apiErr) && apiErr.Status != http.StatusServiceUnavailable {
-			return err
-		}
-		if attempt == c.retry.Retries() {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("client: retry budget exhausted: %w (last: %v)", ctx.Err(), lastErr)
-		case <-time.After(c.backoff(attempt)):
-		}
-	}
-	return fmt.Errorf("client: retries exhausted: %w", lastErr)
+		return !errors.As(err, &apiErr) || apiErr.Status == http.StatusServiceUnavailable, 0, err
+	})
 }
 
-func (c *Client) oneWire(ctx context.Context, sessionID string, fn func(fc *frameConn) error) error {
-	fc, err := c.frameConnFor(ctx, sessionID)
-	if err != nil {
-		return err
-	}
-	fc.nc.SetDeadline(deadlineFrom(ctx))
-	err = fn(fc)
-	if err != nil && !isAPIError(err) {
-		// Anything but a well-formed error frame leaves the connection's
-		// framing in an unknown state; redial rather than resync.
-		c.dropFrameConn(sessionID, fc)
-	}
-	return err
+// call is one unary operation: exchange under do.
+func (t *frameTransport) call(ctx context.Context, sessionID string, reqOp, okOp byte, encode func(*wire.Enc), decode func(payload []byte) error) error {
+	return t.do(ctx, sessionID, func(fc *frameConn) error { return fc.exchange(reqOp, okOp, encode, decode) })
 }
 
-// deadlineFrom maps a context deadline onto a connection deadline (zero
-// when the context has none).
-func deadlineFrom(ctx context.Context) time.Time {
-	if dl, ok := ctx.Deadline(); ok {
-		return dl
-	}
-	return time.Time{}
-}
-
-// createWire is CreateSession over OpCreate (JSON-in-frame: create is
-// once per session, schema flexibility beats encode speed there).
-func (c *Client) createWire(ctx context.Context, req service.CreateSessionRequest) (service.CreateSessionResponse, error) {
-	var resp service.CreateSessionResponse
+// createSession is OpCreate (JSON-in-frame: create is once per session,
+// schema flexibility beats encode speed there).
+func (t *frameTransport) createSession(ctx context.Context, req service.CreateSessionRequest) (resp service.CreateSessionResponse, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return resp, err
 	}
-	err = c.doWire(ctx, req.ID, func(fc *frameConn) error {
-		seq, err := fc.send(wire.OpCreate, func(e *wire.Enc) { e.Raw(body) })
-		if err != nil {
-			return err
-		}
-		h, payload, err := fc.recv(seq)
-		if err != nil {
-			return err
-		}
-		switch h.Op {
-		case wire.OpCreateOK:
-			return json.Unmarshal(payload, &resp)
-		case wire.OpError:
-			return wireError(payload)
-		default:
-			return fmt.Errorf("client: unexpected create response op %#x", h.Op)
-		}
-	})
+	err = t.call(ctx, req.ID, wire.OpCreate, wire.OpCreateOK,
+		func(e *wire.Enc) { e.Raw(body) },
+		func(p []byte) error { return json.Unmarshal(p, &resp) })
 	return resp, err
 }
 
-// submitJobWire is SubmitJob over OpSubmitJob.
-func (c *Client) submitJobWire(ctx context.Context, sessionID string, job int) (service.SubmitJobResponse, error) {
-	var resp service.SubmitJobResponse
-	err := c.doWire(ctx, sessionID, func(fc *frameConn) error {
-		seq, err := fc.send(wire.OpSubmitJob, func(e *wire.Enc) {
+// getSession is OpStatus (JSON-in-frame, cold path).
+func (t *frameTransport) getSession(ctx context.Context, sessionID string) (resp service.SessionStatus, err error) {
+	err = t.call(ctx, sessionID, wire.OpStatus, wire.OpStatusOK,
+		func(e *wire.Enc) { e.Str(sessionID) },
+		func(p []byte) error { return json.Unmarshal(p, &resp) })
+	return resp, err
+}
+
+func (t *frameTransport) submitJob(ctx context.Context, sessionID string, job int) (resp service.SubmitJobResponse, err error) {
+	err = t.call(ctx, sessionID, wire.OpSubmitJob, wire.OpSubmitJobOK,
+		func(e *wire.Enc) {
 			e.Str(sessionID)
 			e.Uvarint(uint64(job))
-		})
-		if err != nil {
-			return err
-		}
-		h, payload, err := fc.recv(seq)
-		if err != nil {
-			return err
-		}
-		switch h.Op {
-		case wire.OpSubmitJobOK:
-			d := wire.NewDec(payload)
+		},
+		func(p []byte) error {
+			d := wire.NewDec(p)
 			resp.Job = int(d.Uvarint())
 			resp.NextJob = int(d.Uvarint())
 			resp.Replayed = d.U8() != 0
 			return d.Err()
-		case wire.OpError:
-			return wireError(payload)
-		default:
-			return fmt.Errorf("client: unexpected submit-job response op %#x", h.Op)
-		}
-	})
+		})
 	return resp, err
 }
 
-// advanceWire is Advance over OpAdvance.
-func (c *Client) advanceWire(ctx context.Context, sessionID string, stage int) (service.Advice, error) {
-	var adv service.Advice
-	err := c.doWire(ctx, sessionID, func(fc *frameConn) error {
-		seq, err := fc.send(wire.OpAdvance, func(e *wire.Enc) {
+func (t *frameTransport) advance(ctx context.Context, sessionID string, stage int) (adv service.Advice, err error) {
+	err = t.call(ctx, sessionID, wire.OpAdvance, wire.OpAdvice,
+		func(e *wire.Enc) {
 			e.Str(sessionID)
 			e.Uvarint(uint64(stage))
-		})
-		if err != nil {
-			return err
-		}
-		h, payload, err := fc.recv(seq)
-		if err != nil {
-			return err
-		}
-		switch h.Op {
-		case wire.OpAdvice:
-			d := wire.NewDec(payload)
+		},
+		func(p []byte) error {
+			d := wire.NewDec(p)
+			var err error
 			adv, err = service.DecodeAdvicePayload(&d)
 			return err
-		case wire.OpError:
-			return wireError(payload)
-		default:
-			return fmt.Errorf("client: unexpected advance response op %#x", h.Op)
-		}
-	})
+		})
 	return adv, err
 }
 
-// batchWire is RunBatch over OpBatch: one request frame, a stream of
-// advice frames, and an OpBatchEnd trailer carrying the totals.
-func (c *Client) batchWire(ctx context.Context, sessionID string, steps []service.Step) (service.BatchResponse, error) {
-	var resp service.BatchResponse
-	err := c.doWire(ctx, sessionID, func(fc *frameConn) error {
+// runBatch is OpBatch, the one streaming exchange: one request frame, a
+// stream of advice frames, and an OpBatchEnd trailer carrying the
+// totals.
+func (t *frameTransport) runBatch(ctx context.Context, sessionID string, steps []service.Step) (resp service.BatchResponse, err error) {
+	err = t.do(ctx, sessionID, func(fc *frameConn) error {
 		// Reset on retry: a batch that died mid-stream replays
 		// idempotently, and its advices must not double up.
 		resp = service.BatchResponse{}
@@ -379,20 +311,19 @@ func (c *Client) batchWire(ctx context.Context, sessionID string, steps []servic
 			return err
 		}
 		for {
-			h, payload, err := fc.recv(seq)
+			op, payload, err := fc.recv(seq)
 			if err != nil {
 				return err
 			}
-			switch h.Op {
+			d := wire.NewDec(payload)
+			switch op {
 			case wire.OpAdvice:
-				d := wire.NewDec(payload)
 				a, err := service.DecodeAdvicePayload(&d)
 				if err != nil {
 					return err
 				}
 				resp.Advices = append(resp.Advices, a)
 			case wire.OpBatchEnd:
-				d := wire.NewDec(payload)
 				resp.Jobs = int(d.Uvarint())
 				n := int(d.Uvarint())
 				if err := d.Err(); err != nil {
@@ -402,66 +333,23 @@ func (c *Client) batchWire(ctx context.Context, sessionID string, steps []servic
 					return fmt.Errorf("client: batch trailer says %d advices, streamed %d", n, len(resp.Advices))
 				}
 				return nil
-			case wire.OpError:
-				return wireError(payload)
 			default:
-				return fmt.Errorf("client: unexpected frame op %#x in batch stream", h.Op)
+				return fmt.Errorf("client: unexpected frame op %#x in batch stream", op)
 			}
 		}
 	})
 	return resp, err
 }
 
-// statusWire is GetSession over OpStatus (JSON-in-frame, cold path).
-func (c *Client) statusWire(ctx context.Context, sessionID string) (service.SessionStatus, error) {
-	var resp service.SessionStatus
-	err := c.doWire(ctx, sessionID, func(fc *frameConn) error {
-		seq, err := fc.send(wire.OpStatus, func(e *wire.Enc) { e.Str(sessionID) })
-		if err != nil {
-			return err
-		}
-		h, payload, err := fc.recv(seq)
-		if err != nil {
-			return err
-		}
-		switch h.Op {
-		case wire.OpStatusOK:
-			return json.Unmarshal(payload, &resp)
-		case wire.OpError:
-			return wireError(payload)
-		default:
-			return fmt.Errorf("client: unexpected status response op %#x", h.Op)
-		}
-	})
-	return resp, err
-}
-
-// deleteWire is DeleteSession over OpDelete. The session's connection
-// is closed afterwards — its routing affinity died with the session.
-func (c *Client) deleteWire(ctx context.Context, sessionID string) error {
-	err := c.doWire(ctx, sessionID, func(fc *frameConn) error {
-		seq, err := fc.send(wire.OpDelete, func(e *wire.Enc) { e.Str(sessionID) })
-		if err != nil {
-			return err
-		}
-		h, payload, err := fc.recv(seq)
-		if err != nil {
-			return err
-		}
-		switch h.Op {
-		case wire.OpDeleteOK:
-			return nil
-		case wire.OpError:
-			return wireError(payload)
-		default:
-			return fmt.Errorf("client: unexpected delete response op %#x", h.Op)
-		}
-	})
-	c.wmu.Lock()
-	if fc, ok := c.wconns[sessionID]; ok {
+// deleteSession is OpDelete. The session's connection is closed
+// afterwards — its routing affinity died with the session.
+func (t *frameTransport) deleteSession(ctx context.Context, sessionID string) error {
+	err := t.call(ctx, sessionID, wire.OpDelete, wire.OpDeleteOK, func(e *wire.Enc) { e.Str(sessionID) }, nil)
+	t.mu.Lock()
+	if fc, ok := t.conns[sessionID]; ok {
 		fc.nc.Close()
-		delete(c.wconns, sessionID)
+		delete(t.conns, sessionID)
 	}
-	c.wmu.Unlock()
+	t.mu.Unlock()
 	return err
 }

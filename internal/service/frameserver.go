@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mrdspark/internal/obs"
 	"mrdspark/internal/service/wire"
 )
 
@@ -39,15 +40,15 @@ type wireStats struct {
 	bytesOut atomic.Int64
 }
 
-func (ws *wireStats) writePrometheus(w io.Writer) {
-	fmt.Fprintf(w, "# HELP mrdserver_wire_connections_total Frame-protocol connections accepted.\n# TYPE mrdserver_wire_connections_total counter\nmrdserver_wire_connections_total %d\n", ws.conns.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_wire_connections_open Frame-protocol connections currently open.\n# TYPE mrdserver_wire_connections_open gauge\nmrdserver_wire_connections_open %d\n", ws.open.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_wire_frames_total Request frames served over the wire protocol.\n# TYPE mrdserver_wire_frames_total counter\nmrdserver_wire_frames_total %d\n", ws.frames.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_wire_batches_total Batch requests served over the wire protocol.\n# TYPE mrdserver_wire_batches_total counter\nmrdserver_wire_batches_total %d\n", ws.batches.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_wire_advices_total Advice frames sent over the wire protocol.\n# TYPE mrdserver_wire_advices_total counter\nmrdserver_wire_advices_total %d\n", ws.advices.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_wire_errors_total Error frames sent plus protocol violations.\n# TYPE mrdserver_wire_errors_total counter\nmrdserver_wire_errors_total %d\n", ws.errs.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_wire_bytes_in_total Bytes read off frame-protocol connections.\n# TYPE mrdserver_wire_bytes_in_total counter\nmrdserver_wire_bytes_in_total %d\n", ws.bytesIn.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_wire_bytes_out_total Bytes written to frame-protocol connections.\n# TYPE mrdserver_wire_bytes_out_total counter\nmrdserver_wire_bytes_out_total %d\n", ws.bytesOut.Load())
+func (ws *wireStats) writePrometheus(pw *obs.PromWriter) {
+	pw.Scalar("mrdserver_wire_connections_total", "counter", "Frame-protocol connections accepted.", ws.conns.Load())
+	pw.Scalar("mrdserver_wire_connections_open", "gauge", "Frame-protocol connections currently open.", ws.open.Load())
+	pw.Scalar("mrdserver_wire_frames_total", "counter", "Request frames served over the wire protocol.", ws.frames.Load())
+	pw.Scalar("mrdserver_wire_batches_total", "counter", "Batch requests served over the wire protocol.", ws.batches.Load())
+	pw.Scalar("mrdserver_wire_advices_total", "counter", "Advice frames sent over the wire protocol.", ws.advices.Load())
+	pw.Scalar("mrdserver_wire_errors_total", "counter", "Error frames sent plus protocol violations.", ws.errs.Load())
+	pw.Scalar("mrdserver_wire_bytes_in_total", "counter", "Bytes read off frame-protocol connections.", ws.bytesIn.Load())
+	pw.Scalar("mrdserver_wire_bytes_out_total", "counter", "Bytes written to frame-protocol connections.", ws.bytesOut.Load())
 }
 
 // encPool recycles response encoders across connections; each carries
@@ -65,9 +66,6 @@ func (s *Server) SetFrameAddr(addr string) { s.frameAddr.Store(addr) }
 // FrameAddr is the advertised frame-listener address, "" when the
 // wire transport is off.
 func (s *Server) FrameAddr() string { return s.frameAddr.Load().(string) }
-
-// Epoch is this server incarnation's wire-protocol session epoch.
-func (s *Server) Epoch() uint32 { return s.epoch }
 
 // ServeFrames serves the binary protocol on ln until the listener
 // closes, advertising its address on /healthz. Run it in a goroutine
@@ -201,6 +199,24 @@ func (s *Server) writeErrorFrame(bw *bufio.Writer, seq uint64, status int, msg s
 	_ = writeFrame(bw, &e)
 }
 
+// frameSession resolves the session a request frame names, once the
+// frame's payload has been decoded: a decode failure answers 400 and is
+// fatal to the connection (its framing can no longer be trusted), a
+// lookup miss answers with the lookup's status and keeps it. A nil
+// session means the error frame is already written.
+func (s *Server) frameSession(ctx context.Context, bw *bufio.Writer, seq uint64, cs *frameConnState, id []byte, decodeErr error, what string) (sess *Session, fatal bool) {
+	if decodeErr != nil {
+		s.writeErrorFrame(bw, seq, 400, "malformed "+what)
+		return nil, true
+	}
+	sess, status, err := s.lookupSession(ctx, cs.internID(id))
+	if err != nil {
+		s.writeErrorFrame(bw, seq, status, err.Error())
+		return nil, false
+	}
+	return sess, false
+}
+
 // dispatchFrame serves one request frame; true means the connection
 // must close (unrecoverable protocol state).
 func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.Enc, h wire.Header, payload []byte, cs *frameConnState) bool {
@@ -244,16 +260,10 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 		return writeFrame(bw, enc) != nil
 
 	case wire.OpSubmitJob:
-		id := cs.internID(d.Bytes())
-		job := int(d.Uvarint())
-		if d.Err() != nil {
-			s.writeErrorFrame(bw, h.Seq, 400, "malformed submit-job")
-			return true
-		}
-		sess, status, err := s.lookupSession(ctx, id)
-		if err != nil {
-			s.writeErrorFrame(bw, h.Seq, status, err.Error())
-			return false
+		idb, job := d.Bytes(), int(d.Uvarint())
+		sess, fatal := s.frameSession(ctx, bw, h.Seq, cs, idb, d.Err(), "submit-job")
+		if sess == nil {
+			return fatal
 		}
 		resp, _, err := s.submitJob(ctx, sess, job)
 		if err != nil {
@@ -271,16 +281,10 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 		return writeFrame(bw, enc) != nil
 
 	case wire.OpAdvance:
-		id := cs.internID(d.Bytes())
-		stage := int(d.Uvarint())
-		if d.Err() != nil {
-			s.writeErrorFrame(bw, h.Seq, 400, "malformed advance")
-			return true
-		}
-		sess, status, err := s.lookupSession(ctx, id)
-		if err != nil {
-			s.writeErrorFrame(bw, h.Seq, status, err.Error())
-			return false
+		idb, stage := d.Bytes(), int(d.Uvarint())
+		sess, fatal := s.frameSession(ctx, bw, h.Seq, cs, idb, d.Err(), "advance")
+		if sess == nil {
+			return fatal
 		}
 		advice, _, err := s.advance(ctx, sess, stage)
 		if err != nil {
@@ -294,19 +298,17 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 
 	case wire.OpBatch:
 		idb, steps, err := DecodeBatchPayload(&d)
+		what := "batch"
 		if err != nil {
-			s.writeErrorFrame(bw, h.Seq, 400, "malformed batch: "+err.Error())
-			return true
+			what += ": " + err.Error()
 		}
-		id := cs.internID(idb)
-		sess, status, err := s.lookupSession(ctx, id)
-		if err != nil {
-			s.writeErrorFrame(bw, h.Seq, status, err.Error())
-			return false
+		sess, fatal := s.frameSession(ctx, bw, h.Seq, cs, idb, err, what)
+		if sess == nil {
+			return fatal
 		}
 		s.wire.batches.Add(1)
 		jobs, advices := 0, 0
-		_, status, err = s.runBatch(ctx, sess, steps, func(a Advice) error {
+		_, status, err := s.runBatch(ctx, sess, steps, func(a Advice) error {
 			// Stream each advice as its own frame the moment it exists;
 			// bufio coalesces writes, the client reads until OpBatchEnd.
 			s.wire.advices.Add(1)
@@ -341,15 +343,9 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 		return writeFrame(bw, enc) != nil
 
 	case wire.OpStatus:
-		id := cs.internID(d.Bytes())
-		if d.Err() != nil {
-			s.writeErrorFrame(bw, h.Seq, 400, "malformed status")
-			return true
-		}
-		sess, status, err := s.lookupSession(ctx, id)
-		if err != nil {
-			s.writeErrorFrame(bw, h.Seq, status, err.Error())
-			return false
+		sess, fatal := s.frameSession(ctx, bw, h.Seq, cs, d.Bytes(), d.Err(), "status")
+		if sess == nil {
+			return fatal
 		}
 		body, err := json.Marshal(s.sessionStatus(sess))
 		if err != nil {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,20 +63,18 @@ type Router struct {
 	client *http.Client
 	tracer *trace.Tracer
 
-	nextID    atomic.Int64
-	idPrefix  string
-	reroutes  atomic.Int64
-	proxied   atomic.Int64
-	stopProbe chan struct{}
-	probeDone chan struct{}
-	closeOnce sync.Once
+	nextID   atomic.Int64
+	idPrefix string
+	reroutes atomic.Int64
+	proxied  atomic.Int64
+	loops    *tickers // the health prober
 
 	// Frame pass-through state: this router's own frame listener
-	// address, the per-shard frame addresses learned from /healthz, and
-	// the splice count.
+	// address, the per-shard frame addresses learned from /healthz
+	// (shard URL -> host:port; a restarted shard listens on a fresh port,
+	// so death invalidates its entry), and the splice count.
 	frameAddr    atomic.Value // string
-	fmu          sync.Mutex
-	frameAddrs   map[string]string
+	frameAddrs   sync.Map
 	frameSplices atomic.Int64
 }
 
@@ -92,36 +89,24 @@ func NewRouter(cfg RouterConfig) *Router {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
 	r := &Router{
-		cfg:       cfg,
-		shards:    NewShardMap(cfg.Shards),
-		client:    client,
-		tracer:    cfg.Trace.Tracer,
-		idPrefix:  fmt.Sprintf("r%x", time.Now().UnixNano()&0xffffff),
-		stopProbe: make(chan struct{}),
-		probeDone: make(chan struct{}),
+		cfg:      cfg,
+		shards:   NewShardMap(cfg.Shards),
+		client:   client,
+		tracer:   cfg.Trace.Tracer,
+		idPrefix: fmt.Sprintf("r%x", time.Now().UnixNano()&0xffffff),
+		loops:    newTickers(),
 	}
 	if cfg.ProbeEvery > 0 {
-		go r.prober()
-	} else {
-		close(r.probeDone)
+		r.loops.every(cfg.ProbeEvery, r.probeOnce)
 	}
 	return r
 }
 
 // Close stops the background health prober; safe to call repeatedly.
-func (r *Router) Close() {
-	r.closeOnce.Do(func() {
-		close(r.stopProbe)
-		<-r.probeDone
-	})
-}
+func (r *Router) Close() { r.loops.stop() }
 
 // Shards exposes the routing map (tests, status).
 func (r *Router) Shards() *ShardMap { return r.shards }
-
-// Tracer exposes the routing tier's span recorder (nil when tracing is
-// disabled), for drain-time exports and the debug listener.
-func (r *Router) Tracer() *trace.Tracer { return r.tracer }
 
 // RouterStatus is the router's own GET /healthz payload.
 type RouterStatus struct {
@@ -270,18 +255,12 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, key string, b
 	parent, _ := trace.Parse(req.Header.Get(trace.Header))
 	root := r.tracer.Start(parent, "router-proxy")
 	start := time.Now()
-	tried := map[string]bool{}
-	for attempt := 0; attempt < routerRetries; attempt++ {
-		owner := r.shards.Owner(key)
-		if owner == "" || tried[owner] {
-			break
-		}
-		tried[owner] = true
+	owner := r.shards.Walk(key, routerRetries, func(owner string, attempt int) bool {
 		out, err := http.NewRequestWithContext(req.Context(), req.Method, owner+req.URL.RequestURI(), bytes.NewReader(body))
 		if err != nil {
 			root.EndWith("error: " + err.Error())
 			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			return
+			return true
 		}
 		name := "proxy-attempt"
 		if attempt > 0 {
@@ -298,23 +277,24 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, key string, b
 		out.ContentLength = int64(len(body))
 		resp, err := r.client.Do(out)
 		if err != nil {
-			// Transport failure: the shard is unreachable. Route its
-			// keys to survivors and retry there; the shared snapshot
+			// Transport failure: the shard is unreachable. The walk routes
+			// its keys to survivors and retries there; the shared snapshot
 			// store lets the successor restore the session on demand.
 			asp.EndWith("dead: " + owner)
-			r.shards.MarkDead(owner)
 			r.reroutes.Add(1)
-			continue
+			return false
 		}
 		asp.EndWith("shard=" + owner)
 		r.proxied.Add(1)
 		w.Header().Set(HeaderRouterUs, strconv.FormatInt(time.Since(start).Microseconds(), 10))
 		copyResponse(w, resp)
 		root.EndWith(fmt.Sprintf("shard=%s attempts=%d status=%d", owner, attempt+1, resp.StatusCode))
-		return
+		return true
+	})
+	if owner == "" {
+		root.EndWith("no-reachable-shard key=" + key)
+		writeJSON(w, http.StatusBadGateway, apiError{Error: "no reachable shard for " + key})
 	}
-	root.EndWith("no-reachable-shard key=" + key)
-	writeJSON(w, http.StatusBadGateway, apiError{Error: "no reachable shard for " + key})
 }
 
 // ServeFrames accepts binary-protocol connections and splices each to
@@ -337,33 +317,20 @@ func (r *Router) ServeFrames(ln net.Listener) error {
 // word included, ready to forward verbatim), parsed header, and the
 // session ID carried by an OpHello payload.
 func readHelloFrame(nc net.Conn) (raw []byte, h wire.Header, id string, err error) {
-	var lenWord [4]byte
-	if _, err = io.ReadFull(nc, lenWord[:]); err != nil {
+	var seen bytes.Buffer
+	h, payload, _, err := wire.ReadFrame(io.TeeReader(nc, &seen), nil)
+	if err != nil {
 		return nil, h, "", err
 	}
-	n := binary.BigEndian.Uint32(lenWord[:])
-	if n < wire.HeaderLen || n > wire.MaxFrame {
-		return nil, h, "", fmt.Errorf("service: bad hello frame length %d", n)
-	}
-	raw = make([]byte, 4+n)
-	copy(raw, lenWord[:])
-	if _, err = io.ReadFull(nc, raw[4:]); err != nil {
-		return nil, h, "", err
-	}
-	h.Version = raw[4]
-	h.Op = raw[5]
-	h.Flags = binary.BigEndian.Uint16(raw[6:8])
-	h.Epoch = binary.BigEndian.Uint32(raw[8:12])
-	h.Seq = binary.BigEndian.Uint64(raw[12:20])
 	if h.Version != wire.Version || h.Op != wire.OpHello {
 		return nil, h, "", fmt.Errorf("service: expected hello frame, got version %d op %#x", h.Version, h.Op)
 	}
-	d := wire.NewDec(raw[4+wire.HeaderLen:])
+	d := wire.NewDec(payload)
 	id = d.Str()
 	if err := d.Err(); err != nil {
 		return nil, h, "", err
 	}
-	return raw, h, id, nil
+	return seen.Bytes(), h, id, nil
 }
 
 func (r *Router) spliceFrames(nc net.Conn) {
@@ -378,33 +345,12 @@ func (r *Router) spliceFrames(nc net.Conn) {
 	if key == "" {
 		key = "frame"
 	}
-	tried := map[string]bool{}
-	for attempt := 0; attempt < routerRetries; attempt++ {
-		owner := r.shards.Owner(key)
-		if owner == "" || tried[owner] {
-			break
-		}
-		tried[owner] = true
-		addr, err := r.frameAddrFor(owner)
+	owner := r.shards.Walk(key, routerRetries, func(owner string, _ int) bool {
+		sc, err := r.dialShardFrames(owner, raw)
 		if err != nil {
-			r.shards.MarkDead(owner)
-			r.dropFrameAddr(owner)
+			r.frameAddrs.Delete(owner)
 			r.reroutes.Add(1)
-			continue
-		}
-		sc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-		if err != nil {
-			r.shards.MarkDead(owner)
-			r.dropFrameAddr(owner)
-			r.reroutes.Add(1)
-			continue
-		}
-		if _, err := sc.Write(raw); err != nil {
-			sc.Close()
-			r.shards.MarkDead(owner)
-			r.dropFrameAddr(owner)
-			r.reroutes.Add(1)
-			continue
+			return false
 		}
 		r.frameSplices.Add(1)
 		go func() {
@@ -417,6 +363,9 @@ func (r *Router) spliceFrames(nc net.Conn) {
 		}()
 		io.Copy(nc, sc)
 		sc.Close()
+		return true
+	})
+	if owner != "" {
 		return
 	}
 	// No reachable shard: answer the hello with an error frame so the
@@ -430,15 +379,30 @@ func (r *Router) spliceFrames(nc net.Conn) {
 	}
 }
 
+// dialShardFrames opens a connection to the shard's frame listener and
+// forwards the client's hello on it.
+func (r *Router) dialShardFrames(shard string, hello []byte) (net.Conn, error) {
+	addr, err := r.frameAddrFor(shard)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sc.Write(hello); err != nil {
+		sc.Close()
+		return nil, err
+	}
+	return sc, nil
+}
+
 // frameAddrFor resolves a shard's frame listener address, from cache
 // or by asking its /healthz.
 func (r *Router) frameAddrFor(shard string) (string, error) {
-	r.fmu.Lock()
-	if addr, ok := r.frameAddrs[shard]; ok {
-		r.fmu.Unlock()
-		return addr, nil
+	if addr, ok := r.frameAddrs.Load(shard); ok {
+		return addr.(string), nil
 	}
-	r.fmu.Unlock()
 	resp, err := r.client.Get(shard + "/healthz")
 	if err != nil {
 		return "", err
@@ -453,25 +417,8 @@ func (r *Router) frameAddrFor(shard string) (string, error) {
 	if hz.FrameAddr == "" {
 		return "", errors.New("service: shard has no frame listener")
 	}
-	r.setFrameAddr(shard, hz.FrameAddr)
+	r.frameAddrs.Store(shard, hz.FrameAddr)
 	return hz.FrameAddr, nil
-}
-
-func (r *Router) setFrameAddr(shard, addr string) {
-	r.fmu.Lock()
-	if r.frameAddrs == nil {
-		r.frameAddrs = map[string]string{}
-	}
-	r.frameAddrs[shard] = addr
-	r.fmu.Unlock()
-}
-
-// dropFrameAddr forgets a shard's cached frame address; a restarted
-// shard listens on a fresh port, so death invalidates the cache.
-func (r *Router) dropFrameAddr(shard string) {
-	r.fmu.Lock()
-	delete(r.frameAddrs, shard)
-	r.fmu.Unlock()
 }
 
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
@@ -485,28 +432,14 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// prober polls every shard's /healthz, resurrecting recovered shards
+// probeOnce polls every shard's /healthz, resurrecting recovered shards
 // and burying unresponsive ones.
-func (r *Router) prober() {
-	defer close(r.probeDone)
-	t := time.NewTicker(r.cfg.ProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stopProbe:
-			return
-		case <-t.C:
-			r.probeOnce()
-		}
-	}
-}
-
 func (r *Router) probeOnce() {
 	for _, shard := range r.shards.Shards() {
 		resp, err := r.client.Get(shard + "/healthz")
 		if err != nil {
 			r.shards.MarkDead(shard)
-			r.dropFrameAddr(shard)
+			r.frameAddrs.Delete(shard)
 			continue
 		}
 		// The probe doubles as frame-address discovery: a restarted
@@ -514,7 +447,7 @@ func (r *Router) probeOnce() {
 		// whatever the splice path had cached.
 		var hz Healthz
 		if json.NewDecoder(resp.Body).Decode(&hz) == nil && hz.FrameAddr != "" {
-			r.setFrameAddr(shard, hz.FrameAddr)
+			r.frameAddrs.Store(shard, hz.FrameAddr)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()

@@ -93,8 +93,9 @@ type Server struct {
 	started  time.Time
 	inflight chan struct{}
 	requests atomic.Int64
-	stopJan  chan struct{}
-	janDone  chan struct{}
+	// loops are the background tickers (idle-session janitor, peer
+	// heartbeater); Close stops them.
+	loops *tickers
 
 	// HTTP-tier telemetry: the span recorder (nil when tracing is off)
 	// and the per-route latency/shed/slow aggregates behind /metrics.
@@ -112,8 +113,6 @@ type Server struct {
 	// Peer liveness.
 	peers    *peerTable
 	hbClient *http.Client
-	stopHB   chan struct{}
-	hbDone   chan struct{}
 
 	// Binary wire-protocol tier (frameserver.go): the session epoch
 	// clients use to detect restarts, the advertised frame address, and
@@ -121,10 +120,6 @@ type Server struct {
 	epoch     uint32
 	frameAddr atomic.Value // string
 	wire      wireStats
-
-	// closeOnce makes Close idempotent: failover tests (and belt-and-
-	// braces shutdown paths) may close a killed shard again.
-	closeOnce sync.Once
 }
 
 // NewServer assembles a server. Call Close when done to stop the idle
@@ -137,15 +132,12 @@ func NewServer(cfg ServerConfig) *Server {
 		agg:       obs.NewAggregator(),
 		started:   time.Now(),
 		inflight:  make(chan struct{}, cfg.MaxInflight),
-		stopJan:   make(chan struct{}),
-		janDone:   make(chan struct{}),
+		loops:     newTickers(),
 		tracer:    cfg.Trace.Tracer,
 		http:      newHTTPStats(),
 		snapStore: cfg.Snapshots.Store,
 		peers:     newPeerTable(cfg.Peers),
 		hbClient:  &http.Client{Timeout: time.Second},
-		stopHB:    make(chan struct{}),
-		hbDone:    make(chan struct{}),
 	}
 	// The session epoch identifies this server incarnation on the wire
 	// protocol: a client that reconnects and sees a new epoch knows the
@@ -153,46 +145,54 @@ func NewServer(cfg ServerConfig) *Server {
 	// idempotent replay is what reconciles its state.
 	s.epoch = uint32(s.started.Unix())
 	s.frameAddr.Store("")
-	go s.janitor()
+	s.loops.every(cfg.SweepEvery, func() { s.registry.SweepIdle() })
 	if len(cfg.Peers.Peers) > 0 {
-		go s.heartbeater()
-	} else {
-		close(s.hbDone)
+		s.loops.every(cfg.Peers.Every, s.sendHeartbeats)
 	}
 	return s
 }
 
 // Close stops the idle-session janitor and the peer heartbeater. It
-// is safe to call more than once.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.stopJan)
-		<-s.janDone
-		close(s.stopHB)
-		<-s.hbDone
-	})
+// is safe to call more than once: failover tests (and belt-and-braces
+// shutdown paths) may close a killed shard again.
+func (s *Server) Close() { s.loops.stop() }
+
+// tickers runs periodic background work — the server's janitor and
+// heartbeater, the router's health prober — until stopped.
+type tickers struct {
+	quit     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+func newTickers() *tickers { return &tickers{quit: make(chan struct{})} }
+
+// every starts calling fn each period on its own goroutine.
+func (t *tickers) every(period time.Duration, fn func()) {
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-t.quit:
+				return
+			case <-tick.C:
+				fn()
+			}
+		}
+	}()
+}
+
+// stop ends every loop and waits for them; it may be called repeatedly.
+func (t *tickers) stop() {
+	t.stopOnce.Do(func() { close(t.quit) })
+	t.wg.Wait()
 }
 
 // Registry exposes the session table (tests, health).
 func (s *Server) Registry() *Registry { return s.registry }
-
-// Tracer exposes the span recorder (nil when tracing is disabled), for
-// drain-time exports and the debug listener.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
-func (s *Server) janitor() {
-	defer close(s.janDone)
-	t := time.NewTicker(s.cfg.SweepEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopJan:
-			return
-		case <-t.C:
-			s.registry.SweepIdle()
-		}
-	}
-}
 
 // Wire types of the /v1 JSON API.
 
@@ -283,10 +283,10 @@ type BatchResponse struct {
 	Advices []Advice `json:"advices"`
 }
 
-// maxBatchSteps bounds one batch call; a schedule larger than this is
+// MaxBatchSteps bounds one batch call; a schedule larger than this is
 // split by the client. Keeps worst-case response sizes (and the time a
 // batch holds the session lock) bounded.
-const maxBatchSteps = 4096
+const MaxBatchSteps = 4096
 
 // Healthz is the health endpoint's payload.
 type Healthz struct {
@@ -491,33 +491,49 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (C
 		return CreateSessionResponse{}, http.StatusBadRequest, err
 	}
 	adv.SetOrigin(req.Workload, req.Params)
-	// Each session gets its own bus — SetStage mutates bus state, so a
-	// shared bus would race across concurrent sessions — but every bus
-	// feeds the one concurrency-safe aggregator behind /metrics.
-	bus := obs.New()
-	bus.SetClock(func() int64 { return time.Since(s.started).Microseconds() })
-	detach := s.agg.Attach(bus)
-	adv.AttachBus(bus)
-	// The detach runs when the session leaves the registry (delete, LRU
-	// bound, idle sweep), under the session lock, so a retired session
-	// stops feeding the shared aggregator the moment its last in-flight
-	// request completes.
-	var sess *Session
-	if req.ID != "" {
-		sess, err = s.registry.CreateWithID(req.ID, spec.Name, adv, detach, false)
-		if err != nil { // lost a create race for the same ID
-			detach()
-			if existing, ok := s.registry.Get(req.ID); ok {
-				return s.describeSession(existing), http.StatusOK, nil
-			}
-			return CreateSessionResponse{}, http.StatusConflict, err
+	sess, err := s.adopt(req.ID, spec.Name, false, func(bus *obs.Bus) (*Advisor, error) {
+		adv.AttachBus(bus)
+		return adv, nil
+	})
+	if err != nil { // lost a create race for the same ID
+		if existing, ok := s.registry.Get(req.ID); ok {
+			return s.describeSession(existing), http.StatusOK, nil
 		}
-	} else {
-		sess = s.registry.Create(spec.Name, adv, detach)
+		return CreateSessionResponse{}, http.StatusConflict, err
 	}
 	resp := s.describeSession(sess)
 	resp.Existing = false
 	return resp, http.StatusCreated, nil
+}
+
+// adopt is the one way an advisor becomes a served session, fresh or
+// restored. Each session gets its own bus on the server clock —
+// SetStage mutates bus state, so a shared bus would race across
+// concurrent sessions — and every bus feeds the one concurrency-safe
+// aggregator behind /metrics. build attaches (or replays) the advisor
+// on that bus; the session then registers under id, or under a
+// server-assigned ID when id is empty. The bus detach runs when the
+// session leaves the registry (delete, LRU bound, idle sweep), under
+// the session lock, so a retired session stops feeding the shared
+// aggregator the moment its last in-flight request completes — or at
+// once, when build or the registration fails.
+func (s *Server) adopt(id, workloadName string, restored bool, build func(*obs.Bus) (*Advisor, error)) (*Session, error) {
+	bus := obs.New()
+	bus.SetClock(func() int64 { return time.Since(s.started).Microseconds() })
+	detach := s.agg.Attach(bus)
+	adv, err := build(bus)
+	if err != nil {
+		detach()
+		return nil, err
+	}
+	if id == "" {
+		return s.registry.Create(workloadName, adv, detach), nil
+	}
+	sess, err := s.registry.CreateWithID(id, workloadName, adv, detach, restored)
+	if err != nil {
+		detach()
+	}
+	return sess, err
 }
 
 // describeSession renders the create-response view of a session.
@@ -542,22 +558,33 @@ func (s *Server) describeSession(sess *Session) CreateSessionResponse {
 	return resp
 }
 
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+// serveSessionOp is the JSON shape every session operation shares:
+// resolve the {id} path segment (restoring on demand), decode the
+// request body, run op, stamp the compute-time header, and answer with
+// op's response or — under the status op chose — its error.
+func serveSessionOp[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, op func(sess *Session, req Req) (Resp, int64, int, error)) {
 	sess, ok := s.session(w, r)
 	if !ok {
 		return
 	}
-	var req SubmitJobRequest
+	var req Req
 	if !readJSON(w, r, &req) {
 		return
 	}
-	resp, computeUs, err := s.submitJob(r.Context(), sess, req.Job)
+	resp, computeUs, status, err := op(sess, req)
 	w.Header().Set(HeaderComputeUs, strconv.FormatInt(computeUs, 10))
 	if err != nil {
-		writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
+		writeJSON(w, status, apiError{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+	serveSessionOp(s, w, r, func(sess *Session, req SubmitJobRequest) (SubmitJobResponse, int64, int, error) {
+		resp, computeUs, err := s.submitJob(r.Context(), sess, req.Job)
+		return resp, computeUs, http.StatusConflict, err
+	})
 }
 
 // submitJob is the transport-independent job-submission core. Errors
@@ -587,26 +614,17 @@ func (s *Server) submitJob(ctx context.Context, sess *Session, job int) (SubmitJ
 		sp.EndWith("error: " + err.Error())
 		return SubmitJobResponse{}, computeUs, err
 	}
-	sp.EndWith(fmt.Sprintf("job=%d replayed=%t", resp.Job, resp.Replayed))
+	if sp.Recording() { // the annotation is rendered only when a span will keep it
+		sp.EndWith(fmt.Sprintf("job=%d replayed=%t", resp.Job, resp.Replayed))
+	}
 	return resp, computeUs, nil
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	var req AdvanceRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	advice, computeUs, err := s.advance(r.Context(), sess, req.Stage)
-	w.Header().Set(HeaderComputeUs, strconv.FormatInt(computeUs, 10))
-	if err != nil {
-		writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, advice)
+	serveSessionOp(s, w, r, func(sess *Session, req AdvanceRequest) (Advice, int64, int, error) {
+		advice, computeUs, err := s.advance(r.Context(), sess, req.Stage)
+		return advice, computeUs, http.StatusConflict, err
+	})
 }
 
 // advance is the transport-independent stage-advance core; errors map
@@ -641,7 +659,9 @@ func (s *Server) advance(ctx context.Context, sess *Session, stage int) (Advice,
 		sp.EndWith("error: " + err.Error())
 		return Advice{}, computeUs, err
 	}
-	sp.EndWith(advice.Fingerprint())
+	if sp.Recording() { // the annotation is rendered only when a span will keep it
+		sp.EndWith(advice.Fingerprint())
+	}
 	return advice, computeUs, nil
 }
 
@@ -650,25 +670,14 @@ func (s *Server) advance(ctx context.Context, sess *Session, stage int) (Advice,
 // execution as individual advice frames; here the advices buffer into
 // one JSON response.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	var req BatchRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp := BatchResponse{Advices: make([]Advice, 0, len(req.Steps))}
-	computeUs, status, err := s.runBatch(r.Context(), sess, req.Steps, func(a Advice) error {
-		resp.Advices = append(resp.Advices, a)
-		return nil
-	}, &resp.Jobs)
-	w.Header().Set(HeaderComputeUs, strconv.FormatInt(computeUs, 10))
-	if err != nil {
-		writeJSON(w, status, apiError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	serveSessionOp(s, w, r, func(sess *Session, req BatchRequest) (BatchResponse, int64, int, error) {
+		resp := BatchResponse{Advices: make([]Advice, 0, len(req.Steps))}
+		computeUs, status, err := s.runBatch(r.Context(), sess, req.Steps, func(a Advice) error {
+			resp.Advices = append(resp.Advices, a)
+			return nil
+		}, &resp.Jobs)
+		return resp, computeUs, status, err
+	})
 }
 
 // runBatch executes schedule steps in order against one session,
@@ -678,8 +687,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // because a batch retry replays them idempotently. An emit error also
 // aborts (the connection is gone; nothing to report to).
 func (s *Server) runBatch(ctx context.Context, sess *Session, steps []Step, emit func(Advice) error, jobs *int) (int64, int, error) {
-	if len(steps) > maxBatchSteps {
-		return 0, http.StatusBadRequest, fmt.Errorf("batch of %d steps exceeds %d", len(steps), maxBatchSteps)
+	if len(steps) > MaxBatchSteps {
+		return 0, http.StatusBadRequest, fmt.Errorf("batch of %d steps exceeds %d", len(steps), MaxBatchSteps)
 	}
 	var computeUs int64
 	for i, st := range steps {
@@ -780,25 +789,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		// Headers are gone; nothing recoverable to do but note it.
 		fmt.Fprintf(w, "# write error: %v\n", err)
 	}
-	fmt.Fprintf(w, "# HELP mrdserver_sessions Live advisory sessions.\n# TYPE mrdserver_sessions gauge\nmrdserver_sessions %d\n", s.registry.Len())
-	fmt.Fprintf(w, "# HELP mrdserver_requests_total Requests received.\n# TYPE mrdserver_requests_total counter\nmrdserver_requests_total %d\n", s.requests.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_snapshots_written_total Session snapshots persisted.\n# TYPE mrdserver_snapshots_written_total counter\nmrdserver_snapshots_written_total %d\n", s.snapsWritten.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_snapshot_errors_total Snapshot writes that failed.\n# TYPE mrdserver_snapshot_errors_total counter\nmrdserver_snapshot_errors_total %d\n", s.snapErrors.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_sessions_restored_total Sessions rebuilt from snapshots (restart or failover adoption).\n# TYPE mrdserver_sessions_restored_total counter\nmrdserver_sessions_restored_total %d\n", s.restored.Load())
-	fmt.Fprintf(w, "# HELP mrdserver_drain_snapshots_written Sessions snapshotted by the last graceful drain.\n# TYPE mrdserver_drain_snapshots_written gauge\nmrdserver_drain_snapshots_written %d\n", s.drainSnaps.Load())
-	alive := 0
+	pw := obs.NewPromWriter(w)
+	pw.Scalar("mrdserver_sessions", "gauge", "Live advisory sessions.", int64(s.registry.Len()))
+	pw.Scalar("mrdserver_requests_total", "counter", "Requests received.", s.requests.Load())
+	pw.Scalar("mrdserver_snapshots_written_total", "counter", "Session snapshots persisted.", s.snapsWritten.Load())
+	pw.Scalar("mrdserver_snapshot_errors_total", "counter", "Snapshot writes that failed.", s.snapErrors.Load())
+	pw.Scalar("mrdserver_sessions_restored_total", "counter", "Sessions rebuilt from snapshots (restart or failover adoption).", s.restored.Load())
+	pw.Scalar("mrdserver_drain_snapshots_written", "gauge", "Sessions snapshotted by the last graceful drain.", s.drainSnaps.Load())
+	var alive int64
 	for _, p := range s.peers.status().Peers {
 		if p.Alive {
 			alive++
 		}
 	}
-	fmt.Fprintf(w, "# HELP mrdserver_peers_alive Peer shards currently within their liveness deadline.\n# TYPE mrdserver_peers_alive gauge\nmrdserver_peers_alive %d\n", alive)
-	bw := &promWriter{w: w}
-	s.http.writePrometheus(bw)
-	s.wire.writePrometheus(w)
+	pw.Scalar("mrdserver_peers_alive", "gauge", "Peer shards currently within their liveness deadline.", alive)
+	s.http.writePrometheus(pw)
+	s.wire.writePrometheus(pw)
 	total, dropped := s.tracer.Stats()
-	fmt.Fprintf(w, "# HELP mrdserver_trace_spans_total Spans recorded by the tracer.\n# TYPE mrdserver_trace_spans_total counter\nmrdserver_trace_spans_total %d\n", total)
-	fmt.Fprintf(w, "# HELP mrdserver_trace_spans_dropped_total Spans the trace ring overwrote (oldest-first).\n# TYPE mrdserver_trace_spans_dropped_total counter\nmrdserver_trace_spans_dropped_total %d\n", dropped)
+	pw.Scalar("mrdserver_trace_spans_total", "counter", "Spans recorded by the tracer.", int64(total))
+	pw.Scalar("mrdserver_trace_spans_dropped_total", "counter", "Spans the trace ring overwrote (oldest-first).", int64(dropped))
 }
 
 // session resolves the {id} path segment, restoring the session from
@@ -832,11 +841,10 @@ func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, e
 }
 
 // restoreSession adopts a snapshotted session into this server's
-// registry: rebuild the advisor by op-log replay, wire it to the
-// shared metrics aggregator exactly like a fresh session, and publish
-// it behind the same per-session lock discipline. Concurrent requests
-// for the same orphaned session are serialized; the losers find the
-// session already registered.
+// registry: rebuild the advisor by op-log replay on the same adoption
+// path a fresh session takes (adopt). Concurrent requests for the same
+// orphaned session are serialized; the losers find the session already
+// registered.
 func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error) {
 	if s.snapStore == nil {
 		return nil, ErrNoSnapshot
@@ -853,23 +861,16 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 		sp.EndWith("no-snapshot")
 		return nil, err
 	}
-	bus := obs.New()
-	bus.SetClock(func() int64 { return time.Since(s.started).Microseconds() })
-	detach := s.agg.Attach(bus)
-	// The replay span times the expensive part: rebuilding the advisor
-	// by re-running the snapshot's op log.
-	rsp := s.tracer.Start(sp.Context(), "replay")
-	adv, err := RestoreAdvisor(snap, nil, bus)
-	rsp.EndWith(fmt.Sprintf("ops=%d", len(snap.Ops)))
+	sess, err := s.adopt(id, snap.Workload, true, func(bus *obs.Bus) (*Advisor, error) {
+		// The replay span times the expensive part: rebuilding the advisor
+		// by re-running the snapshot's op log.
+		rsp := s.tracer.Start(sp.Context(), "replay")
+		adv, err := RestoreAdvisor(snap, nil, bus)
+		rsp.EndWith(fmt.Sprintf("ops=%d", len(snap.Ops)))
+		return adv, err
+	})
 	if err != nil {
-		detach()
-		sp.EndWith("replay-error: " + err.Error())
-		return nil, err
-	}
-	sess, err := s.registry.CreateWithID(id, snap.Workload, adv, detach, true)
-	if err != nil {
-		detach()
-		sp.EndWith("register-error: " + err.Error())
+		sp.EndWith("restore-error: " + err.Error())
 		return nil, err
 	}
 	s.restored.Add(1)
@@ -923,22 +924,8 @@ func (s *Server) DrainSnapshots() int {
 	return n
 }
 
-// heartbeater periodically announces liveness to every peer and folds
-// their gossiped views back into the local table.
-func (s *Server) heartbeater() {
-	defer close(s.hbDone)
-	t := time.NewTicker(s.cfg.Peers.Every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopHB:
-			return
-		case <-t.C:
-			s.sendHeartbeats()
-		}
-	}
-}
-
+// sendHeartbeats announces liveness to every peer and folds their
+// gossiped views back into the local table.
 func (s *Server) sendHeartbeats() {
 	hb := HeartbeatRequest{From: s.cfg.Peers.Self, Seq: s.peers.nextSeq(), View: s.peers.view()}
 	body, err := json.Marshal(hb)

@@ -67,10 +67,6 @@ func score(shard, key string) uint64 {
 func (m *ShardMap) Owner(key string) string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.ownerLocked(key)
-}
-
-func (m *ShardMap) ownerLocked(key string) string {
 	var best string
 	var bestScore uint64
 	for _, s := range m.shards {
@@ -84,12 +80,28 @@ func (m *ShardMap) ownerLocked(key string) string {
 	return best
 }
 
-// OwnerVersioned returns the owner together with the map version it
-// was computed under.
-func (m *ShardMap) OwnerVersioned(key string) (string, int64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.ownerLocked(key), m.version
+// Walk is the one failover procedure of the routing tier and the
+// sharded client: ask for key's owner, hand it to try, and when try
+// reports a transport failure (false) mark that shard dead and move to
+// the next owner, for at most attempts tries and never the same shard
+// twice. It returns the shard that answered — try returned true, whether
+// with a result or with the server's own refusal — or "" when the walk
+// ran out of live shards or attempts. try runs without the map's lock
+// held.
+func (m *ShardMap) Walk(key string, attempts int, try func(owner string, attempt int) bool) string {
+	tried := map[string]bool{}
+	for attempt := 0; attempt < attempts; attempt++ {
+		owner := m.Owner(key)
+		if owner == "" || tried[owner] {
+			break
+		}
+		tried[owner] = true
+		if try(owner, attempt) {
+			return owner
+		}
+		m.MarkDead(owner)
+	}
+	return ""
 }
 
 // MarkDead removes a shard from routing; keys it owned re-route to

@@ -102,3 +102,103 @@ func TestShardMapAllDead(t *testing.T) {
 		t.Fatalf("Owner with all shards dead = %q, want empty", owner)
 	}
 }
+
+// rendezvousOrder lists the shards in the order key fails over through
+// them, computed on a scratch map.
+func rendezvousOrder(key string) []string {
+	m := service.NewShardMap(testShards())
+	var order []string
+	for o := m.Owner(key); o != ""; o = m.Owner(key) {
+		order = append(order, o)
+		m.MarkDead(o)
+	}
+	return order
+}
+
+// TestShardMapWalk pins the one owner walk the router's two proxies and
+// the sharded client share.
+func TestShardMapWalk(t *testing.T) {
+	const key = "session-7"
+	order := rendezvousOrder(key)
+	if len(order) != 3 {
+		t.Fatalf("rendezvous order = %v, want all three shards", order)
+	}
+	// walk runs Walk with a try that answers only on shards in up,
+	// recording every shard it was offered.
+	walk := func(m *service.ShardMap, attempts int, up ...string) (owner string, tried []string) {
+		owner = m.Walk(key, attempts, func(o string, attempt int) bool {
+			if attempt != len(tried) {
+				t.Errorf("try got attempt %d on its call number %d", attempt, len(tried))
+			}
+			tried = append(tried, o)
+			for _, u := range up {
+				if u == o {
+					return true
+				}
+			}
+			return false
+		})
+		return owner, tried
+	}
+
+	t.Run("owner answers", func(t *testing.T) {
+		m := service.NewShardMap(testShards())
+		owner, tried := walk(m, 3, order...)
+		if owner != order[0] || len(tried) != 1 || len(m.Alive()) != 3 {
+			t.Errorf("owner %q after trying %v (alive %v), want %q at once", owner, tried, m.Alive(), order[0])
+		}
+	})
+	t.Run("dead owner skipped", func(t *testing.T) {
+		m := service.NewShardMap(testShards())
+		m.MarkDead(order[0])
+		owner, tried := walk(m, 3, order...)
+		if owner != order[1] || len(tried) != 1 {
+			t.Errorf("owner %q after trying %v, want the successor %q at once", owner, tried, order[1])
+		}
+	})
+	t.Run("failed owner marked dead and the successor tried", func(t *testing.T) {
+		m := service.NewShardMap(testShards())
+		owner, tried := walk(m, 3, order[2])
+		if owner != order[2] || fmt.Sprint(tried) != fmt.Sprint(order) {
+			t.Errorf("owner %q after trying %v, want %q after %v", owner, tried, order[2], order)
+		}
+		if alive := m.Alive(); len(alive) != 1 || alive[0] != order[2] {
+			t.Errorf("alive after the walk = %v, want only %q", alive, order[2])
+		}
+	})
+	t.Run("stops at the attempt bound", func(t *testing.T) {
+		m := service.NewShardMap(testShards())
+		owner, tried := walk(m, 2)
+		if owner != "" || fmt.Sprint(tried) != fmt.Sprint(order[:2]) {
+			t.Errorf("owner %q after trying %v, want none after %v", owner, tried, order[:2])
+		}
+		if m.Owner(key) != order[2] {
+			t.Errorf("the untried shard %q did not survive the bounded walk", order[2])
+		}
+	})
+	t.Run("no shard tried twice", func(t *testing.T) {
+		// A prober revives the first owner while the second is being
+		// tried; the walk must not go back to it.
+		m := service.NewShardMap(testShards())
+		var tried []string
+		owner := m.Walk(key, 3, func(o string, attempt int) bool {
+			tried = append(tried, o)
+			if attempt == 1 {
+				m.MarkAlive(order[0])
+			}
+			return false
+		})
+		if owner != "" || fmt.Sprint(tried) != fmt.Sprint(order[:2]) {
+			t.Errorf("owner %q after trying %v, want none after %v", owner, tried, order[:2])
+		}
+	})
+	t.Run("all dead", func(t *testing.T) {
+		m := service.NewShardMap(testShards())
+		for _, s := range testShards() {
+			m.MarkDead(s)
+		}
+		if owner, tried := walk(m, 3, order...); owner != "" || len(tried) != 0 {
+			t.Errorf("owner %q after trying %v, want the empty owner and no tries", owner, tried)
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"mrdspark/internal/metrics"
+	"mrdspark/internal/obs"
 	"mrdspark/internal/obs/trace"
 )
 
@@ -122,7 +122,7 @@ func quantileUs(hist *metrics.Histogram, q float64) int64 {
 // format: cumulative-le duration histograms per route (le labels in
 // seconds), quantile gauges, the inflight gauge, and the shed/slow
 // counters. Routes render in sorted order so the output golden-tests.
-func (h *httpStats) writePrometheus(bw *promWriter) {
+func (h *httpStats) writePrometheus(bw *obs.PromWriter) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 
@@ -132,59 +132,45 @@ func (h *httpStats) writePrometheus(bw *promWriter) {
 	}
 	sort.Strings(names)
 
-	bw.printf("# HELP mrdserver_request_duration_seconds Request duration by route.\n")
-	bw.printf("# TYPE mrdserver_request_duration_seconds histogram\n")
+	bw.Printf("# HELP mrdserver_request_duration_seconds Request duration by route.\n")
+	bw.Printf("# TYPE mrdserver_request_duration_seconds histogram\n")
 	for _, name := range names {
 		hist := h.routes[name]
 		var cum int64
 		for i, bound := range hist.Bounds {
 			cum += hist.Counts[i]
-			bw.printf("mrdserver_request_duration_seconds_bucket{route=%q,le=%q} %d\n",
+			bw.Printf("mrdserver_request_duration_seconds_bucket{route=%q,le=%q} %d\n",
 				name, secondsLabel(bound), cum)
 		}
-		bw.printf("mrdserver_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", name, cum+hist.Overflow)
-		bw.printf("mrdserver_request_duration_seconds_sum{route=%q} %s\n",
+		bw.Printf("mrdserver_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", name, cum+hist.Overflow)
+		bw.Printf("mrdserver_request_duration_seconds_sum{route=%q} %s\n",
 			name, strconv.FormatFloat(float64(hist.Sum)/1e6, 'g', -1, 64))
-		bw.printf("mrdserver_request_duration_seconds_count{route=%q} %d\n", name, hist.Count)
+		bw.Printf("mrdserver_request_duration_seconds_count{route=%q} %d\n", name, hist.Count)
 	}
 
-	bw.printf("# HELP mrdserver_request_duration_us_quantile Estimated request-duration quantiles by route (bucket upper bounds, microseconds).\n")
-	bw.printf("# TYPE mrdserver_request_duration_us_quantile gauge\n")
+	bw.Printf("# HELP mrdserver_request_duration_us_quantile Estimated request-duration quantiles by route (bucket upper bounds, microseconds).\n")
+	bw.Printf("# TYPE mrdserver_request_duration_us_quantile gauge\n")
 	for _, name := range names {
 		hist := h.routes[name]
 		for _, q := range []struct {
 			label string
 			q     float64
 		}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}} {
-			bw.printf("mrdserver_request_duration_us_quantile{route=%q,quantile=%q} %d\n",
+			bw.Printf("mrdserver_request_duration_us_quantile{route=%q,quantile=%q} %d\n",
 				name, q.label, quantileUs(hist, q.q))
 		}
 	}
 
-	bw.printf("# HELP mrdserver_inflight Requests currently holding an inflight slot.\n# TYPE mrdserver_inflight gauge\nmrdserver_inflight %d\n", h.inflight)
-	bw.printf("# HELP mrdserver_requests_shed_total Requests refused with 503 at capacity.\n# TYPE mrdserver_requests_shed_total counter\nmrdserver_requests_shed_total %d\n", h.shed)
-	bw.printf("# HELP mrdserver_queue_waits_total Requests that waited for an inflight slot under the queue grace.\n# TYPE mrdserver_queue_waits_total counter\nmrdserver_queue_waits_total %d\n", h.queueWaits)
-	bw.printf("# HELP mrdserver_slow_requests_total Requests logged as slower than the slow-request threshold.\n# TYPE mrdserver_slow_requests_total counter\nmrdserver_slow_requests_total %d\n", h.slow)
+	bw.Scalar("mrdserver_inflight", "gauge", "Requests currently holding an inflight slot.", h.inflight)
+	bw.Scalar("mrdserver_requests_shed_total", "counter", "Requests refused with 503 at capacity.", h.shed)
+	bw.Scalar("mrdserver_queue_waits_total", "counter", "Requests that waited for an inflight slot under the queue grace.", h.queueWaits)
+	bw.Scalar("mrdserver_slow_requests_total", "counter", "Requests logged as slower than the slow-request threshold.", h.slow)
 }
 
 // secondsLabel renders a microsecond bound as a seconds le label
 // ("0.0005", "0.25", "10").
 func secondsLabel(us int64) string {
 	return strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64)
-}
-
-// promWriter folds write errors into one sticky error (the same shape
-// internal/obs uses for its exposition).
-type promWriter struct {
-	w   interface{ Write([]byte) (int, error) }
-	err error
-}
-
-func (p *promWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
 }
 
 // statusWriter wraps the response writer to capture the status code

@@ -1,14 +1,19 @@
 package service
 
 import (
+	"context"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mrdspark/internal/obs/trace"
+	"mrdspark/internal/policyspec"
 )
 
 // TestQueueGraceAvoidsShed: with QueueGrace set, a request arriving at
@@ -180,6 +185,34 @@ func TestTelemetryPrometheusGolden(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+
+// TestMetricsFreshScrapeGolden pins the whole exposition of a fresh
+// server byte for byte: every series name, # HELP and # TYPE line. The
+// scrape is the server's first request and holds the one inflight slot
+// while it renders, so every value is deterministic.
+func TestMetricsFreshScrapeGolden(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	got := rec.Body.Bytes()
+
+	path := filepath.Join("testdata", "metrics_fresh.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("/metrics of a fresh server differs from %s:\n%s", path, got)
+	}
+}
+
 // TestSlowRequestLogged: a request over the SlowRequest threshold is
 // logged through the configured Logf and counted.
 func TestSlowRequestLogged(t *testing.T) {
@@ -201,5 +234,54 @@ func TestSlowRequestLogged(t *testing.T) {
 	defer mu.Unlock()
 	if len(lines) != 1 || !strings.HasPrefix(lines[0], "slow request:") {
 		t.Fatalf("slow-request log = %q, want one 'slow request:' line", lines)
+	}
+}
+
+// TestUntracedReplayRendersNoAnnotation: with tracing off, the
+// advisor-compute span is inert, so its annotation — the advice
+// fingerprint on an advance, a formatted line on a job submit — must not
+// be rendered at all. A replayed operation does no other work, so it
+// allocates nothing; the fingerprint alone was dozens of allocations
+// per call.
+func TestUntracedReplayRendersNoAnnotation(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	defer s.Close()
+	ctx := context.Background()
+	resp, _, err := s.createSession(ctx, CreateSessionRequest{
+		Workload: "SCC",
+		Advisor:  AdvisorConfig{Nodes: 4, CacheBytes: 64 << 20, Policy: policyspec.Spec{Kind: "MRD"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := s.lookupSession(ctx, resp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stage int
+	_ = sess.WithAdvisor(func(a *Advisor) error {
+		stage = a.Graph().Jobs[0].NewStages[0].ID
+		return nil
+	})
+	if _, _, err := s.submitJob(ctx, sess, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.advance(ctx, sess, stage); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		if adv, _, err := s.advance(ctx, sess, stage); err != nil || !adv.Replayed {
+			t.Fatalf("replayed advance: %+v, %v", adv, err)
+		}
+	}); n != 0 {
+		t.Errorf("untraced replayed advance allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if r, _, err := s.submitJob(ctx, sess, 0); err != nil || !r.Replayed {
+			t.Fatalf("replayed submit: %+v, %v", r, err)
+		}
+	}); n != 0 {
+		t.Errorf("untraced replayed job submit allocates %v times per call, want 0", n)
 	}
 }

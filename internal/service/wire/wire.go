@@ -278,10 +278,3 @@ func (d *Dec) Bytes() []byte {
 // Str reads a length-prefixed string (copies; use Bytes plus interning
 // where the copy matters).
 func (d *Dec) Str() string { return string(d.Bytes()) }
-
-// Rest returns the undecoded tail (JSON payloads on the cold path).
-func (d *Dec) Rest() []byte {
-	v := d.b[d.off:]
-	d.off = len(d.b)
-	return v
-}

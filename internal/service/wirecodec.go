@@ -129,8 +129,8 @@ func DecodeBatchPayload(d *wire.Dec) (id []byte, steps []Step, err error) {
 	if n > uint64(d.Remaining()) {
 		return nil, nil, wire.ErrTruncated
 	}
-	if n > uint64(maxBatchSteps) {
-		return nil, nil, fmt.Errorf("service: batch of %d steps exceeds %d", n, maxBatchSteps)
+	if n > uint64(MaxBatchSteps) {
+		return nil, nil, fmt.Errorf("service: batch of %d steps exceeds %d", n, MaxBatchSteps)
 	}
 	steps = make([]Step, 0, n)
 	for i := uint64(0); i < n; i++ {

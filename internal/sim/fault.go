@@ -88,9 +88,6 @@ func (s *Simulation) crashNode(ev fault.Event) {
 	n.disk.Clear()
 	n.mem = cluster.NewMemoryStore(s.cfg.CacheBytes, s.factory.NewNodePolicy(n.id))
 
-	// Other homes lose the replicas this node held for them.
-	s.dropReplicaCounts(n.id)
-
 	if s.replication() == 1 {
 		// The node's 1/N share of all shuffle bytes written so far must
 		// be regenerated before dependent stages re-read it; charge the
@@ -154,14 +151,12 @@ func (s *Simulation) diskHas(n *node, id block.ID) bool {
 }
 
 // replicate ships R-1 replica copies of a newly inserted block to the
-// next nodes' disks at background priority, and records the replica
-// count in the home node's memory-store bookkeeping.
+// next nodes' disks at background priority.
 func (s *Simulation) replicate(home *node, info block.Info) {
 	r := s.replication()
 	if r == 1 {
 		return
 	}
-	placed := 0
 	for k := 1; k < r; k++ {
 		rn := s.nodes[(info.ID.Partition+k)%len(s.nodes)]
 		if rn.down {
@@ -175,35 +170,6 @@ func (s *Simulation) replicate(home *node, info block.Info) {
 			// node's disk, both off the critical path.
 			home.netDev.Transfer(info.Size, Background, func() {})
 			rn.diskDev.Transfer(info.Size, Background, func() {})
-		}
-		placed++
-	}
-	home.mem.SetReplicaCount(info.ID, placed)
-}
-
-// dropReplicaCounts tells every surviving home that the replicas the
-// crashed node held are gone. Placement is deterministic — copy k of
-// block q lives on node (q.Partition+k) mod N — so each home can tell
-// whether the crashed node was in its replica set without a scan of
-// the crashed disk.
-func (s *Simulation) dropReplicaCounts(crashed int) {
-	r := s.replication()
-	if r == 1 {
-		return
-	}
-	n := len(s.nodes)
-	for _, home := range s.nodes {
-		if home.id == crashed {
-			continue
-		}
-		for _, id := range home.mem.Blocks() {
-			for k := 1; k < r; k++ {
-				if (id.Partition+k)%n == crashed {
-					if c := home.mem.ReplicaCount(id); c > 0 {
-						home.mem.SetReplicaCount(id, c-1)
-					}
-				}
-			}
 		}
 	}
 }

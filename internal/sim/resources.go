@@ -132,9 +132,6 @@ func (d *Device) SetSlowdown(f float64) {
 	d.slow = f
 }
 
-// Slowdown returns the current service-time multiplier.
-func (d *Device) Slowdown() float64 { return d.slow }
-
 // Transfer enqueues a request for the given byte count; done fires
 // when the transfer completes. Zero-byte requests complete in a fresh
 // immediate event.
@@ -187,9 +184,4 @@ func (d *Device) complete() {
 	d.busy = false
 	done()
 	d.serve()
-}
-
-// QueueLen returns pending request counts (test helper).
-func (d *Device) QueueLen() (demand, background int) {
-	return d.demand.len(), d.background.len()
 }
