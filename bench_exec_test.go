@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"mrdspark/internal/exec"
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
 
@@ -19,7 +19,7 @@ func BenchmarkExecSCC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := exec.New(spec, exec.Config{Policy: experiments.SpecMRD})
+		e, err := exec.New(spec, exec.Config{Policy: policyspec.MRD})
 		if err != nil {
 			b.Fatal(err)
 		}

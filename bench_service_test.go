@@ -16,8 +16,8 @@ import (
 	"testing"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs/trace"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/service/client"
 	"mrdspark/internal/workload"
@@ -41,7 +41,7 @@ func benchServe(b *testing.B, h http.Handler, method, path string, body any) *ht
 }
 
 func benchAdvisorConfig() service.AdvisorConfig {
-	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: experiments.SpecMRD}
+	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: policyspec.MRD}
 }
 
 // BenchmarkServiceSession measures a full SCC advisory session through

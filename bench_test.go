@@ -1,15 +1,13 @@
 package mrdspark
 
-// The benchmark harness: one testing.B benchmark per table and figure
-// of the paper's evaluation (plus the DESIGN.md ablations), each
-// regenerating the artifact end to end, and micro-benchmarks for the
-// hot paths. Run everything with:
+// Unit-level micro-benchmarks for the simulator's hot paths. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The rendered artifacts themselves come from cmd/experiments; these
-// benchmarks measure the cost of regenerating them and keep every
-// driver exercised by `go test -bench`.
+// End-to-end configurations (a simulated run, the sweep fabric, the
+// advice and execution paths) are measured by the benchmark/ module;
+// the figure drivers are exercised — and their output pinned against
+// EXPERIMENTS.md — by internal/experiments' tests.
 
 import (
 	"testing"
@@ -18,202 +16,12 @@ import (
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/core"
 	"mrdspark/internal/dag"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
 	"mrdspark/internal/refdist"
 	"mrdspark/internal/sim"
 	"mrdspark/internal/workload"
 )
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1()
-		if len(rows) != 20 {
-			b.Fatal("table 1 incomplete")
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3()
-		if len(rows) != 14 {
-			b.Fatal("table 3 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tr := experiments.Fig2("CC")
-		if len(tr.Stages) == 0 {
-			b.Fatal("empty trace")
-		}
-	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig4(cluster.Main())
-		if len(rows) != 14 {
-			b.Fatal("fig 4 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig5(); len(rows) != 14 {
-			b.Fatal("fig 5 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig6(); len(rows) != 14 {
-			b.Fatal("fig 6 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if res := experiments.Fig7(); len(res.Points) == 0 {
-			b.Fatal("fig 7 empty")
-		}
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig8(cluster.Main()); len(rows) != 2 {
-			b.Fatal("fig 8 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig9(cluster.Main()); len(rows) != 2 {
-			b.Fatal("fig 9 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig10(cluster.Main()); len(rows) == 0 {
-			b.Fatal("fig 10 empty")
-		}
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	rows := experiments.Fig4(cluster.Main())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, tr := experiments.Fig11(rows)
-		if len(pts) != 14 || tr.R2 < 0 {
-			b.Fatal("fig 11 broken")
-		}
-	}
-}
-
-func BenchmarkFig12(b *testing.B) {
-	rows := experiments.Fig4(cluster.Main())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, tr := experiments.Fig12(rows)
-		if len(pts) != 14 || tr.R2 < 0 {
-			b.Fatal("fig 12 broken")
-		}
-	}
-}
-
-func BenchmarkAblationPurge(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.AblationPurge(cluster.Main()); len(rows) == 0 {
-			b.Fatal("ablation empty")
-		}
-	}
-}
-
-func BenchmarkAblationThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.AblationThreshold(cluster.Main()); len(rows) == 0 {
-			b.Fatal("ablation empty")
-		}
-	}
-}
-
-func BenchmarkAblationMIN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.AblationMIN(cluster.Main()); len(rows) == 0 {
-			b.Fatal("ablation empty")
-		}
-	}
-}
-
-func BenchmarkAblationDynamic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.AblationDynamicThreshold(cluster.Main()); len(rows) == 0 {
-			b.Fatal("ablation empty")
-		}
-	}
-}
-
-func BenchmarkAblationTieBreak(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.AblationTieBreak(cluster.Main()); len(rows) == 0 {
-			b.Fatal("ablation empty")
-		}
-	}
-}
-
-func BenchmarkBaselineOblivious(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.BaselineOblivious(cluster.Main()); len(rows) == 0 {
-			b.Fatal("comparison empty")
-		}
-	}
-}
-
-func BenchmarkStorageLevelStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.StorageLevelStudy(cluster.Main()); len(rows) == 0 {
-			b.Fatal("study empty")
-		}
-	}
-}
-
-func BenchmarkFailureSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.FailureSweep(cluster.Main()); len(rows) == 0 {
-			b.Fatal("sweep empty")
-		}
-	}
-}
-
-func BenchmarkSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Sensitivity(cluster.Main(), []string{"CC"}, []int64{20, 70, 280})
-		if len(rows) == 0 {
-			b.Fatal("sweep empty")
-		}
-	}
-}
-
-func BenchmarkExtensions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Extensions(cluster.Main()); len(rows) != 3 {
-			b.Fatal("extensions incomplete")
-		}
-	}
-}
-
-// --- micro-benchmarks for the hot paths ---
 
 // BenchmarkSimulateSCC measures one full simulated run of the paper's
 // best-case workload under full MRD.

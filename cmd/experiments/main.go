@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,77 +30,100 @@ import (
 	"strings"
 	"time"
 
+	"mrdspark/internal/cli"
 	"mrdspark/internal/experiments"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	out := flag.String("out", "", "write results to this file as well as stdout")
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
 
-	sweep := flag.Bool("sweep", false, "run the sweep grid instead of the paper suite")
-	sweepGrid := flag.String("sweep-grid", "full", "sweep grid: full or smoke")
-	sweepHTML := flag.String("sweep-html", "sweep.html", "write the consolidated sweep report here")
-	sweepWorkers := flag.Int("sweep-workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache-dir", "", "persist the run cache in this directory (cross-process warm starts)")
-	sweepShard := flag.String("sweep-shard", "", "compute only shard i/n of the grid (e.g. 0/2)")
-	sweepShardOut := flag.String("sweep-shard-out", "", "write the computed shard here (required with -sweep-shard)")
-	sweepMerge := flag.String("sweep-merge", "", "comma-separated shard files to merge into the report")
-	flag.Parse()
+// errUsage is a bad invocation, already reported on stderr: exit
+// status 2, as opposed to a failed run's 1.
+var errUsage = errors.New("usage")
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
+	out := fs.String("out", "", "write results to this file as well as stdout")
+
+	sweep := fs.Bool("sweep", false, "run the sweep grid instead of the paper suite")
+	sweepGrid := fs.String("sweep-grid", "full", "sweep grid: full or smoke")
+	sweepHTML := fs.String("sweep-html", "sweep.html", "write the consolidated sweep report here")
+	sweepWorkers := fs.Int("sweep-workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
+	cacheDir := fs.String("cache-dir", "", "persist the run cache in this directory (cross-process warm starts)")
+	sweepShard := fs.String("sweep-shard", "", "compute only shard i/n of the grid (e.g. 0/2)")
+	sweepShardOut := fs.String("sweep-shard-out", "", "write the computed shard here (required with -sweep-shard)")
+	sweepMerge := fs.String("sweep-merge", "", "comma-separated shard files to merge into the report")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	if *list {
 		for _, e := range experiments.Suite() {
-			fmt.Printf("%-20s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-20s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
+	}
+	if *sweepMerge != "" {
+		return runMerge(stdout, cli.SplitList(*sweepMerge), *sweepHTML)
 	}
 
-	if *sweepMerge != "" {
-		if err := runMerge(strings.Split(*sweepMerge, ","), *sweepHTML); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+	// Suite and sweep ask their runs of the same cache; -cache-dir makes
+	// it persistent for either.
+	if *cacheDir != "" {
+		store, err := experiments.OpenCacheStore(*cacheDir)
+		if err != nil {
+			return err
 		}
-		return
+		defer store.Close()
+		loaded, skipped, rebuilt := store.LoadReport()
+		fmt.Fprintf(stdout, "cache: dir=%s entries=%d skipped=%d rebuilt=%v\n",
+			*cacheDir, loaded, skipped, rebuilt)
+		experiments.SetCacheStore(store)
+		defer experiments.SetCacheStore(nil)
 	}
 	if *sweep {
-		if err := runSweep(*sweepGrid, *sweepHTML, *sweepWorkers, *cacheDir, *sweepShard, *sweepShardOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
+		return runSweep(stdout, *sweepGrid, *sweepHTML, *sweepWorkers, *sweepShard, *sweepShardOut)
 	}
 
 	sel := map[string]bool{}
 	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			sel[strings.TrimSpace(id)] = true
-		}
 		known := map[string]bool{}
 		for _, e := range experiments.Suite() {
 			known[e.ID] = true
 		}
-		for id := range sel {
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.TrimSpace(id)
 			if !known[id] {
-				fmt.Fprintf(os.Stderr, "experiments: unknown id %q (use -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "experiments: unknown id %q (use -list)\n", id)
+				return errUsage
 			}
+			sel[id] = true
 		}
 	}
-
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(stdout, f)
 	}
-	if err := experiments.RunSuite(w, sel); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+	return experiments.RunSuite(w, sel)
 }
 
 // gridFor resolves the -sweep-grid flag.
@@ -116,22 +140,10 @@ func gridFor(name string) (experiments.SweepConfig, error) {
 
 // runSweep executes the grid (whole, or one shard of a multi-process
 // split) and reports the scrapeable cache summary on stdout.
-func runSweep(gridName, htmlOut string, workers int, cacheDir, shardSpec, shardOut string) error {
+func runSweep(stdout io.Writer, gridName, htmlOut string, workers int, shardSpec, shardOut string) error {
 	cfg, err := gridFor(gridName)
 	if err != nil {
 		return err
-	}
-	if cacheDir != "" {
-		store, err := experiments.OpenCacheStore(cacheDir)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		loaded, skipped, rebuilt := store.LoadReport()
-		fmt.Printf("cache: dir=%s entries=%d skipped=%d rebuilt=%v\n",
-			cacheDir, loaded, skipped, rebuilt)
-		experiments.SetCacheStore(store)
-		defer experiments.SetCacheStore(nil)
 	}
 	start := time.Now()
 	if shardSpec != "" {
@@ -149,7 +161,7 @@ func runSweep(gridName, htmlOut string, workers int, cacheDir, shardSpec, shardO
 		if err := sf.WriteFile(shardOut); err != nil {
 			return err
 		}
-		fmt.Printf("sweep: shard=%d/%d rows=%d grid=%d %s elapsed=%v\n",
+		fmt.Fprintf(stdout, "sweep: shard=%d/%d rows=%d grid=%d %s elapsed=%v\n",
 			shard, of, len(sf.Rows), sf.GridLen, sf.Stats, time.Since(start).Round(time.Millisecond))
 		return nil
 	}
@@ -160,19 +172,15 @@ func runSweep(gridName, htmlOut string, workers int, cacheDir, shardSpec, shardO
 	if err := os.WriteFile(htmlOut, experiments.RenderSweepHTML(res), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s elapsed=%v report=%s\n",
+	fmt.Fprintf(stdout, "%s elapsed=%v report=%s\n",
 		res.Summary(), time.Since(start).Round(time.Millisecond), htmlOut)
 	return nil
 }
 
 // runMerge merges shard files exactly once and renders the report.
-func runMerge(paths []string, htmlOut string) error {
+func runMerge(stdout io.Writer, paths []string, htmlOut string) error {
 	files := make([]*experiments.ShardFile, 0, len(paths))
 	for _, p := range paths {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
 		sf, err := experiments.ReadShardFile(p)
 		if err != nil {
 			return err
@@ -186,6 +194,6 @@ func runMerge(paths []string, htmlOut string) error {
 	if err := os.WriteFile(htmlOut, experiments.RenderSweepHTML(res), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s merged=%d report=%s\n", res.Summary(), len(files), htmlOut)
+	fmt.Fprintf(stdout, "%s merged=%d report=%s\n", res.Summary(), len(files), htmlOut)
 	return nil
 }

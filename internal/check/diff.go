@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"fmt"
 
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/metrics"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/sim"
 	"mrdspark/internal/workload"
@@ -19,7 +19,7 @@ import (
 // (class B) legitimately differ per stage — the simulator's prefetches
 // arrive asynchronously on modeled device queues, the advisor's land
 // instantly — so they are held to the conservation laws instead.
-func ClassA(p experiments.PolicySpec) bool {
+func ClassA(p policyspec.Spec) bool {
 	switch p.Kind {
 	case "LRU", "FIFO", "LFU", "Hyperbolic", "GDS", "MIN", "LRC":
 		return true
@@ -38,7 +38,7 @@ type advisorLeg struct {
 	issued, used, wasted, pending int64
 }
 
-func runAdvisorLeg(w *Workload, p experiments.PolicySpec) (*advisorLeg, error) {
+func runAdvisorLeg(w *Workload, p policyspec.Spec) (*advisorLeg, error) {
 	adv, err := service.NewAdvisor(w.Graph, service.AdvisorConfig{
 		Nodes: w.Nodes, CacheBytes: w.CacheBytes, Policy: p,
 	})
@@ -71,7 +71,7 @@ type simLeg struct {
 	nodes  []sim.NodeStats
 }
 
-func runSimLeg(w *Workload, p experiments.PolicySpec) (*simLeg, error) {
+func runSimLeg(w *Workload, p policyspec.Spec) (*simLeg, error) {
 	spec := &workload.Spec{Name: w.Name, Graph: w.Graph}
 	s, err := sim.New(w.Graph, w.Cluster(), p.Factory(spec), w.Name)
 	if err != nil {
@@ -163,7 +163,7 @@ func audit(w *Workload, events []obs.Event, exact bool) error {
 //     counter agree between simulator and advisor. Class B policies:
 //     the conservation laws agree (total reads, miss resolution,
 //     prefetch ledger).
-func DiffPolicy(w *Workload, p experiments.PolicySpec) error {
+func DiffPolicy(w *Workload, p policyspec.Spec) error {
 	advA, err := runAdvisorLeg(w, p)
 	if err != nil {
 		return err
@@ -239,7 +239,7 @@ func DiffPolicy(w *Workload, p experiments.PolicySpec) error {
 
 // diffCross compares the simulator's and the advisor's views of the
 // same workload.
-func diffCross(w *Workload, p experiments.PolicySpec, s *simLeg, a *advisorLeg) error {
+func diffCross(w *Workload, p policyspec.Spec, s *simLeg, a *advisorLeg) error {
 	if !ClassA(p) {
 		// Conservation laws: both sides read exactly what the DAG
 		// forces, resolve every miss, and balance the prefetch ledger

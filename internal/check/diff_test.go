@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"mrdspark/internal/core"
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 )
 
 // allSpecs is every registered policy configuration, class A and B.
-var allSpecs = []experiments.PolicySpec{
+var allSpecs = []policyspec.Spec{
 	{Kind: "LRU"},
 	{Kind: "FIFO"},
 	{Kind: "LFU"},

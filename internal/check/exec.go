@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"mrdspark/internal/exec"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
 
@@ -23,7 +23,7 @@ type execLeg struct {
 // keep a 6-workload × 2-seed × 4-policy sweep fast.
 const execRows = 32
 
-func runExecLeg(w *Workload, p experiments.PolicySpec, dataSeed int64, kill *exec.KillSpec) (*execLeg, error) {
+func runExecLeg(w *Workload, p policyspec.Spec, dataSeed int64, kill *exec.KillSpec) (*execLeg, error) {
 	spec := &workload.Spec{
 		Name:   w.Name,
 		Graph:  w.Graph,
@@ -69,7 +69,7 @@ func runExecLeg(w *Workload, p experiments.PolicySpec, dataSeed int64, kill *exe
 //     same Prometheus exposition on replay, and passes the invariant
 //     auditor in exact mode; the prefetch ledger conserves, and the
 //     engine reads exactly the blocks the DAG forces.
-func DiffExec(w *Workload, p experiments.PolicySpec, dataSeed int64) error {
+func DiffExec(w *Workload, p policyspec.Spec, dataSeed int64) error {
 	exA, err := runExecLeg(w, p, dataSeed, nil)
 	if err != nil {
 		return err
@@ -132,7 +132,7 @@ func DiffExec(w *Workload, p experiments.PolicySpec, dataSeed int64) error {
 // demands the job still completes with byte-identical output to a
 // clean run (the lineage-recompute guarantee), with the boundary kill
 // additionally reproducing its own decision fingerprints exactly.
-func DiffExecKill(w *Workload, p experiments.PolicySpec, dataSeed int64) error {
+func DiffExecKill(w *Workload, p policyspec.Spec, dataSeed int64) error {
 	clean, err := runExecLeg(w, p, dataSeed, nil)
 	if err != nil {
 		return err
@@ -217,9 +217,9 @@ func sameOutput(a, b *execLeg) error {
 // ExecPolicies is the policy matrix the sim-vs-exec suite sweeps: the
 // two classic baselines, eviction-only MRD (class A, so sim-exact),
 // and full MRD with prefetching (advisor-exact).
-var ExecPolicies = []experiments.PolicySpec{
-	experiments.SpecLRU,
-	experiments.SpecLRC,
-	experiments.SpecMRDEvictOnly,
-	experiments.SpecMRD,
+var ExecPolicies = []policyspec.Spec{
+	policyspec.LRU,
+	policyspec.LRC,
+	policyspec.MRDEvictOnly,
+	policyspec.MRD,
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 )
 
 // TestSimVsExec is the sim-vs-exec differential: six generated
@@ -33,7 +33,7 @@ func TestSimVsExec(t *testing.T) {
 func TestExecKillParity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		w := Generate(GenConfig{Seed: seed, Nodes: 4})
-		for _, p := range []experiments.PolicySpec{experiments.SpecMRD, experiments.SpecLRU} {
+		for _, p := range []policyspec.Spec{policyspec.MRD, policyspec.LRU} {
 			if err := DiffExecKill(w, p, 0); err != nil {
 				t.Errorf("%s/%s: %v", w.Name, p.Name(), err)
 			}

@@ -6,9 +6,9 @@ import (
 
 	"mrdspark/internal/block"
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/fault"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/sim"
 	"mrdspark/internal/workload"
 )
@@ -16,7 +16,7 @@ import (
 // faultedSimEvents runs the workload through the simulator under the
 // fault schedule and returns the recorded stream (after the
 // simulator's own post-run audit passes).
-func faultedSimEvents(t *testing.T, w *Workload, p experiments.PolicySpec, sched *fault.Schedule) []obs.Event {
+func faultedSimEvents(t *testing.T, w *Workload, p policyspec.Spec, sched *fault.Schedule) []obs.Event {
 	t.Helper()
 	spec := &workload.Spec{Name: w.Name, Graph: w.Graph}
 	s, err := sim.New(w.Graph, w.Cluster(), p.Factory(spec), w.Name)
@@ -58,7 +58,7 @@ func auditFaulted(t *testing.T, w *Workload, events []obs.Event) {
 // interleavings the crash-path fixes in this package's history pinned;
 // the auditor keeps them fixed for every policy.
 func TestAuditorHoldsUnderDoubleFaults(t *testing.T) {
-	specs := []experiments.PolicySpec{{Kind: "LRU"}, {Kind: "MRD"}}
+	specs := []policyspec.Spec{{Kind: "LRU"}, {Kind: "MRD"}}
 	for seed := int64(1); seed <= 6; seed++ {
 		w := Generate(GenConfig{Seed: seed})
 		// The generator's blocks all home on partition == node, so a
@@ -101,7 +101,7 @@ func TestAuditorHoldsOnExperimentWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment workload")
 	}
-	specs := []experiments.PolicySpec{{Kind: "LRU"}, {Kind: "MRD"}}
+	specs := []policyspec.Spec{{Kind: "LRU"}, {Kind: "MRD"}}
 	for _, name := range workload.Names() {
 		spec, err := workload.Build(name, workload.Params{})
 		if err != nil {

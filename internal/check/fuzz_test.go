@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"mrdspark/internal/block"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/fault"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/refdist"
 	"mrdspark/internal/service"
 	"mrdspark/internal/sim"
@@ -38,7 +38,7 @@ func FuzzAdvisorSchedule(f *testing.F) {
 		w := fuzzWorkload(seed)
 		adv, err := service.NewAdvisor(w.Graph, service.AdvisorConfig{
 			Nodes: w.Nodes, CacheBytes: w.CacheBytes,
-			Policy: experiments.PolicySpec{Kind: "MRD"},
+			Policy: policyspec.Spec{Kind: "MRD"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		if err := sched.Validate(w.Nodes); err != nil {
 			return // invalid schedules must be rejected, and were
 		}
-		p := experiments.PolicySpec{Kind: "MRD"}
+		p := policyspec.Spec{Kind: "MRD"}
 		spec := &workload.Spec{Name: w.Name, Graph: w.Graph}
 		s, err := sim.New(w.Graph, w.Cluster(), p.Factory(spec), w.Name)
 		if err != nil {

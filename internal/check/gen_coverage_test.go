@@ -3,8 +3,8 @@ package check
 import (
 	"testing"
 
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policyspec"
 )
 
 // TestGeneratorCoverage guards the sweep's power: a differential suite
@@ -18,13 +18,13 @@ func TestGeneratorCoverage(t *testing.T) {
 	mixedStages := 0
 	for seed := int64(1); seed <= diffSeeds; seed++ {
 		w := Generate(GenConfig{Seed: seed})
-		lru, err := runSimLeg(w, experiments.PolicySpec{Kind: "LRU"})
+		lru, err := runSimLeg(w, policyspec.Spec{Kind: "LRU"})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		evictions += lru.run.Evictions
 		misses += lru.run.Misses
-		mrd, err := runSimLeg(w, experiments.PolicySpec{Kind: "MRD"})
+		mrd, err := runSimLeg(w, policyspec.Spec{Kind: "MRD"})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 )
 
@@ -18,7 +18,7 @@ import (
 // history. If restore is exact, the final recorder's stream, the final
 // aggregator's exposition, the live advice stream, and the prefetch
 // ledger are all byte-identical to a run that never died.
-func runRestartLeg(w *Workload, p experiments.PolicySpec, restoreAt map[int]bool) (*advisorLeg, error) {
+func runRestartLeg(w *Workload, p policyspec.Spec, restoreAt map[int]bool) (*advisorLeg, error) {
 	adv, err := service.NewAdvisor(w.Graph, service.AdvisorConfig{
 		Nodes: w.Nodes, CacheBytes: w.CacheBytes, Policy: p,
 	})

@@ -9,7 +9,7 @@ import (
 	"reflect"
 	"testing"
 
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/service/client"
 	"mrdspark/internal/service/wire"
@@ -50,7 +50,7 @@ func TestTransportParity(t *testing.T) {
 	cfg := service.AdvisorConfig{
 		Nodes:      4,
 		CacheBytes: 64 << 20,
-		Policy:     experiments.PolicySpec{Kind: "MRD"},
+		Policy:     policyspec.Spec{Kind: "MRD"},
 	}
 
 	for _, name := range transportWorkloads {
@@ -190,10 +190,10 @@ func FuzzWireFrame(f *testing.F) {
 	}()
 	f.Add(adviceSeed)
 	f.Add(batchSeed)
-	f.Add([]byte{})                            // empty stream
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})      // length over MaxFrame
-	f.Add([]byte{0, 0, 0, 4, 1, 0x15, 0, 0})   // length under HeaderLen
-	f.Add(adviceSeed[:len(adviceSeed)-3])      // truncated mid-payload
+	f.Add([]byte{})                          // empty stream
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})    // length over MaxFrame
+	f.Add([]byte{0, 0, 0, 4, 1, 0x15, 0, 0}) // length under HeaderLen
+	f.Add(adviceSeed[:len(adviceSeed)-3])    // truncated mid-payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, _, err := wire.ReadFrame(bytes.NewReader(data), nil)
 		if err != nil {

@@ -5,7 +5,7 @@ import (
 
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/workload"
 )
@@ -75,12 +75,12 @@ func TestOperatorGoldens(t *testing.T) {
 	}
 	for _, c := range cases {
 		spec := opSpec("op-"+c.op, p, c.build)
-		res := mustRun(t, spec, Config{Workers: 2, Policy: experiments.SpecLRU})
+		res := mustRun(t, spec, Config{Workers: 2, Policy: policyspec.LRU})
 		if res.OutputDigest != c.want {
 			t.Errorf("%s: output digest %#x, want %#x", c.op, res.OutputDigest, c.want)
 		}
 		// Same op twice must be byte-identical.
-		again := mustRun(t, opSpec("op-"+c.op, p, c.build), Config{Workers: 2, Policy: experiments.SpecLRU})
+		again := mustRun(t, opSpec("op-"+c.op, p, c.build), Config{Workers: 2, Policy: policyspec.LRU})
 		if again.OutputDigest != res.OutputDigest {
 			t.Errorf("%s: second run digest %#x != first %#x", c.op, again.OutputDigest, res.OutputDigest)
 		}
@@ -90,7 +90,7 @@ func TestOperatorGoldens(t *testing.T) {
 // TestEngineDeterminism runs the same workload twice and demands
 // byte-identical decision fingerprints, job digests and data counters.
 func TestEngineDeterminism(t *testing.T) {
-	for _, pol := range []experiments.PolicySpec{experiments.SpecMRD, experiments.SpecLRU} {
+	for _, pol := range []policyspec.Spec{policyspec.MRD, policyspec.LRU} {
 		spec := mustBuild(t, "SCC", workload.Params{DataRows: 64, Seed: 7})
 		a := mustRun(t, spec, Config{Policy: pol})
 		b := mustRun(t, mustBuild(t, "SCC", workload.Params{DataRows: 64, Seed: 7}), Config{Policy: pol})
@@ -117,10 +117,10 @@ func TestEngineDeterminism(t *testing.T) {
 // cluster shape — for every policy, since both sides run the same
 // decision procedure.
 func TestEngineMatchesAdvisor(t *testing.T) {
-	policies := []experiments.PolicySpec{
-		experiments.SpecMRD,
-		experiments.SpecLRU,
-		experiments.SpecLRC,
+	policies := []policyspec.Spec{
+		policyspec.MRD,
+		policyspec.LRU,
+		policyspec.LRC,
 	}
 	for _, name := range []string{"SCC", "PR", "KM"} {
 		for _, pol := range policies {
@@ -157,12 +157,12 @@ func TestEngineMatchesAdvisor(t *testing.T) {
 // the first's decision fingerprints exactly.
 func TestKillWorkerBoundary(t *testing.T) {
 	params := workload.Params{DataRows: 64, Seed: 3}
-	clean := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: experiments.SpecMRD})
+	clean := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: policyspec.MRD})
 
 	spec := mustBuild(t, "SCC", params)
 	stages := spec.Graph.ExecutedStages()
 	kill := &KillSpec{Worker: 1, Stage: stages[len(stages)/2].ID}
-	killed := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: experiments.SpecMRD, Kill: kill})
+	killed := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: policyspec.MRD, Kill: kill})
 	if killed.OutputDigest != clean.OutputDigest {
 		t.Fatalf("killed run output %#x != clean %#x", killed.OutputDigest, clean.OutputDigest)
 	}
@@ -172,7 +172,7 @@ func TestKillWorkerBoundary(t *testing.T) {
 		}
 	}
 
-	again := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: experiments.SpecMRD, Kill: kill})
+	again := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: policyspec.MRD, Kill: kill})
 	if len(again.History) != len(killed.History) {
 		t.Fatalf("killed histories differ in length")
 	}
@@ -191,12 +191,12 @@ func TestKillWorkerBoundary(t *testing.T) {
 // recover through lineage — the output must still match a clean run.
 func TestKillWorkerMid(t *testing.T) {
 	params := workload.Params{DataRows: 64, Seed: 3}
-	clean := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: experiments.SpecMRD})
+	clean := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: policyspec.MRD})
 
 	spec := mustBuild(t, "SCC", params)
 	stages := spec.Graph.ExecutedStages()
 	kill := &KillSpec{Worker: 0, Stage: stages[len(stages)/2].ID, Mid: true}
-	killed := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: experiments.SpecMRD, Kill: kill})
+	killed := mustRun(t, mustBuild(t, "SCC", params), Config{Policy: policyspec.MRD, Kill: kill})
 	if killed.OutputDigest != clean.OutputDigest {
 		t.Fatalf("mid-kill run output %#x != clean %#x", killed.OutputDigest, clean.OutputDigest)
 	}
@@ -210,7 +210,7 @@ func TestKillWorkerMid(t *testing.T) {
 // prefetch ledger conserves.
 func TestSpillThenRecompute(t *testing.T) {
 	params := workload.Params{DataRows: 64, Seed: 5}
-	cfg := Config{CacheBytes: 8 * cluster.MB, Policy: experiments.SpecMRD}
+	cfg := Config{CacheBytes: 8 * cluster.MB, Policy: policyspec.MRD}
 	a := mustRun(t, mustBuild(t, "PR", params), cfg)
 	b := mustRun(t, mustBuild(t, "PR", params), cfg)
 	if a.OutputDigest != b.OutputDigest {
@@ -231,7 +231,7 @@ func TestSpillThenRecompute(t *testing.T) {
 func TestEngineRunsAllWorkloads(t *testing.T) {
 	for _, name := range workload.Names() {
 		spec := mustBuild(t, name, workload.Params{DataRows: 16})
-		res := mustRun(t, spec, Config{Workers: 3, Policy: experiments.SpecMRD})
+		res := mustRun(t, spec, Config{Workers: 3, Policy: policyspec.MRD})
 		if res.TasksRun == 0 {
 			t.Errorf("%s: no tasks ran", name)
 		}

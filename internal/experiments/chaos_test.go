@@ -16,35 +16,35 @@ func TestChaosSweepSingleCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := ChaosSweep(cluster.Main(), nil, []string{"crash"}, nil)
+	rows := chaosSweep(cluster.Main(), []string{"CC", "KM", "SVD"}, []string{"crash"}, []int{1, 2})
 	// 3 workloads x 3 policies x 2 replications x (healthy + crash).
 	if len(rows) != 36 {
 		t.Fatalf("rows = %d, want 36", len(rows))
 	}
 	seen := map[string]bool{}
 	for _, r := range rows {
-		if r.Run.Jobs == 0 {
+		if r.run.Jobs == 0 {
 			t.Errorf("%s/%s/%s repl=%d completed no jobs",
-				r.Workload, r.Policy, r.Preset, r.Replication)
+				r.workload, r.policy, r.label, r.repl)
 		}
-		if math.IsInf(r.Overhead, 0) || math.IsNaN(r.Overhead) || r.Overhead <= 0 {
+		if math.IsInf(r.overhead, 0) || math.IsNaN(r.overhead) || r.overhead <= 0 {
 			t.Errorf("%s/%s/%s repl=%d overhead %v not finite",
-				r.Workload, r.Policy, r.Preset, r.Replication, r.Overhead)
+				r.workload, r.policy, r.label, r.repl, r.overhead)
 		}
-		if r.Preset == "crash" && r.Overhead > 4 {
+		if r.label == "crash" && r.overhead > 4 {
 			t.Errorf("%s/%s repl=%d crash overhead %.2f unbounded",
-				r.Workload, r.Policy, r.Replication, r.Overhead)
+				r.workload, r.policy, r.repl, r.overhead)
 		}
-		if r.Policy == "MRD" && r.Preset == "crash" {
-			seen[r.Workload] = true
-			if r.Reissues == 0 {
-				t.Errorf("%s MRD crash run re-issued no tables", r.Workload)
+		if r.policy == "MRD" && r.label == "crash" {
+			seen[r.workload] = true
+			if r.stats.TableReissues == 0 {
+				t.Errorf("%s MRD crash run re-issued no tables", r.workload)
 			}
-			if r.StaleStages == 0 {
-				t.Errorf("%s MRD crash run saw no stale-table window", r.Workload)
+			if r.stats.StaleWindowStages == 0 {
+				t.Errorf("%s MRD crash run saw no stale-table window", r.workload)
 			}
-			if r.Replication == 2 && r.Run.ReplicaHits == 0 {
-				t.Errorf("%s MRD crash at replication 2 hit no replicas", r.Workload)
+			if r.repl == 2 && r.run.ReplicaHits == 0 {
+				t.Errorf("%s MRD crash at replication 2 hit no replicas", r.workload)
 			}
 		}
 	}
@@ -54,7 +54,7 @@ func TestChaosSweepSingleCrash(t *testing.T) {
 		}
 	}
 
-	out := RenderChaos(rows)
+	out := renderChaos(rows)
 	for _, want := range []string{"Chaos sweep", "Overhead", "crash", "healthy"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -69,8 +69,8 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	sweep := func() []ChaosRow {
-		return ChaosSweep(cluster.Main(), []string{"KM"}, []string{"chaos"}, []int{2})
+	sweep := func() []faultRow {
+		return chaosSweep(cluster.Main(), []string{"KM"}, []string{"chaos"}, []int{2})
 	}
 	a, b := sweep(), sweep()
 	if len(a) != len(b) {

@@ -6,42 +6,43 @@ import (
 	"testing"
 
 	"mrdspark/internal/cluster"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/refdist"
 	"mrdspark/internal/workload"
 )
 
 func TestOLSPerfectLine(t *testing.T) {
-	pts := []ScatterPoint{{X: 1, Reduction: 3}, {X: 2, Reduction: 5}, {X: 3, Reduction: 7}}
-	tr := OLS(pts)
-	if math.Abs(tr.Slope-2) > 1e-9 || math.Abs(tr.Intercept-1) > 1e-9 {
+	pts := []scatterPoint{{x: 1, reduction: 3}, {x: 2, reduction: 5}, {x: 3, reduction: 7}}
+	tr := ols(pts)
+	if math.Abs(tr.slope-2) > 1e-9 || math.Abs(tr.intercept-1) > 1e-9 {
 		t.Errorf("fit = %+v, want slope 2 intercept 1", tr)
 	}
-	if math.Abs(tr.R2-1) > 1e-9 {
-		t.Errorf("R² = %v, want 1", tr.R2)
+	if math.Abs(tr.r2-1) > 1e-9 {
+		t.Errorf("R² = %v, want 1", tr.r2)
 	}
 }
 
 func TestOLSKnownFit(t *testing.T) {
 	// y = x with one outlier; R² strictly between 0 and 1.
-	pts := []ScatterPoint{
-		{X: 1, Reduction: 1}, {X: 2, Reduction: 2}, {X: 3, Reduction: 3}, {X: 4, Reduction: 0},
+	pts := []scatterPoint{
+		{x: 1, reduction: 1}, {x: 2, reduction: 2}, {x: 3, reduction: 3}, {x: 4, reduction: 0},
 	}
-	tr := OLS(pts)
-	if tr.R2 <= 0 || tr.R2 >= 1 {
-		t.Errorf("R² = %v, want in (0,1)", tr.R2)
+	tr := ols(pts)
+	if tr.r2 <= 0 || tr.r2 >= 1 {
+		t.Errorf("R² = %v, want in (0,1)", tr.r2)
 	}
 }
 
 func TestOLSDegenerateInputs(t *testing.T) {
-	if tr := OLS(nil); tr != (Trend{}) {
+	if tr := ols(nil); tr != (trend{}) {
 		t.Errorf("empty fit = %+v", tr)
 	}
-	if tr := OLS([]ScatterPoint{{X: 5, Reduction: 1}}); tr != (Trend{}) {
+	if tr := ols([]scatterPoint{{x: 5, reduction: 1}}); tr != (trend{}) {
 		t.Errorf("single-point fit = %+v", tr)
 	}
 	// Vertical line: zero denominator.
-	pts := []ScatterPoint{{X: 2, Reduction: 1}, {X: 2, Reduction: 9}}
-	if tr := OLS(pts); tr != (Trend{}) {
+	pts := []scatterPoint{{x: 2, reduction: 1}, {x: 2, reduction: 9}}
+	if tr := ols(pts); tr != (trend{}) {
 		t.Errorf("vertical fit = %+v", tr)
 	}
 }
@@ -80,23 +81,23 @@ func TestHumanBytes(t *testing.T) {
 }
 
 func TestTable1CoversAllWorkloadsWithPaperValues(t *testing.T) {
-	rows := Table1()
+	rows := table1()
 	if len(rows) != 20 {
 		t.Fatalf("Table1 rows = %d, want 20", len(rows))
 	}
 	for _, r := range rows {
-		if _, ok := paperTable1[r.Workload]; !ok {
-			t.Errorf("no paper reference for %s", r.Workload)
+		if _, ok := paperTable1[r.spec.Name]; !ok {
+			t.Errorf("no paper reference for %s", r.spec.Name)
 		}
 	}
-	out := RenderTable1(rows)
+	out := renderTable1(rows)
 	if !strings.Contains(out, "SCC") || !strings.Contains(out, "HB-KMeans") {
 		t.Error("render incomplete")
 	}
 }
 
 func TestFig2TraceInvariants(t *testing.T) {
-	tr := Fig2("CC")
+	tr := fig2("CC")
 	if len(tr.RDDs) == 0 || len(tr.Stages) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -126,7 +127,7 @@ func TestFig2TraceInvariants(t *testing.T) {
 			}
 		}
 	}
-	out := RenderFig2(tr, 6)
+	out := renderFig2(tr, 6)
 	if !strings.Contains(out, "stage") || !strings.Contains(out, "inf") {
 		t.Error("Fig2 render incomplete")
 	}
@@ -143,11 +144,11 @@ func TestPolicySpecFactoryNames(t *testing.T) {
 	}{
 		{SpecLRU, "LRU"},
 		{SpecLRC, "LRC"},
-		{SpecMemTune, "MemTune"},
-		{SpecMIN, "MIN"},
+		{policyspec.MemTune, "MemTune"},
+		{policyspec.MIN, "MIN"},
 		{SpecMRD, "MRD"},
-		{SpecMRDEvictOnly, "MRD-evict"},
-		{SpecMRDPrefOnly, "MRD-prefetch"},
+		{policyspec.MRDEvictOnly, "MRD-evict"},
+		{policyspec.MRDPrefetchOnly, "MRD-prefetch"},
 		{PolicySpec{Kind: "MRD", AdHoc: true}, "MRD(ad-hoc)"},
 		{PolicySpec{Kind: "LRU", Label: "custom"}, "custom"},
 	} {
@@ -191,7 +192,7 @@ func TestSuiteIDsUniqueAndListed(t *testing.T) {
 			t.Errorf("duplicate experiment id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.fig == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}

@@ -110,11 +110,11 @@ func TestRunCacheMemoizes(t *testing.T) {
 	}
 	cfg := cluster.Main().WithCache(64 << 20)
 
-	a := runOne(spec, cfg, SpecLRU)
+	a := scenario{spec, cfg}.under(SpecLRU)
 	if n := RunCacheLen(); n != 1 {
 		t.Fatalf("after first run: %d cache entries, want 1", n)
 	}
-	b := runOne(spec, cfg, SpecLRU)
+	b := scenario{spec, cfg}.under(SpecLRU)
 	if a != b {
 		t.Fatalf("cached replay differs from original run:\n a=%+v\n b=%+v", a, b)
 	}
@@ -128,9 +128,9 @@ func TestRunCacheMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOne(seeded, cfg, SpecLRU)
-	runOne(spec, cfg, SpecMRD)
-	runOne(spec, cfg.WithCache(32<<20), SpecLRU)
+	scenario{seeded, cfg}.under(SpecLRU)
+	scenario{spec, cfg}.under(SpecMRD)
+	scenario{spec, cfg.WithCache(32 << 20)}.under(SpecLRU)
 	if n := RunCacheLen(); n != 4 {
 		t.Fatalf("distinct configurations share entries: %d, want 4", n)
 	}

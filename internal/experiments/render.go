@@ -1,12 +1,15 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (§5), each regenerating the artifact's rows or
-// series from the simulator, plus the ablations DESIGN.md adds. Every
-// driver returns structured results and can render them as an aligned
-// text table for cmd/experiments and EXPERIMENTS.md.
+// Package experiments reproduces the paper's evaluation (§5) and the
+// studies DESIGN.md adds to it. One query layer (query.go) turns a
+// (workload, cluster, cache fraction, policy, fault schedule) tuple
+// into a run; every table and figure is a query over it rendered as an
+// aligned text table (suite.go lists them; EXPERIMENTS.md holds their
+// output), and the sweep fabric runs the whole grid through the same
+// layer.
 package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -66,6 +69,11 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
 
 func pct1(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
+
+func itoa(v int) string { return strconv.Itoa(v) }
+
+// ms renders simulated microseconds as milliseconds.
+func ms(us int64) string { return fmt.Sprintf("%.0fms", float64(us)/1000) }
 
 // human renders a byte count in the paper's style (934M, 5.5G).
 func human(b int64) string {

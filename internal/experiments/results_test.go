@@ -13,23 +13,36 @@ import (
 // authors' testbed. They run full experiment drivers and are skipped
 // under -short.
 
+// suiteFig returns the suite table's figure for an ID, so the shape
+// tests assert on exactly the configuration the suite runs.
+func suiteFig[T figure](t *testing.T, id string) T {
+	t.Helper()
+	for _, e := range Suite() {
+		if e.ID == id {
+			return e.fig.(T)
+		}
+	}
+	t.Fatalf("suite has no %s", id)
+	panic("unreachable")
+}
+
 func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := Fig4(cluster.Main())
+	rows := suiteFig[overallFig](t, "fig4").rows()
 	if len(rows) != 14 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byName := map[string]Fig4Row{}
+	byName := map[string]overallRow{}
 	for _, r := range rows {
-		byName[r.Workload] = r
-		if r.FullJCT <= 0 || r.EvictJCT <= 0 || r.PrefetchJCT <= 0 {
-			t.Errorf("%s has non-positive normalized JCT", r.Workload)
+		byName[r.full.spec.Name] = r
+		if r.full.jct() <= 0 || r.evictJCT() <= 0 || r.prefetchJCT() <= 0 {
+			t.Errorf("%s has non-positive normalized JCT", r.full.spec.Name)
 		}
 	}
 
-	evict, prefetch, full := Fig4Averages(rows)
+	evict, prefetch, full := overallAverages(rows)
 	if full >= 1 {
 		t.Errorf("full MRD average %.2f >= 1: no overall win", full)
 	}
@@ -50,12 +63,12 @@ func TestFig4Shape(t *testing.T) {
 	var ioSum, cpuSum float64
 	var ioN, cpuN int
 	for _, r := range rows {
-		switch r.JobType {
+		switch r.full.spec.JobType {
 		case workload.IOIntensive:
-			ioSum += r.FullJCT
+			ioSum += r.full.jct()
 			ioN++
 		case workload.CPUIntensive:
-			cpuSum += r.FullJCT
+			cpuSum += r.full.jct()
 			cpuN++
 		}
 	}
@@ -64,13 +77,13 @@ func TestFig4Shape(t *testing.T) {
 			ioSum/float64(ioN), cpuSum/float64(cpuN))
 	}
 	// DT is the paper's weakest case: nearly no improvement.
-	if dt := byName["DT"]; dt.FullJCT < 0.85 {
-		t.Errorf("DT improved too much (%.2f); paper has 88-100%%", dt.FullJCT)
+	if dt := byName["DT"]; dt.full.jct() < 0.85 {
+		t.Errorf("DT improved too much (%.2f); paper has 88-100%%", dt.full.jct())
 	}
 	// Hit ratio never degrades at the chosen operating points.
 	for _, r := range rows {
-		if r.Full.HitRatio() < r.LRU.HitRatio()-0.05 {
-			t.Errorf("%s: MRD hit %.2f well below LRU %.2f", r.Workload, r.Full.HitRatio(), r.LRU.HitRatio())
+		if r.full.run.HitRatio() < r.full.lru.HitRatio()-0.05 {
+			t.Errorf("%s: MRD hit %.2f well below LRU %.2f", r.full.spec.Name, r.full.run.HitRatio(), r.full.lru.HitRatio())
 		}
 	}
 }
@@ -79,30 +92,30 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	res := Fig7()
-	if len(res.Points) < 5 {
-		t.Fatalf("points = %d", len(res.Points))
+	res := fig7()
+	if len(res.points) < 5 {
+		t.Fatalf("points = %d", len(res.points))
 	}
 	// Hit ratios must not decrease as cache grows (monotone within
 	// noise), and MRD dominates LRU at every size.
-	for i, p := range res.Points {
-		if p.MRD.HitRatio() < p.LRU.HitRatio()-0.02 {
-			t.Errorf("point %d: MRD hit %.2f < LRU %.2f", i, p.MRD.HitRatio(), p.LRU.HitRatio())
+	for i, p := range res.points {
+		if p.mrd.HitRatio() < p.lru.HitRatio()-0.02 {
+			t.Errorf("point %d: MRD hit %.2f < LRU %.2f", i, p.mrd.HitRatio(), p.lru.HitRatio())
 		}
-		if p.MRD.JCT > p.LRU.JCT*105/100 {
-			t.Errorf("point %d: MRD JCT %d > LRU %d", i, p.MRD.JCT, p.LRU.JCT)
+		if p.mrd.JCT > p.lru.JCT*105/100 {
+			t.Errorf("point %d: MRD JCT %d > LRU %d", i, p.mrd.JCT, p.lru.JCT)
 		}
-		if i > 0 && p.LRU.HitRatio() < res.Points[i-1].LRU.HitRatio()-0.05 {
+		if i > 0 && p.lru.HitRatio() < res.points[i-1].lru.HitRatio()-0.05 {
 			t.Errorf("LRU hit ratio fell sharply with more cache at point %d", i)
 		}
 	}
 	// The cache-savings readout: MRD reaches the target hit ratio with
 	// no more cache than LRU needs (paper: 63% less).
-	if res.MRDCacheneed == 0 {
+	if res.mrdNeed == 0 {
 		t.Error("MRD never reached the target hit ratio")
 	}
-	if res.LRUCacheneed != 0 && res.MRDCacheneed > res.LRUCacheneed {
-		t.Errorf("MRD needs %d > LRU %d for the same hit ratio", res.MRDCacheneed, res.LRUCacheneed)
+	if res.lruNeed != 0 && res.mrdNeed > res.lruNeed {
+		t.Errorf("MRD needs %d > LRU %d for the same hit ratio", res.mrdNeed, res.lruNeed)
 	}
 }
 
@@ -110,16 +123,16 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := Fig8(cluster.Main())
+	rows := suiteFig[variantFig](t, "fig8").rows()
 	lp, km := rows[0], rows[1]
 	// Job distance degrades LP (many stages per job)...
-	if lp.BJCT < lp.AJCT-0.02 {
-		t.Errorf("LP: job distance (%.2f) beats stage distance (%.2f)", lp.BJCT, lp.AJCT)
+	if lp.bJCT() < lp.a.jct()-0.02 {
+		t.Errorf("LP: job distance (%.2f) beats stage distance (%.2f)", lp.bJCT(), lp.a.jct())
 	}
 	// ...and the degradation is bigger than KM's, where stages≈jobs.
-	if (lp.BJCT - lp.AJCT) < (km.BJCT-km.AJCT)-0.02 {
+	if (lp.bJCT() - lp.a.jct()) < (km.bJCT()-km.a.jct())-0.02 {
 		t.Errorf("metric choice hurt KM (%.2f) more than LP (%.2f)",
-			km.BJCT-km.AJCT, lp.BJCT-lp.AJCT)
+			km.bJCT()-km.a.jct(), lp.bJCT()-lp.a.jct())
 	}
 }
 
@@ -127,18 +140,18 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := Fig9(cluster.Main())
+	rows := suiteFig[variantFig](t, "fig9").rows()
 	km, tc := rows[0], rows[1]
 	// Ad-hoc mode must not beat recurring mode for KM (17 jobs)...
-	if km.BJCT < km.AJCT-0.02 {
-		t.Errorf("KM: ad-hoc (%.2f) beats recurring (%.2f)", km.BJCT, km.AJCT)
+	if km.bJCT() < km.a.jct()-0.02 {
+		t.Errorf("KM: ad-hoc (%.2f) beats recurring (%.2f)", km.bJCT(), km.a.jct())
 	}
 	// ...while TC (2 jobs) is indifferent.
-	if d := tc.BJCT - tc.AJCT; d > 0.1 || d < -0.1 {
+	if d := tc.bJCT() - tc.a.jct(); d > 0.1 || d < -0.1 {
 		t.Errorf("TC: ad-hoc vs recurring differ by %.2f; paper: indiscernible", d)
 	}
 	// And KM's recurring benefit exceeds TC's.
-	if (km.BJCT - km.AJCT) < (tc.BJCT-tc.AJCT)-0.02 {
+	if (km.bJCT() - km.a.jct()) < (tc.bJCT()-tc.a.jct())-0.02 {
 		t.Errorf("recurrence helped TC more than KM")
 	}
 }
@@ -147,19 +160,19 @@ func TestAblationMINShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := AblationMIN(cluster.Main())
-	byWorkload := map[string]map[string]AblationRow{}
+	rows := suiteFig[ablationFig](t, "ablation-min").rows()
+	byWorkload := map[string]map[string]ablationRow{}
 	for _, r := range rows {
-		if byWorkload[r.Workload] == nil {
-			byWorkload[r.Workload] = map[string]AblationRow{}
+		if byWorkload[r.workload] == nil {
+			byWorkload[r.workload] = map[string]ablationRow{}
 		}
-		byWorkload[r.Workload][r.Variant] = r
+		byWorkload[r.workload][r.variant] = r
 	}
 	worse := 0
 	for w, m := range byWorkload {
 		min, lru := m["MIN"], m["LRU"]
-		if min.Run.HitRatio() < lru.Run.HitRatio()-0.02 {
-			t.Logf("%s: MIN hit %.2f below LRU %.2f", w, min.Run.HitRatio(), lru.Run.HitRatio())
+		if min.run.HitRatio() < lru.run.HitRatio()-0.02 {
+			t.Logf("%s: MIN hit %.2f below LRU %.2f", w, min.run.HitRatio(), lru.run.HitRatio())
 			worse++
 		}
 	}
@@ -174,32 +187,32 @@ func TestStorageLevelStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := StorageLevelStudy(cluster.Main())
+	rows := storageLevelStudy(cluster.Main())
 	if len(rows) != 4*2*4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		switch r.Level {
+		switch r.level {
 		case "MEMORY_AND_DISK":
-			if r.Run.Recomputes != 0 {
-				t.Errorf("%s/%s: recomputes under restorable caching", r.Workload, r.Policy)
+			if r.run.Recomputes != 0 {
+				t.Errorf("%s/%s: recomputes under restorable caching", r.workload, r.policy)
 			}
 		case "MEMORY_ONLY":
-			if r.Run.DiskPromotes != 0 {
-				t.Errorf("%s/%s: promotes under MEMORY_ONLY", r.Workload, r.Policy)
+			if r.run.DiskPromotes != 0 {
+				t.Errorf("%s/%s: promotes under MEMORY_ONLY", r.workload, r.policy)
 			}
 		default:
-			t.Errorf("unknown level %q", r.Level)
+			t.Errorf("unknown level %q", r.level)
 		}
-		if r.Policy == "LRU" && (r.NormJCT < 0.999 || r.NormJCT > 1.001) {
-			t.Errorf("%s/%s LRU norm = %v, want 1", r.Workload, r.Level, r.NormJCT)
+		if r.policy == "LRU" && (r.normJCT < 0.999 || r.normJCT > 1.001) {
+			t.Errorf("%s/%s LRU norm = %v, want 1", r.workload, r.level, r.normJCT)
 		}
 	}
 	// The informed policies beat LRU under both levels on these
 	// I/O-intensive workloads.
 	for _, r := range rows {
-		if r.Policy == "MRD-evict" && r.NormJCT > 1.0 {
-			t.Errorf("%s/%s: MRD-evict %v worse than LRU", r.Workload, r.Level, r.NormJCT)
+		if r.policy == "MRD-evict" && r.normJCT > 1.0 {
+			t.Errorf("%s/%s: MRD-evict %v worse than LRU", r.workload, r.level, r.normJCT)
 		}
 	}
 }
@@ -208,28 +221,28 @@ func TestFailureSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := FailureSweep(cluster.Main())
+	rows := failureSweep(cluster.Main())
 	if len(rows) != 3*4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.FailStage < 0 {
-			if r.Overhead != 1 || r.Reissues != 0 || r.Run.Recomputes != 0 {
-				t.Errorf("%s healthy row wrong: %+v", r.Workload, r)
+		if r.label == "healthy" {
+			if r.overhead != 1 || r.stats.TableReissues != 0 || r.run.Recomputes != 0 {
+				t.Errorf("%s healthy row wrong: %+v", r.workload, r)
 			}
 			continue
 		}
-		if r.Overhead < 1 {
-			t.Errorf("%s@%d: failure made the run faster (%.2f)", r.Workload, r.FailStage, r.Overhead)
+		if r.overhead < 1 {
+			t.Errorf("%s@%s: failure made the run faster (%.2f)", r.workload, r.label, r.overhead)
 		}
-		if r.Overhead > 2 {
-			t.Errorf("%s@%d: recovery overhead %.2f implausibly large", r.Workload, r.FailStage, r.Overhead)
+		if r.overhead > 2 {
+			t.Errorf("%s@%s: recovery overhead %.2f implausibly large", r.workload, r.label, r.overhead)
 		}
-		if r.Reissues != 1 {
-			t.Errorf("%s@%d: table reissues = %d, want 1", r.Workload, r.FailStage, r.Reissues)
+		if r.stats.TableReissues != 1 {
+			t.Errorf("%s@%s: table reissues = %d, want 1", r.workload, r.label, r.stats.TableReissues)
 		}
-		if r.Run.Recomputes == 0 {
-			t.Errorf("%s@%d: no recomputation after disk loss", r.Workload, r.FailStage)
+		if r.run.Recomputes == 0 {
+			t.Errorf("%s@%s: no recomputation after disk loss", r.workload, r.label)
 		}
 	}
 }
@@ -238,10 +251,10 @@ func TestSensitivityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := Sensitivity(cluster.Main(), []string{"CC", "PO"}, []int64{10, 70, 280})
-	byWorkload := map[string][]SensitivityRow{}
+	rows := sensitivity(cluster.Main(), []string{"CC", "PO"}, []int64{10, 70, 280})
+	byWorkload := map[string][]sensitivityRow{}
 	for _, r := range rows {
-		byWorkload[r.Workload] = append(byWorkload[r.Workload], r)
+		byWorkload[r.spec.Name] = append(byWorkload[r.spec.Name], r)
 	}
 	for w, rs := range byWorkload {
 		if len(rs) != 3 {
@@ -250,16 +263,16 @@ func TestSensitivityShape(t *testing.T) {
 		slow, fast := rs[0], rs[2]
 		// The §5.10 direction: more I/O-bound (slow disk) means a
 		// bigger MRD win.
-		if slow.MRDJCT > fast.MRDJCT+0.03 {
-			t.Errorf("%s: slow-disk gain (%.2f) worse than fast-disk (%.2f)", w, slow.MRDJCT, fast.MRDJCT)
+		if slow.jct() > fast.jct()+0.03 {
+			t.Errorf("%s: slow-disk gain (%.2f) worse than fast-disk (%.2f)", w, slow.jct(), fast.jct())
 		}
 		// Hit ratios are policy properties, not bandwidth properties.
-		if slow.LRUHit != fast.LRUHit {
-			t.Errorf("%s: LRU hit ratio changed with bandwidth (%.3f vs %.3f)", w, slow.LRUHit, fast.LRUHit)
+		if slow.lru.HitRatio() != fast.lru.HitRatio() {
+			t.Errorf("%s: LRU hit ratio changed with bandwidth (%.3f vs %.3f)", w, slow.lru.HitRatio(), fast.lru.HitRatio())
 		}
 		for _, r := range rs {
-			if r.MRDJCT > 1.02 {
-				t.Errorf("%s@%dMBps: MRD worse than LRU (%.2f)", w, r.DiskMBps, r.MRDJCT)
+			if r.jct() > 1.02 {
+				t.Errorf("%s@%dMBps: MRD worse than LRU (%.2f)", w, r.diskMBps, r.jct())
 			}
 		}
 	}

@@ -6,28 +6,20 @@ import (
 	"sync/atomic"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/core"
 	"mrdspark/internal/fault"
 	"mrdspark/internal/metrics"
 	"mrdspark/internal/policyspec"
-	"mrdspark/internal/sim"
 	"mrdspark/internal/workload"
 )
 
-// PolicySpec identifies one policy configuration under test. The type,
-// with Factory and Name, lives in internal/policyspec; the alias keeps
-// the name the suite's drivers and the benchmark module compile against.
+// PolicySpec and the three specs below are internal/policyspec's,
+// under the names the benchmark module compiles against.
 type PolicySpec = policyspec.Spec
 
-// Common policy specs.
 var (
-	SpecLRU          = PolicySpec{Kind: "LRU"}
-	SpecLRC          = PolicySpec{Kind: "LRC"}
-	SpecMemTune      = PolicySpec{Kind: "MemTune"}
-	SpecMIN          = PolicySpec{Kind: "MIN"}
-	SpecMRD          = PolicySpec{Kind: "MRD"}
-	SpecMRDEvictOnly = PolicySpec{Kind: "MRD", MRD: core.Options{DisablePrefetch: true}}
-	SpecMRDPrefOnly  = PolicySpec{Kind: "MRD", MRD: core.Options{DisableEviction: true}}
+	SpecLRU = policyspec.LRU
+	SpecLRC = policyspec.LRC
+	SpecMRD = policyspec.MRD
 )
 
 // faultKey identifies the fault schedule a run was simulated under.
@@ -108,7 +100,7 @@ func currentCacheStore() *CacheStore {
 }
 
 // CacheStats counts how runs were served. The three counters partition
-// every RunCached/RunCachedFault call: a memoized replay, a persistent
+// every RunCached/runCachedFault call: a memoized replay, a persistent
 // on-disk replay, or a real simulation. Waits counts callers that
 // blocked on another goroutine's in-flight simulation of the same key
 // (they are also memo hits in spirit, but are tallied separately so
@@ -191,15 +183,15 @@ func RunCacheLen() int {
 // the capacity planner's bisection probes in particular — that want
 // the memoization without the suite's panic-on-error contract.
 func RunCached(spec *workload.Spec, cfg cluster.Config, p PolicySpec) (metrics.Run, error) {
-	return RunCachedFault(spec, cfg, p, "", 1)
+	return runCachedFault(spec, cfg, p, "", 1)
 }
 
-// RunCachedFault is RunCached under a named fault preset at a
+// runCachedFault is RunCached under a named fault preset at a
 // replication factor — the sweep fabric's chaos axis. An empty or
 // "healthy" preset at replication <= 1 normalizes to the plain healthy
 // key, so the sweep's healthy leg and direct RunCached callers share
 // cache entries.
-func RunCachedFault(spec *workload.Spec, cfg cluster.Config, p PolicySpec, preset string, repl int) (metrics.Run, error) {
+func runCachedFault(spec *workload.Spec, cfg cluster.Config, p PolicySpec, preset string, repl int) (metrics.Run, error) {
 	if repl <= 0 {
 		repl = 1
 	}
@@ -250,108 +242,22 @@ func fillCache(key runKey, spec *workload.Spec, p PolicySpec) (metrics.Run, erro
 		simHook()
 	}
 	statSimulated.Add(1)
-	run, err := simulate(key, spec, p)
+	var sched *fault.Schedule
+	if key.fault != (faultKey{}) {
+		var err error
+		sched, err = faultFor(key.fault.Preset, key.cfg.Nodes, spec.Graph.ActiveStages(), key.fault.Repl)
+		if err != nil {
+			return metrics.Run{}, err
+		}
+	}
+	out, err := simulate(spec, key.cfg, p, sched, false)
 	if err != nil {
 		return metrics.Run{}, err
 	}
 	if store != nil {
-		if err := store.Put(canonical, run); err != nil {
+		if err := store.Put(canonical, out.run); err != nil {
 			return metrics.Run{}, err
 		}
 	}
-	return run, nil
+	return out.run, nil
 }
-
-// simulate executes one run for real, honoring the key's fault
-// dimension.
-func simulate(key runKey, spec *workload.Spec, p PolicySpec) (metrics.Run, error) {
-	var run metrics.Run
-	if key.fault == (faultKey{}) {
-		var err error
-		run, err = sim.Run(spec.Graph, key.cfg, p.Factory(spec), spec.Name)
-		if err != nil {
-			return metrics.Run{}, err
-		}
-	} else {
-		sched, err := faultFor(key.fault.Preset, key.cfg.Nodes, spec.Graph.ActiveStages(), key.fault.Repl)
-		if err != nil {
-			return metrics.Run{}, err
-		}
-		s, err := sim.New(spec.Graph, key.cfg, p.Factory(spec), spec.Name)
-		if err != nil {
-			return metrics.Run{}, err
-		}
-		if err := s.SetOptions(sim.Options{Fault: sched}); err != nil {
-			return metrics.Run{}, err
-		}
-		run = s.Run()
-	}
-	run.Policy = p.Name()
-	return run, nil
-}
-
-// faultFor builds the seeded schedule for a preset at a replication
-// factor, scaled to the cluster and DAG. "healthy" (and "") skip the
-// preset registry: the baseline schedule only pays replication writes,
-// anchoring chaos overhead columns (see healthySchedule).
-func faultFor(preset string, nodes, stages, repl int) (*fault.Schedule, error) {
-	if preset == "" || preset == "healthy" {
-		return healthySchedule(repl), nil
-	}
-	sched, err := fault.Preset(preset, nodes, stages)
-	if err != nil {
-		return nil, err
-	}
-	sched.Replication = repl
-	return sched, nil
-}
-
-// runOne simulates the workload under the policy on the cluster,
-// memoizing the result: repeated (workload, cluster, policy) triples
-// replay from cache instead of re-simulating.
-func runOne(spec *workload.Spec, cfg cluster.Config, p PolicySpec) metrics.Run {
-	run, err := RunCached(spec, cfg, p)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s on %s: %v", p.Name(), spec.Name, err))
-	}
-	return run
-}
-
-// workingSet measures the workload's peak *live* cached working set:
-// the cluster-wide occupancy high-water mark under MRD eviction with
-// effectively unbounded cache, where the purge of dead generations
-// leaves exactly the blocks that still have references. This is the
-// natural scale for cache-size sweeps: below it even a clairvoyant
-// policy must miss; around and above it the policies differ only in
-// how well they separate live data from garbage.
-func workingSet(spec *workload.Spec, cfg cluster.Config) int64 {
-	big := cfg.WithCache(1 << 42)
-	run := runOne(spec, big, SpecMRDEvictOnly)
-	return run.PeakCacheUsed
-}
-
-// cacheForFraction converts a working-set fraction to a per-node cache
-// size, flooring at a few of the workload's largest cached blocks so
-// every configuration can actually cache something.
-func cacheForFraction(spec *workload.Spec, ws int64, frac float64, cfg cluster.Config) int64 {
-	perNode := int64(frac * float64(ws) / float64(cfg.Nodes))
-	var maxBlock int64
-	for _, r := range spec.Graph.CachedRDDs() {
-		if r.PartSize > maxBlock {
-			maxBlock = r.PartSize
-		}
-	}
-	if floor := 2 * maxBlock; perNode < floor {
-		perNode = floor
-	}
-	if perNode < 1*cluster.MB {
-		perNode = 1 * cluster.MB
-	}
-	return perNode
-}
-
-// defaultFractions is the cache-size sweep used when an experiment
-// reports "the best cache size per workload", mirroring the paper's
-// methodology of running several cache sizes and reporting the best
-// gain (§5.3).
-var defaultFractions = []float64{0.4, 0.6, 0.85, 1.2, 1.8}

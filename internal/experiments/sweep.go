@@ -9,8 +9,8 @@ import (
 	"sort"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/core"
 	"mrdspark/internal/metrics"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
 
@@ -64,10 +64,10 @@ func FullSweep() SweepConfig {
 			{Kind: "Hyperbolic"},
 			{Kind: "GDS"},
 			SpecLRC,
-			SpecMemTune,
-			SpecMIN,
-			SpecMRDEvictOnly,
-			SpecMRDPrefOnly,
+			policyspec.MemTune,
+			policyspec.MIN,
+			policyspec.MRDEvictOnly,
+			policyspec.MRDPrefetchOnly,
 			SpecMRD,
 		},
 		Presets: []string{"healthy", "crash", "chaos"},
@@ -94,28 +94,20 @@ func SmokeSweep() SweepConfig {
 // the full sweep and every grid consumer sees concrete axes.
 func (c SweepConfig) normalized() SweepConfig {
 	full := FullSweep()
-	if len(c.Workloads) == 0 {
-		c.Workloads = full.Workloads
-	}
-	if len(c.Seeds) == 0 {
-		c.Seeds = full.Seeds
-	}
-	if len(c.Clusters) == 0 {
-		c.Clusters = full.Clusters
-	}
-	if len(c.Fractions) == 0 {
-		c.Fractions = full.Fractions
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = full.Policies
-	}
-	if len(c.Presets) == 0 {
-		c.Presets = full.Presets
-	}
-	if len(c.Repls) == 0 {
-		c.Repls = full.Repls
-	}
+	orFull(&c.Workloads, full.Workloads)
+	orFull(&c.Seeds, full.Seeds)
+	orFull(&c.Clusters, full.Clusters)
+	orFull(&c.Fractions, full.Fractions)
+	orFull(&c.Policies, full.Policies)
+	orFull(&c.Presets, full.Presets)
+	orFull(&c.Repls, full.Repls)
 	return c
+}
+
+func orFull[T any](axis *[]T, full []T) {
+	if len(*axis) == 0 {
+		*axis = full
+	}
 }
 
 // Digest fingerprints the normalized grid axes; shard files record it
@@ -208,18 +200,13 @@ type SweepResult struct {
 // runPoint computes one grid cell through the memoized (and, when a
 // CacheStore is installed, persistent) run cache.
 func runPoint(pt GridPoint) SweepRow {
-	spec, err := workload.Build(pt.Workload, workload.Params{Seed: pt.Seed})
-	if err != nil {
-		panic(err)
-	}
-	ws := workingSet(spec, pt.Cluster)
-	c := pt.Cluster.WithCache(cacheForFraction(spec, ws, pt.Fraction, pt.Cluster))
-	run, err := RunCachedFault(spec, c, pt.Policy, pt.Preset, pt.Repl)
+	s := open(pt.Workload, workload.Params{Seed: pt.Seed}, pt.Cluster).sized(pt.Fraction)
+	run, err := runCachedFault(s.spec, s.cfg, pt.Policy, pt.Preset, pt.Repl)
 	if err != nil {
 		panic(fmt.Sprintf("sweep: %s seed=%d %s %s/%d: %v",
 			pt.Workload, pt.Seed, pt.Policy.Name(), pt.Preset, pt.Repl, err))
 	}
-	return SweepRow{Point: pt, CachePerNode: c.CacheBytes, Run: run}
+	return SweepRow{Point: pt, CachePerNode: s.cfg.CacheBytes, Run: run}
 }
 
 // shardRange returns the canonical contiguous [lo, hi) slice of an
@@ -405,10 +392,4 @@ func statsSince(before CacheStats) CacheStats {
 // warm re-runs on it).
 func (r *SweepResult) Summary() string {
 	return fmt.Sprintf("sweep: grid=%d %s", len(r.Rows), r.Stats)
-}
-
-// isLRU reports whether a policy spec is the plain LRU baseline the
-// renderer normalizes against.
-func isLRU(p PolicySpec) bool {
-	return p.Kind == "LRU" && p.Label == "" && !p.AdHoc && p.MRD == (core.Options{})
 }

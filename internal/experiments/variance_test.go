@@ -63,18 +63,18 @@ func TestVarianceSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	rows := Variance(cluster.Main(), []string{"SP"}, 3)
+	rows := variance(cluster.Main(), []string{"SP"}, 3)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	r := rows[0]
-	if r.Seeds != 3 || r.MeanJCT <= 0 || r.MinJCT > r.MeanJCT || r.MaxJCT < r.MeanJCT {
+	if r.seeds != 3 || r.meanJCT <= 0 || r.minJCT > r.meanJCT || r.maxJCT < r.meanJCT {
 		t.Errorf("degenerate variance row: %+v", r)
 	}
-	if r.StdDev < 0 {
-		t.Errorf("negative stddev: %v", r.StdDev)
+	if r.stdDev < 0 {
+		t.Errorf("negative stddev: %v", r.stdDev)
 	}
-	out := RenderVariance(rows)
+	out := renderVariance(rows)
 	if !strings.Contains(out, "SP") {
 		t.Error("render incomplete")
 	}

@@ -32,6 +32,18 @@ type Spec struct {
 	Label string
 }
 
+// The configurations callers name at compile time: the evaluation
+// suite's baselines and the paper's three MRD variants.
+var (
+	LRU             = Spec{Kind: "LRU"}
+	LRC             = Spec{Kind: "LRC"}
+	MemTune         = Spec{Kind: "MemTune"}
+	MIN             = Spec{Kind: "MIN"}
+	MRD             = Spec{Kind: "MRD"}
+	MRDEvictOnly    = Spec{Kind: "MRD", MRD: core.Options{DisablePrefetch: true}}
+	MRDPrefetchOnly = Spec{Kind: "MRD", MRD: core.Options{DisableEviction: true}}
+)
+
 // builders maps each policy kind to its constructor.
 var builders = map[string]func(p Spec, g *dag.Graph) policy.Factory{
 	"LRU":        func(Spec, *dag.Graph) policy.Factory { return policy.NewLRU() },

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
 
@@ -25,7 +25,7 @@ func buildAdvisor(t *testing.T, name string, cfg AdvisorConfig) *Advisor {
 	return a
 }
 
-func smallCluster(spec experiments.PolicySpec) AdvisorConfig {
+func smallCluster(spec policyspec.Spec) AdvisorConfig {
 	// 128MB/node keeps SCC under enough pressure to evict, purge and
 	// prefetch while still scoring hits.
 	return AdvisorConfig{Nodes: 4, CacheBytes: 128 * cluster.MB, Policy: spec}
@@ -37,8 +37,8 @@ func smallCluster(spec experiments.PolicySpec) AdvisorConfig {
 func TestReplayDeterministic(t *testing.T) {
 	for _, w := range []string{"SCC", "KM", "HB-PageRank"} {
 		t.Run(w, func(t *testing.T) {
-			a1 := buildAdvisor(t, w, smallCluster(experiments.SpecMRD))
-			a2 := buildAdvisor(t, w, smallCluster(experiments.SpecMRD))
+			a1 := buildAdvisor(t, w, smallCluster(policyspec.MRD))
+			a2 := buildAdvisor(t, w, smallCluster(policyspec.MRD))
 			adv1, err := Replay(a1)
 			if err != nil {
 				t.Fatal(err)
@@ -63,7 +63,7 @@ func TestReplayDeterministic(t *testing.T) {
 // cache management: a replay with no evictions or hits would make the
 // parity oracle vacuous.
 func TestReplayExercisesDecisions(t *testing.T) {
-	a := buildAdvisor(t, "SCC", smallCluster(experiments.SpecMRD))
+	a := buildAdvisor(t, "SCC", smallCluster(policyspec.MRD))
 	advice, err := Replay(a)
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +86,11 @@ func TestReplayExercisesDecisions(t *testing.T) {
 // different decisions somewhere under pressure, or the policy plumbing
 // is not actually reaching the model cluster.
 func TestPoliciesDiffer(t *testing.T) {
-	mrd, err := Replay(buildAdvisor(t, "SCC", smallCluster(experiments.SpecMRD)))
+	mrd, err := Replay(buildAdvisor(t, "SCC", smallCluster(policyspec.MRD)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru, err := Replay(buildAdvisor(t, "SCC", smallCluster(experiments.SpecLRU)))
+	lru, err := Replay(buildAdvisor(t, "SCC", smallCluster(policyspec.LRU)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,10 @@ func TestPoliciesDiffer(t *testing.T) {
 // TestEveryPolicyKindReplays runs each registered policy spec end to
 // end — pluggable means any of them can sit behind a session.
 func TestEveryPolicyKindReplays(t *testing.T) {
-	specs := []experiments.PolicySpec{
+	specs := []policyspec.Spec{
 		{Kind: "LRU"}, {Kind: "FIFO"}, {Kind: "LFU"}, {Kind: "LRC"},
 		{Kind: "GDS"}, {Kind: "Hyperbolic"}, {Kind: "MemTune"}, {Kind: "MIN"},
-		experiments.SpecMRD, experiments.SpecMRDEvictOnly, experiments.SpecMRDPrefOnly,
+		policyspec.MRD, policyspec.MRDEvictOnly, policyspec.MRDPrefetchOnly,
 	}
 	for _, spec := range specs {
 		t.Run(spec.Name(), func(t *testing.T) {
@@ -124,7 +124,7 @@ func TestEveryPolicyKindReplays(t *testing.T) {
 }
 
 func TestAdvisorOrderEnforcement(t *testing.T) {
-	a := buildAdvisor(t, "KM", smallCluster(experiments.SpecMRD))
+	a := buildAdvisor(t, "KM", smallCluster(policyspec.MRD))
 	steps := Schedule(a.Graph())
 	firstStage := -1
 	for _, st := range steps {
@@ -159,7 +159,7 @@ func TestUnknownPolicyKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewAdvisor(spec.Graph, AdvisorConfig{Policy: experiments.PolicySpec{Kind: "NoSuchPolicy"}})
+	_, err = NewAdvisor(spec.Graph, AdvisorConfig{Policy: policyspec.Spec{Kind: "NoSuchPolicy"}})
 	if err == nil || !strings.Contains(err.Error(), "NoSuchPolicy") {
 		t.Errorf("want unknown-policy error, got %v", err)
 	}
@@ -168,7 +168,7 @@ func TestUnknownPolicyKind(t *testing.T) {
 // TestNodeFailureClearsState loses a worker mid-replay and checks the
 // advisor keeps functioning with the node's stores wiped.
 func TestNodeFailureClearsState(t *testing.T) {
-	a := buildAdvisor(t, "KM", smallCluster(experiments.SpecMRD))
+	a := buildAdvisor(t, "KM", smallCluster(policyspec.MRD))
 	steps := Schedule(a.Graph())
 	half := len(steps) / 2
 	run := func(part []Step) error {

@@ -11,14 +11,14 @@ import (
 	"time"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/fault"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/workload"
 )
 
 func shardedAdvisorConfig() service.AdvisorConfig {
-	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: experiments.SpecMRD}
+	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: policyspec.MRD}
 }
 
 // bootShards starts n advisory servers over one shared snapshot store

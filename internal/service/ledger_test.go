@@ -6,7 +6,7 @@ import (
 	"mrdspark/internal/block"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 )
 
 // ledgerConserved checks the prefetch conservation law the auditor
@@ -36,7 +36,7 @@ func TestPrefetchLedgerConservedAcrossNodeFailure(t *testing.T) {
 	adv, err := NewAdvisor(g, AdvisorConfig{
 		Nodes:      1,
 		CacheBytes: 4 * cluster.MB,
-		Policy:     experiments.PolicySpec{Kind: "MRD"},
+		Policy:     policyspec.Spec{Kind: "MRD"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/service/client"
 	"mrdspark/internal/workload"
@@ -32,7 +32,7 @@ func newTestServer(t *testing.T) (*service.Server, *client.Client) {
 }
 
 func testAdvisorConfig() service.AdvisorConfig {
-	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: experiments.SpecMRD}
+	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: policyspec.MRD}
 }
 
 // driveSession creates a server session for the workload and replays
@@ -205,7 +205,7 @@ func TestServerErrors(t *testing.T) {
 	}
 	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{
 		Workload: "KM",
-		Advisor:  service.AdvisorConfig{Policy: experiments.PolicySpec{Kind: "NoSuchPolicy"}},
+		Advisor:  service.AdvisorConfig{Policy: policyspec.Spec{Kind: "NoSuchPolicy"}},
 	}); !isStatus(err, http.StatusBadRequest) {
 		t.Errorf("unknown policy: got %v, want 400", err)
 	}

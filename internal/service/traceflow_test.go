@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"mrdspark/internal/cluster"
-	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs/trace"
+	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
 	"mrdspark/internal/service/client"
 	"mrdspark/internal/workload"
@@ -21,7 +21,7 @@ import (
 // waterfall report.
 
 func traceAdvisorConfig() service.AdvisorConfig {
-	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: experiments.SpecMRD}
+	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: policyspec.MRD}
 }
 
 // spanIndex merges span exports from several tracers into one lookup.

@@ -6,7 +6,7 @@ import (
 	"mrdspark/internal/block"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
-	"mrdspark/internal/experiments"
+	"mrdspark/internal/policyspec"
 )
 
 // TestAdvanceResolvesReadsBeforeMissInserts pins the two-phase read
@@ -34,7 +34,7 @@ func TestAdvanceResolvesReadsBeforeMissInserts(t *testing.T) {
 	adv, err := NewAdvisor(g, AdvisorConfig{
 		Nodes:      1,
 		CacheBytes: 2 * 4 * cluster.MB,
-		Policy:     experiments.PolicySpec{Kind: "FIFO"},
+		Policy:     policyspec.Spec{Kind: "FIFO"},
 	})
 	if err != nil {
 		t.Fatal(err)

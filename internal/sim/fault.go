@@ -87,6 +87,7 @@ func (s *Simulation) crashNode(ev fault.Event) {
 	n.mem.Clear()
 	n.disk.Clear()
 	n.mem = cluster.NewMemoryStore(s.cfg.CacheBytes, s.factory.NewNodePolicy(n.id))
+	s.noteUsed(n)
 
 	if s.replication() == 1 {
 		// The node's 1/N share of all shuffle bytes written so far must
@@ -117,6 +118,7 @@ func (s *Simulation) crashNode(ev fault.Event) {
 func (s *Simulation) loseBlock(id block.ID) {
 	home := s.nodes[cluster.HomeNode(id, len(s.nodes))]
 	removed := home.mem.Remove(id)
+	s.noteUsed(home)
 	if home.disk.Has(id) {
 		home.disk.Remove(id)
 		removed = true

@@ -46,6 +46,7 @@ func (o clusterOps) Evict(node int, id block.ID) bool {
 	if !s.nodes[node].mem.Remove(id) {
 		return false
 	}
+	s.noteUsed(s.nodes[node])
 	s.run.PurgedBlocks++
 	s.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, 0))
 	if s.prefetched[id] {
@@ -82,7 +83,7 @@ func (o clusterOps) Prefetch(node int, info block.Info) {
 		}
 		evicted, ok := n.mem.PutPrefetch(info)
 		s.noteEvictions(evicted)
-		s.notePeak()
+		s.noteUsed(n)
 		if !ok {
 			s.run.PrefetchWasted++
 			return

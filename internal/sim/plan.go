@@ -24,6 +24,11 @@ func (s *Simulation) planStage(st *dag.Stage) []taskWork {
 	// Resolve the stage's read frontier: the nearest materialized
 	// cached RDD on each narrow path from the target.
 	reads, _ := dag.StageFrontier(st, func(id int) bool { return s.created[id] })
+	blocks := 0
+	for _, r := range reads {
+		blocks += r.NumPartitions
+	}
+	ctx.resolved = make(map[block.ID]bool, blocks)
 	for _, r := range reads {
 		for q := 0; q < r.NumPartitions; q++ {
 			ctx.resolveBlock(r, q)
@@ -135,9 +140,6 @@ type planCtx struct {
 // q mod numTasks; the block's home is node q mod N.
 func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	id := r.Block(q)
-	if c.resolved == nil {
-		c.resolved = map[block.ID]bool{}
-	}
 	if c.resolved[id] {
 		return
 	}

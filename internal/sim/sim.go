@@ -40,6 +40,8 @@ type node struct {
 	rejoinAt int // stageIx at which the node rejoins (valid while down)
 	// slowUntil ends the node's current straggler window (0 = none).
 	slowUntil int
+	// cacheUsed is mem.Used() as of the node's last noteUsed.
+	cacheUsed int64
 }
 
 // Simulation executes one application DAG on one simulated cluster
@@ -69,6 +71,10 @@ type Simulation struct {
 	faultsAt map[int][]fault.Event
 	// frng draws the remote-fetch failure stream (seeded, splitmix64).
 	frng *fault.RNG
+
+	// cacheUsed is the cluster-wide memory occupancy, kept current by
+	// noteUsed at every store mutation.
+	cacheUsed int64
 
 	finish   int64
 	stageIx  int // count of executed stages, for failure injection
@@ -324,41 +330,60 @@ type insert struct {
 func (s *Simulation) execStage(st *dag.Stage, done func()) {
 	works := s.planStage(st)
 	remaining := len(works)
+	finish := func() {
+		remaining--
+		if remaining == 0 {
+			done()
+		}
+	}
+	tasks := make([]task, len(works))
 	for p := range works {
-		p := p
-		w := works[p]
-		n := s.execNode(p)
-		n.cpu.Acquire(func() {
-			s.runTask(n, w, func() {
-				n.cpu.Release()
-				remaining--
-				if remaining == 0 {
-					done()
-				}
-			})
-		})
+		t := &tasks[p]
+		*t = task{s: s, n: s.execNode(p), w: &works[p], finish: finish}
+		t.step = t.advance
+		t.n.cpu.Acquire(t.step)
 	}
 }
 
-func (s *Simulation) runTask(n *node, w taskWork, done func()) {
-	s.run.TasksExecuted++
-	s.run.DiskReadBytes += w.diskBytes
-	s.run.NetReadBytes += w.netBytes
-	s.bus.Emit(obs.Ev(obs.KindTaskStart, n.id).WithValue(w.computeUs))
-	n.diskDev.Transfer(w.diskBytes, Demand, func() {
-		n.netDev.Transfer(w.netBytes, Demand, func() {
-			s.eng.After(w.computeUs, func() {
-				s.run.DiskWriteBytes += w.shuffleWrite
-				n.diskDev.Transfer(w.shuffleWrite, Demand, func() {
-					for _, ins := range w.inserts {
-						s.insertBlock(ins)
-					}
-					s.bus.Emit(obs.Ev(obs.KindTaskEnd, n.id))
-					done()
-				})
-			})
-		})
-	})
+// task is one task in flight. A task holds its CPU slot from phase 1 to
+// the end; step is advance bound once, so handing the task to a device,
+// the engine or the slot queue allocates nothing per phase.
+type task struct {
+	s      *Simulation
+	n      *node
+	w      *taskWork
+	phase  int
+	step   func()
+	finish func() // the stage's countdown
+}
+
+// advance runs the task's next phase: demand disk read, demand network
+// read, compute, shuffle write, then cache inserts and slot release.
+func (t *task) advance() {
+	s, n, w := t.s, t.n, t.w
+	t.phase++
+	switch t.phase {
+	case 1:
+		s.run.TasksExecuted++
+		s.run.DiskReadBytes += w.diskBytes
+		s.run.NetReadBytes += w.netBytes
+		s.bus.Emit(obs.Ev(obs.KindTaskStart, n.id).WithValue(w.computeUs))
+		n.diskDev.Transfer(w.diskBytes, Demand, t.step)
+	case 2:
+		n.netDev.Transfer(w.netBytes, Demand, t.step)
+	case 3:
+		s.eng.After(w.computeUs, t.step)
+	case 4:
+		s.run.DiskWriteBytes += w.shuffleWrite
+		n.diskDev.Transfer(w.shuffleWrite, Demand, t.step)
+	case 5:
+		for _, ins := range w.inserts {
+			s.insertBlock(ins)
+		}
+		s.bus.Emit(obs.Ev(obs.KindTaskEnd, n.id))
+		n.cpu.Release()
+		t.finish()
+	}
 }
 
 // insertBlock places a newly materialized (or promoted) block into its
@@ -390,17 +415,19 @@ func (s *Simulation) insertBlock(ins insert) {
 	if ok {
 		s.replicate(n, ins.info)
 	}
-	s.notePeak()
+	s.noteUsed(n)
 }
 
-// notePeak updates the cluster-wide occupancy high-water mark.
-func (s *Simulation) notePeak() {
-	var used int64
-	for _, n := range s.nodes {
-		used += n.mem.Used()
-	}
-	if used > s.run.PeakCacheUsed {
-		s.run.PeakCacheUsed = used
+// noteUsed folds node n's occupancy change into the cluster-wide total
+// and its high-water mark. Every site that mutates a memory store calls
+// it, so the total always equals the sum of Used() over all nodes
+// without walking them on each insert.
+func (s *Simulation) noteUsed(n *node) {
+	used := n.mem.Used()
+	s.cacheUsed += used - n.cacheUsed
+	n.cacheUsed = used
+	if s.cacheUsed > s.run.PeakCacheUsed {
+		s.run.PeakCacheUsed = s.cacheUsed
 	}
 }
 

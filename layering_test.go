@@ -11,7 +11,9 @@ import (
 // execution engine name policies through internal/policyspec, so none
 // of them links the simulator or the experiment suite (sweep fabric,
 // run cache, HTML rendering) — not even transitively — and the server
-// no longer links the fault schedules either.
+// no longer links the fault schedules either. The correctness harness
+// (internal/check) drives the simulator but names its policies the same
+// way, so it does not link the evaluation harness it is a check on.
 func TestServiceAndExecDoNotLinkTheHarness(t *testing.T) {
 	harness := []string{"mrdspark/internal/experiments", "mrdspark/internal/sim"}
 	banned := map[string][]string{
@@ -20,6 +22,7 @@ func TestServiceAndExecDoNotLinkTheHarness(t *testing.T) {
 		"./cmd/mrdexec":      harness,
 		"./internal/service": harness,
 		"./internal/exec":    harness,
+		"./internal/check":   {"mrdspark/internal/experiments"},
 	}
 	for pkg, bans := range banned {
 		out, err := exec.Command("go", "list", "-deps", pkg).Output()
