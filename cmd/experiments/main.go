@@ -22,36 +22,19 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"mrdspark/internal/cli"
 	"mrdspark/internal/experiments"
 )
 
-func main() {
-	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
-	case err == nil:
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-}
-
-// errUsage is a bad invocation, already reported on stderr: exit
-// status 2, as opposed to a failed run's 1.
-var errUsage = errors.New("usage")
+func main() { cli.Main("experiments", run) }
 
 func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.Flags("experiments", stderr)
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	out := fs.String("out", "", "write results to this file as well as stdout")
@@ -64,11 +47,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sweepShard := fs.String("sweep-shard", "", "compute only shard i/n of the grid (e.g. 0/2)")
 	sweepShardOut := fs.String("sweep-shard-out", "", "write the computed shard here (required with -sweep-shard)")
 	sweepMerge := fs.String("sweep-merge", "", "comma-separated shard files to merge into the report")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	if *list {
@@ -105,11 +85,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, e := range experiments.Suite() {
 			known[e.ID] = true
 		}
-		for _, id := range strings.Split(*only, ",") {
-			id = strings.TrimSpace(id)
+		for _, id := range cli.SplitList(*only) {
 			if !known[id] {
-				fmt.Fprintf(stderr, "experiments: unknown id %q (use -list)\n", id)
-				return errUsage
+				return cli.Usagef("unknown id %q (use -list)", id)
 			}
 			sel[id] = true
 		}

@@ -2,28 +2,29 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"mrdspark/internal/cli"
 	"mrdspark/internal/experiments"
 )
 
-// drive runs the command in-process and returns what it wrote.
-func drive(t *testing.T, args ...string) (stdout, stderr string, err error) {
+// drive runs the command in-process, as main does, and returns what it
+// wrote and its exit status.
+func drive(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	t.Helper()
 	var o, e bytes.Buffer
-	err = run(args, &o, &e)
-	return o.String(), e.String(), err
+	status = cli.Run("experiments", run, args, &o, &e)
+	return o.String(), e.String(), status
 }
 
 func TestListNamesEverySuiteID(t *testing.T) {
-	out, _, err := drive(t, "-list")
-	if err != nil {
-		t.Fatal(err)
+	out, stderr, status := drive(t, "-list")
+	if status != 0 {
+		t.Fatal(stderr)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	suite := experiments.Suite()
@@ -38,9 +39,9 @@ func TestListNamesEverySuiteID(t *testing.T) {
 }
 
 func TestOnlyRunsExactlyTheSelection(t *testing.T) {
-	out, _, err := drive(t, "-only", "table1, fig2")
-	if err != nil {
-		t.Fatal(err)
+	out, stderr, status := drive(t, "-only", "table1, fig2")
+	if status != 0 {
+		t.Fatal(stderr)
 	}
 	var sections []string
 	for _, m := range regexp.MustCompile(`(?m)^== ([^:]+):`).FindAllStringSubmatch(out, -1) {
@@ -51,15 +52,15 @@ func TestOnlyRunsExactlyTheSelection(t *testing.T) {
 		t.Errorf("sections = %s, want fig2,table1,run cache", got)
 	}
 
-	_, stderr, err := drive(t, "-only", "fig2,nope")
-	if !errors.Is(err, errUsage) {
-		t.Errorf("unknown id: err = %v, want a usage error", err)
+	_, stderr, status = drive(t, "-only", "fig2,nope")
+	if status != 2 {
+		t.Errorf("unknown id: exit status %d, want 2 (usage)", status)
 	}
-	if !strings.Contains(stderr, `unknown id "nope"`) {
+	if !strings.Contains(stderr, `experiments: unknown id "nope"`) {
 		t.Errorf("unknown id not reported: %q", stderr)
 	}
-	if _, _, err := drive(t, "-no-such-flag"); !errors.Is(err, errUsage) {
-		t.Errorf("unknown flag: err = %v, want a usage error", err)
+	if _, _, status := drive(t, "-no-such-flag"); status != 2 {
+		t.Errorf("unknown flag: exit status %d, want 2 (usage)", status)
 	}
 }
 
@@ -75,8 +76,8 @@ func TestSweepShardsMergeToTheSingleProcessReport(t *testing.T) {
 		{"-sweep", "-sweep-grid", "smoke", "-sweep-shard", "1/2", "-sweep-shard-out", path("s1.json")},
 		{"-sweep-merge", path("s1.json") + "," + path("s0.json"), "-sweep-html", path("merged.html")},
 	} {
-		if out, _, err := drive(t, args...); err != nil {
-			t.Fatalf("%v: %v", args, err)
+		if out, stderr, status := drive(t, args...); status != 0 {
+			t.Fatalf("%v: %s", args, stderr)
 		} else if !strings.HasPrefix(out, "sweep: ") {
 			t.Errorf("%v: no sweep summary on stdout: %q", args, out)
 		}
@@ -94,10 +95,10 @@ func TestSweepShardsMergeToTheSingleProcessReport(t *testing.T) {
 			len(merged), len(whole))
 	}
 
-	if _, _, err := drive(t, "-sweep", "-sweep-grid", "smoke", "-sweep-shard", "0/2"); err == nil {
-		t.Error("-sweep-shard without -sweep-shard-out succeeded")
+	if _, _, status := drive(t, "-sweep", "-sweep-grid", "smoke", "-sweep-shard", "0/2"); status != 1 {
+		t.Errorf("-sweep-shard without -sweep-shard-out: exit status %d, want 1", status)
 	}
-	if _, _, err := drive(t, "-sweep", "-sweep-grid", "nope"); err == nil {
-		t.Error("unknown grid succeeded")
+	if _, _, status := drive(t, "-sweep", "-sweep-grid", "nope"); status != 1 {
+		t.Errorf("unknown grid: exit status %d, want 1", status)
 	}
 }

@@ -16,10 +16,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"mrdspark/internal/cli"
@@ -30,30 +28,35 @@ import (
 	"mrdspark/internal/workload"
 )
 
-func main() {
-	name := flag.String("workload", "PR", "workload name (see -list)")
-	policy := flag.String("policy", "MRD", "cache policy: "+strings.Join(policyspec.Names(), ", "))
-	workers := flag.Int("workers", exec.DefaultWorkers, "worker goroutines (one block manager each)")
-	cache := flag.String("cache", "", "per-worker cache size, e.g. 64M or 1G (default 64M)")
-	rows := flag.Int("rows", 0, "generated rows per source partition (0 = default 512)")
-	skew := flag.Float64("skew", 0, "hot-key fraction of generated rows in [0,1) (0 = default 0.2)")
-	seed := flag.Int64("seed", 0, "data-generation seed (also perturbs the DAG like mrdsim's -seed)")
-	iters := flag.Int("iterations", 0, "override the workload's iteration parameter")
-	adhoc := flag.Bool("adhoc", false, "build the DAG profile one job at a time (no recurring profile)")
-	jobDist := flag.Bool("jobdistance", false, "use job distance instead of stage distance (MRD)")
-	killWorker := flag.Int("kill-worker", -1, "kill this worker during the run (-1 = none)")
-	killStage := flag.Int("kill-stage", -1, "executed-stage index at which the kill lands (-1 = middle)")
-	killMid := flag.Bool("kill-mid", false, "kill mid-stage, under the running task wave, instead of at the boundary")
-	traceFile := flag.String("trace", "", "write a JSONL event trace to this file")
-	reportFile := flag.String("report", "", "write a self-contained HTML run report to this file")
-	promFile := flag.String("prom", "", "write per-stage/per-node metrics in Prometheus text format to this file")
-	list := flag.Bool("list", false, "list workloads and policies and exit")
-	flag.Parse()
+func main() { cli.Main("mrdexec", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("mrdexec", stderr)
+	name := fs.String("workload", "PR", "workload name (see -list)")
+	policy := fs.String("policy", "MRD", "cache policy: "+strings.Join(policyspec.Names(), ", "))
+	workers := fs.Int("workers", exec.DefaultWorkers, "worker goroutines (one block manager each)")
+	cache := fs.String("cache", "", "per-worker cache size, e.g. 64M or 1G (default 64M)")
+	rows := fs.Int("rows", 0, "generated rows per source partition (0 = default 512)")
+	skew := fs.Float64("skew", 0, "hot-key fraction of generated rows in [0,1) (0 = default 0.2)")
+	seed := fs.Int64("seed", 0, "data-generation seed (nonzero also jitters the DAG's partition sizes and compute costs by ±10%)")
+	iters := fs.Int("iterations", 0, "override the workload's iteration parameter")
+	adhoc := fs.Bool("adhoc", false, "build the DAG profile one job at a time (no recurring profile)")
+	jobDist := fs.Bool("jobdistance", false, "use job distance instead of stage distance (MRD)")
+	killWorker := fs.Int("kill-worker", -1, "kill this worker during the run (-1 = none)")
+	killStage := fs.Int("kill-stage", -1, "executed-stage index at which the kill lands (-1 = middle)")
+	killMid := fs.Bool("kill-mid", false, "kill mid-stage, under the running task wave, instead of at the boundary")
+	traceFile := fs.String("trace", "", "write a JSONL event trace to this file")
+	reportFile := fs.String("report", "", "write a self-contained HTML run report to this file")
+	promFile := fs.String("prom", "", "write per-stage/per-node metrics in Prometheus text format to this file")
+	list := fs.Bool("list", false, "list workloads and policies and exit")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Println("workloads:", strings.Join(workload.Names(), " "))
-		fmt.Println("policies: ", strings.Join(policyspec.Names(), " "))
-		return
+		fmt.Fprintln(stdout, "workloads:", strings.Join(workload.Names(), " "))
+		fmt.Fprintln(stdout, "policies: ", strings.Join(policyspec.Names(), " "))
+		return nil
 	}
 
 	spec, err := workload.Build(*name, workload.Params{
@@ -63,7 +66,7 @@ func main() {
 		DataSkew:   *skew,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var mrd core.Options
@@ -72,15 +75,13 @@ func main() {
 	}
 	pol, err := policyspec.Parse(*policy, mrd, *adhoc)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	cfg := exec.Config{Workers: *workers, Policy: pol}
-	if *cache != "" {
-		b, err := cli.ParseBytes(*cache)
-		if err != nil {
-			fatal(err)
-		}
+	cfg := exec.Config{Workers: *workers, Policy: pol, CacheBytes: exec.DefaultCacheBytes}
+	if b, err := cli.CacheSize(*cache); err != nil {
+		return err
+	} else if b > 0 {
 		cfg.CacheBytes = b
 	}
 	if *killWorker >= 0 {
@@ -90,21 +91,22 @@ func main() {
 			ix = len(stages) / 2
 		}
 		if ix >= len(stages) {
-			fatal(fmt.Errorf("kill stage index %d out of range: %s executes %d stages", ix, *name, len(stages)))
+			return fmt.Errorf("kill stage index %d out of range: %s executes %d stages", ix, *name, len(stages))
 		}
 		cfg.Kill = &exec.KillSpec{Worker: *killWorker, Stage: stages[ix].ID, Mid: *killMid}
 	}
 
 	engine, err := exec.New(spec, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// The observability pipeline taps the engine's event stream exactly
 	// as it taps the simulator's.
+	ex := cli.Exports{Trace: *traceFile, Prom: *promFile, Report: *reportFile}
 	bus := obs.New()
 	var rec *obs.Recorder
-	if *traceFile != "" {
+	if ex.Trace != "" {
 		rec = obs.NewRecorder()
 		rec.Attach(bus)
 	}
@@ -114,24 +116,10 @@ func main() {
 
 	res, err := engine.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	if rec != nil {
-		if err := cli.WriteTo(*traceFile, rec.WriteJSONL); err != nil {
-			fatal(err)
-		}
-	}
-	if *promFile != "" {
-		if err := cli.WriteTo(*promFile, func(w io.Writer) error { return obs.WritePrometheus(w, agg) }); err != nil {
-			fatal(err)
-		}
-	}
-	if *reportFile != "" {
-		run := agg.SynthesizeRun(res.Workload, res.Policy)
-		if err := cli.WriteTo(*reportFile, agg.Report(run).WriteHTML); err != nil {
-			fatal(err)
-		}
+	if err := ex.Write(stdout, rec, agg, agg.Report(agg.SynthesizeRun(res.Workload, res.Policy))); err != nil {
+		return err
 	}
 
 	hits, misses := res.Counters.Hits, res.Counters.Misses
@@ -139,40 +127,29 @@ func main() {
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
 	}
-	cacheBytes := cfg.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = exec.DefaultCacheBytes
+	rowsPerPart := exec.DefaultRows
+	if *rows > 0 {
+		rowsPerPart = *rows
 	}
-	fmt.Printf("workload:        %s executed on %d workers (%s cache/worker, %d rows/partition)\n",
-		res.Workload, res.Workers, cli.MB(cacheBytes), pick(*rows, exec.DefaultRows))
-	fmt.Printf("policy:          %s\n", res.Policy)
-	fmt.Printf("JCT:             %v (measured wall clock)\n", res.JCT)
-	fmt.Printf("hit ratio:       %.1f%% (%d hits / %d misses)\n", 100*ratio, hits, misses)
-	fmt.Printf("miss breakdown:  %d disk promotes, %d recomputes\n", res.Counters.Promotes, res.Counters.Recomputes)
-	fmt.Printf("evictions:       %d (+%d purged)\n", res.Counters.Evictions, res.Counters.Purged)
-	fmt.Printf("prefetch:        %d issued, %d used, %d wasted, %d pending\n",
+	fmt.Fprintf(stdout, "workload:        %s executed on %d workers (%s cache/worker, %d rows/partition)\n",
+		res.Workload, res.Workers, cli.MB(cfg.CacheBytes), rowsPerPart)
+	fmt.Fprintf(stdout, "policy:          %s\n", res.Policy)
+	fmt.Fprintf(stdout, "JCT:             %v (measured wall clock)\n", res.JCT)
+	fmt.Fprintf(stdout, "hit ratio:       %.1f%% (%d hits / %d misses)\n", 100*ratio, hits, misses)
+	fmt.Fprintf(stdout, "miss breakdown:  %d disk promotes, %d recomputes\n", res.Counters.Promotes, res.Counters.Recomputes)
+	fmt.Fprintf(stdout, "evictions:       %d (+%d purged)\n", res.Counters.Evictions, res.Counters.Purged)
+	fmt.Fprintf(stdout, "prefetch:        %d issued, %d used, %d wasted, %d pending\n",
 		res.PrefetchIssued, res.PrefetchUsed, res.PrefetchWasted, res.PrefetchPending)
-	fmt.Printf("data plane:      %d tasks (%d retried), %s spilled in %d blocks, %s shuffled, %d remote fetches\n",
+	fmt.Fprintf(stdout, "data plane:      %d tasks (%d retried), %s spilled in %d blocks, %s shuffled, %d remote fetches\n",
 		res.TasksRun, res.TaskRetries, cli.MB(res.SpillBytes), res.Spills, cli.MB(res.ShuffleBytes), res.RemoteFetches)
-	fmt.Printf("lineage:         %d block/map-output recomputes\n", res.LineageRecomputes)
-	fmt.Printf("output digest:   %#016x (%d jobs)\n", res.OutputDigest, len(res.JobDigests))
+	fmt.Fprintf(stdout, "lineage:         %d block/map-output recomputes\n", res.LineageRecomputes)
+	fmt.Fprintf(stdout, "output digest:   %#016x (%d jobs)\n", res.OutputDigest, len(res.JobDigests))
 	if cfg.Kill != nil {
 		mode := "at the stage boundary"
 		if cfg.Kill.Mid {
 			mode = "mid-stage, under the task wave"
 		}
-		fmt.Printf("chaos:           worker %d killed %s (stage %d)\n", cfg.Kill.Worker, mode, cfg.Kill.Stage)
+		fmt.Fprintf(stdout, "chaos:           worker %d killed %s (stage %d)\n", cfg.Kill.Worker, mode, cfg.Kill.Stage)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mrdexec:", err)
-	os.Exit(1)
-}
-
-func pick(v, def int) int {
-	if v > 0 {
-		return v
-	}
-	return def
+	return nil
 }

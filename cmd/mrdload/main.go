@@ -23,8 +23,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -69,43 +69,39 @@ type api interface {
 // a deterministic chaos trigger (a wall-clock timer would race the
 // load's progress and make CI flaky).
 type killer struct {
-	after int64 // advance count that pulls the trigger; 0 disables
-	pid   int
-	count atomic.Int64
-	once  sync.Once
-	fired atomic.Bool
+	after          int64 // advance count that pulls the trigger; 0 disables
+	pid            int
+	stdout, stderr io.Writer
+	count          atomic.Int64
 }
 
-// tick notes one successful advance and fires when the count is due.
+// tick notes one successful advance; the one that makes the count due
+// fires.
 func (k *killer) tick() {
-	if k.after <= 0 || k.pid <= 0 {
+	if k.after <= 0 || k.pid <= 0 || k.count.Add(1) != k.after {
 		return
 	}
-	if k.count.Add(1) < k.after {
+	proc, err := os.FindProcess(k.pid)
+	if err == nil {
+		err = proc.Kill()
+	}
+	if err != nil {
+		fmt.Fprintf(k.stderr, "mrdload: kill pid %d: %v\n", k.pid, err)
 		return
 	}
-	k.once.Do(func() {
-		proc, err := os.FindProcess(k.pid)
-		if err == nil {
-			err = proc.Kill()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrdload: kill pid %d: %v\n", k.pid, err)
-			return
-		}
-		k.fired.Store(true)
-		fmt.Printf("mrdload: killed pid %d after %d advances\n", k.pid, k.after)
-	})
+	fmt.Fprintf(k.stdout, "mrdload: killed pid %d after %d advances\n", k.pid, k.after)
 }
+
+// hopNames are the tiers a response's X-Mrd-* headers can time, outermost
+// first.
+var hopNames = [...]string{"router", "shard", "compute"}
 
 // hopStats folds every successful call's per-hop breakdown (parsed
-// from the X-Mrd-* response headers) into router/shard/compute latency
-// samples plus a traced-response tally.
+// from the X-Mrd-* response headers) into one latency sample set per
+// hop plus a traced-response tally.
 type hopStats struct {
 	mu      sync.Mutex
-	router  []time.Duration
-	shard   []time.Duration
-	compute []time.Duration
+	samples [len(hopNames)][]time.Duration
 	traced  int
 	total   int
 }
@@ -117,36 +113,28 @@ func (h *hopStats) add(hp client.Hops) {
 	if hp.TraceID != "" {
 		h.traced++
 	}
-	if hp.RouterUs >= 0 {
-		h.router = append(h.router, time.Duration(hp.RouterUs)*time.Microsecond)
-	}
-	if hp.ShardUs >= 0 {
-		h.shard = append(h.shard, time.Duration(hp.ShardUs)*time.Microsecond)
-	}
-	if hp.ComputeUs >= 0 {
-		h.compute = append(h.compute, time.Duration(hp.ComputeUs)*time.Microsecond)
+	for i, us := range [...]int64{hp.RouterUs, hp.ShardUs, hp.ComputeUs} {
+		if us >= 0 {
+			h.samples[i] = append(h.samples[i], time.Duration(us)*time.Microsecond)
+		}
 	}
 }
 
 // report prints the per-hop breakdown next to the end-to-end latency
 // percentiles; hops a tier never stamped (e.g. router with -addr) are
 // omitted.
-func (h *hopStats) report() {
+func (h *hopStats) report(stdout io.Writer) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.total == 0 {
 		return
 	}
-	line := func(name string, d []time.Duration) {
-		if len(d) == 0 {
-			return
+	fmt.Fprintf(stdout, "per-hop:       %d/%d responses traced\n", h.traced, h.total)
+	for i, d := range h.samples {
+		if len(d) > 0 {
+			fmt.Fprintf(stdout, "  %-8s p50 %v  p99 %v  (%d samples)\n", hopNames[i], percentile(d, 50), percentile(d, 99), len(d))
 		}
-		fmt.Printf("  %-8s p50 %v  p99 %v  (%d samples)\n", name, percentile(d, 50), percentile(d, 99), len(d))
 	}
-	fmt.Printf("per-hop:       %d/%d responses traced\n", h.traced, h.total)
-	line("router", h.router)
-	line("shard", h.shard)
-	line("compute", h.compute)
 }
 
 // sessionResult is one worker's tally.
@@ -159,24 +147,29 @@ type sessionResult struct {
 	err        error
 }
 
-func main() {
-	addr := flag.String("addr", "http://127.0.0.1:7788", "mrdserver base URL")
-	shards := flag.String("shards", "", "comma-separated shard base URLs; non-empty switches to the consistent-hash failover client (overrides -addr)")
-	sessions := flag.Int("sessions", 8, "concurrent sessions to run")
-	group := flag.String("workload", "scc", "workload group (scc, hibench, mllib, all) or one workload name")
-	parity := flag.Bool("parity", false, "cross-check every server decision against an in-process advisor")
-	nodes := flag.Int("nodes", 4, "modeled worker nodes per session")
-	cache := flag.Int64("cache", 128, "modeled per-node cache in MB")
-	policyKind := flag.String("policy", "MRD", "cache policy kind for every session")
-	killAfter := flag.Int64("kill-after", 0, "SIGKILL -kill-pid after this many successful advances (chaos mode; 0 disables)")
-	killPid := flag.Int("kill-pid", 0, "process to SIGKILL in chaos mode")
-	bin := flag.Bool("bin", false, "drive the binary frame protocol instead of JSON (server needs -frame-addr)")
-	batch := flag.Bool("batch", false, "submit each job's steps as one batch call instead of per-step requests")
-	retryWait := flag.Duration("retry-wait", 3*time.Second, "per-call retry wall-time cap (also the shard-failover detection latency)")
-	traceCap := flag.Int("trace-capacity", 4*trace.DefaultCapacity, "client span ring capacity; 0 disables client-side tracing")
-	traceOut := flag.String("trace-out", "", "write the client span export (JSONL) here at exit")
-	traceChrome := flag.String("trace-chrome", "", "write the Chrome trace_event export here at exit")
-	flag.Parse()
+func main() { cli.Main("mrdload", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("mrdload", stderr)
+	addr := fs.String("addr", "http://127.0.0.1:7788", "mrdserver base URL")
+	shards := fs.String("shards", "", "comma-separated shard base URLs; non-empty switches to the consistent-hash failover client (overrides -addr)")
+	sessions := fs.Int("sessions", 8, "concurrent sessions to run")
+	group := fs.String("workload", "scc", "workload group (scc, hibench, mllib, all) or one workload name")
+	parity := fs.Bool("parity", false, "cross-check every server decision against an in-process advisor")
+	nodes := fs.Int("nodes", 4, "modeled worker nodes per session")
+	cache := fs.Int64("cache", 128, "modeled per-node cache in MB")
+	policyKind := fs.String("policy", "MRD", "cache policy kind for every session")
+	killAfter := fs.Int64("kill-after", 0, "SIGKILL -kill-pid after this many successful advances (chaos mode; 0 disables)")
+	killPid := fs.Int("kill-pid", 0, "process to SIGKILL in chaos mode")
+	bin := fs.Bool("bin", false, "drive the binary frame protocol instead of JSON (server needs -frame-addr)")
+	batch := fs.Bool("batch", false, "submit each job's steps as one batch call instead of per-step requests")
+	retryWait := fs.Duration("retry-wait", 3*time.Second, "per-call retry wall-time cap (also the shard-failover detection latency)")
+	traceCap := fs.Int("trace-capacity", 4*trace.DefaultCapacity, "client span ring capacity; 0 disables client-side tracing")
+	traceOut := fs.String("trace-out", "", "write the client span export (JSONL) here at exit")
+	traceChrome := fs.String("trace-chrome", "", "write the Chrome trace_event export here at exit")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	names, ok := groups[strings.ToLower(*group)]
 	if !ok {
@@ -215,9 +208,9 @@ func main() {
 		})
 	}
 	defer c.Close()
-	fmt.Printf("mrdload: %d sessions x %s (%d workloads) against %s (%s), policy %s, parity %v\n",
+	fmt.Fprintf(stdout, "mrdload: %d sessions x %s (%d workloads) against %s (%s), policy %s, parity %v\n",
 		*sessions, *group, len(names), target, transport, *policyKind, *parity)
-	chaos := &killer{after: *killAfter, pid: *killPid}
+	chaos := &killer{after: *killAfter, pid: *killPid, stdout: stdout, stderr: stderr}
 
 	start := time.Now()
 	results := make([]sessionResult, *sessions)
@@ -237,7 +230,9 @@ func main() {
 			if sharded != nil || *bin {
 				id = fmt.Sprintf("load-%d", i+1)
 			}
-			results[i] = runSession(c, id, names[i%len(names)], params, advCfg, *parity, *batch, chaos)
+			res := &results[i]
+			res.workload = names[i%len(names)]
+			res.err = runSession(res, c, id, params, advCfg, *parity, *batch, chaos)
 		}(i)
 	}
 	wg.Wait()
@@ -253,193 +248,164 @@ func main() {
 		mismatches = append(mismatches, r.mismatches...)
 		if r.err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "mrdload: session %s failed: %v\n", r.workload, r.err)
+			fmt.Fprintf(stderr, "mrdload: session %s failed: %v\n", r.workload, r.err)
 		}
 	}
 
 	okSessions := *sessions - failed
-	fmt.Printf("sessions:      %d ok, %d failed (%.1f sessions/s)\n",
+	fmt.Fprintf(stdout, "sessions:      %d ok, %d failed (%.1f sessions/s)\n",
 		okSessions, failed, float64(okSessions)/elapsed.Seconds())
-	fmt.Printf("advice calls:  %d (%.1f calls/s)\n", advances, float64(advances)/elapsed.Seconds())
-	fmt.Printf("latency:       p50 %v  p99 %v\n", percentile(latencies, 50), percentile(latencies, 99))
-	hops.report()
+	fmt.Fprintf(stdout, "advice calls:  %d (%.1f calls/s)\n", advances, float64(advances)/elapsed.Seconds())
+	fmt.Fprintf(stdout, "latency:       p50 %v  p99 %v\n", percentile(latencies, 50), percentile(latencies, 99))
+	hops.report(stdout)
 	if sharded != nil {
 		st := sharded.Stats()
-		fmt.Printf("failovers:     %d (re-route p50 %v  p99 %v)\n", st.Failovers, st.RerouteP50, st.RerouteP99)
+		fmt.Fprintf(stdout, "failovers:     %d (re-route p50 %v  p99 %v)\n", st.Failovers, st.RerouteP50, st.RerouteP99)
 		for _, ev := range st.Reroutes {
 			line := fmt.Sprintf("  re-route:    %s -> %s (%d ops replayed, %v)", ev.Session, ev.Owner, ev.Ops, ev.Latency)
 			if ev.Trace != "" {
 				line += " trace=" + ev.Trace
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 		perShard := make([]string, 0, len(st.SessionsPerShard))
 		for _, sh := range shardList {
 			perShard = append(perShard, fmt.Sprintf("%s=%d", sh, st.SessionsPerShard[sh]))
 		}
-		fmt.Printf("shard owners:  %s\n", strings.Join(perShard, "  "))
+		fmt.Fprintf(stdout, "shard owners:  %s\n", strings.Join(perShard, "  "))
 	}
 	if *parity {
-		fmt.Printf("parity:        %d advice checked, %d mismatches\n", checked, len(mismatches))
+		fmt.Fprintf(stdout, "parity:        %d advice checked, %d mismatches\n", checked, len(mismatches))
 		for i, m := range mismatches {
 			if i == 5 {
-				fmt.Fprintf(os.Stderr, "mrdload: ... %d more mismatches\n", len(mismatches)-5)
+				fmt.Fprintf(stderr, "mrdload: ... %d more mismatches\n", len(mismatches)-5)
 				break
 			}
-			fmt.Fprintf(os.Stderr, "mrdload: MISMATCH %s\n", m)
+			fmt.Fprintf(stderr, "mrdload: MISMATCH %s\n", m)
 		}
 	}
 	// A nil tracer writes empty-but-valid files so scripted runs can rely
 	// on the artifact existing.
-	summary, err := cli.ExportTraces(tracer, *traceOut, *traceChrome)
+	summary, err := cli.ExportTraces(tracer, stdout, *traceOut, *traceChrome)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mrdload: trace export: %v\n", err)
+		fmt.Fprintf(stderr, "mrdload: trace export: %v\n", err)
 	}
 	if summary != "" {
-		fmt.Printf("traces:        %s\n", summary)
+		fmt.Fprintf(stdout, "traces:        %s\n", summary)
 	}
 	if failed > 0 || len(mismatches) > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d sessions failed, %d mismatches", failed, len(mismatches))
 	}
+	return nil
 }
 
 // runSession creates one server session, replays the workload's
-// canonical schedule through the advisory API (per-step calls, or one
-// batch call per job with batch set), and (under -parity) compares
-// every advice fingerprint against the in-process oracle.
-func runSession(c api, id, name string, params workload.Params, cfg service.AdvisorConfig, parity, batch bool, chaos *killer) sessionResult {
-	res := sessionResult{workload: name}
+// canonical schedule through the advisory API one job at a time, and
+// under -parity compares the advice sequence, fingerprint by
+// fingerprint, against an in-process oracle's replay of the same
+// schedule.
+func runSession(res *sessionResult, c api, id string, params workload.Params, cfg service.AdvisorConfig, parity, batch bool, chaos *killer) error {
 	ctx := context.Background()
-
-	spec, err := workload.Build(name, params)
+	spec, err := workload.Build(res.workload, params)
 	if err != nil {
-		res.err = err
-		return res
+		return err
 	}
-	var oracle *service.Advisor
-	if parity {
-		// The oracle gets its own DAG instance: nothing is shared with the
-		// request path, so agreement can only come from determinism.
-		ospec, err := workload.Build(name, params)
-		if err != nil {
-			res.err = err
-			return res
-		}
-		if oracle, err = service.NewAdvisor(ospec.Graph, cfg); err != nil {
-			res.err = err
-			return res
-		}
-	}
-
-	created, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: name, Params: params, Advisor: cfg})
+	created, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: res.workload, Params: params, Advisor: cfg})
 	if err != nil {
-		res.err = fmt.Errorf("create: %w", err)
-		return res
+		return fmt.Errorf("create: %w", err)
 	}
 	defer c.DeleteSession(ctx, created.ID)
 
-	if batch {
-		return runBatchSession(c, created.ID, spec, oracle, res, chaos)
-	}
-
-	for _, st := range service.Schedule(spec.Graph) {
-		if st.Stage < 0 {
-			if _, err := c.SubmitJob(ctx, created.ID, st.Job); err != nil {
-				res.err = fmt.Errorf("job %d: %w", st.Job, err)
-				return res
-			}
-			if oracle != nil {
-				if err := oracle.SubmitJob(st.Job); err != nil {
-					res.err = err
-					return res
-				}
-			}
-			continue
-		}
-		t0 := time.Now()
-		got, err := c.Advance(ctx, created.ID, st.Stage)
-		res.latencies = append(res.latencies, time.Since(t0))
-		if err != nil {
-			res.err = fmt.Errorf("stage %d: %w", st.Stage, err)
-			return res
-		}
-		res.advances++
-		chaos.tick()
-		if oracle != nil {
-			want, err := oracle.Advance(st.Stage)
-			if err != nil {
-				res.err = err
-				return res
-			}
-			res.checked++
-			if g, w := got.Fingerprint(), want.Fingerprint(); g != w {
-				res.mismatches = append(res.mismatches,
-					fmt.Sprintf("%s seed=%d stage=%d\n  server: %s\n  oracle: %s", name, params.Seed, st.Stage, g, w))
-			}
-		}
-	}
-	return res
-}
-
-// runBatchSession replays the schedule one job per RunBatch call: the
-// job's submit step plus every stage it creates, with the advices
-// checked against the oracle in stream order.
-func runBatchSession(c api, id string, spec *workload.Spec, oracle *service.Advisor, res sessionResult, chaos *killer) sessionResult {
-	ctx := context.Background()
+	var got []service.Advice
 	sched := service.Schedule(spec.Graph)
 	for start := 0; start < len(sched); {
+		// One job: its submit step, then every stage it creates.
 		end := start + 1
 		for end < len(sched) && sched[end].Stage >= 0 {
 			end++
 		}
-		steps := sched[start:end]
+		advices, err := advise(ctx, c, created.ID, sched[start:end], batch, res, chaos)
+		if err != nil {
+			return err
+		}
+		if parity {
+			got = append(got, advices...)
+		}
+		start = end
+	}
+	if !parity {
+		return nil
+	}
+
+	// The oracle gets its own DAG instance: nothing is shared with the
+	// request path, so agreement can only come from determinism — which
+	// is also why it can replay on its own instead of in lockstep.
+	ospec, err := workload.Build(res.workload, params)
+	if err != nil {
+		return err
+	}
+	oracle, err := service.NewAdvisor(ospec.Graph, cfg)
+	if err != nil {
+		return err
+	}
+	want, err := service.Replay(oracle)
+	if err != nil {
+		return err
+	}
+	for i, w := range want {
+		server, oracle := "(missing advice)", w.Fingerprint()
+		if i < len(got) {
+			server = got[i].Fingerprint()
+			res.checked++
+		}
+		if server != oracle {
+			res.mismatches = append(res.mismatches,
+				fmt.Sprintf("%s seed=%d stage=%d\n  server: %s\n  oracle: %s", res.workload, params.Seed, w.Stage, server, oracle))
+		}
+	}
+	if len(got) > len(want) {
+		res.mismatches = append(res.mismatches,
+			fmt.Sprintf("%s seed=%d: %d advices for %d stage steps", res.workload, params.Seed, len(got), len(want)))
+	}
+	return nil
+}
+
+// advise fetches one job's advices, by one RunBatch call or step by
+// step. Each advisory call is timed; each advice counts as an advance
+// and ticks the chaos trigger.
+func advise(ctx context.Context, c api, id string, steps []service.Step, batch bool, res *sessionResult, chaos *killer) ([]service.Advice, error) {
+	if batch {
 		t0 := time.Now()
 		resp, err := c.RunBatch(ctx, id, steps)
 		res.latencies = append(res.latencies, time.Since(t0))
 		if err != nil {
-			res.err = fmt.Errorf("batch [%d:%d): %w", start, end, err)
-			return res
+			return nil, fmt.Errorf("batch of job %d: %w", steps[0].Job, err)
 		}
 		res.advances += len(resp.Advices)
 		for range resp.Advices {
 			chaos.tick()
 		}
-		if oracle != nil {
-			ai := 0
-			for _, st := range steps {
-				if st.Stage < 0 {
-					if err := oracle.SubmitJob(st.Job); err != nil {
-						res.err = err
-						return res
-					}
-					continue
-				}
-				want, err := oracle.Advance(st.Stage)
-				if err != nil {
-					res.err = err
-					return res
-				}
-				if ai >= len(resp.Advices) {
-					res.mismatches = append(res.mismatches,
-						fmt.Sprintf("%s seed=%d stage=%d\n  server: (missing advice)\n  oracle: %s", res.workload, spec.Params.Seed, st.Stage, want.Fingerprint()))
-					continue
-				}
-				got := resp.Advices[ai]
-				ai++
-				res.checked++
-				if g, w := got.Fingerprint(), want.Fingerprint(); g != w {
-					res.mismatches = append(res.mismatches,
-						fmt.Sprintf("%s seed=%d stage=%d\n  server: %s\n  oracle: %s", res.workload, spec.Params.Seed, st.Stage, g, w))
-				}
-			}
-			if ai != len(resp.Advices) {
-				res.mismatches = append(res.mismatches,
-					fmt.Sprintf("%s seed=%d batch [%d:%d): %d advices for %d stage steps", res.workload, spec.Params.Seed, start, end, len(resp.Advices), ai))
-			}
-		}
-		start = end
+		return resp.Advices, nil
 	}
-	return res
+	var got []service.Advice
+	for _, st := range steps {
+		if st.Stage < 0 {
+			if _, err := c.SubmitJob(ctx, id, st.Job); err != nil {
+				return nil, fmt.Errorf("job %d: %w", st.Job, err)
+			}
+			continue
+		}
+		t0 := time.Now()
+		adv, err := c.Advance(ctx, id, st.Stage)
+		res.latencies = append(res.latencies, time.Since(t0))
+		if err != nil {
+			return nil, fmt.Errorf("stage %d: %w", st.Stage, err)
+		}
+		res.advances++
+		chaos.tick()
+		got = append(got, adv)
+	}
+	return got, nil
 }
 
 // percentile returns the p-th percentile latency (nearest-rank).

@@ -18,79 +18,72 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
-
-	"flag"
 
 	"mrdspark/internal/cli"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/obs/trace"
 )
 
-func main() {
-	traceFile := flag.String("trace", "", "JSONL event trace to replay (- for stdin)")
-	spanFiles := flag.String("spans", "", "comma-separated span JSONL exports (mrdserver/mrdload -trace-out) to render as a request waterfall; merged into one timeline")
-	out := flag.String("o", "", "write the HTML report to this file (- for stdout)")
-	promFile := flag.String("prom", "", "write the Prometheus text exposition to this file")
-	chromeOut := flag.String("chrome", "", "with -spans: also write the merged spans as a Chrome trace_event file")
-	title := flag.String("title", "replayed trace", "report title (the trace does not carry workload/policy names)")
-	flag.Parse()
+func main() { cli.Main("mrdreport", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("mrdreport", stderr)
+	traceFile := fs.String("trace", "", "JSONL event trace to replay (- for stdin)")
+	spanFiles := fs.String("spans", "", "comma-separated span JSONL exports (mrdserver/mrdload -trace-out) to render as a request waterfall; merged into one timeline")
+	out := fs.String("o", "", "write the HTML report to this file (- for stdout)")
+	promFile := fs.String("prom", "", "write the Prometheus text exposition to this file")
+	chromeOut := fs.String("chrome", "", "with -spans: also write the merged spans as a Chrome trace_event file")
+	title := fs.String("title", "replayed trace", "report title (the trace does not carry workload/policy names)")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *spanFiles != "" {
 		if *traceFile != "" {
-			fmt.Fprintln(os.Stderr, "mrdreport: -trace and -spans are mutually exclusive")
-			os.Exit(2)
+			return cli.Usagef("-trace and -spans are mutually exclusive")
 		}
-		runSpans(*spanFiles, *out, *chromeOut, *title)
-		return
+		return runSpans(stdout, cli.SplitList(*spanFiles), *out, *chromeOut, *title)
 	}
 	if *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "mrdreport: one of -trace or -spans is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mrdreport: one of -trace or -spans is required")
+		fs.Usage()
+		return cli.ErrUsage
 	}
 	if *out == "" && *promFile == "" {
 		*out = "-"
 	}
 
-	var in io.Reader = os.Stdin
-	if *traceFile != "-" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mrdreport:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		in = f
-	}
-	events, err := obs.ReadJSONL(in)
+	events, err := readFrom(*traceFile, obs.ReadJSONL)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mrdreport:", err)
-		os.Exit(1)
+		return err
 	}
 	if len(events) == 0 {
-		fmt.Fprintln(os.Stderr, "mrdreport: trace is empty")
-		os.Exit(1)
+		return errors.New("trace is empty")
 	}
 	agg := obs.Replay(events)
+	rep := agg.Report(agg.SynthesizeRun(*title, ""))
+	rep.Title = *title
+	return cli.Exports{Prom: *promFile, Report: *out}.Write(stdout, nil, agg, rep)
+}
 
-	if *promFile != "" {
-		if err := cli.WriteTo(*promFile, func(w io.Writer) error { return obs.WritePrometheus(w, agg) }); err != nil {
-			fmt.Fprintln(os.Stderr, "mrdreport:", err)
-			os.Exit(1)
-		}
+// readFrom parses the file at path — stdin for "-" — with read.
+func readFrom[T any](path string, read func(io.Reader) (T, error)) (got T, err error) {
+	if path == "-" {
+		return read(os.Stdin)
 	}
-	if *out != "" {
-		rep := agg.Report(agg.SynthesizeRun(*title, ""))
-		rep.Title = *title
-		if err := cli.WriteTo(*out, rep.WriteHTML); err != nil {
-			fmt.Fprintln(os.Stderr, "mrdreport:", err)
-			os.Exit(1)
-		}
+	f, err := os.Open(path)
+	if err != nil {
+		return got, err
 	}
+	defer f.Close()
+	if got, err = read(f); err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return got, err
 }
 
 // runSpans merges one or more span JSONL exports and renders the
@@ -98,56 +91,31 @@ func main() {
 // Merging matters because each tier exports its own ring: the stitch
 // into full request trees only appears once client, router, and shard
 // spans sit in one timeline.
-func runSpans(files, out, chromeOut, title string) {
+func runSpans(stdout io.Writer, files []string, out, chromeOut, title string) error {
 	var spans []trace.Span
-	for _, path := range strings.Split(files, ",") {
-		if path = strings.TrimSpace(path); path == "" {
-			continue
-		}
-		var in io.Reader = os.Stdin
-		if path != "-" {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mrdreport:", err)
-				os.Exit(1)
-			}
-			got, err := trace.ReadJSONL(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrdreport: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			spans = append(spans, got...)
-			continue
-		}
-		got, err := trace.ReadJSONL(in)
+	for _, path := range files {
+		got, err := readFrom(path, trace.ReadJSONL)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mrdreport:", err)
-			os.Exit(1)
+			return err
 		}
 		spans = append(spans, got...)
 	}
 	if len(spans) == 0 {
-		fmt.Fprintln(os.Stderr, "mrdreport: span exports are empty")
-		os.Exit(1)
+		return errors.New("span exports are empty")
 	}
 	if title == "replayed trace" {
 		title = "request waterfall"
 	}
 	if chromeOut != "" {
-		if err := cli.WriteTo(chromeOut, func(w io.Writer) error { return trace.WriteChromeTrace(w, spans) }); err != nil {
-			fmt.Fprintln(os.Stderr, "mrdreport:", err)
-			os.Exit(1)
+		if err := cli.WriteTo(chromeOut, stdout, func(w io.Writer) error { return trace.WriteChromeTrace(w, spans) }); err != nil {
+			return err
 		}
 	}
 	if out == "" && chromeOut != "" {
-		return
+		return nil
 	}
 	if out == "" {
 		out = "-"
 	}
-	if err := cli.WriteTo(out, func(w io.Writer) error { return obs.WriteTraceWaterfall(w, spans, title) }); err != nil {
-		fmt.Fprintln(os.Stderr, "mrdreport:", err)
-		os.Exit(1)
-	}
+	return cli.WriteTo(out, stdout, func(w io.Writer) error { return obs.WriteTraceWaterfall(w, spans, title) })
 }

@@ -13,100 +13,126 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
-	"os"
+	"io"
 
 	"mrdspark"
+	"mrdspark/internal/cli"
 	"mrdspark/internal/core"
 	"mrdspark/internal/profile"
 	"mrdspark/internal/refdist"
 	"mrdspark/internal/sim"
 )
 
-func main() {
-	dir := flag.String("dir", "./profiles", "profile store directory")
-	wl := flag.String("workload", "", "workload name (record/show/compare/delete)")
-	cacheMB := flag.Int64("cache", 180, "per-node cache in MB for record/compare runs")
-	flag.Parse()
+func main() { cli.Main("profiles", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("profiles", stderr)
+	dir := fs.String("dir", "./profiles", "profile store directory")
+	wl := fs.String("workload", "", "workload name (record/show/compare/delete)")
+	cacheMB := fs.Int64("cache", 180, "per-node cache in MB for record/compare runs")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	// Flags may follow the command too, as the usage above writes them.
+	cmd := fs.Arg(0)
+	if fs.NArg() > 1 {
+		if err := cli.Parse(fs, fs.Args()[1:]); err != nil {
+			return err
+		}
+	}
 
 	store, err := profile.NewStore(*dir)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	cmd := flag.Arg(0)
 	switch cmd {
 	case "list", "":
 		apps, err := store.Apps()
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if len(apps) == 0 {
-			fmt.Println("no stored profiles")
-			return
+			fmt.Fprintln(stdout, "no stored profiles")
+			return nil
 		}
 		for _, app := range apps {
 			e, _, err := store.Load(app)
 			if err != nil {
-				fail(err)
+				return err
 			}
-			fmt.Printf("%-12s runs=%d complete=%v discrepancies=%d cachedRDDs=%d\n",
+			fmt.Fprintf(stdout, "%-12s runs=%d complete=%v discrepancies=%d cachedRDDs=%d\n",
 				e.App, e.Runs, e.Complete, e.Discrepancies, len(e.Profile.Creation))
 		}
 	case "record":
-		run, prof := runOnce(*wl, *cacheMB, nil)
+		adhoc, prof, err := runOnce(*wl, *cacheMB, nil)
+		if err != nil {
+			return err
+		}
 		entry, err := store.Save(*wl, prof.Observed(), true, prof.Discrepancies())
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("recorded %s: JCT %v, hit %.1f%% (ad-hoc run %d)\n",
-			*wl, run.JCTDuration(), 100*run.HitRatio(), entry.Runs)
+		fmt.Fprintf(stdout, "recorded %s: JCT %v, hit %.1f%% (ad-hoc run %d)\n",
+			*wl, adhoc.JCTDuration(), 100*adhoc.HitRatio(), entry.Runs)
 	case "show":
-		p, ok, err := store.LoadProfile(*wl)
+		p, err := loadComplete(store, *wl)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if !ok {
-			fail(fmt.Errorf("no complete profile for %q (use record)", *wl))
-		}
-		fmt.Println(p)
+		fmt.Fprintln(stdout, p)
 		for _, id := range p.RDDs() {
 			c, _ := p.Creation(id)
-			fmt.Printf("  RDD%-4d created stage %-4d reads at stages %v\n", id, c.Stage, stagesOf(p, id))
+			fmt.Fprintf(stdout, "  RDD%-4d created stage %-4d reads at stages %v\n", id, c.Stage, stagesOf(p, id))
 		}
 	case "compare":
-		adhoc, _ := runOnce(*wl, *cacheMB, nil)
-		stored, ok, err := store.LoadProfile(*wl)
+		adhoc, _, err := runOnce(*wl, *cacheMB, nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if !ok {
-			fail(fmt.Errorf("no complete profile for %q (use record)", *wl))
+		stored, err := loadComplete(store, *wl)
+		if err != nil {
+			return err
 		}
-		rec, _ := runOnce(*wl, *cacheMB, stored)
-		fmt.Printf("%s at %dM cache/node:\n", *wl, *cacheMB)
-		fmt.Printf("  ad-hoc:    JCT %-12v hit %.1f%%\n", adhoc.JCTDuration(), 100*adhoc.HitRatio())
-		fmt.Printf("  recurring: JCT %-12v hit %.1f%%  (%.0f%% of ad-hoc)\n",
+		rec, _, err := runOnce(*wl, *cacheMB, stored)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%s at %dM cache/node:\n", *wl, *cacheMB)
+		fmt.Fprintf(stdout, "  ad-hoc:    JCT %-12v hit %.1f%%\n", adhoc.JCTDuration(), 100*adhoc.HitRatio())
+		fmt.Fprintf(stdout, "  recurring: JCT %-12v hit %.1f%%  (%.0f%% of ad-hoc)\n",
 			rec.JCTDuration(), 100*rec.HitRatio(), 100*float64(rec.JCT)/float64(adhoc.JCT))
 	case "delete":
 		if err := store.Delete(*wl); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("deleted", *wl)
+		fmt.Fprintln(stdout, "deleted", *wl)
 	default:
-		fail(fmt.Errorf("unknown command %q (list, record, show, compare, delete)", cmd))
+		return fmt.Errorf("unknown command %q (list, record, show, compare, delete)", cmd)
 	}
+	return nil
+}
+
+// loadComplete loads the workload's stored profile, which must exist
+// and be complete.
+func loadComplete(store *profile.Store, wl string) (*refdist.Profile, error) {
+	p, ok, err := store.LoadProfile(wl)
+	if err == nil && !ok {
+		err = fmt.Errorf("no complete profile for %q (use record)", wl)
+	}
+	return p, err
 }
 
 // runOnce simulates the workload with MRD: ad-hoc when stored is nil,
 // recurring otherwise. It returns the run and the profiler used.
-func runOnce(name string, cacheMB int64, stored *refdist.Profile) (mrdspark.Result, *core.AppProfiler) {
+func runOnce(name string, cacheMB int64, stored *refdist.Profile) (mrdspark.Result, *core.AppProfiler, error) {
 	if name == "" {
-		fail(fmt.Errorf("-workload required"))
+		return mrdspark.Result{}, nil, errors.New("-workload required")
 	}
 	spec, err := mrdspark.BuildWorkload(name, mrdspark.WorkloadParams{})
 	if err != nil {
-		fail(err)
+		return mrdspark.Result{}, nil, err
 	}
 	var prof *core.AppProfiler
 	if stored == nil {
@@ -117,10 +143,7 @@ func runOnce(name string, cacheMB int64, stored *refdist.Profile) (mrdspark.Resu
 	mgr := core.NewManager(spec.Graph, prof, core.Options{})
 	cl := mrdspark.MainCluster().WithCache(cacheMB << 20)
 	run, err := sim.Run(spec.Graph, cl, mgr, spec.Name)
-	if err != nil {
-		fail(err)
-	}
-	return run, prof
+	return run, prof, err
 }
 
 func stagesOf(p *refdist.Profile, id int) []int {
@@ -129,9 +152,4 @@ func stagesOf(p *refdist.Profile, id int) []int {
 		out = append(out, r.Stage)
 	}
 	return out
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "profiles:", err)
-	os.Exit(1)
 }

@@ -10,11 +10,11 @@ import (
 // the sim-vs-exec differential legs depend on.
 func TestGenPartitionGoldens(t *testing.T) {
 	cases := []struct {
-		name             string
-		seed             int64
-		rdd, part, rows  int
-		skew             float64
-		want             uint64
+		name            string
+		seed            int64
+		rdd, part, rows int
+		skew            float64
+		want            uint64
 	}{
 		{"defaults", 1, 0, 0, 0, 0, 0x608341f78a80b2ed},
 		{"defaults-part1", 1, 0, 1, 0, 0, 0x9c8b45c9acf0a6e6},

@@ -347,20 +347,7 @@ func (r *Report) WriteHTML(w io.Writer) error {
 	return reportTmpl.Execute(w, data)
 }
 
-var reportTmpl = template.Must(template.New("report").Funcs(template.FuncMap{
-	"us":    fmtUs,
-	"bytes": fmtBytes,
-}).Parse(reportHTML + ganttTmplHTML))
-
-const reportHTML = `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>mrdspark report — {{.Title}}</title>
-<style>
-body { font: 14px/1.45 -apple-system, "Segoe UI", Roboto, sans-serif; color: #1b1f24; margin: 2em auto; max-width: 960px; padding: 0 1em; }
-h1 { font-size: 1.4em; border-bottom: 2px solid #4e79a7; padding-bottom: .3em; }
-h2 { font-size: 1.1em; margin-top: 2em; }
+var reportTmpl = page("report", "report", "run report", `h2 { font-size: 1.1em; margin-top: 2em; }
 table { border-collapse: collapse; width: 100%; font-size: 13px; }
 th, td { border: 1px solid #d6d9dd; padding: 3px 8px; text-align: right; }
 th { background: #f2f4f7; }
@@ -371,14 +358,7 @@ td:first-child, th:first-child { text-align: left; }
 .card span { color: #57606a; font-size: 12px; }
 .bar { background: #4e79a7; height: 10px; display: inline-block; vertical-align: middle; }
 .warn { background: #fff3cd; border: 1px solid #ffe69c; padding: .5em 1em; border-radius: 6px; }
-svg text { font: 11px sans-serif; fill: #57606a; }
-svg .lane { stroke: #fff; stroke-width: .5; }
-svg .grid { stroke: #e3e6ea; }
-</style>
-</head>
-<body>
-<h1>mrdspark run report — {{.Title}}</h1>
-
+`, `
 <div class="cards">
 {{range .Headlines}}<div class="card"><b>{{.Value}}</b><span>{{.Label}}</span></div>
 {{end}}</div>
@@ -422,12 +402,38 @@ svg .grid { stroke: #e3e6ea; }
 {{end}}
 {{end}}
 
-</body>
-</html>`
+`)
 
-// ganttTmplHTML is the shared SVG Gantt block: the run report's stage
-// and node timelines and the trace waterfall (tracereport.go) all
-// render through it.
+// page builds one self-contained HTML document in the shell both obs
+// pages share: doctype and head, the base CSS (the page's own rules sit
+// between the heading rules and the SVG ones), the <h1>, and the Gantt
+// block every timeline renders through.
+func page(name, title, heading, css, body string) *template.Template {
+	return template.Must(template.New(name).Funcs(template.FuncMap{
+		"us":    fmtUs,
+		"bytes": fmtBytes,
+	}).Parse(`<!DOCTYPE html>
+<html lang="en">
+<head>
+<meta charset="utf-8">
+<title>mrdspark ` + title + ` — {{.Title}}</title>
+<style>
+body { font: 14px/1.45 -apple-system, "Segoe UI", Roboto, sans-serif; color: #1b1f24; margin: 2em auto; max-width: 960px; padding: 0 1em; }
+h1 { font-size: 1.4em; border-bottom: 2px solid #4e79a7; padding-bottom: .3em; }
+` + css + `svg text { font: 11px sans-serif; fill: #57606a; }
+svg .lane { stroke: #fff; stroke-width: .5; }
+svg .grid { stroke: #e3e6ea; }
+</style>
+</head>
+<body>
+<h1>mrdspark ` + heading + ` — {{.Title}}</h1>
+` + body + `</body>
+</html>` + ganttTmplHTML))
+}
+
+// ganttTmplHTML is the SVG Gantt block page gives every document: the
+// run report's stage and node timelines and the trace waterfall
+// (tracereport.go) all render through it.
 const ganttTmplHTML = `{{define "gantt"}}
 <svg width="{{.Width}}" height="{{.Height}}" viewBox="0 0 {{.Width}} {{.Height}}" role="img">
 {{range .Ticks}}<line class="grid" x1="{{.X}}" y1="0" x2="{{.X}}" y2="{{$.PlotH}}"/>

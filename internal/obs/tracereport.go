@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"html/template"
 	"io"
 	"sort"
 
@@ -168,29 +167,11 @@ func WriteTraceWaterfall(w io.Writer, spans []trace.Span, title string) error {
 	return waterfallTmpl.Execute(w, data)
 }
 
-var waterfallTmpl = template.Must(template.New("waterfall").Parse(waterfallHTML + ganttTmplHTML))
-
-const waterfallHTML = `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>mrdspark trace waterfall — {{.Title}}</title>
-<style>
-body { font: 14px/1.45 -apple-system, "Segoe UI", Roboto, sans-serif; color: #1b1f24; margin: 2em auto; max-width: 960px; padding: 0 1em; }
-h1 { font-size: 1.4em; border-bottom: 2px solid #4e79a7; padding-bottom: .3em; }
-h2 { font-size: 1em; margin-top: 2em; font-family: ui-monospace, monospace; }
+var waterfallTmpl = page("waterfall", "trace waterfall", "trace waterfall", `h2 { font-size: 1em; margin-top: 2em; font-family: ui-monospace, monospace; }
 p.meta { color: #57606a; }
-svg text { font: 11px sans-serif; fill: #57606a; }
-svg .lane { stroke: #fff; stroke-width: .5; }
-svg .grid { stroke: #e3e6ea; }
-</style>
-</head>
-<body>
-<h1>mrdspark trace waterfall — {{.Title}}</h1>
-<p class="meta">{{.TotalSpans}} spans across {{.TotalTraces}} traces{{if lt .Shown .TotalTraces}}; showing the {{.Shown}} slowest{{end}}. Hover a bar for duration and annotation (advice spans carry the decision fingerprint).</p>
+`, `<p class="meta">{{.TotalSpans}} spans across {{.TotalTraces}} traces{{if lt .Shown .TotalTraces}}; showing the {{.Shown}} slowest{{end}}. Hover a bar for duration and annotation (advice spans carry the decision fingerprint).</p>
 {{range .Traces}}
 <h2>trace {{.ID}} — {{.Dur}}, {{.Spans}} spans</h2>
 {{template "gantt" .Gantt}}
 {{end}}
-</body>
-</html>`
+`)

@@ -7,8 +7,10 @@ import (
 
 // PeerConfig wires one shard into its peer group. Shards gossip
 // liveness over POST /v1/peers/heartbeat; a peer silent past Deadline
-// is reported dead on GET /v1/peers, which routers and clients use to
-// steer sessions to survivors.
+// is reported dead on GET /v1/peers. That view is for operators and
+// CI to read: nothing routes by it — the router and the sharded client
+// each keep their own ShardMap, marking a shard dead when a probe or a
+// call to it fails.
 type PeerConfig struct {
 	// Self is this shard's advertised base URL (how peers and clients
 	// reach it). Required when Peers is non-empty.

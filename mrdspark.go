@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 
+	"mrdspark/internal/cli"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/core"
 	"mrdspark/internal/dag"
@@ -153,14 +154,11 @@ func NewPolicy(name string, cfg Config, g *Graph) (PolicyFactory, error) {
 
 // Run builds the configured benchmark workload and simulates it.
 func Run(cfg Config) (Result, error) {
-	if cfg.Workload == "" {
-		return Result{}, fmt.Errorf("mrdspark: Config.Workload is empty (choose from %v, or use RunGraph)", Workloads())
-	}
-	spec, err := workload.Build(cfg.Workload, cfg.Params)
+	o, err := RunObserved(cfg, Exports{})
 	if err != nil {
 		return Result{}, err
 	}
-	return RunGraph(spec.Graph, spec.Name, cfg)
+	return o.Run, nil
 }
 
 // RunGraph simulates an arbitrary application DAG under the
@@ -174,7 +172,8 @@ func RunGraph(g *Graph, name string, cfg Config) (Result, error) {
 }
 
 // newGraphSim assembles a ready-to-run simulation of a DAG under the
-// Config's cluster, policy and fault schedule.
+// Config's cluster, policy and fault schedule — the one road from a
+// Config to a sim.Simulation.
 func newGraphSim(g *Graph, name string, cfg Config) (*sim.Simulation, error) {
 	cl := cfg.Cluster
 	if cl.Nodes == 0 {
@@ -199,19 +198,6 @@ func newGraphSim(g *Graph, name string, cfg Config) (*sim.Simulation, error) {
 	return s, nil
 }
 
-// newConfiguredSim builds the Config's benchmark workload and
-// assembles its simulation.
-func newConfiguredSim(cfg Config) (*sim.Simulation, error) {
-	if cfg.Workload == "" {
-		return nil, fmt.Errorf("mrdspark: Config.Workload is empty (choose from %v)", Workloads())
-	}
-	spec, err := workload.Build(cfg.Workload, cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	return newGraphSim(spec.Graph, spec.Name, cfg)
-}
-
 // RunGraphWith simulates a DAG under a caller-provided policy factory
 // — the hook for custom policies (see examples/custompolicy).
 func RunGraphWith(g *Graph, name string, cl ClusterConfig, factory PolicyFactory) (Result, error) {
@@ -221,72 +207,63 @@ func RunGraphWith(g *Graph, name string, cl ClusterConfig, factory PolicyFactory
 // StageSpan is one executed stage's slice of a run's timeline.
 type StageSpan = metrics.StageSpan
 
-// RunDetailed is Run plus the per-stage execution timeline.
-func RunDetailed(cfg Config) (Result, []StageSpan, error) {
-	return RunTraced(cfg, nil)
-}
+// Exports names where an observed run's artifacts go: a JSONL event
+// trace (every hit, promote, insert, evict, purge and prefetch with
+// its simulated timestamp), a Prometheus text exposition of the
+// per-stage and per-node aggregates, and a self-contained HTML report.
+// An empty path skips the artifact; "-" is Export's stdout.
+type Exports = cli.Exports
 
-// RunTraced is RunDetailed plus, when trace is non-nil, a JSON-lines
-// event trace (every hit, promote, insert, evict, purge and prefetch
-// with its simulated timestamp) written to trace.
-func RunTraced(cfg Config, trace io.Writer) (Result, []StageSpan, error) {
-	s, err := newConfiguredSim(cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	var rec *obs.Recorder
-	if trace != nil {
-		rec = obs.NewRecorder()
-		rec.Attach(s.Bus())
-	}
-	run := s.Run()
-	if rec != nil {
-		if err := rec.WriteJSONL(trace); err != nil {
-			return run, s.Timeline(), err
-		}
-	}
-	return run, s.Timeline(), nil
-}
-
-// RunReport is a renderable run report (see internal/obs): per-stage
-// and per-node aggregates, timeline lanes, histograms, and optional
-// baseline runs for comparison. Render with WriteHTML.
-type RunReport = obs.Report
-
-// Observed is a completed instrumented run: the result plus the full
-// event stream and its aggregates, exportable as a JSONL trace, a
-// Prometheus text exposition, or an HTML report.
+// Observed is a completed run with its per-stage execution timeline
+// and whatever the Exports it ran under need.
 type Observed struct {
 	Run      Result
 	Timeline []StageSpan
+	exports  Exports
 	rec      *obs.Recorder
 	agg      *obs.Aggregator
 }
 
-// RunObserved runs the configured benchmark workload with the
-// observability layer attached: the event bus feeds both a recorder
-// (for traces) and a streaming aggregator (for reports and metrics).
-func RunObserved(cfg Config) (*Observed, error) {
-	s, err := newConfiguredSim(cfg)
+// RunObserved builds the configured benchmark workload and simulates
+// it. The observability layer is attached only as far as ex asks: the
+// event bus feeds a recorder when a trace is wanted and a streaming
+// aggregator when a report or an exposition is; with a zero Exports
+// this is Run plus the timeline.
+func RunObserved(cfg Config, ex Exports) (*Observed, error) {
+	if cfg.Workload == "" {
+		return nil, fmt.Errorf("mrdspark: Config.Workload is empty (choose from %v, or use RunGraph)", Workloads())
+	}
+	spec, err := workload.Build(cfg.Workload, cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	rec := obs.NewRecorder()
-	rec.Attach(s.Bus())
-	agg := s.Observe()
-	run := s.Run()
-	return &Observed{Run: run, Timeline: s.Timeline(), rec: rec, agg: agg}, nil
+	s, err := newGraphSim(spec.Graph, spec.Name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	o := &Observed{exports: ex}
+	if ex.Trace != "" {
+		o.rec = obs.NewRecorder()
+		o.rec.Attach(s.Bus())
+	}
+	if ex.Prom != "" || ex.Report != "" {
+		o.agg = s.Observe()
+	}
+	o.Run = s.Run()
+	o.Timeline = s.Timeline()
+	return o, nil
 }
 
-// Report snapshots the run into a renderable report.
-func (o *Observed) Report() *RunReport { return o.agg.Report(o.Run) }
-
-// WriteHTML renders the self-contained HTML run report.
-func (o *Observed) WriteHTML(w io.Writer) error { return o.Report().WriteHTML(w) }
-
-// WriteTrace writes the run's full JSONL event trace.
-func (o *Observed) WriteTrace(w io.Writer) error { return o.rec.WriteJSONL(w) }
-
-// WritePrometheus writes the aggregates in the Prometheus text
-// exposition format.
-func (o *Observed) WritePrometheus(w io.Writer) error { return obs.WritePrometheus(w, o.agg) }
+// Export writes the artifacts the run was observed for; stdout stands
+// in for a "-" path. The baseline runs join the HTML report's
+// policy-comparison table.
+func (o *Observed) Export(stdout io.Writer, baselines ...Result) error {
+	var rep *obs.Report
+	if o.exports.Report != "" {
+		rep = o.agg.Report(o.Run)
+		for _, b := range baselines {
+			rep.AddBaseline(b)
+		}
+	}
+	return o.exports.Write(stdout, o.rec, o.agg, rep)
+}

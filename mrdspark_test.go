@@ -1,6 +1,9 @@
 package mrdspark
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -121,19 +124,29 @@ func TestClusterPresets(t *testing.T) {
 	}
 }
 
-func TestRunDetailedTimeline(t *testing.T) {
-	run, spans, err := RunDetailed(Config{Workload: "SP", CachePerNode: 64 << 20})
+func TestRunObservedTimeline(t *testing.T) {
+	o, err := RunObserved(Config{Workload: "SP", CachePerNode: 64 << 20}, Exports{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	run, spans := o.Run, o.Timeline
 	if len(spans) != run.StagesExecuted {
 		t.Fatalf("spans = %d, want %d", len(spans), run.StagesExecuted)
 	}
 	if spans[len(spans)-1].End != run.JCT {
 		t.Error("timeline does not end at the JCT")
 	}
-	if _, _, err := RunDetailed(Config{}); err == nil {
+	if _, err := RunObserved(Config{}, Exports{}); err == nil {
 		t.Error("empty workload accepted")
+	}
+	// Nothing was asked for, so nothing is written — and Run is the
+	// same road.
+	var buf strings.Builder
+	if err := o.Export(&buf); err != nil || buf.Len() != 0 {
+		t.Errorf("unobserved run exported %d bytes, err %v", buf.Len(), err)
+	}
+	if plain, err := Run(Config{Workload: "SP", CachePerNode: 64 << 20}); err != nil || plain != run {
+		t.Errorf("Run = %+v, %v; want the observed run's result", plain, err)
 	}
 }
 
@@ -149,12 +162,16 @@ func TestNewObliviousPoliciesRun(t *testing.T) {
 	}
 }
 
-func TestRunTracedWritesJSONL(t *testing.T) {
+func TestRunObservedWritesJSONL(t *testing.T) {
 	var buf strings.Builder
-	run, spans, err := RunTraced(Config{Workload: "SP", CachePerNode: 64 << 20}, &buf)
+	o, err := RunObserved(Config{Workload: "SP", CachePerNode: 64 << 20}, Exports{Trace: "-"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := o.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	run, spans := o.Run, o.Timeline
 	if run.JCT <= 0 || len(spans) == 0 {
 		t.Fatal("degenerate traced run")
 	}
@@ -165,6 +182,36 @@ func TestRunTracedWritesJSONL(t *testing.T) {
 	for _, ln := range lines[:3] {
 		if !strings.HasPrefix(ln, "{") || !strings.Contains(ln, "\"kind\"") {
 			t.Errorf("trace line not JSON: %q", ln)
+		}
+	}
+}
+
+// TestRunObservedExportsReportAndExposition: the aggregator-backed
+// artifacts land at their paths, with the baselines in the report's
+// comparison table.
+func TestRunObservedExportsReportAndExposition(t *testing.T) {
+	dir := t.TempDir()
+	ex := Exports{Prom: filepath.Join(dir, "m.txt"), Report: filepath.Join(dir, "r.html")}
+	cfg := Config{Workload: "SP", CachePerNode: 64 << 20}
+	o, err := RunObserved(cfg, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Policy = "LRU"
+	lru, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Export(io.Discard, lru); err != nil {
+		t.Fatal(err)
+	}
+	if prom, _ := os.ReadFile(ex.Prom); !strings.Contains(string(prom), "mrdspark_stage_events") {
+		t.Errorf("exposition lacks mrdspark_stage_events: %.80q", prom)
+	}
+	html, _ := os.ReadFile(ex.Report)
+	for _, want := range []string{"<svg", "Policy comparison", "<td>LRU</td>"} {
+		if !strings.Contains(string(html), want) {
+			t.Errorf("report lacks %q", want)
 		}
 	}
 }
