@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", exec.DefaultWorkers, "worker goroutines (one block manager each)")
 	cache := fs.String("cache", "", "per-worker cache size, e.g. 64M or 1G (default 64M)")
 	rows := fs.Int("rows", 0, "generated rows per source partition (0 = default 512)")
-	skew := fs.Float64("skew", 0, "hot-key fraction of generated rows in [0,1) (0 = default 0.2)")
+	skew := fs.Float64("skew", 0, "hot-key fraction of generated rows in [0,1] (0 = default 0.2)")
 	seed := fs.Int64("seed", 0, "data-generation seed (nonzero also jitters the DAG's partition sizes and compute costs by ±10%)")
 	iters := fs.Int("iterations", 0, "override the workload's iteration parameter")
 	adhoc := fs.Bool("adhoc", false, "build the DAG profile one job at a time (no recurring profile)")
@@ -59,6 +59,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
+	// exec.New refuses these too; said here, they are a usage error.
+	if *rows < 0 {
+		return cli.Usagef("-rows must be at least 0, got %d", *rows)
+	}
+	if !(*skew >= 0 && *skew <= 1) {
+		return cli.Usagef("-skew must be in [0,1], got %g", *skew)
+	}
 	spec, err := workload.Build(*name, workload.Params{
 		Iterations: *iters,
 		Seed:       *seed,

@@ -90,6 +90,9 @@ func TestListAndExitStatuses(t *testing.T) {
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\nUsage of mrdexec:"},
 		{[]string{"-workload", "SP", "-cache", "0"}, 2, "mrdexec: -cache must be positive, got 0"},
 		{[]string{"-workload", "SP", "-cache", "-5M"}, 2, "mrdexec: -cache must be positive, got -5M"},
+		{[]string{"-workload", "SP", "-rows", "-5"}, 2, "mrdexec: -rows must be at least 0, got -5"},
+		{[]string{"-workload", "SP", "-skew", "1.5"}, 2, "mrdexec: -skew must be in [0,1], got 1.5"},
+		{[]string{"-workload", "SP", "-skew", "-0.2"}, 2, "mrdexec: -skew must be in [0,1], got -0.2"},
 		{[]string{"-workload", "nope"}, 1, `mrdexec: workload: unknown workload "nope"`},
 		{[]string{"-workload", "SP", "-policy", "nope"}, 1, "mrdexec: "},
 		{[]string{"-workload", "SP", "-kill-worker", "0", "-kill-stage", "999"}, 1, "mrdexec: kill stage index 999 out of range"},

@@ -47,7 +47,7 @@ func (e *Engine) advance(s *dag.Stage) error {
 // Spill follows a MEMORY_AND_DISK eviction or purge.
 func (e *Engine) Spill(node int, id block.ID) {
 	if moved, ok := e.nodes[node].spillToDisk(id); ok {
-		e.ctr.add(func(c *counters) { c.spills++; c.spillBytes += moved })
+		e.ctr.flush(&tally{spills: 1, spillBytes: moved})
 	}
 }
 

@@ -13,10 +13,11 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"mrdspark/internal/dag"
 )
@@ -78,6 +79,11 @@ func GenPartition(seed int64, rdd, part, rows int, skew float64) []Row {
 	if rows <= 0 {
 		rows = DefaultRows
 	}
+	return genInto(make([]Row, rows), seed, rdd, part, skew)
+}
+
+// genInto is GenPartition over caller-owned rows: it fills all of out.
+func genInto(out []Row, seed int64, rdd, part int, skew float64) []Row {
 	if skew <= 0 {
 		skew = DefaultSkew
 	}
@@ -88,7 +94,6 @@ func GenPartition(seed int64, rdd, part, rows int, skew float64) []Row {
 	// the stream itself; the comparison is exact and deterministic.
 	threshold := uint64(float64(^uint64(0)) * skew)
 	x := splitmix64(uint64(seed)) ^ splitmix64(uint64(rdd)<<20|uint64(part))
-	out := make([]Row, rows)
 	for i := range out {
 		x = splitmix64(x)
 		draw := x
@@ -110,10 +115,15 @@ func GenPartition(seed int64, rdd, part, rows int, skew float64) []Row {
 func EncodeRows(rows []Row) []byte {
 	out := make([]byte, len(rows)*rowBytes)
 	for i, r := range rows {
-		binary.LittleEndian.PutUint64(out[i*rowBytes:], r.Key)
-		binary.LittleEndian.PutUint64(out[i*rowBytes+8:], r.Val)
+		putRow(out[i*rowBytes:], r)
 	}
 	return out
+}
+
+// putRow writes r's canonical encoding over the first rowBytes of dst.
+func putRow(dst []byte, r Row) {
+	binary.LittleEndian.PutUint64(dst, r.Key)
+	binary.LittleEndian.PutUint64(dst[8:], r.Val)
 }
 
 // DecodeRows parses the canonical encoding back into rows.
@@ -121,12 +131,19 @@ func DecodeRows(b []byte) ([]Row, error) {
 	if len(b)%rowBytes != 0 {
 		return nil, fmt.Errorf("exec: %d bytes is not a whole number of rows", len(b))
 	}
-	out := make([]Row, len(b)/rowBytes)
-	for i := range out {
-		out[i].Key = binary.LittleEndian.Uint64(b[i*rowBytes:])
-		out[i].Val = binary.LittleEndian.Uint64(b[i*rowBytes+8:])
+	return decodeInto(make([]Row, len(b)/rowBytes), b), nil
+}
+
+// decodeInto is DecodeRows over caller-owned rows: it decodes the whole
+// rows of b into the front of dst, which must hold them, and returns
+// that front.
+func decodeInto(dst []Row, b []byte) []Row {
+	dst = dst[:len(b)/rowBytes]
+	for i := range dst {
+		dst[i].Key = binary.LittleEndian.Uint64(b[i*rowBytes:])
+		dst[i].Val = binary.LittleEndian.Uint64(b[i*rowBytes+8:])
 	}
-	return out, nil
+	return dst
 }
 
 // DigestRows returns the FNV-64a digest of the canonical encoding —
@@ -135,8 +152,7 @@ func DigestRows(rows []Row) uint64 {
 	h := fnv.New64a()
 	var buf [rowBytes]byte
 	for _, r := range rows {
-		binary.LittleEndian.PutUint64(buf[:8], r.Key)
-		binary.LittleEndian.PutUint64(buf[8:], r.Val)
+		putRow(buf[:], r)
 		h.Write(buf[:])
 	}
 	return h.Sum64()
@@ -158,12 +174,17 @@ func combineDigests(parts []uint64) uint64 {
 // shuffle output is materialized in, which is what makes reduce-side
 // results independent of bucket arrival order.
 func sortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Key != rows[j].Key {
-			return rows[i].Key < rows[j].Key
+	slices.SortFunc(rows, func(a, b Row) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return rows[i].Val < rows[j].Val
+		return cmp.Compare(a.Val, b.Val)
 	})
+}
+
+// sortByKey orders rows whose keys are distinct (one row per key).
+func sortByKey(rows []Row) {
+	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // bucketOf returns the reduce partition a key shuffles to.
@@ -180,26 +201,16 @@ func dataSeed(seed int64) int64 {
 	return seed
 }
 
-// narrowParents returns the partition indices of parent that feed
-// partition p of an RDD with childParts partitions through a narrow
-// one-to-one-ish dependency. Same partition counts map identically;
-// a repartitioning narrow edge gathers the proportional range (and a
-// widening one duplicates the floor partition) — any fixed rule works,
-// determinism is what matters.
-func narrowParents(parentParts, childParts, p int) []int {
-	if parentParts == childParts {
-		return []int{p}
-	}
-	lo := p * parentParts / childParts
-	hi := (p + 1) * parentParts / childParts
-	if hi <= lo {
-		return []int{lo}
-	}
-	out := make([]int, 0, hi-lo)
-	for q := lo; q < hi; q++ {
-		out = append(out, q)
-	}
-	return out
+// narrowParents returns the range [lo, hi) of parent partitions that
+// feed partition p of an RDD with childParts partitions through a
+// narrow one-to-one-ish dependency. Same partition counts map
+// identically; a repartitioning narrow edge gathers the proportional
+// range (and a widening one duplicates the floor partition) — any fixed
+// rule works, determinism is what matters.
+func narrowParents(parentParts, childParts, p int) (lo, hi int) {
+	lo = p * parentParts / childParts
+	hi = (p + 1) * parentParts / childParts
+	return lo, max(hi, lo+1)
 }
 
 // unionSlot maps partition p of a union RDD onto (dependency index,

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -83,28 +84,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzRowCodec: any whole number of rows survives decode→encode byte
+// for byte, anything else is refused, and the in-place decoder fills
+// exactly the rows its input holds — never the row after them.
+func FuzzRowCodec(f *testing.F) {
+	f.Add(EncodeRows(GenPartition(9, 4, 2, 33, 0.3)))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, rowBytes+5))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rows, err := DecodeRows(b)
+		if len(b)%rowBytes != 0 {
+			if err == nil {
+				t.Fatalf("%d bytes decoded without error", len(b))
+			}
+			b = b[:len(b)/rowBytes*rowBytes]
+			if rows, err = DecodeRows(b); err != nil {
+				t.Fatal(err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeRows(rows), b) {
+			t.Fatal("decode then encode changed the bytes")
+		}
+		guard := Row{Key: 0xDEAD, Val: 0xBEEF}
+		backing := make([]Row, len(rows)+2)
+		backing[len(rows)], backing[len(rows)+1] = guard, guard
+		got := decodeInto(backing[:len(rows)+1], b)
+		if len(got) != len(rows) || DigestRows(got) != DigestRows(rows) {
+			t.Fatalf("decodeInto gave %d rows, want the %d DecodeRows gave", len(got), len(rows))
+		}
+		if backing[len(rows)] != guard || backing[len(rows)+1] != guard {
+			t.Fatal("decodeInto wrote past the rows its input holds")
+		}
+	})
+}
+
 func TestNarrowParents(t *testing.T) {
 	cases := []struct {
 		parent, child, p int
-		want             []int
+		lo, hi           int
 	}{
-		{4, 4, 2, []int{2}},
-		{8, 4, 1, []int{2, 3}},
-		{4, 8, 5, []int{2}},
-		{6, 4, 0, []int{0}},
-		{6, 4, 3, []int{4, 5}},
+		{4, 4, 2, 2, 3},
+		{8, 4, 1, 2, 4},
+		{4, 8, 5, 2, 3},
+		{6, 4, 0, 0, 1},
+		{6, 4, 3, 4, 6},
 	}
 	for _, c := range cases {
-		got := narrowParents(c.parent, c.child, c.p)
-		if len(got) != len(c.want) {
-			t.Errorf("narrowParents(%d,%d,%d) = %v, want %v", c.parent, c.child, c.p, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("narrowParents(%d,%d,%d) = %v, want %v", c.parent, c.child, c.p, got, c.want)
-				break
-			}
+		if lo, hi := narrowParents(c.parent, c.child, c.p); lo != c.lo || hi != c.hi {
+			t.Errorf("narrowParents(%d,%d,%d) = [%d,%d), want [%d,%d)", c.parent, c.child, c.p, lo, hi, c.lo, c.hi)
 		}
 	}
 }

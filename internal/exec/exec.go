@@ -130,7 +130,7 @@ type Engine struct {
 	bus   *obs.Bus
 	start time.Time
 
-	workerCh []chan func()
+	workerCh []chan func(*taskCtx)
 
 	// Kill state. midArmed is the loaded trigger a completing task of
 	// the kill stage fires; pendingFail marks a worker whose bytes are
@@ -145,11 +145,9 @@ type Engine struct {
 	jobDigests []uint64
 }
 
-// counters is the data-plane tally, mutated under mu by worker
-// goroutines (coarse enough that a single mutex beats per-field
-// atomics for clarity).
-type counters struct {
-	mu                sync.Mutex
+// tally is a set of data-plane counts: a task keeps its own, lock-free,
+// and flushes it into the engine's once it ends.
+type tally struct {
 	tasksRun          int64
 	taskRetries       int64
 	spills            int64
@@ -159,10 +157,25 @@ type counters struct {
 	lineageRecomputes int64
 }
 
-func (c *counters) add(f func(*counters)) {
+// counters is the run's tally, which worker goroutines flush into
+// under mu.
+type counters struct {
+	mu sync.Mutex
+	tally
+}
+
+// flush adds t to the run's tally and zeroes it.
+func (c *counters) flush(t *tally) {
 	c.mu.Lock()
-	f(c)
+	c.tasksRun += t.tasksRun
+	c.taskRetries += t.taskRetries
+	c.spills += t.spills
+	c.spillBytes += t.spillBytes
+	c.shuffleBytes += t.shuffleBytes
+	c.remoteFetches += t.remoteFetches
+	c.lineageRecomputes += t.lineageRecomputes
 	c.mu.Unlock()
+	*t = tally{}
 }
 
 // New builds an engine over the workload: an Advisor over the cluster
@@ -180,6 +193,13 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 	if cfg.Workers < 1 || cfg.CacheBytes < 0 {
 		return nil, fmt.Errorf("exec: bad cluster shape (workers=%d, cacheBytes=%d)", cfg.Workers, cfg.CacheBytes)
 	}
+	rows, skew := spec.Params.DataRows, spec.Params.DataSkew
+	if rows < 0 || !(skew >= 0 && skew <= 1) {
+		return nil, fmt.Errorf("exec: bad data parameters (rows=%d, want >= 0; skew=%g, want in [0,1])", rows, skew)
+	}
+	if rows == 0 {
+		rows = DefaultRows
+	}
 	adv, err := service.NewAdvisor(spec.Graph, service.AdvisorConfig{
 		Nodes: cfg.Workers, CacheBytes: cfg.CacheBytes, Policy: cfg.Policy,
 	})
@@ -194,8 +214,8 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 		stages:   map[int]*dag.Stage{},
 		shuffles: map[int]*shuffleInfo{},
 		seed:     dataSeed(spec.Params.Seed),
-		rows:     spec.Params.DataRows,
-		skew:     spec.Params.DataSkew,
+		rows:     rows,
+		skew:     skew,
 		bus:      obs.New(),
 	}
 	for _, s := range e.graph.ExecutedStages() {
@@ -243,16 +263,17 @@ func (e *Engine) Run() (Result, error) {
 	e.bus.SetClock(func() int64 { return time.Since(e.start).Microseconds() })
 	e.jobDigests = make([]uint64, len(e.graph.Jobs))
 
-	e.workerCh = make([]chan func(), len(e.nodes))
+	e.workerCh = make([]chan func(*taskCtx), len(e.nodes))
 	var workerWG sync.WaitGroup
 	for i := range e.workerCh {
-		ch := make(chan func())
+		ch := make(chan func(*taskCtx))
 		e.workerCh[i] = ch
 		workerWG.Add(1)
 		go func() {
 			defer workerWG.Done()
+			t := newTaskCtx(i) // the worker's own, for the whole run
 			for fn := range ch {
-				fn()
+				fn(t)
 			}
 		}()
 	}
@@ -318,28 +339,32 @@ func (e *Engine) runStage(s *dag.Stage) error {
 		e.midArmed <- struct{}{}
 	}
 
-	workers := make([]int, s.NumTasks)
+	// Each worker gets its whole share of the stage in one hand-off and
+	// runs it in task order.
+	home := func(t int) int { return cluster.HomePartition(t, len(e.nodes)) }
 	for t := 0; t < s.NumTasks; t++ {
-		workers[t] = cluster.HomePartition(t, len(e.nodes))
-		e.bus.Emit(obs.Ev(obs.KindTaskStart, workers[t]))
+		e.bus.Emit(obs.Ev(obs.KindTaskStart, home(t)))
 	}
 
 	digests := make([]uint64, s.NumTasks)
 	durs := make([]int64, s.NumTasks)
 	var wg sync.WaitGroup
-	for t := 0; t < s.NumTasks; t++ {
-		t := t
+	for w, ch := range e.workerCh {
 		wg.Add(1)
-		e.workerCh[workers[t]] <- func() {
+		ch <- func(tc *taskCtx) {
 			defer wg.Done()
-			digests[t], durs[t] = e.runTask(s, t, workers[t])
+			for t := 0; t < s.NumTasks; t++ {
+				if home(t) == w {
+					digests[t], durs[t] = e.runTask(tc, s, t)
+				}
+			}
 		}
 	}
 	wg.Wait()
 	e.flights.reset()
 
 	for t := 0; t < s.NumTasks; t++ {
-		e.bus.Emit(obs.Ev(obs.KindTaskEnd, workers[t]).WithValue(durs[t]))
+		e.bus.Emit(obs.Ev(obs.KindTaskEnd, home(t)).WithValue(durs[t]))
 	}
 	e.bus.Emit(obs.Ev(obs.KindStageEnd, obs.ClusterScope).
 		WithValue(time.Since(stageStart).Microseconds()))

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"mrdspark/internal/cluster"
@@ -205,6 +207,74 @@ func TestKillWorkerMid(t *testing.T) {
 	}
 }
 
+// TestGatherReentersUnderLostMapOutput is the regression test for the
+// per-task scratch gather keeps. Worker 1 dies at the boundary of the
+// result stage while holding map output of both shuffles: a reducer's
+// gather of the second shuffle finds map task 1's output gone halfway
+// through its loop and recomputes it in the same task, which gathers
+// the first shuffle (whose output is gone too, so the nesting goes one
+// level deeper) and filters in the same arena. Scratch that does not
+// nest — one bucket list per task, an arena that trims whatever was
+// last — loses or overwrites rows here, and the digest moves.
+func TestGatherReentersUnderLostMapOutput(t *testing.T) {
+	build := func() *workload.Spec {
+		return opSpec("reenter", workload.Params{DataRows: 64, Seed: 3}, func(g *dag.Graph) {
+			g.Collect(g.Source("src", 4, cluster.MB).ReduceByKey("sum").Filter("keep").GroupByKey("group"))
+		})
+	}
+	stages := build().Graph.ExecutedStages()
+	if len(stages) != 3 {
+		t.Fatalf("%d executed stages, want two map stages and a result stage", len(stages))
+	}
+	kill := &KillSpec{Worker: 1, Stage: stages[2].ID}
+	clean := mustRun(t, build(), Config{Workers: 2, Policy: policyspec.MRD})
+	killed := mustRun(t, build(), Config{Workers: 2, Policy: policyspec.MRD, Kill: kill})
+	if killed.OutputDigest != clean.OutputDigest {
+		t.Errorf("killed run output %#x != clean %#x", killed.OutputDigest, clean.OutputDigest)
+	}
+	// Map tasks 1 and 3 of each shuffle ran on the dead worker.
+	if killed.LineageRecomputes != 4 {
+		t.Errorf("%d lineage recomputes, want the 4 lost map outputs", killed.LineageRecomputes)
+	}
+	if killed.ShuffleBytes <= clean.ShuffleBytes {
+		t.Errorf("recomputing map tasks re-read no shuffle bytes (%d killed, %d clean)", killed.ShuffleBytes, clean.ShuffleBytes)
+	}
+
+	// A boundary kill is deterministic down to the byte plane's counters.
+	again := mustRun(t, build(), Config{Workers: 2, Policy: policyspec.MRD, Kill: kill})
+	for i := range killed.History {
+		if killed.History[i].Fingerprint() != again.History[i].Fingerprint() {
+			t.Errorf("killed run not reproducible at stage %d", killed.History[i].Stage)
+		}
+	}
+	plane := func(r Result) [7]int64 {
+		return [7]int64{r.TasksRun, r.TaskRetries, r.Spills, r.SpillBytes, r.ShuffleBytes, r.RemoteFetches, r.LineageRecomputes}
+	}
+	if again.OutputDigest != killed.OutputDigest || plane(again) != plane(killed) {
+		t.Errorf("two runs with the same boundary kill differ: data plane %v vs %v", plane(killed), plane(again))
+	}
+}
+
+// TestNewRejectsBadDataParams: parameters the generator would silently
+// replace are refused where the run is configured.
+func TestNewRejectsBadDataParams(t *testing.T) {
+	for _, p := range []workload.Params{
+		{DataRows: -5},
+		{DataSkew: -0.1},
+		{DataSkew: 1.5},
+	} {
+		_, err := New(mustBuild(t, "SP", p), Config{})
+		if err == nil || !strings.Contains(err.Error(), "bad data parameters") {
+			t.Errorf("New with %+v: error %v, want bad data parameters", p, err)
+		}
+	}
+	for _, p := range []workload.Params{{}, {DataRows: 1, DataSkew: 1}} {
+		if _, err := New(mustBuild(t, "SP", p), Config{}); err != nil {
+			t.Errorf("New with %+v: %v", p, err)
+		}
+	}
+}
+
 // TestSpillThenRecompute forces heavy memory pressure so cached blocks
 // spill, then demands the run still deterministically completes and the
 // prefetch ledger conserves.
@@ -241,3 +311,84 @@ func TestEngineRunsAllWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocationBudget holds the byte plane's layout-by-lifetime to
+// numbers that do not depend on the machine: what one whole run may
+// allocate, measured the way the benchmark measures it, on the
+// benchmark's two executed workloads. The laid-out-per-object code this
+// replaced allocated 1 270 MB in 178 k objects and 485 MB in 115 k.
+func TestRunAllocationBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation counts are not meaningful under -short or -race")
+	}
+	for _, c := range []struct {
+		dag               string
+		rows              int
+		maxBytes, maxObjs uint64
+	}{
+		{"SCC", 32, 128 << 20, 110_000},
+		{"KM", 512, 110 << 20, 75_000},
+	} {
+		e, err := New(mustBuild(t, c.dag, workload.Params{DataRows: c.rows}), Config{Workers: 4, Policy: policyspec.MRD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes, objs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		t.Logf("%s/%d rows: %d MB in %d objects", c.dag, c.rows, bytes>>20, objs)
+		if bytes > c.maxBytes || objs > c.maxObjs {
+			t.Errorf("%s/%d rows: one run allocated %d MB in %d objects, budget %d MB in %d",
+				c.dag, c.rows, bytes>>20, objs, c.maxBytes>>20, c.maxObjs)
+		}
+	}
+
+	// A task's rows all come from its worker's arena: once the arena and
+	// the memo are warm, a result task over a narrow chain allocates
+	// nothing per operator (what is left is the digest's hasher).
+	spec := opSpec("chain", workload.Params{DataRows: 64}, func(g *dag.Graph) {
+		g.Collect(g.Source("src", 2, cluster.MB).Map("a").Map("b").Map("c"))
+	})
+	e, err := New(spec, Config{Workers: 2, Policy: policyspec.LRU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage, tc := spec.Graph.ExecutedStages()[0], newTaskCtx(0)
+	want, _ := e.runTask(tc, stage, 0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, _ := e.runTask(tc, stage, 0); got != want {
+			t.Fatalf("warm task digest %#x, want %#x", got, want)
+		}
+	}); allocs > 4 {
+		t.Errorf("a warm result task over three maps allocates %.0f objects, want at most 4", allocs)
+	}
+}
+
+// The unit benchmarks of the executed-run path: one op is one Engine.Run
+// of the benchmark's exec-chain / exec-reduce configuration, with the
+// single-use spec and engine built off the clock.
+func benchmarkRun(b *testing.B, dag string, rows int) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		spec, err := workload.Build(dag, workload.Params{Seed: 1, DataRows: rows})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := New(spec, Config{Workers: 4, Policy: policyspec.MRD})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRunChain(b *testing.B)  { benchmarkRun(b, "SCC", 32) }
+func BenchmarkRunReduce(b *testing.B) { benchmarkRun(b, "KM", 512) }

@@ -6,13 +6,53 @@ import (
 	"mrdspark/internal/block"
 )
 
-// shuffleKey addresses one map-output bucket: shuffle sid's map task
-// mapPart wrote it for reduce partition reducePart.
-type shuffleKey struct{ sid, mapPart, reducePart int }
+// shuffleKey addresses one map task's shuffle output (and the flight
+// that recomputes it when lost).
+type shuffleKey struct{ sid, mapPart int }
 
-// node is one worker's byte plane: memBytes, diskBytes and the shuffle
-// bucket map hold the actual encoded rows and are read and written by
-// worker goroutines under the node's mutex. The accounting plane —
+// mapOutput is everything one map task wrote for one shuffle, with
+// run lifetime: a single slab of encoded rows grouped by reduce
+// partition, and the row offset each group starts at. Reducer q's
+// bucket is a sub-slice of the slab; "no rows for you" is an empty
+// range, while "output lost with its worker" is a missing entry — so a
+// map output is present whole or not at all.
+type mapOutput struct {
+	slab []byte
+	off  []int32 // reduceParts+1 row offsets into slab
+}
+
+// newMapOutput lays rows out by bucketOf(key) with a two-pass counting
+// sort, which keeps each bucket in input order.
+func newMapOutput(rows []Row, reduceParts int) mapOutput {
+	off := make([]int32, reduceParts+1)
+	for _, r := range rows {
+		off[bucketOf(r.Key, reduceParts)+1]++
+	}
+	for q := 0; q < reduceParts; q++ {
+		off[q+1] += off[q]
+	}
+	slab := make([]byte, len(rows)*rowBytes)
+	for _, r := range rows {
+		q := bucketOf(r.Key, reduceParts)
+		putRow(slab[int(off[q])*rowBytes:], r)
+		off[q]++
+	}
+	// Each cursor now sits at its bucket's end: the next one's start.
+	copy(off[1:], off)
+	off[0] = 0
+	return mapOutput{slab, off}
+}
+
+func (o mapOutput) bucket(q int) []byte {
+	return o.slab[int(o.off[q])*rowBytes : int(o.off[q+1])*rowBytes]
+}
+
+// node is one worker's byte plane: memBytes, diskBytes and the map
+// outputs hold the actual encoded rows and are read and written by
+// worker goroutines under the node's mutex. Cached bytes have block
+// lifetime (the accounting's Spill/Drop releases them), map outputs run
+// lifetime; a kill ends both early. Rows, which have task lifetime,
+// never come here (see arena). The accounting plane —
 // which block is resident where — lives in the engine's Advisor, is
 // mutated only at stage boundaries on the master, and is read by
 // workers through Advisor.Resident/OnDisk (the stores' own locks make
@@ -26,7 +66,7 @@ type node struct {
 	mu        sync.Mutex
 	memBytes  map[block.ID][]byte
 	diskBytes map[block.ID][]byte
-	shuffle   map[shuffleKey][]byte
+	shuffle   map[shuffleKey]mapOutput
 	// epoch counts kill wipes. A task that observes a different epoch
 	// at completion than at start ran over a dying worker and re-runs.
 	epoch int
@@ -37,7 +77,7 @@ func newNode(id int) *node {
 		id:        id,
 		memBytes:  map[block.ID][]byte{},
 		diskBytes: map[block.ID][]byte{},
-		shuffle:   map[shuffleKey][]byte{},
+		shuffle:   map[shuffleKey]mapOutput{},
 	}
 }
 
@@ -121,23 +161,23 @@ func (n *node) promoteToMem(id block.ID) {
 	}
 }
 
-func (n *node) putBucket(k shuffleKey, b []byte) {
+func (n *node) putOutput(k shuffleKey, o mapOutput) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.shuffle[k]; !ok {
-		n.shuffle[k] = b
+		n.shuffle[k] = o
 	}
 }
 
-func (n *node) getBucket(k shuffleKey) ([]byte, bool) {
+func (n *node) getOutput(k shuffleKey) (mapOutput, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	b, ok := n.shuffle[k]
-	return b, ok
+	o, ok := n.shuffle[k]
+	return o, ok
 }
 
 // wipeData destroys the worker's byte plane — cached bytes, spilled
-// bytes, and every shuffle bucket it served — and bumps the kill
+// bytes, and every map output it served — and bumps the kill
 // epoch. This is the data half of a worker kill; the accounting half
 // (Advisor.OnNodeFailure) is applied by the master, at the next stage
 // boundary for mid-stage kills.
@@ -146,7 +186,7 @@ func (n *node) wipeData() {
 	defer n.mu.Unlock()
 	n.memBytes = map[block.ID][]byte{}
 	n.diskBytes = map[block.ID][]byte{}
-	n.shuffle = map[shuffleKey][]byte{}
+	n.shuffle = map[shuffleKey]mapOutput{}
 	n.epoch++
 }
 
@@ -156,29 +196,27 @@ func (n *node) curEpoch() int {
 	return n.epoch
 }
 
-// mapFlightKey deduplicates concurrent recomputes of one lost map
-// task's shuffle output.
-type mapFlightKey struct{ sid, mapPart int }
-
 // flightGroup is the engine's singleflight: concurrent tasks that all
 // find the same block's bytes (or the same map output) missing
 // recompute it exactly once, which both bounds work and keeps the
-// lineage-recompute counter deterministic. Flights are reset at every
-// stage boundary.
+// lineage-recompute counter deterministic. A flight's result crosses
+// tasks, so it is the block's encoded bytes (block lifetime), never
+// rows of the runner's arena; a map-output flight returns nil and its
+// waiters re-read the store. Flights are reset at every stage boundary.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[any]*flightCall
 }
 
 type flightCall struct {
-	done chan struct{}
-	rows []Row
+	done  chan struct{}
+	bytes []byte
 }
 
 // do runs fn for the key unless another goroutine already is (or did),
 // in which case it waits for and shares that result. The boolean
 // reports whether this caller executed fn.
-func (g *flightGroup) do(key any, fn func() []Row) ([]Row, bool) {
+func (g *flightGroup) do(key any, fn func() []byte) ([]byte, bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[any]*flightCall{}
@@ -186,14 +224,14 @@ func (g *flightGroup) do(key any, fn func() []Row) ([]Row, bool) {
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return c.rows, false
+		return c.bytes, false
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
-	c.rows = fn()
+	c.bytes = fn()
 	close(c.done)
-	return c.rows, true
+	return c.bytes, true
 }
 
 // reset clears completed flights (called between stages, when no tasks

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sort"
 	"time"
 
 	"mrdspark/internal/block"
@@ -12,35 +11,48 @@ import (
 // blockKey memoizes one (RDD, partition) evaluation inside a task.
 type blockKey struct{ rdd, part int }
 
-// taskCtx is one task attempt's evaluation state.
+// taskCtx is one worker goroutine's evaluation state, reset at the
+// start of every task attempt: everything in it has task lifetime. The
+// memo's slices point into the arena; buckets is gather's scratch, used
+// as a stack because a lineage recompute re-enters gather mid-loop;
+// tally collects the task's data-plane counts, flushed once at its end.
 type taskCtx struct {
-	worker int
-	memo   map[blockKey][]Row
+	worker  int
+	memo    map[blockKey][]Row
+	arena   arena
+	buckets [][]byte
+	tally   tally
 }
 
-// runTask executes one task of the stage on a worker goroutine:
+func newTaskCtx(worker int) *taskCtx {
+	return &taskCtx{worker: worker, memo: map[blockKey][]Row{}}
+}
+
+// runTask executes one task of the stage on its worker's goroutine:
 // evaluate the target partition through the cached frontier, write
 // shuffle output (map tasks) or digest the result (result tasks). If
 // the worker dies under the task (mid-stage kill bumps its epoch), the
 // task re-runs once — its recomputed output is byte-identical because
 // every operator is a pure function.
-func (e *Engine) runTask(s *dag.Stage, part, workerID int) (digest uint64, durUs int64) {
+func (e *Engine) runTask(t *taskCtx, s *dag.Stage, part int) (digest uint64, durUs int64) {
 	t0 := time.Now()
 	for attempt := 0; ; attempt++ {
-		epoch := e.nodes[workerID].curEpoch()
-		t := &taskCtx{worker: workerID, memo: map[blockKey][]Row{}}
+		epoch := e.nodes[t.worker].curEpoch()
+		clear(t.memo)
+		t.arena.reset()
 		rows := e.eval(t, s.Target, part)
 		if s.Kind == dag.ShuffleMap {
-			e.writeBuckets(e.shuffles[s.ShuffleID], part, rows)
+			e.writeOutput(e.shuffles[s.ShuffleID], part, rows)
 		} else {
 			digest = DigestRows(rows)
 		}
-		e.ctr.add(func(c *counters) { c.tasksRun++ })
-		if e.nodes[workerID].curEpoch() == epoch || attempt >= 1 {
+		t.tally.tasksRun++
+		if e.nodes[t.worker].curEpoch() == epoch || attempt >= 1 {
 			break
 		}
-		e.ctr.add(func(c *counters) { c.taskRetries++ })
+		t.tally.taskRetries++
 	}
+	e.ctr.flush(&t.tally)
 	e.maybeFireMidKill()
 	return digest, time.Since(t0).Microseconds()
 }
@@ -81,7 +93,7 @@ func (e *Engine) eval(t *taskCtx, r *dag.RDD, p int) []Row {
 	} else {
 		rows = e.computeRows(t, r, p)
 		if r.Cached && e.curCreates[r.ID] {
-			e.materialize(r.BlockInfo(p), rows)
+			e.materialize(t, r.BlockInfo(p), rows)
 		}
 	}
 	t.memo[k] = rows
@@ -97,51 +109,51 @@ func (e *Engine) readCached(t *taskCtx, r *dag.RDD, p int) []Row {
 	id := r.Block(p)
 	home := e.home(id)
 	if home.id != t.worker {
-		e.ctr.add(func(c *counters) { c.remoteFetches++ })
+		t.tally.remoteFetches++
 	}
-	if b, ok := home.loadMem(id); ok {
-		rows, _ := DecodeRows(b)
-		return rows
-	}
-	if b, ok := home.loadDisk(id); ok {
-		if e.adv.Resident(home.id, id) {
+	b, ok := home.loadMem(id)
+	if !ok {
+		if b, ok = home.loadDisk(id); ok && e.adv.Resident(home.id, id) {
 			home.storeMem(id, b)
 		}
-		rows, _ := DecodeRows(b)
-		return rows
 	}
-	rows, ran := e.flights.do(id, func() []Row { return e.computeRows(t, r, p) })
-	if ran {
-		e.ctr.add(func(c *counters) { c.lineageRecomputes++ })
-		e.materialize(r.BlockInfo(p), rows)
+	if !ok {
+		var rows []Row
+		var ran bool
+		b, ran = e.flights.do(id, func() []byte {
+			rows = e.computeRows(t, r, p)
+			return e.materialize(t, r.BlockInfo(p), rows)
+		})
+		if ran {
+			t.tally.lineageRecomputes++
+			return rows
+		}
 	}
-	return rows
+	return decodeInto(t.arena.alloc(len(b)/rowBytes), b)
 }
 
-// materialize lands a computed cached block's bytes where the
-// accounting says the block lives: memory if resident, disk if the
-// boundary spilled it before any task produced it, nowhere otherwise
-// (the accounting refused or already dropped it — the next read
-// recomputes).
-func (e *Engine) materialize(info block.Info, rows []Row) {
+// materialize encodes a computed cached block and lands the bytes
+// where the accounting says the block lives: memory if resident, disk
+// if the boundary spilled it before any task produced it, nowhere
+// otherwise (the accounting refused or already dropped it — the next
+// read recomputes).
+func (e *Engine) materialize(t *taskCtx, info block.Info, rows []Row) []byte {
 	home := e.home(info.ID)
 	b := EncodeRows(rows)
 	if e.adv.Resident(home.id, info.ID) {
 		home.storeMem(info.ID, b)
-		return
+	} else if e.adv.OnDisk(home.id, info.ID) && home.storeDisk(info.ID, b) {
+		t.tally.spills++
+		t.tally.spillBytes += int64(len(b))
 	}
-	if e.adv.OnDisk(home.id, info.ID) {
-		if home.storeDisk(info.ID, b) {
-			e.ctr.add(func(c *counters) { c.spills++; c.spillBytes += int64(len(b)) })
-		}
-	}
+	return b
 }
 
 // computeRows computes partition p of r from its inputs: generated
 // source data, gathered shuffle buckets, or narrow parents.
 func (e *Engine) computeRows(t *taskCtx, r *dag.RDD, p int) []Row {
 	if r.IsSource() {
-		return GenPartition(e.seed, r.ID, p, e.rows, e.skew)
+		return genInto(t.arena.alloc(e.rows), e.seed, r.ID, p, e.skew)
 	}
 	if r.Deps[0].Type == dag.Shuffle {
 		return e.computeWide(t, r, p)
@@ -149,64 +161,82 @@ func (e *Engine) computeRows(t *taskCtx, r *dag.RDD, p int) []Row {
 	return e.computeNarrow(t, r, p)
 }
 
-// computeNarrow evaluates the narrow operators: unions concatenate,
-// zips interleave partition-wise, and the map family transforms its
-// parents' range of partitions.
+// computeNarrow evaluates the narrow operators: unions pass a parent
+// partition through, zips concatenate partition-wise, and the map
+// family transforms its parents' range of partitions. A single parent
+// partition is read where the memo holds it, never copied.
 func (e *Engine) computeNarrow(t *taskCtx, r *dag.RDD, p int) []Row {
 	switch r.Op {
 	case "union":
 		di, pp := unionSlot(r.Deps, p)
-		in := e.eval(t, r.Deps[di].Parent, pp)
-		out := make([]Row, len(in))
-		copy(out, in)
-		return out
+		return e.eval(t, r.Deps[di].Parent, pp)
 	case "zipPartitions":
-		var out []Row
-		for _, d := range r.Deps {
-			out = append(out, e.eval(t, d.Parent, p%d.Parent.NumPartitions)...)
-		}
-		return out
+		return e.concat(t, len(r.Deps), func(i int) (*dag.RDD, int) {
+			return r.Deps[i].Parent, p % r.Deps[i].Parent.NumPartitions
+		})
 	default:
 		parent := r.Deps[0].Parent
-		var in []Row
-		for _, q := range narrowParents(parent.NumPartitions, r.NumPartitions, p) {
-			in = append(in, e.eval(t, parent, q)...)
+		lo, hi := narrowParents(parent.NumPartitions, r.NumPartitions, p)
+		if hi-lo == 1 {
+			return transformNarrow(&t.arena, r.Op, e.eval(t, parent, lo))
 		}
-		return transformNarrow(r.Op, in)
+		return transformNarrow(&t.arena, r.Op, e.concat(t, hi-lo, func(i int) (*dag.RDD, int) {
+			return parent, lo + i
+		}))
 	}
 }
 
+// concat lays n evaluated partitions end to end in one arena
+// allocation, sized once and copied once (each partition's second eval
+// is a memo hit).
+func (e *Engine) concat(t *taskCtx, n int, at func(i int) (*dag.RDD, int)) []Row {
+	total := 0
+	for i := 0; i < n; i++ {
+		r, p := at(i)
+		total += len(e.eval(t, r, p))
+	}
+	out := t.arena.alloc(total)[:0]
+	for i := 0; i < n; i++ {
+		r, p := at(i)
+		out = append(out, e.eval(t, r, p)...)
+	}
+	return out
+}
+
 // transformNarrow applies the per-row transformation of one narrow
-// operator. Filters and samples keep deterministic subsets; the map
-// family scrambles values and keeps keys (so joins downstream still
-// align); flatMap doubles. Inputs are never mutated — memoized slices
-// are shared across operators.
-func transformNarrow(op string, in []Row) []Row {
+// operator, writing into the arena. Filters and samples keep
+// deterministic subsets; the map family scrambles values and keeps keys
+// (so joins downstream still align); flatMap doubles. Inputs are never
+// mutated — memoized slices are shared across operators.
+func transformNarrow(a *arena, op string, in []Row) []Row {
 	switch op {
 	case "filter":
-		out := make([]Row, 0, len(in))
+		out, n := a.alloc(len(in)), 0
 		for _, row := range in {
 			if splitmix64(row.Key^row.Val)%10 < 7 {
-				out = append(out, row)
+				out[n] = row
+				n++
 			}
 		}
-		return out
+		return a.trim(out, n)
 	case "sample":
-		out := make([]Row, 0, len(in)/2)
+		out, n := a.alloc(len(in)), 0
 		for _, row := range in {
 			if splitmix64(row.Val^0xA5A5A5A5)%2 == 0 {
-				out = append(out, row)
+				out[n] = row
+				n++
 			}
 		}
-		return out
+		return a.trim(out, n)
 	case "flatMap":
-		out := make([]Row, 0, 2*len(in))
-		for _, row := range in {
-			out = append(out, Row{Key: row.Key, Val: mixVal(row.Val)}, Row{Key: row.Key, Val: mixVal(row.Val + 1)})
+		out := a.alloc(2 * len(in))
+		for i, row := range in {
+			out[2*i] = Row{Key: row.Key, Val: mixVal(row.Val)}
+			out[2*i+1] = Row{Key: row.Key, Val: mixVal(row.Val + 1)}
 		}
 		return out
 	default: // map, mapPartitions, mapValues, and anything map-shaped
-		out := make([]Row, len(in))
+		out := a.alloc(len(in))
 		for i, row := range in {
 			out[i] = Row{Key: row.Key, Val: mixVal(row.Val)}
 		}
@@ -217,54 +247,59 @@ func transformNarrow(op string, in []Row) []Row {
 // computeWide evaluates a shuffle operator's reduce side: gather the
 // buckets every map task wrote for partition p, then aggregate, sort,
 // dedup or join. Every result is key-sorted, so reduce outputs are
-// independent of bucket arrival order.
+// independent of bucket arrival order. A gathered side is this
+// operator's own arena allocation, so it is sorted and compacted in
+// place.
 func (e *Engine) computeWide(t *taskCtx, r *dag.RDD, p int) []Row {
-	sides := make([][]Row, len(r.Deps))
+	var first, last []Row
 	for i, d := range r.Deps {
-		sides[i] = e.gather(t, d.ShuffleID, p)
+		last = e.gather(t, d.ShuffleID, p)
+		if i == 0 {
+			first = last
+		}
 	}
 	switch r.Op {
-	case "join":
-		return joinRows(sides[0], sides[len(sides)-1], true)
-	case "cogroup":
-		return joinRows(sides[0], sides[len(sides)-1], false)
+	case "join", "cogroup":
+		return joinRows(&t.arena, first, last, r.Op == "join")
 	case "reduceByKey", "aggregateByKey":
-		return reduceRows(sides[0])
+		return reduceRows(first)
 	case "distinct":
-		sortRows(sides[0])
-		out := sides[0][:0:0]
-		for i, row := range sides[0] {
-			if i == 0 || row != sides[0][i-1] {
-				out = append(out, row)
+		sortRows(first)
+		n := 0
+		for _, row := range first {
+			if n == 0 || row != first[n-1] {
+				first[n] = row
+				n++
 			}
 		}
-		return out
+		return first[:n:n]
 	default: // groupByKey, sortByKey, partitionBy
-		sortRows(sides[0])
-		return sides[0]
+		sortRows(first)
+		return first
 	}
 }
 
 // reduceRows sums values per key (wrapping uint64 addition is
 // order-independent, so the result is deterministic regardless of
-// gather order), emitting one key-sorted row per key.
+// gather order), emitting one key-sorted row per key over the front of
+// in, which is dead once summed.
 func reduceRows(in []Row) []Row {
 	sums := map[uint64]uint64{}
 	for _, row := range in {
 		sums[row.Key] += row.Val
 	}
-	out := make([]Row, 0, len(sums))
+	out := in[:0:len(sums)]
 	for k, v := range sums {
 		out = append(out, Row{Key: k, Val: v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	sortByKey(out)
 	return out
 }
 
 // joinRows combines two shuffle sides per key: inner semantics for
 // join (keys present on both sides), outer for cogroup (keys present
 // on either).
-func joinRows(a, b []Row, inner bool) []Row {
+func joinRows(mem *arena, a, b []Row, inner bool) []Row {
 	as := map[uint64]uint64{}
 	for _, row := range a {
 		as[row.Key] += row.Val
@@ -273,79 +308,81 @@ func joinRows(a, b []Row, inner bool) []Row {
 	for _, row := range b {
 		bs[row.Key] += row.Val
 	}
-	var out []Row
+	out, n := mem.alloc(len(as)+len(bs)), 0
 	for k, av := range as {
 		bv, ok := bs[k]
 		if inner && !ok {
 			continue
 		}
-		out = append(out, Row{Key: k, Val: mixVal(av + bv)})
+		out[n] = Row{Key: k, Val: mixVal(av + bv)}
+		n++
 	}
 	if !inner {
 		for k, bv := range bs {
 			if _, ok := as[k]; !ok {
-				out = append(out, Row{Key: k, Val: mixVal(bv)})
+				out[n] = Row{Key: k, Val: mixVal(bv)}
+				n++
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out = mem.trim(out, n)
+	sortByKey(out)
 	return out
 }
 
-// gather fetches and decodes every map task's bucket for reduce
-// partition p of the shuffle.
+// gather fetches every map task's bucket for reduce partition p of the
+// shuffle, sums their lengths and decodes them into one arena
+// allocation. The buckets wait on t.buckets above mark: a fetch that
+// finds its map output lost recomputes it in this task, which gathers
+// for another stage and pushes above ours.
 func (e *Engine) gather(t *taskCtx, sid, p int) []Row {
 	si := e.shuffles[sid]
-	var out []Row
+	mark, n := len(t.buckets), 0
 	for m := 0; m < si.mapParts; m++ {
-		rows, _ := DecodeRows(e.fetchBucket(t, si, m, p))
-		out = append(out, rows...)
+		b := e.fetchBucket(t, si, m, p)
+		t.buckets = append(t.buckets, b)
+		n += len(b)
 	}
+	out := t.arena.alloc(n / rowBytes)
+	at := 0
+	for _, b := range t.buckets[mark:] {
+		at += len(decodeInto(out[at:], b))
+	}
+	t.buckets = t.buckets[:mark]
 	return out
 }
 
-// fetchBucket reads one shuffle bucket from the worker that ran map
-// task m. A missing bucket means that worker died since the map stage
-// ran: the map task is recomputed from lineage (once, via
-// singleflight) and its whole bucket row rewritten, then the read
+// fetchBucket reads reduce partition p's range of map task m's output
+// from the worker that ran it. A missing output means that worker died
+// since the map stage ran: the map task is recomputed from lineage
+// (once, via singleflight) and its output rewritten, then the read
 // retries — Spark's FetchFailed → map-stage resubmission path,
 // collapsed to the task that needs it.
 func (e *Engine) fetchBucket(t *taskCtx, si *shuffleInfo, m, p int) []byte {
 	w := e.nodes[cluster.HomePartition(m, len(e.nodes))]
-	k := shuffleKey{sid: si.id, mapPart: m, reducePart: p}
-	b, ok := w.getBucket(k)
+	k := shuffleKey{sid: si.id, mapPart: m}
+	o, ok := w.getOutput(k)
 	if !ok {
-		_, ran := e.flights.do(mapFlightKey{sid: si.id, mapPart: m}, func() []Row {
-			rows := e.eval(t, si.mapStage.Target, m)
-			e.writeBuckets(si, m, rows)
+		_, ran := e.flights.do(k, func() []byte {
+			e.writeOutput(si, m, e.eval(t, si.mapStage.Target, m))
 			return nil
 		})
 		if ran {
-			e.ctr.add(func(c *counters) { c.lineageRecomputes++ })
+			t.tally.lineageRecomputes++
 		}
-		b, _ = w.getBucket(k)
+		o, _ = w.getOutput(k)
 	}
-	e.ctr.add(func(c *counters) {
-		c.shuffleBytes += int64(len(b))
-		if w.id != t.worker {
-			c.remoteFetches++
-		}
-	})
+	b := o.bucket(p)
+	t.tally.shuffleBytes += int64(len(b))
+	if w.id != t.worker {
+		t.tally.remoteFetches++
+	}
 	return b
 }
 
-// writeBuckets partitions map task m's output rows by key hash and
-// stores one encoded bucket per reduce partition in the map worker's
-// shuffle store. Buckets are written even when empty, so a reducer can
-// distinguish "no rows for you" from "output lost with its worker".
-func (e *Engine) writeBuckets(si *shuffleInfo, m int, rows []Row) {
-	buckets := make([][]Row, si.reduceParts)
-	for _, row := range rows {
-		q := bucketOf(row.Key, si.reduceParts)
-		buckets[q] = append(buckets[q], row)
-	}
+// writeOutput stores map task m's output rows, laid out by reduce
+// partition, in the map worker's shuffle store.
+func (e *Engine) writeOutput(si *shuffleInfo, m int, rows []Row) {
 	w := e.nodes[cluster.HomePartition(m, len(e.nodes))]
-	for q, rs := range buckets {
-		w.putBucket(shuffleKey{sid: si.id, mapPart: m, reducePart: q}, EncodeRows(rs))
-	}
+	w.putOutput(shuffleKey{sid: si.id, mapPart: m}, newMapOutput(rows, si.reduceParts))
 }
