@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"mrdspark/internal/block"
 	"mrdspark/internal/policy"
@@ -13,17 +12,16 @@ import (
 // the attached policy. It is the component every cache policy
 // ultimately drives.
 //
-// A mutex guards every method, making the store safe for concurrent
-// use. Every mutation comes from one goroutine — the simulator, or the
-// advisor's boundary procedure, which the execution engine runs on its
-// master between task waves — so writers never contend; the lock is
-// there for the engine's worker goroutines, which read residency
-// through the advisor (Resident/OnDisk) during a wave. The per-node
-// policy is only ever called from inside store methods, so the store
-// lock also serializes all policy callbacks — policies themselves stay
-// single-threaded, as their contract requires.
+// The store holds no lock. Every mutation — and every policy callback,
+// which only store methods make — comes from one goroutine: the
+// simulator, or the advisor's boundary procedure, which the execution
+// engine runs on its master between task waves. The engine's worker
+// goroutines only read (Contains, through the advisor's Resident)
+// during a wave, and the dispatch channels that start and end a wave
+// order those reads against the master's writes. The read methods
+// therefore write nothing: a store may be read from many goroutines at
+// once as long as no mutation runs beside them.
 type MemoryStore struct {
-	mu       sync.Mutex
 	capacity int64
 	used     int64
 	blocks   map[block.ID]block.Info
@@ -45,30 +43,16 @@ func NewMemoryStore(capacity int64, pol policy.Policy) *MemoryStore {
 func (s *MemoryStore) Capacity() int64 { return s.capacity }
 
 // Used returns the bytes currently occupied.
-func (s *MemoryStore) Used() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
+func (s *MemoryStore) Used() int64 { return s.used }
 
 // Free returns the unoccupied bytes.
-func (s *MemoryStore) Free() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity - s.used
-}
+func (s *MemoryStore) Free() int64 { return s.capacity - s.used }
 
 // Len returns the number of resident blocks.
-func (s *MemoryStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blocks)
-}
+func (s *MemoryStore) Len() int { return len(s.blocks) }
 
 // Contains reports residency without touching policy state.
 func (s *MemoryStore) Contains(id block.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, ok := s.blocks[id]
 	return ok
 }
@@ -76,9 +60,7 @@ func (s *MemoryStore) Contains(id block.ID) bool {
 // Get reports a read: on a hit the policy's recency/accounting hooks
 // fire and Get returns true.
 func (s *MemoryStore) Get(id block.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blocks[id]; !ok {
+	if !s.Contains(id) {
 		return false
 	}
 	s.pol.OnAccess(id)
@@ -92,9 +74,7 @@ func (s *MemoryStore) Get(id block.ID) bool {
 // likewise refuses to cache oversized blocks). Re-inserting a resident
 // block is a no-op touch.
 func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, resident := s.blocks[info.ID]; resident {
+	if s.Contains(info.ID) {
 		s.pol.OnAccess(info.ID)
 		return nil, true
 	}
@@ -112,13 +92,11 @@ func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 		if !resident {
 			panic(fmt.Sprintf("cluster: policy chose non-resident victim %v", victim))
 		}
-		s.dropLocked(vInfo)
+		s.drop(vInfo)
 		s.Evictions++
 		evicted = append(evicted, vInfo)
 	}
-	s.blocks[info.ID] = info
-	s.used += info.Size
-	s.pol.OnAdd(info.ID)
+	s.add(info)
 	return evicted, true
 }
 
@@ -127,38 +105,35 @@ func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 // the arrival path for arbitrated prefetches: a prefetch should not
 // displace blocks the policy considers at least as valuable.
 func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bool) (evicted []block.Info, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, resident := s.blocks[info.ID]; resident {
+	if s.Contains(info.ID) {
 		s.pol.OnAccess(info.ID)
 		return nil, true
 	}
 	if info.Size > s.capacity {
 		return nil, false
 	}
-	picked := map[block.ID]bool{}
-	var plan []block.Info
-	freed := s.capacity - s.used
-	for freed < info.Size {
-		victim, found := s.pol.Victim(func(v block.ID) bool {
-			return v != info.ID && !picked[v]
-		})
-		if !found || !allow(victim) {
-			return nil, false
+	if freed := s.capacity - s.used; freed < info.Size {
+		// Most arrivals fit; only one that must evict pays for the
+		// picked set and the filter over it.
+		picked := map[block.ID]bool{}
+		unpicked := func(v block.ID) bool { return v != info.ID && !picked[v] }
+		for freed < info.Size {
+			victim, found := s.pol.Victim(unpicked)
+			if !found || !allow(victim) {
+				return nil, false
+			}
+			picked[victim] = true
+			vInfo := s.blocks[victim]
+			evicted = append(evicted, vInfo)
+			freed += vInfo.Size
 		}
-		picked[victim] = true
-		vInfo := s.blocks[victim]
-		plan = append(plan, vInfo)
-		freed += vInfo.Size
+		for _, vInfo := range evicted {
+			s.drop(vInfo)
+			s.Evictions++
+		}
 	}
-	for _, vInfo := range plan {
-		s.dropLocked(vInfo)
-		s.Evictions++
-	}
-	s.blocks[info.ID] = info
-	s.used += info.Size
-	s.pol.OnAdd(info.ID)
-	return plan, true
+	s.add(info)
+	return evicted, true
 }
 
 // PutPrefetch is the arrival path of a prefetched block. Arbitrated
@@ -179,27 +154,27 @@ func (s *MemoryStore) PutPrefetch(info block.Info) (evicted []block.Info, ok boo
 // (purge orders, failure injection). It reports whether the block was
 // resident.
 func (s *MemoryStore) Remove(id block.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	info, ok := s.blocks[id]
-	if !ok {
-		return false
+	if ok {
+		s.drop(info)
 	}
-	s.dropLocked(info)
-	return true
+	return ok
 }
 
 // Clear empties the store (node failure).
 func (s *MemoryStore) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, info := range s.blocks {
-		_ = id
-		s.dropLocked(info)
+	for _, info := range s.blocks {
+		s.drop(info)
 	}
 }
 
-func (s *MemoryStore) dropLocked(info block.Info) {
+func (s *MemoryStore) add(info block.Info) {
+	s.blocks[info.ID] = info
+	s.used += info.Size
+	s.pol.OnAdd(info.ID)
+}
+
+func (s *MemoryStore) drop(info block.Info) {
 	delete(s.blocks, info.ID)
 	s.used -= info.Size
 	s.pol.OnRemove(info.ID)
@@ -208,8 +183,6 @@ func (s *MemoryStore) dropLocked(info block.Info) {
 // Blocks returns a snapshot of resident block IDs (test helper; order
 // unspecified).
 func (s *MemoryStore) Blocks() []block.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]block.ID, 0, len(s.blocks))
 	for id := range s.blocks {
 		out = append(out, id)
@@ -217,16 +190,37 @@ func (s *MemoryStore) Blocks() []block.ID {
 	return out
 }
 
+// rddCount is the dense per-RDD entry count a DiskStore keeps in front
+// of its map. The MRD manager asks OnDisk about every partition it does
+// not hold in memory, at every stage boundary, and most of those probes
+// name an RDD the disk holds nothing of (188 k of a D4 pass's 267 k Has
+// calls): they are answered from the array without hashing the 16-byte
+// key. Only mutations grow
+// it (geometrically, by append), so reads stay pure. MemoryStore has no
+// such array: nothing probes it that way any more (the manager reads
+// residency from its monitors), and it would cost a D4 pass 360 KB.
+type rddCount []int32
+
+// none reports that the store holds no block of the RDD.
+func (c rddCount) none(rdd int) bool { return rdd >= len(c) || c[rdd] == 0 }
+
+func (c *rddCount) add(rdd int, delta int32) {
+	if rdd >= len(*c) {
+		*c = append(*c, make([]int32, rdd+1-len(*c))...)
+	}
+	(*c)[rdd] += delta
+}
+
 // DiskStore is one node's local-disk block set: spilled cache blocks,
 // HDFS-resident source data, and — under replication — replica copies
 // of blocks homed on other nodes. Capacity is not modeled (the paper's
 // nodes have 200 GB disks, never a constraint); bandwidth is charged
-// by the simulator's device queues. Its map is guarded by a mutex for
-// the same reason MemoryStore's is: the execution engine's workers read
-// it (through the advisor's OnDisk) while a task wave runs.
+// by the simulator's device queues. Like MemoryStore it holds no lock:
+// one goroutine mutates it, and the execution engine's workers read it
+// (through the advisor's OnDisk) only while no mutation runs.
 type DiskStore struct {
-	mu     sync.Mutex
 	blocks map[block.ID]diskEntry
+	perRDD rddCount
 }
 
 // diskEntry is one on-disk copy: its size and whether it is a replica
@@ -242,8 +236,9 @@ func NewDiskStore() *DiskStore { return &DiskStore{blocks: map[block.ID]diskEntr
 // Has reports whether any copy of the block's bytes — primary or
 // replica — is on this disk.
 func (d *DiskStore) Has(id block.ID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	if d.perRDD.none(id.RDD) {
+		return false
+	}
 	_, ok := d.blocks[id]
 	return ok
 }
@@ -251,65 +246,53 @@ func (d *DiskStore) Has(id block.ID) bool {
 // HasReplica reports whether this disk holds a replica copy of the
 // block (a copy whose home node is elsewhere).
 func (d *DiskStore) HasReplica(id block.ID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.blocks[id]
-	return ok && e.replica
+	return !d.perRDD.none(id.RDD) && d.blocks[id].replica
 }
 
 // Put records a primary copy of the block on disk. Putting a block
 // that was a replica promotes it to primary.
-func (d *DiskStore) Put(id block.ID, size int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.blocks[id] = diskEntry{size: size}
-}
+func (d *DiskStore) Put(id block.ID, size int64) { d.put(id, diskEntry{size: size}) }
 
 // PutReplica records a replica copy (replication of a block homed on
 // another node). A primary copy is never downgraded.
 func (d *DiskStore) PutReplica(id block.ID, size int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if e, ok := d.blocks[id]; ok && !e.replica {
 		return
 	}
-	d.blocks[id] = diskEntry{size: size, replica: true}
+	d.put(id, diskEntry{size: size, replica: true})
+}
+
+func (d *DiskStore) put(id block.ID, e diskEntry) {
+	if !d.Has(id) {
+		d.perRDD.add(id.RDD, 1)
+	}
+	d.blocks[id] = e
 }
 
 // Size returns the block's on-disk size, or 0 if absent.
-func (d *DiskStore) Size(id block.ID) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.blocks[id].size
-}
+func (d *DiskStore) Size(id block.ID) int64 { return d.blocks[id].size }
 
 // Remove drops the block (any copy) from disk.
 func (d *DiskStore) Remove(id block.ID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.blocks, id)
+	if d.Has(id) {
+		d.perRDD.add(id.RDD, -1)
+		delete(d.blocks, id)
+	}
 }
 
 // Clear empties the disk (node failure takes local data with it,
 // replica copies included).
 func (d *DiskStore) Clear() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.blocks = map[block.ID]diskEntry{}
+	clear(d.perRDD)
 }
 
 // Len returns the number of blocks on disk, replicas included.
-func (d *DiskStore) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.blocks)
-}
+func (d *DiskStore) Len() int { return len(d.blocks) }
 
 // Blocks returns the IDs of every block on disk (replicas included),
 // in no particular order. Callers sort as needed.
 func (d *DiskStore) Blocks() []block.ID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	ids := make([]block.ID, 0, len(d.blocks))
 	for id := range d.blocks {
 		ids = append(ids, id)
@@ -319,8 +302,6 @@ func (d *DiskStore) Blocks() []block.ID {
 
 // ReplicaLen returns the number of replica copies on disk.
 func (d *DiskStore) ReplicaLen() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	n := 0
 	for _, e := range d.blocks {
 		if e.replica {

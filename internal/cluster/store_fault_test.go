@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sync"
 	"testing"
 
 	"mrdspark/internal/block"
@@ -50,35 +49,47 @@ func TestDiskStoreClearDropsReplicas(t *testing.T) {
 	}
 }
 
-// TestDiskStoreConcurrentAccess exercises the mutex under -race: the
-// experiments package runs simulations in parallel, and a shared-map
-// DiskStore was previously a silent data race.
+// TestDiskStoreConcurrentAccess is the DiskStore half of the phase
+// contract (see runPhases): one goroutine writes primaries and replicas
+// and removes them, then eight read every query method at once. The
+// final sweep checks each read method against Blocks().
 func TestDiskStoreConcurrentAccess(t *testing.T) {
 	d := NewDiskStore()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := block.ID{RDD: w, Partition: i % 16}
-				switch i % 5 {
-				case 0:
-					d.Put(id, int64(i))
-				case 1:
-					d.PutReplica(id, int64(i))
-				case 2:
-					d.Has(id)
-					d.HasReplica(id)
-					d.Size(id)
-				case 3:
-					d.Remove(id)
-				case 4:
-					d.Len()
-					d.ReplicaLen()
+	id := func(i int) block.ID { return block.ID{RDD: i / 16, Partition: i % 16} }
+	mutate := func(round int) {
+		for i := round; i < round+40; i++ {
+			switch i % 5 {
+			case 0, 1:
+				d.Put(id(i), int64(i+1))
+			case 2:
+				d.PutReplica(id(i+7), int64(i+1))
+			case 3:
+				d.Remove(id(i - 9))
+			case 4:
+				if i%200 == 199 {
+					d.Clear()
 				}
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
+	read := func(reader, round int) {
+		for i := round + reader; i < round+80; i += 3 {
+			if d.Has(id(i)) != (d.Size(id(i)) > 0) {
+				t.Errorf("Has(%v) = %v with size %d", id(i), d.Has(id(i)), d.Size(id(i)))
+			}
+			if d.HasReplica(id(i)) && !d.Has(id(i)) {
+				t.Errorf("replica of %v without a copy", id(i))
+			}
+		}
+		if d.ReplicaLen() > d.Len() || len(d.Blocks()) != d.Len() {
+			t.Errorf("%d replicas among %d blocks (%d listed)", d.ReplicaLen(), d.Len(), len(d.Blocks()))
+		}
+	}
+	runPhases(120, 8, mutate, read)
+
+	for _, b := range d.Blocks() {
+		if !d.Has(b) || d.Size(b) == 0 {
+			t.Fatalf("Blocks() listed %v, but Has = %v and Size = %d", b, d.Has(b), d.Size(b))
+		}
+	}
 }

@@ -5,12 +5,17 @@ import (
 
 	"mrdspark/internal/block"
 	"mrdspark/internal/dag"
+	"mrdspark/internal/policy"
 	"mrdspark/internal/refdist"
 )
 
-// fakeOps drives the manager without a simulator.
+// fakeOps drives the manager without a simulator. Like a store, it
+// reports every block that enters or leaves a node's memory to the
+// policy the manager minted for that node — the manager has no other
+// way to learn of residency.
 type fakeOps struct {
 	nodes      int
+	pol        []policy.Policy
 	resident   map[block.ID]bool
 	onDisk     map[block.ID]bool
 	free       map[int]int64
@@ -21,16 +26,26 @@ type fakeOps struct {
 	wasted     int64
 }
 
-func newFakeOps(nodes int, capacity int64) *fakeOps {
+// newFakeOps attaches a fake cluster of the given shape to the manager
+// and deploys the manager's node policies on it.
+func newFakeOps(m *Manager, nodes int, capacity int64) *fakeOps {
 	f := &fakeOps{
 		nodes: nodes, capacity: capacity,
 		resident: map[block.ID]bool{}, onDisk: map[block.ID]bool{},
 		free: map[int]int64{},
 	}
+	m.Attach(f)
 	for i := 0; i < nodes; i++ {
 		f.free[i] = capacity
+		f.pol = append(f.pol, m.NewNodePolicy(i))
 	}
 	return f
+}
+
+// admit makes the block resident on its home node.
+func (f *fakeOps) admit(id block.ID) {
+	f.resident[id] = true
+	f.pol[f.HomeNode(id)].OnAdd(id)
 }
 
 func (f *fakeOps) NumNodes() int                    { return f.nodes }
@@ -45,6 +60,7 @@ func (f *fakeOps) Evict(_ int, id block.ID) bool {
 		return false
 	}
 	delete(f.resident, id)
+	f.pol[f.HomeNode(id)].OnRemove(id)
 	f.evicted = append(f.evicted, id)
 	return true
 }
@@ -153,11 +169,10 @@ func TestAdHocManagerSeesOnlySubmittedJobs(t *testing.T) {
 func TestPurgeEvictsInfiniteDistanceBlocks(t *testing.T) {
 	g, near, _, dead := testGraph(t)
 	m := NewFull(g)
-	ops := newFakeOps(2, 64<<20)
-	m.Attach(ops)
+	ops := newFakeOps(m, 2, 64<<20)
 	for p := 0; p < 4; p++ {
-		ops.resident[near.Block(p)] = true
-		ops.resident[dead.Block(p)] = true
+		ops.admit(near.Block(p))
+		ops.admit(dead.Block(p))
 	}
 	ops.free[0], ops.free[1] = 0, 0 // no room: no prefetch noise
 	m.OnStageStart(1, 1)
@@ -178,9 +193,8 @@ func TestPurgeEvictsInfiniteDistanceBlocks(t *testing.T) {
 func TestPurgeDisabled(t *testing.T) {
 	g, _, _, dead := testGraph(t)
 	m := NewManager(g, NewRecurringProfiler(refdist.FromGraph(g)), Options{DisablePurge: true})
-	ops := newFakeOps(2, 64<<20)
-	m.Attach(ops)
-	ops.resident[dead.Block(0)] = true
+	ops := newFakeOps(m, 2, 64<<20)
+	ops.admit(dead.Block(0))
 	m.OnStageStart(1, 1)
 	if len(ops.evicted) != 0 {
 		t.Errorf("purge ran despite DisablePurge: %v", ops.evicted)
@@ -190,8 +204,7 @@ func TestPurgeDisabled(t *testing.T) {
 func TestPrefetchSelectsLowestDistanceFirst(t *testing.T) {
 	g, near, far, _ := testGraph(t)
 	m := NewFull(g)
-	ops := newFakeOps(1, 1<<30)
-	m.Attach(ops)
+	ops := newFakeOps(m, 1, 1<<30)
 	for p := 0; p < 4; p++ {
 		ops.onDisk[near.Block(p)] = true
 		ops.onDisk[far.Block(p)] = true
@@ -210,11 +223,10 @@ func TestPrefetchSelectsLowestDistanceFirst(t *testing.T) {
 func TestPrefetchSkipsResidentAndMissingAndDead(t *testing.T) {
 	g, near, _, dead := testGraph(t)
 	m := NewFull(g)
-	ops := newFakeOps(1, 1<<30)
-	m.Attach(ops)
+	ops := newFakeOps(m, 1, 1<<30)
 	ops.onDisk[near.Block(0)] = true
-	ops.resident[near.Block(0)] = true // already in memory: skip
-	ops.onDisk[near.Block(1)] = true   // prefetchable
+	ops.admit(near.Block(0))         // already in memory: skip
+	ops.onDisk[near.Block(1)] = true // prefetchable
 	// near.Block(2) not on disk: unprefetchable.
 	ops.onDisk[dead.Block(0)] = true // infinite distance: skip
 	m.OnStageStart(2, 2)             // near next read at stage 3
@@ -230,8 +242,7 @@ func TestPrefetchThresholdGatesForcedPrefetch(t *testing.T) {
 	}
 	// Case 1: free below threshold and block does not fit: no prefetch.
 	m := NewFull(g)
-	ops := newFakeOps(1, 100<<20)
-	m.Attach(ops)
+	ops := newFakeOps(m, 1, 100<<20)
 	ops.onDisk[near.Block(0)] = true
 	ops.free[0] = 10 << 20 // 10% free < 25% threshold; block is 1MB and fits though
 	m.OnStageStart(2, 2)
@@ -241,8 +252,7 @@ func TestPrefetchThresholdGatesForcedPrefetch(t *testing.T) {
 
 	// Case 2: block larger than free but free above threshold: forced.
 	m2 := NewFull(g)
-	ops2 := newFakeOps(1, 100<<20)
-	m2.Attach(ops2)
+	ops2 := newFakeOps(m2, 1, 100<<20)
 	ops2.onDisk[near.Block(0)] = true
 	ops2.free[0] = 30 << 20
 	// Make the block bigger than free memory.
@@ -258,8 +268,7 @@ func TestPrefetchThresholdGatesForcedPrefetch(t *testing.T) {
 
 	// Case 3: free below threshold and block does not fit: nothing.
 	m3 := NewFull(g)
-	ops3 := newFakeOps(1, 100<<20)
-	m3.Attach(ops3)
+	ops3 := newFakeOps(m3, 1, 100<<20)
 	ops3.onDisk[near.Block(0)] = true
 	ops3.free[0] = 10 << 20
 	near.PartSize = 40 << 20
@@ -272,8 +281,7 @@ func TestPrefetchThresholdGatesForcedPrefetch(t *testing.T) {
 func TestPrefetchSkipsBlocksLargerThanCapacity(t *testing.T) {
 	g, near, _, _ := testGraph(t)
 	m := NewFull(g)
-	ops := newFakeOps(1, 1<<20) // capacity 1MB
-	m.Attach(ops)
+	ops := newFakeOps(m, 1, 1<<20) // capacity 1MB
 	ops.onDisk[near.Block(0)] = true
 	near.PartSize = 2 << 20 // bigger than the whole store
 	defer func() { near.PartSize = 1 << 20 }()
@@ -286,8 +294,7 @@ func TestPrefetchSkipsBlocksLargerThanCapacity(t *testing.T) {
 func TestEvictionOnlyDisablesPrefetch(t *testing.T) {
 	g, near, _, _ := testGraph(t)
 	m := NewManager(g, NewRecurringProfiler(refdist.FromGraph(g)), Options{DisablePrefetch: true})
-	ops := newFakeOps(1, 1<<30)
-	m.Attach(ops)
+	ops := newFakeOps(m, 1, 1<<30)
 	ops.onDisk[near.Block(0)] = true
 	m.OnStageStart(2, 2)
 	if len(ops.prefetched) != 0 {
@@ -316,10 +323,9 @@ func TestManagerNames(t *testing.T) {
 func TestPurgeWithJobDistanceMetric(t *testing.T) {
 	g, near, _, dead := testGraph(t)
 	m := NewManager(g, NewRecurringProfiler(refdist.FromGraph(g)), Options{Metric: JobDistance})
-	ops := newFakeOps(2, 64<<20)
-	m.Attach(ops)
-	ops.resident[dead.Block(0)] = true
-	ops.resident[near.Block(0)] = true
+	ops := newFakeOps(m, 2, 64<<20)
+	ops.admit(dead.Block(0))
+	ops.admit(near.Block(0))
 	ops.free[0], ops.free[1] = 0, 0
 	m.OnStageStart(1, 1)
 	// Only dead (no references in any job) is purged; near has a read
@@ -359,5 +365,38 @@ func TestManagerStringAndStats(t *testing.T) {
 	}
 	if m.Profiler() == nil {
 		t.Error("profiler accessor nil")
+	}
+}
+
+// TestBoundaryCoversRDDsCachedAfterConstruction: in ad-hoc mode the
+// application may define and cache an RDD after the manager was built.
+// Its blocks are purged and prefetched like any other's, whether or not
+// a monitor has ever held one.
+func TestBoundaryCoversRDDsCachedAfterConstruction(t *testing.T) {
+	g := dag.New()
+	src := g.Source("in", 2, 1<<20)
+	g.Count(src.Map("first").Persist(block.MemoryAndDisk))
+	m := NewManager(g, NewAppProfiler(), Options{})
+	ops := newFakeOps(m, 1, 1<<30)
+	m.OnJobSubmit(g.Jobs[0])
+	m.OnStageStart(g.Jobs[0].NewStages[0].ID, 0)
+
+	late := src.Map("late").Persist(block.MemoryAndDisk)
+	g.Count(late)
+	g.Count(src.Map("pad"))
+	g.Count(late.Map("use"))
+	for _, j := range g.Jobs[1:] {
+		m.OnJobSubmit(j)
+	}
+	ops.onDisk[late.Block(0)] = true
+	m.OnStageStart(g.Jobs[2].NewStages[0].ID, 2) // late is read by the next job
+	if len(ops.prefetched) != 1 || ops.prefetched[0].ID != late.Block(0) {
+		t.Errorf("prefetched %v, want late's on-disk block", ops.prefetched)
+	}
+	ops.admit(late.Block(1))
+	last := g.Jobs[3].NewStages
+	m.OnStageStart(last[len(last)-1].ID+1, 4) // past late's last read
+	if len(ops.evicted) != 1 || ops.evicted[0] != late.Block(1) {
+		t.Errorf("purged %v, want late's resident block", ops.evicted)
 	}
 }

@@ -78,8 +78,7 @@ func TestControllerSteadyStateUntouched(t *testing.T) {
 func TestManagerDynamicThresholdWiring(t *testing.T) {
 	g, near, _, _ := testGraph(t)
 	m := NewManager(g, NewRecurringProfiler(profileOf(g)), Options{DynamicThreshold: true})
-	ops := newFakeOps(1, 1<<30)
-	m.Attach(ops)
+	ops := newFakeOps(m, 1, 1<<30)
 	ops.onDisk[near.Block(0)] = true
 
 	// Report heavy waste, then advance a stage: the threshold rises.
@@ -94,8 +93,7 @@ func TestManagerDynamicThresholdWiring(t *testing.T) {
 func TestDynamicHorizonGatesCandidates(t *testing.T) {
 	g, near, far, _ := testGraph(t)
 	m := NewManager(g, NewRecurringProfiler(profileOf(g)), Options{DynamicThreshold: true})
-	ops := newFakeOps(1, 1<<30)
-	m.Attach(ops)
+	ops := newFakeOps(m, 1, 1<<30)
 	ops.onDisk[near.Block(0)] = true
 	ops.onDisk[far.Block(0)] = true
 

@@ -170,8 +170,18 @@ type Manager struct {
 	// steady state.
 	pfPerNode [][]pfCandidate
 
-	ops       policy.ClusterOps
-	monitors  map[int]*CacheMonitor
+	ops policy.ClusterOps
+	// monitors holds each node's deployed CacheMonitor, by node. They
+	// are the manager's residency authority — the reportCacheStatus
+	// channel of Table 2: a store tells its monitor of every block that
+	// enters or leaves memory, so the boundary procedure reads residency
+	// from them and never interrogates the stores.
+	monitors []*CacheMonitor
+	// held counts, dense by rddID, the blocks the deployed monitors
+	// hold: a purge skips a dead RDD holding nothing and a prefetch one
+	// holding everything without visiting a partition. It covers every
+	// RDD of the table (rebuildTable) and every RDD a monitor holds.
+	held      []int32
 	stats     Stats
 	threshold *thresholdController
 	bus       *obs.Bus // nil until attached; Emit on nil is a no-op
@@ -192,7 +202,7 @@ func NewManager(g *dag.Graph, profiler *AppProfiler, opts Options) *Manager {
 		profiler:   profiler,
 		graph:      g,
 		opts:       opts,
-		monitors:   map[int]*CacheMonitor{},
+		held:       make([]int32, len(g.RDDs)),
 		threshold:  newThresholdController(opts.initialThreshold()),
 		staleUntil: map[int]int{},
 	}
@@ -234,11 +244,34 @@ func (m *Manager) AttachBus(b *obs.Bus) { m.bus = b }
 
 // NewNodePolicy implements policy.Factory: it deploys a CacheMonitor
 // on the worker node. With eviction disabled the monitor degrades to
-// Spark's default LRU victim selection.
+// Spark's default LRU victim selection. A monitor deployed over an
+// earlier one (the replacement node after a crash) retires it: whatever
+// the old monitor still held leaves the manager's residency view.
 func (m *Manager) NewNodePolicy(nodeID int) policy.Policy {
+	for nodeID >= len(m.monitors) {
+		m.monitors = append(m.monitors, nil)
+	}
+	if old := m.monitors[nodeID]; old != nil {
+		old.reset()
+	}
 	mon := newCacheMonitor(m, nodeID)
 	m.monitors[nodeID] = mon
 	return mon
+}
+
+// coverHeld grows the per-RDD count to cover RDD ids below n: an ad-hoc
+// job may bring RDDs the graph did not have when the manager was built.
+func (m *Manager) coverHeld(n int) {
+	if n > len(m.held) {
+		m.held = append(m.held, make([]int32, n-len(m.held))...)
+	}
+}
+
+// holds reports whether the block is in the node's memory, as the
+// node's monitor has it. Every node ClusterOps names has a monitor:
+// the cluster mints one policy per node before the first boundary.
+func (m *Manager) holds(node int, id block.ID) bool {
+	return m.monitors[node].order.Contains(id)
 }
 
 // OnJobSubmit implements policy.JobObserver: the DAGScheduler hands
@@ -299,8 +332,8 @@ func (m *Manager) OnNodeFailure(node int) {
 	m.stats.TableReissues++
 	m.bus.Emit(obs.Ev(obs.KindTableReissue, node).
 		WithValue(int64(m.opts.ReissueDelayStages)))
-	if mon, ok := m.monitors[node]; ok {
-		mon.reset()
+	if node < len(m.monitors) && m.monitors[node] != nil {
+		m.monitors[node].reset()
 	}
 	if m.opts.ReissueDelayStages > 0 {
 		// Failures fire at a stage boundary before OnStageStart bumps
@@ -389,6 +422,7 @@ func (m *Manager) rebuildTable(p *refdist.Profile) {
 			n = id + 1
 		}
 	}
+	m.coverHeld(n)
 	if len(t.known) < n {
 		t.reads = make([][]refdist.Ref, n)
 		t.known = make([]bool, n)
@@ -433,14 +467,14 @@ func (m *Manager) purgeInfinite() {
 			s := t.spos[rddID]
 			dead = s >= len(reads) && (s == 0 || reads[s-1].Stage != m.curStage)
 		}
-		if !dead {
+		if !dead || m.held[rddID] == 0 {
 			continue
 		}
 		r := m.graph.RDDs[rddID]
 		for p := 0; p < r.NumPartitions; p++ {
 			id := r.Block(p)
 			node := m.ops.HomeNode(id)
-			if m.ops.Resident(node, id) && m.ops.Evict(node, id) {
+			if m.holds(node, id) && m.ops.Evict(node, id) {
 				m.stats.PurgedBlocks++
 				purged++
 			}
@@ -487,10 +521,18 @@ func (m *Manager) prefetch() {
 			continue
 		}
 		r := m.graph.RDDs[rddID]
+		held := int(m.held[rddID])
+		if held >= r.NumPartitions {
+			continue // every partition is already in memory
+		}
+		// Residency is the monitors' to answer. Restorability is not:
+		// it depends on state no monitor sees (disk copies, corruption,
+		// replicas on other nodes), so that one question still crosses
+		// ClusterOps — for the partitions not in memory only.
 		for p := 0; p < r.NumPartitions; p++ {
 			id := r.Block(p)
 			node := m.ops.HomeNode(id)
-			if m.ops.Resident(node, id) || !m.ops.OnDisk(node, id) {
+			if (held > 0 && m.holds(node, id)) || !m.ops.OnDisk(node, id) {
 				continue
 			}
 			perNode[node] = append(perNode[node], pfCandidate{info: r.BlockInfo(p), dist: d})
@@ -549,12 +591,9 @@ func (m *Manager) prefetch() {
 // block with a strictly larger distance than dist, i.e. whether a
 // forced prefetch would evict something less urgent than it loads.
 func (m *Manager) worthForcing(node int, dist int) bool {
-	mon, ok := m.monitors[node]
-	if !ok {
-		return true
-	}
-	for id := range mon.resident {
-		d := m.distance(id.RDD)
+	order := m.monitors[node].order
+	for c := order.Oldest(); c != 0; c = order.Newer(c) {
+		d := m.distance(order.ID(c).RDD)
 		if refdist.IsInfinite(d) || d > dist {
 			return true
 		}

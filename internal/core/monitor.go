@@ -1,10 +1,9 @@
 package core
 
 import (
-	"container/list"
-
 	"mrdspark/internal/block"
 	"mrdspark/internal/obs"
+	"mrdspark/internal/policy"
 	"mrdspark/internal/refdist"
 )
 
@@ -15,55 +14,53 @@ import (
 // infinite-distance blocks first. With MRD eviction disabled the
 // monitor reproduces Spark's default LRU behaviour, giving the paper's
 // prefetch-only configuration.
+//
+// The store's OnAdd/OnRemove notifications are the monitor's half of
+// Table 2's reportCacheStatus: the blocks it tracks are exactly the
+// node's memory-resident set, and each gain or loss is reported to the
+// manager's per-RDD count as it happens.
 type CacheMonitor struct {
-	mgr      *Manager
-	node     int
-	resident map[block.ID]*list.Element
-	order    *list.List // recency: front = MRU, back = LRU
-	// hits mirrors part of Table 2's reportCacheStatus: the monitor's
-	// own count of read hits, reported back to the manager. Full
-	// hit/miss accounting lives in the store's metrics.
-	hits int64
+	mgr   *Manager
+	node  int
+	order *policy.Recency // the node's resident blocks, LRU to MRU
 }
 
 func newCacheMonitor(m *Manager, node int) *CacheMonitor {
-	return &CacheMonitor{
-		mgr:      m,
-		node:     node,
-		resident: map[block.ID]*list.Element{},
-		order:    list.New(),
-	}
+	return &CacheMonitor{mgr: m, node: node, order: policy.NewRecency()}
 }
 
 // reset clears local state after a node failure; the manager re-issues
 // the (shared) table.
 func (c *CacheMonitor) reset() {
-	c.resident = map[block.ID]*list.Element{}
-	c.order = list.New()
+	for cur := c.order.Oldest(); cur != 0; cur = c.order.Newer(cur) {
+		c.report(c.order.ID(cur), -1)
+	}
+	c.order = policy.NewRecency()
+}
+
+// report tells the manager of one block gained or lost. A monitor that
+// NewNodePolicy has replaced no longer speaks for its node.
+func (c *CacheMonitor) report(id block.ID, delta int32) {
+	if m := c.mgr; m.monitors[c.node] == c {
+		m.coverHeld(id.RDD + 1)
+		m.held[id.RDD] += delta
+	}
 }
 
 // OnAdd implements policy.Policy.
 func (c *CacheMonitor) OnAdd(id block.ID) {
-	if e, ok := c.resident[id]; ok {
-		c.order.MoveToFront(e)
-		return
+	if c.order.Touch(id) {
+		c.report(id, 1)
 	}
-	c.resident[id] = c.order.PushFront(id)
 }
 
 // OnAccess implements policy.Policy.
-func (c *CacheMonitor) OnAccess(id block.ID) {
-	c.hits++
-	if e, ok := c.resident[id]; ok {
-		c.order.MoveToFront(e)
-	}
-}
+func (c *CacheMonitor) OnAccess(id block.ID) { c.order.Promote(id) }
 
 // OnRemove implements policy.Policy.
 func (c *CacheMonitor) OnRemove(id block.ID) {
-	if e, ok := c.resident[id]; ok {
-		c.order.Remove(e)
-		delete(c.resident, id)
+	if c.order.Remove(id) {
+		c.report(id, -1)
 	}
 }
 
@@ -79,19 +76,14 @@ func (c *CacheMonitor) Victim(evictable func(id block.ID) bool) (block.ID, bool)
 		if stale {
 			c.mgr.stats.StaleFallbacks++
 		}
-		for e := c.order.Back(); e != nil; e = e.Prev() {
-			id := e.Value.(block.ID)
-			if evictable(id) {
-				if stale {
-					c.mgr.bus.Emit(obs.BlockEv(obs.KindStaleFallback, c.node, id, 0))
-				} else {
-					c.mgr.bus.Emit(obs.BlockEv(obs.KindEvictVerdict, c.node, id, 0).
-						WithVerdict("lru"))
-				}
-				return id, true
-			}
+		id, ok := c.order.Victim(evictable)
+		if ok && stale {
+			c.mgr.bus.Emit(obs.BlockEv(obs.KindStaleFallback, c.node, id, 0))
+		} else if ok {
+			c.mgr.bus.Emit(obs.BlockEv(obs.KindEvictVerdict, c.node, id, 0).
+				WithVerdict("lru"))
 		}
-		return block.ID{}, false
+		return id, ok
 	}
 	best, found := block.ID{}, false
 	bestDist := 0
@@ -99,8 +91,8 @@ func (c *CacheMonitor) Victim(evictable func(id block.ID) bool) (block.ID, bool)
 	// Walk LRU -> MRU so the least recently used block wins among
 	// equal distances under the default tie-break; the optional
 	// size-aware tie-breaks (§3.3's future work) override it.
-	for e := c.order.Back(); e != nil; e = e.Prev() {
-		id := e.Value.(block.ID)
+	for cur := c.order.Oldest(); cur != 0; cur = c.order.Newer(cur) {
+		id := c.order.ID(cur)
 		if !evictable(id) {
 			continue
 		}

@@ -240,3 +240,91 @@ func TestTieBreakCheapestRestore(t *testing.T) {
 		t.Errorf("victim = %v, want cheap regardless of recency", v)
 	}
 }
+
+// TestHeldCountFollowsMonitors scripts the notifications a store (or a
+// crash) sends two deployed monitors and checks the manager's per-RDD
+// count — what purge and prefetch prune by — both against the expected
+// values and against a recount of the blocks the deployed monitors
+// actually hold.
+func TestHeldCountFollowsMonitors(t *testing.T) {
+	g, near, far, _ := testGraph(t)
+	// An ad-hoc job may cache an RDD the graph did not have when the
+	// manager was built.
+	late := block.ID{RDD: len(g.RDDs) + 3}
+	type world struct {
+		m   *Manager
+		mon [2]*CacheMonitor
+	}
+	cases := []struct {
+		name   string
+		script func(w *world)
+		want   map[int]int // rddID -> held; every other RDD holds none
+	}{
+		{"each block counts once, across nodes", func(w *world) {
+			w.mon[0].OnAdd(near.Block(0))
+			w.mon[1].OnAdd(near.Block(1))
+			w.mon[0].OnAdd(far.Block(0))
+		}, map[int]int{near.ID: 2, far.ID: 1}},
+		{"a duplicate OnAdd is a touch", func(w *world) {
+			w.mon[0].OnAdd(near.Block(0))
+			w.mon[0].OnAdd(near.Block(0))
+		}, map[int]int{near.ID: 1}},
+		{"OnAccess never counts", func(w *world) {
+			w.mon[0].OnAccess(near.Block(0))
+		}, nil},
+		{"OnRemove of an absent block changes nothing", func(w *world) {
+			w.mon[0].OnAdd(near.Block(0))
+			w.mon[0].OnRemove(near.Block(1))
+			w.mon[1].OnRemove(near.Block(0)) // held, but by the other node
+			w.mon[0].OnRemove(far.Block(0))
+		}, map[int]int{near.ID: 1}},
+		{"add then remove returns to zero", func(w *world) {
+			w.mon[0].OnAdd(near.Block(0))
+			w.mon[0].OnRemove(near.Block(0))
+		}, nil},
+		{"a failed node's reset drops its share only", func(w *world) {
+			w.mon[0].OnAdd(near.Block(0))
+			w.mon[0].OnAdd(far.Block(0))
+			w.mon[1].OnAdd(near.Block(1))
+			w.m.OnNodeFailure(0)
+		}, map[int]int{near.ID: 1}},
+		{"a replaced monitor's blocks leave with it, and it stops reporting", func(w *world) {
+			old := w.mon[0]
+			old.OnAdd(near.Block(0))
+			old.OnAdd(far.Block(0))
+			w.mon[0] = w.m.NewNodePolicy(0).(*CacheMonitor)
+			old.OnRemove(near.Block(0)) // the dead store's late notifications
+			old.OnAdd(far.Block(2))
+			w.mon[0].OnAdd(near.Block(2))
+		}, map[int]int{near.ID: 1}},
+		{"the count grows past the graph", func(w *world) {
+			w.mon[1].OnAdd(late)
+			w.mon[1].OnAdd(block.ID{RDD: late.RDD, Partition: 1})
+			w.mon[1].OnRemove(late)
+		}, map[int]int{late.RDD: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &world{m: NewFull(g)}
+			for i := range w.mon {
+				w.mon[i] = w.m.NewNodePolicy(i).(*CacheMonitor)
+			}
+			tc.script(w)
+			recount := map[int]int{}
+			for _, mon := range w.m.monitors {
+				for c := mon.order.Oldest(); c != 0; c = mon.order.Newer(c) {
+					recount[mon.order.ID(c).RDD]++
+				}
+			}
+			for rdd := 0; rdd <= late.RDD+1; rdd++ {
+				got := 0
+				if rdd < len(w.m.held) {
+					got = int(w.m.held[rdd])
+				}
+				if got != tc.want[rdd] || got != recount[rdd] {
+					t.Errorf("RDD %d: held = %d, want %d (monitors hold %d)", rdd, got, tc.want[rdd], recount[rdd])
+				}
+			}
+		})
+	}
+}

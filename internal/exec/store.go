@@ -55,8 +55,11 @@ func (o mapOutput) bucket(q int) []byte {
 // never come here (see arena). The accounting plane —
 // which block is resident where — lives in the engine's Advisor, is
 // mutated only at stage boundaries on the master, and is read by
-// workers through Advisor.Resident/OnDisk (the stores' own locks make
-// that safe). Accounting leads, bytes follow: a block's bytes are
+// workers through Advisor.Resident/OnDisk. The accounting stores hold
+// no lock: the master mutates them only between task waves, and the
+// dispatch channels that start a wave and collect its results order
+// every worker read after the boundary's last write and before the
+// next one's first. Accounting leads, bytes follow: a block's bytes are
 // stored where the accounting says it is resident, and a byte-plane
 // lookup that comes up empty (worker killed, or a MEMORY_ONLY eviction
 // dropped the bytes) falls back to lineage recompute.

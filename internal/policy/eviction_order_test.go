@@ -159,8 +159,8 @@ func TestVictimRespectsFilter(t *testing.T) {
 	}
 }
 
-// TestRecencyListOrder covers the shared LRU ordering helper the same
-// way: scripted touches, then a full drain through lruVictim.
+// TestRecencyListOrder covers the shared recency ordering the same
+// way: scripted touches, then a full drain through Victim.
 func TestRecencyListOrder(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -182,32 +182,44 @@ func TestRecencyListOrder(t *testing.T) {
 			ops:   []op{opAdd(1, 0), opAdd(2, 0), opAdd(3, 0), opRemove(2, 0)},
 			order: []block.ID{bid(1, 0), bid(3, 0)},
 		},
+		{
+			name:  "promote refreshes a tracked block and ignores an absent one",
+			ops:   []op{opAdd(1, 0), opAdd(2, 0), opAccess(1, 0), opAccess(9, 9)},
+			order: []block.ID{bid(2, 0), bid(1, 0)},
+		},
+		{
+			name:  "a vacated slot is reused without disturbing the order",
+			ops:   []op{opAdd(1, 0), opAdd(2, 0), opRemove(1, 0), opRemove(1, 0), opAdd(3, 0), opAdd(1, 0)},
+			order: []block.ID{bid(2, 0), bid(3, 0), bid(1, 0)},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := newRecencyList()
+			l := NewRecency()
 			for _, o := range tc.ops {
 				switch o.kind {
 				case "add":
-					l.touch(o.id)
+					l.Touch(o.id)
+				case "access":
+					l.Promote(o.id)
 				case "remove":
-					l.remove(o.id)
+					l.Remove(o.id)
 				}
 			}
-			if l.len() != len(tc.order) {
-				t.Fatalf("len = %d, want %d", l.len(), len(tc.order))
+			if l.Len() != len(tc.order) {
+				t.Fatalf("len = %d, want %d", l.Len(), len(tc.order))
 			}
 			var got []block.ID
 			for {
-				v, ok := l.lruVictim(all)
+				v, ok := l.Victim(all)
 				if !ok {
 					break
 				}
 				got = append(got, v)
-				if !l.contains(v) {
+				if !l.Contains(v) {
 					t.Fatalf("victim %v not tracked", v)
 				}
-				l.remove(v)
+				l.Remove(v)
 			}
 			for i := range tc.order {
 				if i >= len(got) || got[i] != tc.order[i] {

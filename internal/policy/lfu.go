@@ -15,27 +15,27 @@ func (*LFU) Name() string { return "LFU" }
 
 // NewNodePolicy implements Factory.
 func (*LFU) NewNodePolicy(int) Policy {
-	return &lfuNode{count: map[block.ID]int{}, list: newRecencyList()}
+	return &lfuNode{count: map[block.ID]int{}, list: NewRecency()}
 }
 
 type lfuNode struct {
 	count map[block.ID]int
-	list  *recencyList // recency tiebreak
+	list  *Recency // recency tiebreak
 }
 
 func (n *lfuNode) OnAdd(id block.ID) {
 	n.count[id] = 0
-	n.list.touch(id)
+	n.list.Touch(id)
 }
 
 func (n *lfuNode) OnAccess(id block.ID) {
 	n.count[id]++
-	n.list.touch(id)
+	n.list.Touch(id)
 }
 
 func (n *lfuNode) OnRemove(id block.ID) {
 	delete(n.count, id)
-	n.list.remove(id)
+	n.list.Remove(id)
 }
 
 func (n *lfuNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
@@ -43,8 +43,8 @@ func (n *lfuNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	bestCount := 0
 	// Walk from least- to most-recently used so that among equal
 	// counts the least-recently-used block wins.
-	for e := n.list.order.Back(); e != nil; e = e.Prev() {
-		id := e.Value.(block.ID)
+	for c := n.list.Oldest(); c != 0; c = n.list.Newer(c) {
+		id := n.list.ID(c)
 		if !evictable(id) {
 			continue
 		}

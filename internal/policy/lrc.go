@@ -66,24 +66,24 @@ func (l *LRC) remaining(id block.ID) int {
 
 // NewNodePolicy implements Factory.
 func (l *LRC) NewNodePolicy(int) Policy {
-	return &lrcNode{shared: l, list: newRecencyList()}
+	return &lrcNode{shared: l, list: NewRecency()}
 }
 
 type lrcNode struct {
 	shared *LRC
-	list   *recencyList
+	list   *Recency
 }
 
-func (n *lrcNode) OnAdd(id block.ID)    { n.list.touch(id) }
-func (n *lrcNode) OnAccess(id block.ID) { n.list.touch(id) }
-func (n *lrcNode) OnRemove(id block.ID) { n.list.remove(id) }
+func (n *lrcNode) OnAdd(id block.ID)    { n.list.Touch(id) }
+func (n *lrcNode) OnAccess(id block.ID) { n.list.Touch(id) }
+func (n *lrcNode) OnRemove(id block.ID) { n.list.Remove(id) }
 
 func (n *lrcNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	best, found := block.ID{}, false
 	bestCount := 0
 	// Least-recently-used wins ties among equal counts.
-	for e := n.list.order.Back(); e != nil; e = e.Prev() {
-		id := e.Value.(block.ID)
+	for c := n.list.Oldest(); c != 0; c = n.list.Newer(c) {
+		id := n.list.ID(c)
 		if !evictable(id) {
 			continue
 		}

@@ -14,18 +14,18 @@ func NewLRU() *LRU { return &LRU{} }
 func (*LRU) Name() string { return "LRU" }
 
 // NewNodePolicy implements Factory.
-func (*LRU) NewNodePolicy(int) Policy { return &lruNode{list: newRecencyList()} }
+func (*LRU) NewNodePolicy(int) Policy { return &lruNode{list: NewRecency()} }
 
 type lruNode struct {
-	list *recencyList
+	list *Recency
 }
 
-func (n *lruNode) OnAdd(id block.ID)    { n.list.touch(id) }
-func (n *lruNode) OnAccess(id block.ID) { n.list.touch(id) }
-func (n *lruNode) OnRemove(id block.ID) { n.list.remove(id) }
+func (n *lruNode) OnAdd(id block.ID)    { n.list.Touch(id) }
+func (n *lruNode) OnAccess(id block.ID) { n.list.Touch(id) }
+func (n *lruNode) OnRemove(id block.ID) { n.list.Remove(id) }
 
 func (n *lruNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
-	return n.list.lruVictim(evictable)
+	return n.list.Victim(evictable)
 }
 
 // FIFO evicts in insertion order regardless of accesses. It is a test
@@ -39,16 +39,16 @@ func NewFIFO() *FIFO { return &FIFO{} }
 func (*FIFO) Name() string { return "FIFO" }
 
 // NewNodePolicy implements Factory.
-func (*FIFO) NewNodePolicy(int) Policy { return &fifoNode{list: newRecencyList()} }
+func (*FIFO) NewNodePolicy(int) Policy { return &fifoNode{list: NewRecency()} }
 
 type fifoNode struct {
-	list *recencyList
+	list *Recency
 }
 
-func (n *fifoNode) OnAdd(id block.ID)    { n.list.touch(id) }
+func (n *fifoNode) OnAdd(id block.ID)    { n.list.Touch(id) }
 func (n *fifoNode) OnAccess(block.ID)    {}
-func (n *fifoNode) OnRemove(id block.ID) { n.list.remove(id) }
+func (n *fifoNode) OnRemove(id block.ID) { n.list.Remove(id) }
 
 func (n *fifoNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
-	return n.list.lruVictim(evictable)
+	return n.list.Victim(evictable)
 }

@@ -73,26 +73,26 @@ func (m *MemTune) OnStageStart(stageID, _ int) {
 
 // NewNodePolicy implements Factory.
 func (m *MemTune) NewNodePolicy(int) Policy {
-	return &memTuneNode{shared: m, list: newRecencyList()}
+	return &memTuneNode{shared: m, list: NewRecency()}
 }
 
 type memTuneNode struct {
 	shared *MemTune
-	list   *recencyList
+	list   *Recency
 }
 
-func (n *memTuneNode) OnAdd(id block.ID)    { n.list.touch(id) }
-func (n *memTuneNode) OnAccess(id block.ID) { n.list.touch(id) }
-func (n *memTuneNode) OnRemove(id block.ID) { n.list.remove(id) }
+func (n *memTuneNode) OnAdd(id block.ID)    { n.list.Touch(id) }
+func (n *memTuneNode) OnAccess(id block.ID) { n.list.Touch(id) }
+func (n *memTuneNode) OnRemove(id block.ID) { n.list.Remove(id) }
 
 func (n *memTuneNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	// First pass: LRU among blocks outside the protection window.
-	if id, ok := n.list.lruVictim(func(id block.ID) bool {
+	if id, ok := n.list.Victim(func(id block.ID) bool {
 		return evictable(id) && !n.shared.window[id.RDD]
 	}); ok {
 		return id, true
 	}
 	// Everything resident is needed by the runnable stage: fall back
 	// to plain LRU.
-	return n.list.lruVictim(evictable)
+	return n.list.Victim(evictable)
 }

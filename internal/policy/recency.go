@@ -1,55 +1,118 @@
 package policy
 
-import (
-	"container/list"
+import "mrdspark/internal/block"
 
-	"mrdspark/internal/block"
-)
-
-// recencyList is an intrusive LRU ordering shared by several policies:
-// front = most recently used, back = least recently used.
-type recencyList struct {
-	order *list.List
-	elem  map[block.ID]*list.Element
+// Recency is the recency ordering every recency-aware policy keeps
+// (LRU, FIFO, LFU, LRC, MemTune, the MRD CacheMonitor): a doubly linked
+// list of block IDs, least to most recently used, with lookup by ID.
+//
+// The entries live in one slab linked by int32 index, and a removed
+// entry's slot is reused by the next insert, so a store that has warmed
+// up inserts, promotes and removes without allocating — and a victim
+// walk reads one contiguous slice instead of chasing heap pointers.
+type Recency struct {
+	// entries[0] is the ring's sentinel: its next is the most recently
+	// used entry and its prev the least recently used, so linking and
+	// unlinking never branch on the list's ends.
+	entries []recencyEntry
+	slot    map[block.ID]int32
+	// free heads the chain of vacated slots (linked through next); 0
+	// means none.
+	free int32
 }
 
-func newRecencyList() *recencyList {
-	return &recencyList{order: list.New(), elem: map[block.ID]*list.Element{}}
+type recencyEntry struct {
+	id         block.ID
+	prev, next int32
 }
 
-// touch moves the block to the most-recently-used position, inserting
-// it if absent.
-func (l *recencyList) touch(id block.ID) {
-	if e, ok := l.elem[id]; ok {
-		l.order.MoveToFront(e)
-		return
+// NewRecency returns an empty ordering.
+func NewRecency() *Recency {
+	return &Recency{entries: make([]recencyEntry, 1), slot: map[block.ID]int32{}}
+}
+
+// Touch moves the block to the most-recently-used position, inserting
+// it if absent. It reports whether the block was inserted.
+func (l *Recency) Touch(id block.ID) (inserted bool) {
+	if l.Promote(id) {
+		return false
 	}
-	l.elem[id] = l.order.PushFront(id)
-}
-
-// remove drops the block from the ordering.
-func (l *recencyList) remove(id block.ID) {
-	if e, ok := l.elem[id]; ok {
-		l.order.Remove(e)
-		delete(l.elem, id)
+	i := l.free
+	if i != 0 {
+		l.free = l.entries[i].next
+	} else {
+		i = int32(len(l.entries))
+		l.entries = append(l.entries, recencyEntry{})
 	}
+	l.entries[i].id = id
+	l.slot[id] = i
+	l.pushFront(i)
+	return true
 }
 
-// contains reports whether the block is tracked.
-func (l *recencyList) contains(id block.ID) bool {
-	_, ok := l.elem[id]
+// Promote moves a tracked block to the most-recently-used position and
+// reports whether the block is tracked.
+func (l *Recency) Promote(id block.ID) bool {
+	i, ok := l.slot[id]
+	if ok && l.entries[0].next != i {
+		l.unlink(i)
+		l.pushFront(i)
+	}
 	return ok
 }
 
-// len returns the number of tracked blocks.
-func (l *recencyList) len() int { return l.order.Len() }
+// Remove drops the block from the ordering and reports whether it was
+// tracked.
+func (l *Recency) Remove(id block.ID) bool {
+	i, ok := l.slot[id]
+	if !ok {
+		return false
+	}
+	delete(l.slot, id)
+	l.unlink(i)
+	l.entries[i].next = l.free
+	l.free = i
+	return true
+}
 
-// lruVictim returns the least-recently-used block accepted by the
-// filter.
-func (l *recencyList) lruVictim(evictable func(block.ID) bool) (block.ID, bool) {
-	for e := l.order.Back(); e != nil; e = e.Prev() {
-		id := e.Value.(block.ID)
-		if evictable(id) {
+func (l *Recency) unlink(i int32) {
+	e := l.entries[i]
+	l.entries[e.prev].next = e.next
+	l.entries[e.next].prev = e.prev
+}
+
+func (l *Recency) pushFront(i int32) {
+	first := l.entries[0].next
+	l.entries[i].prev, l.entries[i].next = 0, first
+	l.entries[first].prev = i
+	l.entries[0].next = i
+}
+
+// Contains reports whether the block is tracked.
+func (l *Recency) Contains(id block.ID) bool {
+	_, ok := l.slot[id]
+	return ok
+}
+
+// Len returns the number of tracked blocks.
+func (l *Recency) Len() int { return len(l.slot) }
+
+// Oldest returns the cursor of the least recently used block, or 0
+// when the ordering is empty. A cursor is valid until the next Touch,
+// Promote or Remove.
+func (l *Recency) Oldest() int32 { return l.entries[0].prev }
+
+// Newer returns the cursor of the next more recently used block, or 0
+// past the most recently used one.
+func (l *Recency) Newer(cursor int32) int32 { return l.entries[cursor].prev }
+
+// ID returns the block at a non-zero cursor.
+func (l *Recency) ID(cursor int32) block.ID { return l.entries[cursor].id }
+
+// Victim returns the least recently used block the filter accepts.
+func (l *Recency) Victim(evictable func(block.ID) bool) (block.ID, bool) {
+	for c := l.Oldest(); c != 0; c = l.Newer(c) {
+		if id := l.ID(c); evictable(id) {
 			return id, true
 		}
 	}

@@ -163,9 +163,12 @@ type BytePlane interface {
 }
 
 // Advisor is one application's advisory session. It is not safe for
-// concurrent use; the server serializes calls per session. (The
-// read-only Resident/OnDisk/Materialized accessors may be called from
-// other goroutines between calls.)
+// concurrent use; the server serializes calls per session. The
+// read-only Resident/OnDisk/Materialized accessors write nothing, so
+// any number of goroutines may call them at once — but only between
+// calls that mutate the session, and the caller must order the two (the
+// execution engine's dispatch channels do): the stores underneath hold
+// no lock.
 type Advisor struct {
 	graph   *dag.Graph
 	cfg     AdvisorConfig
