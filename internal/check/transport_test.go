@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mrdspark/internal/policyspec"
@@ -160,24 +161,31 @@ func driveBatch(c *client.Client, id, name string, params workload.Params, cfg s
 // as different decisions.
 func FuzzWireFrame(f *testing.F) {
 	// A well-formed advice frame, a well-formed batch frame, and the
-	// interesting degenerate shapes.
-	adviceSeed := func() []byte {
+	// interesting degenerate shapes. The advice frames are encoded by
+	// hand, one decision per block name, so that a seed can carry a name
+	// no advisor would ever issue.
+	adviceFrame := func(names ...string) []byte {
 		var e wire.Enc
 		e.Begin(wire.Header{Version: wire.Version, Op: wire.OpAdvice, Seq: 1})
-		service.AppendAdvicePayload(&e, &service.Advice{
-			Stage: 3, Job: 1,
-			Decisions: []service.Decision{
-				{Kind: "evict", Node: 2, Block: "r4p0"},
-				{Kind: "prefetch", Node: 0, Block: "r7p3"},
-			},
-			Counters: service.Counters{Hits: 5, Misses: 2, Inserts: 3, Evictions: 1},
-		})
+		e.Uvarint(3) // stage
+		e.Uvarint(1) // job
+		e.U8(0)      // not replayed
+		e.Uvarint(uint64(len(names)))
+		for i, name := range names {
+			e.U8(byte(i % 5)) // decision-kind code
+			e.Uvarint(uint64(i))
+			e.Str(name)
+		}
+		for _, c := range []uint64{5, 2, 0, 0, 3, 1, 0, 0} {
+			e.Uvarint(c)
+		}
 		frame, err := e.Frame()
 		if err != nil {
 			f.Fatal(err)
 		}
 		return frame
-	}()
+	}
+	adviceSeed := adviceFrame("rdd_4_0", "rdd_7_3")
 	batchSeed := func() []byte {
 		var e wire.Enc
 		e.Begin(wire.Header{Version: wire.Version, Op: wire.OpBatch, Seq: 2})
@@ -194,6 +202,12 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})    // length over MaxFrame
 	f.Add([]byte{0, 0, 0, 4, 1, 0x15, 0, 0}) // length under HeaderLen
 	f.Add(adviceSeed[:len(adviceSeed)-3])    // truncated mid-payload
+	// Block names that are not the canonical rdd_<r>_<p>: each must fail
+	// with an error or round-trip value-identical, like any other input.
+	for _, name := range []string{"r4p0", "rdd_007_1", "rdd_1_2x", "rdd_-1_2",
+		"rdd_1_" + strings.Repeat("9", 40)} {
+		f.Add(adviceFrame(name))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, _, err := wire.ReadFrame(bytes.NewReader(data), nil)
 		if err != nil {
