@@ -4,7 +4,11 @@
 // eviction and prefetching throughout the system.
 package block
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+)
 
 // ID identifies a single RDD partition block, the unit of cache
 // management. It corresponds to Spark's RDDBlockId.
@@ -13,19 +17,79 @@ type ID struct {
 	Partition int // partition index within the RDD
 }
 
-// String renders the ID in Spark's canonical block-name format.
-func (id ID) String() string {
-	return fmt.Sprintf("rdd_%d_%d", id.RDD, id.Partition)
+const (
+	namePrefix = "rdd_"
+	// maxNameDigits bounds each number of a block name: ten digits hold
+	// every value up to math.MaxInt32, the largest a name may carry.
+	maxNameDigits = 10
+	// MaxNameLen is the length of the longest name ParseID accepts — and
+	// of the longest AppendName renders for an ID ParseID can return.
+	MaxNameLen = len(namePrefix) + maxNameDigits + 1 + maxNameDigits
+)
+
+// AppendName appends the ID in Spark's canonical block-name format,
+// rdd_<rddID>_<partition>, and returns the extended buffer.
+func (id ID) AppendName(dst []byte) []byte {
+	dst = append(dst, namePrefix...)
+	dst = strconv.AppendInt(dst, int64(id.RDD), 10)
+	dst = append(dst, '_')
+	return strconv.AppendInt(dst, int64(id.Partition), 10)
 }
 
-// ParseID parses the canonical rdd_<rddID>_<partition> block name back
-// into an ID — the inverse of String, used when replaying traces.
+// String renders the ID in Spark's canonical block-name format.
+func (id ID) String() string {
+	var buf [MaxNameLen]byte
+	return string(id.AppendName(buf[:0]))
+}
+
+// ParseID parses a rdd_<rddID>_<partition> block name back into an ID —
+// the inverse of String, used when replaying traces and decoding advice.
+// It is strict: two runs of one to ten decimal digits, each at most
+// math.MaxInt32, with no sign and nothing before, between or after them
+// but the fixed punctuation.
 func ParseID(s string) (ID, error) {
-	var id ID
-	if _, err := fmt.Sscanf(s, "rdd_%d_%d", &id.RDD, &id.Partition); err != nil {
-		return ID{}, fmt.Errorf("block: bad block name %q: %v", s, err)
+	id, ok := ParseName(s)
+	if !ok {
+		return ID{}, fmt.Errorf("block: bad block name %q", s)
 	}
 	return id, nil
+}
+
+// ParseName is ParseID over a string or a byte view, reporting failure
+// as a flag: it allocates nothing either way, which is what the wire
+// decoder needs of it.
+func ParseName[T string | []byte](s T) (ID, bool) {
+	if len(s) > MaxNameLen || len(s) < len(namePrefix) || string(s[:len(namePrefix)]) != namePrefix {
+		return ID{}, false
+	}
+	rdd, n := parseNumber(s[len(namePrefix):])
+	rest := s[len(namePrefix)+n:]
+	if n == 0 || len(rest) == 0 || rest[0] != '_' {
+		return ID{}, false
+	}
+	part, n := parseNumber(rest[1:])
+	if n == 0 || n != len(rest)-1 {
+		return ID{}, false
+	}
+	return ID{RDD: rdd, Partition: part}, true
+}
+
+// parseNumber reads the leading run of decimal digits and returns its
+// value and length; the length is 0 when there is no digit, more than
+// maxNameDigits of them, or the value exceeds math.MaxInt32.
+func parseNumber[T string | []byte](s T) (v, n int) {
+	var acc int64 // ten digits overflow a 32-bit int
+	for n < len(s) && s[n] >= '0' && s[n] <= '9' {
+		if n == maxNameDigits {
+			return 0, 0
+		}
+		acc = acc*10 + int64(s[n]-'0')
+		n++
+	}
+	if acc > math.MaxInt32 {
+		return 0, 0
+	}
+	return int(acc), n
 }
 
 // Less orders IDs first by RDD, then by partition. It provides the

@@ -1,7 +1,9 @@
 package block
 
 import (
+	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -83,4 +85,90 @@ func TestInfoCarriesIdentity(t *testing.T) {
 	if info.ID.RDD != 4 || info.ID.Partition != 2 || info.Size != 1<<20 || info.Level != MemoryAndDisk {
 		t.Errorf("Info fields corrupted: %+v", info)
 	}
+}
+
+// TestParseIDStrict: a name is rdd_<digits>_<digits> and nothing else.
+// Sscanf, which ParseID used to be, stopped at the first match — it took
+// "rdd_1_2junk" for {1,2} and "rdd_-1_+2" for {-1,2} — and such names
+// reach ParseID from trace files and the wire.
+func TestParseIDStrict(t *testing.T) {
+	accepted := []struct {
+		name string
+		want ID
+	}{
+		{"rdd_0_0", ID{0, 0}},
+		{"rdd_7_12", ID{7, 12}},
+		{"rdd_007_1", ID{7, 1}}, // digits only: leading zeros are digits
+		{"rdd_2147483647_2147483647", ID{math.MaxInt32, math.MaxInt32}},
+		{"rdd_0000000001_0000000002", ID{1, 2}},
+	}
+	for _, tt := range accepted {
+		got, err := ParseID(tt.name)
+		if err != nil || got != tt.want {
+			t.Errorf("ParseID(%q) = %v, %v; want %v", tt.name, got, err, tt.want)
+		}
+		if id, ok := ParseName([]byte(tt.name)); !ok || id != tt.want {
+			t.Errorf("ParseName([]byte(%q)) = %v, %v; want %v", tt.name, id, ok, tt.want)
+		}
+	}
+	rejected := []string{
+		"", "rdd_", "rdd_1", "rdd_1_", "rdd__1", "rdd_1__2", "r4p0", "RDD_1_2",
+		"rdd_1_2junk", "rdd_1_2 ", " rdd_1_2", "rdd_1_2\n", "rdd_1x_2", "xrdd_1_2",
+		"rdd_-1_2", "rdd_1_-2", "rdd_+1_2", "rdd_-1_+2", "rdd_1_2_3", "rdd_1.0_2", "rdd_0x1_2",
+		"rdd_2147483648_0", "rdd_0_2147483648", "rdd_00000000001_0", "rdd_0_00000000001",
+		"rdd_1_" + strings.Repeat("9", 40), "rdd_١_٢",
+	}
+	for _, name := range rejected {
+		if id, err := ParseID(name); err == nil {
+			t.Errorf("ParseID(%q) = %v, nil; want an error", name, id)
+		}
+		if id, ok := ParseName([]byte(name)); ok {
+			t.Errorf("ParseName([]byte(%q)) = %v, true; want false", name, id)
+		}
+	}
+}
+
+// TestNameAllocations: rendering into a buffer and parsing allocate
+// nothing — what lets the advice codec carry names without a string per
+// decision on either side.
+func TestNameAllocations(t *testing.T) {
+	id := ID{RDD: 140, Partition: 37}
+	buf := make([]byte, 0, MaxNameLen)
+	if n := testing.AllocsPerRun(100, func() {
+		name := id.AppendName(buf[:0])
+		if got, ok := ParseName(name); !ok || got != id {
+			t.Fatalf("ParseName(%q) = %v, %v", name, got, ok)
+		}
+	}); n != 0 {
+		t.Errorf("AppendName+ParseName allocate %v objects; want 0", n)
+	}
+}
+
+// FuzzBlockName: String and ParseID are inverses on every ID a name can
+// carry, and ParseID accepts no name it cannot put back — whatever it
+// accepts re-renders to a name that parses to the same ID.
+func FuzzBlockName(f *testing.F) {
+	for _, name := range []string{"rdd_0_0", "rdd_7_12", "rdd_007_1", "rdd_1_2junk", "rdd_-1_+2",
+		"r4p0", "rdd_2147483647_2147483647", "rdd_2147483648_0", "rdd_1_" + strings.Repeat("9", 40)} {
+		f.Add(name, uint32(7), uint32(12))
+	}
+	f.Fuzz(func(t *testing.T, name string, rdd, part uint32) {
+		id := ID{RDD: int(rdd & math.MaxInt32), Partition: int(part & math.MaxInt32)}
+		if back, err := ParseID(id.String()); err != nil || back != id {
+			t.Fatalf("ParseID(%q) = %v, %v; want %v", id.String(), back, err, id)
+		}
+		got, err := ParseID(name)
+		if fromBytes, ok := ParseName([]byte(name)); ok != (err == nil) || fromBytes != got {
+			t.Fatalf("ParseName([]byte(%q)) = %v, %v but ParseID gives %v, %v", name, fromBytes, ok, got, err)
+		}
+		if err != nil {
+			return
+		}
+		if got.RDD < 0 || got.Partition < 0 || len(name) > MaxNameLen {
+			t.Fatalf("ParseID(%q) accepted %v", name, got)
+		}
+		if again, err := ParseID(got.String()); err != nil || again != got {
+			t.Fatalf("ParseID(%q) = %v, which renders as %q and parses back as %v, %v", name, got, got.String(), again, err)
+		}
+	})
 }

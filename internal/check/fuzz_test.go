@@ -202,7 +202,7 @@ func FuzzRegistryOps(f *testing.F) {
 		for _, b := range ops {
 			switch b % 4 {
 			case 0:
-				s := r.Create("fuzz", nil, nil)
+				s := r.Create("fuzz", nil, nil, nil)
 				ids = append(ids, s.ID)
 			case 1:
 				if len(ids) > 0 {

@@ -26,6 +26,18 @@ type MemoryStore struct {
 	used     int64
 	blocks   map[block.ID]block.Info
 	pol      policy.Policy
+	arb      policy.PrefetchArbiter // pol's say over prefetch arrivals; nil when it has none
+
+	// incoming is the block the insert in progress is making room for and
+	// evicted the victims it has chosen so far — the slice the insert
+	// returns. What an insert hands the policy are closures over these
+	// two fields, bound once in NewMemoryStore, so an insert allocates
+	// nothing however many blocks it evicts.
+	incoming    block.Info
+	evicted     []block.Info
+	notIncoming func(block.ID) bool // Put's victim filter
+	unplanned   func(block.ID) bool // PutGuarded's: nor a victim already planned
+	arbAllows   func(block.ID) bool // PutPrefetch's guard: arb lets incoming displace the victim
 
 	// Evictions counts demand evictions (victim selection under
 	// pressure); proactive removals via Remove are counted by the
@@ -36,7 +48,24 @@ type MemoryStore struct {
 // NewMemoryStore creates a store with the given capacity driven by the
 // given per-node policy.
 func NewMemoryStore(capacity int64, pol policy.Policy) *MemoryStore {
-	return &MemoryStore{capacity: capacity, blocks: map[block.ID]block.Info{}, pol: pol}
+	s := &MemoryStore{capacity: capacity, blocks: map[block.ID]block.Info{}, pol: pol}
+	s.arb, _ = pol.(policy.PrefetchArbiter)
+	// Put's victims have left the policy by the time it looks for the
+	// next one, so its filter has nothing to remember. PutGuarded's are
+	// only planned and must be skipped: by a scan of the plan, which
+	// stays short — guarded inserts are prefetch arrivals, and the
+	// arbiter ends most plans at the first victim.
+	s.notIncoming = func(v block.ID) bool { return v != s.incoming.ID }
+	s.unplanned = func(v block.ID) bool {
+		for i := range s.evicted {
+			if s.evicted[i].ID == v {
+				return false
+			}
+		}
+		return v != s.incoming.ID
+	}
+	s.arbAllows = func(victim block.ID) bool { return s.arb.AllowPrefetchEviction(s.incoming, victim) }
+	return s
 }
 
 // Capacity returns the store's byte capacity.
@@ -73,6 +102,11 @@ func (s *MemoryStore) Get(id block.ID) bool {
 // fit because every resident block is protected, is rejected (Spark
 // likewise refuses to cache oversized blocks). Re-inserting a resident
 // block is a no-op touch.
+//
+// The evicted slice — here and from PutGuarded and PutPrefetch — is the
+// store's own: it is valid until the store's next Put, PutGuarded or
+// PutPrefetch, which reuses it. A caller that needs the victims longer
+// copies them.
 func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 	if s.Contains(info.ID) {
 		s.pol.OnAccess(info.ID)
@@ -81,12 +115,13 @@ func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 	if info.Size > s.capacity {
 		return nil, false
 	}
+	s.incoming, s.evicted = info, s.evicted[:0]
 	for s.used+info.Size > s.capacity {
-		victim, found := s.pol.Victim(func(v block.ID) bool { return v != info.ID })
+		victim, found := s.pol.Victim(s.notIncoming)
 		if !found {
 			// Roll back nothing: evictions already performed stand
 			// (Spark frees the space it reclaimed); the insert fails.
-			return evicted, false
+			return s.evicted, false
 		}
 		vInfo, resident := s.blocks[victim]
 		if !resident {
@@ -94,10 +129,10 @@ func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 		}
 		s.drop(vInfo)
 		s.Evictions++
-		evicted = append(evicted, vInfo)
+		s.evicted = append(s.evicted, vInfo)
 	}
 	s.add(info)
-	return evicted, true
+	return s.evicted, true
 }
 
 // PutGuarded inserts like Put, but first plans the full victim set and
@@ -112,28 +147,22 @@ func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bo
 	if info.Size > s.capacity {
 		return nil, false
 	}
-	if freed := s.capacity - s.used; freed < info.Size {
-		// Most arrivals fit; only one that must evict pays for the
-		// picked set and the filter over it.
-		picked := map[block.ID]bool{}
-		unpicked := func(v block.ID) bool { return v != info.ID && !picked[v] }
-		for freed < info.Size {
-			victim, found := s.pol.Victim(unpicked)
-			if !found || !allow(victim) {
-				return nil, false
-			}
-			picked[victim] = true
-			vInfo := s.blocks[victim]
-			evicted = append(evicted, vInfo)
-			freed += vInfo.Size
+	s.incoming, s.evicted = info, s.evicted[:0]
+	for freed := s.capacity - s.used; freed < info.Size; {
+		victim, found := s.pol.Victim(s.unplanned)
+		if !found || !allow(victim) {
+			return nil, false
 		}
-		for _, vInfo := range evicted {
-			s.drop(vInfo)
-			s.Evictions++
-		}
+		vInfo := s.blocks[victim]
+		s.evicted = append(s.evicted, vInfo)
+		freed += vInfo.Size
+	}
+	for _, vInfo := range s.evicted {
+		s.drop(vInfo)
+		s.Evictions++
 	}
 	s.add(info)
-	return evicted, true
+	return s.evicted, true
 }
 
 // PutPrefetch is the arrival path of a prefetched block. Arbitrated
@@ -141,13 +170,10 @@ func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bo
 // displace blocks at least as urgent as the incoming one, evicting
 // nothing; other policies take the paper's fully aggressive Put.
 func (s *MemoryStore) PutPrefetch(info block.Info) (evicted []block.Info, ok bool) {
-	arb, isArb := s.pol.(policy.PrefetchArbiter)
-	if !isArb {
+	if s.arb == nil {
 		return s.Put(info)
 	}
-	return s.PutGuarded(info, func(victim block.ID) bool {
-		return arb.AllowPrefetchEviction(info, victim)
-	})
+	return s.PutGuarded(info, s.arbAllows)
 }
 
 // Remove drops the block without policy-initiated victim selection
@@ -191,11 +217,11 @@ func (s *MemoryStore) Blocks() []block.ID {
 }
 
 // rddCount is the dense per-RDD entry count a DiskStore keeps in front
-// of its map. The MRD manager asks OnDisk about every partition it does
-// not hold in memory, at every stage boundary, and most of those probes
-// name an RDD the disk holds nothing of (188 k of a D4 pass's 267 k Has
-// calls): they are answered from the array without hashing the 16-byte
-// key. Only mutations grow
+// of its map. The MRD manager asks OnDisk about every block it would
+// prefetch if it could, at every stage boundary, and most of those
+// probes name an RDD the disk holds nothing of (136 k of a D4 pass's
+// 188 k Has calls): they are answered from the array without hashing
+// the 16-byte key. Only mutations grow
 // it (geometrically, by append), so reads stay pure. MemoryStore has no
 // such array: nothing probes it that way any more (the manager reads
 // residency from its monitors), and it would cost a D4 pass 360 KB.

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"mrdspark/internal/block"
@@ -165,9 +163,10 @@ type Manager struct {
 	curStage int
 	curJob   int
 
-	// pfPerNode is the prefetch candidate buffer, reused across stages
-	// so Algorithm 1's per-node candidate walk allocates nothing in
-	// steady state.
+	// pfLive and pfPerNode are the prefetch phase's buffers, reused
+	// across stages so Algorithm 1's per-node candidate walk allocates
+	// nothing in steady state.
+	pfLive    []pfRDD
 	pfPerNode [][]pfCandidate
 
 	ops policy.ClusterOps
@@ -486,11 +485,14 @@ func (m *Manager) purgeInfinite() {
 	}
 }
 
-// pfCandidate is one prefetchable block with its current distance.
-type pfCandidate struct {
-	info block.Info
-	dist int
-}
+// pfRDD is one RDD the prefetch phase wants in memory, with its current
+// distance.
+type pfRDD struct{ id, dist int }
+
+// pfCandidate is one block no monitor held when the prefetch phase
+// began: 12 bytes a candidate, its size and storage level looked up
+// only if the walk gets as far as ordering it.
+type pfCandidate struct{ rdd, part, dist int32 }
 
 // prefetch is the prefetching phase (Algorithm 1, lines 24–29): per
 // node, walk candidate blocks in ascending distance order and issue a
@@ -500,13 +502,10 @@ func (m *Manager) prefetch() {
 	if m.ops == nil {
 		return
 	}
-	if len(m.pfPerNode) != m.ops.NumNodes() {
-		m.pfPerNode = make([][]pfCandidate, m.ops.NumNodes())
-	}
-	perNode := m.pfPerNode
-	for i := range perNode {
-		perNode[i] = perNode[i][:0]
-	}
+	// The RDDs worth prefetching, by (distance, id). The table holds a
+	// few dozen RDDs with ids ascending, so inserting each behind the
+	// last entry no further than it sorts them, ties in id order.
+	live := m.pfLive[:0]
 	for _, rddID := range m.tbl.ids {
 		d := m.distance(rddID)
 		// Skip infinite distances (no future use) and distance zero:
@@ -520,69 +519,84 @@ func (m *Manager) prefetch() {
 		if m.opts.DynamicThreshold && d > m.threshold.horizon {
 			continue
 		}
-		r := m.graph.RDDs[rddID]
-		held := int(m.held[rddID])
-		if held >= r.NumPartitions {
+		if int(m.held[rddID]) >= m.graph.RDDs[rddID].NumPartitions {
 			continue // every partition is already in memory
 		}
-		// Residency is the monitors' to answer. Restorability is not:
-		// it depends on state no monitor sees (disk copies, corruption,
-		// replicas on other nodes), so that one question still crosses
-		// ClusterOps — for the partitions not in memory only.
+		i := len(live)
+		live = append(live, pfRDD{})
+		for ; i > 0 && live[i-1].dist > d; i-- {
+			live[i] = live[i-1]
+		}
+		live[i] = pfRDD{id: rddID, dist: d}
+	}
+	m.pfLive = live
+
+	// Pass 1 snapshots, per node, the partitions no monitor holds now.
+	// It must precede every order: a block that a forced prefetch evicts
+	// later in this phase was resident when the phase began and is not a
+	// candidate of it. Walking the RDDs in (distance, id) order, each
+	// node's list is born in the (distance, RDD, partition) order the
+	// orders go out in.
+	if len(m.pfPerNode) != m.ops.NumNodes() {
+		m.pfPerNode = make([][]pfCandidate, m.ops.NumNodes())
+	}
+	perNode := m.pfPerNode
+	for i := range perNode {
+		perNode[i] = perNode[i][:0]
+	}
+	for _, l := range live {
+		r := m.graph.RDDs[l.id]
+		held := m.held[l.id] > 0
 		for p := 0; p < r.NumPartitions; p++ {
 			id := r.Block(p)
 			node := m.ops.HomeNode(id)
-			if (held > 0 && m.holds(node, id)) || !m.ops.OnDisk(node, id) {
+			if held && m.holds(node, id) {
 				continue
 			}
-			perNode[node] = append(perNode[node], pfCandidate{info: r.BlockInfo(p), dist: d})
+			perNode[node] = append(perNode[node], pfCandidate{rdd: int32(l.id), part: int32(p), dist: int32(l.dist)})
 		}
 	}
+
+	// Pass 2 orders. Residency was the monitors' to answer; restorability
+	// is not — it depends on state no monitor sees (disk copies,
+	// corruption, replicas on other nodes) — so that question crosses
+	// ClusterOps, but only for a block memory can take, i.e. one about to
+	// be ordered. Asking this late changes no answer: nothing an order
+	// does before the phase ends makes a block that is still waiting in a
+	// list restorable or not (the advisor spills only blocks that were
+	// resident at phase start, and nothing leaves a disk; the simulator's
+	// prefetches land after the phase).
 	threshold := m.threshold.threshold
 	for node, cands := range perNode {
-		slices.SortStableFunc(cands, func(a, b pfCandidate) int {
-			if a.dist != b.dist {
-				return cmp.Compare(a.dist, b.dist)
-			}
-			if a.info.ID == b.info.ID {
-				return 0
-			}
-			if a.info.ID.Less(b.info.ID) {
-				return -1
-			}
-			return 1
-		})
 		free := m.ops.FreeBytes(node)
 		capacity := m.ops.CapacityBytes(node)
 		limit := int64(threshold * float64(capacity))
 		for _, c := range cands {
-			if c.info.Size > capacity {
+			info := m.graph.RDDs[c.rdd].BlockInfo(int(c.part))
+			if info.Size > capacity {
 				continue // can never fit; don't waste bandwidth
 			}
-			switch {
-			case c.info.Size <= free:
-				m.bus.Emit(obs.BlockEv(obs.KindPrefetchOrder, node, c.info.ID, c.info.Size).
-					WithValue(int64(c.dist)).WithVerdict("fits"))
-				m.ops.Prefetch(node, c.info)
-				m.stats.PrefetchOrders++
-				free -= c.info.Size
-			case free > limit:
-				// Forced prefetch: the store will evict max-distance
-				// blocks on arrival. The optional pre-check skips it
-				// when the eviction would be counter-productive.
-				if m.opts.PrefetchDistanceCheck && !m.worthForcing(node, c.dist) {
-					continue
-				}
-				m.bus.Emit(obs.BlockEv(obs.KindPrefetchOrder, node, c.info.ID, c.info.Size).
-					WithValue(int64(c.dist)).WithVerdict("forced"))
-				m.ops.Prefetch(node, c.info)
-				m.stats.PrefetchOrders++
-				m.stats.ForcedPrefetch++
-				free -= c.info.Size
-				if free < 0 {
-					free = 0
-				}
+			// A block that does not fit is forced while free memory
+			// exceeds the threshold: the store will evict max-distance
+			// blocks on arrival. The optional pre-check skips it when
+			// the eviction would be counter-productive.
+			forced := info.Size > free
+			if forced && (free <= limit || (m.opts.PrefetchDistanceCheck && !m.worthForcing(node, int(c.dist)))) {
+				continue
 			}
+			if !m.ops.OnDisk(node, info.ID) {
+				continue
+			}
+			verdict := "fits"
+			if forced {
+				verdict = "forced"
+				m.stats.ForcedPrefetch++
+			}
+			m.bus.Emit(obs.BlockEv(obs.KindPrefetchOrder, node, info.ID, info.Size).
+				WithValue(int64(c.dist)).WithVerdict(verdict))
+			m.ops.Prefetch(node, info)
+			m.stats.PrefetchOrders++
+			free = max(free-info.Size, 0)
 		}
 	}
 }

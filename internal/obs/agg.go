@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -50,8 +51,29 @@ type Aggregator struct {
 	FetchLatency  *metrics.Histogram
 	RecoveryTime  *metrics.Histogram
 
+	// own is the per-block state of the buses subscribed with Attach.
+	own blockTimes
+
+	// memoStage/memoIx remember the last stage entry resolved (memoIx < 0:
+	// none): events arrive in runs of one stage, so most skip the stageIx
+	// lookup.
+	memoStage, memoIx int
+}
+
+// blockTimes is what an aggregator remembers per block between the
+// event that opens an interval and the one that closes it. Blocks are
+// named per application — every advisory session calls its blocks
+// rdd_<r>_<p> — so this state belongs to one event stream, not to the
+// aggregator: one session's hit must not settle another's prefetch. The
+// buses subscribed with Attach share the aggregator's own (a run has
+// one bus); each Fold brings its own, which goes when the Fold does.
+type blockTimes struct {
 	issued map[block.ID]int64 // prefetch-issue time per in-flight block
 	lost   map[block.ID]int64 // loss/corruption-detect time per block
+}
+
+func newBlockTimes() blockTimes {
+	return blockTimes{issued: map[block.ID]int64{}, lost: map[block.ID]int64{}}
 }
 
 // NewAggregator builds an empty aggregator with the default histogram
@@ -65,8 +87,8 @@ func NewAggregator() *Aggregator {
 		PrefetchLead:  metrics.NewHistogram("prefetch_lead_time", "us", prefetchLeadBounds),
 		FetchLatency:  metrics.NewHistogram("remote_fetch_latency", "us", fetchLatencyBounds),
 		RecoveryTime:  metrics.NewHistogram("block_recovery_time", "us", recoveryBounds),
-		issued:        map[block.ID]int64{},
-		lost:          map[block.ID]int64{},
+		own:           newBlockTimes(),
+		memoIx:        -1,
 	}
 }
 
@@ -88,14 +110,28 @@ func (a *Aggregator) node(id int) *metrics.NodeStats {
 
 // stage returns the open stats entry for the event's stage, creating a
 // placeholder if an event arrives for a stage never started (drain
-// events before the first stage).
-func (a *Aggregator) stage(ev Event) *metrics.StageStats {
-	if ix, ok := a.stageIx[ev.Stage]; ok {
-		return &a.stages[ix]
+// events before the first stage). The pointer is good until the next
+// stage entry is appended.
+func (a *Aggregator) stage(ev *Event) *metrics.StageStats {
+	if a.memoIx >= 0 && a.memoStage == ev.Stage {
+		return &a.stages[a.memoIx]
 	}
-	a.stages = append(a.stages, metrics.StageStats{StageID: ev.Stage, JobID: ev.Job, StartUs: ev.At, EndUs: ev.At})
-	a.stageIx[ev.Stage] = len(a.stages) - 1
-	return &a.stages[len(a.stages)-1]
+	ix, ok := a.stageIx[ev.Stage]
+	if !ok {
+		ix = a.openStage(metrics.StageStats{StageID: ev.Stage, JobID: ev.Job, StartUs: ev.At, EndUs: ev.At})
+	}
+	a.memoStage, a.memoIx = ev.Stage, ix
+	return &a.stages[ix]
+}
+
+// openStage appends a stage entry and binds the stage's later events
+// to it.
+func (a *Aggregator) openStage(st metrics.StageStats) int {
+	ix := len(a.stages)
+	a.stages = append(a.stages, st)
+	a.stageIx[st.StageID] = ix
+	a.memoStage, a.memoIx = st.StageID, ix
+	return ix
 }
 
 // Observe folds one event into the aggregates. It is the bus
@@ -103,15 +139,32 @@ func (a *Aggregator) stage(ev Event) *metrics.StageStats {
 func (a *Aggregator) Observe(ev Event) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.observe(&a.own, &ev)
+}
+
+// observeBatch folds a Fold's chunk in, stamped with the one instant
+// the Fold read its clock at, under one acquisition of the lock.
+func (a *Aggregator) observeBatch(bt *blockTimes, at int64, evs []Event) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range evs {
+		evs[i].At = at
+		a.observe(bt, &evs[i])
+	}
+}
+
+// observe folds one event into the aggregates, resolving its stage and
+// node entries once; bt is the per-block state of the stream the event
+// came on. The caller holds the lock.
+func (a *Aggregator) observe(bt *blockTimes, ev *Event) {
 	switch ev.Kind {
 	case KindStageStart:
 		// A stage ID can re-execute across recurring jobs; each
 		// execution gets a fresh entry and later events bind to it.
-		a.stages = append(a.stages, metrics.StageStats{
+		a.openStage(metrics.StageStats{
 			StageID: ev.Stage, JobID: ev.Job, Kind: ev.Verdict,
 			Tasks: int(ev.Value), StartUs: ev.At, EndUs: ev.At,
 		})
-		a.stageIx[ev.Stage] = len(a.stages) - 1
 
 	case KindStageEnd:
 		a.stage(ev).EndUs = ev.At
@@ -135,13 +188,14 @@ func (a *Aggregator) Observe(ev Event) {
 		}
 
 	case KindHit:
-		a.stage(ev).Hits++
-		a.node(ev.Node).Hits++
-		if t, ok := a.issued[ev.Block]; ok {
+		st, n := a.stage(ev), a.node(ev.Node)
+		st.Hits++
+		n.Hits++
+		if t, ok := bt.issued[ev.Block]; ok {
 			a.PrefetchLead.Observe(ev.At - t)
-			a.stage(ev).PrefetchUsed++
-			a.node(ev.Node).PrefetchUsed++
-			delete(a.issued, ev.Block)
+			st.PrefetchUsed++
+			n.PrefetchUsed++
+			delete(bt.issued, ev.Block)
 		}
 
 	case KindMiss:
@@ -149,40 +203,47 @@ func (a *Aggregator) Observe(ev Event) {
 		a.node(ev.Node).Misses++
 
 	case KindPromote:
-		a.stage(ev).DiskPromotes++
-		a.node(ev.Node).DiskPromotes++
-		a.addBytes(ev)
+		st, n := a.stage(ev), a.node(ev.Node)
+		st.DiskPromotes++
+		n.DiskPromotes++
+		addBytes(st, n, ev)
 
 	case KindRecompute:
 		a.stage(ev).Recomputes++
 		a.node(ev.Node).Recomputes++
 
 	case KindInsert:
-		a.stage(ev).Inserts++
-		a.node(ev.Node).Inserts++
-		a.addBytes(ev)
-		if t, ok := a.lost[ev.Block]; ok {
+		st, n := a.stage(ev), a.node(ev.Node)
+		st.Inserts++
+		n.Inserts++
+		addBytes(st, n, ev)
+		if t, ok := bt.lost[ev.Block]; ok {
 			a.RecoveryTime.Observe(ev.At - t)
-			delete(a.lost, ev.Block)
+			delete(bt.lost, ev.Block)
 		}
 
 	case KindEvict:
-		a.stage(ev).Evictions++
-		a.node(ev.Node).Evictions++
-		a.dropIssued(ev)
+		st, n := a.stage(ev), a.node(ev.Node)
+		st.Evictions++
+		n.Evictions++
+		dropIssued(bt, ev, st, n)
 
 	case KindPurge:
-		a.stage(ev).Purged++
-		a.node(ev.Node).Purged++
-		a.dropIssued(ev)
+		st, n := a.stage(ev), a.node(ev.Node)
+		st.Purged++
+		n.Purged++
+		dropIssued(bt, ev, st, n)
 
 	case KindPrefetchIssue:
 		a.stage(ev).PrefetchIssued++
 		a.node(ev.Node).PrefetchIssued++
-		a.issued[ev.Block] = ev.At
+		bt.issued[ev.Block] = ev.At
 
-	case KindPrefetchArrive:
-		a.addBytes(ev)
+	case KindPrefetchArrive, KindReplicaWrite, KindReplicaHit:
+		a.stage(ev).BytesMoved += ev.Bytes
+		if ev.Node != ClusterScope {
+			a.node(ev.Node).BytesMoved += ev.Bytes
+		}
 
 	case KindEvictVerdict:
 		// Victims with no remaining references (infinite distance,
@@ -212,29 +273,28 @@ func (a *Aggregator) Observe(ev Event) {
 		a.node(ev.Node).Stragglers++
 
 	case KindBlockLost, KindCorruptDetect:
-		a.lost[ev.Block] = ev.At
-
-	case KindReplicaWrite, KindReplicaHit:
-		a.addBytes(ev)
+		bt.lost[ev.Block] = ev.At
 	}
 }
 
-func (a *Aggregator) addBytes(ev Event) {
-	a.stage(ev).BytesMoved += ev.Bytes
+// addBytes charges the event's bytes to its stage and node entries.
+// Cluster-scope events carry no node and are not charged to one.
+func addBytes(st *metrics.StageStats, n *metrics.NodeStats, ev *Event) {
+	st.BytesMoved += ev.Bytes
 	if ev.Node != ClusterScope {
-		a.node(ev.Node).BytesMoved += ev.Bytes
+		n.BytesMoved += ev.Bytes
 	}
 }
 
 // dropIssued settles a prefetched-but-never-used block when it is
-// evicted or purged.
-func (a *Aggregator) dropIssued(ev Event) {
-	if _, ok := a.issued[ev.Block]; ok {
-		a.stage(ev).PrefetchWasted++
+// evicted or purged; st and n are the event's stage and node entries.
+func dropIssued(bt *blockTimes, ev *Event, st *metrics.StageStats, n *metrics.NodeStats) {
+	if _, ok := bt.issued[ev.Block]; ok {
+		st.PrefetchWasted++
 		if ev.Node != ClusterScope {
-			a.node(ev.Node).PrefetchWasted++
+			n.PrefetchWasted++
 		}
-		delete(a.issued, ev.Block)
+		delete(bt.issued, ev.Block)
 	}
 }
 
@@ -311,8 +371,8 @@ func (a *Aggregator) Snapshot() *Aggregator {
 		PrefetchLead:  cloneHistogram(a.PrefetchLead),
 		FetchLatency:  cloneHistogram(a.FetchLatency),
 		RecoveryTime:  cloneHistogram(a.RecoveryTime),
-		issued:        make(map[block.ID]int64, len(a.issued)),
-		lost:          make(map[block.ID]int64, len(a.lost)),
+		own:           blockTimes{issued: maps.Clone(a.own.issued), lost: maps.Clone(a.own.lost)},
+		memoIx:        -1,
 	}
 	for k, v := range a.stageIx {
 		s.stageIx[k] = v
@@ -324,12 +384,6 @@ func (a *Aggregator) Snapshot() *Aggregator {
 	for k, v := range a.lanes {
 		ln := *v
 		s.lanes[k] = &ln
-	}
-	for k, v := range a.issued {
-		s.issued[k] = v
-	}
-	for k, v := range a.lost {
-		s.lost[k] = v
 	}
 	return s
 }

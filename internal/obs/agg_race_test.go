@@ -21,7 +21,11 @@ func TestAggregatorConcurrentSnapshot(t *testing.T) {
 		go func(e int) {
 			defer emitters.Done()
 			b := New()
-			agg.Attach(b)
+			if e%2 == 0 {
+				agg.Attach(b)
+			} else { // a served session: a chunk at a time
+				defer agg.AttachFolded(b, func() int64 { return 0 }).Close()
+			}
 			id := block.ID{RDD: e, Partition: e}
 			for i := 0; i < 2000; i++ {
 				b.SetStage(i%7, i%3)

@@ -15,8 +15,10 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mrdspark/internal/block"
@@ -72,10 +74,65 @@ func (c AdvisorConfig) Normalize() (AdvisorConfig, error) {
 //	"prefetch"       — prefetch order that landed in free memory
 //	"prefetch-evict" — eviction performed by a forced prefetch arrival
 //	"prefetch-drop"  — prefetch order refused by the arbiter/victim walk
+//
+// Block is held as the value the advisor computes with; its name,
+// rdd_<rddID>_<partition>, exists only at the edges — in JSON, on the
+// wire and in a Fingerprint.
 type Decision struct {
+	Kind  string
+	Node  int
+	Block block.ID
+}
+
+// decisionJSON is the JSON shape of a Decision.
+type decisionJSON struct {
 	Kind  string `json:"kind"`
 	Node  int    `json:"node"`
 	Block string `json:"block"`
+}
+
+// appendJSON appends the decision in the shape of decisionJSON, the
+// block as its name. A name needs no escaping, nor does a kind of the
+// closed set; any other kind is quoted by encoding/json, which escapes
+// what it would in a struct field.
+func (d Decision) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"kind":`...)
+	if _, known := decisionKindCode(d.Kind); known {
+		b = append(append(append(b, '"'), d.Kind...), '"')
+	} else {
+		kind, err := json.Marshal(d.Kind)
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, kind...)
+	}
+	b = append(b, `,"node":`...)
+	b = strconv.AppendInt(b, int64(d.Node), 10)
+	b = append(b, `,"block":"`...)
+	b = d.Block.AppendName(b)
+	return append(b, `"}`...), nil
+}
+
+// MarshalJSON renders the block as its name.
+func (d Decision) MarshalJSON() ([]byte, error) { return d.appendJSON(nil) }
+
+// UnmarshalJSON parses the block's name back; a malformed name is an
+// error.
+func (d *Decision) UnmarshalJSON(data []byte) error {
+	var w decisionJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	return d.fromJSON(w)
+}
+
+func (d *Decision) fromJSON(w decisionJSON) error {
+	id, err := block.ParseID(w.Block)
+	if err != nil {
+		return err
+	}
+	*d = Decision{Kind: w.Kind, Node: w.Node, Block: id}
+	return nil
 }
 
 // Counters summarize the modeled stage execution that followed the
@@ -116,6 +173,69 @@ type Advice struct {
 	// the original (it is the original) and is excluded from the
 	// fingerprint, which covers only the decision content.
 	Replayed bool `json:"replayed,omitempty"`
+}
+
+// adviceJSON is the JSON shape of an Advice.
+type adviceJSON struct {
+	Stage     int            `json:"stage"`
+	Job       int            `json:"job"`
+	Decisions []decisionJSON `json:"decisions"`
+	Counters  Counters       `json:"counters"`
+	Replayed  bool           `json:"replayed,omitempty"`
+}
+
+// MarshalJSON renders the advice in the shape of adviceJSON in one
+// buffer: encoding/json would otherwise call — and re-validate — a
+// Marshaler per decision, which made the JSON transport's advice four
+// times as expensive as when a decision held its block's name.
+func (a Advice) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 160+64*len(a.Decisions))
+	b = append(b, `{"stage":`...)
+	b = strconv.AppendInt(b, int64(a.Stage), 10)
+	b = append(b, `,"job":`...)
+	b = strconv.AppendInt(b, int64(a.Job), 10)
+	if a.Decisions == nil {
+		b = append(b, `,"decisions":null`...)
+	} else {
+		b = append(b, `,"decisions":[`...)
+		for i, d := range a.Decisions {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = d.appendJSON(b); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
+	}
+	counters, err := json.Marshal(a.Counters)
+	if err != nil {
+		return nil, err
+	}
+	b = append(append(b, `,"counters":`...), counters...)
+	if a.Replayed {
+		b = append(b, `,"replayed":true`...)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON parses an advice in the shape of adviceJSON.
+func (a *Advice) UnmarshalJSON(data []byte) error {
+	var w adviceJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*a = Advice{Stage: w.Stage, Job: w.Job, Counters: w.Counters, Replayed: w.Replayed}
+	if w.Decisions != nil {
+		a.Decisions = make([]Decision, len(w.Decisions))
+	}
+	for i, d := range w.Decisions {
+		if err := a.Decisions[i].fromJSON(d); err != nil {
+			return fmt.Errorf("decision %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Fingerprint renders the advice in a canonical single-string form;
@@ -207,9 +327,16 @@ type Advisor struct {
 	// (resident, unused). issued == used + wasted + pending is the
 	// conservation law the correctness harness audits.
 	cur      *Advice
+	curBuf   Advice // what cur points at during an advance
 	pfIssued int64
 	pfUsed   int64
 	pfWaste  int64
+
+	// Advance-lifetime scratch, reused by every advance: the decision log
+	// grows in logBuf and is copied at its exact size into the advice that
+	// history keeps; missedBuf is the stage's missed reads.
+	logBuf    []Decision
+	missedBuf []block.Info
 
 	bus   *obs.Bus  // nil-safe; shared with the server's aggregator
 	bytes BytePlane // nil for a model-only session
@@ -362,7 +489,8 @@ func (a *Advisor) Advance(stageID int) (Advice, error) {
 	if jobID >= a.nextJob {
 		return Advice{}, fmt.Errorf("service: stage %d belongs to job %d, which has not been submitted", stageID, jobID)
 	}
-	a.cur = &Advice{Stage: stageID, Job: jobID, Decisions: []Decision{}}
+	a.curBuf = Advice{Stage: stageID, Job: jobID, Decisions: a.logBuf[:0]}
+	a.cur = &a.curBuf
 	a.bus.SetStage(stageID, jobID)
 
 	// Phase 1: the policy's stage-boundary work. For MRD this is Table
@@ -376,8 +504,11 @@ func (a *Advisor) Advance(stageID int) (Advice, error) {
 	// caches, then materialization of the stage's cached outputs.
 	a.applyStage(s)
 
-	adv := *a.cur
+	adv := a.curBuf
 	a.cur = nil
+	a.logBuf = adv.Decisions[:0]
+	// Never nil: an advance without decisions is "decisions":[] in JSON.
+	adv.Decisions = append(make([]Decision, 0, len(adv.Decisions)), adv.Decisions...)
 	a.lastStage = stageID
 	a.ops = append(a.ops, Op{Kind: OpAdvance, Arg: stageID})
 	a.history = append(a.history, adv)
@@ -398,7 +529,7 @@ func (a *Advisor) Advance(stageID int) (Advice, error) {
 // the divergence the differential harness pinned down.
 func (a *Advisor) applyStage(s *dag.Stage) {
 	reads, creates := dag.StageFrontier(s, func(id int) bool { return a.created[id] })
-	var missed []block.Info
+	missed := a.missedBuf[:0]
 	for _, r := range reads {
 		for p := 0; p < r.NumPartitions; p++ {
 			if !a.resolveRead(r.BlockInfo(p)) {
@@ -406,6 +537,7 @@ func (a *Advisor) applyStage(s *dag.Stage) {
 			}
 		}
 	}
+	a.missedBuf = missed
 	for _, info := range missed {
 		a.insertBlock(a.home(info.ID), info, "evict")
 	}
@@ -488,7 +620,7 @@ func (a *Advisor) vacate(node int, v block.Info) {
 // and the decision log entry.
 func (a *Advisor) settleEviction(node int, v block.Info, kind string) {
 	a.vacate(node, v)
-	a.record(Decision{Kind: kind, Node: node, Block: v.ID.String()})
+	a.record(Decision{Kind: kind, Node: node, Block: v.ID})
 	a.cur.Counters.Evictions++
 	a.bus.Emit(obs.BlockEv(obs.KindEvict, node, v.ID, v.Size))
 }
@@ -548,7 +680,7 @@ func (o advOps) Evict(node int, id block.ID) bool {
 	}
 	a.vacate(node, info)
 	if a.cur != nil {
-		a.record(Decision{Kind: "purge", Node: node, Block: id.String()})
+		a.record(Decision{Kind: "purge", Node: node, Block: id})
 		a.cur.Counters.Purged++
 	}
 	a.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, info.Size))
@@ -570,7 +702,7 @@ func (o advOps) Prefetch(node int, info block.Info) {
 	}
 	if !ok {
 		if a.cur != nil {
-			a.record(Decision{Kind: "prefetch-drop", Node: node, Block: info.ID.String()})
+			a.record(Decision{Kind: "prefetch-drop", Node: node, Block: info.ID})
 		}
 		return
 	}
@@ -580,7 +712,7 @@ func (o advOps) Prefetch(node int, info block.Info) {
 	n.prefetched[info.ID] = true
 	a.pfIssued++
 	if a.cur != nil {
-		a.record(Decision{Kind: "prefetch", Node: node, Block: info.ID.String()})
+		a.record(Decision{Kind: "prefetch", Node: node, Block: info.ID})
 		a.cur.Counters.Prefetches++
 	}
 	a.bus.Emit(obs.BlockEv(obs.KindPrefetchIssue, node, info.ID, info.Size))

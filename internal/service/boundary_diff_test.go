@@ -3,6 +3,7 @@ package service_test
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
 
 	"mrdspark/internal/block"
@@ -18,18 +19,23 @@ import (
 
 // naiveOps sits between an MRD manager and a real ClusterOps
 // implementer and re-derives each boundary's purge set and prefetch
-// candidate list the way core used to: by asking the implementer about
-// every partition of every cached RDD (Resident, OnDisk), with dead
-// RDDs and distances taken from the reference profile, not from the
-// manager's table or its monitors. The manager prunes those questions
-// through what its monitors hold; the answers it acts on must not
-// change:
+// orders the way core used to find them: by asking the implementer
+// about every partition of every cached RDD (Resident, OnDisk), with
+// dead RDDs and distances taken from the reference profile, not from
+// the manager's table or its monitors, and Algorithm 1's arithmetic
+// written out again here. The manager prunes those questions — through
+// what its monitors hold, and by asking about restorability only once
+// memory can take the block — and the orders it issues must not change:
 //
 //   - every purge order names a resident block of a dead RDD, and no
 //     such block is still resident once the purge phase is over;
-//   - the blocks the manager found restorable (its OnDisk questions
-//     answered true — it asks only about partitions it holds not in
-//     memory) are exactly the naive candidates, in the same order;
+//   - the prefetch orders of the boundary are, node by node, exactly
+//     the ones the interrogation taken before the first of them
+//     predicts, in the same order;
+//   - every restorability question the manager does ask names a block
+//     that is not in memory and gets the answer the interrogation got,
+//     however many orders went out in between — what lets the question
+//     wait;
 //   - the manager never asks the implementer about residency.
 type naiveOps struct {
 	policy.ClusterOps // the implementer under test
@@ -38,10 +44,18 @@ type naiveOps struct {
 	mgr               *core.Manager
 	stage             int // the boundary in progress
 
-	found []block.ID // OnDisk questions answered true this boundary
+	interrogated bool              // this boundary's interrogation has been taken
+	restorable   map[block.ID]bool // what it saw of every non-resident block
+	want, got    []order           // the orders it predicts; the orders issued
 
 	// What the run exercised, so a leg cannot pass vacuously.
-	boundaries, purged, candidates, allHeld, partlyHeld int
+	boundaries, purged, candidates, forced, probes, allHeld, partlyHeld int
+}
+
+// order is one prefetch order: the block and the node told to load it.
+type order struct {
+	node int
+	id   block.ID
 }
 
 func (n *naiveOps) profile() *refdist.Profile { return n.mgr.Profiler().Profile() }
@@ -60,8 +74,15 @@ func (n *naiveOps) Resident(node int, id block.ID) bool {
 
 func (n *naiveOps) OnDisk(node int, id block.ID) bool {
 	ok := n.ClusterOps.OnDisk(node, id)
-	if ok {
-		n.found = append(n.found, id)
+	n.probes++
+	saw, asked := n.restorable[id]
+	switch {
+	case !n.interrogated:
+		n.t.Errorf("stage %d: the manager asked whether %v is restorable before memory had a say", n.stage, id)
+	case n.ClusterOps.Resident(node, id):
+		n.t.Errorf("stage %d: the manager asked whether %v, resident on node %d, is restorable", n.stage, id, node)
+	case !asked || saw != ok:
+		n.t.Errorf("stage %d: %v restorable on node %d: %v now, %v (seen %v) when the phase began", n.stage, id, node, ok, saw, asked)
 	}
 	return ok
 }
@@ -75,9 +96,14 @@ func (n *naiveOps) Evict(node int, id block.ID) bool {
 	return n.ClusterOps.Evict(node, id)
 }
 
-// FreeBytes is the manager's first question once the candidate walk is
-// over and before the first prefetch order moves anything: node 0's
-// marks the instant to interrogate the cluster.
+func (n *naiveOps) Prefetch(node int, info block.Info) {
+	n.got = append(n.got, order{node, info.ID})
+	n.ClusterOps.Prefetch(node, info)
+}
+
+// FreeBytes is the manager's first question of the prefetch phase's
+// ordering pass, before the first order moves anything: node 0's marks
+// the instant to interrogate the cluster.
 func (n *naiveOps) FreeBytes(node int) int64 {
 	if node == 0 {
 		n.interrogate()
@@ -85,10 +111,18 @@ func (n *naiveOps) FreeBytes(node int) int64 {
 	return n.ClusterOps.FreeBytes(node)
 }
 
+// prefetchThreshold is the paper's forced-prefetch threshold (§4.3).
+const prefetchThreshold = 0.25
+
 func (n *naiveOps) interrogate() {
 	n.boundaries++
+	n.interrogated = true
 	p := n.profile()
-	var want []block.ID
+	type cand struct {
+		info block.Info
+		dist int
+	}
+	perNode := make([][]cand, n.NumNodes())
 	for _, rdd := range p.RDDs() {
 		r := n.g.RDDs[rdd]
 		d := p.StageDistanceConsumed(rdd, n.stage)
@@ -97,14 +131,16 @@ func (n *naiveOps) interrogate() {
 		for part := 0; part < r.NumPartitions; part++ {
 			id := r.Block(part)
 			home := n.HomeNode(id)
-			switch {
-			case n.ClusterOps.Resident(home, id):
+			if n.ClusterOps.Resident(home, id) {
 				resident++
 				if n.dead(rdd) {
 					n.t.Errorf("stage %d: dead block %v survived the purge on node %d", n.stage, id, home)
 				}
-			case wanted && n.ClusterOps.OnDisk(home, id):
-				want = append(want, id)
+				continue
+			}
+			n.restorable[id] = n.ClusterOps.OnDisk(home, id)
+			if wanted && n.restorable[id] {
+				perNode[home] = append(perNode[home], cand{r.BlockInfo(part), d})
 			}
 		}
 		if wanted && resident == r.NumPartitions {
@@ -113,18 +149,49 @@ func (n *naiveOps) interrogate() {
 			n.partlyHeld++
 		}
 	}
-	if !slices.Equal(n.found, want) {
-		n.t.Errorf("stage %d: the manager found %v restorable; interrogating every block gives %v", n.stage, n.found, want)
+	// Algorithm 1, lines 24–29, per node over its restorable blocks by
+	// ascending distance: order what fits in free memory; force what
+	// does not while free memory exceeds the threshold.
+	for node, cands := range perNode {
+		n.candidates += len(cands)
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].dist != cands[j].dist {
+				return cands[i].dist < cands[j].dist
+			}
+			return cands[i].info.ID.Less(cands[j].info.ID)
+		})
+		free, capacity := n.ClusterOps.FreeBytes(node), n.CapacityBytes(node)
+		limit := int64(prefetchThreshold * float64(capacity))
+		for _, c := range cands {
+			switch size := c.info.Size; {
+			case size > capacity:
+			case size <= free:
+				n.want = append(n.want, order{node, c.info.ID})
+				free -= size
+			case free > limit:
+				n.want = append(n.want, order{node, c.info.ID})
+				n.forced++
+				free = 0
+			}
+		}
 	}
-	n.candidates += len(want)
-	n.found = n.found[:0]
+}
+
+// settle closes the boundary: the orders the manager issued against
+// the ones the interrogation predicted.
+func (n *naiveOps) settle() {
+	if !slices.Equal(n.got, n.want) {
+		n.t.Errorf("stage %d: the manager ordered %v; interrogating every block predicts %v", n.stage, n.got, n.want)
+	}
+	n.interrogated, n.want, n.got = false, n.want[:0], n.got[:0]
+	clear(n.restorable)
 }
 
 func (n *naiveOps) exercised(t *testing.T) {
 	t.Helper()
-	if n.boundaries == 0 || n.purged == 0 || n.candidates == 0 || n.allHeld == 0 || n.partlyHeld == 0 {
-		t.Errorf("leg exercised too little: %d boundaries, %d purged, %d candidates, %d fully and %d partly held RDD visits",
-			n.boundaries, n.purged, n.candidates, n.allHeld, n.partlyHeld)
+	if n.boundaries == 0 || n.purged == 0 || n.candidates == 0 || n.forced == 0 || n.probes == 0 || n.allHeld == 0 || n.partlyHeld == 0 {
+		t.Errorf("leg exercised too little: %d boundaries, %d purged, %d candidates, %d forced orders, %d probes, %d fully and %d partly held RDD visits",
+			n.boundaries, n.purged, n.candidates, n.forced, n.probes, n.allHeld, n.partlyHeld)
 	}
 }
 
@@ -143,6 +210,7 @@ func (w watched) Attach(ops policy.ClusterOps) {
 func (w watched) OnStageStart(stage, job int) {
 	w.ops.stage = stage
 	w.Manager.OnStageStart(stage, job)
+	w.ops.settle()
 }
 
 // TestBoundaryMatchesNaiveInterrogation runs the differential
@@ -155,6 +223,8 @@ func TestBoundaryMatchesNaiveInterrogation(t *testing.T) {
 		into.boundaries += n.boundaries
 		into.purged += n.purged
 		into.candidates += n.candidates
+		into.forced += n.forced
+		into.probes += n.probes
 		into.allHeld += n.allHeld
 		into.partlyHeld += n.partlyHeld
 	}
@@ -183,7 +253,7 @@ func TestBoundaryMatchesNaiveInterrogation(t *testing.T) {
 			}
 			for name, sched := range scheds {
 				t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
-					n := &naiveOps{t: t, g: w.Graph, mgr: core.NewFull(w.Graph)}
+					n := &naiveOps{t: t, g: w.Graph, mgr: core.NewFull(w.Graph), restorable: map[block.ID]bool{}}
 					s, err := sim.New(w.Graph, w.Cluster(), watched{n.mgr, n}, w.Name)
 					if err != nil {
 						t.Fatal(err)
@@ -212,7 +282,7 @@ func TestBoundaryMatchesNaiveInterrogation(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					n := &naiveOps{ClusterOps: adv.Ops(), t: t, g: w.Graph, mgr: adv.Factory().(*core.Manager)}
+					n := &naiveOps{ClusterOps: adv.Ops(), t: t, g: w.Graph, mgr: adv.Factory().(*core.Manager), restorable: map[block.ID]bool{}}
 					n.mgr.Attach(n)
 					advanced := 0
 					for _, st := range service.Schedule(w.Graph) {
@@ -226,6 +296,7 @@ func TestBoundaryMatchesNaiveInterrogation(t *testing.T) {
 							}
 							n.stage = st.Stage
 							_, err = adv.Advance(st.Stage)
+							n.settle()
 						}
 						if err != nil {
 							t.Fatal(err)

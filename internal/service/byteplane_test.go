@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mrdspark/internal/block"
@@ -14,20 +15,20 @@ import (
 type planeCall struct {
 	Op    string // "spill", "drop" or "load"
 	Node  int
-	Block string
+	Block block.ID
 }
 
 // recordingPlane is a fake byte plane that only remembers its calls.
 type recordingPlane struct{ calls []planeCall }
 
 func (p *recordingPlane) Spill(node int, id block.ID) {
-	p.calls = append(p.calls, planeCall{"spill", node, id.String()})
+	p.calls = append(p.calls, planeCall{"spill", node, id})
 }
 func (p *recordingPlane) Drop(node int, id block.ID) {
-	p.calls = append(p.calls, planeCall{"drop", node, id.String()})
+	p.calls = append(p.calls, planeCall{"drop", node, id})
 }
 func (p *recordingPlane) Load(node int, id block.ID) {
-	p.calls = append(p.calls, planeCall{"load", node, id.String()})
+	p.calls = append(p.calls, planeCall{"load", node, id})
 }
 
 // TestBytePlaneFollowsDecisions drives full MRD over the differential
@@ -83,12 +84,8 @@ func TestBytePlaneFollowsDecisions(t *testing.T) {
 			for _, d := range adv.Decisions {
 				switch d.Kind {
 				case "evict", "prefetch-evict", "purge":
-					id, err := block.ParseID(d.Block)
-					if err != nil {
-						t.Fatal(err)
-					}
 					op := "drop"
-					if w.Graph.RDDs[id.RDD].BlockInfo(id.Partition).Level == block.MemoryAndDisk {
+					if w.Graph.RDDs[d.Block.RDD].Level == block.MemoryAndDisk {
 						op = "spill"
 					}
 					want = append(want, planeCall{op, d.Node, d.Block})
@@ -97,7 +94,7 @@ func TestBytePlaneFollowsDecisions(t *testing.T) {
 				}
 			}
 			got := plane.calls[mark:]
-			if fmt.Sprint(got) != fmt.Sprint(want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d stage %d: byte-plane calls diverge from the decision log:\n got:  %v\n want: %v\n log:  %s",
 					seed, st.Stage, got, want, adv.Fingerprint())
 			}

@@ -18,7 +18,7 @@ import (
 
 // newFrameServer boots a server speaking both transports: HTTP via
 // httptest, frames via a real TCP listener advertised on /healthz.
-func newFrameServer(t *testing.T) (*service.Server, string, string) {
+func newFrameServer(t testing.TB) (*service.Server, string, string) {
 	t.Helper()
 	srv := service.NewServer(service.ServerConfig{})
 	ts := httptest.NewServer(srv.Handler())
@@ -36,7 +36,7 @@ func newFrameServer(t *testing.T) (*service.Server, string, string) {
 }
 
 // binClient builds a frame-protocol client pinned to addr.
-func binClient(t *testing.T, baseURL, frameAddr string) *client.Client {
+func binClient(t testing.TB, baseURL, frameAddr string) *client.Client {
 	t.Helper()
 	c := client.New(client.Config{BaseURL: baseURL, Binary: true, FrameAddr: frameAddr})
 	t.Cleanup(c.Close)

@@ -26,11 +26,16 @@ type Session struct {
 	// opsSinceSnap counts mutations since the last snapshot write; the
 	// server's snapshot cadence runs on it. Owned by the session lock.
 	opsSinceSnap int
+	// fold runs under the session lock at the end of every WithAdvisor
+	// call: the server passes the flush of the session's obs.Fold here,
+	// so the events of an operation reach the shared /metrics aggregator
+	// together, when the operation is over.
+	fold func()
 	// cleanup runs exactly once, under the session lock, after the
 	// session leaves the registry (explicit delete, LRU bound, or idle
-	// sweep). The server passes the obs-bus detach here so a retired
-	// session's per-session series stop feeding the shared /metrics
-	// aggregator.
+	// sweep). The server passes the Fold's Close here — a last flush,
+	// then the obs-bus detach — so a retired session's per-session
+	// series stop feeding the shared /metrics aggregator.
 	cleanup func()
 
 	// retired is closed once the session has fully retired: it left the
@@ -48,8 +53,17 @@ type Session struct {
 // then retires (see Retired).
 func (s *Session) WithAdvisor(fn func(a *Advisor) error) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.endOp()
 	return fn(s.advisor)
+}
+
+// endOp ends a session operation: what it emitted folds into the shared
+// aggregator, once, before the lock is released.
+func (s *Session) endOp() {
+	if s.fold != nil {
+		s.fold()
+	}
+	s.mu.Unlock()
 }
 
 // Retired returns a channel closed once the session has fully retired
@@ -118,11 +132,13 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 }
 
 // Create registers a new session around the advisor, evicting the
-// least-recently-used session if the registry is full. cleanup (nil
-// allowed) runs once, under the session lock, when the session later
-// leaves the registry by any path — the caller's hook for detaching
-// the session's observability from shared state.
-func (r *Registry) Create(workloadName string, a *Advisor, cleanup func()) *Session {
+// least-recently-used session if the registry is full. fold (nil
+// allowed) runs under the session lock at the end of every WithAdvisor
+// call; cleanup (nil allowed) runs once, under the session lock, when
+// the session later leaves the registry by any path — the caller's
+// hooks for feeding the session's observability into shared state and
+// detaching it again.
+func (r *Registry) Create(workloadName string, a *Advisor, fold, cleanup func()) *Session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -131,7 +147,7 @@ func (r *Registry) Create(workloadName string, a *Advisor, cleanup func()) *Sess
 		if _, taken := r.sessions[id]; taken {
 			continue // a client-supplied ID squatted on the counter
 		}
-		return r.createLocked(id, workloadName, a, cleanup, false)
+		return r.createLocked(id, workloadName, a, fold, cleanup, false)
 	}
 }
 
@@ -140,22 +156,23 @@ func (r *Registry) Create(workloadName string, a *Advisor, cleanup func()) *Sess
 // IDs so that consistent-hash routing works before the session
 // exists. restored marks sessions rebuilt from a snapshot. It fails
 // if the ID is already live.
-func (r *Registry) CreateWithID(id, workloadName string, a *Advisor, cleanup func(), restored bool) (*Session, error) {
+func (r *Registry) CreateWithID(id, workloadName string, a *Advisor, fold, cleanup func(), restored bool) (*Session, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, taken := r.sessions[id]; taken {
 		return nil, fmt.Errorf("service: session %q already exists", id)
 	}
-	return r.createLocked(id, workloadName, a, cleanup, restored), nil
+	return r.createLocked(id, workloadName, a, fold, cleanup, restored), nil
 }
 
-func (r *Registry) createLocked(id, workloadName string, a *Advisor, cleanup func(), restored bool) *Session {
+func (r *Registry) createLocked(id, workloadName string, a *Advisor, fold, cleanup func(), restored bool) *Session {
 	s := &Session{
 		ID:       id,
 		Workload: workloadName,
 		Created:  r.now(),
 		Restored: restored,
 		advisor:  a,
+		fold:     fold,
 		cleanup:  cleanup,
 		retired:  make(chan struct{}),
 		lastUsed: r.now(),

@@ -19,7 +19,7 @@ func TestDeleteWaitsOutInFlightCallThenDetaches(t *testing.T) {
 	bus := obs.New()
 	agg := obs.NewAggregator()
 	detach := agg.Attach(bus)
-	sess := r.Create("w", nil, detach)
+	sess := r.Create("w", nil, nil, detach)
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -75,8 +75,8 @@ func TestDeleteWaitsOutInFlightCallThenDetaches(t *testing.T) {
 func TestLRUBoundRetiresEvictee(t *testing.T) {
 	r := NewRegistry(RegistryConfig{MaxSessions: 1})
 	cleaned := make(chan struct{})
-	first := r.Create("a", nil, func() { close(cleaned) })
-	_ = r.Create("b", nil, nil)
+	first := r.Create("a", nil, nil, func() { close(cleaned) })
+	_ = r.Create("b", nil, nil, nil)
 	select {
 	case <-first.Retired():
 	case <-time.After(2 * time.Second):

@@ -21,12 +21,12 @@ func testRegistry(cfg RegistryConfig) (*Registry, *fakeClock) {
 
 func TestRegistryLRUBound(t *testing.T) {
 	r, _ := testRegistry(RegistryConfig{MaxSessions: 2, IdleTimeout: -1})
-	s1 := r.Create("w", nil, nil)
-	s2 := r.Create("w", nil, nil)
+	s1 := r.Create("w", nil, nil, nil)
+	s2 := r.Create("w", nil, nil, nil)
 	if _, ok := r.Get(s1.ID); !ok { // touch s1: s2 becomes LRU
 		t.Fatal("s1 missing")
 	}
-	s3 := r.Create("w", nil, nil)
+	s3 := r.Create("w", nil, nil, nil)
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
@@ -45,9 +45,9 @@ func TestRegistryLRUBound(t *testing.T) {
 
 func TestRegistryIdleSweep(t *testing.T) {
 	r, clk := testRegistry(RegistryConfig{MaxSessions: 8, IdleTimeout: time.Minute})
-	stale := r.Create("w", nil, nil)
+	stale := r.Create("w", nil, nil, nil)
 	clk.advance(45 * time.Second)
-	fresh := r.Create("w", nil, nil)
+	fresh := r.Create("w", nil, nil, nil)
 	clk.advance(30 * time.Second) // stale idle 75s, fresh idle 30s
 	if n := r.SweepIdle(); n != 1 {
 		t.Fatalf("SweepIdle = %d, want 1", n)
@@ -65,7 +65,7 @@ func TestRegistryIdleSweep(t *testing.T) {
 
 func TestRegistrySweepDisabled(t *testing.T) {
 	r, clk := testRegistry(RegistryConfig{MaxSessions: 8, IdleTimeout: -1})
-	r.Create("w", nil, nil)
+	r.Create("w", nil, nil, nil)
 	clk.advance(24 * time.Hour)
 	if n := r.SweepIdle(); n != 0 {
 		t.Errorf("disabled sweep removed %d sessions", n)
@@ -74,7 +74,7 @@ func TestRegistrySweepDisabled(t *testing.T) {
 
 func TestRegistryDelete(t *testing.T) {
 	r, _ := testRegistry(RegistryConfig{})
-	s := r.Create("w", nil, nil)
+	s := r.Create("w", nil, nil, nil)
 	if !r.Delete(s.ID) {
 		t.Fatal("Delete of live session returned false")
 	}
@@ -94,7 +94,7 @@ func TestRegistryIDsUnique(t *testing.T) {
 	r, _ := testRegistry(RegistryConfig{MaxSessions: 4})
 	seen := map[string]bool{}
 	for i := 0; i < 10; i++ {
-		s := r.Create(fmt.Sprintf("w%d", i), nil, nil)
+		s := r.Create(fmt.Sprintf("w%d", i), nil, nil, nil)
 		if seen[s.ID] {
 			t.Fatalf("duplicate session ID %s", s.ID)
 		}

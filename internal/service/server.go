@@ -507,34 +507,40 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (C
 }
 
 // adopt is the one way an advisor becomes a served session, fresh or
-// restored. Each session gets its own bus on the server clock —
-// SetStage mutates bus state, so a shared bus would race across
-// concurrent sessions — and every bus feeds the one concurrency-safe
-// aggregator behind /metrics. build attaches (or replays) the advisor
-// on that bus; the session then registers under id, or under a
-// server-assigned ID when id is empty. The bus detach runs when the
-// session leaves the registry (delete, LRU bound, idle sweep), under
-// the session lock, so a retired session stops feeding the shared
+// restored. Each session gets its own bus — SetStage mutates bus state,
+// so a shared bus would race across concurrent sessions — and every bus
+// feeds the one concurrency-safe aggregator behind /metrics through an
+// obs.Fold on the server clock: the session's events reach /metrics a
+// chunk at a time, and whole operations at a time, instead of taking
+// the server-wide lock once each. build attaches (or replays) the
+// advisor on that bus and what it emitted is folded in; the session
+// then registers under id, or under a server-assigned ID when id is
+// empty, folding at the end of each of its operations. The Fold closes
+// when the session leaves the registry (delete, LRU bound, idle sweep),
+// under the session lock, so a retired session stops feeding the shared
 // aggregator the moment its last in-flight request completes — or at
 // once, when build or the registration fails.
 func (s *Server) adopt(id, workloadName string, restored bool, build func(*obs.Bus) (*Advisor, error)) (*Session, error) {
 	bus := obs.New()
-	bus.SetClock(func() int64 { return time.Since(s.started).Microseconds() })
-	detach := s.agg.Attach(bus)
+	fold := s.agg.AttachFolded(bus, s.uptimeUs)
 	adv, err := build(bus)
 	if err != nil {
-		detach()
+		fold.Close()
 		return nil, err
 	}
+	fold.Flush()
 	if id == "" {
-		return s.registry.Create(workloadName, adv, detach), nil
+		return s.registry.Create(workloadName, adv, fold.Flush, fold.Close), nil
 	}
-	sess, err := s.registry.CreateWithID(id, workloadName, adv, detach, restored)
+	sess, err := s.registry.CreateWithID(id, workloadName, adv, fold.Flush, fold.Close, restored)
 	if err != nil {
-		detach()
+		fold.Close()
 	}
 	return sess, err
 }
+
+// uptimeUs is the server clock events are stamped with.
+func (s *Server) uptimeUs() int64 { return time.Since(s.started).Microseconds() }
 
 // describeSession renders the create-response view of a session.
 func (s *Server) describeSession(sess *Session) CreateSessionResponse {
@@ -1000,5 +1006,14 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	// A response that renders itself (Advice) already is what the encoder
+	// would make of it — compact, escaped — so it goes out as rendered
+	// instead of through the encoder's validating copy.
+	if m, ok := v.(json.Marshaler); ok {
+		if b, err := m.MarshalJSON(); err == nil {
+			_, _ = w.Write(append(b, '\n'))
+			return
+		}
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -260,7 +260,7 @@ func TestRestoredSessionLockDiscipline(t *testing.T) {
 	}
 
 	reg := service.NewRegistry(service.RegistryConfig{})
-	sess, err := reg.CreateWithID("s", "SCC", restored, nil, true)
+	sess, err := reg.CreateWithID("s", "SCC", restored, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

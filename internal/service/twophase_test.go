@@ -49,7 +49,7 @@ func TestAdvanceResolvesReadsBeforeMissInserts(t *testing.T) {
 			probe.Counters)
 	}
 	// A's re-insert still lands, evicting B after the read scored.
-	wantEvict := block.ID{RDD: b.ID, Partition: 0}.String()
+	wantEvict := block.ID{RDD: b.ID, Partition: 0}
 	found := false
 	for _, d := range probe.Decisions {
 		if d.Kind == "evict" && d.Block == wantEvict {

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 
+	"mrdspark/internal/block"
 	"mrdspark/internal/service/wire"
 )
 
@@ -40,6 +41,7 @@ func AppendAdvicePayload(e *wire.Enc, a *Advice) {
 		e.U8(0)
 	}
 	e.Uvarint(uint64(len(a.Decisions)))
+	var nameBuf [block.MaxNameLen]byte // a block's name as a varstr, without the string
 	for _, d := range a.Decisions {
 		code, ok := decisionKindCode(d.Kind)
 		e.U8(code)
@@ -47,7 +49,9 @@ func AppendAdvicePayload(e *wire.Enc, a *Advice) {
 			e.Str(d.Kind)
 		}
 		e.Uvarint(uint64(d.Node))
-		e.Str(d.Block)
+		name := d.Block.AppendName(nameBuf[:0])
+		e.Uvarint(uint64(len(name)))
+		e.Raw(name)
 	}
 	c := &a.Counters
 	e.Uvarint(uint64(c.Hits))
@@ -60,8 +64,9 @@ func AppendAdvicePayload(e *wire.Enc, a *Advice) {
 	e.Uvarint(uint64(c.Prefetches))
 }
 
-// DecodeAdvicePayload decodes an OpAdvice payload. Strings are copied
-// out, so the Advice outlives the frame buffer.
+// DecodeAdvicePayload decodes an OpAdvice payload. Block names are
+// parsed out of the frame and an unknown kind's string is copied, so
+// the Advice outlives the frame buffer.
 func DecodeAdvicePayload(d *wire.Dec) (Advice, error) {
 	var a Advice
 	a.Stage = int(d.Uvarint())
@@ -88,9 +93,13 @@ func DecodeAdvicePayload(d *wire.Dec) (Advice, error) {
 			return Advice{}, fmt.Errorf("service: unknown decision-kind code %#x", code)
 		}
 		dec.Node = int(d.Uvarint())
-		dec.Block = d.Str()
+		name := d.Bytes()
 		if d.Err() != nil {
 			return Advice{}, d.Err()
+		}
+		var ok bool
+		if dec.Block, ok = block.ParseName(name); !ok {
+			return Advice{}, fmt.Errorf("service: bad block name %q in decision %d", name, i)
 		}
 		a.Decisions = append(a.Decisions, dec)
 	}

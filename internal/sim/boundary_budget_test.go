@@ -69,10 +69,13 @@ func bare(m *core.Manager) policy.Factory { return m }
 // TestBoundaryProbeBudget holds the boundary procedure to numbers that
 // do not depend on the machine. The manager reads residency from its
 // own monitors, so it never asks the cluster about it, and asks about
-// restorability only for partitions not in memory: a D4 pass at seed 0
-// puts 223 254 OnDisk questions (the manager that interrogated every
-// partition at every boundary put 759 268, Resident included). The
-// second budget is what one SCC run may allocate in objects (15 414
+// restorability only for a partition that is not in memory and that
+// memory can take: a D4 pass at seed 0 puts 143 639 OnDisk questions
+// (223 254 when it asked about every partition not in memory; the
+// manager that interrogated every partition at every boundary put
+// 759 268, Resident included). internal/service holds the advisor's
+// shape of the same pass to its own budget under the same name. The
+// second budget is what one SCC run may allocate in objects (13 953
 // measured; 20 621 when every recency list boxed an ID and allocated an
 // element per insert).
 func TestBoundaryProbeBudget(t *testing.T) {
@@ -88,8 +91,8 @@ func TestBoundaryProbeBudget(t *testing.T) {
 	if ops.resident != 0 {
 		t.Errorf("the manager put %d Resident questions to the cluster, want 0", ops.resident)
 	}
-	if total := ops.resident + ops.onDisk; total > 240_000 {
-		t.Errorf("the manager put %d residency questions a pass, budget 240000", total)
+	if total := ops.resident + ops.onDisk; total > 160_000 {
+		t.Errorf("the manager put %d residency questions a pass, budget 160000", total)
 	}
 
 	if raceEnabled {
@@ -101,7 +104,7 @@ func TestBoundaryProbeBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	objs := after.Mallocs - before.Mallocs
 	t.Logf("SCC under MRD: %d objects", objs)
-	const budget = 17_700
+	const budget = 16_000
 	if objs > budget {
 		t.Errorf("one SCC run under MRD allocated %d objects, budget %d", objs, budget)
 	}
