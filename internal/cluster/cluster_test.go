@@ -141,7 +141,7 @@ func TestMemoryStorePutFailsWhenNothingEvictable(t *testing.T) {
 	// A policy that refuses to name victims (here: empty resident set
 	// seen through a filter that always rejects) must fail the Put.
 	s := NewMemoryStore(10, refuseAll{})
-	s.blocks[bid(9, 9)] = info(9, 9, 10)
+	s.blocks.Put(bid(9, 9), info(9, 9, 10))
 	s.used = 10
 	if _, ok := s.Put(info(1, 0, 4)); ok {
 		t.Error("Put succeeded without space or victims")
@@ -259,7 +259,8 @@ func TestStoreOccupancyInvariant(t *testing.T) {
 				if !s.Contains(rid) {
 					t.Fatalf("trial %d: Blocks() lists non-resident %v", trial, rid)
 				}
-				sum += s.blocks[rid].Size
+				held, _ := s.blocks.Get(rid)
+				sum += held.Size
 			}
 			if sum != s.Used() {
 				t.Fatalf("trial %d: accounting drift: sum %d != used %d", trial, sum, s.Used())

@@ -24,7 +24,7 @@ import (
 type MemoryStore struct {
 	capacity int64
 	used     int64
-	blocks   map[block.ID]block.Info
+	blocks   block.Map[block.Info]
 	pol      policy.Policy
 	arb      policy.PrefetchArbiter // pol's say over prefetch arrivals; nil when it has none
 
@@ -48,7 +48,7 @@ type MemoryStore struct {
 // NewMemoryStore creates a store with the given capacity driven by the
 // given per-node policy.
 func NewMemoryStore(capacity int64, pol policy.Policy) *MemoryStore {
-	s := &MemoryStore{capacity: capacity, blocks: map[block.ID]block.Info{}, pol: pol}
+	s := &MemoryStore{capacity: capacity, pol: pol}
 	s.arb, _ = pol.(policy.PrefetchArbiter)
 	// Put's victims have left the policy by the time it looks for the
 	// next one, so its filter has nothing to remember. PutGuarded's are
@@ -78,13 +78,10 @@ func (s *MemoryStore) Used() int64 { return s.used }
 func (s *MemoryStore) Free() int64 { return s.capacity - s.used }
 
 // Len returns the number of resident blocks.
-func (s *MemoryStore) Len() int { return len(s.blocks) }
+func (s *MemoryStore) Len() int { return s.blocks.Len() }
 
 // Contains reports residency without touching policy state.
-func (s *MemoryStore) Contains(id block.ID) bool {
-	_, ok := s.blocks[id]
-	return ok
-}
+func (s *MemoryStore) Contains(id block.ID) bool { return s.blocks.Has(id) }
 
 // Get reports a read: on a hit the policy's recency/accounting hooks
 // fire and Get returns true.
@@ -123,7 +120,7 @@ func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 			// (Spark frees the space it reclaimed); the insert fails.
 			return s.evicted, false
 		}
-		vInfo, resident := s.blocks[victim]
+		vInfo, resident := s.blocks.Get(victim)
 		if !resident {
 			panic(fmt.Sprintf("cluster: policy chose non-resident victim %v", victim))
 		}
@@ -153,7 +150,7 @@ func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bo
 		if !found || !allow(victim) {
 			return nil, false
 		}
-		vInfo := s.blocks[victim]
+		vInfo, _ := s.blocks.Get(victim)
 		s.evicted = append(s.evicted, vInfo)
 		freed += vInfo.Size
 	}
@@ -180,7 +177,7 @@ func (s *MemoryStore) PutPrefetch(info block.Info) (evicted []block.Info, ok boo
 // (purge orders, failure injection). It reports whether the block was
 // resident.
 func (s *MemoryStore) Remove(id block.ID) bool {
-	info, ok := s.blocks[id]
+	info, ok := s.blocks.Get(id)
 	if ok {
 		s.drop(info)
 	}
@@ -189,64 +186,47 @@ func (s *MemoryStore) Remove(id block.ID) bool {
 
 // Clear empties the store (node failure).
 func (s *MemoryStore) Clear() {
-	for _, info := range s.blocks {
-		s.drop(info)
-	}
+	s.blocks.Each(func(id block.ID, _ block.Info) { s.pol.OnRemove(id) })
+	s.blocks.Clear()
+	s.used = 0
 }
 
 func (s *MemoryStore) add(info block.Info) {
-	s.blocks[info.ID] = info
+	s.blocks.Put(info.ID, info)
 	s.used += info.Size
 	s.pol.OnAdd(info.ID)
 }
 
 func (s *MemoryStore) drop(info block.Info) {
-	delete(s.blocks, info.ID)
+	s.blocks.Delete(info.ID)
 	s.used -= info.Size
 	s.pol.OnRemove(info.ID)
 }
 
 // Blocks returns a snapshot of resident block IDs (test helper; order
 // unspecified).
-func (s *MemoryStore) Blocks() []block.ID {
-	out := make([]block.ID, 0, len(s.blocks))
-	for id := range s.blocks {
-		out = append(out, id)
-	}
+func (s *MemoryStore) Blocks() []block.ID { return ids(&s.blocks) }
+
+// ids lists a table's keys, in its slot order.
+func ids[V any](m *block.Map[V]) []block.ID {
+	out := make([]block.ID, 0, m.Len())
+	m.Each(func(id block.ID, _ V) { out = append(out, id) })
 	return out
-}
-
-// rddCount is the dense per-RDD entry count a DiskStore keeps in front
-// of its map. The MRD manager asks OnDisk about every block it would
-// prefetch if it could, at every stage boundary, and most of those
-// probes name an RDD the disk holds nothing of (136 k of a D4 pass's
-// 188 k Has calls): they are answered from the array without hashing
-// the 16-byte key. Only mutations grow
-// it (geometrically, by append), so reads stay pure. MemoryStore has no
-// such array: nothing probes it that way any more (the manager reads
-// residency from its monitors), and it would cost a D4 pass 360 KB.
-type rddCount []int32
-
-// none reports that the store holds no block of the RDD.
-func (c rddCount) none(rdd int) bool { return rdd >= len(c) || c[rdd] == 0 }
-
-func (c *rddCount) add(rdd int, delta int32) {
-	if rdd >= len(*c) {
-		*c = append(*c, make([]int32, rdd+1-len(*c))...)
-	}
-	(*c)[rdd] += delta
 }
 
 // DiskStore is one node's local-disk block set: spilled cache blocks,
 // HDFS-resident source data, and — under replication — replica copies
 // of blocks homed on other nodes. Capacity is not modeled (the paper's
 // nodes have 200 GB disks, never a constraint); bandwidth is charged
-// by the simulator's device queues. Like MemoryStore it holds no lock:
-// one goroutine mutates it, and the execution engine's workers read it
-// (through the advisor's OnDisk) only while no mutation runs.
+// by the simulator's device queues. Like MemoryStore it is one
+// block.Map and holds no lock: one goroutine mutates it, and the
+// execution engine's workers read it (through the advisor's OnDisk)
+// only while no mutation runs. Most Has calls are the MRD manager's, at
+// every stage boundary, about blocks the disk does not hold: a miss
+// costs one multiply and one word read, so nothing stands in front of
+// the table.
 type DiskStore struct {
-	blocks map[block.ID]diskEntry
-	perRDD rddCount
+	blocks block.Map[diskEntry]
 }
 
 // diskEntry is one on-disk copy: its size and whether it is a replica
@@ -257,82 +237,59 @@ type diskEntry struct {
 }
 
 // NewDiskStore creates an empty disk store.
-func NewDiskStore() *DiskStore { return &DiskStore{blocks: map[block.ID]diskEntry{}} }
+func NewDiskStore() *DiskStore { return &DiskStore{} }
 
 // Has reports whether any copy of the block's bytes — primary or
 // replica — is on this disk.
-func (d *DiskStore) Has(id block.ID) bool {
-	if d.perRDD.none(id.RDD) {
-		return false
-	}
-	_, ok := d.blocks[id]
-	return ok
-}
+func (d *DiskStore) Has(id block.ID) bool { return d.blocks.Has(id) }
 
 // HasReplica reports whether this disk holds a replica copy of the
 // block (a copy whose home node is elsewhere).
 func (d *DiskStore) HasReplica(id block.ID) bool {
-	return !d.perRDD.none(id.RDD) && d.blocks[id].replica
+	e, _ := d.blocks.Get(id)
+	return e.replica
 }
 
 // Put records a primary copy of the block on disk. Putting a block
 // that was a replica promotes it to primary.
-func (d *DiskStore) Put(id block.ID, size int64) { d.put(id, diskEntry{size: size}) }
+func (d *DiskStore) Put(id block.ID, size int64) { d.blocks.Put(id, diskEntry{size: size}) }
 
 // PutReplica records a replica copy (replication of a block homed on
 // another node). A primary copy is never downgraded.
 func (d *DiskStore) PutReplica(id block.ID, size int64) {
-	if e, ok := d.blocks[id]; ok && !e.replica {
+	if e, ok := d.blocks.Get(id); ok && !e.replica {
 		return
 	}
-	d.put(id, diskEntry{size: size, replica: true})
-}
-
-func (d *DiskStore) put(id block.ID, e diskEntry) {
-	if !d.Has(id) {
-		d.perRDD.add(id.RDD, 1)
-	}
-	d.blocks[id] = e
+	d.blocks.Put(id, diskEntry{size: size, replica: true})
 }
 
 // Size returns the block's on-disk size, or 0 if absent.
-func (d *DiskStore) Size(id block.ID) int64 { return d.blocks[id].size }
+func (d *DiskStore) Size(id block.ID) int64 {
+	e, _ := d.blocks.Get(id)
+	return e.size
+}
 
 // Remove drops the block (any copy) from disk.
-func (d *DiskStore) Remove(id block.ID) {
-	if d.Has(id) {
-		d.perRDD.add(id.RDD, -1)
-		delete(d.blocks, id)
-	}
-}
+func (d *DiskStore) Remove(id block.ID) { d.blocks.Delete(id) }
 
 // Clear empties the disk (node failure takes local data with it,
 // replica copies included).
-func (d *DiskStore) Clear() {
-	d.blocks = map[block.ID]diskEntry{}
-	clear(d.perRDD)
-}
+func (d *DiskStore) Clear() { d.blocks.Clear() }
 
 // Len returns the number of blocks on disk, replicas included.
-func (d *DiskStore) Len() int { return len(d.blocks) }
+func (d *DiskStore) Len() int { return d.blocks.Len() }
 
 // Blocks returns the IDs of every block on disk (replicas included),
 // in no particular order. Callers sort as needed.
-func (d *DiskStore) Blocks() []block.ID {
-	ids := make([]block.ID, 0, len(d.blocks))
-	for id := range d.blocks {
-		ids = append(ids, id)
-	}
-	return ids
-}
+func (d *DiskStore) Blocks() []block.ID { return ids(&d.blocks) }
 
 // ReplicaLen returns the number of replica copies on disk.
 func (d *DiskStore) ReplicaLen() int {
 	n := 0
-	for _, e := range d.blocks {
+	d.blocks.Each(func(_ block.ID, e diskEntry) {
 		if e.replica {
 			n++
 		}
-	}
+	})
 	return n
 }

@@ -9,13 +9,14 @@ import "mrdspark/internal/block"
 // The entries live in one slab linked by int32 index, and a removed
 // entry's slot is reused by the next insert, so a store that has warmed
 // up inserts, promotes and removes without allocating — and a victim
-// walk reads one contiguous slice instead of chasing heap pointers.
+// walk reads one contiguous slice instead of chasing heap pointers. The
+// lookup is a block.Map from ID to slab index.
 type Recency struct {
 	// entries[0] is the ring's sentinel: its next is the most recently
 	// used entry and its prev the least recently used, so linking and
 	// unlinking never branch on the list's ends.
 	entries []recencyEntry
-	slot    map[block.ID]int32
+	slot    block.Map[int32]
 	// free heads the chain of vacated slots (linked through next); 0
 	// means none.
 	free int32
@@ -28,7 +29,7 @@ type recencyEntry struct {
 
 // NewRecency returns an empty ordering.
 func NewRecency() *Recency {
-	return &Recency{entries: make([]recencyEntry, 1), slot: map[block.ID]int32{}}
+	return &Recency{entries: make([]recencyEntry, 1)}
 }
 
 // Touch moves the block to the most-recently-used position, inserting
@@ -45,7 +46,7 @@ func (l *Recency) Touch(id block.ID) (inserted bool) {
 		l.entries = append(l.entries, recencyEntry{})
 	}
 	l.entries[i].id = id
-	l.slot[id] = i
+	l.slot.Put(id, i)
 	l.pushFront(i)
 	return true
 }
@@ -53,7 +54,7 @@ func (l *Recency) Touch(id block.ID) (inserted bool) {
 // Promote moves a tracked block to the most-recently-used position and
 // reports whether the block is tracked.
 func (l *Recency) Promote(id block.ID) bool {
-	i, ok := l.slot[id]
+	i, ok := l.slot.Get(id)
 	if ok && l.entries[0].next != i {
 		l.unlink(i)
 		l.pushFront(i)
@@ -64,11 +65,11 @@ func (l *Recency) Promote(id block.ID) bool {
 // Remove drops the block from the ordering and reports whether it was
 // tracked.
 func (l *Recency) Remove(id block.ID) bool {
-	i, ok := l.slot[id]
+	i, ok := l.slot.Get(id)
 	if !ok {
 		return false
 	}
-	delete(l.slot, id)
+	l.slot.Delete(id)
 	l.unlink(i)
 	l.entries[i].next = l.free
 	l.free = i
@@ -89,13 +90,10 @@ func (l *Recency) pushFront(i int32) {
 }
 
 // Contains reports whether the block is tracked.
-func (l *Recency) Contains(id block.ID) bool {
-	_, ok := l.slot[id]
-	return ok
-}
+func (l *Recency) Contains(id block.ID) bool { return l.slot.Has(id) }
 
 // Len returns the number of tracked blocks.
-func (l *Recency) Len() int { return len(l.slot) }
+func (l *Recency) Len() int { return l.slot.Len() }
 
 // Oldest returns the cursor of the least recently used block, or 0
 // when the ordering is empty. A cursor is valid until the next Touch,

@@ -29,7 +29,7 @@ func TestQueueGraceAvoidsShed(t *testing.T) {
 	defer s.Close()
 
 	release := make(chan struct{})
-	entered := make(chan struct{})
+	entered := make(chan struct{}, 1) // buffered: the handler's send must not be lost if it comes before the receive
 	h := s.limitInflight(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case entered <- struct{}{}:
@@ -86,7 +86,7 @@ func TestShedRecordsSpanAndCounter(t *testing.T) {
 	defer s.Close()
 
 	release := make(chan struct{})
-	entered := make(chan struct{})
+	entered := make(chan struct{}, 1) // buffered: the handler's send must not be lost if it comes before the receive
 	h := s.limitInflight(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case entered <- struct{}{}:

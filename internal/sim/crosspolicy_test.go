@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"mrdspark/internal/block"
+	"mrdspark/internal/cluster"
 	"mrdspark/internal/core"
 	"mrdspark/internal/dag"
+	"mrdspark/internal/metrics"
 	"mrdspark/internal/policy"
 	"mrdspark/internal/refdist"
 )
@@ -50,6 +52,11 @@ func randomApp(rng *rand.Rand) *dag.Graph {
 	}
 	return g
 }
+
+// policyNames is allFactories' key set in a fixed order: a test that
+// walks the policies in map order runs them in a different order — or,
+// if it stops early, a different policy — each time.
+var policyNames = []string{"LRU", "FIFO", "LFU", "Hyperbolic", "GDS", "LRC", "MemTune", "MIN", "MRD", "MRD-adhoc"}
 
 func allFactories(g *dag.Graph) map[string]policy.Factory {
 	return map[string]policy.Factory{
@@ -163,16 +170,17 @@ func TestOraclesDominateOnRandomApps(t *testing.T) {
 }
 
 // TestAuditAfterRandomRuns: the post-run consistency audit passes for
-// every policy on random applications.
+// every policy on random applications — all ten on every graph, each on
+// its own instance of it (factories bind to their graph), in a fixed
+// order, so a failure names a trial and a policy that fail again.
 func TestAuditAfterRandomRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 15; trial++ {
 		seed := rng.Int63()
 		cl := tinyCluster(int64(2+rng.Intn(5)) << 10)
-		g := randomApp(rand.New(rand.NewSource(seed)))
-		for name, f := range allFactories(g) {
-			// DAG-bound factories are already bound to g here.
-			s, err := New(g, cl, f, "audit")
+		for _, name := range policyNames {
+			g := randomApp(rand.New(rand.NewSource(seed)))
+			s, err := New(g, cl, allFactories(g)[name], "audit")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +188,6 @@ func TestAuditAfterRandomRuns(t *testing.T) {
 			if err := s.Audit(); err != nil {
 				t.Errorf("trial %d %s: %v", trial, name, err)
 			}
-			break // one policy per graph instance; factories bind to g
 		}
 		// And explicitly audit an MRD run with prefetching.
 		g2 := randomApp(rand.New(rand.NewSource(seed)))
@@ -191,6 +198,57 @@ func TestAuditAfterRandomRuns(t *testing.T) {
 		s.Run()
 		if err := s.Audit(); err != nil {
 			t.Errorf("trial %d MRD: %v", trial, err)
+		}
+	}
+}
+
+// TestUnboundedCacheIsTheCeiling holds every policy to what the paper's
+// setting implies when memory is no constraint, without consulting any
+// table of distances or counts: nothing is ever evicted, so no prefetch
+// is wasted; every block is still resident at its next reference, so
+// there is nothing to prefetch and every policy reads LRU's hits and
+// misses — except the ad-hoc profiler, which by design purges a block it
+// cannot yet see a future reference to, and pays for it in hits; and a
+// bounded cache can only do worse on the same demand reads. With no
+// eviction to hold them down, the stores' tables grow past every size
+// the pressure-bound tests reach.
+func TestUnboundedCacheIsTheCeiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(2022))
+	for trial := 0; trial < 60; trial++ {
+		seed := rng.Int63()
+		bounded := tinyCluster(int64(2+rng.Intn(6)) << 10)
+		run := func(name string, cl cluster.Config) metrics.Run {
+			g := randomApp(rand.New(rand.NewSource(seed)))
+			fs := allFactories(g)
+			if fs[name] == nil || len(fs) != len(policyNames) {
+				t.Fatalf("policyNames and allFactories disagree at %q", name)
+			}
+			r, err := Run(g, cl, fs[name], "ceiling")
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			return r
+		}
+		ceiling := run("LRU", tinyCluster(1<<40))
+		for _, name := range policyNames {
+			open := run(name, tinyCluster(1<<40))
+			if open.Evictions != 0 || open.PrefetchWasted != 0 {
+				t.Errorf("trial %d %s, unbounded: %d evictions, %d wasted prefetches",
+					trial, name, open.Evictions, open.PrefetchWasted)
+			}
+			if name != "MRD-adhoc" && (open.PrefetchIssued != 0 || open.Hits != ceiling.Hits || open.Misses != ceiling.Misses) {
+				t.Errorf("trial %d %s, unbounded: %d prefetches, %d hits / %d misses; LRU reads %d / %d",
+					trial, name, open.PrefetchIssued, open.Hits, open.Misses, ceiling.Hits, ceiling.Misses)
+			}
+			tight := run(name, bounded)
+			if tight.Hits > ceiling.Hits || open.Hits > ceiling.Hits {
+				t.Errorf("trial %d %s: %d hits in %d bytes, %d unbounded, above the ceiling of %d",
+					trial, name, tight.Hits, bounded.CacheBytes, open.Hits, ceiling.Hits)
+			}
+			if reads := ceiling.Hits + ceiling.Misses; tight.Hits+tight.Misses != reads || open.Hits+open.Misses != reads {
+				t.Errorf("trial %d %s: %d reads bounded, %d unbounded; LRU unbounded made %d",
+					trial, name, tight.Hits+tight.Misses, open.Hits+open.Misses, reads)
+			}
 		}
 	}
 }

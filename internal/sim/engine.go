@@ -10,19 +10,19 @@ package sim
 // in timestamp order; ties break in scheduling order, which keeps runs
 // reproducible bit for bit.
 //
-// Events live in a reusable slab arena; the priority queue is a binary
-// heap of int32 slab indices. Compared to the original container/heap
-// implementation this removes the two interface-boxing allocations per
-// event (Push and Pop both box a 24-byte struct into `any`), and both
-// the slab and the heap reuse their backing arrays across the whole
-// run, so a warmed engine schedules and fires events allocation-free
-// (see TestEngineSteadyStateAllocs).
+// Only the future is ordered by a heap: a binary heap holding the
+// events themselves, (at, seq, fn) inline, so a comparison reads two
+// adjacent array elements and nothing else. An event scheduled for now
+// or earlier — a zero-byte transfer, a slot hand-off: over a third of a
+// run's events — goes to a FIFO instead, because among events due at one
+// instant scheduling order is firing order. Both backing arrays are
+// reused across the run, so a warmed engine schedules and fires without
+// allocating (see TestEngineSteadyStateAllocs).
 type Engine struct {
 	now    int64 // microseconds of simulated time
 	nextID int64
-	slab   []event // arena; slot i holds the event heap entries point at
-	free   []int32 // recycled slab slots
-	heap   []int32 // binary heap of slab indices ordered by (at, seq)
+	heap   []event       // binary heap ordered by (at, seq); every at > now when scheduled
+	due    queue[func()] // events scheduled for now, in scheduling order
 }
 
 type event struct {
@@ -40,52 +40,46 @@ func (e *Engine) Now() int64 { return e.now }
 // At schedules fn at absolute time t (clamped to now: the past is not
 // rewritable).
 func (e *Engine) At(t int64, fn func()) {
-	if t < e.now {
-		t = e.now
+	if t <= e.now {
+		e.due.push(fn)
+		return
 	}
-	ev := event{at: t, seq: e.nextID, fn: fn}
+	e.heap = append(e.heap, event{at: t, seq: e.nextID, fn: fn})
 	e.nextID++
-	var idx int32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-		e.slab[idx] = ev
-	} else {
-		idx = int32(len(e.slab))
-		e.slab = append(e.slab, ev)
-	}
-	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
 }
 
 // After schedules fn d microseconds from now.
 func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 
-// Run processes events until the queue drains, returning the final
-// simulated time.
+// Run processes events until the queues drain, returning the final
+// simulated time. The order is the strict (at, scheduling order) one:
+// a heap event due now was scheduled before the clock got here, so
+// before anything the FIFO holds, and fires first; then the FIFO, which
+// only handlers running at this instant append to; and only when both
+// are spent does the clock move to the heap's next timestamp.
 func (e *Engine) Run() int64 {
-	for len(e.heap) > 0 {
-		idx := e.pop()
-		ev := e.slab[idx]
-		// Clear the popped slot before firing: the slab must not keep
-		// the closure (and everything it captures) live until the slot
-		// is recycled.
-		e.slab[idx] = event{}
-		e.free = append(e.free, idx)
-		e.now = ev.at
-		ev.fn()
+	for {
+		switch {
+		case len(e.heap) > 0 && e.heap[0].at <= e.now:
+			e.pop()()
+		case e.due.len() > 0:
+			e.due.pop()()
+		case len(e.heap) > 0:
+			e.now = e.heap[0].at
+		default:
+			return e.now
+		}
 	}
-	return e.now
 }
 
 // Pending returns the number of queued events (test helper).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + e.due.len() }
 
-// less orders two slab slots by (timestamp, scheduling order). Both
+// before orders two events by (timestamp, scheduling order). Both
 // fields together form a strict total order, so any heap yields the
 // same pop sequence.
-func (e *Engine) less(i, j int32) bool {
-	a, b := &e.slab[i], &e.slab[j]
+func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -94,51 +88,65 @@ func (e *Engine) less(i, j int32) bool {
 
 func (e *Engine) siftUp(i int) {
 	h := e.heap
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(h[i], h[parent]) {
+		if !ev.before(&h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ev
 }
 
-// pop removes and returns the minimum slab index from the heap.
-func (e *Engine) pop() int32 {
+// pop removes the minimum event from the heap and returns its handler.
+// The vacated tail slot is zeroed: the backing array must not keep a
+// fired closure (and everything it captures) live until the slot is
+// overwritten.
+func (e *Engine) pop() func() {
 	h := e.heap
-	top := h[0]
+	fn := h[0].fn
 	n := len(h) - 1
-	h[0] = h[n]
-	e.heap = h[:n]
-	// Sift the relocated last element down.
-	h = e.heap
+	ev := h[n] // the last event goes down from the root
+	h[n] = event{}
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return fn
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		min := l
-		if r := l + 1; r < n && e.less(h[r], h[l]) {
-			min = r
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
 		}
-		if !e.less(h[min], h[i]) {
+		if !h[child].before(&ev) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		h[i] = h[child]
+		i = child
 	}
-	return top
+	h[i] = ev
+	return fn
 }
 
-// slabLive returns how many slab slots still hold a closure (test
-// helper: after Run drains the queue it must be zero, or popped events
-// would pin their captured state until the slot is recycled).
+// slabLive returns how many slots of the two backing arrays, up to
+// capacity, still hold a closure (test helper: after Run drains the
+// queues it must be zero, or fired events would pin their captured
+// state until the slot is overwritten).
 func (e *Engine) slabLive() int {
 	live := 0
-	for i := range e.slab {
-		if e.slab[i].fn != nil {
+	for _, ev := range e.heap[:cap(e.heap)] {
+		if ev.fn != nil {
+			live++
+		}
+	}
+	for _, fn := range e.due.buf[:cap(e.due.buf)] {
+		if fn != nil {
 			live++
 		}
 	}

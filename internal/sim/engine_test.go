@@ -63,7 +63,8 @@ func TestEnginePending(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
 	e.At(2, func() {})
-	if e.Pending() != 2 {
+	e.At(0, func() {}) // due now: queued, but not in the heap
+	if e.Pending() != 3 {
 		t.Errorf("pending = %d", e.Pending())
 	}
 	e.Run()

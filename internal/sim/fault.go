@@ -54,7 +54,7 @@ func (s *Simulation) applyFaults() {
 		case fault.CorruptBlock:
 			home := s.nodes[cluster.HomeNode(ev.Block, len(s.nodes))]
 			if home.disk.Has(ev.Block) {
-				s.corrupt[ev.Block] = true
+				s.corrupt.Put(ev.Block, struct{}{})
 				s.bus.Emit(obs.BlockEv(obs.KindBlockCorrupt, home.id, ev.Block, 0))
 			}
 		}
@@ -75,14 +75,16 @@ func (s *Simulation) crashNode(ev fault.Event) {
 
 	// Prefetches that landed on the node die with it; settle the
 	// ledger so Audit's used+wasted+pending == issued still holds.
-	// (Map iteration: the operations are per-id counter updates, so
-	// order does not affect the outcome.)
-	for id := range s.prefetched {
+	var died []block.ID
+	s.prefetched.Each(func(id block.ID, _ struct{}) {
 		if cluster.HomeNode(id, len(s.nodes)) == n.id {
-			s.run.PrefetchWasted++
-			delete(s.prefetched, id)
+			died = append(died, id)
 		}
+	})
+	for _, id := range died {
+		s.prefetched.Delete(id)
 	}
+	s.run.PrefetchWasted += int64(len(died))
 
 	n.mem.Clear()
 	n.disk.Clear()
@@ -128,9 +130,8 @@ func (s *Simulation) loseBlock(id block.ID) {
 	}
 	s.run.BlocksLost++
 	s.bus.Emit(obs.BlockEv(obs.KindBlockLost, home.id, id, 0))
-	if s.prefetched[id] {
+	if s.prefetched.Delete(id) {
 		s.run.PrefetchWasted++
-		delete(s.prefetched, id)
 	}
 }
 
@@ -149,7 +150,7 @@ func (s *Simulation) execNode(p int) *node {
 
 // diskHas reports a usable on-disk copy: present and not corrupt.
 func (s *Simulation) diskHas(n *node, id block.ID) bool {
-	return n.disk.Has(id) && !s.corrupt[id]
+	return n.disk.Has(id) && !s.corrupt.Has(id)
 }
 
 // replicate ships R-1 replica copies of a newly inserted block to the

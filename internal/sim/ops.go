@@ -49,9 +49,8 @@ func (o clusterOps) Evict(node int, id block.ID) bool {
 	s.noteUsed(s.nodes[node])
 	s.run.PurgedBlocks++
 	s.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, 0))
-	if s.prefetched[id] {
+	if s.prefetched.Delete(id) {
 		s.run.PrefetchWasted++
-		delete(s.prefetched, id)
 	}
 	return true
 }
@@ -64,14 +63,14 @@ func (o clusterOps) Evict(node int, id block.ID) bool {
 func (o clusterOps) Prefetch(node int, info block.Info) {
 	s := o.s
 	n := s.nodes[node]
-	if n.down || n.mem.Contains(info.ID) || s.inFlight[info.ID] || !s.restorable(n, info.ID) {
+	if n.down || n.mem.Contains(info.ID) || s.inFlight.Has(info.ID) || !s.restorable(n, info.ID) {
 		return
 	}
-	s.inFlight[info.ID] = true
+	s.inFlight.Put(info.ID, struct{}{})
 	s.run.PrefetchIssued++
 	s.bus.Emit(obs.BlockEv(obs.KindPrefetchIssue, node, info.ID, info.Size))
 	arrive := func() {
-		delete(s.inFlight, info.ID)
+		s.inFlight.Delete(info.ID)
 		s.bus.Emit(obs.BlockEv(obs.KindPrefetchArrive, node, info.ID, info.Size))
 		// Aborted arrivals (node crashed mid-flight, block demand-
 		// inserted meanwhile, or the store rejected it) settle the
@@ -88,7 +87,7 @@ func (o clusterOps) Prefetch(node int, info block.Info) {
 			s.run.PrefetchWasted++
 			return
 		}
-		s.prefetched[info.ID] = true
+		s.prefetched.Put(info.ID, struct{}{})
 		s.replicate(n, info)
 	}
 	if s.diskHas(n, info.ID) {

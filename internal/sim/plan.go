@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"mrdspark/internal/block"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
 	"mrdspark/internal/obs"
@@ -18,17 +17,19 @@ import (
 // task count differs from a read RDD's partition count reads some
 // blocks remotely; remote reads are charged to the reader's NIC.
 func (s *Simulation) planStage(st *dag.Stage) []taskWork {
-	works := make([]taskWork, st.NumTasks)
+	if len(s.works) < st.NumTasks {
+		s.works = append(s.works, make([]taskWork, st.NumTasks-len(s.works))...)
+	}
+	works := s.works[:st.NumTasks]
+	for p := range works {
+		works[p] = taskWork{inserts: works[p].inserts[:0]}
+	}
+	s.resolved.Clear()
 	ctx := &planCtx{sim: s, works: works, numTasks: st.NumTasks}
 
 	// Resolve the stage's read frontier: the nearest materialized
 	// cached RDD on each narrow path from the target.
 	reads, _ := dag.StageFrontier(st, func(id int) bool { return s.created[id] })
-	blocks := 0
-	for _, r := range reads {
-		blocks += r.NumPartitions
-	}
-	ctx.resolved = make(map[block.ID]bool, blocks)
 	for _, r := range reads {
 		for q := 0; q < r.NumPartitions; q++ {
 			ctx.resolveBlock(r, q)
@@ -121,14 +122,14 @@ func chainMembers(target *dag.RDD, created map[int]bool) []*dag.RDD {
 	return out
 }
 
-// planCtx carries per-stage planning state: which blocks were already
+// planCtx carries per-stage planning state. Which blocks were already
 // resolved (a block is read once per stage even if reachable through
-// several chain paths).
+// several chain paths) is the simulation's resolved set, cleared per
+// stage.
 type planCtx struct {
 	sim      *Simulation
 	works    []taskWork
 	numTasks int
-	resolved map[block.ID]bool
 }
 
 // resolveBlock resolves one read of a cached block down the recovery
@@ -140,12 +141,12 @@ type planCtx struct {
 // q mod numTasks; the block's home is node q mod N.
 func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	id := r.Block(q)
-	if c.resolved[id] {
+	s := c.sim
+	if s.resolved.Has(id) {
 		return
 	}
-	c.resolved[id] = true
+	s.resolved.Put(id, struct{}{})
 
-	s := c.sim
 	home := cluster.HomeNode(id, len(s.nodes))
 	hn := s.nodes[home]
 	reader := q % c.numTasks
@@ -159,9 +160,8 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	if hn.mem.Get(id) {
 		s.run.Hits++
 		s.bus.Emit(obs.BlockEv(obs.KindHit, home, id, r.PartSize))
-		if s.prefetched[id] {
+		if s.prefetched.Delete(id) {
 			s.run.PrefetchUsed++
-			delete(s.prefetched, id)
 		}
 		// A remote hit still moves bytes over the reader's NIC — and
 		// under a flaky network that fetch can exhaust its retries, in
@@ -179,8 +179,7 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 
 	// A corrupt home-disk copy is detected at this read and dropped,
 	// pushing the miss down to the replica or lineage rung.
-	if hn.disk.Has(id) && s.corrupt[id] {
-		delete(s.corrupt, id)
+	if hn.disk.Has(id) && s.corrupt.Delete(id) {
 		hn.disk.Remove(id)
 		s.run.BlocksCorrupted++
 		s.bus.Emit(obs.BlockEv(obs.KindCorruptDetect, home, id, r.PartSize))

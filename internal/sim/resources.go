@@ -26,6 +26,7 @@ func (q *queue[T]) pop() T {
 		q.head = 0
 	case q.head > 32 && q.head*2 >= len(q.buf):
 		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:]) // the moved entries' old slots
 		q.buf = q.buf[:n]
 		q.head = 0
 	}

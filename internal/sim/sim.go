@@ -44,6 +44,9 @@ type node struct {
 	cacheUsed int64
 }
 
+// blockSet is a set of blocks.
+type blockSet = block.Map[struct{}]
+
 // Simulation executes one application DAG on one simulated cluster
 // under one cache policy. Create with New, run once with Run.
 type Simulation struct {
@@ -61,12 +64,12 @@ type Simulation struct {
 	created map[int]bool
 	// prefetched marks blocks brought in by prefetch and not yet hit,
 	// for used/wasted accounting.
-	prefetched map[block.ID]bool
+	prefetched blockSet
 	// inFlight guards against duplicate prefetch orders for a block.
-	inFlight map[block.ID]bool
+	inFlight blockSet
 	// corrupt marks blocks whose home-node disk copy has rotted (fault
 	// injection); detection happens at the next demand read.
-	corrupt map[block.ID]bool
+	corrupt blockSet
 	// faultsAt indexes the schedule's events by executed-stage index.
 	faultsAt map[int][]fault.Event
 	// frng draws the remote-fetch failure stream (seeded, splitmix64).
@@ -80,6 +83,17 @@ type Simulation struct {
 	stageIx  int // count of executed stages, for failure injection
 	ran      bool
 	timeline []metrics.StageSpan
+
+	// Stage scratch. Stages execute one at a time, so what one stage
+	// plans and runs with is the next stage's to reuse: the per-stage set
+	// of blocks already resolved, the work units (each keeping its
+	// inserts' capacity), the tasks (each with its step bound once, when
+	// the slab grows) and the countdown that ends the stage.
+	resolved  blockSet
+	works     []taskWork
+	tasks     []task
+	remaining int    // tasks of the current stage still running
+	stageDone func() // what the last of them calls
 
 	// bus is the run's observability event bus (internal/obs). It exists
 	// on every simulation but stays disabled — and free — until
@@ -98,17 +112,14 @@ func New(g *dag.Graph, cfg cluster.Config, factory policy.Factory, workload stri
 		return nil, fmt.Errorf("sim: invalid DAG: %w", err)
 	}
 	s := &Simulation{
-		eng:        NewEngine(),
-		cfg:        cfg,
-		g:          g,
-		factory:    factory,
-		opts:       DefaultOptions(),
-		created:    map[int]bool{},
-		prefetched: map[block.ID]bool{},
-		inFlight:   map[block.ID]bool{},
-		corrupt:    map[block.ID]bool{},
-		faultsAt:   map[int][]fault.Event{},
-		bus:        obs.New(),
+		eng:      NewEngine(),
+		cfg:      cfg,
+		g:        g,
+		factory:  factory,
+		opts:     DefaultOptions(),
+		created:  map[int]bool{},
+		faultsAt: map[int][]fault.Event{},
+		bus:      obs.New(),
 	}
 	s.bus.SetClock(s.eng.Now)
 	if at, ok := factory.(obs.Attacher); ok {
@@ -242,17 +253,21 @@ func (s *Simulation) Audit() error {
 			return fmt.Errorf("sim: node %d negative occupancy %d", n.id, n.mem.Used())
 		}
 	}
-	if len(s.inFlight) != 0 {
-		return fmt.Errorf("sim: %d prefetches still in flight after drain", len(s.inFlight))
+	if s.inFlight.Len() != 0 {
+		return fmt.Errorf("sim: %d prefetches still in flight after drain", s.inFlight.Len())
 	}
-	for id := range s.prefetched {
-		if !s.nodes[cluster.HomeNode(id, len(s.nodes))].mem.Contains(id) {
-			return fmt.Errorf("sim: prefetched block %v tracked but not resident", id)
+	var err error
+	s.prefetched.Each(func(id block.ID, _ struct{}) {
+		if err == nil && !s.nodes[cluster.HomeNode(id, len(s.nodes))].mem.Contains(id) {
+			err = fmt.Errorf("sim: prefetched block %v tracked but not resident", id)
 		}
+	})
+	if err != nil {
+		return err
 	}
-	if s.run.PrefetchUsed+s.run.PrefetchWasted+int64(len(s.prefetched)) != s.run.PrefetchIssued {
+	if s.run.PrefetchUsed+s.run.PrefetchWasted+int64(s.prefetched.Len()) != s.run.PrefetchIssued {
 		return fmt.Errorf("sim: prefetch ledger broken: used %d + wasted %d + pending %d != issued %d",
-			s.run.PrefetchUsed, s.run.PrefetchWasted, len(s.prefetched), s.run.PrefetchIssued)
+			s.run.PrefetchUsed, s.run.PrefetchWasted, s.prefetched.Len(), s.run.PrefetchIssued)
 	}
 	return nil
 }
@@ -329,19 +344,26 @@ type insert struct {
 
 func (s *Simulation) execStage(st *dag.Stage, done func()) {
 	works := s.planStage(st)
-	remaining := len(works)
-	finish := func() {
-		remaining--
-		if remaining == 0 {
-			done()
+	s.remaining, s.stageDone = len(works), done
+	if len(s.tasks) < len(works) {
+		s.tasks = make([]task, len(works))
+		for i := range s.tasks {
+			t := &s.tasks[i]
+			t.s, t.step = s, t.advance
 		}
 	}
-	tasks := make([]task, len(works))
 	for p := range works {
-		t := &tasks[p]
-		*t = task{s: s, n: s.execNode(p), w: &works[p], finish: finish}
-		t.step = t.advance
+		t := &s.tasks[p]
+		t.n, t.w, t.phase = s.execNode(p), &works[p], 0
 		t.n.cpu.Acquire(t.step)
+	}
+}
+
+// taskDone counts a finished task off the current stage and ends the
+// stage with the last one.
+func (s *Simulation) taskDone() {
+	if s.remaining--; s.remaining == 0 {
+		s.stageDone()
 	}
 }
 
@@ -349,12 +371,11 @@ func (s *Simulation) execStage(st *dag.Stage, done func()) {
 // the end; step is advance bound once, so handing the task to a device,
 // the engine or the slot queue allocates nothing per phase.
 type task struct {
-	s      *Simulation
-	n      *node
-	w      *taskWork
-	phase  int
-	step   func()
-	finish func() // the stage's countdown
+	s     *Simulation
+	n     *node
+	w     *taskWork
+	phase int
+	step  func()
 }
 
 // advance runs the task's next phase: demand disk read, demand network
@@ -382,7 +403,7 @@ func (t *task) advance() {
 		}
 		s.bus.Emit(obs.Ev(obs.KindTaskEnd, n.id))
 		n.cpu.Release()
-		t.finish()
+		s.taskDone()
 	}
 }
 
@@ -400,7 +421,7 @@ func (s *Simulation) insertBlock(ins insert) {
 	}
 	if ins.info.Level == block.MemoryAndDisk && !s.diskHas(n, ins.info.ID) {
 		n.disk.Put(ins.info.ID, ins.info.Size)
-		delete(s.corrupt, ins.info.ID)
+		s.corrupt.Delete(ins.info.ID)
 		s.run.DiskWriteBytes += ins.info.Size
 		n.diskDev.Transfer(ins.info.Size, Background, func() {})
 	}
@@ -435,9 +456,8 @@ func (s *Simulation) noteEvictions(evicted []block.Info) {
 	s.run.Evictions += int64(len(evicted))
 	for _, ev := range evicted {
 		s.bus.Emit(obs.BlockEv(obs.KindEvict, cluster.HomeNode(ev.ID, len(s.nodes)), ev.ID, ev.Size))
-		if s.prefetched[ev.ID] {
+		if s.prefetched.Delete(ev.ID) {
 			s.run.PrefetchWasted++
-			delete(s.prefetched, ev.ID)
 		}
 	}
 }
