@@ -141,6 +141,96 @@ func TestArena(t *testing.T) {
 			}
 			return []held{small, hold(big, 2)}
 		}},
+		{"keep", func(t *testing.T, a *arena) []held {
+			hold(a.alloc(50), 1)
+			rows, ok := a.keep(hold(a.alloc(30), 2).rows)
+			kept := held{rows, 2}
+			if !ok || !at(a, rows, 0, 0) || len(rows) != 30 || cap(rows) != 30 {
+				t.Errorf("keep did not move the rows to the arena's front (ok %v len %d cap %d)", ok, len(rows), cap(rows))
+			}
+			// The next task: a reset, then more than the first chunk has left.
+			a.reset()
+			if next := a.alloc(10); !at(a, next, 0, 30) {
+				t.Error("reset under kept rows did not rewind to just past them")
+			}
+			full := hold(a.alloc(arenaChunkRows), 3)
+			if !at(a, full.rows, 1, 0) {
+				t.Error("a full-chunk allocation under kept rows did not open the next chunk")
+			}
+			// Its result is kept behind the first, from another chunk.
+			rows, ok = a.keep(full.rows[:20])
+			second := held{rows, 3}
+			if !ok || !at(a, rows, 0, 30) || a.kept != 50 {
+				t.Errorf("second keep did not land behind the first (ok %v, %d rows kept)", ok, a.kept)
+			}
+			// A retried attempt resets again, and trims what it allocates.
+			a.reset()
+			out := a.trim(a.alloc(20), 5)
+			if !at(a, out, 0, 50) || a.off != 55 {
+				t.Errorf("arena at %d after a trimmed allocation past the kept rows, want 55", a.off)
+			}
+			return []held{kept, second, hold(out, 4)}
+		}},
+		{"keep-overlapping", func(t *testing.T, a *arena) []held {
+			// The rows start inside the range they move to.
+			a.alloc(10)
+			rows := a.alloc(40)
+			for i := range rows {
+				rows[i] = Row{Key: uint64(i), Val: uint64(i)}
+			}
+			kept, _ := a.keep(rows)
+			if !at(a, kept, 0, 0) {
+				t.Error("keep did not move the rows to the arena's front")
+			}
+			for i, r := range kept {
+				if r.Key != uint64(i) {
+					t.Fatalf("row %d reads %d after an overlapping move", i, r.Key)
+				}
+			}
+			return nil
+		}},
+		{"keep-full", func(t *testing.T, a *arena) []held {
+			first, _ := a.keep(a.alloc(arenaChunkRows - 10))
+			h := hold(first, 1)
+			a.reset()
+			late := hold(a.alloc(11), 2)
+			if rows, ok := a.keep(late.rows); ok || rows != nil || a.kept != arenaChunkRows-10 {
+				t.Errorf("keep of 11 rows with 10 left: ok %v, %d rows kept", ok, a.kept)
+			}
+			// Refused rows are where they were, and ten still fit.
+			rows, ok := a.keep(late.rows[:10])
+			if !ok || !at(a, rows, 0, arenaChunkRows-10) {
+				t.Error("keep refused rows that fill the first chunk exactly")
+			}
+			return []held{h, {rows, 2}}
+		}},
+		{"keep-oversize", func(t *testing.T, a *arena) []held {
+			small, _ := a.keep(a.alloc(7))
+			big := hold(a.alloc(arenaChunkRows+1), 2)
+			if kept, ok := a.keep(big.rows); !ok || &kept[0] != &big.rows[0] || a.kept != 7 {
+				t.Errorf("keep moved rows the heap holds (ok %v, %d rows kept)", ok, a.kept)
+			}
+			a.reset()
+			if next := a.alloc(4); !at(a, next, 0, 7) {
+				t.Error("heap-held rows moved the rewind point")
+			}
+			return []held{hold(small, 1), big}
+		}},
+		{"release", func(t *testing.T, a *arena) []held {
+			a.keep(a.alloc(30))
+			a.release()
+			a.reset()
+			again := a.alloc(8)
+			if !at(a, again, 0, 0) {
+				t.Error("reset after release did not rewind to the chunk's start")
+			}
+			// Keeping nothing pins nothing.
+			var empty arena
+			if kept, ok := empty.keep(nil); !ok || len(kept) != 0 || empty.kept != 0 {
+				t.Errorf("keep(nil) pinned %d rows", empty.kept)
+			}
+			return []held{hold(again, 1)}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

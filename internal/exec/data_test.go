@@ -2,8 +2,47 @@ package exec
 
 import (
 	"bytes"
+	"hash/fnv"
+	"math"
 	"testing"
 )
+
+// digestOracle is the digest contract spelled out: hash/fnv's FNV-64a
+// over the canonical encoding, one row at a time.
+func digestOracle(rows []Row) uint64 {
+	h := fnv.New64a()
+	var buf [rowBytes]byte
+	for _, r := range rows {
+		putRow(buf[:], r)
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestDigestLanesMatchOracle: each lane's chain is the oracle's whatever
+// runs beside it — for every way four lengths can relate: absent lanes,
+// any one the shortest, any two equal, all equal.
+func TestDigestLanesMatchOracle(t *testing.T) {
+	src := GenPartition(5, 1, 0, 4*301, 0.3)
+	lengths := []int{0, 1, 77, 301}
+	for c := 0; c < len(lengths)*len(lengths)*len(lengths)*len(lengths); c++ {
+		var p [lanes][]Row
+		var lens [lanes]int
+		for l, pick := 0, c; l < lanes; l, pick = l+1, pick/len(lengths) {
+			lens[l] = lengths[pick%len(lengths)]
+			p[l] = src[l*301:][:lens[l]]
+		}
+		got := digestLanes(p)
+		for l := range p {
+			if want := digestOracle(p[l]); got[l] != want {
+				t.Errorf("lengths %v: lane %d digests %#x, want %#x", lens, l, got[l], want)
+			}
+		}
+		if got, want := DigestRows(p[0]), digestOracle(p[0]); got != want {
+			t.Errorf("DigestRows of %d rows = %#x, want %#x", lens[0], got, want)
+		}
+	}
+}
 
 // TestGenPartitionGoldens pins the generated data: if these digests
 // move, every executed workload's outputs, shuffles and goldens move
@@ -63,6 +102,25 @@ func TestGenPartitionProperties(t *testing.T) {
 	}
 	if hot > 100 {
 		t.Errorf("near-uniform draw put %d/1000 rows on the hot set", hot)
+	}
+}
+
+// TestFullSkewIsAllHot is the regression test for the hot-key threshold
+// at skew 1, which used to go through uint64(2^64) — an out-of-range
+// conversion that read 2^63 on amd64 and put half the rows on the hot
+// set. Skew 1 and the largest skew below it must agree.
+func TestFullSkewIsAllHot(t *testing.T) {
+	for _, skew := range []float64{1, math.Nextafter(1, 0)} {
+		hot := 0
+		rows := GenPartition(3, 1, 0, 4000, skew)
+		for _, r := range rows {
+			if r.Key < hotKeys {
+				hot++
+			}
+		}
+		if hot != len(rows) {
+			t.Errorf("skew %v put %d/%d rows on the hot set, want all", skew, hot, len(rows))
+		}
 	}
 }
 

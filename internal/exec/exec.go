@@ -349,15 +349,11 @@ func (e *Engine) runStage(s *dag.Stage) error {
 	digests := make([]uint64, s.NumTasks)
 	durs := make([]int64, s.NumTasks)
 	var wg sync.WaitGroup
-	for w, ch := range e.workerCh {
+	for _, ch := range e.workerCh {
 		wg.Add(1)
 		ch <- func(tc *taskCtx) {
 			defer wg.Done()
-			for t := 0; t < s.NumTasks; t++ {
-				if home(t) == w {
-					digests[t], durs[t] = e.runTask(tc, s, t)
-				}
-			}
+			e.runShare(tc, s, digests, durs)
 		}
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -255,6 +256,182 @@ func TestGatherReentersUnderLostMapOutput(t *testing.T) {
 	}
 }
 
+// TestGroupingIsInvisible: a worker digests its result partitions up to
+// four at a time, and which go together depends on the worker count —
+// the digests must not. The result stages are 9, 5, 3, 2 and 1
+// partitions wide: one worker digests the widest as (0,1,2,3), (4,5,6,7)
+// and 8 alone, two as (0,2,4,6), 8 and (1,3,5,7), three in threes, four
+// as (0,4,8) and three pairs, seven as two pairs and five singles, nine
+// one by one — and at width 1 a single worker has a single task. Big
+// partitions fill the kept rows before a group is whole (the third of
+// 30 000 rows does not fit the first chunk), and bigger ones never move
+// from the heap.
+func TestGroupingIsInvisible(t *testing.T) {
+	widths := []int{9, 5, 3, 2, 1}
+	build := func(big bool, rows int) *workload.Spec {
+		return opSpec("grouping", workload.Params{DataRows: rows, Seed: 3}, func(g *dag.Graph) {
+			if big {
+				g.Collect(g.Source("src", 5, cluster.MB).Map("big"))
+				return
+			}
+			src := g.Source("src", widths[0], cluster.MB)
+			g.Collect(src.Map("nine"))
+			g.Collect(src.ReduceByKey("five", dag.WithPartitions(widths[1])))
+			g.Collect(src.Filter("three", dag.WithPartitions(widths[2])))
+			g.Collect(src.GroupByKey("two", dag.WithPartitions(widths[3])))
+			g.Collect(src.Distinct("one", dag.WithPartitions(widths[4])))
+		})
+	}
+	var got []int
+	for _, s := range build(false, 64).Graph.ExecutedStages() {
+		if s.Kind == dag.Result {
+			got = append(got, s.NumTasks)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(widths) {
+		t.Fatalf("result stages are %v wide, want %v", got, widths)
+	}
+	for _, c := range []struct {
+		name    string
+		big     bool // one 5-wide result stage over a single map
+		rows    int
+		alone   int // a worker count that gives every task its own worker
+		workers []int
+	}{
+		{"small", false, 64, 9, []int{1, 2, 3, 4, 5, 7}},
+		{"kept-rows-fill", true, 30_000, 5, []int{1, 2}},
+		{"heap-held", true, arenaChunkRows + 100, 5, []int{1}},
+	} {
+		alone := mustRun(t, build(c.big, c.rows), Config{Workers: c.alone, Policy: policyspec.LRU})
+		for _, workers := range c.workers {
+			res := mustRun(t, build(c.big, c.rows), Config{Workers: workers, Policy: policyspec.LRU})
+			if res.OutputDigest != alone.OutputDigest {
+				t.Errorf("%s, %d workers: output digest %#x, want the ungrouped run's %#x", c.name, workers, res.OutputDigest, alone.OutputDigest)
+			}
+			for j, d := range res.JobDigests {
+				if d != alone.JobDigests[j] {
+					t.Errorf("%s, %d workers: job %d digest %#x, want %#x", c.name, workers, j, d, alone.JobDigests[j])
+				}
+			}
+		}
+	}
+}
+
+// TestKillWorkerMidResultStage fires the mid-stage kill under a result
+// stage whose workers each hold four tasks — so partitions are waiting
+// in kept rows while tasks around them lose their shuffle input, retry
+// and recompute it. The digests must equal a clean run's.
+func TestKillWorkerMidResultStage(t *testing.T) {
+	build := func() *workload.Spec {
+		return opSpec("mid-result", workload.Params{DataRows: 64, Seed: 3}, func(g *dag.Graph) {
+			g.Collect(g.Source("src", 8, cluster.MB).ReduceByKey("sum").Map("out"))
+		})
+	}
+	stages := build().Graph.ExecutedStages()
+	result := stages[len(stages)-1]
+	if result.Kind != dag.Result || result.NumTasks != 8 {
+		t.Fatalf("last stage is %v with %d tasks, want an 8-task result stage", result.Kind, result.NumTasks)
+	}
+	clean := mustRun(t, build(), Config{Workers: 2, Policy: policyspec.MRD})
+	for victim := 0; victim < 2; victim++ {
+		kill := &KillSpec{Worker: victim, Stage: result.ID, Mid: true}
+		killed := mustRun(t, build(), Config{Workers: 2, Policy: policyspec.MRD, Kill: kill})
+		if killed.OutputDigest != clean.OutputDigest {
+			t.Errorf("victim %d: mid-kill run output %#x != clean %#x", victim, killed.OutputDigest, clean.OutputDigest)
+		}
+		if killed.LineageRecomputes == 0 {
+			t.Errorf("victim %d: no map output was recomputed — the kill missed the stage", victim)
+		}
+	}
+}
+
+// TestKeptPartitionSurvivesARetry is the white-box twin: it drives
+// runTask's retry by hand while arena.keep holds a partition. The task
+// reads two cached blocks whose bytes are gone and whose recomputes are
+// (planted) flights in progress, so it blocks on each in turn: once it
+// has taken the first, it is past its epoch read and stuck on the
+// second, the test bumps the worker's epoch under it and lets it go, and
+// the task must re-run — resetting an arena whose front is not its own.
+func TestKeptPartitionSurvivesARetry(t *testing.T) {
+	spec := opSpec("kept", workload.Params{DataRows: 64, Seed: 3}, func(g *dag.Graph) {
+		pts := g.Source("src", 4, cluster.MB).Map("pts").Cache()
+		g.Collect(pts)
+		g.Collect(pts.Map("out", dag.WithPartitions(2)))
+	})
+	e, err := New(spec, Config{Workers: 1, Policy: policyspec.LRU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every stage but the last runs whole; the last gets its boundary.
+	tc := newTaskCtx(0)
+	var stage *dag.Stage
+	steps := service.Schedule(e.graph)
+	for i, st := range steps {
+		if st.Stage < 0 {
+			if err := e.adv.SubmitJob(st.Job); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		stage = e.stages[st.Stage]
+		if err := e.advance(stage); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; i < len(steps)-1 && p < stage.NumTasks; p++ {
+			e.runTask(tc, stage, p)
+		}
+	}
+	digestOf := func(part int) uint64 {
+		rows, _ := e.runTask(tc, stage, part)
+		return DigestRows(rows)
+	}
+	want0, want1 := digestOf(0), digestOf(1)
+
+	rows, _ := e.runTask(tc, stage, 0)
+	kept, ok := tc.arena.keep(rows)
+	if !ok || !at(&tc.arena, kept, 0, 0) || DigestRows(kept) != want0 {
+		t.Fatalf("kept partition is not at the arena's front with digest %#x", want0)
+	}
+
+	// Task 1 reads blocks 2 and 3 of the cached RDD, in that order.
+	node, pts := e.nodes[0], spec.Graph.CachedRDDs()[0]
+	e.flights.calls = map[any]*flightCall{}
+	var waits [2]chan struct{}
+	for i := range waits {
+		id := pts.Block(2 + i)
+		b, ok := node.loadMem(id)
+		if !ok {
+			t.Fatalf("block %v was not materialized in memory", id)
+		}
+		node.dropMem(id)
+		waits[i] = make(chan struct{})
+		e.flights.calls[id] = &flightCall{done: waits[i], bytes: b}
+	}
+	var got []Row
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		got, _ = e.runTask(tc, stage, 1)
+	}()
+	waits[0] <- struct{}{} // taken only by a task waiting on block 2
+	node.mu.Lock()
+	node.epoch++
+	node.mu.Unlock()
+	close(waits[0])
+	close(waits[1])
+	<-finished
+
+	if e.ctr.taskRetries != 1 {
+		t.Fatalf("%d task retries, want the one the epoch bump forces", e.ctr.taskRetries)
+	}
+	if d := DigestRows(kept); d != want0 {
+		t.Errorf("kept partition digests %#x after the retry, %#x before", d, want0)
+	}
+	if h := digestLanes([lanes][]Row{kept, got}); h[0] != want0 || h[1] != want1 {
+		t.Errorf("lockstep digests %#x, %#x after the retry, want %#x, %#x", h[0], h[1], want0, want1)
+	}
+}
+
 // TestNewRejectsBadDataParams: parameters the generator would silently
 // replace are refused where the run is configured.
 func TestNewRejectsBadDataParams(t *testing.T) {
@@ -316,7 +493,9 @@ func TestEngineRunsAllWorkloads(t *testing.T) {
 // numbers that do not depend on the machine: what one whole run may
 // allocate, measured the way the benchmark measures it, on the
 // benchmark's two executed workloads. The laid-out-per-object code this
-// replaced allocated 1 270 MB in 178 k objects and 485 MB in 115 k.
+// replaced allocated 1 270 MB in 178 k objects and 485 MB in 115 k; with
+// a hash map per reduce partition and a hasher per digest it was 65 MB
+// in 24.7 k and 43 MB in 5.9 k; it is 63 MB in 12.0 k and 34 MB in 4.1 k.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are not meaningful under -short or -race")
@@ -326,8 +505,8 @@ func TestRunAllocationBudget(t *testing.T) {
 		rows              int
 		maxBytes, maxObjs uint64
 	}{
-		{"SCC", 32, 128 << 20, 110_000},
-		{"KM", 512, 110 << 20, 75_000},
+		{"SCC", 32, 80 << 20, 16_000},
+		{"KM", 512, 40 << 20, 5_200},
 	} {
 		e, err := New(mustBuild(t, c.dag, workload.Params{DataRows: c.rows}), Config{Workers: 4, Policy: policyspec.MRD})
 		if err != nil {
@@ -349,7 +528,7 @@ func TestRunAllocationBudget(t *testing.T) {
 
 	// A task's rows all come from its worker's arena: once the arena and
 	// the memo are warm, a result task over a narrow chain allocates
-	// nothing per operator (what is left is the digest's hasher).
+	// nothing per operator, and neither does digesting its rows.
 	spec := opSpec("chain", workload.Params{DataRows: 64}, func(g *dag.Graph) {
 		g.Collect(g.Source("src", 2, cluster.MB).Map("a").Map("b").Map("c"))
 	})
@@ -358,9 +537,11 @@ func TestRunAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage, tc := spec.Graph.ExecutedStages()[0], newTaskCtx(0)
-	want, _ := e.runTask(tc, stage, 0)
+	rows, _ := e.runTask(tc, stage, 0)
+	want := DigestRows(rows)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if got, _ := e.runTask(tc, stage, 0); got != want {
+		rows, _ := e.runTask(tc, stage, 0)
+		if got := DigestRows(rows); got != want {
 			t.Fatalf("warm task digest %#x, want %#x", got, want)
 		}
 	}); allocs > 4 {
@@ -392,3 +573,50 @@ func benchmarkRun(b *testing.B, dag string, rows int) {
 
 func BenchmarkRunChain(b *testing.B)  { benchmarkRun(b, "SCC", 32) }
 func BenchmarkRunReduce(b *testing.B) { benchmarkRun(b, "KM", 512) }
+
+// BenchmarkWideKernels prices the reduce side and the digest alone, at
+// the sizes the two executed workloads feed them: a reduce input of 39
+// rows is SCC/32's median and 2 265 its 90th percentile (2 256 calls and
+// 1.45 M rows a run), 59 172 is KM/512's median (12 calls, 0.71 M rows);
+// the digest runs over partitions of that size, one, two and four at a
+// time.
+func BenchmarkWideKernels(b *testing.B) {
+	perRow := func(b *testing.B, rows int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+	}
+	for _, n := range []int{39, 2_265, 59_172} {
+		src := GenPartition(1, 0, 0, n, 0)
+		b.Run(fmt.Sprintf("reduce/%d", n), func(b *testing.B) {
+			var mem arena
+			op := func() {
+				mem.reset()
+				in := mem.alloc(n)
+				copy(in, src)
+				reduceRows(&mem, in)
+			}
+			op() // the arena's chunks are allocated off the clock
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			perRow(b, n)
+		})
+	}
+	const n = 59_172
+	var all [lanes][]Row
+	for l := range all {
+		all[l] = GenPartition(1, 0, l, n, 0)
+	}
+	var sink uint64
+	for _, held := range []int{1, 2, lanes} {
+		var p [lanes][]Row
+		copy(p[:], all[:held])
+		b.Run(fmt.Sprintf("digest/%d-of-%d-lanes", held, lanes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink += digestLanes(p)[0]
+			}
+			perRow(b, held*n)
+		})
+	}
+	_ = sink
+}

@@ -22,18 +22,22 @@ type mapOutput struct {
 }
 
 // newMapOutput lays rows out by bucketOf(key) with a two-pass counting
-// sort, which keeps each bucket in input order.
-func newMapOutput(rows []Row, reduceParts int) mapOutput {
+// sort, which keeps each bucket in input order. The counting pass notes
+// each row's bucket in bucket, a scratch as long as rows, so the scatter
+// pass does not hash and divide a second time.
+func newMapOutput(rows []Row, reduceParts int, bucket []int32) mapOutput {
 	off := make([]int32, reduceParts+1)
-	for _, r := range rows {
-		off[bucketOf(r.Key, reduceParts)+1]++
+	for i, r := range rows {
+		q := int32(bucketOf(r.Key, reduceParts))
+		bucket[i] = q
+		off[q+1]++
 	}
 	for q := 0; q < reduceParts; q++ {
 		off[q+1] += off[q]
 	}
 	slab := make([]byte, len(rows)*rowBytes)
-	for _, r := range rows {
-		q := bucketOf(r.Key, reduceParts)
+	for i, r := range rows {
+		q := bucket[i]
 		putRow(slab[int(off[q])*rowBytes:], r)
 		off[q]++
 	}

@@ -11,7 +11,7 @@ import (
 // end to end.
 func checkMapOutput(t *testing.T, rows []Row, reduceParts int) {
 	t.Helper()
-	o := newMapOutput(rows, reduceParts)
+	o := newMapOutput(rows, reduceParts, make([]int32, len(rows)))
 	if len(o.off) != reduceParts+1 || o.off[0] != 0 || int(o.off[reduceParts]) != len(rows) {
 		t.Fatalf("offset table %v for %d rows over %d reduce partitions", o.off, len(rows), reduceParts)
 	}
@@ -63,7 +63,7 @@ func TestMapOutputLayout(t *testing.T) {
 func TestEmptyMapOutputIsPresent(t *testing.T) {
 	n := newNode(0)
 	k := shuffleKey{sid: 1, mapPart: 2}
-	n.putOutput(k, newMapOutput(nil, 6))
+	n.putOutput(k, newMapOutput(nil, 6, nil))
 	o, ok := n.getOutput(k)
 	if !ok {
 		t.Fatal("empty map output is missing from the store")
@@ -78,7 +78,7 @@ func TestEmptyMapOutputIsPresent(t *testing.T) {
 	}
 	// First write wins, as for blocks: a recompute racing the original
 	// cannot swap the bytes under a reader.
-	n.putOutput(k, newMapOutput([]Row{{1, 1}}, 6))
+	n.putOutput(k, newMapOutput([]Row{{1, 1}}, 6, make([]int32, 1)))
 	if o, _ := n.getOutput(k); len(o.slab) != 0 {
 		t.Error("second put replaced the stored map output")
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"time"
 
 	"mrdspark/internal/block"
@@ -15,36 +16,82 @@ type blockKey struct{ rdd, part int }
 // start of every task attempt: everything in it has task lifetime. The
 // memo's slices point into the arena; buckets is gather's scratch, used
 // as a stack because a lineage recompute re-enters gather mid-loop;
+// rowBucket is newMapOutput's, grown to the largest map output so far;
 // tally collects the task's data-plane counts, flushed once at its end.
 type taskCtx struct {
-	worker  int
-	memo    map[blockKey][]Row
-	arena   arena
-	buckets [][]byte
-	tally   tally
+	worker    int
+	memo      map[blockKey][]Row
+	arena     arena
+	buckets   [][]byte
+	rowBucket []int32
+	tally     tally
 }
 
 func newTaskCtx(worker int) *taskCtx {
 	return &taskCtx{worker: worker, memo: map[blockKey][]Row{}}
 }
 
+// runShare runs one worker's share of the stage in task order. A result
+// stage's partitions are digested lanes at a time (digestLanes): each
+// waits in the arena's kept rows while the next tasks are evaluated,
+// until the last of the group arrives — or the kept rows are full, or
+// the share ends — and the group is digested. The digest's time goes to
+// the task whose rows came last.
+func (e *Engine) runShare(t *taskCtx, s *dag.Stage, digests []uint64, durs []int64) {
+	var held [lanes][]Row
+	var parts [lanes]int
+	n := 0
+	flush := func() {
+		t0 := time.Now()
+		h := digestLanes(held)
+		for i, part := range parts[:n] {
+			digests[part] = h[i]
+		}
+		durs[parts[n-1]] += time.Since(t0).Microseconds()
+		t.arena.release()
+		held, n = [lanes][]Row{}, 0
+	}
+	for part := 0; part < s.NumTasks; part++ {
+		if cluster.HomePartition(part, len(e.nodes)) != t.worker {
+			continue
+		}
+		var rows []Row
+		rows, durs[part] = e.runTask(t, s, part)
+		if s.Kind != dag.Result {
+			continue
+		}
+		if n < lanes-1 {
+			if kept, ok := t.arena.keep(rows); ok {
+				held[n], parts[n] = kept, part
+				n++
+				continue
+			}
+		}
+		held[n], parts[n] = rows, part
+		n++
+		flush()
+	}
+	if n > 0 {
+		flush()
+	}
+}
+
 // runTask executes one task of the stage on its worker's goroutine:
-// evaluate the target partition through the cached frontier, write
-// shuffle output (map tasks) or digest the result (result tasks). If
-// the worker dies under the task (mid-stage kill bumps its epoch), the
-// task re-runs once — its recomputed output is byte-identical because
-// every operator is a pure function.
-func (e *Engine) runTask(t *taskCtx, s *dag.Stage, part int) (digest uint64, durUs int64) {
+// evaluate the target partition through the cached frontier and write
+// shuffle output (map tasks) or hand the rows, which live until the
+// arena's next reset, to the caller to digest (result tasks). If the
+// worker dies under the task (mid-stage kill bumps its epoch), the task
+// re-runs once — its recomputed output is byte-identical because every
+// operator is a pure function.
+func (e *Engine) runTask(t *taskCtx, s *dag.Stage, part int) (rows []Row, durUs int64) {
 	t0 := time.Now()
 	for attempt := 0; ; attempt++ {
 		epoch := e.nodes[t.worker].curEpoch()
 		clear(t.memo)
 		t.arena.reset()
-		rows := e.eval(t, s.Target, part)
+		rows = e.eval(t, s.Target, part)
 		if s.Kind == dag.ShuffleMap {
-			e.writeOutput(e.shuffles[s.ShuffleID], part, rows)
-		} else {
-			digest = DigestRows(rows)
+			e.writeOutput(t, e.shuffles[s.ShuffleID], part, rows)
 		}
 		t.tally.tasksRun++
 		if e.nodes[t.worker].curEpoch() == epoch || attempt >= 1 {
@@ -54,7 +101,7 @@ func (e *Engine) runTask(t *taskCtx, s *dag.Stage, part int) (digest uint64, dur
 	}
 	e.ctr.flush(&t.tally)
 	e.maybeFireMidKill()
-	return digest, time.Since(t0).Microseconds()
+	return rows, time.Since(t0).Microseconds()
 }
 
 // home returns the block's locality-preferred worker — the same single
@@ -248,8 +295,8 @@ func transformNarrow(a *arena, op string, in []Row) []Row {
 // buckets every map task wrote for partition p, then aggregate, sort,
 // dedup or join. Every result is key-sorted, so reduce outputs are
 // independent of bucket arrival order. A gathered side is this
-// operator's own arena allocation, so it is sorted and compacted in
-// place.
+// operator's own arena allocation, so it is sorted — between itself and
+// an arena scratch of its length — and compacted in place.
 func (e *Engine) computeWide(t *taskCtx, r *dag.RDD, p int) []Row {
 	var first, last []Row
 	for i, d := range r.Deps {
@@ -262,72 +309,75 @@ func (e *Engine) computeWide(t *taskCtx, r *dag.RDD, p int) []Row {
 	case "join", "cogroup":
 		return joinRows(&t.arena, first, last, r.Op == "join")
 	case "reduceByKey", "aggregateByKey":
-		return reduceRows(first)
+		return reduceRows(&t.arena, first)
 	case "distinct":
-		sortRows(first)
-		n := 0
-		for _, row := range first {
-			if n == 0 || row != first[n-1] {
-				first[n] = row
-				n++
-			}
-		}
-		return first[:n:n]
+		return distinctRows(&t.arena, first)
 	default: // groupByKey, sortByKey, partitionBy
-		sortRows(first)
-		return first
+		return sortRows(&t.arena, first)
 	}
 }
 
 // reduceRows sums values per key (wrapping uint64 addition is
 // order-independent, so the result is deterministic regardless of
-// gather order), emitting one key-sorted row per key over the front of
-// in, which is dead once summed.
-func reduceRows(in []Row) []Row {
-	sums := map[uint64]uint64{}
+// gather order): sort by key, then fold equal neighbours over the front
+// of in, which is dead once read — the fold writes in[n] no later than
+// it reads row n, so it is safe whether the sorted rows ended in in or
+// in the scratch. One key-sorted row per key comes out; the scratch,
+// the latest allocation, goes back to the arena.
+func reduceRows(mem *arena, in []Row) []Row {
+	tmp := mem.alloc(len(in))
+	n := 0
+	for _, row := range radixByKey(in, tmp) {
+		if n > 0 && in[n-1].Key == row.Key {
+			in[n-1].Val += row.Val
+		} else {
+			in[n] = row
+			n++
+		}
+	}
+	mem.trim(tmp, 0)
+	return in[:n:n]
+}
+
+// distinctRows keeps one of each (Key, Val) pair, in canonical order.
+func distinctRows(mem *arena, in []Row) []Row {
+	in = sortRows(mem, in)
+	n := 0
 	for _, row := range in {
-		sums[row.Key] += row.Val
+		if n == 0 || row != in[n-1] {
+			in[n] = row
+			n++
+		}
 	}
-	out := in[:0:len(sums)]
-	for k, v := range sums {
-		out = append(out, Row{Key: k, Val: v})
-	}
-	sortByKey(out)
-	return out
+	return in[:n:n]
 }
 
 // joinRows combines two shuffle sides per key: inner semantics for
 // join (keys present on both sides), outer for cogroup (keys present
-// on either).
+// on either). Each side is folded to one row per key, then one merge
+// pass pairs them up, in key order.
 func joinRows(mem *arena, a, b []Row, inner bool) []Row {
-	as := map[uint64]uint64{}
-	for _, row := range a {
-		as[row.Key] += row.Val
-	}
-	bs := map[uint64]uint64{}
-	for _, row := range b {
-		bs[row.Key] += row.Val
-	}
-	out, n := mem.alloc(len(as)+len(bs)), 0
-	for k, av := range as {
-		bv, ok := bs[k]
-		if inner && !ok {
+	a, b = reduceRows(mem, a), reduceRows(mem, b)
+	out, n := mem.alloc(len(a)+len(b)), 0
+	for len(a) > 0 || len(b) > 0 {
+		var row Row
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Key < b[0].Key:
+			row, a = a[0], a[1:]
+		case len(a) == 0 || b[0].Key < a[0].Key:
+			row, b = b[0], b[1:]
+		default:
+			out[n] = Row{Key: a[0].Key, Val: mixVal(a[0].Val + b[0].Val)}
+			n++
+			a, b = a[1:], b[1:]
 			continue
 		}
-		out[n] = Row{Key: k, Val: mixVal(av + bv)}
-		n++
-	}
-	if !inner {
-		for k, bv := range bs {
-			if _, ok := as[k]; !ok {
-				out[n] = Row{Key: k, Val: mixVal(bv)}
-				n++
-			}
+		if !inner {
+			out[n] = Row{Key: row.Key, Val: mixVal(row.Val)}
+			n++
 		}
 	}
-	out = mem.trim(out, n)
-	sortByKey(out)
-	return out
+	return mem.trim(out, n)
 }
 
 // gather fetches every map task's bucket for reduce partition p of the
@@ -364,7 +414,7 @@ func (e *Engine) fetchBucket(t *taskCtx, si *shuffleInfo, m, p int) []byte {
 	o, ok := w.getOutput(k)
 	if !ok {
 		_, ran := e.flights.do(k, func() []byte {
-			e.writeOutput(si, m, e.eval(t, si.mapStage.Target, m))
+			e.writeOutput(t, si, m, e.eval(t, si.mapStage.Target, m))
 			return nil
 		})
 		if ran {
@@ -382,7 +432,8 @@ func (e *Engine) fetchBucket(t *taskCtx, si *shuffleInfo, m, p int) []byte {
 
 // writeOutput stores map task m's output rows, laid out by reduce
 // partition, in the map worker's shuffle store.
-func (e *Engine) writeOutput(si *shuffleInfo, m int, rows []Row) {
+func (e *Engine) writeOutput(t *taskCtx, si *shuffleInfo, m int, rows []Row) {
 	w := e.nodes[cluster.HomePartition(m, len(e.nodes))]
-	w.putOutput(shuffleKey{sid: si.id, mapPart: m}, newMapOutput(rows, si.reduceParts))
+	t.rowBucket = slices.Grow(t.rowBucket[:0], len(rows))[:len(rows)]
+	w.putOutput(shuffleKey{sid: si.id, mapPart: m}, newMapOutput(rows, si.reduceParts, t.rowBucket))
 }

@@ -71,7 +71,7 @@ type Params struct {
 	// different data shapes. Zero means the engine default (see
 	// exec.DefaultRows).
 	DataRows int
-	// DataSkew is the hot-key probability in [0,1); see DataRows.
+	// DataSkew is the hot-key probability in [0,1]; see DataRows.
 	DataSkew float64
 }
 
