@@ -24,7 +24,8 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"mrdspark/internal/cli"
@@ -92,16 +93,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 			sel[id] = true
 		}
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = io.MultiWriter(stdout, f)
+	if *out == "" || *out == "-" { // "-" is stdout, which gets the results anyway
+		return experiments.RunSuite(stdout, sel)
 	}
-	return experiments.RunSuite(w, sel)
+	return cli.WriteTo(*out, stdout, func(f io.Writer) error {
+		return experiments.RunSuite(io.MultiWriter(stdout, f), sel)
+	})
+}
+
+// parseShard reads -sweep-shard's "i/n": two plain decimal numbers with
+// 0 <= i < n and nothing else — a mistyped split must not silently
+// compute some other shard's rows.
+func parseShard(spec string) (shard, of int, err error) {
+	i, n, ok := strings.Cut(spec, "/")
+	if ok {
+		if shard, err = strconv.Atoi(i); err == nil {
+			of, err = strconv.Atoi(n)
+		}
+	}
+	if !ok || err != nil || strconv.Itoa(shard) != i || strconv.Itoa(of) != n || shard < 0 || shard >= of {
+		return 0, 0, cli.Usagef("bad -sweep-shard %q (want i/n with 0 <= i < n)", spec)
+	}
+	return shard, of, nil
 }
 
 // gridFor resolves the -sweep-grid flag.
@@ -125,9 +138,9 @@ func runSweep(stdout io.Writer, gridName, htmlOut string, workers int, shardSpec
 	}
 	start := time.Now()
 	if shardSpec != "" {
-		var shard, of int
-		if _, err := fmt.Sscanf(shardSpec, "%d/%d", &shard, &of); err != nil {
-			return fmt.Errorf("bad -sweep-shard %q (want i/n): %v", shardSpec, err)
+		shard, of, err := parseShard(shardSpec)
+		if err != nil {
+			return err
 		}
 		if shardOut == "" {
 			return fmt.Errorf("-sweep-shard requires -sweep-shard-out")
@@ -147,7 +160,7 @@ func runSweep(stdout io.Writer, gridName, htmlOut string, workers int, shardSpec
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(htmlOut, experiments.RenderSweepHTML(res), 0o644); err != nil {
+	if err := writeSweepHTML(htmlOut, stdout, res); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "%s elapsed=%v report=%s\n",
@@ -169,9 +182,18 @@ func runMerge(stdout io.Writer, paths []string, htmlOut string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(htmlOut, experiments.RenderSweepHTML(res), 0o644); err != nil {
+	if err := writeSweepHTML(htmlOut, stdout, res); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "%s merged=%d report=%s\n", res.Summary(), len(files), htmlOut)
 	return nil
+}
+
+// writeSweepHTML renders the consolidated report into the -sweep-html
+// path.
+func writeSweepHTML(path string, stdout io.Writer, res *experiments.SweepResult) error {
+	return cli.WriteTo(path, stdout, func(w io.Writer) error {
+		_, err := w.Write(experiments.RenderSweepHTML(res))
+		return err
+	})
 }

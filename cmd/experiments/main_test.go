@@ -52,6 +52,20 @@ func TestOnlyRunsExactlyTheSelection(t *testing.T) {
 		t.Errorf("sections = %s, want fig2,table1,run cache", got)
 	}
 
+	// -out tees the same bytes into a file; an uncreatable one fails
+	// the run instead of dropping the copy.
+	file := filepath.Join(t.TempDir(), "results.txt")
+	teed, stderr, status := drive(t, "-only", "table1", "-out", file)
+	if status != 0 {
+		t.Fatal(stderr)
+	}
+	if got, err := os.ReadFile(file); err != nil || string(got) != teed {
+		t.Errorf("-out file holds %d bytes (%v), stdout %d", len(got), err, len(teed))
+	}
+	if _, _, status := drive(t, "-only", "table1", "-out", filepath.Join(file, "under-a-file")); status != 1 {
+		t.Errorf("-out to an uncreatable path: exit status %d, want 1", status)
+	}
+
 	_, stderr, status = drive(t, "-only", "fig2,nope")
 	if status != 2 {
 		t.Errorf("unknown id: exit status %d, want 2 (usage)", status)
@@ -100,5 +114,30 @@ func TestSweepShardsMergeToTheSingleProcessReport(t *testing.T) {
 	}
 	if _, _, status := drive(t, "-sweep", "-sweep-grid", "nope"); status != 1 {
 		t.Errorf("unknown grid: exit status %d, want 1", status)
+	}
+}
+
+// TestSweepShardSpecIsStrict: -sweep-shard takes "i/n" and nothing
+// around it. fmt.Sscanf("%d/%d") read the first four as shard 0 (or 1)
+// of 2 with a nil error, so a mistyped split computed the wrong rows.
+func TestSweepShardSpecIsStrict(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "s.json")
+	for _, spec := range []string{"0/2/3", "0/2junk", " 1/2", "+1/2", "1/0", "2/2", "-1/2", "1", "/", "01/2"} {
+		_, stderr, status := drive(t, "-sweep", "-sweep-grid", "smoke", "-sweep-shard="+spec, "-sweep-shard-out", out)
+		if status != 2 {
+			t.Errorf("-sweep-shard %q: exit status %d, want 2 (usage)", spec, status)
+		}
+		if !strings.Contains(stderr, "-sweep-shard") {
+			t.Errorf("-sweep-shard %q: message does not name the flag: %q", spec, stderr)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Fatalf("-sweep-shard %q wrote a shard file", spec)
+		}
+	}
+	for spec, want := range map[string][2]int{"0/1": {0, 1}, "1/2": {1, 2}, "9/10": {9, 10}} {
+		shard, of, err := parseShard(spec)
+		if err != nil || shard != want[0] || of != want[1] {
+			t.Errorf("parseShard(%q) = %d, %d, %v", spec, shard, of, err)
+		}
 	}
 }

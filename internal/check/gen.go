@@ -173,11 +173,11 @@ func Generate(cfg GenConfig) *Workload {
 	// count the DAG-determined reads and size the cache: enough for the
 	// largest block with slack, small enough that the cached footprint
 	// does not fit and evictions happen.
-	created := map[int]bool{}
+	var created dag.Materialized
 	var maxBlock int64
 	perNodeTotal := make([]int64, nodes)
 	for _, s := range g.ExecutedStages() {
-		reads, creates := dag.StageFrontier(s, func(id int) bool { return created[id] })
+		reads, creates := created.Frontier(s)
 		n := 0
 		for _, r := range reads {
 			n += r.NumPartitions
@@ -186,7 +186,7 @@ func Generate(cfg GenConfig) *Workload {
 			for q := 0; q < c.NumPartitions; q++ {
 				perNodeTotal[cluster.HomeNode(c.Block(q), nodes)] += c.PartSize
 			}
-			created[c.ID] = true
+			created.Mark(c.ID)
 		}
 		w.StageReads[s.ID] = n
 		w.TotalReads += n

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -59,20 +60,49 @@ func (s *Stage) String() string {
 	return fmt.Sprintf("Stage%d(%s,%s)", s.ID, s.Kind, s.Target)
 }
 
-// StageFrontier computes, given which cached RDDs are already
-// materialized, the cached RDDs the stage reads and the cached RDDs it
-// creates. Reads are the stage's nearest cached frontier: walking from
-// the target through narrow dependencies, the first materialized
-// cached RDD on each path is read and the walk truncates there —
-// exactly how Spark's RDD iterator consults the BlockManager. Cached
-// chain members that are not yet materialized are computed by the
-// stage and therefore created (the target included, when cached). A
-// stage whose target is already materialized (a repeated action on a
-// fully cached RDD) reads only the target.
-func StageFrontier(s *Stage, created func(rddID int) bool) (reads, creates []*RDD) {
-	if s.Target.Cached && created(s.Target.ID) {
-		return []*RDD{s.Target}, nil
+// Materialized is the set of cached RDDs that exist — some executed
+// stage has computed them and handed their blocks to the cache — and
+// the one place the read-boundary rule is written: a cached RDD that an
+// earlier stage materialized is where Spark's RDD iterator asks the
+// BlockManager and stops, so a stage reads it; what lies short of it
+// the stage computes; and the cached RDDs among what it computes it
+// creates. Reference distances, reference counts, the simulator's plan
+// and the engine's task wave all follow from that one fact.
+//
+// The zero value is the empty set. Whoever holds one marks what
+// Frontier or Walk said a stage creates once that stage has run. The
+// set holds no lock: one goroutine calls Mark, and any number may call
+// the other methods, but only between Marks — the caller orders the two
+// (the execution engine's workers ask Has during a task wave, its
+// master marks between waves).
+type Materialized struct {
+	created []bool // dense by RDD id
+}
+
+// Has reports whether the RDD has been marked.
+func (m *Materialized) Has(rddID int) bool {
+	return rddID >= 0 && rddID < len(m.created) && m.created[rddID]
+}
+
+// Boundary reports whether r is a read boundary: cached, and already
+// materialized.
+func (m *Materialized) Boundary(r *RDD) bool { return r.Cached && m.Has(r.ID) }
+
+// Mark records that the RDD now exists.
+func (m *Materialized) Mark(rddID int) {
+	if rddID >= len(m.created) {
+		m.created = append(m.created, make([]bool, rddID+1-len(m.created))...)
 	}
+	m.created[rddID] = true
+}
+
+// Walk visits what the stage touches, each RDD once: from the target
+// through narrow dependencies it calls compute for the target and every
+// ancestor short of a boundary, target first, and read once for each
+// boundary it reaches, stopping there. A stage whose target is itself a
+// boundary (a repeated action on a fully cached RDD) reads it and
+// computes nothing.
+func (m *Materialized) Walk(s *Stage, read, compute func(*RDD)) {
 	seen := map[int]bool{}
 	var walk func(r *RDD)
 	walk = func(r *RDD) {
@@ -80,13 +110,11 @@ func StageFrontier(s *Stage, created func(rddID int) bool) (reads, creates []*RD
 			return
 		}
 		seen[r.ID] = true
-		if r != s.Target && r.Cached && created(r.ID) {
-			reads = append(reads, r)
+		if m.Boundary(r) {
+			read(r)
 			return
 		}
-		if r.Cached {
-			creates = append(creates, r)
-		}
+		compute(r)
 		for _, d := range r.Deps {
 			if d.Type == Narrow {
 				walk(d.Parent)
@@ -94,8 +122,20 @@ func StageFrontier(s *Stage, created func(rddID int) bool) (reads, creates []*RD
 		}
 	}
 	walk(s.Target)
-	sort.Slice(reads, func(a, b int) bool { return reads[a].ID < reads[b].ID })
-	sort.Slice(creates, func(a, b int) bool { return creates[a].ID < creates[b].ID })
+}
+
+// Frontier returns the cached RDDs the stage reads (the boundaries its
+// walk reaches) and the cached RDDs it creates (the cached members of
+// what it computes, the target included), both in RDD-id order.
+func (m *Materialized) Frontier(s *Stage) (reads, creates []*RDD) {
+	m.Walk(s, func(r *RDD) { reads = append(reads, r) }, func(r *RDD) {
+		if r.Cached {
+			creates = append(creates, r)
+		}
+	})
+	byID := func(a, b *RDD) int { return a.ID - b.ID }
+	slices.SortFunc(reads, byID)
+	slices.SortFunc(creates, byID)
 	return reads, creates
 }
 
@@ -262,13 +302,13 @@ func (g *Graph) Action(target *RDD, name string) *Job { return g.action(target, 
 // tracking which cached RDDs have been materialized, the cached RDDs
 // each executed stage reads. Keys are stage IDs.
 func (g *Graph) StageReads() map[int][]*RDD {
-	created := map[int]bool{}
+	var created Materialized
 	out := map[int][]*RDD{}
 	for _, s := range g.ExecutedStages() {
-		reads, creates := StageFrontier(s, func(id int) bool { return created[id] })
+		reads, creates := created.Frontier(s)
 		out[s.ID] = reads
 		for _, r := range creates {
-			created[r.ID] = true
+			created.Mark(r.ID)
 		}
 	}
 	return out

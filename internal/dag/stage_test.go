@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -141,6 +142,49 @@ func TestExecutedStagesOrdered(t *testing.T) {
 	}
 }
 
+// marked returns the set holding exactly the given RDDs.
+func marked(rdds ...*RDD) *Materialized {
+	m := &Materialized{}
+	for _, r := range rdds {
+		m.Mark(r.ID)
+	}
+	return m
+}
+
+// StageFrontier is the frontier computation as every holder of a
+// created set called it before Materialized existed, kept verbatim as
+// the reference Frontier is compared with (checkStage: on random graphs,
+// fuzzed ones and, from registry_test.go, the registry workloads).
+func StageFrontier(s *Stage, created func(rddID int) bool) (reads, creates []*RDD) {
+	if s.Target.Cached && created(s.Target.ID) {
+		return []*RDD{s.Target}, nil
+	}
+	seen := map[int]bool{}
+	var walk func(r *RDD)
+	walk = func(r *RDD) {
+		if seen[r.ID] {
+			return
+		}
+		seen[r.ID] = true
+		if r != s.Target && r.Cached && created(r.ID) {
+			reads = append(reads, r)
+			return
+		}
+		if r.Cached {
+			creates = append(creates, r)
+		}
+		for _, d := range r.Deps {
+			if d.Type == Narrow {
+				walk(d.Parent)
+			}
+		}
+	}
+	walk(s.Target)
+	sort.Slice(reads, func(a, b int) bool { return reads[a].ID < reads[b].ID })
+	sort.Slice(creates, func(a, b int) bool { return creates[a].ID < creates[b].ID })
+	return reads, creates
+}
+
 func TestStageFrontierTruncatesAtNearestCached(t *testing.T) {
 	g := New()
 	src := g.Source("in", 4, 1<<20)
@@ -151,7 +195,7 @@ func TestStageFrontierTruncatesAtNearestCached(t *testing.T) {
 	st := job.ResultStage
 
 	// Nothing created: the stage creates both cached RDDs.
-	reads, creates := StageFrontier(st, func(int) bool { return false })
+	reads, creates := marked().Frontier(st)
 	if len(reads) != 0 {
 		t.Errorf("reads with nothing created = %v", reads)
 	}
@@ -160,7 +204,7 @@ func TestStageFrontierTruncatesAtNearestCached(t *testing.T) {
 	}
 
 	// Only a created: read a, create b.
-	reads, creates = StageFrontier(st, func(id int) bool { return id == a.ID })
+	reads, creates = marked(a).Frontier(st)
 	if len(reads) != 1 || reads[0] != a {
 		t.Errorf("reads = %v, want [a]", reads)
 	}
@@ -169,7 +213,7 @@ func TestStageFrontierTruncatesAtNearestCached(t *testing.T) {
 	}
 
 	// Both created: the walk truncates at b — a is shielded.
-	reads, creates = StageFrontier(st, func(int) bool { return true })
+	reads, creates = marked(g.RDDs...).Frontier(st)
 	if len(reads) != 1 || reads[0] != b {
 		t.Errorf("reads = %v, want [b] (nearest frontier only)", reads)
 	}
@@ -185,12 +229,12 @@ func TestStageFrontierCachedTarget(t *testing.T) {
 	job2 := g.Count(r)
 
 	// First action creates the target.
-	reads, creates := StageFrontier(job1.ResultStage, func(int) bool { return false })
+	reads, creates := marked().Frontier(job1.ResultStage)
 	if len(reads) != 0 || len(creates) != 1 || creates[0] != r {
 		t.Errorf("first action: reads=%v creates=%v", reads, creates)
 	}
 	// Second action reads it and computes nothing.
-	reads, creates = StageFrontier(job2.ResultStage, func(id int) bool { return id == r.ID })
+	reads, creates = marked(r).Frontier(job2.ResultStage)
 	if len(reads) != 1 || reads[0] != r || len(creates) != 0 {
 		t.Errorf("second action: reads=%v creates=%v", reads, creates)
 	}
@@ -226,43 +270,52 @@ func TestValidateAcceptsWorkloadsAndRejectsCorruption(t *testing.T) {
 	}
 }
 
+// randomGraph builds an arbitrary DAG through the public transformation
+// API: up to two dozen narrow and wide operators over random parents, a
+// third of the RDDs cached, an action on a quarter of them and on the
+// last.
+func randomGraph(rng *rand.Rand) *Graph {
+	g := New()
+	rdds := []*RDD{g.Source("in", 1+rng.Intn(8), 1<<uint(10+rng.Intn(10)))}
+	ops := 3 + rng.Intn(20)
+	for i := 0; i < ops; i++ {
+		p := rdds[rng.Intn(len(rdds))]
+		var r *RDD
+		switch rng.Intn(6) {
+		case 0:
+			r = p.Map("m")
+		case 1:
+			r = p.Filter("f", WithSizeFactor(0.5))
+		case 2:
+			r = p.ReduceByKey("r")
+		case 3:
+			q := rdds[rng.Intn(len(rdds))]
+			r = p.Join("j", q)
+		case 4:
+			q := rdds[rng.Intn(len(rdds))]
+			r = p.Union("u", q)
+		case 5:
+			r = p.GroupByKey("g")
+		}
+		if rng.Intn(3) == 0 {
+			r.Cache()
+		}
+		rdds = append(rdds, r)
+		if rng.Intn(4) == 0 {
+			g.Count(r)
+		}
+	}
+	g.Count(rdds[len(rdds)-1])
+	return g
+}
+
 // TestRandomGraphsValidate is a property test: arbitrary DAGs built
 // through the public transformation API always validate, and their
 // stage structure obeys the core invariants.
 func TestRandomGraphsValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		g := New()
-		rdds := []*RDD{g.Source("in", 1+rng.Intn(8), 1<<uint(10+rng.Intn(10)))}
-		ops := 3 + rng.Intn(20)
-		for i := 0; i < ops; i++ {
-			p := rdds[rng.Intn(len(rdds))]
-			var r *RDD
-			switch rng.Intn(6) {
-			case 0:
-				r = p.Map("m")
-			case 1:
-				r = p.Filter("f", WithSizeFactor(0.5))
-			case 2:
-				r = p.ReduceByKey("r")
-			case 3:
-				q := rdds[rng.Intn(len(rdds))]
-				r = p.Join("j", q)
-			case 4:
-				q := rdds[rng.Intn(len(rdds))]
-				r = p.Union("u", q)
-			case 5:
-				r = p.GroupByKey("g")
-			}
-			if rng.Intn(3) == 0 {
-				r.Cache()
-			}
-			rdds = append(rdds, r)
-			if rng.Intn(4) == 0 {
-				g.Count(r)
-			}
-		}
-		g.Count(rdds[len(rdds)-1])
+		g := randomGraph(rng)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -279,21 +332,21 @@ func TestRandomGraphsValidate(t *testing.T) {
 			seen[s.ID] = true
 		}
 		// Frontier reads never include the creations of the same call.
-		created := map[int]bool{}
+		var created Materialized
 		for _, s := range g.ExecutedStages() {
-			reads, creates := StageFrontier(s, func(id int) bool { return created[id] })
+			reads, creates := created.Frontier(s)
 			for _, r := range reads {
 				for _, c := range creates {
 					if r == c {
 						t.Fatalf("trial %d: RDD %v both read and created", trial, r)
 					}
 				}
-				if !created[r.ID] {
+				if !created.Has(r.ID) {
 					t.Fatalf("trial %d: stage %d reads uncreated %v", trial, s.ID, r)
 				}
 			}
 			for _, c := range creates {
-				created[c.ID] = true
+				created.Mark(c.ID)
 			}
 		}
 	}

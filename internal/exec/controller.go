@@ -32,7 +32,7 @@ func (e *Engine) advance(s *dag.Stage) error {
 		e.pendingFail = false
 	}
 
-	_, creates := dag.StageFrontier(s, e.adv.Materialized)
+	_, creates := e.adv.Created().Frontier(s)
 	e.curCreates = map[int]bool{}
 	for _, r := range creates {
 		e.curCreates[r.ID] = true

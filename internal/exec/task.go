@@ -135,7 +135,7 @@ func (e *Engine) eval(t *taskCtx, r *dag.RDD, p int) []Row {
 		return rows
 	}
 	var rows []Row
-	if r.Cached && e.adv.Materialized(r.ID) && !e.curCreates[r.ID] {
+	if e.adv.Created().Boundary(r) && !e.curCreates[r.ID] {
 		rows = e.readCached(t, r, p)
 	} else {
 		rows = e.computeRows(t, r, p)

@@ -12,91 +12,58 @@ func barChart(title string, labels []string, values []float64, render func(float
 	if len(labels) != len(values) || len(labels) == 0 {
 		return ""
 	}
-	if scaleMax <= 0 {
-		for _, v := range values {
-			if v > scaleMax {
-				scaleMax = v
-			}
-		}
-	}
-	if scaleMax <= 0 {
-		scaleMax = 1
-	}
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	const width = 44
-	var b strings.Builder
-	b.WriteString(title)
-	b.WriteString("\n")
-	for i, l := range labels {
-		v := values[i]
-		n := int(v / scaleMax * width)
-		if n < 0 {
-			n = 0
-		}
-		if n > width {
-			n = width
-		}
-		fmt.Fprintf(&b, "  %-*s %s%s %s\n", labelW, l,
-			strings.Repeat("#", n), strings.Repeat(".", width-n), render(v))
-	}
-	return b.String()
+	return bars(title, labels, nil, [][]float64{values}, render, scaleMax, 44)
 }
 
 // seriesChart renders several aligned series as grouped bars — one
-// block per label with one bar per series.
+// block per label with one bar per series, scaled to the largest value.
 func seriesChart(title string, labels []string, series map[string][]float64, order []string, render func(float64) string) string {
-	var b strings.Builder
-	b.WriteString(title)
-	b.WriteString("\n")
-	scaleMax := 0.0
-	for _, vs := range series {
-		for _, v := range vs {
-			if v > scaleMax {
-				scaleMax = v
+	ordered := make([][]float64, len(order))
+	for j, name := range order {
+		ordered[j] = series[name]
+	}
+	return bars(title, labels, order, ordered, render, 0, 36)
+}
+
+// bars is the renderer behind both: under the title, one block per
+// label with one bar of width cells per series (a series too short for
+// a label is skipped there), the label on the block's first row and the
+// series' name — when there are names — in a column of its own.
+func bars(title string, labels, names []string, series [][]float64, render func(float64) string, scaleMax float64, width int) string {
+	if scaleMax <= 0 {
+		for _, vs := range series {
+			for _, v := range vs {
+				scaleMax = max(scaleMax, v)
 			}
 		}
 	}
 	if scaleMax <= 0 {
 		scaleMax = 1
 	}
-	labelW := 0
+	labelW, nameW := 0, 0
 	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
+		labelW = max(labelW, len(l))
 	}
-	nameW := 0
-	for _, n := range order {
-		if len(n) > nameW {
-			nameW = len(n)
-		}
+	for _, n := range names {
+		nameW = max(nameW, len(n))
 	}
-	const width = 36
+	var b strings.Builder
+	b.WriteString(title)
+	b.WriteString("\n")
 	for i, l := range labels {
-		for j, name := range order {
-			vs := series[name]
+		for j, vs := range series {
 			if i >= len(vs) {
 				continue
 			}
-			v := vs[i]
-			n := int(v / scaleMax * width)
-			if n > width {
-				n = width
+			if j > 0 {
+				l = ""
 			}
-			if n < 0 {
-				n = 0
+			fmt.Fprintf(&b, "  %-*s ", labelW, l)
+			if names != nil {
+				fmt.Fprintf(&b, "%-*s ", nameW, names[j])
 			}
-			lbl := ""
-			if j == 0 {
-				lbl = l
-			}
-			fmt.Fprintf(&b, "  %-*s %-*s %s%s %s\n", labelW, lbl, nameW, name,
-				strings.Repeat("#", n), strings.Repeat(".", width-n), render(v))
+			n := min(max(int(vs[i]/scaleMax*float64(width)), 0), width)
+			fmt.Fprintf(&b, "%s%s %s\n", strings.Repeat("#", n), strings.Repeat(".", width-n), render(vs[i]))
 		}
 	}
 	return b.String()

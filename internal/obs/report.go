@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"sort"
 	"time"
 
 	"mrdspark/internal/metrics"
@@ -131,96 +130,89 @@ func (s timeScale) ticks() []svgTick {
 	return out
 }
 
-// stageGantt builds the Spark-UI-style stage timeline: one row per
-// executed stage, colored by stage ID.
-func stageGantt(stages []metrics.StageStats) svgData {
-	if len(stages) == 0 {
-		return svgData{Width: svgMarginLeft + svgContentW, Height: svgAxisH}
+// ganttBar is one rectangle of a timeline: the row it sits in, its
+// extent on the time axis, the palette slot that colors it and its
+// hover text.
+type ganttBar struct {
+	row        int
+	start, end int64
+	color      int
+	tooltip    string
+}
+
+// gantt lays labelled rows and their bars out on the timeline geometry,
+// time scaled by sc — the one builder behind the stage timeline, the
+// per-node timeline and the trace waterfall. No bars yields the
+// axis-only SVG.
+func gantt(sc timeScale, rows []string, bars []ganttBar) svgData {
+	d := svgData{Width: svgMarginLeft + svgContentW, Height: svgAxisH}
+	if len(bars) == 0 {
+		return d
 	}
-	sc := timeScale{t0: stages[0].StartUs, t1: stages[0].EndUs}
-	for _, st := range stages {
-		if st.StartUs < sc.t0 {
-			sc.t0 = st.StartUs
-		}
-		if st.EndUs > sc.t1 {
-			sc.t1 = st.EndUs
-		}
+	for _, b := range bars {
+		x := sc.x(b.start)
+		d.Rects = append(d.Rects, svgRect{X: x, Y: b.row * (svgRowH + svgRowGap), W: max(sc.x(b.end)-x, 1), H: svgRowH,
+			Fill: palette[b.color%len(palette)], Tooltip: b.tooltip})
 	}
-	d := svgData{Width: svgMarginLeft + svgContentW}
-	for i, st := range stages {
-		y := i * (svgRowH + svgRowGap)
-		x := sc.x(st.StartUs)
-		w := sc.x(st.EndUs) - x
-		if w < 1 {
-			w = 1
-		}
-		d.Rects = append(d.Rects, svgRect{
-			X: x, Y: y, W: w, H: svgRowH,
-			Fill: palette[st.StageID%len(palette)],
-			Tooltip: fmt.Sprintf("stage %d job %d (%s): %s, %d tasks, %d hits / %d misses",
-				st.StageID, st.JobID, st.Kind, fmtUs(st.DurationUs()), st.Tasks, st.Hits, st.Misses),
-		})
-		d.Labels = append(d.Labels, svgLabel{X: svgMarginLeft - 6, Y: y + svgRowH - 4,
-			Text: fmt.Sprintf("S%d j%d", st.StageID, st.JobID)})
+	for i, text := range rows {
+		d.Labels = append(d.Labels, svgLabel{X: svgMarginLeft - 6, Y: i*(svgRowH+svgRowGap) + svgRowH - 4, Text: text})
 	}
-	d.PlotH = len(stages) * (svgRowH + svgRowGap)
+	d.PlotH = len(rows) * (svgRowH + svgRowGap)
 	d.Height = d.PlotH + svgAxisH
 	d.Ticks = sc.ticks()
 	return d
 }
 
-// nodeGantt builds the per-node timeline: one row per worker, one rect
-// per (node, stage) activity span, colored by stage ID.
+// extent is the time scale that just spans the bars.
+func extent(bars []ganttBar) (sc timeScale) {
+	for i, b := range bars {
+		if i == 0 {
+			sc = timeScale{t0: b.start, t1: b.end}
+		}
+		sc.t0, sc.t1 = min(sc.t0, b.start), max(sc.t1, b.end)
+	}
+	return sc
+}
+
+// stageGantt builds the Spark-UI-style stage timeline: one row per
+// executed stage, colored by stage ID.
+func stageGantt(stages []metrics.StageStats) svgData {
+	rows := make([]string, len(stages))
+	bars := make([]ganttBar, len(stages))
+	for i, st := range stages {
+		rows[i] = fmt.Sprintf("S%d j%d", st.StageID, st.JobID)
+		bars[i] = ganttBar{row: i, start: st.StartUs, end: st.EndUs, color: st.StageID,
+			tooltip: fmt.Sprintf("stage %d job %d (%s): %s, %d tasks, %d hits / %d misses",
+				st.StageID, st.JobID, st.Kind, fmtUs(st.DurationUs()), st.Tasks, st.Hits, st.Misses)}
+	}
+	return gantt(extent(bars), rows, bars)
+}
+
+// nodeGantt builds the per-node timeline: one row per worker (a lane
+// on a node the stats do not list gets a row after them), one bar per
+// (node, stage) activity span, colored by stage ID.
 func nodeGantt(nodes []metrics.NodeStats, lanes []metrics.NodeStageSpan) svgData {
-	if len(lanes) == 0 {
-		return svgData{Width: svgMarginLeft + svgContentW, Height: svgAxisH}
-	}
-	sc := timeScale{t0: lanes[0].StartUs, t1: lanes[0].EndUs}
-	for _, ln := range lanes {
-		if ln.StartUs < sc.t0 {
-			sc.t0 = ln.StartUs
-		}
-		if ln.EndUs > sc.t1 {
-			sc.t1 = ln.EndUs
-		}
-	}
 	row := map[int]int{}
-	for _, n := range nodes {
-		row[n.Node] = len(row)
-	}
-	d := svgData{Width: svgMarginLeft + svgContentW}
-	for _, ln := range lanes {
-		ri, ok := row[ln.Node]
+	var rows []string
+	rowOf := func(node int) int {
+		ri, ok := row[node]
 		if !ok {
-			ri = len(row)
-			row[ln.Node] = ri
+			ri = len(rows)
+			row[node] = ri
+			rows = append(rows, fmt.Sprintf("node %d", node))
 		}
-		y := ri * (svgRowH + svgRowGap)
-		x := sc.x(ln.StartUs)
-		w := sc.x(ln.EndUs) - x
-		if w < 1 {
-			w = 1
-		}
-		d.Rects = append(d.Rects, svgRect{
-			X: x, Y: y, W: w, H: svgRowH,
-			Fill: palette[ln.StageID%len(palette)],
-			Tooltip: fmt.Sprintf("node %d stage %d job %d: %s, %d tasks",
-				ln.Node, ln.StageID, ln.JobID, fmtUs(ln.EndUs-ln.StartUs), ln.Tasks),
-		})
+		return ri
 	}
-	order := make([]int, 0, len(row))
-	for node := range row {
-		order = append(order, node)
+	for _, n := range nodes {
+		rowOf(n.Node)
 	}
-	sort.Ints(order)
-	for _, node := range order {
-		d.Labels = append(d.Labels, svgLabel{X: svgMarginLeft - 6, Y: row[node]*(svgRowH+svgRowGap) + svgRowH - 4,
-			Text: fmt.Sprintf("node %d", node)})
+	bars := make([]ganttBar, len(lanes))
+	for i, ln := range lanes {
+		bars[i] = ganttBar{row: rowOf(ln.Node), start: ln.StartUs, end: ln.EndUs, color: ln.StageID,
+			tooltip: fmt.Sprintf("node %d stage %d job %d: %s, %d tasks",
+				ln.Node, ln.StageID, ln.JobID, fmtUs(ln.EndUs-ln.StartUs), ln.Tasks)}
 	}
-	d.PlotH = len(row) * (svgRowH + svgRowGap)
-	d.Height = d.PlotH + svgAxisH
-	d.Ticks = sc.ticks()
-	return d
+	return gantt(extent(bars), rows, bars)
 }
 
 // histData is one histogram prepared for the report's bar tables.

@@ -103,35 +103,21 @@ func orderTree(spans []trace.Span) []trace.Span {
 }
 
 // waterfallGantt renders one trace's span tree with the shared Gantt
-// machinery: one row per span, x scaled to the trace's own duration.
+// builder: one row per span, x scaled to the trace's own duration
+// rounded up to a whole microsecond.
 func waterfallGantt(g traceGroup) svgData {
-	sc := timeScale{t0: 0, t1: (g.durNs() + 999) / 1000} // µs, trace-relative
-	if sc.t1 < 1 {
-		sc.t1 = 1
-	}
-	d := svgData{Width: svgMarginLeft + svgContentW}
+	rows := make([]string, len(g.Spans))
+	bars := make([]ganttBar, len(g.Spans))
 	for i, sp := range g.Spans {
-		y := i * (svgRowH + svgRowGap)
-		x := sc.x((sp.StartNs - g.StartNs) / 1000)
-		w := sc.x((sp.StartNs-g.StartNs+sp.DurNs)/1000) - x
-		if w < 1 {
-			w = 1
-		}
-		tooltip := fmt.Sprintf("%s: %s", sp.Name, fmtUs(sp.DurNs/1000))
+		rows[i] = sp.Name
+		rel := sp.StartNs - g.StartNs
+		bars[i] = ganttBar{row: i, start: rel / 1000, end: (rel + sp.DurNs) / 1000, color: i,
+			tooltip: fmt.Sprintf("%s: %s", sp.Name, fmtUs(sp.DurNs/1000))}
 		if sp.Attr != "" {
-			tooltip += " — " + sp.Attr
+			bars[i].tooltip += " — " + sp.Attr
 		}
-		d.Rects = append(d.Rects, svgRect{
-			X: x, Y: y, W: w, H: svgRowH,
-			Fill:    palette[i%len(palette)],
-			Tooltip: tooltip,
-		})
-		d.Labels = append(d.Labels, svgLabel{X: svgMarginLeft - 6, Y: y + svgRowH - 4, Text: sp.Name})
 	}
-	d.PlotH = len(g.Spans) * (svgRowH + svgRowGap)
-	d.Height = d.PlotH + svgAxisH
-	d.Ticks = sc.ticks()
-	return d
+	return gantt(timeScale{t1: max((g.durNs()+999)/1000, 1)}, rows, bars)
 }
 
 // WriteTraceWaterfall renders a span export as one self-contained HTML

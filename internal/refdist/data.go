@@ -1,5 +1,7 @@
 package refdist
 
+import "math"
+
 // Data is the serializable form of a Profile, used by the profile
 // store to persist reference-distance profiles of recurring
 // applications between runs (paper §4.1).
@@ -24,12 +26,17 @@ func (p *Profile) Data() Data {
 	return d
 }
 
-// FromData reconstructs a profile from its serialized form.
+// FromData reconstructs a profile from its serialized form. The form
+// comes from a file: an id no graph can assign (negative, or past what
+// a block name carries) keeps its schedule but is not marked created —
+// the created set is dense by id, and no stage can ask about such an id.
 func FromData(d Data) *Profile {
 	p := NewProfile()
 	for id, r := range d.Creation {
 		p.creation[id] = r
-		p.created[id] = true
+		if id >= 0 && id <= math.MaxInt32 {
+			p.created.Mark(id)
+		}
 	}
 	for id, reads := range d.Reads {
 		cp := make([]Ref, len(reads))

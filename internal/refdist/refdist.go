@@ -45,9 +45,9 @@ func (r Ref) Less(o Ref) bool {
 // submitted, exactly as the paper's AppProfiler receives them from the
 // DAGScheduler.
 type Profile struct {
-	reads    map[int][]Ref // rddID -> reads sorted by (stage, job)
-	creation map[int]Ref   // rddID -> stage/job of first compute
-	created  map[int]bool  // tracks creation while scanning stages in order
+	reads    map[int][]Ref    // rddID -> reads sorted by (stage, job)
+	creation map[int]Ref      // rddID -> stage/job of first compute
+	created  dag.Materialized // tracks creation while scanning stages in order
 	// version counts mutations; incremental consumers (the manager's
 	// MRD_Table cursors) use it to detect profile growth cheaply.
 	version int
@@ -59,7 +59,6 @@ func NewProfile() *Profile {
 	return &Profile{
 		reads:    map[int][]Ref{},
 		creation: map[int]Ref{},
-		created:  map[int]bool{},
 	}
 }
 
@@ -82,7 +81,7 @@ func (p *Profile) AddJob(j *dag.Job) {
 	p.version++
 	var resort []int
 	for _, s := range j.NewStages {
-		reads, creates := dag.StageFrontier(s, func(id int) bool { return p.created[id] })
+		reads, creates := p.created.Frontier(s)
 		for _, r := range reads {
 			rs := p.reads[r.ID]
 			ref := Ref{Stage: s.ID, Job: j.ID}
@@ -98,7 +97,7 @@ func (p *Profile) AddJob(j *dag.Job) {
 			p.reads[r.ID] = append(rs, ref)
 		}
 		for _, r := range creates {
-			p.created[r.ID] = true
+			p.created.Mark(r.ID)
 			p.creation[r.ID] = Ref{Stage: s.ID, Job: j.ID}
 		}
 	}

@@ -235,6 +235,23 @@ func TestDataRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromDataUnassignableIDs: a stored profile is a file, and the
+// created set is dense by id — an id no graph can assign keeps its
+// schedule and must neither panic nor size the set.
+func TestFromDataUnassignableIDs(t *testing.T) {
+	d := Data{
+		Creation: map[int]Ref{-1: {Stage: 1}, 1 << 40: {Stage: 2}, 3: {Stage: 0}},
+		Reads:    map[int][]Ref{3: {{Stage: 4, Job: 1}}},
+	}
+	p := FromData(d)
+	if !p.Equal(FromData(p.Data())) {
+		t.Error("round trip lost an out-of-range creation")
+	}
+	if !p.created.Has(3) || p.created.Has(-1) || p.created.Has(1<<40) {
+		t.Error("created set does not hold exactly the assignable id")
+	}
+}
+
 func TestEqualDetectsDifferences(t *testing.T) {
 	g, _ := iterativeGraph(2)
 	g2, _ := iterativeGraph(3)

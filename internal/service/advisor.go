@@ -284,7 +284,7 @@ type BytePlane interface {
 
 // Advisor is one application's advisory session. It is not safe for
 // concurrent use; the server serializes calls per session. The
-// read-only Resident/OnDisk/Materialized accessors write nothing, so
+// read-only Resident/OnDisk/Created accessors write nothing, so
 // any number of goroutines may call them at once — but only between
 // calls that mutate the session, and the caller must order the two (the
 // execution engine's dispatch channels do): the stores underneath hold
@@ -301,7 +301,7 @@ type Advisor struct {
 	failObs  policy.NodeFailureObserver
 
 	stages  map[int]*dag.Stage // executed stages by ID
-	created map[int]bool       // cached RDDs materialized so far
+	created dag.Materialized   // cached RDDs materialized so far
 
 	nextJob   int // next job index expected by SubmitJob
 	lastStage int // last advanced stage ID (-1 before the first)
@@ -359,7 +359,6 @@ func NewAdvisor(g *dag.Graph, cfg AdvisorConfig) (*Advisor, error) {
 		cfg:       cfg,
 		factory:   factory,
 		stages:    map[int]*dag.Stage{},
-		created:   map[int]bool{},
 		lastStage: -1,
 	}
 	for _, s := range g.ExecutedStages() {
@@ -528,7 +527,7 @@ func (a *Advisor) Advance(stageID int) (Advice, error) {
 // a same-stage read the simulator counts as a hit — which is exactly
 // the divergence the differential harness pinned down.
 func (a *Advisor) applyStage(s *dag.Stage) {
-	reads, creates := dag.StageFrontier(s, func(id int) bool { return a.created[id] })
+	reads, creates := a.created.Frontier(s)
 	missed := a.missedBuf[:0]
 	for _, r := range reads {
 		for p := 0; p < r.NumPartitions; p++ {
@@ -545,7 +544,7 @@ func (a *Advisor) applyStage(s *dag.Stage) {
 		for p := 0; p < r.NumPartitions; p++ {
 			a.insertBlock(a.home(r.Block(p)), r.BlockInfo(p), "evict")
 		}
-		a.created[r.ID] = true
+		a.created.Mark(r.ID)
 	}
 }
 
@@ -641,9 +640,10 @@ func (a *Advisor) Resident(node int, id block.ID) bool { return a.nodes[node].me
 // the node's disk.
 func (a *Advisor) OnDisk(node int, id block.ID) bool { return a.nodes[node].disk.Has(id) }
 
-// Materialized reports whether an advanced stage has created the cached
-// RDD.
-func (a *Advisor) Materialized(rddID int) bool { return a.created[rddID] }
+// Created returns the set of cached RDDs advanced stages have created —
+// a read-only view under the contract above: Advance marks it, so read
+// it only between calls that mutate the session.
+func (a *Advisor) Created() *dag.Materialized { return &a.created }
 
 // ResidentBlocks returns the node's resident block IDs in deterministic
 // order (test and debug helper).

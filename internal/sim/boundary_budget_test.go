@@ -124,9 +124,11 @@ func TestBoundaryProbeBudget(t *testing.T) {
 
 // TestSimAllocationBudget holds the simulated run's own allocation on
 // any hardware: one D4 pass under LRU — no stage observer, so engine,
-// stores and stage scratch are all there is — at seed 0. 16 508 objects
-// and 4 056 KB measured; 45.8 k and 7 850 KB before the stores' tables,
-// the inline event heap and the run-owned stage scratch.
+// stores and stage scratch are all there is — at seed 0. 15 093 objects
+// and 3 997 KB measured; 16 517 and 4 057 KB while planStage walked
+// every stage's chain twice (the budget fails there, so a second walk
+// cannot come back unseen); 45.8 k and 7 850 KB before the stores'
+// tables, the inline event heap and the run-owned stage scratch.
 func TestSimAllocationBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs the benchmark's D4 pass; the race detector's instrumentation allocates too")
@@ -138,8 +140,8 @@ func TestSimAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("D4 pass under LRU: %d objects, %d KB", objs, bytes>>10)
-	if objs > 19_000 {
-		t.Errorf("one D4 pass under LRU allocated %d objects, budget 19000", objs)
+	if objs > 16_000 {
+		t.Errorf("one D4 pass under LRU allocated %d objects, budget 16000", objs)
 	}
 	if bytes>>10 > 4_700 {
 		t.Errorf("one D4 pass under LRU allocated %d KB, budget 4700", bytes>>10)

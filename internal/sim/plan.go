@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
 	"mrdspark/internal/obs"
@@ -27,21 +29,14 @@ func (s *Simulation) planStage(st *dag.Stage) []taskWork {
 	s.resolved.Clear()
 	ctx := &planCtx{sim: s, works: works, numTasks: st.NumTasks}
 
-	// Resolve the stage's read frontier: the nearest materialized
-	// cached RDD on each narrow path from the target.
-	reads, _ := dag.StageFrontier(st, func(id int) bool { return s.created[id] })
-	for _, r := range reads {
-		for q := 0; q < r.NumPartitions; q++ {
-			ctx.resolveBlock(r, q)
-		}
-	}
-
-	// The pipelined chain each task computes: walk from the target
-	// down to read boundaries.
-	members := chainMembers(st.Target, s.created)
+	// One walk from the target: what lies short of a read boundary is
+	// the pipelined chain each task computes — its cached members are
+	// created, inserted in walk order — and the boundaries reached are
+	// the stage's read frontier, the nearest materialized cached RDD on
+	// each narrow path.
 	var computeUs, srcBytes, shufLocal, shufRemote int64
-	var creations []*dag.RDD
-	for _, m := range members {
+	var reads, creations []*dag.RDD
+	s.created.Walk(st, func(r *dag.RDD) { reads = append(reads, r) }, func(m *dag.RDD) {
 		computeUs += m.CostPerPart
 		if m.IsSource() {
 			srcBytes += m.PartSize
@@ -55,8 +50,14 @@ func (s *Simulation) planStage(st *dag.Stage) []taskWork {
 			shufRemote += per * (n - 1) / n
 			shufLocal += per - per*(n-1)/n
 		}
-		if m.Cached && !s.created[m.ID] {
+		if m.Cached {
 			creations = append(creations, m)
+		}
+	})
+	slices.SortFunc(reads, func(a, b *dag.RDD) int { return a.ID - b.ID })
+	for _, r := range reads {
+		for q := 0; q < r.NumPartitions; q++ {
+			ctx.resolveBlock(r, q)
 		}
 	}
 	s.run.StageInputBytes += (srcBytes + shufLocal + shufRemote) * int64(st.NumTasks)
@@ -86,40 +87,9 @@ func (s *Simulation) planStage(st *dag.Stage) []taskWork {
 	// Mark chain creations materialized: from the next stage on they
 	// are read boundaries.
 	for _, m := range creations {
-		s.created[m.ID] = true
+		s.created.Mark(m.ID)
 	}
 	return works
-}
-
-// chainMembers walks target's narrow ancestry, stopping at cached RDDs
-// that are already materialized (read boundaries). If the target
-// itself is such a boundary the stage computes nothing — e.g. a second
-// action over a fully cached RDD.
-func chainMembers(target *dag.RDD, created map[int]bool) []*dag.RDD {
-	if target.Cached && created[target.ID] {
-		return nil
-	}
-	seen := map[int]bool{}
-	var out []*dag.RDD
-	var walk func(r *dag.RDD)
-	walk = func(r *dag.RDD) {
-		if seen[r.ID] {
-			return
-		}
-		seen[r.ID] = true
-		out = append(out, r)
-		for _, d := range r.Deps {
-			if d.Type != dag.Narrow {
-				continue
-			}
-			if d.Parent.Cached && created[d.Parent.ID] {
-				continue // read boundary, resolved per block
-			}
-			walk(d.Parent)
-		}
-	}
-	walk(target)
-	return out
 }
 
 // planCtx carries per-stage planning state. Which blocks were already
@@ -249,7 +219,7 @@ func (c *planCtx) chainCost(r *dag.RDD, q int, w *taskWork) {
 		}
 		p := d.Parent
 		pq := q % p.NumPartitions
-		if p.Cached && s.created[p.ID] {
+		if s.created.Boundary(p) {
 			c.resolveBlock(p, pq)
 			continue
 		}

@@ -61,7 +61,7 @@ type Simulation struct {
 
 	// created marks RDDs whose blocks have been materialized, which
 	// turns them into read boundaries for later stages.
-	created map[int]bool
+	created dag.Materialized
 	// prefetched marks blocks brought in by prefetch and not yet hit,
 	// for used/wasted accounting.
 	prefetched blockSet
@@ -117,7 +117,6 @@ func New(g *dag.Graph, cfg cluster.Config, factory policy.Factory, workload stri
 		g:        g,
 		factory:  factory,
 		opts:     DefaultOptions(),
-		created:  map[int]bool{},
 		faultsAt: map[int][]fault.Event{},
 		bus:      obs.New(),
 	}

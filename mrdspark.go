@@ -199,7 +199,7 @@ func newGraphSim(g *Graph, name string, cfg Config) (*sim.Simulation, error) {
 }
 
 // RunGraphWith simulates a DAG under a caller-provided policy factory
-// — the hook for custom policies (see examples/custompolicy).
+// — the hook for custom policies (see ExampleRunGraphWith).
 func RunGraphWith(g *Graph, name string, cl ClusterConfig, factory PolicyFactory) (Result, error) {
 	return sim.Run(g, cl, factory, name)
 }
