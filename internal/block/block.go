@@ -103,7 +103,9 @@ func (id ID) Less(other ID) bool {
 
 // StorageLevel describes where a block's bytes may live, mirroring
 // Spark's StorageLevel (simplified to the levels the paper exercises).
-type StorageLevel int
+// It is one byte wide so that Info, which the stores' tables and the
+// simulator's insert lists are made of, stays four words.
+type StorageLevel int8
 
 const (
 	// MemoryOnly blocks live in the memory store and are dropped
@@ -132,4 +134,9 @@ type Info struct {
 	ID    ID
 	Size  int64 // bytes
 	Level StorageLevel
+	// Unread is the memory store's mark on a block a prefetch brought in
+	// and no read has touched yet. Only the store sets and clears it, on
+	// the copy it holds, and reports it on the copies it hands back; on
+	// an Info anyone else builds it means nothing.
+	Unread bool
 }

@@ -84,10 +84,10 @@ func TestMemoryStorePutGetRemove(t *testing.T) {
 	if s.Used() != 4 || s.Free() != 6 || s.Len() != 1 {
 		t.Errorf("accounting: used=%d free=%d len=%d", s.Used(), s.Free(), s.Len())
 	}
-	if !s.Remove(bid(1, 0)) {
-		t.Error("Remove failed")
+	if got, ok := s.Remove(bid(1, 0)); !ok || got != info(1, 0, 4) {
+		t.Errorf("Remove = %v, %v; want the block as it was put", got, ok)
 	}
-	if s.Remove(bid(1, 0)) {
+	if _, ok := s.Remove(bid(1, 0)); ok {
 		t.Error("double Remove succeeded")
 	}
 	if s.Used() != 0 {
@@ -325,5 +325,90 @@ func TestPutResultValidUntilNextInsert(t *testing.T) {
 	}
 	if done.ID != blk(0).ID {
 		t.Errorf("the caller's copy changed: %v", done)
+	}
+}
+
+// pickyLRU is LRU with a say over prefetch arrivals: it lets a prefetch
+// displace only the victims allow accepts, which takes PutPrefetch down
+// its guarded path.
+type pickyLRU struct {
+	policy.Policy
+	allow func(block.ID) bool
+}
+
+func (p pickyLRU) AllowPrefetchEviction(_ block.Info, victim block.ID) bool { return p.allow(victim) }
+
+// TestStoreKeepsThePrefetchLedger drives a store with random demand
+// inserts, prefetch arrivals, reads, removals and wipes beside a model
+// that marks each landed prefetch by hand. After every operation the
+// store's ledger, its unread set and the mark on every block it hands
+// back must equal the model's — with a plain policy (arrivals evict
+// freely) and an arbitrated one (arrivals can be refused).
+func TestStoreKeepsThePrefetchLedger(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		var pol policy.Policy = policy.NewLRU().NewNodePolicy(0)
+		if trial%2 == 1 {
+			pol = pickyLRU{pol, func(block.ID) bool { return rng.Intn(3) > 0 }}
+		}
+		s := NewMemoryStore(int64(16+rng.Intn(48)), pol)
+		unread := map[block.ID]bool{}
+		var want PrefetchLedger
+		left := func(v block.Info) {
+			if v.Unread != unread[v.ID] {
+				t.Fatalf("trial %d: %v left with Unread=%v, model says %v", trial, v.ID, v.Unread, unread[v.ID])
+			}
+			if unread[v.ID] {
+				want.Wasted++
+				delete(unread, v.ID)
+			}
+		}
+		for op := 0; op < 600; op++ {
+			in := block.Info{ID: bid(rng.Intn(6), rng.Intn(4)), Size: int64(1 + rng.Intn(12)), Unread: rng.Intn(2) == 0}
+			switch rng.Intn(8) {
+			case 0, 1:
+				evicted, _ := s.Put(in) // a caller's Unread is not the store's mark
+				for _, v := range evicted {
+					left(v)
+				}
+			case 2, 3, 4:
+				was := s.Contains(in.ID)
+				evicted, ok := s.PutPrefetch(in)
+				for _, v := range evicted {
+					left(v)
+				}
+				if ok && !was {
+					want.Landed++
+					unread[in.ID] = true
+				}
+			case 5:
+				if s.Get(in.ID) && unread[in.ID] {
+					want.Used++
+					delete(unread, in.ID)
+				}
+			case 6:
+				if v, ok := s.Remove(in.ID); ok {
+					left(v)
+				}
+			case 7:
+				if rng.Intn(10) == 0 {
+					s.Clear()
+					want.Wasted += int64(len(unread))
+					unread = map[block.ID]bool{}
+				}
+			}
+			if s.Prefetch != want || want.Pending() != int64(len(unread)) {
+				t.Fatalf("trial %d op %d: ledger %+v, model %+v with %d unread", trial, op, s.Prefetch, want, len(unread))
+			}
+			got := s.Unread()
+			if len(got) != len(unread) {
+				t.Fatalf("trial %d op %d: Unread() = %v, model %v", trial, op, got, unread)
+			}
+			for _, id := range got {
+				if !unread[id] {
+					t.Fatalf("trial %d op %d: Unread() lists %v, which the model does not", trial, op, id)
+				}
+			}
+		}
 	}
 }

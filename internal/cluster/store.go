@@ -43,6 +43,30 @@ type MemoryStore struct {
 	// pressure); proactive removals via Remove are counted by the
 	// caller.
 	Evictions int64
+	// Prefetch is the store's prefetch ledger (DESIGN §4). A host that
+	// replaces a store carries the old one's ledger over.
+	Prefetch PrefetchLedger
+}
+
+// PrefetchLedger counts what became of the blocks PutPrefetch landed in
+// a store. A landed block carries the store's mark (block.Info.Unread)
+// until its first Get, which counts it used, or until it leaves unread —
+// evicted, removed or cleared — which counts it wasted: each mark is
+// set once and cleared once, so Landed == Used + Wasted + Pending().
+type PrefetchLedger struct {
+	Landed int64 // prefetched blocks the store took in
+	Used   int64 // of those, read while resident
+	Wasted int64 // of those, gone before any read
+}
+
+// Pending returns the landed blocks still resident and unread.
+func (l PrefetchLedger) Pending() int64 { return l.Landed - l.Used - l.Wasted }
+
+// Add folds another store's ledger into this one.
+func (l *PrefetchLedger) Add(o PrefetchLedger) {
+	l.Landed += o.Landed
+	l.Used += o.Used
+	l.Wasted += o.Wasted
 }
 
 // NewMemoryStore creates a store with the given capacity driven by the
@@ -84,10 +108,17 @@ func (s *MemoryStore) Len() int { return s.blocks.Len() }
 func (s *MemoryStore) Contains(id block.ID) bool { return s.blocks.Has(id) }
 
 // Get reports a read: on a hit the policy's recency/accounting hooks
-// fire and Get returns true.
+// fire and Get returns true. The first read of a prefetched block
+// settles it as used (Prefetch.Used moves across the call).
 func (s *MemoryStore) Get(id block.ID) bool {
-	if !s.Contains(id) {
+	info, ok := s.blocks.Get(id)
+	if !ok {
 		return false
+	}
+	if info.Unread {
+		info.Unread = false
+		s.blocks.Put(id, info)
+		s.Prefetch.Used++
 	}
 	s.pol.OnAccess(id)
 	return true
@@ -103,8 +134,13 @@ func (s *MemoryStore) Get(id block.ID) bool {
 // The evicted slice — here and from PutGuarded and PutPrefetch — is the
 // store's own: it is valid until the store's next Put, PutGuarded or
 // PutPrefetch, which reuses it. A caller that needs the victims longer
-// copies them.
+// copies them. A victim with Unread set was a prefetch nothing read.
 func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
+	info.Unread = false
+	return s.put(info)
+}
+
+func (s *MemoryStore) put(info block.Info) (evicted []block.Info, ok bool) {
 	if s.Contains(info.ID) {
 		s.pol.OnAccess(info.ID)
 		return nil, true
@@ -137,6 +173,11 @@ func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 // the arrival path for arbitrated prefetches: a prefetch should not
 // displace blocks the policy considers at least as valuable.
 func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bool) (evicted []block.Info, ok bool) {
+	info.Unread = false
+	return s.putGuarded(info, allow)
+}
+
+func (s *MemoryStore) putGuarded(info block.Info, allow func(victim block.ID) bool) (evicted []block.Info, ok bool) {
 	if s.Contains(info.ID) {
 		s.pol.OnAccess(info.ID)
 		return nil, true
@@ -165,39 +206,50 @@ func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bo
 // PutPrefetch is the arrival path of a prefetched block. Arbitrated
 // policies (the MRD CacheMonitor) veto arrivals whose evictions would
 // displace blocks at least as urgent as the incoming one, evicting
-// nothing; other policies take the paper's fully aggressive Put.
+// nothing; other policies take the paper's fully aggressive Put. A
+// block that lands — was not resident, and was accepted — enters the
+// prefetch ledger marked unread.
 func (s *MemoryStore) PutPrefetch(info block.Info) (evicted []block.Info, ok bool) {
+	info.Unread = true
 	if s.arb == nil {
-		return s.Put(info)
+		return s.put(info)
 	}
-	return s.PutGuarded(info, s.arbAllows)
+	return s.putGuarded(info, s.arbAllows)
 }
 
 // Remove drops the block without policy-initiated victim selection
-// (purge orders, failure injection). It reports whether the block was
-// resident.
-func (s *MemoryStore) Remove(id block.ID) bool {
+// (purge orders, failure injection). It returns the block as the store
+// held it and whether it was resident.
+func (s *MemoryStore) Remove(id block.ID) (block.Info, bool) {
 	info, ok := s.blocks.Get(id)
 	if ok {
 		s.drop(info)
 	}
-	return ok
+	return info, ok
 }
 
-// Clear empties the store (node failure).
+// Clear empties the store (node failure); the unread prefetches it held
+// are wasted.
 func (s *MemoryStore) Clear() {
 	s.blocks.Each(func(id block.ID, _ block.Info) { s.pol.OnRemove(id) })
+	s.Prefetch.Wasted += s.Prefetch.Pending()
 	s.blocks.Clear()
 	s.used = 0
 }
 
 func (s *MemoryStore) add(info block.Info) {
+	if info.Unread {
+		s.Prefetch.Landed++
+	}
 	s.blocks.Put(info.ID, info)
 	s.used += info.Size
 	s.pol.OnAdd(info.ID)
 }
 
 func (s *MemoryStore) drop(info block.Info) {
+	if info.Unread {
+		s.Prefetch.Wasted++
+	}
 	s.blocks.Delete(info.ID)
 	s.used -= info.Size
 	s.pol.OnRemove(info.ID)
@@ -206,6 +258,18 @@ func (s *MemoryStore) drop(info block.Info) {
 // Blocks returns a snapshot of resident block IDs (test helper; order
 // unspecified).
 func (s *MemoryStore) Blocks() []block.ID { return ids(&s.blocks) }
+
+// Unread returns the resident prefetched blocks no read has touched —
+// the ledger's pending blocks by name, order unspecified.
+func (s *MemoryStore) Unread() []block.ID {
+	out := make([]block.ID, 0, s.Prefetch.Pending())
+	s.blocks.Each(func(id block.ID, info block.Info) {
+		if info.Unread {
+			out = append(out, id)
+		}
+	})
+	return out
+}
 
 // ids lists a table's keys, in its slot order.
 func ids[V any](m *block.Map[V]) []block.ID {

@@ -259,9 +259,6 @@ func (a Advice) Fingerprint() string {
 type advNode struct {
 	mem  *cluster.MemoryStore
 	disk *cluster.DiskStore
-	// prefetched tracks blocks loaded by prefetch and not yet hit, for
-	// the manager's reportCacheStatus feedback loop.
-	prefetched map[block.ID]bool
 }
 
 // BytePlane is the optional hook through which a host that holds real
@@ -321,16 +318,9 @@ type Advisor struct {
 	// re-advanced stage is served its recorded advice).
 	history []Advice
 
-	// Current-advance state, plus the session-lifetime prefetch ledger:
-	// every issued prefetch is eventually used (hit while resident),
-	// wasted (evicted, purged or lost before use) or still pending
-	// (resident, unused). issued == used + wasted + pending is the
-	// conservation law the correctness harness audits.
-	cur      *Advice
-	curBuf   Advice // what cur points at during an advance
-	pfIssued int64
-	pfUsed   int64
-	pfWaste  int64
+	// Current-advance state.
+	cur    *Advice
+	curBuf Advice // what cur points at during an advance
 
 	// Advance-lifetime scratch, reused by every advance: the decision log
 	// grows in logBuf and is copied at its exact size into the advice that
@@ -372,9 +362,8 @@ func NewAdvisor(g *dag.Graph, cfg AdvisorConfig) (*Advisor, error) {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		a.nodes = append(a.nodes, &advNode{
-			mem:        cluster.NewMemoryStore(cfg.CacheBytes, factory.NewNodePolicy(i)),
-			disk:       cluster.NewDiskStore(),
-			prefetched: map[block.ID]bool{},
+			mem:  cluster.NewMemoryStore(cfg.CacheBytes, factory.NewNodePolicy(i)),
+			disk: cluster.NewDiskStore(),
 		})
 	}
 	return a, nil
@@ -458,11 +447,6 @@ func (a *Advisor) OnNodeFailure(node int) error {
 	n := a.nodes[node]
 	n.mem.Clear()
 	n.disk.Clear()
-	// The wipe destroys the node's pending prefetches; settle them as
-	// wasted so the prefetch ledger stays conserved across failures
-	// (mirroring the simulator's crash-path ledger sweep).
-	a.pfWaste += int64(len(n.prefetched))
-	n.prefetched = map[block.ID]bool{}
 	if a.failObs != nil {
 		a.failObs.OnNodeFailure(node)
 	}
@@ -558,10 +542,6 @@ func (a *Advisor) resolveRead(info block.Info) bool {
 	n := a.nodes[node]
 	if n.mem.Get(info.ID) {
 		a.cur.Counters.Hits++
-		if n.prefetched[info.ID] {
-			a.pfUsed++
-			delete(n.prefetched, info.ID)
-		}
 		a.bus.Emit(obs.BlockEv(obs.KindHit, node, info.ID, info.Size))
 		return true
 	}
@@ -598,7 +578,7 @@ func (a *Advisor) insertBlock(node int, info block.Info, evictKind string) {
 
 // vacate settles a block that just left the node's memory store, by
 // eviction or purge: a MEMORY_AND_DISK block spills to disk, a
-// MEMORY_ONLY one is lost, and an unused prefetch becomes wasted.
+// MEMORY_ONLY one is lost.
 func (a *Advisor) vacate(node int, v block.Info) {
 	n := a.nodes[node]
 	if v.Level == block.MemoryAndDisk {
@@ -608,10 +588,6 @@ func (a *Advisor) vacate(node int, v block.Info) {
 		}
 	} else if a.bytes != nil {
 		a.bytes.Drop(node, v.ID)
-	}
-	if n.prefetched[v.ID] {
-		a.pfWaste++
-		delete(n.prefetched, v.ID)
 	}
 }
 
@@ -670,12 +646,8 @@ func (o advOps) OnDisk(node int, id block.ID) bool   { return o.a.OnDisk(node, i
 // Evict implements the manager's all-out purge order.
 func (o advOps) Evict(node int, id block.ID) bool {
 	a := o.a
-	n := a.nodes[node]
-	if !n.mem.Contains(id) {
-		return false
-	}
-	info := blockInfo(a.graph, id)
-	if !n.mem.Remove(id) {
+	info, ok := a.nodes[node].mem.Remove(id)
+	if !ok {
 		return false
 	}
 	a.vacate(node, info)
@@ -709,8 +681,6 @@ func (o advOps) Prefetch(node int, info block.Info) {
 	if a.bytes != nil {
 		a.bytes.Load(node, info.ID)
 	}
-	n.prefetched[info.ID] = true
-	a.pfIssued++
 	if a.cur != nil {
 		a.record(Decision{Kind: "prefetch", Node: node, Block: info.ID})
 		a.cur.Counters.Prefetches++
@@ -722,25 +692,17 @@ func (o advOps) Prefetch(node int, info block.Info) {
 // PrefetchOutcomes reports the cluster-wide prefetch feedback the
 // dynamic-threshold controller consumes.
 func (o advOps) PrefetchOutcomes() (used, wasted int64) {
-	return o.a.pfUsed, o.a.pfWaste
+	_, used, wasted, _ = o.a.PrefetchLedger()
+	return used, wasted
 }
 
-// PrefetchLedger returns the session's prefetch conservation counters:
-// orders issued, prefetched blocks hit while resident (used), blocks
-// evicted/purged/lost before use (wasted), and still-resident unused
-// prefetched blocks (pending). used + wasted + pending == issued
-// always holds; the correctness harness audits it after every replay.
+// PrefetchLedger returns the session's prefetch ledger, the sum of its
+// stores' (DESIGN §4): a prefetch here lands the moment it is issued,
+// so issued is what the stores took in.
 func (a *Advisor) PrefetchLedger() (issued, used, wasted, pending int64) {
+	var l cluster.PrefetchLedger
 	for _, n := range a.nodes {
-		pending += int64(len(n.prefetched))
+		l.Add(n.mem.Prefetch)
 	}
-	return a.pfIssued, a.pfUsed, a.pfWaste, pending
-}
-
-// blockInfo reconstructs a block's cache metadata from the DAG.
-func blockInfo(g *dag.Graph, id block.ID) block.Info {
-	if id.RDD < 0 || id.RDD >= len(g.RDDs) {
-		return block.Info{ID: id}
-	}
-	return g.RDDs[id.RDD].BlockInfo(id.Partition)
+	return l.Landed, l.Used, l.Wasted, l.Pending()
 }

@@ -192,8 +192,8 @@ func (a *Advisor) residencyDigest() string {
 		disk := n.disk.Blocks()
 		sort.Slice(disk, func(x, y int) bool { return disk[x].Less(disk[y]) })
 		fmt.Fprintf(h, "n%d free=%d mem=%v disk=%v pf=[", i, n.mem.Free(), mem, disk)
-		pf := make([]string, 0, len(n.prefetched))
-		for id := range n.prefetched {
+		var pf []string
+		for _, id := range n.mem.Unread() {
 			pf = append(pf, id.String())
 		}
 		sort.Strings(pf)

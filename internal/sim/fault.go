@@ -73,22 +73,13 @@ func (s *Simulation) crashNode(ev fault.Event) {
 	s.run.NodeCrashes++
 	s.bus.Emit(obs.Ev(obs.KindNodeFail, n.id))
 
-	// Prefetches that landed on the node die with it; settle the
-	// ledger so Audit's used+wasted+pending == issued still holds.
-	var died []block.ID
-	s.prefetched.Each(func(id block.ID, _ struct{}) {
-		if cluster.HomeNode(id, len(s.nodes)) == n.id {
-			died = append(died, id)
-		}
-	})
-	for _, id := range died {
-		s.prefetched.Delete(id)
-	}
-	s.run.PrefetchWasted += int64(len(died))
-
+	// The replacement store carries the node's prefetch ledger on: the
+	// unread prefetches that died with the old one are wasted in it.
 	n.mem.Clear()
 	n.disk.Clear()
+	ledger := n.mem.Prefetch
 	n.mem = cluster.NewMemoryStore(s.cfg.CacheBytes, s.factory.NewNodePolicy(n.id))
+	n.mem.Prefetch = ledger
 	s.noteUsed(n)
 
 	if s.replication() == 1 {
@@ -119,7 +110,7 @@ func (s *Simulation) crashNode(ev fault.Event) {
 // reference take the replica-refetch path instead of lineage.
 func (s *Simulation) loseBlock(id block.ID) {
 	home := s.nodes[cluster.HomeNode(id, len(s.nodes))]
-	removed := home.mem.Remove(id)
+	_, removed := home.mem.Remove(id)
 	s.noteUsed(home)
 	if home.disk.Has(id) {
 		home.disk.Remove(id)
@@ -130,9 +121,6 @@ func (s *Simulation) loseBlock(id block.ID) {
 	}
 	s.run.BlocksLost++
 	s.bus.Emit(obs.BlockEv(obs.KindBlockLost, home.id, id, 0))
-	if s.prefetched.Delete(id) {
-		s.run.PrefetchWasted++
-	}
 }
 
 // replication returns the schedule's normalized replication factor.

@@ -34,24 +34,19 @@ func (o clusterOps) OnDisk(node int, id block.ID) bool {
 
 func (o clusterOps) FreeBytes(node int) int64 { return o.s.nodes[node].mem.Free() }
 
-func (o clusterOps) PrefetchOutcomes() (used, wasted int64) {
-	return o.s.run.PrefetchUsed, o.s.run.PrefetchWasted
-}
+func (o clusterOps) PrefetchOutcomes() (used, wasted int64) { return o.s.prefetchOutcomes() }
 
 func (o clusterOps) CapacityBytes(node int) int64 { return o.s.nodes[node].mem.Capacity() }
 
 // Evict implements the manager-initiated proactive eviction (purge).
 func (o clusterOps) Evict(node int, id block.ID) bool {
 	s := o.s
-	if !s.nodes[node].mem.Remove(id) {
+	if _, ok := s.nodes[node].mem.Remove(id); !ok {
 		return false
 	}
 	s.noteUsed(s.nodes[node])
 	s.run.PurgedBlocks++
 	s.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, 0))
-	if s.prefetched.Delete(id) {
-		s.run.PrefetchWasted++
-	}
 	return true
 }
 
@@ -72,22 +67,20 @@ func (o clusterOps) Prefetch(node int, info block.Info) {
 	arrive := func() {
 		s.inFlight.Delete(info.ID)
 		s.bus.Emit(obs.BlockEv(obs.KindPrefetchArrive, node, info.ID, info.Size))
-		// Aborted arrivals (node crashed mid-flight, block demand-
-		// inserted meanwhile, or the store rejected it) settle the
-		// ledger as wasted so Audit's used+wasted+pending == issued
-		// invariant survives fault schedules.
+		// An arrival no store takes (node crashed mid-flight, block
+		// demand-inserted meanwhile, or the store refused it) is aborted:
+		// wasted without ever entering a store's ledger.
 		if n.down || n.mem.Contains(info.ID) {
-			s.run.PrefetchWasted++
+			s.aborted++
 			return
 		}
 		evicted, ok := n.mem.PutPrefetch(info)
 		s.noteEvictions(evicted)
 		s.noteUsed(n)
 		if !ok {
-			s.run.PrefetchWasted++
+			s.aborted++
 			return
 		}
-		s.prefetched.Put(info.ID, struct{}{})
 		s.replicate(n, info)
 	}
 	if s.diskHas(n, info.ID) {

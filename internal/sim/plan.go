@@ -130,9 +130,6 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	if hn.mem.Get(id) {
 		s.run.Hits++
 		s.bus.Emit(obs.BlockEv(obs.KindHit, home, id, r.PartSize))
-		if s.prefetched.Delete(id) {
-			s.run.PrefetchUsed++
-		}
 		// A remote hit still moves bytes over the reader's NIC — and
 		// under a flaky network that fetch can exhaust its retries, in
 		// which case the reader rebuilds the partition locally from

@@ -62,11 +62,11 @@ type Simulation struct {
 	// created marks RDDs whose blocks have been materialized, which
 	// turns them into read boundaries for later stages.
 	created dag.Materialized
-	// prefetched marks blocks brought in by prefetch and not yet hit,
-	// for used/wasted accounting.
-	prefetched blockSet
-	// inFlight guards against duplicate prefetch orders for a block.
+	// inFlight guards against duplicate prefetch orders for a block, and
+	// aborted counts the arrivals no store took: the two things about a
+	// prefetch the stores' ledgers cannot see (DESIGN §4).
 	inFlight blockSet
+	aborted  int64
 	// corrupt marks blocks whose home-node disk copy has rotted (fault
 	// injection); detection happens at the next demand read.
 	corrupt blockSet
@@ -174,6 +174,7 @@ func (s *Simulation) Run() metrics.Run {
 	s.eng.After(0, func() { s.startJob(0) })
 	s.run.WallTime = s.eng.Run()
 	s.run.JCT = s.finish
+	s.run.PrefetchUsed, s.run.PrefetchWasted = s.prefetchOutcomes()
 	s.noteUnfiredFaults()
 	for _, n := range s.nodes {
 		s.run.DiskBusy += n.diskDev.Busy
@@ -237,9 +238,9 @@ func (s *Simulation) PerNode() []NodeStats {
 }
 
 // Audit cross-checks internal consistency after a completed run: store
-// occupancy never above capacity, prefetch bookkeeping fully drained,
-// and every still-tracked prefetched block actually resident. Tests
-// call it after integration runs; it returns the first violation.
+// occupancy never above capacity, no prefetch left in flight, and every
+// issued prefetch either landed in a store or was aborted. Tests call it
+// after integration runs; it returns the first violation.
 func (s *Simulation) Audit() error {
 	if !s.ran {
 		return fmt.Errorf("sim: Audit before Run")
@@ -255,20 +256,27 @@ func (s *Simulation) Audit() error {
 	if s.inFlight.Len() != 0 {
 		return fmt.Errorf("sim: %d prefetches still in flight after drain", s.inFlight.Len())
 	}
-	var err error
-	s.prefetched.Each(func(id block.ID, _ struct{}) {
-		if err == nil && !s.nodes[cluster.HomeNode(id, len(s.nodes))].mem.Contains(id) {
-			err = fmt.Errorf("sim: prefetched block %v tracked but not resident", id)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if s.run.PrefetchUsed+s.run.PrefetchWasted+int64(s.prefetched.Len()) != s.run.PrefetchIssued {
-		return fmt.Errorf("sim: prefetch ledger broken: used %d + wasted %d + pending %d != issued %d",
-			s.run.PrefetchUsed, s.run.PrefetchWasted, s.prefetched.Len(), s.run.PrefetchIssued)
+	if l := s.prefetchLedger(); l.Landed+s.aborted != s.run.PrefetchIssued {
+		return fmt.Errorf("sim: prefetch ledger broken: landed %d + aborted %d != issued %d",
+			l.Landed, s.aborted, s.run.PrefetchIssued)
 	}
 	return nil
+}
+
+// prefetchLedger sums the nodes' prefetch ledgers.
+func (s *Simulation) prefetchLedger() cluster.PrefetchLedger {
+	var l cluster.PrefetchLedger
+	for _, n := range s.nodes {
+		l.Add(n.mem.Prefetch)
+	}
+	return l
+}
+
+// prefetchOutcomes is the run's used and wasted prefetches so far: what
+// the stores settled, plus the arrivals that never reached one.
+func (s *Simulation) prefetchOutcomes() (used, wasted int64) {
+	l := s.prefetchLedger()
+	return l.Used, l.Wasted + s.aborted
 }
 
 // Run is the convenience entry point: build and run in one call.
@@ -455,8 +463,5 @@ func (s *Simulation) noteEvictions(evicted []block.Info) {
 	s.run.Evictions += int64(len(evicted))
 	for _, ev := range evicted {
 		s.bus.Emit(obs.BlockEv(obs.KindEvict, cluster.HomeNode(ev.ID, len(s.nodes)), ev.ID, ev.Size))
-		if s.prefetched.Delete(ev.ID) {
-			s.run.PrefetchWasted++
-		}
 	}
 }
