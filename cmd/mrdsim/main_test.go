@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,12 +21,13 @@ func drive(args ...string) (stdout, stderr string, status int) {
 }
 
 // TestObservedRunWritesItsArtifacts is CI's observability smoke: one
-// SCC run under MRD exports the report, the trace and the exposition,
-// and still prints its summary.
+// SCC run under MRD — at 64 MB a node, where most prefetches are wasted
+// — exports the report, the trace and the exposition, still prints its
+// summary, and counts its prefetches alike everywhere it prints them.
 func TestObservedRunWritesItsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	report, trace, prom := filepath.Join(dir, "report.html"), filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "metrics.txt")
-	stdout, stderr, status := drive("-workload", "SCC", "-policy", "MRD", "-report", report, "-trace", trace, "-prom", prom)
+	stdout, stderr, status := drive("-workload", "SCC", "-policy", "MRD", "-cache", "64M", "-report", report, "-trace", trace, "-prom", prom)
 	if status != 0 {
 		t.Fatalf("exit status %d: %s", status, stderr)
 	}
@@ -41,14 +44,41 @@ func TestObservedRunWritesItsArtifacts(t *testing.T) {
 	if data, _ := os.ReadFile(report); !strings.Contains(string(data), "<td>LRU</td>") {
 		t.Error("report has no LRU baseline row")
 	}
-	for _, want := range []string{"workload:        SCC on Main (25 nodes, 1024.0MB cache/node)\n", "policy:          MRD\n", "hit ratio:"} {
+	for _, want := range []string{"workload:        SCC on Main (25 nodes, 64.0MB cache/node)\n", "policy:          MRD\n", "hit ratio:"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("summary lacks %q:\n%s", want, stdout)
 		}
 	}
 
+	// One prefetch ledger (DESIGN §4): the summary and the report's
+	// headline print the run's, the exposition's stage series sum to the
+	// aggregator's, and the two are the same numbers.
+	var issued, used, wasted int64
+	if i := strings.Index(stdout, "prefetch:"); i >= 0 {
+		fmt.Sscanf(stdout[i:], "prefetch: %d issued, %d used, %d wasted", &issued, &used, &wasted)
+	}
+	if issued == 0 || wasted == 0 {
+		t.Fatalf("the run wasted no prefetch, so the check below checks nothing:\n%s", stdout)
+	}
+	if data, _ := os.ReadFile(report); !strings.Contains(string(data), fmt.Sprintf("<b>%d / %d</b><span>Prefetch used / issued</span>", used, issued)) {
+		t.Errorf("report headline does not read the summary's %d used / %d issued", used, issued)
+	}
+	data, _ := os.ReadFile(prom)
+	for kind, want := range map[string]int64{"prefetch_issued": issued, "prefetch_used": used, "prefetch_wasted": wasted} {
+		var sum int64
+		for _, ln := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(ln, "mrdspark_stage_events{") && strings.Contains(ln, `kind="`+kind+`"`) {
+				v, _ := strconv.ParseInt(ln[strings.LastIndexByte(ln, ' ')+1:], 10, 64)
+				sum += v
+			}
+		}
+		if sum != want {
+			t.Errorf("-prom stage series sum to %d %s, the summary says %d", sum, kind, want)
+		}
+	}
+
 	// The unobserved run prints the same summary, and -stages the timeline.
-	plain, _, status := drive("-workload", "SCC", "-policy", "MRD", "-stages")
+	plain, _, status := drive("-workload", "SCC", "-policy", "MRD", "-cache", "64M", "-stages")
 	if status != 0 || !strings.HasPrefix(plain, stdout) || !strings.Contains(plain, "\nper-stage timeline:\nstage ") {
 		t.Errorf("plain -stages run (status %d) does not extend the observed run's summary:\n%s", status, plain)
 	}

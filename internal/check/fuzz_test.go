@@ -26,7 +26,9 @@ func fuzzWorkload(seed int64) *Workload {
 // interleaving of job submissions, stage advances (valid and invalid)
 // and node failures. Whatever the order, the advisor must never panic,
 // must reject out-of-protocol calls with errors, and must keep the
-// prefetch ledger conserved after every operation.
+// prefetch ledger conserved — and counted alike by the aggregator, with
+// the invariant auditor clean over the live stream — after every
+// operation.
 func FuzzAdvisorSchedule(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 0, 1, 1, 2, 1, 0, 1, 1})
 	f.Add(int64(3), []byte{0, 0, 0, 1, 1, 18, 1, 3, 1, 4, 1, 1, 1})
@@ -43,13 +45,21 @@ func FuzzAdvisorSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bus := obs.New()
+		agg := obs.NewAggregator()
+		agg.Attach(bus)
+		aud := NewAuditor(AuditorConfig{Nodes: w.Nodes, CacheBytes: w.CacheBytes})
+		aud.AttachBus(bus)
+		adv.AttachBus(bus)
 		stages := w.Graph.ExecutedStages()
 		idx := 0
 		check := func(when string) {
 			issued, used, wasted, pending := adv.PrefetchLedger()
-			if used+wasted+pending != issued {
-				t.Fatalf("%s: ledger broken: used %d + wasted %d + pending %d != issued %d",
-					when, used, wasted, pending, issued)
+			if err := ledgerAgrees(agg, ledger{issued, used, wasted}, pending); err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			if err := aud.Err(); err != nil {
+				t.Fatalf("%s: %v", when, err)
 			}
 		}
 		for _, b := range ops {
@@ -78,6 +88,9 @@ func FuzzAdvisorSchedule(f *testing.F) {
 			check("mid-stream")
 		}
 		check("final")
+		if err := aud.Finish(); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

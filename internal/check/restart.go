@@ -81,7 +81,7 @@ func runRestartLeg(w *Workload, p policyspec.Spec, restoreAt map[int]bool) (*adv
 // diffRestart compares the kill-and-restore leg against the baseline
 // advisor leg: byte-identical advice fingerprints, identical event
 // streams (the restored process re-emits history exactly), identical
-// Prometheus expositions, a green exact-mode audit across the restore
+// Prometheus expositions, a green audit across the restore
 // boundaries, and an unchanged prefetch ledger.
 func diffRestart(w *Workload, baseline, restart *advisorLeg) error {
 	if len(restart.advice) != len(baseline.advice) {
@@ -99,7 +99,7 @@ func diffRestart(w *Workload, baseline, restart *advisorLeg) error {
 	if err := samePrometheus(baseline.agg, restart.agg); err != nil {
 		return fmt.Errorf("kill-and-restore stream: %w", err)
 	}
-	if err := audit(w, restart.events, true); err != nil {
+	if err := audit(w, restart.events); err != nil {
 		return fmt.Errorf("kill-and-restore stream: %w", err)
 	}
 	if restart.issued != baseline.issued || restart.used != baseline.used ||

@@ -400,13 +400,11 @@ func TestStoreKeepsThePrefetchLedger(t *testing.T) {
 			if s.Prefetch != want || want.Pending() != int64(len(unread)) {
 				t.Fatalf("trial %d op %d: ledger %+v, model %+v with %d unread", trial, op, s.Prefetch, want, len(unread))
 			}
-			got := s.Unread()
-			if len(got) != len(unread) {
-				t.Fatalf("trial %d op %d: Unread() = %v, model %v", trial, op, got, unread)
-			}
-			for _, id := range got {
-				if !unread[id] {
-					t.Fatalf("trial %d op %d: Unread() lists %v, which the model does not", trial, op, id)
+			for rdd := 0; rdd < 6; rdd++ {
+				for part := 0; part < 4; part++ {
+					if id := bid(rdd, part); s.Unread(id) != unread[id] {
+						t.Fatalf("trial %d op %d: Unread(%v) = %v, model says %v", trial, op, id, s.Unread(id), unread[id])
+					}
 				}
 			}
 		}

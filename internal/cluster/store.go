@@ -48,26 +48,15 @@ type MemoryStore struct {
 	Prefetch PrefetchLedger
 }
 
-// PrefetchLedger counts what became of the blocks PutPrefetch landed in
-// a store. A landed block carries the store's mark (block.Info.Unread)
-// until its first Get, which counts it used, or until it leaves unread —
-// evicted, removed or cleared — which counts it wasted: each mark is
-// set once and cleared once, so Landed == Used + Wasted + Pending().
-type PrefetchLedger struct {
-	Landed int64 // prefetched blocks the store took in
-	Used   int64 // of those, read while resident
-	Wasted int64 // of those, gone before any read
-}
+// PrefetchLedger counts what became of the blocks PutPrefetch landed. A
+// landed block carries the store's mark (block.Info.Unread) until its
+// first Get counts it used or it leaves unread — evicted, removed or
+// cleared — and is counted wasted: each mark is set once and cleared
+// once, so the blocks still marked are Pending.
+type PrefetchLedger struct{ Landed, Used, Wasted int64 }
 
 // Pending returns the landed blocks still resident and unread.
 func (l PrefetchLedger) Pending() int64 { return l.Landed - l.Used - l.Wasted }
-
-// Add folds another store's ledger into this one.
-func (l *PrefetchLedger) Add(o PrefetchLedger) {
-	l.Landed += o.Landed
-	l.Used += o.Used
-	l.Wasted += o.Wasted
-}
 
 // NewMemoryStore creates a store with the given capacity driven by the
 // given per-node policy.
@@ -136,11 +125,7 @@ func (s *MemoryStore) Get(id block.ID) bool {
 // PutPrefetch, which reuses it. A caller that needs the victims longer
 // copies them. A victim with Unread set was a prefetch nothing read.
 func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
-	info.Unread = false
-	return s.put(info)
-}
-
-func (s *MemoryStore) put(info block.Info) (evicted []block.Info, ok bool) {
+	info.Unread = false // the mark is PutPrefetch's to set
 	if s.Contains(info.ID) {
 		s.pol.OnAccess(info.ID)
 		return nil, true
@@ -174,10 +159,6 @@ func (s *MemoryStore) put(info block.Info) (evicted []block.Info, ok bool) {
 // displace blocks the policy considers at least as valuable.
 func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bool) (evicted []block.Info, ok bool) {
 	info.Unread = false
-	return s.putGuarded(info, allow)
-}
-
-func (s *MemoryStore) putGuarded(info block.Info, allow func(victim block.ID) bool) (evicted []block.Info, ok bool) {
 	if s.Contains(info.ID) {
 		s.pol.OnAccess(info.ID)
 		return nil, true
@@ -210,11 +191,18 @@ func (s *MemoryStore) putGuarded(info block.Info, allow func(victim block.ID) bo
 // block that lands — was not resident, and was accepted — enters the
 // prefetch ledger marked unread.
 func (s *MemoryStore) PutPrefetch(info block.Info) (evicted []block.Info, ok bool) {
-	info.Unread = true
+	resident := s.Contains(info.ID)
 	if s.arb == nil {
-		return s.put(info)
+		evicted, ok = s.Put(info)
+	} else {
+		evicted, ok = s.PutGuarded(info, s.arbAllows)
 	}
-	return s.putGuarded(info, s.arbAllows)
+	if ok && !resident {
+		info.Unread = true
+		s.blocks.Put(info.ID, info)
+		s.Prefetch.Landed++
+	}
+	return evicted, ok
 }
 
 // Remove drops the block without policy-initiated victim selection
@@ -238,9 +226,6 @@ func (s *MemoryStore) Clear() {
 }
 
 func (s *MemoryStore) add(info block.Info) {
-	if info.Unread {
-		s.Prefetch.Landed++
-	}
 	s.blocks.Put(info.ID, info)
 	s.used += info.Size
 	s.pol.OnAdd(info.ID)
@@ -259,16 +244,11 @@ func (s *MemoryStore) drop(info block.Info) {
 // unspecified).
 func (s *MemoryStore) Blocks() []block.ID { return ids(&s.blocks) }
 
-// Unread returns the resident prefetched blocks no read has touched —
-// the ledger's pending blocks by name, order unspecified.
-func (s *MemoryStore) Unread() []block.ID {
-	out := make([]block.ID, 0, s.Prefetch.Pending())
-	s.blocks.Each(func(id block.ID, info block.Info) {
-		if info.Unread {
-			out = append(out, id)
-		}
-	})
-	return out
+// Unread reports whether the block is resident and a prefetch no read
+// has touched: one of the ledger's pending blocks.
+func (s *MemoryStore) Unread(id block.ID) bool {
+	info, _ := s.blocks.Get(id)
+	return info.Unread
 }
 
 // ids lists a table's keys, in its slot order.

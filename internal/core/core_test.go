@@ -236,45 +236,38 @@ func TestPrefetchSkipsResidentAndMissingAndDead(t *testing.T) {
 }
 
 func TestPrefetchThresholdGatesForcedPrefetch(t *testing.T) {
-	g, near, _, _ := testGraph(t)
-	for p := 0; p < 4; p++ {
-		_ = p
-	}
-	// Case 1: free below threshold and block does not fit: no prefetch.
-	m := NewFull(g)
-	ops := newFakeOps(m, 1, 100<<20)
-	ops.onDisk[near.Block(0)] = true
-	ops.free[0] = 10 << 20 // 10% free < 25% threshold; block is 1MB and fits though
-	m.OnStageStart(2, 2)
-	if len(ops.prefetched) != 1 {
-		t.Fatalf("fitting block not prefetched")
-	}
-
-	// Case 2: block larger than free but free above threshold: forced.
-	m2 := NewFull(g)
-	ops2 := newFakeOps(m2, 1, 100<<20)
-	ops2.onDisk[near.Block(0)] = true
-	ops2.free[0] = 30 << 20
-	// Make the block bigger than free memory.
-	near.PartSize = 40 << 20
-	defer func() { near.PartSize = 1 << 20 }()
-	m2.OnStageStart(2, 2)
-	if len(ops2.prefetched) != 1 {
-		t.Errorf("forced prefetch did not fire above threshold")
-	}
-	if m2.Stats().ForcedPrefetch != 1 {
-		t.Errorf("forced prefetch not counted: %+v", m2.Stats())
-	}
-
-	// Case 3: free below threshold and block does not fit: nothing.
-	m3 := NewFull(g)
-	ops3 := newFakeOps(m3, 1, 100<<20)
-	ops3.onDisk[near.Block(0)] = true
-	ops3.free[0] = 10 << 20
-	near.PartSize = 40 << 20
-	m3.OnStageStart(2, 2)
-	if len(ops3.prefetched) != 0 {
-		t.Errorf("prefetch fired below threshold without fitting: %v", ops3.prefetched)
+	for _, tc := range []struct {
+		name         string
+		precheck     bool
+		resident     string // an RDD of testGraph with a block in memory, if any
+		size, free   int64  // near's block size; free memory of the 100 MB node
+		orders       int
+		forcedOrders int
+	}{
+		{"fits below the threshold", false, "", 1 << 20, 10 << 20, 1, 0},
+		{"does not fit, free above the threshold: forced", false, "", 40 << 20, 30 << 20, 1, 1},
+		{"does not fit, free below the threshold: nothing", false, "", 40 << 20, 10 << 20, 0, 0},
+		// The §4.4 pre-check: at stage 2 near is 1 stage away, far 3.
+		{"pre-check, a further block to evict: forced", true, "far", 40 << 20, 30 << 20, 1, 1},
+		{"pre-check, nothing further to evict: nothing", true, "near", 40 << 20, 30 << 20, 0, 0},
+	} {
+		g, near, far, _ := testGraph(t)
+		near.PartSize = tc.size
+		m := NewManager(g, NewRecurringProfiler(refdist.FromGraph(g)), Options{PrefetchDistanceCheck: tc.precheck})
+		ops := newFakeOps(m, 1, 100<<20)
+		ops.onDisk[near.Block(0)] = true
+		switch tc.resident {
+		case "far":
+			ops.admit(far.Block(1))
+		case "near":
+			ops.admit(near.Block(1))
+		}
+		ops.free[0] = tc.free
+		m.OnStageStart(2, 2)
+		if len(ops.prefetched) != tc.orders || m.Stats().ForcedPrefetch != tc.forcedOrders {
+			t.Errorf("%s: %d orders, %d of them forced; want %d and %d",
+				tc.name, len(ops.prefetched), m.Stats().ForcedPrefetch, tc.orders, tc.forcedOrders)
+		}
 	}
 }
 

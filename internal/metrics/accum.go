@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // Accum is an order-independent aggregate over Runs — what the sweep
 // report folds the merged row table into, one Add per row. Every field
 // is an exact integer sum (or min/max), so Add is commutative and
@@ -75,10 +73,4 @@ func (a Accum) PrefetchAccuracy() float64 {
 		return 0
 	}
 	return float64(a.PrefetchUsed) / float64(a.PrefetchIssued)
-}
-
-// String renders the accumulator on one line.
-func (a Accum) String() string {
-	return fmt.Sprintf("n=%d meanJCT=%.0fµs hit=%.1f%% evict=%d prefetch=%d/%d",
-		a.N, a.MeanJCT(), 100*a.HitRatio(), a.Evictions, a.PrefetchUsed, a.PrefetchIssued)
 }

@@ -61,14 +61,17 @@ type Aggregator struct {
 }
 
 // blockTimes is what an aggregator remembers per block between the
-// event that opens an interval and the one that closes it. Blocks are
-// named per application — every advisory session calls its blocks
-// rdd_<r>_<p> — so this state belongs to one event stream, not to the
-// aggregator: one session's hit must not settle another's prefetch. The
-// buses subscribed with Attach share the aggregator's own (a run has
-// one bus); each Fold brings its own, which goes when the Fold does.
+// event that opens an interval and the one that closes it: times for
+// two histograms, nothing a counter depends on. Blocks are named per
+// application — every advisory session calls its blocks rdd_<r>_<p> —
+// so this state belongs to one event stream, not to the aggregator: one
+// session's first use must not close another's lead time. The buses
+// subscribed with Attach share the aggregator's own (a run has one
+// bus); each Fold brings its own, which goes when the Fold does. An
+// issue time goes when its prefetch settles, or, settled by a node
+// failure (which names a count, not blocks), at the block's next issue.
 type blockTimes struct {
-	issued map[block.ID]int64 // prefetch-issue time per in-flight block
+	issued map[block.ID]int64 // prefetch-issue time per unsettled prefetch
 	lost   map[block.ID]int64 // loss/corruption-detect time per block
 }
 
@@ -157,6 +160,19 @@ func (a *Aggregator) observeBatch(bt *blockTimes, at int64, evs []Event) {
 // node entries once; bt is the per-block state of the stream the event
 // came on. The caller holds the lock.
 func (a *Aggregator) observe(bt *blockTimes, ev *Event) {
+	if used, wasted := ev.settles(); used+wasted != 0 {
+		st, n := a.stage(ev), a.node(ev.Node)
+		st.PrefetchUsed += used
+		n.PrefetchUsed += used
+		st.PrefetchWasted += wasted
+		n.PrefetchWasted += wasted
+		if t, ok := bt.issued[ev.Block]; ok && ev.HasBlock {
+			if used != 0 {
+				a.PrefetchLead.Observe(ev.At - t)
+			}
+			delete(bt.issued, ev.Block)
+		}
+	}
 	switch ev.Kind {
 	case KindStageStart:
 		// A stage ID can re-execute across recurring jobs; each
@@ -191,12 +207,6 @@ func (a *Aggregator) observe(bt *blockTimes, ev *Event) {
 		st, n := a.stage(ev), a.node(ev.Node)
 		st.Hits++
 		n.Hits++
-		if t, ok := bt.issued[ev.Block]; ok {
-			a.PrefetchLead.Observe(ev.At - t)
-			st.PrefetchUsed++
-			n.PrefetchUsed++
-			delete(bt.issued, ev.Block)
-		}
 
 	case KindMiss:
 		a.stage(ev).Misses++
@@ -226,13 +236,11 @@ func (a *Aggregator) observe(bt *blockTimes, ev *Event) {
 		st, n := a.stage(ev), a.node(ev.Node)
 		st.Evictions++
 		n.Evictions++
-		dropIssued(bt, ev, st, n)
 
 	case KindPurge:
 		st, n := a.stage(ev), a.node(ev.Node)
 		st.Purged++
 		n.Purged++
-		dropIssued(bt, ev, st, n)
 
 	case KindPrefetchIssue:
 		a.stage(ev).PrefetchIssued++
@@ -283,18 +291,6 @@ func addBytes(st *metrics.StageStats, n *metrics.NodeStats, ev *Event) {
 	st.BytesMoved += ev.Bytes
 	if ev.Node != ClusterScope {
 		n.BytesMoved += ev.Bytes
-	}
-}
-
-// dropIssued settles a prefetched-but-never-used block when it is
-// evicted or purged; st and n are the event's stage and node entries.
-func dropIssued(bt *blockTimes, ev *Event, st *metrics.StageStats, n *metrics.NodeStats) {
-	if _, ok := bt.issued[ev.Block]; ok {
-		st.PrefetchWasted++
-		if ev.Node != ClusterScope {
-			n.PrefetchWasted++
-		}
-		delete(bt.issued, ev.Block)
 	}
 }
 

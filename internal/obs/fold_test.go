@@ -56,28 +56,37 @@ func TestFoldHoldsAChunkAndLosesNothing(t *testing.T) {
 }
 
 // TestFoldsKeepTheirBlocksApart: two streams that name a block alike —
-// two advisory sessions — do not settle each other's prefetches, and
-// neither does a bus subscribed with Attach.
+// two advisory sessions — keep their own issue times, so each first use
+// closes its own stream's lead time; a bus subscribed with Attach is a
+// third stream. The used and wasted counts come from the stamps alone:
+// an unstamped hit or eviction settles nothing, whoever issued what.
 func TestFoldsKeepTheirBlocksApart(t *testing.T) {
 	agg := NewAggregator()
-	clock := func() int64 { return 0 }
+	var now int64
+	clock := func() int64 { return now }
 	busA, busB, busC := New(), New(), New()
 	foldA, foldB := agg.AttachFolded(busA, clock), agg.AttachFolded(busB, clock)
 	agg.Attach(busC)
 	id := block.ID{RDD: 3, Partition: 1}
-
-	busA.Emit(BlockEv(KindPrefetchIssue, 0, id, 64))
-	foldA.Flush()
-	busB.Emit(BlockEv(KindHit, 0, id, 64))   // B never prefetched it
-	busB.Emit(BlockEv(KindEvict, 0, id, 64)) // nor wastes A's prefetch
-	foldB.Flush()
-	busC.Emit(BlockEv(KindHit, 0, id, 64))
-	if run := agg.SynthesizeRun("w", "p"); run.PrefetchUsed != 0 || run.PrefetchWasted != 0 {
-		t.Fatalf("another stream settled the prefetch: %d used, %d wasted", run.PrefetchUsed, run.PrefetchWasted)
+	at := func(t int64, f *Fold, bus *Bus, ev Event) {
+		now = t
+		bus.Emit(ev)
+		f.Flush()
 	}
-	busA.Emit(BlockEv(KindHit, 0, id, 64))
-	foldA.Flush()
-	if run := agg.SynthesizeRun("w", "p"); run.PrefetchUsed != 1 || run.PrefetchWasted != 0 {
-		t.Fatalf("the stream's own hit: %d used, %d wasted; want 1 and 0", run.PrefetchUsed, run.PrefetchWasted)
+
+	at(10, foldA, busA, BlockEv(KindPrefetchIssue, 0, id, 64))
+	at(100, foldB, busB, BlockEv(KindPrefetchIssue, 0, id, 64))
+	busC.Emit(BlockEv(KindHit, 0, id, 64))   // C's block of that name was never prefetched
+	busC.Emit(BlockEv(KindEvict, 0, id, 64)) // and its leaving wastes nothing
+	if run := agg.SynthesizeRun("w", "p"); run.PrefetchUsed != 0 || run.PrefetchWasted != 0 {
+		t.Fatalf("unstamped events settled a prefetch: %d used, %d wasted", run.PrefetchUsed, run.PrefetchWasted)
+	}
+	at(150, foldB, busB, BlockEv(KindHit, 0, id, 64).Settling(true))
+	at(200, foldA, busA, BlockEv(KindHit, 0, id, 64).Settling(true))
+	if run := agg.SynthesizeRun("w", "p"); run.PrefetchUsed != 2 || run.PrefetchWasted != 0 {
+		t.Fatalf("two stamped first uses: %d used, %d wasted; want 2 and 0", run.PrefetchUsed, run.PrefetchWasted)
+	}
+	if h := agg.PrefetchLead; h.Count != 2 || h.Min != 50 || h.Max != 190 {
+		t.Fatalf("lead times: n=%d min=%d max=%d; want B's 50 and A's 190", h.Count, h.Min, h.Max)
 	}
 }

@@ -8,6 +8,12 @@
 // Emit on a disabled (or nil) bus is two compares and no allocations.
 // Subscribing anything — a Recorder for traces, an Aggregator for
 // per-stage/per-node statistics — enables it.
+//
+// Six kinds carry a prefetch-settlement stamp, and the Aggregator's used
+// and wasted columns count nothing else: hit, evict, purge and
+// block-lost (verdict VerdictUnread), prefetch-arrive (VerdictDown,
+// VerdictResident or VerdictRefused when aborted) and node-fail (the
+// number of unread prefetches destroyed, as the value).
 package obs
 
 import (
@@ -161,6 +167,48 @@ func (e Event) WithBytes(n int64) Event { e.Bytes = n; return e }
 
 // WithVerdict returns a copy of the event with the verdict label set.
 func (e Event) WithVerdict(s string) Event { e.Verdict = s; return e }
+
+// Settlement verdicts (DESIGN §4; the package comment says which kinds
+// carry them). VerdictUnread: the block was a prefetch nothing had read
+// — used, when the event is its first hit; wasted, when it is its exit.
+// The other three are why an arrival was aborted, the prefetch wasted
+// without ever being resident: the node was down, the block had been
+// demand-loaded meanwhile, or the store refused it.
+const (
+	VerdictUnread   = "unread"
+	VerdictDown     = "down"
+	VerdictResident = "resident"
+	VerdictRefused  = "refused"
+)
+
+// Settling returns the event stamped VerdictUnread if unread is set.
+func (e Event) Settling(unread bool) Event {
+	if unread {
+		e.Verdict = VerdictUnread
+	}
+	return e
+}
+
+// settles reads the stamps: how many prefetches the event settles as
+// used and how many as wasted.
+func (e *Event) settles() (used, wasted int64) {
+	switch e.Kind {
+	case KindNodeFail:
+		return 0, e.Value
+	case KindPrefetchArrive:
+		if e.Verdict != "" {
+			return 0, 1
+		}
+	case KindHit, KindEvict, KindPurge, KindBlockLost:
+		if e.Verdict == VerdictUnread {
+			if e.Kind == KindHit {
+				return 1, 0
+			}
+			return 0, 1
+		}
+	}
+	return 0, 0
+}
 
 // wireEvent is the JSON-lines wire shape shared by Marshal and
 // Unmarshal.

@@ -143,7 +143,7 @@ func synthEvents() []Event {
 		{At: 60, Kind: KindStageEnd, Node: ClusterScope, Stage: 0, Job: 0, Value: 60},
 		{At: 60, Kind: KindStageStart, Node: ClusterScope, Stage: 1, Job: 0, Value: 1, Verdict: "result"},
 		{At: 70, Kind: KindHit, Node: 0, Stage: 1, Job: 0, Block: a, HasBlock: true, Bytes: 100},
-		{At: 75, Kind: KindHit, Node: 1, Stage: 1, Job: 0, Block: b, HasBlock: true, Bytes: 100},
+		{At: 75, Kind: KindHit, Node: 1, Stage: 1, Job: 0, Block: b, HasBlock: true, Bytes: 100, Verdict: VerdictUnread},
 		{At: 80, Kind: KindEvictVerdict, Node: 0, Stage: 1, Job: 0, Block: a, HasBlock: true, Value: 3, Verdict: "mrd"},
 		{At: 85, Kind: KindEvict, Node: 0, Stage: 1, Job: 0, Block: a, HasBlock: true, Bytes: 100},
 		{At: 90, Kind: KindStageEnd, Node: ClusterScope, Stage: 1, Job: 0, Value: 30},
@@ -254,5 +254,40 @@ func TestJSONLGoldenStream(t *testing.T) {
 	if got := strings.SplitN(first.String(), "\n", 2)[0]; got !=
 		`{"at":0,"node":-1,"kind":"stage-start","stage":0,"job":0,"value":2,"verdict":"shuffleMap"}` {
 		t.Errorf("first golden line drifted: %s", got)
+	}
+}
+
+// TestAggregatorCountsSettlementStamps: used and wasted come from the
+// stamps and from nothing else — every stamped kind counts once against
+// its stage and its node, an aborted arrival and a node failure's count
+// included, and the same events unstamped count nothing.
+func TestAggregatorCountsSettlementStamps(t *testing.T) {
+	id := block.ID{RDD: 2, Partition: 3}
+	stamped := []Event{
+		BlockEv(KindHit, 1, id, 8).Settling(true),
+		BlockEv(KindEvict, 1, id, 8).Settling(true),
+		BlockEv(KindPurge, 1, id, 0).Settling(true),
+		BlockEv(KindBlockLost, 1, id, 0).Settling(true),
+		BlockEv(KindPrefetchArrive, 1, id, 8).WithVerdict(VerdictRefused),
+		Ev(KindNodeFail, 1).WithValue(3),
+	}
+	for _, strip := range []bool{false, true} {
+		a := NewAggregator()
+		for _, ev := range stamped {
+			if strip {
+				ev.Verdict, ev.Value = "", 0
+			}
+			ev.Stage = 4
+			a.Observe(ev)
+		}
+		st, n := a.StageStats()[0], a.NodeStats()[0]
+		used, wasted := int64(1), int64(7)
+		if strip {
+			used, wasted = 0, 0
+		}
+		if st.PrefetchUsed != used || st.PrefetchWasted != wasted || n.PrefetchUsed != used || n.PrefetchWasted != wasted {
+			t.Errorf("stripped=%v: stage %d used / %d wasted, node %d / %d; want %d / %d on both",
+				strip, st.PrefetchUsed, st.PrefetchWasted, n.PrefetchUsed, n.PrefetchWasted, used, wasted)
+		}
 	}
 }

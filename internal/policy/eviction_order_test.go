@@ -45,9 +45,6 @@ func drain(t *testing.T, n Policy, ops []op) []block.ID {
 // TestEvictionOrder scripts an access pattern per policy and asserts
 // the complete eviction order, LFU, GDS and hyperbolic side by side.
 func TestEvictionOrder(t *testing.T) {
-	costByRDD := func(costs map[int]float64) func(block.ID) float64 {
-		return func(id block.ID) float64 { return costs[id.RDD] }
-	}
 	cases := []struct {
 		name    string
 		factory Factory
@@ -80,14 +77,6 @@ func TestEvictionOrder(t *testing.T) {
 				opRemove(1, 0), opAdd(3, 0),
 			},
 			order: []block.ID{bid(2, 0), bid(3, 0)},
-		},
-		{
-			name:    "GDS by restore cost with inflation",
-			factory: &GDS{CostOf: costByRDD(map[int]float64{1: 4, 2: 2, 3: 1})},
-			// Credits 4, 2, 1: the cheapest-to-restore block goes first,
-			// and inflation after each eviction never reorders the rest.
-			ops:   []op{opAdd(1, 0), opAdd(2, 0), opAdd(3, 0)},
-			order: []block.ID{bid(3, 0), bid(2, 0), bid(1, 0)},
 		},
 		{
 			name:    "GDS uniform costs tie-break by block ID",

@@ -10,50 +10,29 @@ import (
 // H = L + cost/size, where L is an inflation value raised to the
 // evicted block's credit on every eviction; the lowest-credit block
 // goes first. With the per-byte restore cost our simulator charges,
-// cost/size is constant and GDS degenerates gracefully toward
-// LRU-with-aging — which is exactly the regime the experiments probe;
-// callers can supply per-RDD costs to explore the general form.
-type GDS struct {
-	// CostOf returns the restore cost of a block (arbitrary units).
-	// nil means uniform cost.
-	CostOf func(id block.ID) float64
-	// SizeOf returns the block's size; nil means uniform size.
-	SizeOf func(id block.ID) float64
-}
+// cost/size is constant — taken as 1 here — and GDS degenerates
+// gracefully toward LRU-with-aging, which is exactly the regime the
+// experiments probe.
+type GDS struct{}
 
-// NewGDS returns a GreedyDual-Size factory with uniform costs/sizes.
+// NewGDS returns a GreedyDual-Size factory.
 func NewGDS() *GDS { return &GDS{} }
 
 // Name implements Factory.
 func (*GDS) Name() string { return "GDS" }
 
 // NewNodePolicy implements Factory.
-func (g *GDS) NewNodePolicy(int) Policy {
-	return &gdsNode{shared: g, credit: map[block.ID]float64{}}
+func (*GDS) NewNodePolicy(int) Policy {
+	return &gdsNode{credit: map[block.ID]float64{}}
 }
 
 type gdsNode struct {
-	shared *GDS
 	l      float64 // inflation
 	credit map[block.ID]float64
 }
 
-func (n *gdsNode) value(id block.ID) float64 {
-	cost, size := 1.0, 1.0
-	if n.shared.CostOf != nil {
-		cost = n.shared.CostOf(id)
-	}
-	if n.shared.SizeOf != nil {
-		size = n.shared.SizeOf(id)
-	}
-	if size <= 0 {
-		size = 1
-	}
-	return n.l + cost/size
-}
-
-func (n *gdsNode) OnAdd(id block.ID)    { n.credit[id] = n.value(id) }
-func (n *gdsNode) OnAccess(id block.ID) { n.credit[id] = n.value(id) }
+func (n *gdsNode) OnAdd(id block.ID)    { n.credit[id] = n.l + 1 }
+func (n *gdsNode) OnAccess(id block.ID) { n.credit[id] = n.l + 1 }
 func (n *gdsNode) OnRemove(id block.ID) { delete(n.credit, id) }
 
 func (n *gdsNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {

@@ -23,20 +23,15 @@ type MemTune struct {
 	stageReads map[int][]*dag.RDD
 	window     map[int]bool // RDD IDs needed by the runnable stage
 	ops        ClusterOps
-	prefetch   bool
 }
 
 // NewMemTune returns a MemTune factory over the application DAG. The
 // stage dependency lists it consumes are runtime-scheduler information,
-// so no recurring profile is involved. Prefetching of runnable-stage
-// inputs is enabled by default, matching the published system.
+// so no recurring profile is involved. Runnable-stage inputs are
+// prefetched, matching the published system.
 func NewMemTune(g *dag.Graph) *MemTune {
-	return &MemTune{stageReads: g.StageReads(), window: map[int]bool{}, prefetch: true}
+	return &MemTune{stageReads: g.StageReads(), window: map[int]bool{}}
 }
-
-// SetPrefetch toggles MemTune's runnable-stage prefetching (used by
-// ablation benches).
-func (m *MemTune) SetPrefetch(on bool) { m.prefetch = on }
 
 // Name implements Factory.
 func (m *MemTune) Name() string { return "MemTune" }
@@ -52,7 +47,7 @@ func (m *MemTune) OnStageStart(stageID, _ int) {
 	for _, r := range reads {
 		m.window[r.ID] = true
 	}
-	if m.ops == nil || !m.prefetch {
+	if m.ops == nil {
 		return
 	}
 	for _, r := range reads {

@@ -63,7 +63,6 @@ func memTuneGraph() (*dag.Graph, *dag.RDD, *dag.RDD) {
 func TestMemTuneWindowProtectsRunnableStage(t *testing.T) {
 	g, data, extra := memTuneGraph()
 	f := NewMemTune(g)
-	f.SetPrefetch(false)
 	n := f.NewNodePolicy(0)
 	n.OnAdd(data.Block(0))
 	n.OnAdd(extra.Block(0))
@@ -82,7 +81,6 @@ func TestMemTuneWindowProtectsRunnableStage(t *testing.T) {
 func TestMemTuneFallsBackToLRUInsideWindow(t *testing.T) {
 	g, data, _ := memTuneGraph()
 	f := NewMemTune(g)
-	f.SetPrefetch(false)
 	n := f.NewNodePolicy(0)
 	n.OnAdd(data.Block(0))
 	n.OnAdd(data.Block(1))

@@ -81,46 +81,6 @@ func TestGDSInflationAges(t *testing.T) {
 	}
 }
 
-func TestGDSCostAware(t *testing.T) {
-	g := &GDS{
-		CostOf: func(id block.ID) float64 {
-			if id.RDD == 1 {
-				return 10 // expensive to restore
-			}
-			return 1
-		},
-	}
-	n := g.NewNodePolicy(0)
-	cheap := bid(2, 0)
-	dear := bid(1, 0)
-	n.OnAdd(dear)
-	n.OnAdd(cheap)
-	v, ok := n.Victim(all)
-	if !ok || v != cheap {
-		t.Errorf("victim = %v, want the cheap block", v)
-	}
-}
-
-func TestGDSSizeAware(t *testing.T) {
-	g := &GDS{
-		SizeOf: func(id block.ID) float64 {
-			if id.RDD == 1 {
-				return 100 // big block: low credit per byte
-			}
-			return 1
-		},
-	}
-	n := g.NewNodePolicy(0)
-	big := bid(1, 0)
-	small := bid(2, 0)
-	n.OnAdd(big)
-	n.OnAdd(small)
-	v, ok := n.Victim(all)
-	if !ok || v != big {
-		t.Errorf("victim = %v, want the big block", v)
-	}
-}
-
 func TestObliviousFactoryNames(t *testing.T) {
 	if NewHyperbolic().Name() != "Hyperbolic" || NewGDS().Name() != "GDS" {
 		t.Error("names wrong")

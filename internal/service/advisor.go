@@ -445,12 +445,13 @@ func (a *Advisor) OnNodeFailure(node int) error {
 		return fmt.Errorf("service: node %d out of range [0,%d)", node, len(a.nodes))
 	}
 	n := a.nodes[node]
+	died := n.mem.Prefetch.Pending()
 	n.mem.Clear()
 	n.disk.Clear()
 	if a.failObs != nil {
 		a.failObs.OnNodeFailure(node)
 	}
-	a.bus.Emit(obs.Ev(obs.KindNodeFail, node))
+	a.bus.Emit(obs.Ev(obs.KindNodeFail, node).WithValue(died))
 	a.ops = append(a.ops, Op{Kind: OpNodeFail, Arg: node})
 	return nil
 }
@@ -540,9 +541,10 @@ func (a *Advisor) applyStage(s *dag.Stage) {
 func (a *Advisor) resolveRead(info block.Info) bool {
 	node := a.home(info.ID)
 	n := a.nodes[node]
+	used := n.mem.Prefetch.Used
 	if n.mem.Get(info.ID) {
 		a.cur.Counters.Hits++
-		a.bus.Emit(obs.BlockEv(obs.KindHit, node, info.ID, info.Size))
+		a.bus.Emit(obs.BlockEv(obs.KindHit, node, info.ID, info.Size).Settling(n.mem.Prefetch.Used != used))
 		return true
 	}
 	a.cur.Counters.Misses++
@@ -597,7 +599,7 @@ func (a *Advisor) settleEviction(node int, v block.Info, kind string) {
 	a.vacate(node, v)
 	a.record(Decision{Kind: kind, Node: node, Block: v.ID})
 	a.cur.Counters.Evictions++
-	a.bus.Emit(obs.BlockEv(obs.KindEvict, node, v.ID, v.Size))
+	a.bus.Emit(obs.BlockEv(obs.KindEvict, node, v.ID, v.Size).Settling(v.Unread))
 }
 
 // record appends one decision to the current advance's log.
@@ -655,7 +657,7 @@ func (o advOps) Evict(node int, id block.ID) bool {
 		a.record(Decision{Kind: "purge", Node: node, Block: id})
 		a.cur.Counters.Purged++
 	}
-	a.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, info.Size))
+	a.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, info.Size).Settling(info.Unread))
 	return true
 }
 
@@ -700,9 +702,9 @@ func (o advOps) PrefetchOutcomes() (used, wasted int64) {
 // stores' (DESIGN §4): a prefetch here lands the moment it is issued,
 // so issued is what the stores took in.
 func (a *Advisor) PrefetchLedger() (issued, used, wasted, pending int64) {
-	var l cluster.PrefetchLedger
 	for _, n := range a.nodes {
-		l.Add(n.mem.Prefetch)
+		l := n.mem.Prefetch
+		issued, used, wasted, pending = issued+l.Landed, used+l.Used, wasted+l.Wasted, pending+l.Pending()
 	}
-	return l.Landed, l.Used, l.Wasted, l.Pending()
+	return
 }

@@ -9,8 +9,9 @@ import (
 	"mrdspark/internal/policyspec"
 )
 
-// ledgerConserved checks the prefetch conservation law the auditor
-// enforces over event streams: used + wasted + pending == issued.
+// ledgerConserved reads the session's prefetch ledger, which conserves
+// by construction (pending is what the stores have landed and not
+// settled): used + wasted + pending == issued.
 func ledgerConserved(t *testing.T, a *Advisor, when string) (issued, used, wasted, pending int64) {
 	t.Helper()
 	issued, used, wasted, pending = a.PrefetchLedger()
@@ -21,11 +22,10 @@ func ledgerConserved(t *testing.T, a *Advisor, when string) (issued, used, waste
 	return
 }
 
-// TestPrefetchLedgerConservedAcrossNodeFailure pins the advisor's
-// crash-path ledger sweep: OnNodeFailure wipes the node's stores,
-// destroying its pending prefetches — those must settle as wasted, not
-// silently vanish from the used+wasted+pending == issued conservation
-// law. (The original code wiped n.prefetched without settling.)
+// TestPrefetchLedgerConservedAcrossNodeFailure pins the crash path of
+// the ledger: OnNodeFailure wipes the node's stores, destroying its
+// pending prefetches — the store's Clear must settle those as wasted,
+// not leave them pending in a store that holds nothing.
 func TestPrefetchLedgerConservedAcrossNodeFailure(t *testing.T) {
 	g := dag.New()
 	src := g.Source("src", 1, cluster.MB)

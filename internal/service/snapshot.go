@@ -193,8 +193,10 @@ func (a *Advisor) residencyDigest() string {
 		sort.Slice(disk, func(x, y int) bool { return disk[x].Less(disk[y]) })
 		fmt.Fprintf(h, "n%d free=%d mem=%v disk=%v pf=[", i, n.mem.Free(), mem, disk)
 		var pf []string
-		for _, id := range n.mem.Unread() {
-			pf = append(pf, id.String())
+		for _, id := range mem {
+			if n.mem.Unread(id) {
+				pf = append(pf, id.String())
+			}
 		}
 		sort.Strings(pf)
 		fmt.Fprintf(h, "%v];", pf)

@@ -172,9 +172,33 @@ func TestOraclesDominateOnRandomApps(t *testing.T) {
 // TestAuditAfterRandomRuns: the post-run consistency audit passes for
 // every policy on random applications — all ten on every graph, each on
 // its own instance of it (factories bind to their graph), in a fixed
-// order, so a failure names a trial and a policy that fail again.
+// order, so a failure names a trial and a policy that fail again — and
+// the observed run's aggregator counts the prefetch ledger the run
+// reports, by stage and by node (DESIGN §4).
 func TestAuditAfterRandomRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	audit := func(trial int, name string, s *Simulation) {
+		agg := s.Observe()
+		run := s.Run()
+		if err := s.Audit(); err != nil {
+			t.Errorf("trial %d %s: %v", trial, name, err)
+		}
+		want := [3]int64{run.PrefetchIssued, run.PrefetchUsed, run.PrefetchWasted}
+		var byStage, byNode [3]int64
+		for _, st := range agg.StageStats() {
+			byStage[0] += st.PrefetchIssued
+			byStage[1] += st.PrefetchUsed
+			byStage[2] += st.PrefetchWasted
+		}
+		for _, n := range agg.NodeStats() {
+			byNode[0] += n.PrefetchIssued
+			byNode[1] += n.PrefetchUsed
+			byNode[2] += n.PrefetchWasted
+		}
+		if byStage != want || byNode != want {
+			t.Errorf("trial %d %s: issued/used/wasted: run %v, aggregator by stage %v, by node %v", trial, name, want, byStage, byNode)
+		}
+	}
 	for trial := 0; trial < 15; trial++ {
 		seed := rng.Int63()
 		cl := tinyCluster(int64(2+rng.Intn(5)) << 10)
@@ -184,10 +208,7 @@ func TestAuditAfterRandomRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Run()
-			if err := s.Audit(); err != nil {
-				t.Errorf("trial %d %s: %v", trial, name, err)
-			}
+			audit(trial, name, s)
 		}
 		// And explicitly audit an MRD run with prefetching.
 		g2 := randomApp(rand.New(rand.NewSource(seed)))
@@ -195,10 +216,7 @@ func TestAuditAfterRandomRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Run()
-		if err := s.Audit(); err != nil {
-			t.Errorf("trial %d MRD: %v", trial, err)
-		}
+		audit(trial, "MRD", s)
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *Simulation) applyFaults() {
 func (s *Simulation) crashNode(ev fault.Event) {
 	n := s.nodes[ev.Node]
 	s.run.NodeCrashes++
-	s.bus.Emit(obs.Ev(obs.KindNodeFail, n.id))
+	s.bus.Emit(obs.Ev(obs.KindNodeFail, n.id).WithValue(n.mem.Prefetch.Pending()))
 
 	// The replacement store carries the node's prefetch ledger on: the
 	// unread prefetches that died with the old one are wasted in it.
@@ -110,7 +110,7 @@ func (s *Simulation) crashNode(ev fault.Event) {
 // reference take the replica-refetch path instead of lineage.
 func (s *Simulation) loseBlock(id block.ID) {
 	home := s.nodes[cluster.HomeNode(id, len(s.nodes))]
-	_, removed := home.mem.Remove(id)
+	info, removed := home.mem.Remove(id)
 	s.noteUsed(home)
 	if home.disk.Has(id) {
 		home.disk.Remove(id)
@@ -120,7 +120,7 @@ func (s *Simulation) loseBlock(id block.ID) {
 		return
 	}
 	s.run.BlocksLost++
-	s.bus.Emit(obs.BlockEv(obs.KindBlockLost, home.id, id, 0))
+	s.bus.Emit(obs.BlockEv(obs.KindBlockLost, home.id, id, 0).Settling(info.Unread))
 }
 
 // replication returns the schedule's normalized replication factor.

@@ -7,6 +7,8 @@ import (
 	"mrdspark/internal/core"
 	"mrdspark/internal/dag"
 	"mrdspark/internal/fault"
+	"mrdspark/internal/metrics"
+	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
 	"mrdspark/internal/refdist"
 )
@@ -215,5 +217,84 @@ func TestHitsPlusMissesMatchScheduledReads(t *testing.T) {
 	}
 	if run.Hits+run.Misses != wantReads {
 		t.Errorf("hits+misses = %d, want %d scheduled block reads", run.Hits+run.Misses, wantReads)
+	}
+}
+
+// forcedRefusedGraph is the hand-built application on which Algorithm
+// 1's forced prefetch (lines 24–29) fires and the §4.4 distance
+// pre-check changes an outcome the arrival guard does not: x (40 KB a
+// block) is created first and read last, a and b (35 KB each) after it
+// and before it. On a 100 KB node b's insert evicts x — the furthest
+// block — to disk, leaving 30 KB free: more than the 25 % threshold,
+// less than x. At the next boundary x is the one candidate, further
+// away than everything resident.
+func forcedRefusedGraph() *dag.Graph {
+	g := dag.New()
+	src := g.Source("in", 2, 40<<10, dag.WithCost(10))
+	x := src.Map("x", dag.WithCost(10)).Persist(block.MemoryAndDisk)
+	a := src.Map("a", dag.WithCost(10), dag.WithPartSize(35<<10)).Persist(block.MemoryAndDisk)
+	b := src.Map("b", dag.WithCost(10), dag.WithPartSize(35<<10)).Persist(block.MemoryAndDisk)
+	g.Count(x)
+	g.Count(a)
+	g.Count(b)                                       // evicts x
+	g.Count(src.Map("pad", dag.WithCost(1_000_000))) // long enough for x's 40 ms transfer to land
+	g.Count(a.Map("ra", dag.WithCost(10)))
+	g.Count(b.Map("rb", dag.WithCost(10)))
+	g.Count(x.Map("rx", dag.WithCost(10)))
+	return g
+}
+
+// TestDistanceCheckSavesTheRefusedTransfer: without the pre-check the
+// manager forces x's prefetch, the disk reads it back, and the arrival
+// guard refuses it — nothing resident is further away than x — so the
+// cache ends the same and the transfer was for nothing. With the
+// pre-check the order is never issued. The guard already decides what
+// the cache holds; what the issue-time check adds is the disk it does
+// not spend.
+func TestDistanceCheckSavesTheRefusedTransfer(t *testing.T) {
+	cl := tinyCluster(100 << 10)
+	run := func(opts core.Options) (metrics.Run, core.Stats, int) {
+		g := forcedRefusedGraph()
+		mgr := mrdFactory(g, opts)
+		s, err := New(g, cl, mgr, "forced")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewRecorder()
+		rec.Attach(s.Bus())
+		r := s.Run()
+		if err := s.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		refused := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind == obs.KindPrefetchArrive && ev.Verdict == obs.VerdictRefused {
+				refused++
+			}
+		}
+		return r, mgr.Stats(), refused
+	}
+	plain, plainStats, plainRefused := run(core.Options{})
+	checked, checkedStats, checkedRefused := run(core.Options{PrefetchDistanceCheck: true})
+
+	// One forced order a node at the pad stage's boundary, each refused
+	// on arrival, which the pre-check does not issue; and one a node at
+	// the next boundary, where a has no read left and is worth evicting,
+	// which it does.
+	if plainStats.ForcedPrefetch != 4 || plainRefused != 2 {
+		t.Errorf("MRD: %d forced orders, %d refused arrivals; want 4 and 2", plainStats.ForcedPrefetch, plainRefused)
+	}
+	if checkedStats.ForcedPrefetch != 2 || checkedRefused != 0 {
+		t.Errorf("MRD-precheck: %d forced orders, %d refused arrivals; want 2 and 0", checkedStats.ForcedPrefetch, checkedRefused)
+	}
+	if plain.Hits != checked.Hits || plain.Misses != checked.Misses || plain.Evictions != checked.Evictions || plain.PurgedBlocks != checked.PurgedBlocks {
+		t.Errorf("the pre-check changed what the cache held:\n  MRD          %+v\n  MRD-precheck %+v", plain, checked)
+	}
+	if saved := plain.DiskReadBytes - checked.DiskReadBytes; saved != 2*(40<<10) {
+		t.Errorf("the pre-check saved %d bytes of disk reads, want the two refused 40 KB transfers", saved)
+	}
+	if plain.PrefetchWasted-checked.PrefetchWasted != 2 || plain.PrefetchUsed != checked.PrefetchUsed {
+		t.Errorf("prefetches used/wasted: MRD %d/%d, MRD-precheck %d/%d; want the two refused ones as the only difference",
+			plain.PrefetchUsed, plain.PrefetchWasted, checked.PrefetchUsed, checked.PrefetchWasted)
 	}
 }

@@ -34,19 +34,23 @@ func (o clusterOps) OnDisk(node int, id block.ID) bool {
 
 func (o clusterOps) FreeBytes(node int) int64 { return o.s.nodes[node].mem.Free() }
 
-func (o clusterOps) PrefetchOutcomes() (used, wasted int64) { return o.s.prefetchOutcomes() }
+func (o clusterOps) PrefetchOutcomes() (used, wasted int64) {
+	_, used, wasted = o.s.prefetchTotals()
+	return
+}
 
 func (o clusterOps) CapacityBytes(node int) int64 { return o.s.nodes[node].mem.Capacity() }
 
 // Evict implements the manager-initiated proactive eviction (purge).
 func (o clusterOps) Evict(node int, id block.ID) bool {
 	s := o.s
-	if _, ok := s.nodes[node].mem.Remove(id); !ok {
+	info, ok := s.nodes[node].mem.Remove(id)
+	if !ok {
 		return false
 	}
 	s.noteUsed(s.nodes[node])
 	s.run.PurgedBlocks++
-	s.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, 0))
+	s.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, 0).Settling(info.Unread))
 	return true
 }
 
@@ -66,18 +70,27 @@ func (o clusterOps) Prefetch(node int, info block.Info) {
 	s.bus.Emit(obs.BlockEv(obs.KindPrefetchIssue, node, info.ID, info.Size))
 	arrive := func() {
 		s.inFlight.Delete(info.ID)
-		s.bus.Emit(obs.BlockEv(obs.KindPrefetchArrive, node, info.ID, info.Size))
-		// An arrival no store takes (node crashed mid-flight, block
-		// demand-inserted meanwhile, or the store refused it) is aborted:
-		// wasted without ever entering a store's ledger.
-		if n.down || n.mem.Contains(info.ID) {
-			s.aborted++
-			return
+		// An arrival no store takes is aborted — wasted without entering
+		// a store's ledger — and its event says why: the node crashed
+		// mid-flight, the block was demand-inserted meanwhile, or the
+		// store refused it.
+		var why string
+		var evicted []block.Info
+		switch {
+		case n.down:
+			why = obs.VerdictDown
+		case n.mem.Contains(info.ID):
+			why = obs.VerdictResident
+		default:
+			var ok bool
+			if evicted, ok = n.mem.PutPrefetch(info); !ok {
+				why = obs.VerdictRefused
+			}
 		}
-		evicted, ok := n.mem.PutPrefetch(info)
+		s.bus.Emit(obs.BlockEv(obs.KindPrefetchArrive, node, info.ID, info.Size).WithVerdict(why))
 		s.noteEvictions(evicted)
 		s.noteUsed(n)
-		if !ok {
+		if why != "" {
 			s.aborted++
 			return
 		}

@@ -127,9 +127,10 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	deserUs := r.PartSize * 1_000_000 / (150 << 20)
 
 	s.run.StageInputBytes += r.PartSize
+	used := hn.mem.Prefetch.Used
 	if hn.mem.Get(id) {
 		s.run.Hits++
-		s.bus.Emit(obs.BlockEv(obs.KindHit, home, id, r.PartSize))
+		s.bus.Emit(obs.BlockEv(obs.KindHit, home, id, r.PartSize).Settling(hn.mem.Prefetch.Used != used))
 		// A remote hit still moves bytes over the reader's NIC — and
 		// under a flaky network that fetch can exhaust its retries, in
 		// which case the reader rebuilds the partition locally from

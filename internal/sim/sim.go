@@ -174,7 +174,7 @@ func (s *Simulation) Run() metrics.Run {
 	s.eng.After(0, func() { s.startJob(0) })
 	s.run.WallTime = s.eng.Run()
 	s.run.JCT = s.finish
-	s.run.PrefetchUsed, s.run.PrefetchWasted = s.prefetchOutcomes()
+	_, s.run.PrefetchUsed, s.run.PrefetchWasted = s.prefetchTotals()
 	s.noteUnfiredFaults()
 	for _, n := range s.nodes {
 		s.run.DiskBusy += n.diskDev.Busy
@@ -256,27 +256,22 @@ func (s *Simulation) Audit() error {
 	if s.inFlight.Len() != 0 {
 		return fmt.Errorf("sim: %d prefetches still in flight after drain", s.inFlight.Len())
 	}
-	if l := s.prefetchLedger(); l.Landed+s.aborted != s.run.PrefetchIssued {
+	if landed, _, _ := s.prefetchTotals(); landed+s.aborted != s.run.PrefetchIssued {
 		return fmt.Errorf("sim: prefetch ledger broken: landed %d + aborted %d != issued %d",
-			l.Landed, s.aborted, s.run.PrefetchIssued)
+			landed, s.aborted, s.run.PrefetchIssued)
 	}
 	return nil
 }
 
-// prefetchLedger sums the nodes' prefetch ledgers.
-func (s *Simulation) prefetchLedger() cluster.PrefetchLedger {
-	var l cluster.PrefetchLedger
+// prefetchTotals sums the nodes' prefetch ledgers so far, the arrivals
+// that never reached a store counted among the wasted.
+func (s *Simulation) prefetchTotals() (landed, used, wasted int64) {
+	wasted = s.aborted
 	for _, n := range s.nodes {
-		l.Add(n.mem.Prefetch)
+		l := n.mem.Prefetch
+		landed, used, wasted = landed+l.Landed, used+l.Used, wasted+l.Wasted
 	}
-	return l
-}
-
-// prefetchOutcomes is the run's used and wasted prefetches so far: what
-// the stores settled, plus the arrivals that never reached one.
-func (s *Simulation) prefetchOutcomes() (used, wasted int64) {
-	l := s.prefetchLedger()
-	return l.Used, l.Wasted + s.aborted
+	return
 }
 
 // Run is the convenience entry point: build and run in one call.
@@ -432,11 +427,14 @@ func (s *Simulation) insertBlock(ins insert) {
 		s.run.DiskWriteBytes += ins.info.Size
 		n.diskDev.Transfer(ins.info.Size, Background, func() {})
 	}
+	resident := n.mem.Contains(ins.info.ID)
 	evicted, ok := n.mem.Put(ins.info)
-	// Emit the insert only when the store accepted it: a refused Put
+	// Emit the insert only when the block went in: a refused Put
 	// (oversized block, or every resident block protected) must not put
-	// a phantom residency claim on the trace.
-	if ok {
+	// a phantom residency claim on the trace, and a Put that found the
+	// block resident — another task of the stage computed the same
+	// partition, or a prefetch beat a planned re-insert — only touched it.
+	if ok && !resident {
 		s.bus.Emit(obs.BlockEv(obs.KindInsert, ins.node, ins.info.ID, ins.info.Size))
 	}
 	s.noteEvictions(evicted)
@@ -462,6 +460,6 @@ func (s *Simulation) noteUsed(n *node) {
 func (s *Simulation) noteEvictions(evicted []block.Info) {
 	s.run.Evictions += int64(len(evicted))
 	for _, ev := range evicted {
-		s.bus.Emit(obs.BlockEv(obs.KindEvict, cluster.HomeNode(ev.ID, len(s.nodes)), ev.ID, ev.Size))
+		s.bus.Emit(obs.BlockEv(obs.KindEvict, cluster.HomeNode(ev.ID, len(s.nodes)), ev.ID, ev.Size).Settling(ev.Unread))
 	}
 }
