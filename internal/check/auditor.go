@@ -82,8 +82,8 @@ func (a *Auditor) violate(format string, args ...any) {
 	}
 }
 
-// settle holds the settlement stamp of a hit, or of an exit, which it
-// performs, against what the stream itself says of the block.
+// settle holds a hit's or an exit's settlement stamp against what the
+// stream itself says of the block; an exit then leaves the resident set.
 func (a *Auditor) settle(ev obs.Event, h held, exit bool) {
 	if stamped := ev.Verdict == obs.VerdictUnread; stamped != h.unread {
 		a.violate("stage %d: %v of %v on node %d stamped unread=%v, but the stream's arrivals and hits say %v",

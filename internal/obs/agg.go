@@ -166,7 +166,7 @@ func (a *Aggregator) observe(bt *blockTimes, ev *Event) {
 		n.PrefetchUsed += used
 		st.PrefetchWasted += wasted
 		n.PrefetchWasted += wasted
-		if t, ok := bt.issued[ev.Block]; ok && ev.HasBlock {
+		if t, ok := bt.issued[ev.Block]; ev.HasBlock && ok {
 			if used != 0 {
 				a.PrefetchLead.Observe(ev.At - t)
 			}

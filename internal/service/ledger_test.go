@@ -9,19 +9,6 @@ import (
 	"mrdspark/internal/policyspec"
 )
 
-// ledgerConserved reads the session's prefetch ledger, which conserves
-// by construction (pending is what the stores have landed and not
-// settled): used + wasted + pending == issued.
-func ledgerConserved(t *testing.T, a *Advisor, when string) (issued, used, wasted, pending int64) {
-	t.Helper()
-	issued, used, wasted, pending = a.PrefetchLedger()
-	if used+wasted+pending != issued {
-		t.Fatalf("%s: prefetch ledger broken: used %d + wasted %d + pending %d != issued %d",
-			when, used, wasted, pending, issued)
-	}
-	return
-}
-
 // TestPrefetchLedgerConservedAcrossNodeFailure pins the crash path of
 // the ledger: OnNodeFailure wipes the node's stores, destroying its
 // pending prefetches — the store's Clear must settle those as wasted,
@@ -49,7 +36,7 @@ func TestPrefetchLedgerConservedAcrossNodeFailure(t *testing.T) {
 	adv.nodes[0].disk.Put(id, info.Size)
 	advOps{adv}.Prefetch(0, info)
 
-	issued, _, _, pending := ledgerConserved(t, adv, "after prefetch")
+	issued, _, _, pending := adv.PrefetchLedger()
 	if issued != 1 || pending != 1 {
 		t.Fatalf("after prefetch: issued %d pending %d; want 1 and 1", issued, pending)
 	}
@@ -57,7 +44,7 @@ func TestPrefetchLedgerConservedAcrossNodeFailure(t *testing.T) {
 	if err := adv.OnNodeFailure(0); err != nil {
 		t.Fatal(err)
 	}
-	issued, used, wasted, pending := ledgerConserved(t, adv, "after node failure")
+	issued, used, wasted, pending := adv.PrefetchLedger()
 	if issued != 1 || used != 0 || wasted != 1 || pending != 0 {
 		t.Fatalf("after node failure: ledger (issued %d, used %d, wasted %d, pending %d); want (1, 0, 1, 0)",
 			issued, used, wasted, pending)
