@@ -109,23 +109,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// The observability pipeline taps the engine's event stream exactly
-	// as it taps the simulator's.
+	// as it taps the simulator's — and only when an export asks for it,
+	// so the wall clock a plain run prints is taken with nothing folding
+	// events beside it.
 	ex := cli.Exports{Trace: *traceFile, Prom: *promFile, Report: *reportFile}
-	bus := obs.New()
 	var rec *obs.Recorder
-	if ex.Trace != "" {
-		rec = obs.NewRecorder()
-		rec.Attach(bus)
+	var agg *obs.Aggregator
+	if ex != (cli.Exports{}) {
+		bus := obs.New()
+		if ex.Trace != "" {
+			rec = obs.NewRecorder()
+			rec.Attach(bus)
+		}
+		if ex.Prom != "" || ex.Report != "" {
+			agg = obs.NewAggregator()
+			agg.Attach(bus)
+		}
+		engine.AttachBus(bus)
 	}
-	agg := obs.NewAggregator()
-	agg.Attach(bus)
-	engine.AttachBus(bus)
 
 	res, err := engine.Run()
 	if err != nil {
 		return err
 	}
-	if err := ex.Write(stdout, rec, agg, agg.Report(agg.SynthesizeRun(res.Workload, res.Policy))); err != nil {
+	var rep *obs.Report
+	if ex.Report != "" {
+		rep = agg.Report(agg.SynthesizeRun(res.Workload, res.Policy))
+	}
+	if err := ex.Write(stdout, rec, agg, rep); err != nil {
 		return err
 	}
 

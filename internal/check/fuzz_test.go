@@ -24,8 +24,10 @@ func fuzzWorkload(seed int64) *Workload {
 
 // FuzzAdvisorSchedule drives the online advisor with an arbitrary
 // interleaving of job submissions, stage advances (valid and invalid)
-// and node failures. Whatever the order, the advisor must never panic,
-// must reject out-of-protocol calls with errors, and must keep the
+// and node failures, under the MRD variant the seed's upper bits pick.
+// Whatever the order, the advisor must never panic, must reject
+// out-of-protocol calls with errors, must decide at every advance it
+// accepts exactly what internal/check/spec decides, and must keep the
 // prefetch ledger conserved — and counted alike by the aggregator, with
 // the invariant auditor clean over the live stream — after every
 // operation.
@@ -33,18 +35,15 @@ func FuzzAdvisorSchedule(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 0, 1, 1, 2, 1, 0, 1, 1})
 	f.Add(int64(3), []byte{0, 0, 0, 1, 1, 18, 1, 3, 1, 4, 1, 1, 1})
 	f.Add(int64(5), []byte{1, 2, 34, 0, 1, 1, 50, 1, 0, 1, 1, 1, 1, 1})
+	f.Add(int64(3+8*3), []byte{0, 0, 0, 1, 1, 18, 1, 3, 1, 4, 1, 1, 1})     // the job metric
+	f.Add(int64(5+8*4), []byte{1, 2, 34, 0, 1, 1, 50, 1, 0, 1, 1, 1, 1, 1}) // ad-hoc
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		w := fuzzWorkload(seed)
-		adv, err := service.NewAdvisor(w.Graph, service.AdvisorConfig{
-			Nodes: w.Nodes, CacheBytes: w.CacheBytes,
-			Policy: policyspec.Spec{Kind: "MRD"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newSpecSession(t, w.Graph, w.Nodes, w.CacheBytes, int(uint64(seed)>>3%uint64(len(specVariants))))
+		adv := s.adv
 		bus := obs.New()
 		agg := obs.NewAggregator()
 		agg.Attach(bus)
@@ -65,25 +64,25 @@ func FuzzAdvisorSchedule(f *testing.F) {
 		for _, b := range ops {
 			switch b % 5 {
 			case 0:
-				_ = adv.SubmitJob(adv.NextJob())
+				_ = s.submit(adv.NextJob())
 			case 1:
 				if idx < len(stages) {
-					if _, err := adv.Advance(stages[idx].ID); err == nil {
+					if s.advance(stages[idx].ID) == nil {
 						idx++
 					}
 				}
 			case 2:
-				_ = adv.OnNodeFailure(int(b>>4) % w.Nodes)
+				_ = s.fail(int(b>>4) % w.Nodes)
 			case 3:
 				// A stage that is not part of the application must be an
 				// error, never a panic or a state change.
-				if _, err := adv.Advance(1 << 20); err == nil {
+				if s.advance(1<<20) == nil {
 					t.Fatal("advance of a nonexistent stage succeeded")
 				}
 			case 4:
 				// Out-of-order job submission must be rejected unless it
 				// happens to be the next one.
-				_ = adv.SubmitJob(int(b >> 4))
+				_ = s.submit(int(b >> 4))
 			}
 			check("mid-stream")
 		}

@@ -295,19 +295,27 @@ func TestEvictionOnlyDisablesPrefetch(t *testing.T) {
 	}
 }
 
+// TestManagerNames: a manager reports the name policyspec.Parse accepts
+// for its variant, metric and mode as suffixes.
 func TestManagerNames(t *testing.T) {
 	g, _, _, _ := testGraph(t)
 	for _, tt := range []struct {
-		opts Options
-		want string
+		opts  Options
+		adHoc bool
+		want  string
 	}{
-		{Options{}, "MRD"},
-		{Options{DisablePrefetch: true}, "MRD(eviction-only)"},
-		{Options{DisableEviction: true}, "MRD(prefetch-only)"},
-		{Options{DisableEviction: true, DisablePrefetch: true}, "MRD(disabled)"},
+		{Options{}, false, "MRD"},
+		{Options{DisablePrefetch: true}, false, "MRD-evict"},
+		{Options{DisableEviction: true}, false, "MRD-prefetch"},
+		{Options{DisableEviction: true, DisablePrefetch: true}, false, "MRD(off)"},
+		{Options{Metric: JobDistance}, false, "MRD(job)"},
+		{Options{DisablePrefetch: true}, true, "MRD-evict(ad-hoc)"},
 	} {
-		m := NewManager(g, NewAppProfiler(), tt.opts)
-		if got := m.Name(); got != tt.want {
+		prof := NewRecurringProfiler(refdist.FromGraph(g))
+		if tt.adHoc {
+			prof = NewAppProfiler()
+		}
+		if got := NewManager(g, prof, tt.opts).Name(); got != tt.want {
 			t.Errorf("Name() = %q, want %q", got, tt.want)
 		}
 	}
@@ -355,9 +363,6 @@ func TestManagerStringAndStats(t *testing.T) {
 	}
 	if m.Stats().MaxTableEntries == 0 {
 		t.Error("table high-water mark not tracked")
-	}
-	if m.Profiler() == nil {
-		t.Error("profiler accessor nil")
 	}
 }
 

@@ -213,25 +213,33 @@ func NewFull(g *dag.Graph) *Manager {
 	return NewManager(g, NewRecurringProfiler(refdist.FromGraph(g)), Options{})
 }
 
-// Name implements policy.Factory.
-func (m *Manager) Name() string {
+// Name is the one name of an MRD configuration, in the spelling
+// policyspec.Parse accepts for the variants it has an alias for; a
+// metric or mode other than the default shows as a suffix.
+func (o Options) Name(adHoc bool) string {
+	name := "MRD"
 	switch {
-	case m.opts.DisableEviction && m.opts.DisablePrefetch:
-		return "MRD(disabled)"
-	case m.opts.DisableEviction:
-		return "MRD(prefetch-only)"
-	case m.opts.DisablePrefetch:
-		return "MRD(eviction-only)"
-	default:
-		return "MRD"
+	case o.DisableEviction && o.DisablePrefetch:
+		name = "MRD(off)"
+	case o.DisablePrefetch:
+		name = "MRD-evict"
+	case o.DisableEviction:
+		name = "MRD-prefetch"
 	}
+	if o.Metric == JobDistance {
+		name += "(job)"
+	}
+	if adHoc {
+		name += "(ad-hoc)"
+	}
+	return name
 }
+
+// Name implements policy.Factory.
+func (m *Manager) Name() string { return m.opts.Name(m.profiler.Mode() == AdHoc) }
 
 // Stats returns the manager's action counters.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Profiler returns the manager's AppProfiler.
-func (m *Manager) Profiler() *AppProfiler { return m.profiler }
 
 // Attach implements policy.ClusterAware.
 func (m *Manager) Attach(ops policy.ClusterOps) { m.ops = ops }

@@ -195,7 +195,6 @@ func simulate(spec *workload.Spec, cfg cluster.Config, p PolicySpec, sched *faul
 		out.agg = s.Observe()
 	}
 	out.run = s.Run()
-	out.run.Policy = p.Name()
 	if mgr, ok := factory.(*core.Manager); ok {
 		out.stats = mgr.Stats()
 	}

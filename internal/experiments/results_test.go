@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mrdspark/internal/cluster"
+	"mrdspark/internal/core"
 	"mrdspark/internal/workload"
 )
 
@@ -273,6 +274,41 @@ func TestSensitivityShape(t *testing.T) {
 		for _, r := range rs {
 			if r.jct() > 1.02 {
 				t.Errorf("%s@%dMBps: MRD worse than LRU (%.2f)", w, r.diskMBps, r.jct())
+			}
+		}
+	}
+}
+
+// TestThresholdAblationsRunWhereTheGateBinds holds EXPERIMENTS.md's
+// deviation 4 to the suite: where A2 and A4 run, full MRD's forced gate
+// is consulted and passed — 14 of SP's 14 prefetch orders and 240 of
+// MF's 384 are forced at the paper's 25% — and every variant of either
+// table departs from the variant above it on some workload, so no row
+// is a copy of its neighbour everywhere.
+func TestThresholdAblationsRunWhereTheGateBinds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment")
+	}
+	a2 := suiteFig[ablationFig](t, "ablation-threshold")
+	for name, want := range map[string]core.Stats{
+		"SP": {ForcedPrefetch: 14, PrefetchOrders: 14},
+		"MF": {ForcedPrefetch: 240, PrefetchOrders: 384},
+	} {
+		got := open(name, workload.Params{}, a2.cfg).sized(a2.frac).simulate(SpecMRD, nil, false).stats
+		if got.ForcedPrefetch != want.ForcedPrefetch || got.PrefetchOrders != want.PrefetchOrders {
+			t.Errorf("%s at %.0f%% of its working set: %d of %d orders forced, want %d of %d",
+				name, 100*a2.frac, got.ForcedPrefetch, got.PrefetchOrders, want.ForcedPrefetch, want.PrefetchOrders)
+		}
+	}
+	for _, f := range []ablationFig{a2, suiteFig[ablationFig](t, "ablation-dynamic")} {
+		rows := f.rows() // workload-major, the variants in order
+		for v := 1; v < len(f.variants); v++ {
+			differs := false
+			for w := range f.workloads {
+				differs = differs || rows[w*len(f.variants)+v].run != rows[w*len(f.variants)+v-1].run
+			}
+			if !differs {
+				t.Errorf("%s: %s copies %s on every workload", f.heading, f.variants[v].Name(), f.variants[v-1].Name())
 			}
 		}
 	}

@@ -14,13 +14,15 @@ import (
 // of design choices the paper asserts but does not isolate (DESIGN.md
 // A1–A5, B1), seed robustness, I/O sensitivity and storage levels.
 
-// ablationFig runs policy variants side by side at the cache size
-// where full MRD gains most, each normalized to LRU there.
+// ablationFig runs policy variants side by side at one cache size, each
+// normalized to LRU there: the size where full MRD gains most, or the
+// given fraction of the working set.
 type ablationFig struct {
 	heading, note string
 	workloads     []string // nil: every SparkBench workload
 	variants      []PolicySpec
 	cfg           cluster.Config
+	frac          float64 // 0: the best size for full MRD
 }
 
 // ablationRow is one (workload, variant) measurement.
@@ -36,7 +38,13 @@ func (f ablationFig) rows() []ablationRow {
 		names = workload.SparkBenchNames()
 	}
 	return flatRows(names, func(name string) []ablationRow {
-		at := open(name, workload.Params{}, f.cfg).best(SpecMRD)
+		sc := open(name, workload.Params{}, f.cfg)
+		var at point
+		if f.frac == 0 {
+			at = sc.best(SpecMRD)
+		} else {
+			at = sc.sized(f.frac).versusLRU(SpecMRD)
+		}
 		rows := make([]ablationRow, len(f.variants))
 		for i, v := range f.variants {
 			run := at.under(v)

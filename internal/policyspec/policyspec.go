@@ -134,27 +134,14 @@ func (p Spec) Factory(spec *workload.Spec) policy.Factory {
 	return f
 }
 
-// Name returns the display name for result tables.
+// Name returns the display name for result tables: the label, or the
+// name the instantiated policy reports.
 func (p Spec) Name() string {
-	if p.Label != "" {
+	switch {
+	case p.Label != "":
 		return p.Label
+	case p.Kind == "MRD":
+		return p.MRD.Name(p.AdHoc)
 	}
-	name := p.Kind
-	if p.Kind == "MRD" {
-		switch {
-		case p.MRD.DisablePrefetch && p.MRD.DisableEviction:
-			name = "MRD(off)"
-		case p.MRD.DisablePrefetch:
-			name = "MRD-evict"
-		case p.MRD.DisableEviction:
-			name = "MRD-prefetch"
-		}
-		if p.MRD.Metric == core.JobDistance {
-			name += "(job)"
-		}
-		if p.AdHoc {
-			name += "(ad-hoc)"
-		}
-	}
-	return name
+	return p.Kind
 }

@@ -42,8 +42,19 @@ func TestParse(t *testing.T) {
 		if got != want[name] {
 			t.Errorf("Parse(%q) = %+v, want %+v", name, got, want[name])
 		}
-		if _, err := got.Build(g); err != nil {
+		f, err := got.Build(g)
+		if err != nil {
 			t.Errorf("Parse(%q).Build: %v", name, err)
+			continue
+		}
+		// One name: what the spec is called is what the policy it builds
+		// reports, and for a variant without an option of its own riding
+		// along (the dynamic threshold has no name) the name Parse took.
+		if f.Name() != got.Name() {
+			t.Errorf("Parse(%q): the spec is named %q, the policy it builds %q", name, got.Name(), f.Name())
+		}
+		if plain, _ := Parse(name, core.Options{}, false); plain.Name() != name && name != "MRD-dynamic" {
+			t.Errorf("Parse(%q).Name() = %q", name, plain.Name())
 		}
 	}
 

@@ -172,17 +172,6 @@ func (p *Profile) StageDistanceConsumed(rddID, curStage int) int {
 	return next.Stage - curStage
 }
 
-// JobDistance returns the job reference distance of the RDD at
-// curJob — the coarser metric the paper's §5.7 compares against.
-func (p *Profile) JobDistance(rddID, curJob int) int {
-	reads := p.reads[rddID]
-	i := sort.Search(len(reads), func(i int) bool { return reads[i].Job >= curJob })
-	if i == len(reads) {
-		return Infinite
-	}
-	return reads[i].Job - curJob
-}
-
 // String summarizes the profile for debugging.
 func (p *Profile) String() string {
 	return fmt.Sprintf("Profile{%d cached RDDs, %d with reads}", len(p.creation), len(p.reads))

@@ -56,12 +56,6 @@ func TestNextReadAndDistances(t *testing.T) {
 	if d := p.StageDistance(data.ID, 4); !IsInfinite(d) {
 		t.Errorf("StageDistance past last read = %d, want infinite", d)
 	}
-	if d := p.JobDistance(data.ID, 1); d != 0 {
-		t.Errorf("JobDistance at ref job = %d", d)
-	}
-	if d := p.JobDistance(data.ID, 99); !IsInfinite(d) {
-		t.Errorf("JobDistance past end = %d, want infinite", d)
-	}
 }
 
 func TestInfiniteSentinel(t *testing.T) {
