@@ -5,20 +5,19 @@
 // schedule — the subsystem's correctness oracle: if the server's advice
 // ever diverges from the library, mrdload exits nonzero.
 //
-// With -shards it drives a shard group through the consistent-hash
-// failover client instead of one server, and with -kill-after N /
-// -kill-pid P it SIGKILLs process P after the Nth successful advance —
-// the chaos harness: the oracle never dies, so parity still proves
-// every post-failover decision (served by a snapshot-restored session
-// on the surviving shard) is byte-identical to an uninterrupted run.
+// A shard group is driven through its router (mrdserver -router): -addr
+// names the router like any one server. With -kill-after N -kill-pid P
+// mrdload SIGKILLs process P after the Nth successful advance — the
+// chaos harness: the oracle never dies, so parity still proves every
+// post-failover decision (served by a snapshot-restored session on the
+// surviving shard) is byte-identical to an uninterrupted run.
 //
 // Usage:
 //
 //	mrdload -sessions 8 -workload scc -parity
 //	mrdload -sessions 64 -workload all -parity
 //	mrdload -addr http://127.0.0.1:7788 -workload hibench -policy LRU
-//	mrdload -shards http://127.0.0.1:7701,http://127.0.0.1:7702,http://127.0.0.1:7703 \
-//	    -parity -kill-after 100 -kill-pid $SHARD2_PID
+//	mrdload -addr http://127.0.0.1:7700 -parity -kill-after 100 -kill-pid $SHARD2_PID
 package main
 
 import (
@@ -51,18 +50,6 @@ var groups = map[string][]string{
 
 func init() {
 	groups["all"] = append(append(append([]string{}, groups["scc"]...), groups["hibench"]...), groups["mllib"]...)
-}
-
-// api is the slice of the advisory API both the single-server client
-// and the sharded failover client provide; the load loop is identical
-// over either.
-type api interface {
-	CreateSession(ctx context.Context, req service.CreateSessionRequest) (service.CreateSessionResponse, error)
-	SubmitJob(ctx context.Context, sessionID string, job int) (service.SubmitJobResponse, error)
-	Advance(ctx context.Context, sessionID string, stage int) (service.Advice, error)
-	RunBatch(ctx context.Context, sessionID string, steps []service.Step) (service.BatchResponse, error)
-	DeleteSession(ctx context.Context, sessionID string) error
-	Close()
 }
 
 // killer SIGKILLs a victim process after the Nth successful advance —
@@ -151,8 +138,7 @@ func main() { cli.Main("mrdload", run) }
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.Flags("mrdload", stderr)
-	addr := fs.String("addr", "http://127.0.0.1:7788", "mrdserver base URL")
-	shards := fs.String("shards", "", "comma-separated shard base URLs; non-empty switches to the consistent-hash failover client (overrides -addr)")
+	addr := fs.String("addr", "http://127.0.0.1:7788", "mrdserver base URL: one shard, or the router of a shard group")
 	sessions := fs.Int("sessions", 8, "concurrent sessions to run")
 	group := fs.String("workload", "scc", "workload group (scc, hibench, mllib, all) or one workload name")
 	parity := fs.Bool("parity", false, "cross-check every server decision against an in-process advisor")
@@ -163,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	killPid := fs.Int("kill-pid", 0, "process to SIGKILL in chaos mode")
 	bin := fs.Bool("bin", false, "drive the binary frame protocol instead of JSON (server needs -frame-addr)")
 	batch := fs.Bool("batch", false, "submit each job's steps as one batch call instead of per-step requests")
-	retryWait := fs.Duration("retry-wait", 3*time.Second, "per-call retry wall-time cap (also the shard-failover detection latency)")
+	retryWait := fs.Duration("retry-wait", 3*time.Second, "per-call retry wall-time cap")
 	traceCap := fs.Int("trace-capacity", 4*trace.DefaultCapacity, "client span ring capacity; 0 disables client-side tracing")
 	traceOut := fs.String("trace-out", "", "write the client span export (JSONL) here at exit")
 	traceChrome := fs.String("trace-chrome", "", "write the Chrome trace_event export here at exit")
@@ -191,25 +177,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *bin {
 		transport = "bin"
 	}
-	shardList := cli.SplitList(*shards)
-	var c api
-	var sharded *client.Sharded
-	target := *addr
-	if len(shardList) > 0 {
-		sharded = client.NewSharded(client.ShardedConfig{
-			Shards: shardList, MaxRetryWait: *retryWait,
-			Tracer: tracer, OnHops: hops.add, Binary: *bin,
-		})
-		c, target = sharded, fmt.Sprintf("%d shards", len(shardList))
-	} else {
-		c = client.New(client.Config{
-			BaseURL: *addr, MaxRetryWait: *retryWait,
-			Tracer: tracer, OnHops: hops.add, Binary: *bin,
-		})
-	}
+	c := client.New(client.Config{
+		BaseURL: *addr, MaxRetryWait: *retryWait,
+		Tracer: tracer, OnHops: hops.add, Binary: *bin,
+	})
 	defer c.Close()
 	fmt.Fprintf(stdout, "mrdload: %d sessions x %s (%d workloads) against %s (%s), policy %s, parity %v\n",
-		*sessions, *group, len(names), target, transport, *policyKind, *parity)
+		*sessions, *group, len(names), *addr, transport, *policyKind, *parity)
 	chaos := &killer{after: *killAfter, pid: *killPid, stdout: stdout, stderr: stderr}
 
 	start := time.Now()
@@ -222,17 +196,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// Distinct seeds mean each session is "the same workflow over
 			// new data" — the paper's recurring-application model.
 			params := workload.Params{Seed: int64(i + 1)}
-			// The sharded client needs client-chosen IDs: the ID decides
-			// the owning shard before the session exists. The binary
-			// transport wants them too — the hello frame's session ID is
-			// what gives the connection routing affinity.
-			id := ""
-			if sharded != nil || *bin {
-				id = fmt.Sprintf("load-%d", i+1)
-			}
+			// Client-chosen IDs decide each session's shard behind a
+			// router before the session exists, so which sessions a
+			// -kill-pid hits is the same every run; the hello frame's
+			// session ID is also what gives a frame connection its
+			// routing affinity.
 			res := &results[i]
 			res.workload = names[i%len(names)]
-			res.err = runSession(res, c, id, params, advCfg, *parity, *batch, chaos)
+			res.err = runSession(res, c, fmt.Sprintf("load-%d", i+1), params, advCfg, *parity, *batch, chaos)
 		}(i)
 	}
 	wg.Wait()
@@ -258,22 +229,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "advice calls:  %d (%.1f calls/s)\n", advances, float64(advances)/elapsed.Seconds())
 	fmt.Fprintf(stdout, "latency:       p50 %v  p99 %v\n", percentile(latencies, 50), percentile(latencies, 99))
 	hops.report(stdout)
-	if sharded != nil {
-		st := sharded.Stats()
-		fmt.Fprintf(stdout, "failovers:     %d (re-route p50 %v  p99 %v)\n", st.Failovers, st.RerouteP50, st.RerouteP99)
-		for _, ev := range st.Reroutes {
-			line := fmt.Sprintf("  re-route:    %s -> %s (%d ops replayed, %v)", ev.Session, ev.Owner, ev.Ops, ev.Latency)
-			if ev.Trace != "" {
-				line += " trace=" + ev.Trace
-			}
-			fmt.Fprintln(stdout, line)
-		}
-		perShard := make([]string, 0, len(st.SessionsPerShard))
-		for _, sh := range shardList {
-			perShard = append(perShard, fmt.Sprintf("%s=%d", sh, st.SessionsPerShard[sh]))
-		}
-		fmt.Fprintf(stdout, "shard owners:  %s\n", strings.Join(perShard, "  "))
-	}
 	if *parity {
 		fmt.Fprintf(stdout, "parity:        %d advice checked, %d mismatches\n", checked, len(mismatches))
 		for i, m := range mismatches {
@@ -304,7 +259,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // under -parity compares the advice sequence, fingerprint by
 // fingerprint, against an in-process oracle's replay of the same
 // schedule.
-func runSession(res *sessionResult, c api, id string, params workload.Params, cfg service.AdvisorConfig, parity, batch bool, chaos *killer) error {
+func runSession(res *sessionResult, c *client.Client, id string, params workload.Params, cfg service.AdvisorConfig, parity, batch bool, chaos *killer) error {
 	ctx := context.Background()
 	spec, err := workload.Build(res.workload, params)
 	if err != nil {
@@ -373,7 +328,7 @@ func runSession(res *sessionResult, c api, id string, params workload.Params, cf
 // advise fetches one job's advices, by one RunBatch call or step by
 // step. Each advisory call is timed; each advice counts as an advance
 // and ticks the chaos trigger.
-func advise(ctx context.Context, c api, id string, steps []service.Step, batch bool, res *sessionResult, chaos *killer) ([]service.Advice, error) {
+func advise(ctx context.Context, c *client.Client, id string, steps []service.Step, batch bool, res *sessionResult, chaos *killer) ([]service.Advice, error) {
 	if batch {
 		t0 := time.Now()
 		resp, err := c.RunBatch(ctx, id, steps)

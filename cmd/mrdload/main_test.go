@@ -2,9 +2,10 @@ package main
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -18,6 +19,7 @@ import (
 	"mrdspark/internal/obs/trace"
 	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
+	"mrdspark/internal/service/client"
 	"mrdspark/internal/workload"
 )
 
@@ -104,42 +106,35 @@ func TestClientSpansAreExported(t *testing.T) {
 	}
 }
 
-// bentAPI answers from an in-process advisor and then bends the advice:
-// the one compare site has to notice each way a server could diverge.
-type bentAPI struct {
-	api
-	adv  *service.Advisor
-	bend func([]service.Advice) []service.Advice
-}
-
-func (b *bentAPI) CreateSession(_ context.Context, req service.CreateSessionRequest) (service.CreateSessionResponse, error) {
-	spec, err := workload.Build(req.Workload, req.Params)
-	if err != nil {
-		return service.CreateSessionResponse{}, err
-	}
-	b.adv, err = service.NewAdvisor(spec.Graph, req.Advisor)
-	return service.CreateSessionResponse{ID: "bent"}, err
-}
-
-func (b *bentAPI) RunBatch(_ context.Context, _ string, steps []service.Step) (service.BatchResponse, error) {
-	var out []service.Advice
-	for _, st := range steps {
-		if st.Stage < 0 {
-			if err := b.adv.SubmitJob(st.Job); err != nil {
-				return service.BatchResponse{}, err
-			}
-			continue
+// bentServer fronts a real advisory server and bends the advice of
+// every batch on its way back: the one compare site has to notice each
+// way a server could diverge.
+func bentServer(t *testing.T, bend func([]service.Advice) []service.Advice) *client.Client {
+	t.Helper()
+	srv := service.NewServer(service.ServerConfig{})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/batch") {
+			h.ServeHTTP(w, r)
+			return
 		}
-		adv, err := b.adv.Advance(st.Stage)
-		if err != nil {
-			return service.BatchResponse{}, err
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var resp service.BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
-		out = append(out, adv)
-	}
-	return service.BatchResponse{Advices: b.bend(out)}, nil
+		resp.Advices = bend(resp.Advices)
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(resp)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return client.New(client.Config{BaseURL: ts.URL})
 }
-
-func (b *bentAPI) DeleteSession(context.Context, string) error { return nil }
 
 func TestParityNoticesEveryDivergence(t *testing.T) {
 	cfg := service.AdvisorConfig{Nodes: 4, CacheBytes: 128 << 20, Policy: policyspec.MRD}
@@ -173,7 +168,7 @@ func TestParityNoticesEveryDivergence(t *testing.T) {
 			}},
 	} {
 		res := sessionResult{workload: "SP"}
-		if err := runSession(&res, &bentAPI{bend: tc.bend}, "", workload.Params{Seed: 3}, cfg, true, true, &killer{}); err != nil {
+		if err := runSession(&res, bentServer(t, tc.bend), "bent", workload.Params{Seed: 3}, cfg, true, true, &killer{}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if len(res.mismatches) != tc.mismatches || tc.mismatches > 0 && !strings.Contains(res.mismatches[0], tc.report) {

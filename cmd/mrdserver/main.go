@@ -9,12 +9,10 @@
 //	curl -s localhost:7788/healthz
 //	curl -s localhost:7788/metrics
 //
-// Sharded deployment — N shards over one snapshot directory, fronted
-// by a router (see DESIGN.md §12):
+// A shard group — N shards over one snapshot directory, fronted
+// by a router, the one route to a shard (see DESIGN.md §12):
 //
-//	mrdserver -addr 127.0.0.1:7701 -snapshot-dir /tmp/snaps \
-//	    -self http://127.0.0.1:7701 \
-//	    -peers http://127.0.0.1:7702,http://127.0.0.1:7703
+//	mrdserver -addr 127.0.0.1:7701 -snapshot-dir /tmp/snaps   # likewise :7702, :7703
 //	mrdserver -addr 127.0.0.1:7700 -router \
 //	    -shards http://127.0.0.1:7701,http://127.0.0.1:7702,http://127.0.0.1:7703
 //
@@ -61,11 +59,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	reqTimeout := fs.Duration("request-timeout", service.DefaultRequestTimeout, "per-request timeout")
 	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT")
 	snapDir := fs.String("snapshot-dir", "", "session snapshot directory; empty disables persistence. Shards sharing one directory can adopt each other's sessions")
-	snapEvery := fs.Int("snapshot-every", service.DefaultSnapshotEveryOps, "write a session snapshot after every N mutations")
-	self := fs.String("self", "", "this shard's advertised base URL (required with -peers)")
-	peers := fs.String("peers", "", "comma-separated peer shard base URLs for liveness gossip")
-	hbEvery := fs.Duration("heartbeat-every", service.DefaultHeartbeatEvery, "peer heartbeat period")
-	peerDeadline := fs.Duration("peer-deadline", service.DefaultPeerDeadline, "silence before a peer is reported dead")
 	drainLinger := fs.Duration("drain-linger", 0, "keep serving (metrics included) this long after drain snapshots are written, before closing the listener")
 	router := fs.Bool("router", false, "run as a stateless routing tier over -shards instead of an advisory shard")
 	shards := fs.String("shards", "", "comma-separated shard base URLs (router mode)")
@@ -121,23 +114,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 			snapStore = ds
 		}
-		peerList := cli.SplitList(*peers)
-		if len(peerList) > 0 && *self == "" {
-			return errors.New("-peers requires -self")
-		}
 		srv := service.NewServer(service.ServerConfig{
 			Registry:       service.RegistryConfig{MaxSessions: *maxSessions, IdleTimeout: *idle},
 			MaxInflight:    *inflight,
 			RequestTimeout: *reqTimeout,
 			QueueGrace:     *queueGrace,
-			Snapshots:      service.SnapshotPolicy{Store: snapStore, EveryOps: *snapEvery},
-			Peers:          service.PeerConfig{Self: *self, Peers: peerList, Every: *hbEvery, Deadline: *peerDeadline},
+			Snapshots:      service.SnapshotPolicy{Store: snapStore},
 			Trace:          service.TraceConfig{Tracer: tracer, SlowRequest: *slowReq},
 		})
 		defer srv.Close()
 		t = tier{
-			detail: fmt.Sprintf("(max-sessions=%d, max-inflight=%d, snapshots=%v, peers=%d)",
-				*maxSessions, *inflight, snapStore != nil, len(peerList)),
+			detail: fmt.Sprintf("(max-sessions=%d, max-inflight=%d, snapshots=%v)",
+				*maxSessions, *inflight, snapStore != nil),
 			handler: srv.Handler(), serveFrames: srv.ServeFrames,
 			// Drain order matters: snapshot every live session FIRST, while
 			// the listener still answers, so (a) no session state is lost if

@@ -89,7 +89,7 @@ func TestShardServesToParityAndDrains(t *testing.T) {
 	snaps, spans := filepath.Join(dir, "snaps"), filepath.Join(dir, "spans.jsonl")
 	s := start(t, "-addr", "127.0.0.1:0", "-frame-addr", "127.0.0.1:0", "-snapshot-dir", snaps, "-trace-out", spans)
 	frameAddr := s.await(`mrdserver: frame protocol on (\S+)$`)[1]
-	listening := s.await(`mrdserver: listening on (\S+) \(max-sessions=256, max-inflight=64, snapshots=true, peers=0\)$`)
+	listening := s.await(`mrdserver: listening on (\S+) \(max-sessions=256, max-inflight=64, snapshots=true\)$`)
 	base := "http://" + listening[1]
 
 	spec, err := workload.Build("SCC", workload.Params{})
@@ -185,7 +185,6 @@ func TestExitStatuses(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\nUsage of mrdserver:"},
 		{[]string{"-router"}, 1, "mrdserver: -router requires -shards\n"},
-		{[]string{"-peers", "http://127.0.0.1:1"}, 1, "mrdserver: -peers requires -self\n"},
 		{[]string{"-addr", "not-an-address"}, 1, "mrdserver: listen tcp: "},
 		{[]string{"-addr", "127.0.0.1:0", "-frame-addr", "not-an-address"}, 1, "mrdserver: frame listener: listen tcp: "},
 		{[]string{"-addr", "127.0.0.1:0", "-debug-addr", "not-an-address"}, 1, "mrdserver: debug listener: listen tcp: "},

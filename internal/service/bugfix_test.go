@@ -1,13 +1,11 @@
 package service_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,70 +190,11 @@ func TestTimedOutAdvanceRetryConverges(t *testing.T) {
 	}
 }
 
-// TestHeartbeatsReuseConnections: the heartbeat loop must drain each
-// response body before closing it. On a loopback httptest peer the
-// transport buffers the whole response, so the decoder sees EOF with
-// the final data and the missing drain is invisible — the peer here is
-// a raw socket speaking chunked HTTP whose terminating chunk arrives
-// AFTER the JSON value, the shape the drain exists for. Without the
-// drain, every heartbeat closes a half-read body, tears the connection
-// down, and the next round pays a fresh TCP handshake.
-func TestHeartbeatsReuseConnections(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	var conns atomic.Int64
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conns.Add(1)
-			go func(nc net.Conn) {
-				defer nc.Close()
-				br := bufio.NewReader(nc)
-				for {
-					req, err := http.ReadRequest(br)
-					if err != nil {
-						return
-					}
-					io.Copy(io.Discard, req.Body)
-					req.Body.Close()
-					io.WriteString(nc, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n3\r\n{}\n\r\n")
-					// The delayed terminator: the client's decoder finishes
-					// the value before EOF is observable.
-					time.Sleep(15 * time.Millisecond)
-					io.WriteString(nc, "0\r\n\r\n")
-				}
-			}(nc)
-		}
-	}()
-
-	srv := service.NewServer(service.ServerConfig{
-		Peers: service.PeerConfig{
-			Self:  "http://self",
-			Peers: []string{"http://" + ln.Addr().String()},
-			Every: 5 * time.Millisecond,
-		},
-	})
-	t.Cleanup(srv.Close)
-
-	// ~20 heartbeat rounds; an undrained loop opens a connection per
-	// round.
-	time.Sleep(400 * time.Millisecond)
-	if got := conns.Load(); got != 1 {
-		t.Fatalf("peer saw %d TCP connections across heartbeat rounds, want 1 (bodies not drained?)", got)
-	}
-}
-
-// countingStore wraps a SnapshotStore counting Load and Has calls.
+// countingStore wraps a SnapshotStore counting Load and Stamp calls.
 type countingStore struct {
 	service.SnapshotStore
-	loads atomic.Int64
-	has   atomic.Int64
+	loads  atomic.Int64
+	stamps atomic.Int64
 }
 
 func (c *countingStore) Load(id string) (*service.Snapshot, error) {
@@ -263,17 +202,17 @@ func (c *countingStore) Load(id string) (*service.Snapshot, error) {
 	return c.SnapshotStore.Load(id)
 }
 
-func (c *countingStore) Has(id string) (bool, error) {
-	c.has.Add(1)
-	return c.SnapshotStore.Has(id)
+func (c *countingStore) Stamp(id string) (string, error) {
+	c.stamps.Add(1)
+	return c.SnapshotStore.Stamp(id)
 }
 
-// TestDeleteProbesWithHasNotLoad: deciding whether a snapshot exists
+// TestDeleteProbesWithStampNotLoad: deciding whether a snapshot exists
 // must not deserialize the full op-log snapshot.
-func TestDeleteProbesWithHasNotLoad(t *testing.T) {
+func TestDeleteProbesWithStampNotLoad(t *testing.T) {
 	store := &countingStore{SnapshotStore: service.NewMemStore()}
 	srv := service.NewServer(service.ServerConfig{
-		Snapshots: service.SnapshotPolicy{Store: store, EveryOps: 1},
+		Snapshots: service.SnapshotPolicy{Store: store},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -291,19 +230,19 @@ func TestDeleteProbesWithHasNotLoad(t *testing.T) {
 	if _, err := c.SubmitJob(ctx, "probe-scc", 0); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := store.SnapshotStore.Has("probe-scc"); err != nil || !ok {
-		t.Fatalf("snapshot not written before delete (ok=%v err=%v)", ok, err)
+	if stamp, err := store.SnapshotStore.Stamp("probe-scc"); err != nil || stamp == "" {
+		t.Fatalf("snapshot not written before delete (stamp=%q err=%v)", stamp, err)
 	}
 
 	store.loads.Store(0)
-	store.has.Store(0)
+	store.stamps.Store(0)
 	if err := c.DeleteSession(ctx, "probe-scc"); err != nil {
 		t.Fatal(err)
 	}
-	if store.has.Load() == 0 {
-		t.Fatal("delete never probed the store with Has")
+	if store.stamps.Load() == 0 {
+		t.Fatal("delete never probed the store for a stamp")
 	}
 	if n := store.loads.Load(); n != 0 {
-		t.Fatalf("delete deserialized %d full snapshots; existence must use Has", n)
+		t.Fatalf("delete deserialized %d full snapshots; existence must use Stamp", n)
 	}
 }

@@ -5,14 +5,15 @@
 // simulator's fetch-retry path uses. Retries honor the server's
 // Retry-After hint, spread under jittered exponential backoff, and are
 // capped by a total retry wall-time so a dead server fails fast instead
-// of hanging the caller. Sharded (sharded.go) layers consistent-hash routing and
-// failover over several of these.
+// of hanging the caller. A sharded deployment is reached through its
+// router, like any one server.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -132,7 +133,7 @@ func New(cfg Config) *Client {
 // over HTTP (httpTransport) or the persistent-connection frame protocol
 // (frameTransport, wire.go). Both run every attempt under
 // Client.retryLoop and report a server's refusal as the same *Error,
-// so callers — Sharded's failover included — are transport-blind.
+// so callers are transport-blind.
 type transport interface {
 	createSession(ctx context.Context, req service.CreateSessionRequest) (service.CreateSessionResponse, error)
 	getSession(ctx context.Context, sessionID string) (service.SessionStatus, error)
@@ -152,6 +153,13 @@ type Error struct {
 
 func (e *Error) Error() string {
 	return fmt.Sprintf("mrdserver: %s (HTTP %d)", e.Msg, e.Status)
+}
+
+// isAPIError reports whether the server answered (any HTTP status), as
+// opposed to the call failing on the way.
+func isAPIError(err error) bool {
+	var apiErr *Error
+	return errors.As(err, &apiErr)
 }
 
 // CreateSession registers an application and returns its session.

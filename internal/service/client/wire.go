@@ -67,7 +67,7 @@ func (fc *frameConn) send(op byte, build func(*wire.Enc)) (uint64, error) {
 // recv reads one response frame, which must echo seq. The payload view
 // aliases the connection's reused buffer — decode before the next recv.
 // An OpError frame comes back as the same *Error the JSON path returns,
-// so Sharded failover and caller error handling are transport-blind.
+// so caller error handling is transport-blind.
 func (fc *frameConn) recv(seq uint64) (byte, []byte, error) {
 	h, payload, nbuf, err := wire.ReadFrame(fc.br, fc.rbuf)
 	fc.rbuf = nbuf

@@ -220,36 +220,18 @@ func TestFrameStatusAndReplay(t *testing.T) {
 
 // TestRouterFrameSplice runs the full frame path through the routing
 // tier: hello-routed splice to the owning shard, discovery of the
-// router's frame address via its /healthz, and parity on the far side.
+// router's frame address via its /healthz, and parity on the far side —
+// also when the owner is killed mid-schedule under the splice.
 func TestRouterFrameSplice(t *testing.T) {
 	store := service.NewMemStore()
+	// Every shard has a frame listener; the router learns them from the
+	// shards' /healthz.
 	g := newShardGroup(t, 3, store)
-	// Give every shard a frame listener; the router learns them from
-	// the shards' /healthz.
-	for _, srv := range g.servers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.ServeFrames(ln)
-		t.Cleanup(func() { ln.Close() })
-	}
-	rt := service.NewRouter(service.RouterConfig{Shards: g.urls, ProbeEvery: -1})
-	rts := httptest.NewServer(rt)
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rt.ServeFrames(rln)
-	t.Cleanup(func() {
-		rln.Close()
-		rts.Close()
-		rt.Close()
-	})
+	rt, base := newRouter(t, g)
 
 	// No pinned FrameAddr: the client must discover the router's frame
 	// listener through the router's own /healthz.
-	c := client.New(client.Config{BaseURL: rts.URL, Binary: true})
+	c := client.New(client.Config{BaseURL: base, Binary: true})
 	t.Cleanup(c.Close)
 	got := driveBin(t, c, "spliced-scc", "SCC")
 	want := oracle(t, "SCC")
@@ -261,12 +243,56 @@ func TestRouterFrameSplice(t *testing.T) {
 			t.Fatalf("advice %d over splice:\n  server: %s\n  oracle: %s", i, g, w)
 		}
 	}
-	hz, err := c.Healthz(context.Background())
+	ctx := context.Background()
+	hz, err := c.Healthz(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hz.FrameAddr == "" {
 		t.Fatal("router /healthz advertises no frame address")
+	}
+
+	// The -bin -batch shape, a job per batch, with the owner killed
+	// halfway: the spliced connection breaks, the client redials, the
+	// router's walk skips the dead shard, and the successor restores the
+	// session from the store.
+	const id = "spliced-kill"
+	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workload.Build("SCC", workload.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs [][]service.Step
+	for _, st := range service.Schedule(spec.Graph) {
+		if st.Stage < 0 {
+			jobs = append(jobs, nil)
+		}
+		jobs[len(jobs)-1] = append(jobs[len(jobs)-1], st)
+	}
+	owner := rt.Shards().Owner(id)
+	got = got[:0]
+	for i, steps := range jobs {
+		if i == len(jobs)/2 {
+			g.kill(owner)
+		}
+		resp, err := c.RunBatch(ctx, id, steps)
+		if err != nil {
+			t.Fatalf("batch of job %d: %v", steps[0].Job, err)
+		}
+		got = append(got, resp.Advices...)
+	}
+	if successor := rt.Shards().Owner(id); successor == owner || successor == "" {
+		t.Fatalf("router still routes %s to the dead shard %q", id, successor)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("advice count across the kill = %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
+			t.Fatalf("advice %d across the kill:\n  server: %s\n  oracle: %s", i, g, w)
+		}
 	}
 }
 

@@ -23,9 +23,11 @@ type Session struct {
 	mu       sync.Mutex
 	advisor  *Advisor
 	advances int64
-	// opsSinceSnap counts mutations since the last snapshot write; the
-	// server's snapshot cadence runs on it. Owned by the session lock.
-	opsSinceSnap int
+	// stamp is the snapshot store's stamp of the snapshot this copy last
+	// wrote or was restored from ("" before either); the server compares
+	// it with the store's before serving the copy. Owned by the session
+	// lock.
+	stamp string
 	// fold runs under the session lock at the end of every WithAdvisor
 	// call: the server passes the flush of the session's obs.Fold here,
 	// so the events of an operation reach the shared /metrics aggregator

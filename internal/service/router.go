@@ -165,8 +165,8 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // routingKey extracts (or injects) the session ID the request routes
 // by. Session-scoped paths carry it in the URL; creates carry it in
 // the JSON body, and get one injected when absent. Requests with no
-// session affinity (peers, health, metrics) route by path so they at
-// least land consistently.
+// session affinity (metrics) route by path so they at least land
+// consistently.
 func (r *Router) routingKey(w http.ResponseWriter, req *http.Request, body []byte) (string, []byte, bool) {
 	if rest, found := strings.CutPrefix(req.URL.Path, "/v1/sessions/"); found {
 		id := rest

@@ -1,23 +1,25 @@
 package service_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
-	"time"
 
 	"mrdspark/internal/service"
 	"mrdspark/internal/service/client"
 	"mrdspark/internal/workload"
 )
 
-// shardGroup boots n advisory shards over one shared snapshot store.
+// shardGroup boots n advisory shards over one shared snapshot store,
+// each serving HTTP and the frame protocol.
 type shardGroup struct {
 	servers []*service.Server
 	tss     []*httptest.Server
+	frames  []*frameListener
 	urls    []string
 }
 
@@ -27,80 +29,89 @@ func newShardGroup(t *testing.T, n int, store service.SnapshotStore) *shardGroup
 	for i := 0; i < n; i++ {
 		srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
 		ts := httptest.NewServer(srv.Handler())
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := &frameListener{Listener: ln}
+		go srv.ServeFrames(fl)
 		g.servers = append(g.servers, srv)
 		g.tss = append(g.tss, ts)
+		g.frames = append(g.frames, fl)
 		g.urls = append(g.urls, ts.URL)
 	}
 	t.Cleanup(func() {
-		for i := range g.servers {
-			g.tss[i].Close()
-			g.servers[i].Close()
+		for _, u := range g.urls {
+			g.kill(u)
 		}
 	})
 	return g
 }
 
-// kill closes one shard's listener abruptly — the httptest equivalent
-// of SIGKILL as seen from the network.
+// kill drops one shard abruptly — SIGKILL as seen from the network: its
+// HTTP listener, its frame listener and every live frame connection
+// close.
 func (g *shardGroup) kill(url string) {
 	for i, u := range g.urls {
 		if u == url {
+			g.frames[i].kill()
 			g.tss[i].Close()
 			g.servers[i].Close()
 		}
 	}
 }
 
-// TestHeartbeatOverHTTP wires one shard to report on another via the
-// real /v1/peers endpoints.
-func TestHeartbeatOverHTTP(t *testing.T) {
-	srv := service.NewServer(service.ServerConfig{
-		Peers: service.PeerConfig{
-			Self:     "http://self",
-			Peers:    []string{"http://peer"},
-			Every:    time.Hour, // outbound heartbeats irrelevant here
-			Deadline: 200 * time.Millisecond,
-		},
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
+// frameListener remembers the frame connections it accepted, so a kill
+// can close the live ones along with the listener.
+type frameListener struct {
+	net.Listener
+	mu    sync.Mutex
+	dead  bool
+	conns []net.Conn
+}
 
-	hb, _ := json.Marshal(service.HeartbeatRequest{From: "http://peer", Seq: 1})
-	resp, err := ts.Client().Post(ts.URL+"/v1/peers/heartbeat", "application/json", bytes.NewReader(hb))
+func (l *frameListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.dead {
+		nc.Close()
+	} else {
+		l.conns = append(l.conns, nc)
+	}
+	return nc, nil
+}
+
+func (l *frameListener) kill() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.dead = true
+	l.Listener.Close()
+	for _, nc := range l.conns {
+		nc.Close()
+	}
+}
+
+// newRouter fronts the group with a router on both transports. It runs
+// no prober: liveness is the test's to mark.
+func newRouter(t *testing.T, g *shardGroup) (*service.Router, string) {
+	t.Helper()
+	rt := service.NewRouter(service.RouterConfig{Shards: g.urls, ProbeEvery: -1})
+	rts := httptest.NewServer(rt)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr service.HeartbeatResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if hr.From != "http://self" {
-		t.Errorf("heartbeat response From = %q", hr.From)
-	}
-	if _, ok := hr.View["http://peer"]; !ok {
-		t.Error("heartbeat response view does not acknowledge the sender")
-	}
-
-	status := func() service.PeersStatus {
-		resp, err := ts.Client().Get(ts.URL + "/v1/peers")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st service.PeersStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	if st := status(); len(st.Peers) != 1 || !st.Peers[0].Alive {
-		t.Fatalf("peer should be alive right after heartbeat: %+v", st.Peers)
-	}
-	time.Sleep(250 * time.Millisecond)
-	if st := status(); st.Peers[0].Alive {
-		t.Fatalf("peer should be dead past the deadline: %+v", st.Peers)
-	}
+	go rt.ServeFrames(ln)
+	t.Cleanup(func() {
+		ln.Close()
+		rts.Close()
+		rt.Close()
+	})
+	return rt, rts.URL
 }
 
 // TestRouterRoutesInjectsAndFailsOver drives a full workload through
@@ -174,6 +185,107 @@ func TestRouterRoutesInjectsAndFailsOver(t *testing.T) {
 	for i := range got {
 		if gf, wf := got[i].Fingerprint(), want[i].Fingerprint(); gf != wf {
 			t.Fatalf("advice %d diverges across router failover:\n  server %s\n  oracle %s", i, gf, wf)
+		}
+	}
+}
+
+// TestRouterHandBackServesTheLatestState flaps a session's owner the
+// way one transient proxy error and the next health probe would: the
+// router marks the owner dead, the successor restores the session from
+// the shared store and advances it, then the owner is marked alive and
+// gets the session back. The owner still holds its own live copy, a
+// third of the schedule behind; it must serve what the successor left
+// in the store instead. Every advice must equal the oracle's, on either
+// store and either transport.
+func TestRouterHandBackServesTheLatestState(t *testing.T) {
+	stores := []struct {
+		name string
+		open func(t *testing.T) service.SnapshotStore
+	}{
+		{"MemStore", func(*testing.T) service.SnapshotStore { return service.NewMemStore() }},
+		{"DirStore", func(t *testing.T) service.SnapshotStore {
+			ds, err := service.NewDirStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		}},
+	}
+	for _, st := range stores {
+		for _, transport := range []string{"json", "frames"} {
+			t.Run(st.name+"/"+transport, func(t *testing.T) {
+				handBack(t, st.open(t), transport == "frames")
+			})
+		}
+	}
+}
+
+func handBack(t *testing.T, store service.SnapshotStore, binary bool) {
+	const name, id = "SCC", "hand-back"
+	g := newShardGroup(t, 2, store)
+	rt, base := newRouter(t, g)
+	c := client.New(client.Config{BaseURL: base, Binary: binary})
+	t.Cleanup(c.Close)
+	ctx := context.Background()
+	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: name, Advisor: testAdvisorConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workload.Build(name, workload.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := service.Schedule(spec.Graph)
+	var got []service.Advice
+	drive := func(from, to int) {
+		if binary {
+			resp, err := c.RunBatch(ctx, id, steps[from:to])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, resp.Advices...)
+			return
+		}
+		for _, st := range steps[from:to] {
+			if st.Stage < 0 {
+				if _, err := c.SubmitJob(ctx, id, st.Job); err != nil {
+					t.Fatalf("job %d: %v", st.Job, err)
+				}
+				continue
+			}
+			adv, err := c.Advance(ctx, id, st.Stage)
+			if err != nil {
+				t.Fatalf("stage %d: %v", st.Stage, err)
+			}
+			got = append(got, adv)
+		}
+	}
+	// A frame connection stays spliced to the shard that owned the
+	// session when it was dialed; closing it makes the next call's hello
+	// route under the router's new view, as a reconnect would.
+	flap := func(mark func(string) bool, owner string) {
+		mark(owner)
+		c.Close()
+	}
+
+	owner := rt.Shards().Owner(id)
+	third := len(steps) / 3
+	drive(0, third)
+	flap(rt.Shards().MarkDead, owner)
+	drive(third, 2*third)
+	successor := rt.Shards().Owner(id)
+	if successor == owner || successor == "" || findShard(g, successor).Registry().Len() != 1 {
+		t.Fatalf("the session did not move off %s while it was marked dead", owner)
+	}
+	flap(rt.Shards().MarkAlive, owner)
+	drive(2*third, len(steps))
+
+	want := oracle(t, name)
+	if len(got) != len(want) {
+		t.Fatalf("drove %d advices, oracle has %d", len(got), len(want))
+	}
+	for i := range got {
+		if gf, wf := got[i].Fingerprint(), want[i].Fingerprint(); gf != wf {
+			t.Fatalf("advice %d diverges across the hand-back:\n  server %s\n  oracle %s", i, gf, wf)
 		}
 	}
 }

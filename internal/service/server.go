@@ -1,12 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -19,8 +17,8 @@ import (
 	"mrdspark/internal/workload"
 )
 
-// ServerConfig tunes the advisory server's protection middleware,
-// snapshot persistence and peer liveness.
+// ServerConfig tunes the advisory server's protection middleware and
+// snapshot persistence.
 type ServerConfig struct {
 	Registry RegistryConfig
 	// MaxInflight bounds concurrently served requests; excess requests
@@ -40,30 +38,24 @@ type ServerConfig struct {
 	// Snapshots configures session persistence; a nil Store disables
 	// both snapshotting and restore-on-demand.
 	Snapshots SnapshotPolicy
-	// Peers wires the server into a shard group for liveness gossip.
-	Peers PeerConfig
 	// Trace attaches the span recorder and slow-request logging.
 	Trace TraceConfig
 }
 
-// SnapshotPolicy is the server's session-persistence cadence.
+// SnapshotPolicy is the server's session persistence. A session is
+// snapshotted after every mutation, before the mutation is answered, so
+// the store holds every acknowledged step and a successor resumes
+// exactly where this shard stopped.
 type SnapshotPolicy struct {
 	// Store receives snapshots; nil disables persistence.
 	Store SnapshotStore
-	// EveryOps writes a snapshot after every N session mutations;
-	// 0 means DefaultSnapshotEveryOps. 1 persists every acknowledged
-	// operation, which is what gives shard failover exactly-resumed
-	// sessions; larger values trade durability lag for fewer writes
-	// (the sharded client's op replay covers the gap).
-	EveryOps int
 }
 
 // Server middleware defaults.
 const (
-	DefaultMaxInflight      = 64
-	DefaultRequestTimeout   = 30 * time.Second
-	DefaultSweepEvery       = time.Minute
-	DefaultSnapshotEveryOps = 1
+	DefaultMaxInflight    = 64
+	DefaultRequestTimeout = 30 * time.Second
+	DefaultSweepEvery     = time.Minute
 )
 
 func (c ServerConfig) normalize() ServerConfig {
@@ -76,10 +68,6 @@ func (c ServerConfig) normalize() ServerConfig {
 	if c.SweepEvery == 0 {
 		c.SweepEvery = DefaultSweepEvery
 	}
-	if c.Snapshots.EveryOps == 0 {
-		c.Snapshots.EveryOps = DefaultSnapshotEveryOps
-	}
-	c.Peers = c.Peers.normalize()
 	return c
 }
 
@@ -93,8 +81,7 @@ type Server struct {
 	started  time.Time
 	inflight chan struct{}
 	requests atomic.Int64
-	// loops are the background tickers (idle-session janitor, peer
-	// heartbeater); Close stops them.
+	// loops runs the idle-session janitor; Close stops it.
 	loops *tickers
 
 	// HTTP-tier telemetry: the span recorder (nil when tracing is off)
@@ -110,10 +97,6 @@ type Server struct {
 	restored     atomic.Int64
 	drainSnaps   atomic.Int64
 
-	// Peer liveness.
-	peers    *peerTable
-	hbClient *http.Client
-
 	// Binary wire-protocol tier (frameserver.go): the session epoch
 	// clients use to detect restarts, the advertised frame address, and
 	// the wire-side counters behind /metrics.
@@ -123,7 +106,7 @@ type Server struct {
 }
 
 // NewServer assembles a server. Call Close when done to stop the idle
-// janitor and the peer heartbeater.
+// janitor.
 func NewServer(cfg ServerConfig) *Server {
 	cfg = cfg.normalize()
 	s := &Server{
@@ -136,8 +119,6 @@ func NewServer(cfg ServerConfig) *Server {
 		tracer:    cfg.Trace.Tracer,
 		http:      newHTTPStats(),
 		snapStore: cfg.Snapshots.Store,
-		peers:     newPeerTable(cfg.Peers),
-		hbClient:  &http.Client{Timeout: time.Second},
 	}
 	// The session epoch identifies this server incarnation on the wire
 	// protocol: a client that reconnects and sees a new epoch knows the
@@ -146,19 +127,16 @@ func NewServer(cfg ServerConfig) *Server {
 	s.epoch = uint32(s.started.Unix())
 	s.frameAddr.Store("")
 	s.loops.every(cfg.SweepEvery, func() { s.registry.SweepIdle() })
-	if len(cfg.Peers.Peers) > 0 {
-		s.loops.every(cfg.Peers.Every, s.sendHeartbeats)
-	}
 	return s
 }
 
-// Close stops the idle-session janitor and the peer heartbeater. It
-// is safe to call more than once: failover tests (and belt-and-braces
-// shutdown paths) may close a killed shard again.
+// Close stops the idle-session janitor. It is safe to call more than
+// once: failover tests (and belt-and-braces shutdown paths) may close a
+// killed shard again.
 func (s *Server) Close() { s.loops.stop() }
 
-// tickers runs periodic background work — the server's janitor and
-// heartbeater, the router's health prober — until stopped.
+// tickers runs periodic background work — the server's janitor, the
+// router's health prober — until stopped.
 type tickers struct {
 	quit     chan struct{}
 	stopOnce sync.Once
@@ -232,8 +210,7 @@ type CreateSessionResponse struct {
 }
 
 // SessionStatus is the GET /v1/sessions/{id} payload: the session's
-// replay cursor, which a re-routing client uses to fast-forward after
-// a failover handover.
+// replay cursor, where a client resuming the session picks up.
 type SessionStatus struct {
 	ID        string `json:"id"`
 	Workload  string `json:"workload"`
@@ -317,8 +294,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/stage", s.route("advance", s.handleAdvance))
 	mux.HandleFunc("POST /v1/sessions/{id}/batch", s.route("batch", s.handleBatch))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.route("delete", s.handleDelete))
-	mux.HandleFunc("POST /v1/peers/heartbeat", s.route("heartbeat", s.handleHeartbeat))
-	mux.HandleFunc("GET /v1/peers", s.route("peers", s.handlePeers))
 	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
 	var h http.Handler = mux
@@ -602,8 +577,8 @@ func (s *Server) submitJob(ctx context.Context, sess *Session, job int) (SubmitJ
 	computeStart := time.Now()
 	err := sess.WithAdvisor(func(a *Advisor) error {
 		// Idempotent replay: a job the session has already consumed is
-		// acknowledged again rather than conflicting, so post-failover
-		// op replay by the sharded client converges.
+		// acknowledged again rather than conflicting, so a client
+		// retrying across a failover converges.
 		if job >= 0 && job < a.NextJob() {
 			resp = SubmitJobResponse{Job: job, NextJob: a.NextJob(), Replayed: true}
 			return nil
@@ -760,11 +735,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) deleteSession(id string) bool {
 	deleted := s.registry.Delete(id)
 	// An explicit delete also retires the persisted snapshot: the
-	// session is gone on purpose, not lost. The existence probe is Has,
-	// not Load — deciding whether to delete must not deserialize a full
-	// op-log snapshot.
+	// session is gone on purpose, not lost. The existence probe is a
+	// stamp, not Load — deciding whether to delete must not deserialize
+	// a full op-log snapshot.
 	if s.snapStore != nil {
-		if ok, err := s.snapStore.Has(id); err == nil && ok {
+		if stamp, err := s.snapStore.Stamp(id); err == nil && stamp != "" {
 			_ = s.snapStore.Delete(id)
 			deleted = true
 		}
@@ -802,13 +777,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Scalar("mrdserver_snapshot_errors_total", "counter", "Snapshot writes that failed.", s.snapErrors.Load())
 	pw.Scalar("mrdserver_sessions_restored_total", "counter", "Sessions rebuilt from snapshots (restart or failover adoption).", s.restored.Load())
 	pw.Scalar("mrdserver_drain_snapshots_written", "gauge", "Sessions snapshotted by the last graceful drain.", s.drainSnaps.Load())
-	var alive int64
-	for _, p := range s.peers.status().Peers {
-		if p.Alive {
-			alive++
-		}
-	}
-	pw.Scalar("mrdserver_peers_alive", "gauge", "Peer shards currently within their liveness deadline.", alive)
 	s.http.writePrometheus(pw)
 	s.wire.writePrometheus(pw)
 	total, dropped := s.tracer.Stats()
@@ -830,10 +798,11 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 }
 
 // lookupSession is the transport-independent session resolver (the
-// frame server shares it); a miss returns 404, a failed restore 500.
+// frame server shares it); a miss returns 404, a failed restore 500. A
+// live copy is served only while it is current; a copy another shard
+// has advanced since is re-adopted from the store first.
 func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, error) {
-	sess, ok := s.registry.Get(id)
-	if ok {
+	if sess, ok := s.registry.Get(id); ok && s.current(sess) {
 		return sess, http.StatusOK, nil
 	}
 	sess, err := s.restoreSession(ctx, id)
@@ -846,11 +815,30 @@ func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, e
 	return nil, http.StatusInternalServerError, fmt.Errorf("restore session %q: %w", id, err)
 }
 
+// current reports whether a live copy is the store's latest state: the
+// store's stamp is still that of the snapshot this copy last wrote or
+// was restored from. A different stamp means another shard advanced the
+// session while this one was routed around — a router's hand-back after
+// a dead-marking — and a failed probe trusts nothing. The probe runs
+// under the session lock, which every snapshot write holds, so this
+// shard's own writes never look foreign. Without a store every copy is
+// current and nothing is probed.
+func (s *Server) current(sess *Session) bool {
+	if s.snapStore == nil {
+		return true
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	stamp, err := s.snapStore.Stamp(sess.ID)
+	return err == nil && stamp == sess.stamp
+}
+
 // restoreSession adopts a snapshotted session into this server's
 // registry: rebuild the advisor by op-log replay on the same adoption
 // path a fresh session takes (adopt). Concurrent requests for the same
-// orphaned session are serialized; the losers find the session already
-// registered.
+// session are serialized; the losers find it registered and current. A
+// registered copy that is not current is retired through the registry
+// first, so its fold and cleanup run as on any other exit.
 func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error) {
 	if s.snapStore == nil {
 		return nil, ErrNoSnapshot
@@ -859,8 +847,19 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 	s.restoreMu.Lock()
 	defer s.restoreMu.Unlock()
 	if sess, ok := s.registry.Get(id); ok {
-		sp.EndWith("already-restored")
-		return sess, nil // lost the race to a concurrent restore
+		if s.current(sess) {
+			sp.EndWith("already-restored")
+			return sess, nil // lost the race to a concurrent restore
+		}
+		s.registry.Delete(id)
+	}
+	// The stamp is read before the snapshot: a write landing between the
+	// two leaves the copy newer than its stamp, which the next probe
+	// calls stale and reloads — never the other way round.
+	stamp, err := s.snapStore.Stamp(id)
+	if err != nil {
+		sp.EndWith("stamp-error: " + err.Error())
+		return nil, err
 	}
 	snap, err := s.snapStore.Load(id)
 	if err != nil {
@@ -879,31 +878,32 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 		sp.EndWith("restore-error: " + err.Error())
 		return nil, err
 	}
+	sess.mu.Lock()
+	sess.stamp = stamp
+	sess.mu.Unlock()
 	s.restored.Add(1)
 	sp.EndWith("session=" + id)
 	return sess, nil
 }
 
-// noteMutation ticks the session's snapshot cadence; called under the
-// session lock right after a successful state change.
+// noteMutation persists the session right after a successful state
+// change, under the session lock: the snapshot is in the store before
+// the mutation is answered.
 func (s *Server) noteMutation(sess *Session, a *Advisor) {
-	if s.snapStore == nil {
-		return
+	if s.snapStore != nil {
+		s.writeSnapshot(sess, a)
 	}
-	sess.opsSinceSnap++
-	if sess.opsSinceSnap < s.cfg.Snapshots.EveryOps {
-		return
-	}
-	sess.opsSinceSnap = 0
-	s.writeSnapshot(sess.ID, a)
 }
 
-// writeSnapshot persists one session snapshot, counting the outcome.
-func (s *Server) writeSnapshot(id string, a *Advisor) bool {
-	if err := s.snapStore.Save(a.Snapshot(id)); err != nil {
+// writeSnapshot persists one session snapshot under the session lock,
+// keeping the stamp the write left and counting the outcome.
+func (s *Server) writeSnapshot(sess *Session, a *Advisor) bool {
+	stamp, err := s.snapStore.Save(a.Snapshot(sess.ID))
+	if err != nil {
 		s.snapErrors.Add(1)
 		return false
 	}
+	sess.stamp = stamp
 	s.snapsWritten.Add(1)
 	return true
 }
@@ -919,8 +919,7 @@ func (s *Server) DrainSnapshots() int {
 	n := 0
 	for _, sess := range s.registry.Sessions() {
 		_ = sess.WithAdvisor(func(a *Advisor) error {
-			if s.writeSnapshot(sess.ID, a) {
-				sess.opsSinceSnap = 0
+			if s.writeSnapshot(sess, a) {
 				n++
 			}
 			return nil
@@ -928,53 +927,6 @@ func (s *Server) DrainSnapshots() int {
 	}
 	s.drainSnaps.Add(int64(n))
 	return n
-}
-
-// sendHeartbeats announces liveness to every peer and folds their
-// gossiped views back into the local table.
-func (s *Server) sendHeartbeats() {
-	hb := HeartbeatRequest{From: s.cfg.Peers.Self, Seq: s.peers.nextSeq(), View: s.peers.view()}
-	body, err := json.Marshal(hb)
-	if err != nil {
-		return
-	}
-	for _, peer := range s.cfg.Peers.Peers {
-		resp, err := s.hbClient.Post(peer+"/v1/peers/heartbeat", "application/json", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		var hr HeartbeatResponse
-		if json.NewDecoder(resp.Body).Decode(&hr) == nil {
-			// A response is direct evidence the peer is alive; its view
-			// vouches for shards we cannot reach ourselves.
-			s.peers.observe(peer)
-			s.peers.merge(hr.View)
-		}
-		// Drain before closing: json.Decoder stops at the end of the
-		// value, leaving the body's trailing newline unread, and a body
-		// closed with bytes left makes net/http tear the connection down
-		// instead of returning it to the keep-alive pool — every
-		// heartbeat round would pay a fresh TCP handshake per peer.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
-
-// handleHeartbeat receives a peer's liveness announcement and answers
-// with this shard's merged view (the gossip exchange).
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	s.peers.observe(req.From)
-	s.peers.merge(req.View)
-	writeJSON(w, http.StatusOK, HeartbeatResponse{From: s.cfg.Peers.Self, View: s.peers.view()})
-}
-
-// handlePeers reports this shard's liveness table.
-func (s *Server) handlePeers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.peers.status())
 }
 
 // maxRequestBody caps request bodies at the shard itself, matched to

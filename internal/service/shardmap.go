@@ -12,9 +12,9 @@ import (
 // Rendezvous gives the two properties failover needs with no token
 // rings or rebalancing state:
 //
-//   - deterministic: every client and router with the same shard list
-//     and the same liveness view computes the same owner, so a session
-//     created through one path is found through another;
+//   - deterministic: every router replica with the same shard list and
+//     the same liveness view computes the same owner, so a session
+//     created through one replica is found through another;
 //   - minimal disruption: marking a shard dead moves only the keys it
 //     owned (each to its second-highest-scoring shard); every other
 //     key keeps its owner, so a failover never stampedes the healthy
@@ -80,14 +80,14 @@ func (m *ShardMap) Owner(key string) string {
 	return best
 }
 
-// Walk is the one failover procedure of the routing tier and the
-// sharded client: ask for key's owner, hand it to try, and when try
-// reports a transport failure (false) mark that shard dead and move to
-// the next owner, for at most attempts tries and never the same shard
-// twice. It returns the shard that answered — try returned true, whether
-// with a result or with the server's own refusal — or "" when the walk
-// ran out of live shards or attempts. try runs without the map's lock
-// held.
+// Walk is the one failover procedure of the routing tier, shared by its
+// HTTP proxy and its frame splice: ask for key's owner, hand it to try,
+// and when try reports a transport failure (false) mark that shard dead
+// and move to the next owner, for at most attempts tries and never the
+// same shard twice. It returns the shard that answered — try returned
+// true, whether with a result or with the server's own refusal — or ""
+// when the walk ran out of live shards or attempts. try runs without
+// the map's lock held.
 func (m *ShardMap) Walk(key string, attempts int, try func(owner string, attempt int) bool) string {
 	tried := map[string]bool{}
 	for attempt := 0; attempt < attempts; attempt++ {

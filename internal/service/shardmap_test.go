@@ -21,7 +21,7 @@ func keysOwned(m *service.ShardMap, n int) map[string]string {
 }
 
 // TestShardMapDeterministicAndBalanced: two independently built maps
-// agree on every owner (clients and routers route consistently with no
+// agree on every owner (router replicas route consistently with no
 // coordination), and rendezvous hashing spreads keys across all
 // shards.
 func TestShardMapDeterministicAndBalanced(t *testing.T) {
@@ -115,8 +115,8 @@ func rendezvousOrder(key string) []string {
 	return order
 }
 
-// TestShardMapWalk pins the one owner walk the router's two proxies and
-// the sharded client share.
+// TestShardMapWalk pins the one owner walk the router's two proxies
+// share.
 func TestShardMapWalk(t *testing.T) {
 	const key = "session-7"
 	order := rendezvousOrder(key)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -208,10 +210,10 @@ func TestDirStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := newOriginAdvisor(t, "SCC")
-	if err := ds.Save(adv.Snapshot("alpha")); err != nil {
+	if _, err := ds.Save(adv.Snapshot("alpha")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Save(adv.Snapshot("beta")); err != nil {
+	if _, err := ds.Save(adv.Snapshot("beta")); err != nil {
 		t.Fatal(err)
 	}
 	if ids, _ := ds.List(); len(ids) != 2 || ids[0] != "alpha" || ids[1] != "beta" {
@@ -227,7 +229,7 @@ func TestDirStore(t *testing.T) {
 	if _, err := ds.Load("missing"); err != service.ErrNoSnapshot {
 		t.Fatalf("Load(missing) = %v, want ErrNoSnapshot", err)
 	}
-	if err := ds.Save(adv.Snapshot("../escape")); err == nil {
+	if _, err := ds.Save(adv.Snapshot("../escape")); err == nil {
 		t.Fatal("Save accepted a path-traversal session ID")
 	}
 	if _, err := ds.Load("../../etc/passwd"); err != service.ErrNoSnapshot {
@@ -238,6 +240,117 @@ func TestDirStore(t *testing.T) {
 	}
 	if ids, _ := ds.List(); len(ids) != 1 || ids[0] != "beta" {
 		t.Fatalf("List after delete = %v, want [beta]", ids)
+	}
+}
+
+// TestStampChangesOnEverySave: on either store a missing snapshot has
+// no stamp, Stamp reads what Save returned, and a second Save of the
+// same bytes leaves a new stamp — on the directory store even with the
+// file's mtime put back, so that size and mtime both read as before.
+func TestStampChangesOnEverySave(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := service.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := newOriginAdvisor(t, "SCC").Snapshot("alpha")
+	for _, st := range []struct {
+		name  string
+		store service.SnapshotStore
+		file  string // the snapshot's file, on the directory store
+	}{
+		{"MemStore", service.NewMemStore(), ""},
+		{"DirStore", ds, filepath.Join(dir, "alpha.snap.json")},
+	} {
+		if stamp, err := st.store.Stamp("alpha"); err != nil || stamp != "" {
+			t.Fatalf("%s: Stamp before any Save = %q, %v; want none", st.name, stamp, err)
+		}
+		first, err := st.store.Save(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stamp, err := st.store.Stamp("alpha"); err != nil || stamp != first {
+			t.Fatalf("%s: Stamp = %q, %v; Save returned %q", st.name, stamp, err, first)
+		}
+		var mtime time.Time
+		if st.file != "" {
+			fi, err := os.Stat(st.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mtime = fi.ModTime()
+		}
+		if _, err := st.store.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+		if st.file != "" {
+			if err := os.Chtimes(st.file, mtime, mtime); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if second, err := st.store.Stamp("alpha"); err != nil || second == first {
+			t.Fatalf("%s: the second Save left stamp %q, %v; want one other than %q", st.name, second, err, first)
+		}
+	}
+}
+
+// TestOwnSnapshotsNeverLookForeign: while one client drives a session,
+// others read its status and drain it, so the shard probes the store's
+// stamp while its own requests and drains write snapshots. It must
+// never take its own writes for another shard's: nothing is restored,
+// and the advice stays the oracle's.
+func TestOwnSnapshotsNeverLookForeign(t *testing.T) {
+	srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: service.NewMemStore()}})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	c := client.New(client.Config{BaseURL: ts.URL, HTTPClient: ts.Client()})
+	ctx := context.Background()
+	const id = "own-writes"
+	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()}); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := c.GetSession(ctx, id); err != nil {
+					t.Error(err)
+					return
+				}
+				srv.DrainSnapshots()
+			}
+		}()
+	}
+	spec, err := workload.Build("SCC", workload.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.RunBatch(ctx, id, service.Schedule(spec.Graph))
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracle(t, "SCC")
+	if len(resp.Advices) != len(want) {
+		t.Fatalf("%d advices, oracle has %d", len(resp.Advices), len(want))
+	}
+	for i := range want {
+		if g, w := resp.Advices[i].Fingerprint(), want[i].Fingerprint(); g != w {
+			t.Fatalf("advice %d:\n  server %s\n  oracle %s", i, g, w)
+		}
+	}
+	if st, err := c.GetSession(ctx, id); err != nil || st.Restored {
+		t.Fatalf("status = %+v, %v; the shard re-adopted a session only it wrote", st, err)
 	}
 }
 
@@ -388,14 +501,10 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 }
 
 // TestDrainSnapshotsAndMetrics checks the graceful-drain path persists
-// every live session and surfaces the count on /metrics.
+// every live session once more and surfaces the count on /metrics.
 func TestDrainSnapshotsAndMetrics(t *testing.T) {
 	store := service.NewMemStore()
-	srv := service.NewServer(service.ServerConfig{
-		// A huge cadence means nothing snapshots mid-run: only the drain
-		// can have written the snapshots this test finds.
-		Snapshots: service.SnapshotPolicy{Store: store, EveryOps: 1 << 30},
-	})
+	srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close() }()
 	c := client.New(client.Config{BaseURL: ts.URL, HTTPClient: ts.Client()})
@@ -410,8 +519,21 @@ func TestDrainSnapshotsAndMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ids, _ := store.List(); len(ids) != 0 {
-		t.Fatalf("store already holds %v before drain", ids)
+	metrics := func() string {
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	// Every mutation was snapshotted as it was answered: one each.
+	if body := metrics(); !strings.Contains(body, "mrdserver_snapshots_written_total 2") {
+		t.Errorf("metrics before the drain miss the per-mutation snapshots:\n%s", body)
 	}
 	if n := srv.DrainSnapshots(); n != 2 {
 		t.Fatalf("DrainSnapshots = %d, want 2", n)
@@ -419,21 +541,11 @@ func TestDrainSnapshotsAndMetrics(t *testing.T) {
 	if ids, _ := store.List(); len(ids) != 2 {
 		t.Fatalf("store holds %v after drain, want 2 snapshots", ids)
 	}
-
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	body := metrics()
 	if !strings.Contains(body, "mrdserver_drain_snapshots_written 2") {
 		t.Errorf("metrics missing drain gauge:\n%s", body)
 	}
-	if !strings.Contains(body, "mrdserver_snapshots_written_total 2") {
-		t.Errorf("metrics missing snapshot counter:\n%s", body)
+	if !strings.Contains(body, "mrdserver_snapshots_written_total 4") {
+		t.Errorf("metrics missing the drain's one write per live session:\n%s", body)
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // ErrNoSnapshot is returned by SnapshotStore.Load when no snapshot
@@ -21,14 +23,18 @@ var ErrNoSnapshot = errors.New("service: no snapshot")
 // interface) is what lets a surviving shard adopt a dead shard's
 // sessions. Implementations must be safe for concurrent use.
 type SnapshotStore interface {
-	// Save writes (or atomically replaces) the session's snapshot.
-	Save(s *Snapshot) error
+	// Save writes (or atomically replaces) the session's snapshot and
+	// returns the stamp the write left.
+	Save(s *Snapshot) (stamp string, err error)
 	// Load returns the session's snapshot, or ErrNoSnapshot.
 	Load(sessionID string) (*Snapshot, error)
-	// Has reports whether a snapshot exists without deserializing it —
-	// existence probes (does this session have persisted state to
-	// retire?) must not pay for a full op-log decode.
-	Has(sessionID string) (bool, error)
+	// Stamp identifies the session's current snapshot without reading
+	// it: every Save leaves a stamp different from the one it replaced,
+	// and "" means no snapshot exists. A shard compares it with the stamp
+	// of the snapshot it last wrote or restored to learn, for the price
+	// of a stat and no op-log decode, whether another shard has advanced
+	// the session since.
+	Stamp(sessionID string) (string, error)
 	// Delete removes the session's snapshot; absent is not an error.
 	Delete(sessionID string) error
 	// List returns the stored session IDs in sorted order.
@@ -64,33 +70,51 @@ func NewDirStore(dir string) (*DirStore, error) {
 
 func (d *DirStore) path(id string) string { return filepath.Join(d.dir, id+snapSuffix) }
 
-// Save implements SnapshotStore.
-func (d *DirStore) Save(s *Snapshot) error {
+// Save implements SnapshotStore. The stamp is read off the temp file
+// before the rename, which keeps its inode, size and mtime.
+func (d *DirStore) Save(s *Snapshot) (string, error) {
 	if !ValidSessionID(s.SessionID) {
-		return fmt.Errorf("service: snapshot has unusable session ID %q", s.SessionID)
+		return "", fmt.Errorf("service: snapshot has unusable session ID %q", s.SessionID)
 	}
 	data, err := json.Marshal(s)
 	if err != nil {
-		return err
+		return "", err
 	}
 	tmp, err := os.CreateTemp(d.dir, s.SessionID+".tmp-*")
 	if err != nil {
-		return err
+		return "", err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	fail := func(err error) (string, error) {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return err
+		return "", err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		return fail(err)
+	}
+	fi, err := tmp.Stat()
+	if err != nil {
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+		return fail(err)
 	}
 	if err := os.Rename(tmp.Name(), d.path(s.SessionID)); err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return "", err
 	}
-	return nil
+	return fileStamp(fi), nil
+}
+
+// fileStamp is a snapshot file's identity: inode, size and mtime. Save
+// creates its temp file while the file it replaces still exists, so the
+// new inode differs from the old one even when size and mtime do not.
+func fileStamp(fi os.FileInfo) string {
+	var ino uint64
+	if st, ok := fi.Sys().(*syscall.Stat_t); ok {
+		ino = st.Ino
+	}
+	return fmt.Sprintf("%x-%x-%x", ino, fi.Size(), fi.ModTime().UnixNano())
 }
 
 // Load implements SnapshotStore.
@@ -112,19 +136,19 @@ func (d *DirStore) Load(sessionID string) (*Snapshot, error) {
 	return &s, nil
 }
 
-// Has implements SnapshotStore with a stat, never reading the file.
-func (d *DirStore) Has(sessionID string) (bool, error) {
+// Stamp implements SnapshotStore with one stat, never reading the file.
+func (d *DirStore) Stamp(sessionID string) (string, error) {
 	if !ValidSessionID(sessionID) {
-		return false, nil
+		return "", nil
 	}
-	_, err := os.Stat(d.path(sessionID))
+	fi, err := os.Stat(d.path(sessionID))
 	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+		return "", nil
 	}
 	if err != nil {
-		return false, err
+		return "", err
 	}
-	return true, nil
+	return fileStamp(fi), nil
 }
 
 // Delete implements SnapshotStore.
@@ -160,45 +184,53 @@ func (d *DirStore) List() ([]string, error) {
 // shared snapshot service without touching disk).
 type MemStore struct {
 	mu    sync.Mutex
-	snaps map[string][]byte
+	snaps map[string]memSnap
+	saves uint64 // the stamp of the latest Save, store-wide
+}
+
+// memSnap is one stored snapshot and the stamp its Save left.
+type memSnap struct {
+	data  []byte
+	stamp string
 }
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{snaps: map[string][]byte{}} }
+func NewMemStore() *MemStore { return &MemStore{snaps: map[string]memSnap{}} }
 
-// Save implements SnapshotStore.
-func (m *MemStore) Save(s *Snapshot) error {
+// Save implements SnapshotStore; the stamp counts Saves store-wide.
+func (m *MemStore) Save(s *Snapshot) (string, error) {
 	data, err := json.Marshal(s)
 	if err != nil {
-		return err
+		return "", err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.snaps[s.SessionID] = data
-	return nil
+	m.saves++
+	stamp := strconv.FormatUint(m.saves, 10)
+	m.snaps[s.SessionID] = memSnap{data: data, stamp: stamp}
+	return stamp, nil
 }
 
 // Load implements SnapshotStore.
 func (m *MemStore) Load(sessionID string) (*Snapshot, error) {
 	m.mu.Lock()
-	data, ok := m.snaps[sessionID]
+	snap, ok := m.snaps[sessionID]
 	m.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSnapshot
 	}
 	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := json.Unmarshal(snap.data, &s); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
-// Has implements SnapshotStore.
-func (m *MemStore) Has(sessionID string) (bool, error) {
+// Stamp implements SnapshotStore.
+func (m *MemStore) Stamp(sessionID string) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.snaps[sessionID]
-	return ok, nil
+	return m.snaps[sessionID].stamp, nil
 }
 
 // Delete implements SnapshotStore.

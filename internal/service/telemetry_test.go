@@ -46,7 +46,7 @@ func TestQueueGraceAvoidsShed(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/peers", nil))
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 			codes[i] = rec.Code
 		}(i)
 		if i == 0 {
@@ -98,12 +98,12 @@ func TestShedRecordsSpanAndCounter(t *testing.T) {
 
 	go func() {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/peers", nil))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	}()
 	<-entered
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/peers", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	close(release)
 
 	if rec.Code != http.StatusServiceUnavailable {

@@ -160,6 +160,53 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRouterRerouteSpan: a request whose owner was killed reads in the
+// router's spans as a dead proxy-attempt followed by a re-route to the
+// successor, both under one router-proxy root.
+func TestRouterRerouteSpan(t *testing.T) {
+	routerTr := trace.NewTracer(256)
+	g := newShardGroup(t, 2, service.NewMemStore())
+	rt := service.NewRouter(service.RouterConfig{
+		Shards: g.urls, ProbeEvery: -1,
+		Trace: service.TraceConfig{Tracer: routerTr},
+	})
+	defer rt.Close()
+	routerTS := httptest.NewServer(rt)
+	defer routerTS.Close()
+	c := client.New(client.Config{BaseURL: routerTS.URL})
+	ctx := context.Background()
+
+	const id = "reroute-1"
+	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: traceAdvisorConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitJob(ctx, id, 0); err != nil {
+		t.Fatal(err)
+	}
+	owner := rt.Shards().Owner(id)
+	g.kill(owner)
+	spec, err := workload.Build("SCC", workload.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Advance(ctx, id, spec.Graph.Jobs[0].NewStages[0].ID); err != nil {
+		t.Fatal(err)
+	}
+
+	idx := indexSpans(routerTr)
+	dead, ok := idx.find("proxy-attempt", "dead: "+owner)
+	if !ok {
+		t.Fatalf("no proxy-attempt span marking %s dead", owner)
+	}
+	reroute, ok := idx.find("re-route", "shard=")
+	if !ok {
+		t.Fatal("no re-route span to the successor")
+	}
+	if root := idx.byID[reroute.Parent]; reroute.Parent != dead.Parent || root.Name != "router-proxy" {
+		t.Fatalf("re-route and the dead attempt hang off %s and %s, want one router-proxy", reroute.Parent, dead.Parent)
+	}
+}
+
 // TestSnapshotRestoreSpans: a successor shard adopting a session from
 // the shared snapshot store records a snapshot-restore span with a
 // replay child, both hanging off the request's shard-handler root.
