@@ -260,23 +260,21 @@ func handBack(t *testing.T, store service.SnapshotStore, binary bool) {
 		}
 	}
 	// A frame connection stays spliced to the shard that owned the
-	// session when it was dialed; closing it makes the next call's hello
-	// route under the router's new view, as a reconnect would.
-	flap := func(mark func(string) bool, owner string) {
-		mark(owner)
-		c.Close()
-	}
-
+	// session when it was dialed; c.Close after each flap makes the next
+	// call's hello route under the router's new view, as a reconnect
+	// would.
 	owner := rt.Shards().Owner(id)
 	third := len(steps) / 3
 	drive(0, third)
-	flap(rt.Shards().MarkDead, owner)
+	rt.Shards().MarkDead(owner)
+	c.Close()
 	drive(third, 2*third)
 	successor := rt.Shards().Owner(id)
 	if successor == owner || successor == "" || findShard(g, successor).Registry().Len() != 1 {
 		t.Fatalf("the session did not move off %s while it was marked dead", owner)
 	}
-	flap(rt.Shards().MarkAlive, owner)
+	rt.Shards().MarkAlive(owner)
+	c.Close()
 	drive(2*third, len(steps))
 
 	want := oracle(t, name)
