@@ -16,10 +16,11 @@
 //	mrdserver -addr 127.0.0.1:7700 -router \
 //	    -shards http://127.0.0.1:7701,http://127.0.0.1:7702,http://127.0.0.1:7703
 //
-// SIGTERM or SIGINT drains: every live session is snapshotted first
-// (visible as mrdserver_drain_snapshots_written on /metrics during the
-// -drain-linger window), then in-flight requests finish and the
-// listener closes, logging "drained".
+// SIGTERM or SIGINT drains: first the store is made to hold every live
+// session, writing again any whose last snapshot failed (the count is
+// mrdserver_drain_snapshots_written on /metrics during the -drain-linger
+// window), then in-flight requests finish and the listener closes,
+// logging "drained".
 package main
 
 import (
@@ -127,11 +128,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			detail: fmt.Sprintf("(max-sessions=%d, max-inflight=%d, snapshots=%v)",
 				*maxSessions, *inflight, snapStore != nil),
 			handler: srv.Handler(), serveFrames: srv.ServeFrames,
-			// Drain order matters: snapshot every live session FIRST, while
+			// Drain order matters: persist every live session FIRST, while
 			// the listener still answers, so (a) no session state is lost if
 			// the drain budget expires, and (b) CI can scrape
 			// mrdserver_drain_snapshots_written from /metrics during the
-			// linger window to assert the drain actually persisted everything.
+			// linger window to assert the store holds everything.
 			draining: func() {
 				if n := srv.DrainSnapshots(); snapStore != nil {
 					lg.Printf("mrdserver: drain snapshots written: %d", n)

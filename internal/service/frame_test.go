@@ -46,32 +46,12 @@ func binClient(t testing.TB, baseURL, frameAddr string) *client.Client {
 // driveBin replays the canonical schedule over the frame protocol.
 func driveBin(t *testing.T, c *client.Client, id, workloadName string) []service.Advice {
 	t.Helper()
-	ctx := context.Background()
 	spec, err := workload.Build(workloadName, workload.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	created, err := c.CreateSession(ctx, service.CreateSessionRequest{
-		ID: id, Workload: workloadName, Advisor: testAdvisorConfig(),
-	})
-	if err != nil {
-		t.Fatalf("CreateSession: %v", err)
-	}
-	var advice []service.Advice
-	for _, st := range service.Schedule(spec.Graph) {
-		if st.Stage < 0 {
-			if _, err := c.SubmitJob(ctx, created.ID, st.Job); err != nil {
-				t.Fatalf("SubmitJob(%d): %v", st.Job, err)
-			}
-			continue
-		}
-		adv, err := c.Advance(ctx, created.ID, st.Stage)
-		if err != nil {
-			t.Fatalf("Advance(%d): %v", st.Stage, err)
-		}
-		advice = append(advice, adv)
-	}
-	if err := c.DeleteSession(ctx, created.ID); err != nil {
+	advice := driveSteps(t, c, id, createSession(t, c, id, spec))
+	if err := c.DeleteSession(context.Background(), id); err != nil {
 		t.Fatalf("DeleteSession: %v", err)
 	}
 	return advice
@@ -84,16 +64,7 @@ func driveBin(t *testing.T, c *client.Client, id, workloadName string) []service
 func TestFrameTransportParity(t *testing.T) {
 	_, base, frameAddr := newFrameServer(t)
 	c := binClient(t, base, frameAddr)
-	got := driveBin(t, c, "frame-scc", "SCC")
-	want := oracle(t, "SCC")
-	if len(got) != len(want) {
-		t.Fatalf("advice count = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
-			t.Fatalf("advice %d:\n  frames: %s\n  oracle: %s", i, g, w)
-		}
-	}
+	requireOracle(t, "SCC", driveBin(t, c, "frame-scc", "SCC"))
 }
 
 // TestFrameBatchStreams proves one batch call returns exactly the
@@ -101,62 +72,29 @@ func TestFrameTransportParity(t *testing.T) {
 func TestFrameBatchStreams(t *testing.T) {
 	_, base, frameAddr := newFrameServer(t)
 	c := binClient(t, base, frameAddr)
-	ctx := context.Background()
-
 	spec, err := workload.Build("SCC", workload.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{
-		ID: "batch-scc", Workload: "SCC", Advisor: testAdvisorConfig(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.RunBatch(ctx, "batch-scc", service.Schedule(spec.Graph))
+	resp, err := c.RunBatch(context.Background(), "batch-scc", createSession(t, c, "batch-scc", spec))
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
-	}
-	want := oracle(t, "SCC")
-	if len(resp.Advices) != len(want) {
-		t.Fatalf("batch advices = %d, want %d", len(resp.Advices), len(want))
 	}
 	if resp.Jobs != len(spec.Graph.Jobs) {
 		t.Fatalf("batch jobs = %d, want %d", resp.Jobs, len(spec.Graph.Jobs))
 	}
-	for i := range want {
-		if g, w := resp.Advices[i].Fingerprint(), want[i].Fingerprint(); g != w {
-			t.Fatalf("batch advice %d:\n  batch:  %s\n  oracle: %s", i, g, w)
-		}
-	}
+	requireOracle(t, "SCC", resp.Advices)
 }
 
 // TestBatchOverJSON drives the same batch through POST
 // /v1/sessions/{id}/batch — the HTTP fallback must match too.
 func TestBatchOverJSON(t *testing.T) {
 	_, c := newTestServer(t)
-	ctx := context.Background()
-	spec, err := workload.Build("SCC", workload.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{
-		ID: "batch-json", Workload: "SCC", Advisor: testAdvisorConfig(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.RunBatch(ctx, "batch-json", service.Schedule(spec.Graph))
+	resp, err := c.RunBatch(context.Background(), "batch-json", createSCC(t, c, "batch-json"))
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
-	want := oracle(t, "SCC")
-	if len(resp.Advices) != len(want) {
-		t.Fatalf("batch advices = %d, want %d", len(resp.Advices), len(want))
-	}
-	for i := range want {
-		if g, w := resp.Advices[i].Fingerprint(), want[i].Fingerprint(); g != w {
-			t.Fatalf("batch advice %d:\n  batch:  %s\n  oracle: %s", i, g, w)
-		}
-	}
+	requireOracle(t, "SCC", resp.Advices)
 }
 
 // TestFrameErrorsAreAPIErrors: error frames must decode into the same
@@ -233,16 +171,7 @@ func TestRouterFrameSplice(t *testing.T) {
 	// listener through the router's own /healthz.
 	c := client.New(client.Config{BaseURL: base, Binary: true})
 	t.Cleanup(c.Close)
-	got := driveBin(t, c, "spliced-scc", "SCC")
-	want := oracle(t, "SCC")
-	if len(got) != len(want) {
-		t.Fatalf("advice count = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
-			t.Fatalf("advice %d over splice:\n  server: %s\n  oracle: %s", i, g, w)
-		}
-	}
+	requireOracle(t, "SCC", driveBin(t, c, "spliced-scc", "SCC"))
 	ctx := context.Background()
 	hz, err := c.Healthz(ctx)
 	if err != nil {
@@ -257,22 +186,15 @@ func TestRouterFrameSplice(t *testing.T) {
 	// router's walk skips the dead shard, and the successor restores the
 	// session from the store.
 	const id = "spliced-kill"
-	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := workload.Build("SCC", workload.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var jobs [][]service.Step
-	for _, st := range service.Schedule(spec.Graph) {
+	for _, st := range createSCC(t, c, id) {
 		if st.Stage < 0 {
 			jobs = append(jobs, nil)
 		}
 		jobs[len(jobs)-1] = append(jobs[len(jobs)-1], st)
 	}
 	owner := rt.Shards().Owner(id)
-	got = got[:0]
+	var got []service.Advice
 	for i, steps := range jobs {
 		if i == len(jobs)/2 {
 			g.kill(owner)
@@ -286,14 +208,7 @@ func TestRouterFrameSplice(t *testing.T) {
 	if successor := rt.Shards().Owner(id); successor == owner || successor == "" {
 		t.Fatalf("router still routes %s to the dead shard %q", id, successor)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("advice count across the kill = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
-			t.Fatalf("advice %d across the kill:\n  server: %s\n  oracle: %s", i, g, w)
-		}
-	}
+	requireOracle(t, "SCC", got)
 }
 
 // TestFrameMetricsCounters: the wire counters must move when the

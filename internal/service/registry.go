@@ -25,9 +25,10 @@ type Session struct {
 	advances int64
 	// stamp is the snapshot store's stamp of the snapshot this copy last
 	// wrote or was restored from ("" before either); the server compares
-	// it with the store's before serving the copy. Owned by the session
-	// lock.
-	stamp string
+	// it with the store's before serving the copy. unsaved marks a copy
+	// whose last Save failed. Both are owned by the session lock.
+	stamp   string
+	unsaved bool
 	// fold runs under the session lock at the end of every WithAdvisor
 	// call: the server passes the flush of the session's obs.Fold here,
 	// so the events of an operation reach the shared /metrics aggregator

@@ -195,7 +195,10 @@ func TestRouterRoutesInjectsAndFailsOver(t *testing.T) {
 // the shared store and advances it, then the owner is marked alive and
 // gets the session back. The owner still holds its own live copy, a
 // third of the schedule behind; it must serve what the successor left
-// in the store instead. Every advice must equal the oracle's, on either
+// in the store instead. In the owner-drains legs the owner is instead
+// SIGTERMed while routed around, as a rolling restart would: its drain
+// must leave the successor's newer snapshot alone, and the successor
+// finishes the run. Every advice must equal the oracle's, on either
 // store and either transport.
 func TestRouterHandBackServesTheLatestState(t *testing.T) {
 	stores := []struct {
@@ -214,50 +217,33 @@ func TestRouterHandBackServesTheLatestState(t *testing.T) {
 	for _, st := range stores {
 		for _, transport := range []string{"json", "frames"} {
 			t.Run(st.name+"/"+transport, func(t *testing.T) {
-				handBack(t, st.open(t), transport == "frames")
+				handBack(t, st.open(t), transport == "frames", false)
+			})
+			t.Run(st.name+"/"+transport+"/owner-drains", func(t *testing.T) {
+				handBack(t, st.open(t), transport == "frames", true)
 			})
 		}
 	}
 }
 
-func handBack(t *testing.T, store service.SnapshotStore, binary bool) {
-	const name, id = "SCC", "hand-back"
+func handBack(t *testing.T, store service.SnapshotStore, binary, ownerDrains bool) {
+	const id = "hand-back"
 	g := newShardGroup(t, 2, store)
 	rt, base := newRouter(t, g)
 	c := client.New(client.Config{BaseURL: base, Binary: binary})
 	t.Cleanup(c.Close)
-	ctx := context.Background()
-	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: name, Advisor: testAdvisorConfig()}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := workload.Build(name, workload.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := service.Schedule(spec.Graph)
+	steps := createSCC(t, c, id)
 	var got []service.Advice
 	drive := func(from, to int) {
-		if binary {
-			resp, err := c.RunBatch(ctx, id, steps[from:to])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, resp.Advices...)
+		if !binary {
+			got = append(got, driveSteps(t, c, id, steps[from:to])...)
 			return
 		}
-		for _, st := range steps[from:to] {
-			if st.Stage < 0 {
-				if _, err := c.SubmitJob(ctx, id, st.Job); err != nil {
-					t.Fatalf("job %d: %v", st.Job, err)
-				}
-				continue
-			}
-			adv, err := c.Advance(ctx, id, st.Stage)
-			if err != nil {
-				t.Fatalf("stage %d: %v", st.Stage, err)
-			}
-			got = append(got, adv)
+		resp, err := c.RunBatch(context.Background(), id, steps[from:to])
+		if err != nil {
+			t.Fatal(err)
 		}
+		got = append(got, resp.Advices...)
 	}
 	// A frame connection stays spliced to the shard that owned the
 	// session when it was dialed; c.Close after each flap makes the next
@@ -273,19 +259,30 @@ func handBack(t *testing.T, store service.SnapshotStore, binary bool) {
 	if successor == owner || successor == "" || findShard(g, successor).Registry().Len() != 1 {
 		t.Fatalf("the session did not move off %s while it was marked dead", owner)
 	}
-	rt.Shards().MarkAlive(owner)
+	if ownerDrains {
+		if n := findShard(g, owner).DrainSnapshots(); n != 0 {
+			t.Fatalf("the owner's drain counted %d sessions held; its copy is stale", n)
+		}
+		g.kill(owner)
+	} else {
+		rt.Shards().MarkAlive(owner)
+	}
 	c.Close()
 	drive(2*third, len(steps))
+	requireOracle(t, "SCC", got)
+}
 
-	want := oracle(t, name)
-	if len(got) != len(want) {
-		t.Fatalf("drove %d advices, oracle has %d", len(got), len(want))
-	}
-	for i := range got {
-		if gf, wf := got[i].Fingerprint(), want[i].Fingerprint(); gf != wf {
-			t.Fatalf("advice %d diverges across the hand-back:\n  server %s\n  oracle %s", i, gf, wf)
-		}
-	}
+// TestRouterFailsOverRightAfterCreate: an acknowledged create is in the
+// store, so an owner that dies before the session's first mutation
+// leaves the successor a session to restore, not a 404.
+func TestRouterFailsOverRightAfterCreate(t *testing.T) {
+	g := newShardGroup(t, 2, service.NewMemStore())
+	rt, base := newRouter(t, g)
+	c := client.New(client.Config{BaseURL: base})
+	const id = "fresh"
+	steps := createSCC(t, c, id)
+	g.kill(rt.Shards().Owner(id))
+	requireOracle(t, "SCC", driveSteps(t, c, id, steps))
 }
 
 // TestRouterHealthz checks the router reports its own status rather

@@ -448,13 +448,10 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (C
 		// restorable from the snapshot store — is returned instead of
 		// conflicting, so a client retrying across a failover handover
 		// converges on the surviving state.
-		if sess, ok := s.registry.Get(req.ID); ok {
+		if sess, status, err := s.lookupSession(ctx, req.ID); err == nil {
 			return s.describeSession(sess), http.StatusOK, nil
-		}
-		if sess, err := s.restoreSession(ctx, req.ID); err == nil {
-			return s.describeSession(sess), http.StatusOK, nil
-		} else if !errors.Is(err, ErrNoSnapshot) {
-			return CreateSessionResponse{}, http.StatusInternalServerError, err
+		} else if status != http.StatusNotFound {
+			return CreateSessionResponse{}, status, err
 		}
 	}
 	spec, err := workload.Build(req.Workload, req.Params)
@@ -475,6 +472,12 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (C
 			return s.describeSession(existing), http.StatusOK, nil
 		}
 		return CreateSessionResponse{}, http.StatusConflict, err
+	}
+	if s.snapStore != nil { // an acknowledged create is in the store too
+		_ = sess.WithAdvisor(func(a *Advisor) error {
+			s.writeSnapshot(sess, a)
+			return nil
+		})
 	}
 	resp := s.describeSession(sess)
 	resp.Existing = false
@@ -776,7 +779,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Scalar("mrdserver_snapshots_written_total", "counter", "Session snapshots persisted.", s.snapsWritten.Load())
 	pw.Scalar("mrdserver_snapshot_errors_total", "counter", "Snapshot writes that failed.", s.snapErrors.Load())
 	pw.Scalar("mrdserver_sessions_restored_total", "counter", "Sessions rebuilt from snapshots (restart or failover adoption).", s.restored.Load())
-	pw.Scalar("mrdserver_drain_snapshots_written", "gauge", "Sessions snapshotted by the last graceful drain.", s.drainSnaps.Load())
+	pw.Scalar("mrdserver_drain_snapshots_written", "gauge", "Live sessions the store held current after the last graceful drain.", s.drainSnaps.Load())
 	s.http.writePrometheus(pw)
 	s.wire.writePrometheus(pw)
 	total, dropped := s.tracer.Stats()
@@ -802,8 +805,14 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 // live copy is served only while it is current; a copy another shard
 // has advanced since is re-adopted from the store first.
 func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, error) {
-	if sess, ok := s.registry.Get(id); ok && s.current(sess) {
-		return sess, http.StatusOK, nil
+	if sess, ok := s.registry.Get(id); ok {
+		fresh, err := s.current(sess)
+		if err != nil {
+			return nil, http.StatusInternalServerError, fmt.Errorf("probe session %q: %w", id, err)
+		}
+		if fresh {
+			return sess, http.StatusOK, nil
+		}
 	}
 	sess, err := s.restoreSession(ctx, id)
 	if err == nil {
@@ -819,26 +828,36 @@ func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, e
 // store's stamp is still that of the snapshot this copy last wrote or
 // was restored from. A different stamp means another shard advanced the
 // session while this one was routed around — a router's hand-back after
-// a dead-marking — and a failed probe trusts nothing. The probe runs
-// under the session lock, which every snapshot write holds, so this
-// shard's own writes never look foreign. Without a store every copy is
-// current and nothing is probed.
-func (s *Server) current(sess *Session) bool {
+// a dead-marking. A failed probe is an error for the request, not a
+// verdict: the copy stays, and may hold steps whose Save failed. The
+// probe runs under the session lock, which every snapshot write holds,
+// so this shard's own writes never look foreign. Without a store every
+// copy is current and nothing is probed.
+func (s *Server) current(sess *Session) (bool, error) {
 	if s.snapStore == nil {
-		return true
+		return true, nil
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	return s.holdsLatest(sess)
+}
+
+// holdsLatest is current's probe, for a caller already holding the
+// session lock.
+func (s *Server) holdsLatest(sess *Session) (bool, error) {
 	stamp, err := s.snapStore.Stamp(sess.ID)
-	return err == nil && stamp == sess.stamp
+	return err == nil && stamp == sess.stamp, err
 }
 
 // restoreSession adopts a snapshotted session into this server's
 // registry: rebuild the advisor by op-log replay on the same adoption
 // path a fresh session takes (adopt). Concurrent requests for the same
 // session are serialized; the losers find it registered and current. A
-// registered copy that is not current is retired through the registry
-// first, so its fold and cleanup run as on any other exit.
+// registered copy that is not current is retired through the registry,
+// so its fold and cleanup run as on any other exit — but only once its
+// replacement is built, so a store that fails the restore leaves it be.
+// A store that holds no snapshot at all retires it too: the session was
+// deleted on another shard.
 func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error) {
 	if s.snapStore == nil {
 		return nil, ErrNoSnapshot
@@ -846,12 +865,17 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 	sp := s.tracer.Start(trace.FromContext(ctx), "snapshot-restore")
 	s.restoreMu.Lock()
 	defer s.restoreMu.Unlock()
-	if sess, ok := s.registry.Get(id); ok {
-		if s.current(sess) {
-			sp.EndWith("already-restored")
-			return sess, nil // lost the race to a concurrent restore
+	stale, ok := s.registry.Get(id)
+	if ok {
+		fresh, err := s.current(stale)
+		if err != nil {
+			sp.EndWith("stamp-error: " + err.Error())
+			return nil, err
 		}
-		s.registry.Delete(id)
+		if fresh {
+			sp.EndWith("already-restored")
+			return stale, nil // lost the race to a concurrent restore
+		}
 	}
 	// The stamp is read before the snapshot: a write landing between the
 	// two leaves the copy newer than its stamp, which the next probe
@@ -863,6 +887,9 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 	}
 	snap, err := s.snapStore.Load(id)
 	if err != nil {
+		if ok && errors.Is(err, ErrNoSnapshot) {
+			s.registry.Delete(id)
+		}
 		sp.EndWith("no-snapshot")
 		return nil, err
 	}
@@ -872,6 +899,9 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 		rsp := s.tracer.Start(sp.Context(), "replay")
 		adv, err := RestoreAdvisor(snap, nil, bus)
 		rsp.EndWith(fmt.Sprintf("ops=%d", len(snap.Ops)))
+		if err == nil && ok {
+			s.registry.Delete(id)
+		}
 		return adv, err
 	})
 	if err != nil {
@@ -899,6 +929,7 @@ func (s *Server) noteMutation(sess *Session, a *Advisor) {
 // keeping the stamp the write left and counting the outcome.
 func (s *Server) writeSnapshot(sess *Session, a *Advisor) bool {
 	stamp, err := s.snapStore.Save(a.Snapshot(sess.ID))
+	sess.unsaved = err != nil
 	if err != nil {
 		s.snapErrors.Add(1)
 		return false
@@ -908,10 +939,14 @@ func (s *Server) writeSnapshot(sess *Session, a *Advisor) bool {
 	return true
 }
 
-// DrainSnapshots writes a final snapshot of every live session — the
-// graceful-drain path, called while the listener is still accepting
-// (so /metrics can report drain_snapshots_written before the process
-// exits). It returns how many snapshots were written.
+// DrainSnapshots leaves the store holding every live session's latest
+// state — the graceful-drain path, called while the listener is still
+// accepting (so /metrics can report drain_snapshots_written before the
+// process exits). A create and every mutation were saved before they
+// were answered, so only a copy whose last Save failed is written again.
+// A copy that is not current is skipped: another shard has advanced the
+// session since, and writing it would put stale state over the newer.
+// It returns how many live sessions the store holds current.
 func (s *Server) DrainSnapshots() int {
 	if s.snapStore == nil {
 		return 0
@@ -919,13 +954,14 @@ func (s *Server) DrainSnapshots() int {
 	n := 0
 	for _, sess := range s.registry.Sessions() {
 		_ = sess.WithAdvisor(func(a *Advisor) error {
-			if s.writeSnapshot(sess, a) {
+			fresh, _ := s.holdsLatest(sess) // a failed probe proves nothing current: skip
+			if fresh && (!sess.unsaved || s.writeSnapshot(sess, a)) {
 				n++
 			}
 			return nil
 		})
 	}
-	s.drainSnaps.Add(int64(n))
+	s.drainSnaps.Store(int64(n))
 	return n
 }
 

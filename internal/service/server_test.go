@@ -54,20 +54,7 @@ func driveSession(t *testing.T, c *client.Client, workloadName string) []service
 	if created.Stages != spec.Graph.ActiveStages() {
 		t.Fatalf("created.Stages = %d, want %d", created.Stages, spec.Graph.ActiveStages())
 	}
-	var advice []service.Advice
-	for _, st := range service.Schedule(spec.Graph) {
-		if st.Stage < 0 {
-			if _, err := c.SubmitJob(ctx, created.ID, st.Job); err != nil {
-				t.Fatalf("SubmitJob(%d): %v", st.Job, err)
-			}
-			continue
-		}
-		adv, err := c.Advance(ctx, created.ID, st.Stage)
-		if err != nil {
-			t.Fatalf("Advance(%d): %v", st.Stage, err)
-		}
-		advice = append(advice, adv)
-	}
+	advice := driveSteps(t, c, created.ID, service.Schedule(spec.Graph))
 	if err := c.DeleteSession(ctx, created.ID); err != nil {
 		t.Fatalf("DeleteSession: %v", err)
 	}
@@ -92,22 +79,28 @@ func oracle(t *testing.T, workloadName string) []service.Advice {
 	return advice
 }
 
+// requireOracle fails the test unless got is the in-process oracle's
+// advice for the workload, fingerprint for fingerprint.
+func requireOracle(t *testing.T, workloadName string, got []service.Advice) {
+	t.Helper()
+	want := oracle(t, workloadName)
+	if len(got) != len(want) {
+		t.Fatalf("drove %d advices, oracle has %d", len(got), len(want))
+	}
+	for i := range got {
+		if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
+			t.Fatalf("advice %d diverges:\n  server %s\n  oracle %s", i, g, w)
+		}
+	}
+}
+
 // TestServerParity is the end-to-end decision-parity oracle: advice
 // served over HTTP must be byte-identical to an in-process replay.
 func TestServerParity(t *testing.T) {
 	_, c := newTestServer(t)
 	for _, w := range []string{"SCC", "KM"} {
 		t.Run(w, func(t *testing.T) {
-			got := driveSession(t, c, w)
-			want := oracle(t, w)
-			if len(got) != len(want) {
-				t.Fatalf("advice count %d, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
-					t.Fatalf("advance %d diverged:\nserver: %s\noracle: %s", i, g, w)
-				}
-			}
+			requireOracle(t, w, driveSession(t, c, w))
 		})
 	}
 }

@@ -3,8 +3,10 @@ package service_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -340,15 +342,7 @@ func TestOwnSnapshotsNeverLookForeign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracle(t, "SCC")
-	if len(resp.Advices) != len(want) {
-		t.Fatalf("%d advices, oracle has %d", len(resp.Advices), len(want))
-	}
-	for i := range want {
-		if g, w := resp.Advices[i].Fingerprint(), want[i].Fingerprint(); g != w {
-			t.Fatalf("advice %d:\n  server %s\n  oracle %s", i, g, w)
-		}
-	}
+	requireOracle(t, "SCC", resp.Advices)
 	if st, err := c.GetSession(ctx, id); err != nil || st.Restored {
 		t.Fatalf("status = %+v, %v; the shard re-adopted a session only it wrote", st, err)
 	}
@@ -500,10 +494,84 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 	}
 }
 
-// TestDrainSnapshotsAndMetrics checks the graceful-drain path persists
-// every live session once more and surfaces the count on /metrics.
+// flakyStore is a SnapshotStore whose Save and Stamp fail while told to:
+// a store outage as a shard sees it.
+type flakyStore struct {
+	service.SnapshotStore
+	failSaves, failStamps atomic.Bool
+}
+
+var errStoreDown = errors.New("store down")
+
+func (f *flakyStore) Save(s *service.Snapshot) (string, error) {
+	if f.failSaves.Load() {
+		return "", errStoreDown
+	}
+	return f.SnapshotStore.Save(s)
+}
+
+func (f *flakyStore) Stamp(id string) (string, error) {
+	if f.failStamps.Load() {
+		return "", errStoreDown
+	}
+	return f.SnapshotStore.Stamp(id)
+}
+
+// TestStoreOutageKeepsTheLiveCopy: while the store fails its saves, a
+// shard answers from its live copy, which holds steps the store does
+// not; a failed stamp probe then fails the request but drops nothing.
+// Once the store is back the session finishes at the oracle's advice.
+func TestStoreOutageKeepsTheLiveCopy(t *testing.T) {
+	store := &flakyStore{SnapshotStore: service.NewMemStore()}
+	srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	c := client.New(client.Config{BaseURL: ts.URL, HTTPClient: ts.Client()})
+	const id = "outage"
+	steps := createSCC(t, c, id)
+	third := len(steps) / 3
+	got := driveSteps(t, c, id, steps[:third])
+	store.failSaves.Store(true)
+	got = append(got, driveSteps(t, c, id, steps[third:2*third])...)
+	store.failStamps.Store(true)
+	if _, err := c.GetSession(context.Background(), id); !isStatus(err, http.StatusInternalServerError) {
+		t.Fatalf("GetSession while the stamp probe fails = %v; want a 500", err)
+	}
+	store.failSaves.Store(false)
+	store.failStamps.Store(false)
+	got = append(got, driveSteps(t, c, id, steps[2*third:])...)
+	requireOracle(t, "SCC", got)
+}
+
+// TestDeleteElsewhereRetiresTheLiveCopy: a session deleted through
+// another shard is gone on the shard that still holds a live copy too,
+// and a create under its ID starts afresh.
+func TestDeleteElsewhereRetiresTheLiveCopy(t *testing.T) {
+	g := newShardGroup(t, 2, service.NewMemStore())
+	holder := client.New(client.Config{BaseURL: g.urls[0]})
+	other := client.New(client.Config{BaseURL: g.urls[1]})
+	ctx := context.Background()
+	const id = "deleted-elsewhere"
+	steps := createSCC(t, holder, id)
+	driveSteps(t, holder, id, steps[:2])
+	if err := other.DeleteSession(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.GetSession(ctx, id); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("GetSession on the holder after the delete = %v; want a 404", err)
+	}
+	created, err := holder.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()})
+	if err != nil || created.Existing {
+		t.Fatalf("re-create after the delete = %+v, %v; want a fresh session", created, err)
+	}
+}
+
+// TestDrainSnapshotsAndMetrics checks the graceful-drain path: a create
+// and every mutation were saved as they were answered, so the drain
+// writes only the session whose last Save failed, and /metrics reports
+// both live sessions held.
 func TestDrainSnapshotsAndMetrics(t *testing.T) {
-	store := service.NewMemStore()
+	store := &flakyStore{SnapshotStore: service.NewMemStore()}
 	srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close() }()
@@ -511,13 +579,14 @@ func TestDrainSnapshotsAndMetrics(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 1; i <= 2; i++ {
-		id := fmt.Sprintf("drain-%d", i)
-		if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()}); err != nil {
+		store.failSaves.Store(i == 2) // the store is down while drain-2 is created
+		if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: fmt.Sprintf("drain-%d", i), Workload: "SCC", Advisor: testAdvisorConfig()}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.SubmitJob(ctx, id, 0); err != nil {
-			t.Fatal(err)
-		}
+	}
+	store.failSaves.Store(false)
+	if _, err := c.SubmitJob(ctx, "drain-1", 0); err != nil {
+		t.Fatal(err)
 	}
 	metrics := func() string {
 		resp, err := ts.Client().Get(ts.URL + "/metrics")
@@ -531,9 +600,11 @@ func TestDrainSnapshotsAndMetrics(t *testing.T) {
 		}
 		return string(raw)
 	}
-	// Every mutation was snapshotted as it was answered: one each.
-	if body := metrics(); !strings.Contains(body, "mrdserver_snapshots_written_total 2") {
-		t.Errorf("metrics before the drain miss the per-mutation snapshots:\n%s", body)
+	// drain-1's create and job were saved as they were answered; drain-2's
+	// create was not.
+	if body := metrics(); !strings.Contains(body, "mrdserver_snapshots_written_total 2") ||
+		!strings.Contains(body, "mrdserver_snapshot_errors_total 1") {
+		t.Errorf("metrics before the drain miss the per-step snapshots:\n%s", body)
 	}
 	if n := srv.DrainSnapshots(); n != 2 {
 		t.Fatalf("DrainSnapshots = %d, want 2", n)
@@ -545,7 +616,7 @@ func TestDrainSnapshotsAndMetrics(t *testing.T) {
 	if !strings.Contains(body, "mrdserver_drain_snapshots_written 2") {
 		t.Errorf("metrics missing drain gauge:\n%s", body)
 	}
-	if !strings.Contains(body, "mrdserver_snapshots_written_total 4") {
-		t.Errorf("metrics missing the drain's one write per live session:\n%s", body)
+	if !strings.Contains(body, "mrdserver_snapshots_written_total 3") {
+		t.Errorf("the drain did not write exactly the one session the store missed:\n%s", body)
 	}
 }
