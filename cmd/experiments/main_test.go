@@ -78,66 +78,53 @@ func TestOnlyRunsExactlyTheSelection(t *testing.T) {
 	}
 }
 
-// TestSweepShardsMergeToTheSingleProcessReport drives the sweep fabric
-// the way CI's sweep-smoke job does: the whole smoke grid in one
-// process against two shards merged out of order.
-func TestSweepShardsMergeToTheSingleProcessReport(t *testing.T) {
-	dir := t.TempDir()
-	path := func(name string) string { return filepath.Join(dir, name) }
-	for _, args := range [][]string{
-		{"-sweep", "-sweep-grid", "smoke", "-sweep-html", path("whole.html")},
-		{"-sweep", "-sweep-grid", "smoke", "-sweep-shard", "0/2", "-sweep-shard-out", path("s0.json")},
-		{"-sweep", "-sweep-grid", "smoke", "-sweep-shard", "1/2", "-sweep-shard-out", path("s1.json")},
-		{"-sweep-merge", path("s1.json") + "," + path("s0.json"), "-sweep-html", path("merged.html")},
-	} {
-		if out, stderr, status := drive(t, args...); status != 0 {
-			t.Fatalf("%v: %s", args, stderr)
-		} else if !strings.HasPrefix(out, "sweep: ") {
-			t.Errorf("%v: no sweep summary on stdout: %q", args, out)
-		}
+// TestSweepWritesTheLibraryReport drives the sweep the way a user
+// does: the smoke grid's summary line on stdout and, in the -sweep-html
+// file, exactly the report the library renders for the same grid.
+func TestSweepWritesTheLibraryReport(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "sweep.html")
+	out, stderr, status := drive(t, "-sweep", "-sweep-grid", "smoke", "-sweep-html", file)
+	if status != 0 {
+		t.Fatal(stderr)
 	}
-	whole, err := os.ReadFile(path("whole.html"))
+	if !strings.HasPrefix(out, "sweep: grid=36 ") {
+		t.Errorf("no smoke-grid summary on stdout: %q", out)
+	}
+	got, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := os.ReadFile(path("merged.html"))
+	res, err := experiments.RunSweep(experiments.SmokeSweep(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(whole) == 0 || !bytes.Equal(whole, merged) {
-		t.Errorf("merged two-shard report (%d bytes) differs from the single-process report (%d bytes)",
-			len(merged), len(whole))
+	if want := experiments.RenderSweepHTML(res); len(got) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("-sweep-html wrote %d bytes, the library renders %d different ones", len(got), len(want))
 	}
 
-	if _, _, status := drive(t, "-sweep", "-sweep-grid", "smoke", "-sweep-shard", "0/2"); status != 1 {
-		t.Errorf("-sweep-shard without -sweep-shard-out: exit status %d, want 1", status)
+	// A malformed grid name is a usage error, caught before anything
+	// runs.
+	_, stderr, status = drive(t, "-sweep", "-sweep-grid", "nope")
+	if status != 2 {
+		t.Errorf("unknown grid: exit status %d, want 2 (usage)", status)
 	}
-	if _, _, status := drive(t, "-sweep", "-sweep-grid", "nope"); status != 1 {
-		t.Errorf("unknown grid: exit status %d, want 1", status)
+	if !strings.Contains(stderr, `experiments: unknown sweep grid "nope"`) {
+		t.Errorf("unknown grid not reported: %q", stderr)
 	}
 }
 
-// TestSweepShardSpecIsStrict: -sweep-shard takes "i/n" and nothing
-// around it. fmt.Sscanf("%d/%d") read the first four as shard 0 (or 1)
-// of 2 with a nil error, so a mistyped split computed the wrong rows.
-func TestSweepShardSpecIsStrict(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "s.json")
-	for _, spec := range []string{"0/2/3", "0/2junk", " 1/2", "+1/2", "1/0", "2/2", "-1/2", "1", "/", "01/2"} {
-		_, stderr, status := drive(t, "-sweep", "-sweep-grid", "smoke", "-sweep-shard="+spec, "-sweep-shard-out", out)
-		if status != 2 {
-			t.Errorf("-sweep-shard %q: exit status %d, want 2 (usage)", spec, status)
-		}
-		if !strings.Contains(stderr, "-sweep-shard") {
-			t.Errorf("-sweep-shard %q: message does not name the flag: %q", spec, stderr)
-		}
-		if _, err := os.Stat(out); err == nil {
-			t.Fatalf("-sweep-shard %q wrote a shard file", spec)
-		}
+// TestSixFlags pins the command's whole option surface: any other flag
+// is undefined, a usage error (exit 2, as -no-such-flag shows above).
+func TestSixFlags(t *testing.T) {
+	_, usage, status := drive(t, "-h")
+	if status != 0 {
+		t.Fatalf("-h: exit status %d", status)
 	}
-	for spec, want := range map[string][2]int{"0/1": {0, 1}, "1/2": {1, 2}, "9/10": {9, 10}} {
-		shard, of, err := parseShard(spec)
-		if err != nil || shard != want[0] || of != want[1] {
-			t.Errorf("parseShard(%q) = %d, %d, %v", spec, shard, of, err)
-		}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+		flags = append(flags, m[1])
+	}
+	if got := strings.Join(flags, " "); got != "list only out sweep sweep-grid sweep-html" {
+		t.Errorf("flags = %s, want list only out sweep sweep-grid sweep-html", got)
 	}
 }

@@ -39,10 +39,6 @@ type MemoryStore struct {
 	unplanned   func(block.ID) bool // PutGuarded's: nor a victim already planned
 	arbAllows   func(block.ID) bool // PutPrefetch's guard: arb lets incoming displace the victim
 
-	// Evictions counts demand evictions (victim selection under
-	// pressure); proactive removals via Remove are counted by the
-	// caller.
-	Evictions int64
 	// Prefetch is the store's prefetch ledger (DESIGN §4). A host that
 	// replaces a store carries the old one's ledger over.
 	Prefetch PrefetchLedger
@@ -146,7 +142,6 @@ func (s *MemoryStore) Put(info block.Info) (evicted []block.Info, ok bool) {
 			panic(fmt.Sprintf("cluster: policy chose non-resident victim %v", victim))
 		}
 		s.drop(vInfo)
-		s.Evictions++
 		s.evicted = append(s.evicted, vInfo)
 	}
 	s.add(info)
@@ -178,7 +173,6 @@ func (s *MemoryStore) PutGuarded(info block.Info, allow func(victim block.ID) bo
 	}
 	for _, vInfo := range s.evicted {
 		s.drop(vInfo)
-		s.Evictions++
 	}
 	s.add(info)
 	return s.evicted, true

@@ -16,9 +16,8 @@ func forEach(n int, fn func(i int)) {
 }
 
 // forEachWorkers is forEach with an explicit worker count (<= 0 means
-// GOMAXPROCS). The sweep runner passes the -sweep-workers flag through
-// here; the determinism differential proves the count cannot change
-// results.
+// GOMAXPROCS). RunSweep passes its workers argument through here; the
+// determinism differential proves the count cannot change results.
 //
 // A panic inside fn is recovered in the worker and re-raised from the
 // caller with the failing index attached. Without this, a worker panic

@@ -166,7 +166,7 @@ func (s scenario) best(p PolicySpec) point {
 }
 
 // simulated is what one real simulation yields. Only run is ever
-// memoized or persisted; the other two are side channels for the
+// memoized; the other two are side channels for the
 // callers that simulate directly.
 type simulated struct {
 	run metrics.Run

@@ -47,17 +47,6 @@ type runKey struct {
 	fault    faultKey
 }
 
-// canonical renders the key as a stable string: the persistent cache
-// hashes it, and stores it next to the hash so collisions are
-// detectable. %+v over flat structs prints every field by name in
-// declaration order, so adding a field to any component type changes
-// every canonical string — which retires stale on-disk entries
-// automatically (they simply stop matching; the store rebuilds).
-func (k runKey) canonical() string {
-	return fmt.Sprintf("v%d|%s|%+v|%+v|%+v|%+v",
-		cacheKeyVersion, k.workload, k.params, k.cfg, k.policy, k.fault)
-}
-
 // runCache memoizes completed simulations across the whole experiment
 // suite, keyed by runKey. Suite entries sharing a configuration — most
 // commonly the unbounded-cache working-set probe that several
@@ -79,42 +68,19 @@ type flightCall struct {
 	err  error
 }
 
-// cacheStore, when set, persists simulated runs across processes.
-var (
-	cacheStoreMu sync.RWMutex
-	cacheStore   *CacheStore
-)
-
-// SetCacheStore installs (or, with nil, removes) the persistent run
-// store consulted and appended by every cache miss.
-func SetCacheStore(s *CacheStore) {
-	cacheStoreMu.Lock()
-	cacheStore = s
-	cacheStoreMu.Unlock()
-}
-
-func currentCacheStore() *CacheStore {
-	cacheStoreMu.RLock()
-	defer cacheStoreMu.RUnlock()
-	return cacheStore
-}
-
 // CacheStats counts how runs were served. The three counters partition
-// every RunCached/runCachedFault call: a memoized replay, a persistent
-// on-disk replay, or a real simulation. Waits counts callers that
-// blocked on another goroutine's in-flight simulation of the same key
-// (they are also memo hits in spirit, but are tallied separately so
-// the singleflight test can pin "exactly one simulation").
+// every RunCached/runCachedFault call: a memoized replay, a real
+// simulation, or a wait on another goroutine's in-flight simulation of
+// the same key (a memo hit in spirit, tallied apart so the singleflight
+// test can pin "exactly one simulation").
 type CacheStats struct {
 	MemoHits  int64
-	DiskHits  int64
 	Simulated int64
 	Waits     int64
 }
 
 var (
 	statMemoHits  atomic.Int64
-	statDiskHits  atomic.Int64
 	statSimulated atomic.Int64
 	statWaits     atomic.Int64
 )
@@ -124,7 +90,6 @@ var (
 func ReadCacheStats() CacheStats {
 	return CacheStats{
 		MemoHits:  statMemoHits.Load(),
-		DiskHits:  statDiskHits.Load(),
 		Simulated: statSimulated.Load(),
 		Waits:     statWaits.Load(),
 	}
@@ -133,14 +98,13 @@ func ReadCacheStats() CacheStats {
 // ResetCacheStats zeroes the counters.
 func ResetCacheStats() {
 	statMemoHits.Store(0)
-	statDiskHits.Store(0)
 	statSimulated.Store(0)
 	statWaits.Store(0)
 }
 
 // Warm reports the fraction of runs served without simulating.
 func (s CacheStats) Warm() float64 {
-	total := s.MemoHits + s.DiskHits + s.Simulated + s.Waits
+	total := s.MemoHits + s.Simulated + s.Waits
 	if total == 0 {
 		return 0
 	}
@@ -148,8 +112,8 @@ func (s CacheStats) Warm() float64 {
 }
 
 func (s CacheStats) String() string {
-	return fmt.Sprintf("simulated=%d memo-hits=%d disk-hits=%d waits=%d warm=%.1f%%",
-		s.Simulated, s.MemoHits, s.DiskHits, s.Waits, 100*s.Warm())
+	return fmt.Sprintf("simulated=%d memo-hits=%d waits=%d warm=%.1f%%",
+		s.Simulated, s.MemoHits, s.Waits, 100*s.Warm())
 }
 
 // simHook, when non-nil, runs at the start of every real simulation
@@ -223,21 +187,9 @@ func runCachedFault(spec *workload.Spec, cfg cluster.Config, p PolicySpec, prese
 	return c.run, c.err
 }
 
-// fillCache resolves a cache miss as the singleflight leader: consult
-// the persistent store first, simulate only on a true miss, and append
-// fresh results back to the store.
+// fillCache resolves a cache miss as the singleflight leader by
+// simulating the run under its fault schedule.
 func fillCache(key runKey, spec *workload.Spec, p PolicySpec) (metrics.Run, error) {
-	store := currentCacheStore()
-	canonical := ""
-	if store != nil {
-		canonical = key.canonical()
-		if run, ok, err := store.Get(canonical); err != nil {
-			return metrics.Run{}, err
-		} else if ok {
-			statDiskHits.Add(1)
-			return run, nil
-		}
-	}
 	if simHook != nil {
 		simHook()
 	}
@@ -253,11 +205,6 @@ func fillCache(key runKey, spec *workload.Spec, p PolicySpec) (metrics.Run, erro
 	out, err := simulate(spec, key.cfg, p, sched, false)
 	if err != nil {
 		return metrics.Run{}, err
-	}
-	if store != nil {
-		if err := store.Put(canonical, out.run); err != nil {
-			return metrics.Run{}, err
-		}
 	}
 	return out.run, nil
 }

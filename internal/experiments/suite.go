@@ -212,9 +212,9 @@ func Suite() []Experiment {
 
 // RunSuite executes the selected experiments (nil or empty selection
 // means all), writing each section to w with timing lines and a final
-// run-cache accounting line: the suite shares the same memoized (and,
-// when installed, persistent) run cache as the sweep fabric, so the
-// line shows how much of the suite replayed instead of simulating.
+// run-cache accounting line: the suite shares the sweep fabric's
+// memoized run cache, so the line shows how much of the suite replayed
+// instead of simulating.
 func RunSuite(w io.Writer, only map[string]bool) error {
 	before := ReadCacheStats()
 	for _, e := range Suite() {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -27,12 +26,11 @@ func tinySweep() SweepConfig {
 
 // TestSweepDeterminism is the fabric's core acceptance proof: the
 // consolidated report is byte-identical whether the grid ran on one
-// worker, on GOMAXPROCS workers, or split across two "processes"
-// (shards written to and re-read from disk, merged out of order).
+// worker or on GOMAXPROCS workers, and whether the run memo started
+// cold or already held every point — cache state never leaks into the
+// report.
 func TestSweepDeterminism(t *testing.T) {
 	cfg := tinySweep()
-
-	render := func(res *SweepResult) []byte { return RenderSweepHTML(res) }
 
 	ResetRunCache()
 	defer ResetRunCache()
@@ -40,99 +38,33 @@ func TestSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	htmlOne := render(one)
+	htmlOne := RenderSweepHTML(one)
+	if len(one.Rows) != len(cfg.Grid()) {
+		t.Fatalf("sweep produced %d rows for a %d-point grid", len(one.Rows), len(cfg.Grid()))
+	}
 
 	ResetRunCache()
 	many, err := RunSweep(cfg, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	htmlMany := render(many)
+	if many.Stats.Simulated == 0 {
+		t.Fatal("cold leg simulated nothing; the memo was not cold")
+	}
 
-	// Two-process split: each shard computed against a cold cache,
-	// round-tripped through its shard file, merged in reverse order.
-	ResetRunCache()
-	dir := t.TempDir()
-	paths := make([]string, 2)
-	for shard := 0; shard < 2; shard++ {
-		sf, err := RunSweepShard(cfg, shard, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths[shard] = filepath.Join(dir, sf.ConfigDigest+"-"+string(rune('a'+shard))+".json")
-		if err := sf.WriteFile(paths[shard]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files := make([]*ShardFile, 0, 2)
-	for i := len(paths) - 1; i >= 0; i-- {
-		sf, err := ReadShardFile(paths[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, sf)
-	}
-	merged, err := MergeShards(files)
+	// Warm leg: the same grid again in the same process.
+	warm, err := RunSweep(cfg, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	htmlMerged := render(merged)
-
-	if !bytes.Equal(htmlOne, htmlMany) {
-		t.Fatalf("1-worker and %d-worker reports differ (%d vs %d bytes)",
-			runtime.GOMAXPROCS(0), len(htmlOne), len(htmlMany))
+	if warm.Stats.Simulated != 0 {
+		t.Fatalf("warm leg re-simulated %d points (stats: %s)", warm.Stats.Simulated, warm.Stats)
 	}
-	if !bytes.Equal(htmlOne, htmlMerged) {
-		t.Fatalf("single-process and 2-shard merged reports differ (%d vs %d bytes)",
-			len(htmlOne), len(htmlMerged))
-	}
-}
 
-// TestSweepWarmStart is the persistence acceptance test: a second
-// sweep over the same grid against the same store directory must
-// replay entirely from disk — zero simulations — and render the
-// byte-identical report.
-func TestSweepWarmStart(t *testing.T) {
-	cfg := tinySweep()
-	dir := t.TempDir()
-
-	runLeg := func() (*SweepResult, CacheStats, []byte) {
-		store, err := OpenCacheStore(dir)
-		if err != nil {
-			t.Fatal(err)
+	for name, res := range map[string]*SweepResult{"GOMAXPROCS-worker": many, "warm": warm} {
+		if html := RenderSweepHTML(res); !bytes.Equal(htmlOne, html) {
+			t.Errorf("1-worker and %s reports differ (%d vs %d bytes)", name, len(htmlOne), len(html))
 		}
-		defer store.Close()
-		SetCacheStore(store)
-		defer SetCacheStore(nil)
-		ResetRunCache()
-		ResetCacheStats()
-		res, err := RunSweep(cfg, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, ReadCacheStats(), RenderSweepHTML(res)
-	}
-
-	cold, coldStats, coldHTML := runLeg()
-	if coldStats.Simulated == 0 {
-		t.Fatal("cold leg simulated nothing; the store was not cold")
-	}
-	_, warmStats, warmHTML := runLeg()
-
-	if warmStats.Simulated != 0 {
-		t.Fatalf("warm leg re-simulated %d points (stats: %s)", warmStats.Simulated, warmStats)
-	}
-	if warmStats.DiskHits == 0 {
-		t.Fatalf("warm leg served nothing from disk (stats: %s)", warmStats)
-	}
-	if w := warmStats.Warm(); w < 0.95 {
-		t.Fatalf("warm leg replayed only %.0f%% from cache, want >= 95%% (stats: %s)", w*100, warmStats)
-	}
-	if !bytes.Equal(coldHTML, warmHTML) {
-		t.Fatalf("cold and warm reports differ (%d vs %d bytes): cache state leaked into the HTML", len(coldHTML), len(warmHTML))
-	}
-	if len(cold.Rows) != len(cfg.Grid()) {
-		t.Fatalf("sweep produced %d rows for a %d-point grid", len(cold.Rows), len(cfg.Grid()))
 	}
 }
 
@@ -153,78 +85,5 @@ func TestGridCanonicalIndices(t *testing.T) {
 	}
 	if grid[0].Policy.Name() != grid[1].Policy.Name() {
 		t.Fatal("preset must vary before policy in the canonical order")
-	}
-}
-
-func TestShardRangePartitions(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 100} {
-		for _, of := range []int{1, 2, 3, 7} {
-			covered := 0
-			prevHi := 0
-			for shard := 0; shard < of; shard++ {
-				lo, hi := shardRange(shard, of, n)
-				if lo != prevHi {
-					t.Fatalf("n=%d of=%d shard=%d: lo=%d, want %d (gap or overlap)", n, of, shard, lo, prevHi)
-				}
-				prevHi = hi
-				covered += hi - lo
-			}
-			if prevHi != n || covered != n {
-				t.Fatalf("n=%d of=%d: shards cover [0,%d) with %d points, want [0,%d)", n, of, prevHi, covered, n)
-			}
-		}
-	}
-}
-
-func TestMergeShardsValidation(t *testing.T) {
-	cfg := tinySweep()
-	ResetRunCache()
-	defer ResetRunCache()
-
-	shards := make([]*ShardFile, 2)
-	for i := range shards {
-		sf, err := RunSweepShard(cfg, i, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = sf
-	}
-
-	// clone deep-copies a shard so mutations don't leak between cases.
-	clone := func(sf *ShardFile) *ShardFile {
-		c := *sf
-		c.Rows = append([]SweepRow(nil), sf.Rows...)
-		return &c
-	}
-
-	if _, err := MergeShards([]*ShardFile{shards[0], shards[1]}); err != nil {
-		t.Fatalf("complete merge failed: %v", err)
-	}
-	if _, err := MergeShards(nil); err == nil {
-		t.Fatal("empty merge must fail")
-	}
-	if _, err := MergeShards([]*ShardFile{shards[0]}); err == nil {
-		t.Fatal("merge with a missing shard must fail")
-	}
-	if _, err := MergeShards([]*ShardFile{shards[0], shards[0]}); err == nil {
-		t.Fatal("merge with a duplicated shard must fail")
-	}
-
-	wrongGrid := clone(shards[1])
-	wrongGrid.ConfigDigest = "feedfacefeedface"
-	if _, err := MergeShards([]*ShardFile{shards[0], wrongGrid}); err == nil {
-		t.Fatal("merge across different grid digests must fail")
-	}
-
-	badIndex := clone(shards[1])
-	badIndex.Rows[0].Point.Index = 0
-	if _, err := MergeShards([]*ShardFile{shards[0], badIndex}); err == nil {
-		t.Fatal("merge with a mis-indexed row must fail")
-	}
-
-	short := clone(shards[1])
-	short.Rows = short.Rows[:len(short.Rows)-1]
-	if _, err := MergeShards([]*ShardFile{shards[0], short}); err == nil {
-		t.Fatal("merge with a short shard must fail")
 	}
 }

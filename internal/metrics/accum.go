@@ -1,29 +1,28 @@
 package metrics
 
 // Accum is an order-independent aggregate over Runs — what the sweep
-// report folds the merged row table into, one Add per row. Every field
-// is an exact integer sum (or min/max), so Add is commutative and
-// associative bit-for-bit: the rows may arrive in any order (the sweep
-// fabric merges shards' rows, not accumulators) and the result is
+// report folds the row table into, one Add per row. Every field is an
+// exact integer sum (or min/max), so Add is commutative and associative
+// bit-for-bit: the rows may be folded in any order and the result is
 // identical to one sequential pass. Derived ratios (means, hit rate)
 // are computed only at render time, from the integers.
 type Accum struct {
-	N int64 `json:"n"`
+	N int64
 
-	SumJCT int64 `json:"sumJct"`
-	MinJCT int64 `json:"minJct"`
-	MaxJCT int64 `json:"maxJct"`
+	SumJCT int64
+	MinJCT int64
+	MaxJCT int64
 
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	Evictions      int64 `json:"evictions"`
-	PrefetchIssued int64 `json:"prefetchIssued"`
-	PrefetchUsed   int64 `json:"prefetchUsed"`
-	Recomputes     int64 `json:"recomputes"`
+	Hits           int64
+	Misses         int64
+	Evictions      int64
+	PrefetchIssued int64
+	PrefetchUsed   int64
+	Recomputes     int64
 
-	DiskReadBytes  int64 `json:"diskReadBytes"`
-	NetReadBytes   int64 `json:"netReadBytes"`
-	RecomputeBytes int64 `json:"recomputeBytes"`
+	DiskReadBytes  int64
+	NetReadBytes   int64
+	RecomputeBytes int64
 }
 
 // Add folds one run into the accumulator.

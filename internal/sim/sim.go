@@ -214,8 +214,7 @@ type NodeStats struct {
 	ReplicaBlocks int   // replica copies held for blocks homed elsewhere
 	DiskBusy      int64 // µs
 	NetBusy       int64 // µs
-	Evictions     int64
-	Down          bool // still down (crashed, never rejoined) at the end
+	Down          bool  // still down (crashed, never rejoined) at the end
 }
 
 // PerNode returns each worker's statistics after the run.
@@ -230,7 +229,6 @@ func (s *Simulation) PerNode() []NodeStats {
 			ReplicaBlocks: n.disk.ReplicaLen(),
 			DiskBusy:      n.diskDev.Busy,
 			NetBusy:       n.netDev.Busy,
-			Evictions:     n.mem.Evictions,
 			Down:          n.down,
 		}
 	}

@@ -261,7 +261,7 @@ func TestPerNodeStatsConsistent(t *testing.T) {
 	if len(stats) != 2 {
 		t.Fatalf("nodes = %d", len(stats))
 	}
-	var diskBusy, netBusy, evictions int64
+	var diskBusy, netBusy int64
 	for i, ns := range stats {
 		if ns.Node != i {
 			t.Errorf("node index %d = %d", i, ns.Node)
@@ -271,12 +271,8 @@ func TestPerNodeStatsConsistent(t *testing.T) {
 		}
 		diskBusy += ns.DiskBusy
 		netBusy += ns.NetBusy
-		evictions += ns.Evictions
 	}
 	if diskBusy != run.DiskBusy || netBusy != run.NetBusy {
 		t.Errorf("per-node busy %d/%d != run totals %d/%d", diskBusy, netBusy, run.DiskBusy, run.NetBusy)
-	}
-	if evictions != run.Evictions {
-		t.Errorf("per-node evictions %d != run total %d", evictions, run.Evictions)
 	}
 }

@@ -87,7 +87,7 @@ func TestRenderedHTMLPinned(t *testing.T) {
 		{"trace waterfall", waterfall.Bytes(),
 			"194ec44db2cd096d13521f29d275bfa3da4c2309ba8eb58d042acb17e252c76c"},
 		{"smoke sweep", experiments.RenderSweepHTML(sweep),
-			"a42d2868eb1e535f7e210377e83cc757b726116f2519b4917ef2cdb1f513de3d"},
+			"b4be94554b999e33f92fc18a97391a9533addd5f5c0f2e389eebe9867100044b"},
 	} {
 		sum := sha256.Sum256(pin.html)
 		if got := hex.EncodeToString(sum[:]); got != pin.want {
