@@ -252,17 +252,17 @@ func ids[V any](m *block.Map[V]) []block.ID {
 	return out
 }
 
-// DiskStore is one node's local-disk block set: spilled cache blocks,
-// HDFS-resident source data, and — under replication — replica copies
-// of blocks homed on other nodes. Capacity is not modeled (the paper's
-// nodes have 200 GB disks, never a constraint); bandwidth is charged
-// by the simulator's device queues. Like MemoryStore it is one
-// block.Map and holds no lock: one goroutine mutates it, and the
-// execution engine's workers read it (through the advisor's OnDisk)
-// only while no mutation runs. Most Has calls are the MRD manager's, at
-// every stage boundary, about blocks the disk does not hold: a miss
-// costs one multiply and one word read, so nothing stands in front of
-// the table.
+// DiskStore is one node's local-disk block set: the disk copies of
+// cached blocks (spilled when they leave memory, or written behind when
+// the simulator creates them) and — under replication — replica copies
+// of blocks homed on other nodes. It holds no source data: the bytes a
+// source RDD reads are charged as I/O and never stored, so every block
+// here belongs to a cached RDD that some stage has already created.
+// Capacity is not modeled (the paper's nodes have 200 GB disks, never a
+// constraint); bandwidth is charged by the simulator's device queues.
+// Like MemoryStore it is one block.Map and holds no lock: one goroutine
+// mutates it, and the execution engine's workers read it (through the
+// advisor's OnDisk) only while no mutation runs.
 type DiskStore struct {
 	blocks block.Map[diskEntry]
 }

@@ -502,10 +502,31 @@ type pfRDD struct{ id, dist int }
 // only if the walk gets as far as ordering it.
 type pfCandidate struct{ rdd, part, dist int32 }
 
+// createdBefore reports whether the consulted or the observed profile
+// has the RDD created at a stage before the current one.
+func (m *Manager) createdBefore(rddID int) bool {
+	for _, p := range [2]*refdist.Profile{m.tbl.profile, m.profiler.Observed()} {
+		if c, ok := p.Creation(rddID); ok && c.Stage < m.curStage {
+			return true
+		}
+	}
+	return false
+}
+
 // prefetch is the prefetching phase (Algorithm 1, lines 24–29): per
 // node, walk candidate blocks in ascending distance order and issue a
 // prefetch when the block fits in free memory, or force it (allowing
 // evictions on arrival) while free memory exceeds the threshold.
+//
+// It relies on one creation rule: a block exists in a store — memory,
+// disk or a replica — only once a stage before the current one has
+// created its RDD. Both hosts call OnStageStart(S) before stage S runs,
+// and the profiles and both hosts take creation from the one
+// dag.Materialized rule, so an RDD that neither the consulted nor the
+// observed profile has created before this stage gets no candidates and
+// costs no OnDisk question. For every other RDD OnDisk stays the
+// per-block authority: a profile that says created proves nothing about
+// a block's copies.
 func (m *Manager) prefetch() {
 	if m.ops == nil {
 		return
@@ -529,6 +550,9 @@ func (m *Manager) prefetch() {
 		}
 		if int(m.held[rddID]) >= m.graph.RDDs[rddID].NumPartitions {
 			continue // every partition is already in memory
+		}
+		if !m.createdBefore(rddID) {
+			continue // no store holds a block of it
 		}
 		i := len(live)
 		live = append(live, pfRDD{})
@@ -613,14 +637,8 @@ func (m *Manager) prefetch() {
 // block with a strictly larger distance than dist, i.e. whether a
 // forced prefetch would evict something less urgent than it loads.
 func (m *Manager) worthForcing(node int, dist int) bool {
-	order := m.monitors[node].order
-	for c := order.Oldest(); c != 0; c = order.Newer(c) {
-		d := m.distance(order.ID(c).RDD)
-		if refdist.IsInfinite(d) || d > dist {
-			return true
-		}
-	}
-	return false
+	top, inf := m.monitors[node].topDistance()
+	return inf || top > dist
 }
 
 // String summarizes the manager configuration.

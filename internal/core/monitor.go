@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mrdspark/internal/block"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
@@ -19,14 +21,26 @@ import (
 // Table 2's reportCacheStatus: the blocks it tracks are exactly the
 // node's memory-resident set, and each gain or loss is reported to the
 // manager's per-RDD count as it happens.
+//
+// The table keeps one distance per RDD, and a node's blocks belong to a
+// handful of RDDs (at a victim call in a D4 pass, 6.5 RDDs against 31
+// resident blocks), so the monitor also counts its blocks per RDD: the
+// node's top distance is a scan of the RDDs it holds, and the victim
+// walk stops at the first block that has it.
 type CacheMonitor struct {
 	mgr   *Manager
 	node  int
 	order *policy.Recency // the node's resident blocks, LRU to MRU
+	// count holds, dense by rddID, how many of the node's blocks belong
+	// to each RDD; rdds lists the RDDs whose count is nonzero, in no
+	// particular order.
+	count []int32
+	rdds  []int
 }
 
 func newCacheMonitor(m *Manager, node int) *CacheMonitor {
-	return &CacheMonitor{mgr: m, node: node, order: policy.NewRecency()}
+	return &CacheMonitor{mgr: m, node: node, order: policy.NewRecency(),
+		count: make([]int32, len(m.graph.RDDs))}
 }
 
 // reset clears local state after a node failure; the manager re-issues
@@ -36,6 +50,10 @@ func (c *CacheMonitor) reset() {
 		c.report(c.order.ID(cur), -1)
 	}
 	c.order = policy.NewRecency()
+	for _, r := range c.rdds {
+		c.count[r] = 0
+	}
+	c.rdds = c.rdds[:0]
 }
 
 // report tells the manager of one block gained or lost. A monitor that
@@ -49,8 +67,16 @@ func (c *CacheMonitor) report(id block.ID, delta int32) {
 
 // OnAdd implements policy.Policy.
 func (c *CacheMonitor) OnAdd(id block.ID) {
-	if c.order.Touch(id) {
-		c.report(id, 1)
+	if !c.order.Touch(id) {
+		return
+	}
+	c.report(id, 1)
+	if id.RDD >= len(c.count) {
+		// An ad-hoc job brought an RDD the graph lacked at deployment.
+		c.count = append(c.count, make([]int32, id.RDD+1-len(c.count))...)
+	}
+	if c.count[id.RDD]++; c.count[id.RDD] == 1 {
+		c.rdds = append(c.rdds, id.RDD)
 	}
 }
 
@@ -59,9 +85,30 @@ func (c *CacheMonitor) OnAccess(id block.ID) { c.order.Promote(id) }
 
 // OnRemove implements policy.Policy.
 func (c *CacheMonitor) OnRemove(id block.ID) {
-	if c.order.Remove(id) {
-		c.report(id, -1)
+	if !c.order.Remove(id) {
+		return
 	}
+	c.report(id, -1)
+	if c.count[id.RDD]--; c.count[id.RDD] == 0 {
+		i := slices.Index(c.rdds, id.RDD)
+		last := len(c.rdds) - 1
+		c.rdds[i] = c.rdds[last]
+		c.rdds = c.rdds[:last]
+	}
+}
+
+// topDistance returns the greatest distance among the RDDs the node
+// holds, infinite counting as greatest: no resident block can outrank
+// it.
+func (c *CacheMonitor) topDistance() (top int, inf bool) {
+	for _, r := range c.rdds {
+		d := c.mgr.distance(r)
+		if refdist.IsInfinite(d) {
+			return d, true
+		}
+		top = max(top, d)
+	}
+	return top, false
 }
 
 // Victim implements policy.Policy. Under MRD eviction it returns the
@@ -88,29 +135,34 @@ func (c *CacheMonitor) Victim(evictable func(id block.ID) bool) (block.ID, bool)
 	best, found := block.ID{}, false
 	bestDist := 0
 	bestInf := false
+	lru := c.mgr.opts.TieBreak == TieLRU
+	var top int
+	var topInf bool
+	if lru {
+		top, topInf = c.topDistance()
+	}
 	// Walk LRU -> MRU so the least recently used block wins among
 	// equal distances under the default tie-break; the optional
-	// size-aware tie-breaks (§3.3's future work) override it.
+	// size-aware tie-breaks (§3.3's future work) override it. The
+	// filter is asked only about a block that would change the answer.
+	d, inf, dRDD := 0, false, -1
 	for cur := c.order.Oldest(); cur != 0; cur = c.order.Newer(cur) {
 		id := c.order.ID(cur)
-		if !evictable(id) {
+		if id.RDD != dRDD {
+			// The distance is the RDD's: look it up when the RDD changes.
+			d, dRDD = c.mgr.distance(id.RDD), id.RDD
+			inf = refdist.IsInfinite(d)
+		}
+		beats := !found || inf && !bestInf || !inf && !bestInf && d > bestDist
+		tie := !beats && !lru && inf == bestInf && (inf || d == bestDist)
+		if !beats && !tie || !evictable(id) || tie && !c.tieBeats(id, best) {
 			continue
 		}
-		d := c.mgr.distance(id.RDD)
-		inf := refdist.IsInfinite(d)
-		switch {
-		case !found:
-			best, bestDist, bestInf, found = id, d, inf, true
-		case inf && !bestInf:
-			best, bestDist, bestInf = id, d, inf
-		case inf == bestInf && !inf && d > bestDist:
-			best, bestDist, bestInf = id, d, inf
-		case inf == bestInf && (inf || d == bestDist) && c.tieBeats(id, best):
-			best, bestDist, bestInf = id, d, inf
-		}
-		if bestInf && c.mgr.opts.TieBreak == TieLRU {
-			// Nothing outranks an infinite-distance block, and the
-			// LRU-first walk already fixed the tiebreak.
+		best, bestDist, bestInf, found = id, d, inf, true
+		if lru && (bestInf || !topInf && bestDist == top) {
+			// Nothing resident outranks the node's top distance, and
+			// the LRU-first walk already fixed the tiebreak. A filter
+			// that rejects every block at the top walks to the end.
 			break
 		}
 	}

@@ -67,6 +67,11 @@ type ClusterOps interface {
 	Resident(node int, id block.ID) bool
 	// OnDisk reports whether the block's bytes are available on the
 	// node's local disk (and hence prefetchable without recompute).
+	// A host holds a block — in memory, on a disk or as a replica —
+	// only once a stage before the current one has created its RDD
+	// (dag.Materialized), so the MRD manager puts no OnDisk question
+	// about an RDD that no profile shows created yet; for the rest,
+	// this is the per-block answer.
 	OnDisk(node int, id block.ID) bool
 	// FreeBytes returns the node's unused memory-store capacity.
 	FreeBytes(node int) int64

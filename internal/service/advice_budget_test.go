@@ -46,12 +46,15 @@ func (o *countingOps) Prefetch(node int, info block.Info) {
 	o.ClusterOps.Prefetch(node, info)
 }
 
-// TestBoundaryProbeBudget is the advisor's shape of the budget
+// TestBoundaryProbeBudget is the advisor's shape of the law
 // internal/sim holds under the same name: the benchmark's advise-fresh
 // session set (D4 at seed 0, 4 × 64 MB) issues 3 650 prefetch orders,
-// and the manager may put at most 22 000 restorability questions to get
-// there — 20 802 measured; 329 104 when it asked about every partition
-// not in memory before looking at what memory could take.
+// and the manager puts one restorability question an order — it asks
+// only about a partition memory can take of an RDD a stage before this
+// one has created, and every such partition is on disk (20 802
+// questions when it asked about RDDs no stage had created yet; 329 104
+// when it asked about every partition not in memory before looking at
+// what memory could take).
 func TestBoundaryProbeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the benchmark's D4 session set")
@@ -70,10 +73,10 @@ func TestBoundaryProbeBudget(t *testing.T) {
 	}
 	t.Logf("D4 session set: %d OnDisk probes for %d prefetch orders", ops.onDisk, ops.orders)
 	if ops.orders != 3650 {
-		t.Errorf("the session set issued %d prefetch orders, want 3650: the budget below is for that work", ops.orders)
+		t.Errorf("the session set issued %d prefetch orders, want 3650: the law below is for that work", ops.orders)
 	}
-	if ops.onDisk > 22_000 {
-		t.Errorf("the manager put %d restorability questions a session set, budget 22000", ops.onDisk)
+	if ops.onDisk != ops.orders {
+		t.Errorf("the manager put %d restorability questions for %d orders, want one an order", ops.onDisk, ops.orders)
 	}
 }
 

@@ -4,6 +4,12 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"mrdspark/internal/block"
+	"mrdspark/internal/cluster"
+	"mrdspark/internal/dag"
+	"mrdspark/internal/fault"
+	"mrdspark/internal/policy"
 )
 
 // TestEngineSteadyStateAllocs pins the engine's hot path at zero
@@ -140,5 +146,51 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 					trial, i, got[:i+1], want[:i+1])
 			}
 		}
+	}
+}
+
+// TestPrefetchSteadyStateAllocs pins a prefetch's way through a warmed
+// simulation at zero allocations: issued by the manager's ClusterOps,
+// read from the local disk — or, when the local copy is gone, from a
+// replica's disk and across the NIC — and landed in memory. Each issued
+// prefetch used to allocate two closures; its record is now reused.
+func TestPrefetchSteadyStateAllocs(t *testing.T) {
+	g := dag.New()
+	g.Count(g.Source("in", 4, 1<<20).Map("c").Persist(block.MemoryAndDisk))
+	s, err := New(g, cluster.Main(), policy.NewLRU(), "prefetch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetOptions(Options{Fault: &fault.Schedule{Replication: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	ops := clusterOps{s}
+	local := block.Info{ID: block.ID{RDD: 1, Partition: 0}, Size: 1 << 20, Level: block.MemoryAndDisk}
+	remote := block.Info{ID: block.ID{RDD: 1, Partition: 1}, Size: 1 << 20, Level: block.MemoryAndDisk}
+	homeOf := func(info block.Info) *node { return s.nodes[ops.HomeNode(info.ID)] }
+	homeOf(local).disk.Put(local.ID, local.Size)
+	s.nodes[(homeOf(remote).id+1)%len(s.nodes)].disk.PutReplica(remote.ID, remote.Size)
+	cycle := func() {
+		for _, info := range []block.Info{local, remote} {
+			ops.Prefetch(homeOf(info).id, info)
+		}
+		s.eng.Run()
+		for _, info := range []block.Info{local, remote} {
+			if !homeOf(info).mem.Contains(info.ID) {
+				t.Fatalf("the prefetch of %v did not land", info.ID)
+			}
+			homeOf(info).mem.Remove(info.ID)
+		}
+		homeOf(remote).disk.Remove(remote.ID) // the restore copied it home
+	}
+	cycle() // warm the record pool, the device queues and the engine
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Errorf("a warmed simulation allocates %.1f times per prefetch pair, want 0", allocs)
+	}
+	if landed := homeOf(local).mem.Prefetch.Landed; landed != 102 {
+		t.Errorf("%d local prefetches landed, want 102", landed)
+	}
+	if s.run.NetReadBytes != 102*remote.Size {
+		t.Errorf("%d bytes crossed the NIC, want %d: the replica leg did not run", s.run.NetReadBytes, 102*remote.Size)
 	}
 }

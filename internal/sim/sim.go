@@ -67,6 +67,8 @@ type Simulation struct {
 	// prefetch the stores' ledgers cannot see (DESIGN §4).
 	inFlight blockSet
 	aborted  int64
+	// pfFree holds the records of landed prefetches, for reuse.
+	pfFree []*prefetchReq
 	// corrupt marks blocks whose home-node disk copy has rotted (fault
 	// injection); detection happens at the next demand read.
 	corrupt blockSet
