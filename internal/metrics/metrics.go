@@ -10,7 +10,10 @@ import (
 	"time"
 )
 
-// Run holds the counters of one simulated application run.
+// Run holds the counters of one simulated application run. The fields
+// marked (stream) count one kind of event each: obs.Tally.FillRun sets
+// them from the run's event tally, and nothing else writes them. Every
+// other field is the host's, written where the simulator charges it.
 type Run struct {
 	Workload string
 	Policy   string
@@ -19,12 +22,12 @@ type Run struct {
 	// simulated microseconds (the paper's normalized-JCT numerator).
 	JCT int64
 
-	// Cache accounting, counted on cached-RDD block reads only.
+	// Cache accounting, counted on cached-RDD block reads only (stream).
 	Hits   int64
 	Misses int64
 
-	// Miss breakdown: disk promotes read the block back from local
-	// disk; recomputes rebuild it from lineage.
+	// Miss breakdown (stream): disk promotes read the block back from
+	// local disk; recomputes rebuild it from lineage.
 	DiskPromotes int64
 	Recomputes   int64
 
@@ -39,7 +42,8 @@ type Run struct {
 	ShuffleReadBytes  int64
 	ShuffleWriteBytes int64
 
-	// Cache churn.
+	// Cache churn. The first three are (stream); used and wasted come
+	// from the stores' prefetch ledger.
 	Evictions      int64 // demand evictions under memory pressure
 	PurgedBlocks   int64 // blocks dropped by cluster-wide purge orders
 	PrefetchIssued int64
@@ -50,20 +54,24 @@ type Run struct {
 	// store occupancy, the natural scale for cache-size sweeps.
 	PeakCacheUsed int64
 
-	// Fault injection and recovery (internal/fault). All zero on a
-	// healthy, unreplicated run.
+	// Fault injection and recovery (internal/fault), (stream) down to
+	// FetchGiveUps. All zero on a healthy, unreplicated run.
 	NodeCrashes     int64 // node-crash events fired
 	NodeRejoins     int64 // crashed nodes that rejoined (empty)
 	StragglerEvents int64 // straggler windows opened
 	BlocksLost      int64 // fault-injected single-block losses
 	BlocksCorrupted int64 // corrupt on-disk copies detected at read
-	// Replication: bytes written for replica copies, and misses served
-	// by re-fetching a surviving replica instead of recomputing.
+	// Replication: bytes written for replica copies (the replica-write
+	// events' byte sum), and misses served by re-fetching a surviving
+	// replica instead of recomputing.
 	ReplicaWriteBytes int64
 	ReplicaHits       int64
 	// Remote-fetch retry model: transient failures retried with
-	// backoff, and fetches abandoned after the retry budget (each
-	// abandoned fetch escalates to lineage recomputation).
+	// backoff, and fetches abandoned after the retry budget. An
+	// abandoned fetch drops a miss to its next rung; a hit or a shuffle
+	// read whose fetch gives up is rebuilt from lineage, charged to
+	// RecomputeBytes but not counted among the Recomputes, which are
+	// the outcomes of misses.
 	FetchRetries int64
 	FetchGiveUps int64
 	// RecomputeBytes is the total block bytes rebuilt from lineage —
@@ -83,7 +91,7 @@ type Run struct {
 	NetBusy  int64
 	WallTime int64
 
-	// Workflow shape.
+	// Workflow shape. StagesExecuted and TasksExecuted are (stream).
 	Jobs           int
 	StagesExecuted int
 	StagesSkipped  int

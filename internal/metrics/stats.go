@@ -65,8 +65,10 @@ type NodeStats struct {
 	Tasks      int64 // tasks executed on the node
 	BytesMoved int64
 
-	Crashes    int64
-	Stragglers int64
+	Crashes      int64
+	Stragglers   int64
+	FetchRetries int64 // retries of fetches the node made
+	FetchGiveUps int64
 
 	// Device busy time, filled in from the simulator's device queues
 	// when the run completes (events do not carry utilization).

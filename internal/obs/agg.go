@@ -54,6 +54,8 @@ type Aggregator struct {
 	// own is the per-block state of the buses subscribed with Attach.
 	own blockTimes
 
+	tally Tally // of every event observed: SynthesizeRun's run totals
+
 	// memoStage/memoIx remember the last stage entry resolved (memoIx < 0:
 	// none): events arrive in runs of one stage, so most skip the stageIx
 	// lookup.
@@ -160,6 +162,7 @@ func (a *Aggregator) observeBatch(bt *blockTimes, at int64, evs []Event) {
 // node entries once; bt is the per-block state of the stream the event
 // came on. The caller holds the lock.
 func (a *Aggregator) observe(bt *blockTimes, ev *Event) {
+	a.tally.add(ev)
 	if used, wasted := ev.settles(); used+wasted != 0 {
 		st, n := a.stage(ev), a.node(ev.Node)
 		st.PrefetchUsed += used
@@ -270,9 +273,11 @@ func (a *Aggregator) observe(bt *blockTimes, ev *Event) {
 
 	case KindFetchRetry:
 		a.stage(ev).FetchRetries++
+		a.node(ev.Node).FetchRetries++
 
 	case KindFetchGiveUp:
 		a.stage(ev).FetchGiveUps++
+		a.node(ev.Node).FetchGiveUps++
 
 	case KindNodeFail:
 		a.node(ev.Node).Crashes++
@@ -369,6 +374,7 @@ func (a *Aggregator) Snapshot() *Aggregator {
 		RecoveryTime:  cloneHistogram(a.RecoveryTime),
 		own:           blockTimes{issued: maps.Clone(a.own.issued), lost: maps.Clone(a.own.lost)},
 		memoIx:        -1,
+		tally:         a.tally,
 	}
 	for k, v := range a.stageIx {
 		s.stageIx[k] = v
@@ -392,38 +398,48 @@ func cloneHistogram(h *metrics.Histogram) *metrics.Histogram {
 	return &c
 }
 
-// SynthesizeRun reconstructs the headline run counters from the
-// aggregates — what an offline trace replay can recover when the
-// original metrics.Run is not available. I/O volumes and wall time
-// live outside the event stream and stay zero.
+// FillRun sets the run's stream-derived fields (metrics.Run marks them),
+// one kind's count each: the one place a run reads such a count.
+func (t Tally) FillRun(r *metrics.Run) {
+	r.Hits = t[KindHit].N
+	r.Misses = t[KindMiss].N
+	r.DiskPromotes = t[KindPromote].N
+	r.Recomputes = t[KindRecompute].N
+	r.Evictions = t[KindEvict].N
+	r.PurgedBlocks = t[KindPurge].N
+	r.PrefetchIssued = t[KindPrefetchIssue].N
+	r.NodeCrashes = t[KindNodeFail].N
+	r.NodeRejoins = t[KindNodeRejoin].N
+	r.StragglerEvents = t[KindStraggleBegin].N
+	r.BlocksLost = t[KindBlockLost].N
+	r.BlocksCorrupted = t[KindCorruptDetect].N
+	r.ReplicaWriteBytes = t[KindReplicaWrite].Bytes
+	r.ReplicaHits = t[KindReplicaHit].N
+	r.FetchRetries = t[KindFetchRetry].N
+	r.FetchGiveUps = t[KindFetchGiveUp].N
+	r.StagesExecuted = int(t[KindStageStart].N)
+	r.TasksExecuted = t[KindTaskStart].N
+}
+
+// SynthesizeRun reconstructs the headline run counters — what an
+// offline trace replay can recover when the original metrics.Run is not
+// available: the stream-derived fields from the tally, as the live run
+// fills them, prefetch outcomes, jobs and JCT from the stage entries.
+// I/O volumes and wall time live outside the event stream and stay zero.
 func (a *Aggregator) SynthesizeRun(workload, policy string) metrics.Run {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	r := metrics.Run{Workload: workload, Policy: policy}
+	a.tally.FillRun(&r)
 	jobs := map[int]bool{}
 	for _, st := range a.stages {
-		r.Hits += st.Hits
-		r.Misses += st.Misses
-		r.DiskPromotes += st.DiskPromotes
-		r.Recomputes += st.Recomputes
-		r.Evictions += st.Evictions
-		r.PurgedBlocks += st.Purged
-		r.PrefetchIssued += st.PrefetchIssued
 		r.PrefetchUsed += st.PrefetchUsed
 		r.PrefetchWasted += st.PrefetchWasted
-		r.FetchRetries += st.FetchRetries
-		r.FetchGiveUps += st.FetchGiveUps
-		r.StagesExecuted++
 		jobs[st.JobID] = true
 		if st.EndUs > r.JCT {
 			r.JCT = st.EndUs
 		}
 	}
 	r.Jobs = len(jobs)
-	for _, n := range a.nodes {
-		r.TasksExecuted += n.Tasks
-		r.NodeCrashes += n.Crashes
-		r.StragglerEvents += n.Stragglers
-	}
 	return r
 }

@@ -4,10 +4,10 @@
 // exporters (JSON-lines trace, Prometheus-style text exposition, and a
 // self-contained Spark-UI-like HTML run report).
 //
-// The bus is disabled by default and adds nothing to the hot path: an
-// Emit on a disabled (or nil) bus is two compares and no allocations.
-// Subscribing anything — a Recorder for traces, an Aggregator for
-// per-stage/per-node statistics — enables it.
+// Every bus tallies its events by kind (Tally), the one count of each
+// fact an event carries; delivery is off until something subscribes —
+// a Recorder for traces, an Aggregator for per-stage/per-node
+// statistics. Emit on a subscriber-less bus only tallies.
 //
 // Six kinds carry a prefetch-settlement stamp, and the Aggregator's used
 // and wasted columns count nothing else: hit, evict, purge and
@@ -256,16 +256,17 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Bus fans events out to subscribers, stamping each with the current
-// simulated time and the executing stage/job. A nil or subscriber-less
-// bus is disabled: Emit returns immediately without allocating, so
-// emission sites need no guards of their own.
+// Bus tallies every event and fans it out to subscribers, stamping each
+// with the current simulated time and the executing stage/job. A
+// subscriber-less bus is disabled: Emit only tallies, without
+// allocating. A nil bus does nothing, so emission sites need no guards.
 type Bus struct {
 	enabled bool
 	clock   func() int64
 	stage   int
 	job     int
 	subs    []func(Event)
+	tally   Tally
 }
 
 // New returns a disabled bus; Subscribe enables it.
@@ -280,12 +281,7 @@ func (b *Bus) SetClock(fn func() int64) { b.clock = fn }
 // SetStage sets the stage/job context stamped onto subsequent events.
 // The simulator calls it at each stage boundary before anything else
 // observes the stage.
-func (b *Bus) SetStage(stage, job int) {
-	if b == nil {
-		return
-	}
-	b.stage, b.job = stage, job
-}
+func (b *Bus) SetStage(stage, job int) { b.stage, b.job = stage, job }
 
 // Subscribe registers a delivery function and enables the bus. It
 // returns a detach function that removes the subscription again,
@@ -309,10 +305,17 @@ func (b *Bus) Subscribe(fn func(Event)) (detach func()) {
 	}
 }
 
-// Emit stamps and delivers the event. On a disabled bus this is the
-// hot-path no-op: two compares, no allocations, no writes.
+// Tally returns the counts of every event emitted on the bus so far.
+func (b *Bus) Tally() Tally { return b.tally }
+
+// Emit tallies the event, then, on an enabled bus, stamps and delivers
+// it. On a disabled bus it only tallies: no clock read, no allocation.
 func (b *Bus) Emit(ev Event) {
-	if b == nil || !b.enabled {
+	if b == nil {
+		return
+	}
+	b.tally.add(&ev)
+	if !b.enabled {
 		return
 	}
 	if b.clock != nil {
@@ -324,6 +327,19 @@ func (b *Bus) Emit(ev Event) {
 			fn(ev)
 		}
 	}
+}
+
+// Count is a tally's entry for one kind: events, and their Bytes summed.
+type Count struct{ N, Bytes int64 }
+
+// Tally counts an event stream by kind. Every Bus keeps one of all it
+// is given, enabled or not, and an Aggregator one of all it observes.
+type Tally [numKinds]Count
+
+func (t *Tally) add(ev *Event) {
+	c := &t[ev.Kind]
+	c.N++
+	c.Bytes += ev.Bytes
 }
 
 // Attacher is implemented by policy factories (the MRD manager) that

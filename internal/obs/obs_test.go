@@ -108,9 +108,9 @@ func TestBusStampsClockAndStage(t *testing.T) {
 	}
 }
 
-// TestEmitDisabledZeroAlloc is the hot-path guard: a nil or
-// subscriber-less bus must make Emit free — no allocations, which also
-// rules out the Event escaping to the heap.
+// TestEmitDisabledZeroAlloc is the hot-path guard: on a nil or
+// subscriber-less bus Emit allocates nothing, which also rules out the
+// Event escaping to the heap — and a subscriber-less bus still counts.
 func TestEmitDisabledZeroAlloc(t *testing.T) {
 	ev := BlockEv(KindHit, 3, block.ID{RDD: 7, Partition: 9}, 4096).WithValue(12).WithVerdict("mrd")
 
@@ -124,6 +124,14 @@ func TestEmitDisabledZeroAlloc(t *testing.T) {
 	}
 	if disabled.Enabled() || nilBus.Enabled() {
 		t.Error("bus enabled without subscribers")
+	}
+	// A disabled bus still counts — without reading its clock.
+	counted := New()
+	counted.SetClock(func() int64 { t.Error("disabled bus read its clock"); return 0 })
+	counted.Emit(ev)
+	counted.Emit(ev)
+	if got, want := counted.Tally()[KindHit], (Count{N: 2, Bytes: 8192}); got != want {
+		t.Errorf("disabled bus tallied %+v hits, want %+v", got, want)
 	}
 }
 

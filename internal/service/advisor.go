@@ -136,7 +136,7 @@ func (d *Decision) fromJSON(w decisionJSON) error {
 }
 
 // Counters summarize the modeled stage execution that followed the
-// manager's decisions.
+// manager's decisions, read off the session bus's tally (countersOf).
 type Counters struct {
 	Hits       int `json:"hits"`
 	Misses     int `json:"misses"`
@@ -328,7 +328,7 @@ type Advisor struct {
 	logBuf    []Decision
 	missedBuf []block.Info
 
-	bus   *obs.Bus  // nil-safe; shared with the server's aggregator
+	bus   *obs.Bus  // the session's own: NewAdvisor makes it, AttachBus replaces it
 	bytes BytePlane // nil for a model-only session
 }
 
@@ -350,6 +350,7 @@ func NewAdvisor(g *dag.Graph, cfg AdvisorConfig) (*Advisor, error) {
 		factory:   factory,
 		stages:    map[int]*dag.Stage{},
 		lastStage: -1,
+		bus:       obs.New(),
 	}
 	for _, s := range g.ExecutedStages() {
 		a.stages[s.ID] = s
@@ -369,9 +370,9 @@ func NewAdvisor(g *dag.Graph, cfg AdvisorConfig) (*Advisor, error) {
 	return a, nil
 }
 
-// AttachBus connects the advisor (and, when the policy supports it, the
-// policy itself) to an observability bus: every modeled cache event and
-// manager decision is emitted for the server's live /metrics endpoint.
+// AttachBus replaces the session's bus with b, before the first call
+// that emits, for the advisor and, when it supports it, the policy:
+// every modeled cache event and manager decision goes to b's listeners.
 func (a *Advisor) AttachBus(b *obs.Bus) {
 	a.bus = b
 	if at, ok := a.factory.(obs.Attacher); ok {
@@ -476,6 +477,7 @@ func (a *Advisor) Advance(stageID int) (Advice, error) {
 	a.curBuf = Advice{Stage: stageID, Job: jobID, Decisions: a.logBuf[:0]}
 	a.cur = &a.curBuf
 	a.bus.SetStage(stageID, jobID)
+	before := a.bus.Tally()
 
 	// Phase 1: the policy's stage-boundary work. For MRD this is Table
 	// 2's newReferenceDistance followed by the purge and prefetch phases
@@ -488,6 +490,7 @@ func (a *Advisor) Advance(stageID int) (Advice, error) {
 	// caches, then materialization of the stage's cached outputs.
 	a.applyStage(s)
 
+	a.curBuf.Counters = countersOf(before, a.bus.Tally())
 	adv := a.curBuf
 	a.cur = nil
 	a.logBuf = adv.Decisions[:0]
@@ -543,17 +546,13 @@ func (a *Advisor) resolveRead(info block.Info) bool {
 	n := a.nodes[node]
 	used := n.mem.Prefetch.Used
 	if n.mem.Get(info.ID) {
-		a.cur.Counters.Hits++
 		a.bus.Emit(obs.BlockEv(obs.KindHit, node, info.ID, info.Size).Settling(n.mem.Prefetch.Used != used))
 		return true
 	}
-	a.cur.Counters.Misses++
 	a.bus.Emit(obs.BlockEv(obs.KindMiss, node, info.ID, info.Size))
 	if n.disk.Has(info.ID) {
-		a.cur.Counters.Promotes++
 		a.bus.Emit(obs.BlockEv(obs.KindPromote, node, info.ID, info.Size))
 	} else {
-		a.cur.Counters.Recomputes++
 		a.bus.Emit(obs.BlockEv(obs.KindRecompute, node, info.ID, info.Size))
 	}
 	return false
@@ -574,7 +573,6 @@ func (a *Advisor) insertBlock(node int, info block.Info, evictKind string) {
 	if !ok {
 		return // oversized or fully protected: the read stays uncached
 	}
-	a.cur.Counters.Inserts++
 	a.bus.Emit(obs.BlockEv(obs.KindInsert, node, info.ID, info.Size))
 }
 
@@ -598,12 +596,24 @@ func (a *Advisor) vacate(node int, v block.Info) {
 func (a *Advisor) settleEviction(node int, v block.Info, kind string) {
 	a.vacate(node, v)
 	a.record(Decision{Kind: kind, Node: node, Block: v.ID})
-	a.cur.Counters.Evictions++
 	a.bus.Emit(obs.BlockEv(obs.KindEvict, node, v.ID, v.Size).Settling(v.Unread))
 }
 
-// record appends one decision to the current advance's log.
-func (a *Advisor) record(d Decision) { a.cur.Decisions = append(a.cur.Decisions, d) }
+// countersOf reads an advance's counters off its bus's tally before and
+// after it.
+func countersOf(before, after obs.Tally) Counters {
+	n := func(k obs.Kind) int { return int(after[k].N - before[k].N) }
+	return Counters{Hits: n(obs.KindHit), Misses: n(obs.KindMiss), Promotes: n(obs.KindPromote),
+		Recomputes: n(obs.KindRecompute), Inserts: n(obs.KindInsert), Evictions: n(obs.KindEvict),
+		Purged: n(obs.KindPurge), Prefetches: n(obs.KindPrefetchIssue)}
+}
+
+// record appends one decision to the current advance's log, if any.
+func (a *Advisor) record(d Decision) {
+	if a.cur != nil {
+		a.cur.Decisions = append(a.cur.Decisions, d)
+	}
+}
 
 // home returns the block's locality-preferred node — the cluster's one
 // placement rule, so advisory decisions and simulated runs speak about
@@ -653,10 +663,7 @@ func (o advOps) Evict(node int, id block.ID) bool {
 		return false
 	}
 	a.vacate(node, info)
-	if a.cur != nil {
-		a.record(Decision{Kind: "purge", Node: node, Block: id})
-		a.cur.Counters.Purged++
-	}
+	a.record(Decision{Kind: "purge", Node: node, Block: id})
 	a.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, info.Size).Settling(info.Unread))
 	return true
 }
@@ -675,18 +682,13 @@ func (o advOps) Prefetch(node int, info block.Info) {
 		a.settleEviction(node, v, "prefetch-evict")
 	}
 	if !ok {
-		if a.cur != nil {
-			a.record(Decision{Kind: "prefetch-drop", Node: node, Block: info.ID})
-		}
+		a.record(Decision{Kind: "prefetch-drop", Node: node, Block: info.ID})
 		return
 	}
 	if a.bytes != nil {
 		a.bytes.Load(node, info.ID)
 	}
-	if a.cur != nil {
-		a.record(Decision{Kind: "prefetch", Node: node, Block: info.ID})
-		a.cur.Counters.Prefetches++
-	}
+	a.record(Decision{Kind: "prefetch", Node: node, Block: info.ID})
 	a.bus.Emit(obs.BlockEv(obs.KindPrefetchIssue, node, info.ID, info.Size))
 	a.bus.Emit(obs.BlockEv(obs.KindPrefetchArrive, node, info.ID, info.Size))
 }

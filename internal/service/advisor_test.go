@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mrdspark/internal/cluster"
+	"mrdspark/internal/obs"
 	"mrdspark/internal/policyspec"
 	"mrdspark/internal/workload"
 )
@@ -56,6 +57,40 @@ func TestReplayDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdviceCountersAreTheStageEntry: over every registry workload at
+// one cache size, each advance's counters are what an aggregator on the
+// session's bus attributes to that stage — the advice and the stage
+// breakdown read one count.
+func TestAdviceCountersAreTheStageEntry(t *testing.T) {
+	var total Counters
+	for _, name := range workload.Names() {
+		a := buildAdvisor(t, name, smallCluster(policyspec.MRD))
+		bus, agg := obs.New(), obs.NewAggregator()
+		agg.Attach(bus)
+		a.AttachBus(bus)
+		advice, err := Replay(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		entries := map[int]Counters{}
+		for _, st := range agg.StageStats() {
+			entries[st.StageID] = Counters{
+				Hits: int(st.Hits), Misses: int(st.Misses), Promotes: int(st.DiskPromotes), Recomputes: int(st.Recomputes),
+				Inserts: int(st.Inserts), Evictions: int(st.Evictions), Purged: int(st.Purged), Prefetches: int(st.PrefetchIssued),
+			}
+		}
+		for _, adv := range advice {
+			if entries[adv.Stage] != adv.Counters {
+				t.Errorf("%s stage %d: advice counts %+v, aggregator %+v", name, adv.Stage, adv.Counters, entries[adv.Stage])
+			}
+			total.Add(adv.Counters)
+		}
+	}
+	if total.Hits == 0 || total.Promotes == 0 || total.Evictions == 0 || total.Purged == 0 || total.Prefetches == 0 {
+		t.Errorf("the registry exercised too little to compare: %+v", total)
 	}
 }
 

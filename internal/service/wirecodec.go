@@ -103,15 +103,11 @@ func DecodeAdvicePayload(d *wire.Dec) (Advice, error) {
 		}
 		a.Decisions = append(a.Decisions, dec)
 	}
-	c := &a.Counters
-	c.Hits = int(d.Uvarint())
-	c.Misses = int(d.Uvarint())
-	c.Promotes = int(d.Uvarint())
-	c.Recomputes = int(d.Uvarint())
-	c.Inserts = int(d.Uvarint())
-	c.Evictions = int(d.Uvarint())
-	c.Purged = int(d.Uvarint())
-	c.Prefetches = int(d.Uvarint())
+	// The fields are read in wire order: a literal's calls run left to right.
+	a.Counters = Counters{Hits: int(d.Uvarint()), Misses: int(d.Uvarint()),
+		Promotes: int(d.Uvarint()), Recomputes: int(d.Uvarint()),
+		Inserts: int(d.Uvarint()), Evictions: int(d.Uvarint()),
+		Purged: int(d.Uvarint()), Prefetches: int(d.Uvarint())}
 	if err := d.Err(); err != nil {
 		return Advice{}, err
 	}

@@ -9,6 +9,7 @@ import (
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/core"
 	"mrdspark/internal/dag"
+	"mrdspark/internal/fault"
 	"mrdspark/internal/metrics"
 	"mrdspark/internal/policy"
 	"mrdspark/internal/refdist"
@@ -173,32 +174,49 @@ func TestOraclesDominateOnRandomApps(t *testing.T) {
 // every policy on random applications — all ten on every graph, each on
 // its own instance of it (factories bind to their graph), in a fixed
 // order, so a failure names a trial and a policy that fail again — and
-// the observed run's aggregator counts the prefetch ledger the run
-// reports, by stage and by node (DESIGN §4).
+// the observed run's aggregator breaks down what the run reports: every
+// count both carry sums to the run's total by stage and by node, and
+// tasks, crashes and stragglers by node. Each trial's last run is MRD
+// with prefetching under the chaos preset, so the fault counts are
+// summed nonzero too.
 func TestAuditAfterRandomRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	audit := func(trial int, name string, s *Simulation) {
+	audit := func(trial int, name string, s *Simulation) metrics.Run {
 		agg := s.Observe()
 		run := s.Run()
 		if err := s.Audit(); err != nil {
 			t.Errorf("trial %d %s: %v", trial, name, err)
 		}
-		want := [3]int64{run.PrefetchIssued, run.PrefetchUsed, run.PrefetchWasted}
-		var byStage, byNode [3]int64
+		const names = "hits misses promotes recomputes evictions purges prefetch-issued/used/wasted fetch-retries/give-ups"
+		want := [11]int64{run.Hits, run.Misses, run.DiskPromotes, run.Recomputes, run.Evictions, run.PurgedBlocks,
+			run.PrefetchIssued, run.PrefetchUsed, run.PrefetchWasted, run.FetchRetries, run.FetchGiveUps}
+		var byStage, byNode [11]int64
 		for _, st := range agg.StageStats() {
-			byStage[0] += st.PrefetchIssued
-			byStage[1] += st.PrefetchUsed
-			byStage[2] += st.PrefetchWasted
+			for i, v := range [11]int64{st.Hits, st.Misses, st.DiskPromotes, st.Recomputes, st.Evictions, st.Purged,
+				st.PrefetchIssued, st.PrefetchUsed, st.PrefetchWasted, st.FetchRetries, st.FetchGiveUps} {
+				byStage[i] += v
+			}
 		}
+		wantNode := [3]int64{run.TasksExecuted, run.NodeCrashes, run.StragglerEvents}
+		var nodeOnly [3]int64
 		for _, n := range agg.NodeStats() {
-			byNode[0] += n.PrefetchIssued
-			byNode[1] += n.PrefetchUsed
-			byNode[2] += n.PrefetchWasted
+			for i, v := range [11]int64{n.Hits, n.Misses, n.DiskPromotes, n.Recomputes, n.Evictions, n.Purged,
+				n.PrefetchIssued, n.PrefetchUsed, n.PrefetchWasted, n.FetchRetries, n.FetchGiveUps} {
+				byNode[i] += v
+			}
+			for i, v := range [3]int64{n.Tasks, n.Crashes, n.Stragglers} {
+				nodeOnly[i] += v
+			}
 		}
 		if byStage != want || byNode != want {
-			t.Errorf("trial %d %s: issued/used/wasted: run %v, aggregator by stage %v, by node %v", trial, name, want, byStage, byNode)
+			t.Errorf("trial %d %s: %s: run %v, aggregator by stage %v, by node %v", trial, name, names, want, byStage, byNode)
 		}
+		if nodeOnly != wantNode {
+			t.Errorf("trial %d %s: tasks/crashes/stragglers: run %v, aggregator by node %v", trial, name, wantNode, nodeOnly)
+		}
+		return run
 	}
+	var faults [3]int64 // crashes, stragglers, fetch retries under chaos
 	for trial := 0; trial < 15; trial++ {
 		seed := rng.Int63()
 		cl := tinyCluster(int64(2+rng.Intn(5)) << 10)
@@ -210,13 +228,24 @@ func TestAuditAfterRandomRuns(t *testing.T) {
 			}
 			audit(trial, name, s)
 		}
-		// And explicitly audit an MRD run with prefetching.
+		// And explicitly audit an MRD run with prefetching, under faults.
 		g2 := randomApp(rand.New(rand.NewSource(seed)))
 		s, err := New(g2, cl, mrdFactory(g2, core.Options{}), "audit-mrd")
 		if err != nil {
 			t.Fatal(err)
 		}
-		audit(trial, "MRD", s)
+		chaos, err := fault.Preset("chaos", cl.Nodes, g2.ActiveStages())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetOptions(Options{Fault: chaos}); err != nil {
+			t.Fatal(err)
+		}
+		run := audit(trial, "MRD+chaos", s)
+		faults[0], faults[1], faults[2] = faults[0]+run.NodeCrashes, faults[1]+run.StragglerEvents, faults[2]+run.FetchRetries
+	}
+	if faults[0] == 0 || faults[1] == 0 || faults[2] == 0 {
+		t.Errorf("crashes/stragglers/fetch retries under chaos: %v, want each fired", faults)
 	}
 }
 

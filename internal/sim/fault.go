@@ -28,7 +28,6 @@ func (s *Simulation) applyFaults() {
 	for _, n := range s.nodes {
 		if n.down && n.rejoinAt <= s.stageIx {
 			n.down = false
-			s.run.NodeRejoins++
 			s.bus.Emit(obs.Ev(obs.KindNodeRejoin, n.id))
 		}
 		if n.slowUntil != 0 && n.slowUntil <= s.stageIx {
@@ -47,7 +46,6 @@ func (s *Simulation) applyFaults() {
 			n.diskDev.SetSlowdown(ev.DiskFactor)
 			n.netDev.SetSlowdown(ev.NetFactor)
 			n.slowUntil = s.stageIx + ev.Duration
-			s.run.StragglerEvents++
 			s.bus.Emit(obs.Ev(obs.KindStraggleBegin, n.id))
 		case fault.LoseBlock:
 			s.loseBlock(ev.Block)
@@ -70,7 +68,6 @@ func (s *Simulation) applyFaults() {
 // background recovery work.
 func (s *Simulation) crashNode(ev fault.Event) {
 	n := s.nodes[ev.Node]
-	s.run.NodeCrashes++
 	s.bus.Emit(obs.Ev(obs.KindNodeFail, n.id).WithValue(n.mem.Prefetch.Pending()))
 
 	// The replacement store carries the node's prefetch ledger on: the
@@ -119,7 +116,6 @@ func (s *Simulation) loseBlock(id block.ID) {
 	if !removed {
 		return
 	}
-	s.run.BlocksLost++
 	s.bus.Emit(obs.BlockEv(obs.KindBlockLost, home.id, id, 0).Settling(info.Unread))
 }
 
@@ -155,7 +151,6 @@ func (s *Simulation) replicate(home *node, info block.Info) {
 		}
 		if !rn.disk.HasReplica(info.ID) {
 			rn.disk.PutReplica(info.ID, info.Size)
-			s.run.ReplicaWriteBytes += info.Size
 			s.bus.Emit(obs.BlockEv(obs.KindReplicaWrite, rn.id, info.ID, info.Size))
 			// The copy crosses the home NIC and lands on the replica
 			// node's disk, both off the critical path.
@@ -222,13 +217,11 @@ func (s *Simulation) fetchWithRetry(node int, w *taskWork, bytes int64) bool {
 			return true
 		}
 		if attempt >= retries {
-			s.run.FetchGiveUps++
 			s.bus.Emit(obs.Ev(obs.KindFetchGiveUp, node))
 			s.bus.Emit(obs.Ev(obs.KindRemoteFetch, node).
 				WithBytes(bytes).WithValue(latency).WithVerdict("giveup"))
 			return false
 		}
-		s.run.FetchRetries++
 		delay := backoff << attempt
 		w.computeUs += delay
 		latency += delay

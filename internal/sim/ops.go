@@ -49,7 +49,6 @@ func (o clusterOps) Evict(node int, id block.ID) bool {
 		return false
 	}
 	s.noteUsed(s.nodes[node])
-	s.run.PurgedBlocks++
 	s.bus.Emit(obs.BlockEv(obs.KindPurge, node, id, 0).Settling(info.Unread))
 	return true
 }
@@ -66,7 +65,6 @@ func (o clusterOps) Prefetch(node int, info block.Info) {
 		return
 	}
 	s.inFlight.Put(info.ID, struct{}{})
-	s.run.PrefetchIssued++
 	s.bus.Emit(obs.BlockEv(obs.KindPrefetchIssue, node, info.ID, info.Size))
 	r := s.newPrefetch()
 	r.n, r.info, r.replica = n, info, !s.diskHas(n, info.ID)

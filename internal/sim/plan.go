@@ -129,27 +129,24 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	s.run.StageInputBytes += r.PartSize
 	used := hn.mem.Prefetch.Used
 	if hn.mem.Get(id) {
-		s.run.Hits++
 		s.bus.Emit(obs.BlockEv(obs.KindHit, home, id, r.PartSize).Settling(hn.mem.Prefetch.Used != used))
-		// A remote hit still moves bytes over the reader's NIC — and
-		// under a flaky network that fetch can exhaust its retries, in
-		// which case the reader rebuilds the partition locally from
-		// lineage (the cached copy stays resident at home).
+		// A remote hit still moves bytes over the reader's NIC, and
+		// under a flaky network that fetch can give up: the reader then
+		// rebuilds the partition from lineage, the cached copy stays
+		// resident at home, and the read stays a hit — a recompute is
+		// what a miss ends in, the rebuild only RecomputeBytes.
 		if home != readerNode && !s.fetchWithRetry(readerNode, w, r.PartSize) {
 			s.run.RecomputeBytes += r.PartSize
-			s.bus.Emit(obs.BlockEv(obs.KindRecompute, readerNode, id, r.PartSize))
 			c.chainCost(r, q, w)
 		}
 		return
 	}
-	s.run.Misses++
 	s.bus.Emit(obs.BlockEv(obs.KindMiss, home, id, r.PartSize))
 
 	// A corrupt home-disk copy is detected at this read and dropped,
 	// pushing the miss down to the replica or lineage rung.
 	if hn.disk.Has(id) && s.corrupt.Delete(id) {
 		hn.disk.Remove(id)
-		s.run.BlocksCorrupted++
 		s.bus.Emit(obs.BlockEv(obs.KindCorruptDetect, home, id, r.PartSize))
 	}
 
@@ -161,7 +158,6 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 			fetched = s.fetchWithRetry(readerNode, w, r.PartSize)
 		}
 		if fetched {
-			s.run.DiskPromotes++
 			s.bus.Emit(obs.BlockEv(obs.KindPromote, home, id, r.PartSize))
 			w.computeUs += deserUs
 			w.inserts = append(w.inserts, insert{node: home, info: r.BlockInfo(q)})
@@ -179,7 +175,6 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 			fetched = s.fetchWithRetry(readerNode, w, r.PartSize)
 		}
 		if fetched {
-			s.run.ReplicaHits++
 			s.bus.Emit(obs.BlockEv(obs.KindReplicaHit, rn.id, id, r.PartSize))
 			w.computeUs += deserUs
 			w.inserts = append(w.inserts, insert{node: home, info: r.BlockInfo(q)})
@@ -188,7 +183,6 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	}
 
 	// Last rung: recompute from lineage, then re-cache.
-	s.run.Recomputes++
 	s.run.RecomputeBytes += r.PartSize
 	s.bus.Emit(obs.BlockEv(obs.KindRecompute, home, id, r.PartSize))
 	c.chainCost(r, q, w)

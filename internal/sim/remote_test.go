@@ -6,6 +6,8 @@ import (
 	"mrdspark/internal/block"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
+	"mrdspark/internal/fault"
+	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
 )
 
@@ -48,6 +50,41 @@ func TestRemoteHitsMoveBytesOverNIC(t *testing.T) {
 	// mod 3. Remote for q = 2,3,4,5 -> 4 blocks of 1 KiB over the NIC.
 	if run.NetReadBytes != 4<<10 {
 		t.Errorf("remote hit bytes = %d, want %d", run.NetReadBytes, 4<<10)
+	}
+}
+
+// TestRemoteHitWhoseFetchGivesUpIsAHit reaches the one rung where a
+// read the cache served still ends in a rebuild: a remote hit whose
+// fetch exhausts its retries. The read counts as a hit, the give-up as
+// a give-up and the rebuild as recovery bytes; no recompute is counted
+// or emitted, since a recompute is the outcome of a miss — the
+// auditor's promote + replica + recompute ≥ misses law, which holds
+// with equality here.
+func TestRemoteHitWhoseFetchGivesUpIsAHit(t *testing.T) {
+	g, _ := remoteReadGraph()
+	s, err := New(g, threeNodeCluster(1<<20), policy.NewLRU(), "remote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetOptions(Options{Fault: &fault.Schedule{Seed: 1, FetchFailureRate: 0.99, MaxFetchRetries: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	rec.Attach(s.Bus())
+	run := s.Run()
+	if run.Hits != 6 || run.Misses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want 6/0", run.Hits, run.Misses)
+	}
+	if run.FetchGiveUps == 0 || run.RecomputeBytes != run.FetchGiveUps<<10 {
+		t.Errorf("%d fetches gave up, rebuilding %d bytes; want some, each 1 KiB", run.FetchGiveUps, run.RecomputeBytes)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindRecompute {
+			t.Errorf("recompute event %+v in a run without a miss", ev)
+		}
+	}
+	if run.Recomputes != 0 {
+		t.Errorf("%d recomputes in a run without a miss", run.Recomputes)
 	}
 }
 

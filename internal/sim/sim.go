@@ -22,9 +22,6 @@ type Options struct {
 	Fault *fault.Schedule
 }
 
-// DefaultOptions returns options with fault injection disabled.
-func DefaultOptions() Options { return Options{} }
-
 // node bundles one worker's stores and device queues.
 type node struct {
 	id      int
@@ -97,9 +94,9 @@ type Simulation struct {
 	remaining int    // tasks of the current stage still running
 	stageDone func() // what the last of them calls
 
-	// bus is the run's observability event bus (internal/obs). It exists
-	// on every simulation but stays disabled — and free — until
-	// something subscribes (Observe, or a recorder on Bus).
+	// bus is the run's observability event bus (internal/obs): its tally
+	// is the run's count of every fact an event carries. It delivers
+	// nothing until something subscribes (Observe, or a recorder on Bus).
 	bus *obs.Bus
 	agg *obs.Aggregator
 }
@@ -118,7 +115,6 @@ func New(g *dag.Graph, cfg cluster.Config, factory policy.Factory, workload stri
 		cfg:      cfg,
 		g:        g,
 		factory:  factory,
-		opts:     DefaultOptions(),
 		faultsAt: map[int][]fault.Event{},
 		bus:      obs.New(),
 	}
@@ -175,6 +171,7 @@ func (s *Simulation) Run() metrics.Run {
 	s.ran = true
 	s.eng.After(0, func() { s.startJob(0) })
 	s.run.WallTime = s.eng.Run()
+	s.bus.Tally().FillRun(&s.run)
 	s.run.JCT = s.finish
 	_, s.run.PrefetchUsed, s.run.PrefetchWasted = s.prefetchTotals()
 	s.noteUnfiredFaults()
@@ -314,7 +311,6 @@ func (s *Simulation) startStage(job *dag.Job, k int, done func()) {
 	if so, ok := s.factory.(policy.StageObserver); ok {
 		so.OnStageStart(st.ID, job.ID)
 	}
-	s.run.StagesExecuted++
 	span := metrics.StageSpan{
 		StageID: st.ID, JobID: job.ID, Kind: st.Kind.String(),
 		Tasks: st.NumTasks, Start: s.eng.Now(),
@@ -387,7 +383,6 @@ func (t *task) advance() {
 	t.phase++
 	switch t.phase {
 	case 1:
-		s.run.TasksExecuted++
 		s.run.DiskReadBytes += w.diskBytes
 		s.run.NetReadBytes += w.netBytes
 		s.bus.Emit(obs.Ev(obs.KindTaskStart, n.id).WithValue(w.computeUs))
@@ -458,7 +453,6 @@ func (s *Simulation) noteUsed(n *node) {
 }
 
 func (s *Simulation) noteEvictions(evicted []block.Info) {
-	s.run.Evictions += int64(len(evicted))
 	for _, ev := range evicted {
 		s.bus.Emit(obs.BlockEv(obs.KindEvict, cluster.HomeNode(ev.ID, len(s.nodes)), ev.ID, ev.Size).Settling(ev.Unread))
 	}

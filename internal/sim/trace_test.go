@@ -3,12 +3,15 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"mrdspark/internal/block"
 	"mrdspark/internal/core"
+	"mrdspark/internal/dag"
 	"mrdspark/internal/fault"
+	"mrdspark/internal/metrics"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/policy"
 )
@@ -219,6 +222,73 @@ func TestReplayMatchesLiveAggregation(t *testing.T) {
 		l.DiskBusyUs, l.NetBusyUs = 0, 0
 		if l != r {
 			t.Errorf("node %d diverged:\n live   %+v\n replay %+v", i, l, r)
+		}
+	}
+}
+
+// TestReplayedTraceReadsTheLiveRun: a trace replayed offline (what
+// cmd/mrdreport does) reports the live run's headline on every field the
+// event stream carries. The schedule is written by hand so that every
+// fault fires — a corruption detected at a miss, a lost block, a crash
+// with rejoin, a straggler — and replication and a flaky network add
+// replica traffic, replica hits and fetch retries.
+func TestReplayedTraceReadsTheLiveRun(t *testing.T) {
+	g := dag.New()
+	data := g.Source("in", 4, 1<<10, dag.WithCost(10)).
+		Map("parse", dag.WithCost(10)).Persist(block.MemoryAndDisk)
+	g.Count(data)
+	for i := 0; i < 5; i++ {
+		g.Count(data.ReduceByKey(fmt.Sprintf("agg%d", i), dag.WithCost(10)))
+	}
+	s, err := New(g, tinyCluster(1<<10), policy.NewLRU(), "faults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetOptions(Options{Fault: &fault.Schedule{
+		Seed: 7, Replication: 2, FetchFailureRate: 0.2,
+		Events: []fault.Event{
+			{Stage: 1, Kind: fault.CorruptBlock, Block: data.Block(0)},
+			{Stage: 2, Kind: fault.Straggler, Node: 0, DiskFactor: 3, NetFactor: 3, Duration: 2},
+			{Stage: 3, Kind: fault.LoseBlock, Block: data.Block(1)},
+			{Stage: 5, Kind: fault.NodeCrash, Node: 1, RejoinAfter: 2},
+		},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := traced(s)
+	live := s.Run()
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := obs.Replay(events).SynthesizeRun("faults", "LRU")
+
+	names := []string{"Hits", "Misses", "DiskPromotes", "Recomputes", "Evictions", "PurgedBlocks", "PrefetchIssued",
+		"NodeCrashes", "NodeRejoins", "StragglerEvents", "BlocksLost", "BlocksCorrupted",
+		"ReplicaHits", "ReplicaWriteBytes", "FetchRetries", "FetchGiveUps", "TasksExecuted", "StagesExecuted"}
+	fields := func(r metrics.Run) []int64 {
+		return []int64{r.Hits, r.Misses, r.DiskPromotes, r.Recomputes, r.Evictions, r.PurgedBlocks, r.PrefetchIssued,
+			r.NodeCrashes, r.NodeRejoins, r.StragglerEvents, r.BlocksLost, r.BlocksCorrupted,
+			r.ReplicaHits, r.ReplicaWriteBytes, r.FetchRetries, r.FetchGiveUps, r.TasksExecuted, int64(r.StagesExecuted)}
+	}
+	want, got := fields(live), fields(replayed)
+	for i, name := range names {
+		if got[i] != want[i] {
+			t.Errorf("%s: replayed %d, live %d", name, got[i], want[i])
+		}
+	}
+	for _, f := range []struct {
+		name string
+		n    int64
+	}{{"crashes", live.NodeCrashes}, {"rejoins", live.NodeRejoins}, {"stragglers", live.StragglerEvents},
+		{"lost blocks", live.BlocksLost}, {"corrupt blocks", live.BlocksCorrupted}, {"replica hits", live.ReplicaHits},
+		{"replica bytes", live.ReplicaWriteBytes}, {"fetch retries", live.FetchRetries}} {
+		if f.n == 0 {
+			t.Errorf("the schedule fired no %s: the comparison does not reach them", f.name)
 		}
 	}
 }
