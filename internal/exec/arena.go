@@ -7,8 +7,8 @@ const arenaChunkRows = 1 << 16
 
 // arena is one worker's task-lifetime row memory: a bump allocator
 // over fixed, pointer-free chunks. Everything a task's operators
-// produce — generated partitions, narrow outputs, decoded blocks,
-// gathered buckets, sort scratch — is carved from it and dies together
+// produce — generated partitions, narrow outputs, gathered buckets,
+// sort scratch — is carved from it and dies together
 // at reset, which keeps the chunks for the next task. Allocations are
 // not zeroed; every caller overwrites all it asked for.
 type arena struct {

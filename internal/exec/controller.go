@@ -10,7 +10,7 @@ import (
 // read resolution, the inserts and the prefetch ledger — is
 // service.(*Advisor).Advance, run on the advisor's own stores; the
 // engine only tells the advisor about worker kills, and moves real
-// bytes when the advisor's BytePlane hook says the accounting moved.
+// rows when the advisor's BytePlane hook says the accounting moved.
 
 // advance runs the boundary for one stage: pending worker-loss
 // bookkeeping, then the advisor's Advance. curCreates is published
@@ -19,7 +19,7 @@ import (
 func (e *Engine) advance(s *dag.Stage) error {
 	if k := e.cfg.Kill; k != nil && !k.Mid && k.Stage == s.ID {
 		// Boundary kill: both planes die at once, deterministically.
-		e.nodes[k.Worker].wipeData()
+		e.wipe(k.Worker)
 		e.pendingFail = true
 	}
 	if e.pendingFail {

@@ -3,10 +3,12 @@
 // generated partitioned data, with a live block manager — cache
 // accounting driven by the configured policy, spill-to-disk under
 // pressure, shuffle write/read between stages, and lineage recompute
-// on worker loss — standing where the simulator only models one. The
+// on worker loss — standing where the simulator only models one. Like
+// Spark's deserialized storage levels, it keeps cached blocks and map
+// outputs as rows, and a task reads a cached block in place. The
 // cache decisions at every stage boundary are made by a
 // service.Advisor the engine drives (DESIGN.md §15); the engine moves
-// the real bytes after it. An executed run's decision stream is
+// the real rows after it. An executed run's decision stream is
 // therefore directly comparable, byte for byte, with the simulator's
 // and the advisor's: the sim is the oracle for the engine, and the
 // engine is the measured ground truth for the sim.
@@ -113,7 +115,8 @@ func genInto(out []Row, seed int64, rdd, part int, skew float64) []Row {
 }
 
 // EncodeRows renders rows in the canonical little-endian wire form the
-// block manager stores and the digests cover.
+// digests are defined over. The engine stores rows, not this form: it is
+// the contract the digests and the checks outside the package share.
 func EncodeRows(rows []Row) []byte {
 	out := make([]byte, len(rows)*rowBytes)
 	for i, r := range rows {

@@ -93,13 +93,16 @@ type Result struct {
 }
 
 // shuffleInfo is the engine's registry entry for one shuffle: the map
-// stage that writes it and the two partition counts that shape its
-// bucket matrix.
+// stage that writes it, its reduce partition count, and its map outputs
+// — one table per shuffle, so a reducer reads all of its buckets under
+// one lock (see gather).
 type shuffleInfo struct {
 	id          int
 	mapStage    *dag.Stage
-	mapParts    int
 	reduceParts int
+
+	mu  sync.Mutex
+	out []mapOutput // by map partition; the zero mapOutput is absent
 }
 
 // Engine executes one workload: a master (the caller of Run) that
@@ -218,10 +221,18 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 		skew:     skew,
 		bus:      obs.New(),
 	}
-	for _, s := range e.graph.ExecutedStages() {
+	executed, maps := e.graph.ExecutedStages(), 0
+	for _, s := range executed {
+		if s.Kind == dag.ShuffleMap {
+			maps += s.NumTasks
+		}
+	}
+	outs := make([]mapOutput, maps) // every shuffle's table, in one allocation
+	for _, s := range executed {
 		e.stages[s.ID] = s
 		if s.Kind == dag.ShuffleMap {
-			e.shuffles[s.ShuffleID] = &shuffleInfo{id: s.ShuffleID, mapStage: s, mapParts: s.NumTasks}
+			e.shuffles[s.ShuffleID] = &shuffleInfo{id: s.ShuffleID, mapStage: s, out: outs[:s.NumTasks:s.NumTasks]}
+			outs = outs[s.NumTasks:]
 		}
 	}
 	for _, r := range e.graph.RDDs {

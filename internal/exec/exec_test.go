@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"mrdspark/internal/block"
 	"mrdspark/internal/cluster"
 	"mrdspark/internal/dag"
 	"mrdspark/internal/policyspec"
@@ -345,6 +347,158 @@ func TestKillWorkerMidResultStage(t *testing.T) {
 	}
 }
 
+// TestStoredBlocksEqualTheirLineage guards the zero-copy read: a task
+// gets a cached block's stored rows themselves, so an operator that
+// wrote into its input would corrupt the block for every later reader.
+// After each run, every block any worker holds in memory or on disk must
+// equal what a fresh engine, with nothing materialized, computes from
+// lineage (its missing map outputs go through the recompute flight) —
+// on every registry workload under both policies, and on SCC with a
+// worker killed under a running stage.
+func TestStoredBlocksEqualTheirLineage(t *testing.T) {
+	type run struct {
+		name string
+		pol  policyspec.Spec
+		mid  bool
+	}
+	var runs []run
+	for _, name := range workload.Names() {
+		runs = append(runs, run{name, policyspec.MRD, false}, run{name, policyspec.LRU, false})
+	}
+	runs = append(runs, run{"SCC", policyspec.MRD, true})
+	params := workload.Params{DataRows: 16}
+	total := 0
+	for _, c := range runs {
+		cfg := Config{Workers: 4, Policy: c.pol}
+		spec := mustBuild(t, c.name, params)
+		if c.mid {
+			stages := spec.Graph.ExecutedStages()
+			cfg.Kill = &KillSpec{Worker: 1, Stage: stages[len(stages)/2].ID, Mid: true}
+		}
+		e, err := New(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("%s/%s: %v", c.name, c.pol.Name(), err)
+		}
+		fresh, err := New(mustBuild(t, c.name, params), Config{Workers: 4, Policy: c.pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rdds := map[int]*dag.RDD{}
+		for _, r := range fresh.graph.RDDs {
+			rdds[r.ID] = r
+		}
+		tc := newTaskCtx(0) // one task for the lot: its memo shares the lineage
+		for _, n := range e.nodes {
+			for where, blocks := range map[string]map[block.ID][]Row{"memory": n.memBytes, "disk": n.diskBytes} {
+				for id, rows := range blocks {
+					if want := fresh.computeRows(tc, rdds[id.RDD], id.Partition); !slices.Equal(rows, want) {
+						t.Errorf("%s/%s (mid-kill %v): block %v in worker %d's %s is not what its lineage computes",
+							c.name, c.pol.Name(), c.mid, id, n.id, where)
+					}
+					total++
+				}
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no run left a block stored: the check is vacuous")
+	}
+	t.Logf("%d stored blocks checked over %d runs", total, len(runs))
+}
+
+// TestRemoteFetchesCountServedReads: a cached read counts as a remote
+// fetch only when another worker's memory or disk served it. Worker 1
+// dies at the boundary of a stage whose two tasks each read two blocks
+// of a cached RDD: the two blocks it held are recomputed by their
+// readers, and only the reads the survivor served from worker 0 to
+// worker 1 are fetches.
+func TestRemoteFetchesCountServedReads(t *testing.T) {
+	build := func() *workload.Spec {
+		return opSpec("fetches", workload.Params{DataRows: 64, Seed: 3}, func(g *dag.Graph) {
+			pts := g.Source("src", 4, cluster.MB).Map("pts").Cache()
+			g.Collect(pts)
+			g.Collect(pts.Map("out", dag.WithPartitions(2)))
+		})
+	}
+	spec := build()
+	stages := spec.Graph.ExecutedStages()
+	last, pts := stages[len(stages)-1], spec.Graph.CachedRDDs()[0]
+	const workers, victim = 2, 1
+	// Which reads cross workers, and which of those the victim would serve.
+	var remote, lost int64
+	for task := 0; task < last.NumTasks; task++ {
+		lo, hi := narrowParents(pts.NumPartitions, last.Target.NumPartitions, task)
+		for part := lo; part < hi; part++ {
+			home := cluster.HomeNode(pts.Block(part), workers)
+			if home != cluster.HomePartition(task, workers) {
+				remote++
+				if home == victim {
+					lost++
+				}
+			}
+		}
+	}
+	if remote == 0 || lost == 0 || lost == remote {
+		t.Fatalf("%d remote reads, %d from the victim: the placement no longer exercises the rule", remote, lost)
+	}
+	cfg := Config{Workers: workers, Policy: policyspec.LRU}
+	clean := mustRun(t, build(), cfg)
+	cfg.Kill = &KillSpec{Worker: victim, Stage: last.ID}
+	killed := mustRun(t, build(), cfg)
+	if clean.RemoteFetches != remote {
+		t.Errorf("clean run: %d remote fetches, want the %d cross-worker reads", clean.RemoteFetches, remote)
+	}
+	if killed.RemoteFetches != remote-lost {
+		t.Errorf("killed run: %d remote fetches, want %d: the %d reads of recomputed blocks were served by nobody",
+			killed.RemoteFetches, remote-lost, lost)
+	}
+	if killed.LineageRecomputes != 2 {
+		t.Errorf("killed run: %d lineage recomputes, want the victim's 2 blocks", killed.LineageRecomputes)
+	}
+	if killed.OutputDigest != clean.OutputDigest {
+		t.Errorf("killed run output %#x != clean %#x", killed.OutputDigest, clean.OutputDigest)
+	}
+}
+
+// TestDataPlaneCountersArePinned holds the byte plane's measurable work —
+// tasks, retries, spills, shuffle bytes, fetches and recomputes — on the
+// D4 workloads, clean and with worker 1 killed at the middle stage's
+// boundary. A killed run's RemoteFetches counts only the reads another
+// worker served (TestRemoteFetchesCountServedReads): 282 on LP, 290 on
+// KM and 239 on PO fewer than when every cross-worker read of a block
+// that had to be recomputed counted too.
+func TestDataPlaneCountersArePinned(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		kill  bool
+		plane [7]int64 // TasksRun, TaskRetries, Spills, SpillBytes, ShuffleBytes, RemoteFetches, LineageRecomputes
+	}{
+		{"SCC", false, [7]int64{5712, 0, 2304, 27911136, 23620320, 122688, 0}},
+		{"SCC", true, [7]int64{5712, 0, 2497, 28275840, 24267312, 149040, 1020}},
+		{"LP", false, [7]int64{5184, 0, 2112, 24290016, 20264928, 112320, 0}},
+		{"LP", true, [7]int64{5184, 0, 2290, 24667056, 20869872, 139536, 1032}},
+		{"KM", false, [7]int64{5992, 0, 1610, 823600, 706560, 3220, 0}},
+		{"KM", true, [7]int64{5992, 0, 1726, 882992, 706560, 3394, 580}},
+		{"PO", false, [7]int64{3584, 0, 1792, 11405408, 9066752, 125952, 0}},
+		{"PO", true, [7]int64{3584, 0, 1872, 11594400, 9429664, 150528, 752}},
+	} {
+		spec := mustBuild(t, c.name, workload.Params{DataRows: 32})
+		cfg := Config{Workers: 4, Policy: policyspec.MRD}
+		if c.kill {
+			stages := spec.Graph.ExecutedStages()
+			cfg.Kill = &KillSpec{Worker: 1, Stage: stages[len(stages)/2].ID}
+		}
+		r := mustRun(t, spec, cfg)
+		got := [7]int64{r.TasksRun, r.TaskRetries, r.Spills, r.SpillBytes, r.ShuffleBytes, r.RemoteFetches, r.LineageRecomputes}
+		if got != c.plane {
+			t.Errorf("%s (kill %v): data plane %v, want %v", c.name, c.kill, got, c.plane)
+		}
+	}
+}
+
 // TestKeptPartitionSurvivesARetry is the white-box twin: it drives
 // runTask's retry by hand while arena.keep holds a partition. The task
 // reads two cached blocks whose bytes are gone and whose recomputes are
@@ -405,7 +559,7 @@ func TestKeptPartitionSurvivesARetry(t *testing.T) {
 		}
 		node.dropMem(id)
 		waits[i] = make(chan struct{})
-		e.flights.calls[id] = &flightCall{done: waits[i], bytes: b}
+		e.flights.calls[id] = &flightCall{done: waits[i], rows: b}
 	}
 	var got []Row
 	finished := make(chan struct{})
@@ -495,7 +649,9 @@ func TestEngineRunsAllWorkloads(t *testing.T) {
 // benchmark's two executed workloads. The laid-out-per-object code this
 // replaced allocated 1 270 MB in 178 k objects and 485 MB in 115 k; with
 // a hash map per reduce partition and a hasher per digest it was 65 MB
-// in 24.7 k and 43 MB in 5.9 k; it is 63 MB in 12.0 k and 34 MB in 4.1 k.
+// in 24.7 k and 43 MB in 5.9 k; with every cached block and map output
+// encoded to bytes it was 64 MB in 11.6 k and 34 MB in 4.0 k; held as
+// rows it is 62 MB in 11.6 k and 34 MB in 3.9 k.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are not meaningful under -short or -race")
@@ -546,6 +702,36 @@ func TestRunAllocationBudget(t *testing.T) {
 		}
 	}); allocs > 4 {
 		t.Errorf("a warm result task over three maps allocates %.0f objects, want at most 4", allocs)
+	}
+
+	// A cached read copies nothing: a task whose target is a materialized
+	// block gets back the slice its home worker stores, and a warm one
+	// allocates nothing at all.
+	spec = opSpec("cached", workload.Params{DataRows: 64}, func(g *dag.Graph) {
+		pts := g.Source("src", 2, cluster.MB).Map("pts").Cache()
+		g.Collect(pts)
+		g.Collect(pts)
+	})
+	if e, err = New(spec, Config{Workers: 2, Policy: policyspec.LRU}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	stages, pts := spec.Graph.ExecutedStages(), spec.Graph.CachedRDDs()[0]
+	stage, tc = stages[len(stages)-1], newTaskCtx(0)
+	if stage.Target != pts {
+		t.Fatalf("the last stage computes %s, want the cached %s", stage.Target.Name, pts.Name)
+	}
+	stored, ok := e.home(pts.Block(0)).loadMem(pts.Block(0))
+	if !ok {
+		t.Fatal("the cached block is not in its home worker's memory")
+	}
+	if rows, _ := e.runTask(tc, stage, 0); len(rows) == 0 || &rows[0] != &stored[0] || len(rows) != len(stored) {
+		t.Error("a task reading a materialized block did not get the stored slice")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.runTask(tc, stage, 0) }); allocs != 0 {
+		t.Errorf("a warm task reading a materialized block allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -4,20 +4,21 @@ import (
 	"sync"
 
 	"mrdspark/internal/block"
+	"mrdspark/internal/cluster"
 )
 
-// shuffleKey addresses one map task's shuffle output (and the flight
-// that recomputes it when lost).
+// shuffleKey addresses one map task's output — the flight that
+// recomputes it when lost.
 type shuffleKey struct{ sid, mapPart int }
 
 // mapOutput is everything one map task wrote for one shuffle, with
-// run lifetime: a single slab of encoded rows grouped by reduce
-// partition, and the row offset each group starts at. Reducer q's
-// bucket is a sub-slice of the slab; "no rows for you" is an empty
-// range, while "output lost with its worker" is a missing entry — so a
-// map output is present whole or not at all.
+// run lifetime: a single slab of rows grouped by reduce partition, and
+// the row offset each group starts at. Reducer q's bucket is a
+// sub-slice of the slab; "no rows for you" is an empty range, while
+// "not written, or lost with its worker" is the zero mapOutput (off ==
+// nil) — so a map output is present whole or not at all.
 type mapOutput struct {
-	slab []byte
+	slab []Row
 	off  []int32 // reduceParts+1 row offsets into slab
 }
 
@@ -35,10 +36,10 @@ func newMapOutput(rows []Row, reduceParts int, bucket []int32) mapOutput {
 	for q := 0; q < reduceParts; q++ {
 		off[q+1] += off[q]
 	}
-	slab := make([]byte, len(rows)*rowBytes)
+	slab := make([]Row, len(rows))
 	for i, r := range rows {
 		q := bucket[i]
-		putRow(slab[int(off[q])*rowBytes:], r)
+		slab[off[q]] = r
 		off[q]++
 	}
 	// Each cursor now sits at its bucket's end: the next one's start.
@@ -47,33 +48,75 @@ func newMapOutput(rows []Row, reduceParts int, bucket []int32) mapOutput {
 	return mapOutput{slab, off}
 }
 
-func (o mapOutput) bucket(q int) []byte {
-	return o.slab[int(o.off[q])*rowBytes : int(o.off[q+1])*rowBytes]
+// bucket is reducer q's rows. The slab is never nil (make of zero rows
+// is not), so neither is a present output's bucket, empty or not.
+func (o mapOutput) bucket(q int) []Row { return o.slab[o.off[q]:o.off[q+1]] }
+
+// put stores map task m's output unless one is there already: first
+// write wins, as for blocks, so a recompute racing the original cannot
+// swap the rows under a reader.
+func (si *shuffleInfo) put(m int, o mapOutput) {
+	si.mu.Lock()
+	defer si.mu.Unlock()
+	if si.out[m].off == nil {
+		si.out[m] = o
+	}
 }
 
-// node is one worker's byte plane: memBytes, diskBytes and the map
-// outputs hold the actual encoded rows and are read and written by
-// worker goroutines under the node's mutex. Cached bytes have block
-// lifetime (the accounting's Spill/Drop releases them), map outputs run
-// lifetime; a kill ends both early. Rows, which have task lifetime,
-// never come here (see arena). The accounting plane —
-// which block is resident where — lives in the engine's Advisor, is
-// mutated only at stage boundaries on the master, and is read by
-// workers through Advisor.Resident/OnDisk. The accounting stores hold
-// no lock: the master mutates them only between task waves, and the
-// dispatch channels that start a wave and collect its results order
-// every worker read after the boundary's last write and before the
-// next one's first. Accounting leads, bytes follow: a block's bytes are
-// stored where the accounting says it is resident, and a byte-plane
-// lookup that comes up empty (worker killed, or a MEMORY_ONLY eviction
-// dropped the bytes) falls back to lineage recompute.
+// get returns map task m's output, or false when it is not written or
+// was lost with its worker.
+func (si *shuffleInfo) get(m int) (mapOutput, bool) {
+	si.mu.Lock()
+	defer si.mu.Unlock()
+	return si.out[m], si.out[m].off != nil
+}
+
+// wipe is a worker kill's data half: the worker's cached and spilled
+// rows, and every map output it served, are gone, and its epoch moves
+// on. The accounting half (Advisor.OnNodeFailure) is applied by the
+// master, at the next stage boundary for mid-stage kills. Readers that
+// already hold a bucket or a block keep reading it: nothing stored is
+// ever written, only forgotten.
+func (e *Engine) wipe(w int) {
+	e.nodes[w].wipe()
+	for _, si := range e.shuffles {
+		si.mu.Lock()
+		for m := range si.out {
+			if cluster.HomePartition(m, len(e.nodes)) == w {
+				si.out[m] = mapOutput{}
+			}
+		}
+		si.mu.Unlock()
+	}
+}
+
+// node is one worker's block store: memBytes and diskBytes hold cached
+// blocks as the rows themselves, read and written by worker goroutines
+// under the node's mutex. A block is stored once, as its own
+// allocation, and every read hands out that slice: no operator writes
+// into its input (the wide operators write only into the side they
+// gathered, which is a copy), so a stored block is never written after
+// materialize and any number of tasks may read it at once.
+// TestStoredBlocksEqualTheirLineage holds the engine to that rule.
+// Cached rows have block lifetime (the accounting's Spill/Drop releases
+// them, a kill ends it early). Map outputs are not here but in their
+// shuffle's table (shuffleInfo), and a task's own rows live in its arena.
+// The accounting plane — which block is resident where — lives in the
+// engine's Advisor, is mutated only at stage boundaries on the master,
+// and is read by workers through Advisor.Resident/OnDisk. The
+// accounting stores hold no lock: the master mutates them only between
+// task waves, and the dispatch channels that start a wave and collect
+// its results order every worker read after the boundary's last write
+// and before the next one's first. Accounting leads, rows follow: a
+// block's rows are stored where the accounting says it is resident, and
+// a lookup that comes up empty (worker killed, or a MEMORY_ONLY
+// eviction dropped the rows) falls back to lineage recompute.
 type node struct {
 	id int
 
 	mu        sync.Mutex
-	memBytes  map[block.ID][]byte
-	diskBytes map[block.ID][]byte
-	shuffle   map[shuffleKey]mapOutput
+	memBytes  map[block.ID][]Row
+	diskBytes map[block.ID][]Row
 	// epoch counts kill wipes. A task that observes a different epoch
 	// at completion than at start ran over a dying worker and re-runs.
 	epoch int
@@ -82,31 +125,30 @@ type node struct {
 func newNode(id int) *node {
 	return &node{
 		id:        id,
-		memBytes:  map[block.ID][]byte{},
-		diskBytes: map[block.ID][]byte{},
-		shuffle:   map[shuffleKey]mapOutput{},
+		memBytes:  map[block.ID][]Row{},
+		diskBytes: map[block.ID][]Row{},
 	}
 }
 
-func (n *node) loadMem(id block.ID) ([]byte, bool) {
+func (n *node) loadMem(id block.ID) ([]Row, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	b, ok := n.memBytes[id]
 	return b, ok
 }
 
-func (n *node) loadDisk(id block.ID) ([]byte, bool) {
+func (n *node) loadDisk(id block.ID) ([]Row, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	b, ok := n.diskBytes[id]
 	return b, ok
 }
 
-// storeMem stores the block's bytes in memory, reporting whether this
+// storeMem stores the block's rows in memory, reporting whether this
 // call was the first to store them (concurrent tasks materializing the
 // same block are deduplicated so data-plane counters stay
 // deterministic).
-func (n *node) storeMem(id block.ID, b []byte) bool {
+func (n *node) storeMem(id block.ID, b []Row) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.memBytes[id]; ok {
@@ -116,9 +158,9 @@ func (n *node) storeMem(id block.ID, b []byte) bool {
 	return true
 }
 
-// storeDisk stores the block's bytes on disk (first-store semantics
+// storeDisk stores the block's rows on disk (first-store semantics
 // like storeMem).
-func (n *node) storeDisk(id block.ID, b []byte) bool {
+func (n *node) storeDisk(id block.ID, b []Row) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.diskBytes[id]; ok {
@@ -128,11 +170,11 @@ func (n *node) storeDisk(id block.ID, b []byte) bool {
 	return true
 }
 
-// spillToDisk moves the block's bytes from memory to disk (an
-// eviction of a MEMORY_AND_DISK block). It reports whether bytes were
-// actually moved — a block can be evicted by the accounting before any
-// task materialized it, in which case the spill happens later, at
-// materialization, straight to disk.
+// spillToDisk moves the block's rows from memory to disk (an eviction
+// of a MEMORY_AND_DISK block) and returns the bytes they encode to. It
+// reports whether rows were actually moved — a block can be evicted by
+// the accounting before any task materialized it, in which case the
+// spill happens later, at materialization, straight to disk.
 func (n *node) spillToDisk(id block.ID) (int64, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -143,21 +185,21 @@ func (n *node) spillToDisk(id block.ID) (int64, bool) {
 	delete(n.memBytes, id)
 	if _, onDisk := n.diskBytes[id]; !onDisk {
 		n.diskBytes[id] = b
-		return int64(len(b)), true
+		return int64(len(b)) * rowBytes, true
 	}
 	return 0, false
 }
 
-// dropMem discards the block's in-memory bytes (a MEMORY_ONLY
-// eviction: the bytes are simply lost and the next read recomputes).
+// dropMem discards the block's in-memory rows (a MEMORY_ONLY eviction:
+// the rows are simply lost and the next read recomputes).
 func (n *node) dropMem(id block.ID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.memBytes, id)
 }
 
-// promoteToMem copies the block's on-disk bytes into memory (prefetch
-// arrival; the disk copy remains, mirroring the accounting).
+// promoteToMem makes the block's on-disk rows resident in memory
+// (prefetch arrival; the disk copy remains, mirroring the accounting).
 func (n *node) promoteToMem(id block.ID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -168,32 +210,13 @@ func (n *node) promoteToMem(id block.ID) {
 	}
 }
 
-func (n *node) putOutput(k shuffleKey, o mapOutput) {
+// wipe destroys the worker's cached and spilled rows and bumps its kill
+// epoch (see Engine.wipe).
+func (n *node) wipe() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.shuffle[k]; !ok {
-		n.shuffle[k] = o
-	}
-}
-
-func (n *node) getOutput(k shuffleKey) (mapOutput, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	o, ok := n.shuffle[k]
-	return o, ok
-}
-
-// wipeData destroys the worker's byte plane — cached bytes, spilled
-// bytes, and every map output it served — and bumps the kill
-// epoch. This is the data half of a worker kill; the accounting half
-// (Advisor.OnNodeFailure) is applied by the master, at the next stage
-// boundary for mid-stage kills.
-func (n *node) wipeData() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.memBytes = map[block.ID][]byte{}
-	n.diskBytes = map[block.ID][]byte{}
-	n.shuffle = map[shuffleKey]mapOutput{}
+	n.memBytes = map[block.ID][]Row{}
+	n.diskBytes = map[block.ID][]Row{}
 	n.epoch++
 }
 
@@ -204,26 +227,27 @@ func (n *node) curEpoch() int {
 }
 
 // flightGroup is the engine's singleflight: concurrent tasks that all
-// find the same block's bytes (or the same map output) missing
-// recompute it exactly once, which both bounds work and keeps the
+// find the same block's rows (or the same map output) missing recompute
+// it exactly once, which both bounds work and keeps the
 // lineage-recompute counter deterministic. A flight's result crosses
-// tasks, so it is the block's encoded bytes (block lifetime), never
-// rows of the runner's arena; a map-output flight returns nil and its
-// waiters re-read the store. Flights are reset at every stage boundary.
+// tasks, so it is the block's stored rows (block lifetime), which every
+// waiter reads in place, never rows of the runner's arena; a map-output
+// flight returns nil and its waiters re-read the shuffle's table.
+// Flights are reset at every stage boundary.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[any]*flightCall
 }
 
 type flightCall struct {
-	done  chan struct{}
-	bytes []byte
+	done chan struct{}
+	rows []Row
 }
 
 // do runs fn for the key unless another goroutine already is (or did),
 // in which case it waits for and shares that result. The boolean
 // reports whether this caller executed fn.
-func (g *flightGroup) do(key any, fn func() []byte) ([]byte, bool) {
+func (g *flightGroup) do(key any, fn func() []Row) ([]Row, bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[any]*flightCall{}
@@ -231,14 +255,14 @@ func (g *flightGroup) do(key any, fn func() []byte) ([]byte, bool) {
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return c.bytes, false
+		return c.rows, false
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
-	c.bytes = fn()
+	c.rows = fn()
 	close(c.done)
-	return c.bytes, true
+	return c.rows, true
 }
 
 // reset clears completed flights (called between stages, when no tasks

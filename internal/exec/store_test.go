@@ -2,20 +2,20 @@ package exec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // checkMapOutput holds a map output to the layout the old code wrote
-// bucket by bucket: reducer q's range is EncodeRows of the rows with
-// bucketOf(key) == q, in input order, and the slab is those ranges laid
-// end to end.
+// bucket by bucket: reducer q's range is the rows with bucketOf(key) ==
+// q, in input order, and the slab is those ranges laid end to end.
 func checkMapOutput(t *testing.T, rows []Row, reduceParts int) {
 	t.Helper()
 	o := newMapOutput(rows, reduceParts, make([]int32, len(rows)))
 	if len(o.off) != reduceParts+1 || o.off[0] != 0 || int(o.off[reduceParts]) != len(rows) {
 		t.Fatalf("offset table %v for %d rows over %d reduce partitions", o.off, len(rows), reduceParts)
 	}
-	var whole []byte
+	var whole []Row
 	for q := 0; q < reduceParts; q++ {
 		var mine []Row
 		for _, r := range rows {
@@ -23,14 +23,14 @@ func checkMapOutput(t *testing.T, rows []Row, reduceParts int) {
 				mine = append(mine, r)
 			}
 		}
-		want := EncodeRows(mine)
-		if got := o.bucket(q); !bytes.Equal(got, want) {
-			t.Errorf("bucket %d of %d: %d bytes, want the %d rows that hash there, in input order", q, reduceParts, len(got), len(mine))
+		got := o.bucket(q)
+		if got == nil || !slices.Equal(got, mine) {
+			t.Errorf("bucket %d of %d: %d rows (nil %v), want the %d rows that hash there, in input order", q, reduceParts, len(got), got == nil, len(mine))
 		}
-		whole = append(whole, want...)
+		whole = append(whole, mine...)
 	}
-	if !bytes.Equal(o.slab, whole) {
-		t.Errorf("slab is not the per-bucket encodings laid end to end (%d bytes, want %d)", len(o.slab), len(whole))
+	if !slices.Equal(o.slab, whole) {
+		t.Errorf("slab is not the buckets laid end to end (%d rows, want %d)", len(o.slab), len(whole))
 	}
 }
 
@@ -59,37 +59,65 @@ func TestMapOutputLayout(t *testing.T) {
 
 // TestEmptyMapOutputIsPresent pins the distinction a reducer relies on:
 // a map task that produced no rows still has an entry, whose every range
-// is empty; only a lost output has none.
+// is empty (and not nil: gather reads nil as lost); only a lost output
+// has none.
 func TestEmptyMapOutputIsPresent(t *testing.T) {
-	n := newNode(0)
-	k := shuffleKey{sid: 1, mapPart: 2}
-	n.putOutput(k, newMapOutput(nil, 6, nil))
-	o, ok := n.getOutput(k)
+	si := &shuffleInfo{id: 1, out: make([]mapOutput, 4)}
+	si.put(2, newMapOutput(nil, 6, nil))
+	o, ok := si.get(2)
 	if !ok {
-		t.Fatal("empty map output is missing from the store")
+		t.Fatal("empty map output is missing from the table")
 	}
 	for q := 0; q < 6; q++ {
-		if b := o.bucket(q); len(b) != 0 {
-			t.Errorf("bucket %d of an empty map output has %d bytes", q, len(b))
+		if b := o.bucket(q); b == nil || len(b) != 0 {
+			t.Errorf("bucket %d of an empty map output has %d rows (nil %v)", q, len(b), b == nil)
 		}
 	}
-	if _, ok := n.getOutput(shuffleKey{sid: 1, mapPart: 3}); ok {
+	if _, ok := si.get(3); ok {
 		t.Error("a map output nobody wrote is present")
 	}
 	// First write wins, as for blocks: a recompute racing the original
-	// cannot swap the bytes under a reader.
-	n.putOutput(k, newMapOutput([]Row{{1, 1}}, 6, make([]int32, 1)))
-	if o, _ := n.getOutput(k); len(o.slab) != 0 {
+	// cannot swap the rows under a reader.
+	si.put(2, newMapOutput([]Row{{1, 1}}, 6, make([]int32, 1)))
+	if o, _ := si.get(2); len(o.slab) != 0 {
 		t.Error("second put replaced the stored map output")
-	}
-	n.wipeData()
-	if _, ok := n.getOutput(k); ok {
-		t.Error("map output survived its worker's wipe")
 	}
 }
 
-// FuzzMapOutput: any rows over any reducer count, each reducer decodes
-// exactly the rows that hash to it.
+// TestWipeClearsTheWorkersMapOutputs: a kill forgets the map outputs its
+// worker served — map partitions 1 and 3 of every shuffle, on two
+// workers — keeps the other worker's, and leaves a bucket a reducer
+// already holds readable.
+func TestWipeClearsTheWorkersMapOutputs(t *testing.T) {
+	e := &Engine{nodes: []*node{newNode(0), newNode(1)}, shuffles: map[int]*shuffleInfo{}}
+	rows := GenPartition(1, 0, 0, 20, 0.5)
+	for sid := 0; sid < 2; sid++ {
+		si := &shuffleInfo{id: sid, out: make([]mapOutput, 4)}
+		for m := range si.out {
+			si.put(m, newMapOutput(rows, 3, make([]int32, len(rows))))
+		}
+		e.shuffles[sid] = si
+	}
+	held, _ := e.shuffles[0].get(1)
+	want := slices.Clone(held.bucket(0))
+	e.wipe(1)
+	for sid, si := range e.shuffles {
+		for m := range si.out {
+			if _, ok := si.get(m); ok != (m%2 == 0) {
+				t.Errorf("shuffle %d map output %d present %v after worker 1's wipe", sid, m, ok)
+			}
+		}
+	}
+	if e.nodes[1].curEpoch() != 1 || e.nodes[0].curEpoch() != 0 {
+		t.Errorf("epochs %d, %d after worker 1's wipe, want 0, 1", e.nodes[0].curEpoch(), e.nodes[1].curEpoch())
+	}
+	if !slices.Equal(held.bucket(0), want) {
+		t.Error("a bucket held across the wipe changed")
+	}
+}
+
+// FuzzMapOutput: any rows over any reducer count, each reducer's bucket
+// is exactly the rows that hash to it.
 func FuzzMapOutput(f *testing.F) {
 	f.Add(EncodeRows(GenPartition(1, 0, 0, 33, 0.5)), uint8(4))
 	f.Add([]byte{}, uint8(1))

@@ -22,7 +22,7 @@ type taskCtx struct {
 	worker    int
 	memo      map[blockKey][]Row
 	arena     arena
-	buckets   [][]byte
+	buckets   [][]Row
 	rowBucket []int32
 	tally     tally
 }
@@ -119,7 +119,7 @@ func (e *Engine) maybeFireMidKill() {
 	}
 	select {
 	case <-ch:
-		e.nodes[e.cfg.Kill.Worker].wipeData()
+		e.wipe(e.cfg.Kill.Worker)
 		e.pendingFail = true
 	default:
 	}
@@ -147,51 +147,52 @@ func (e *Engine) eval(t *taskCtx, r *dag.RDD, p int) []Row {
 	return rows
 }
 
-// readCached reads a materialized cached block: memory bytes, else
-// disk bytes (promoting them into memory when the boundary decision
-// re-admitted the block), else lineage recompute — the bytes are gone
-// (a killed worker, or a MEMORY_ONLY eviction), so the block is
-// rebuilt from its lineage, once, however many tasks need it.
+// readCached reads a materialized cached block: the rows its home
+// worker stores in memory, else on disk (promoting them into memory
+// when the boundary decision re-admitted the block), else lineage
+// recompute — the rows are gone (a killed worker, or a MEMORY_ONLY
+// eviction), so the block is rebuilt from its lineage, once, however
+// many tasks need it. Every way, the task gets the stored slice itself,
+// which it must not write (see node). Only a read the home worker's
+// memory or disk served from another worker is a remote fetch.
 func (e *Engine) readCached(t *taskCtx, r *dag.RDD, p int) []Row {
 	id := r.Block(p)
 	home := e.home(id)
-	if home.id != t.worker {
-		t.tally.remoteFetches++
-	}
-	b, ok := home.loadMem(id)
+	rows, ok := home.loadMem(id)
 	if !ok {
-		if b, ok = home.loadDisk(id); ok && e.adv.Resident(home.id, id) {
-			home.storeMem(id, b)
+		if rows, ok = home.loadDisk(id); ok && e.adv.Resident(home.id, id) {
+			home.storeMem(id, rows)
 		}
 	}
-	if !ok {
-		var rows []Row
-		var ran bool
-		b, ran = e.flights.do(id, func() []byte {
-			rows = e.computeRows(t, r, p)
-			return e.materialize(t, r.BlockInfo(p), rows)
-		})
-		if ran {
-			t.tally.lineageRecomputes++
-			return rows
+	if ok {
+		if home.id != t.worker {
+			t.tally.remoteFetches++
 		}
+		return rows
 	}
-	return decodeInto(t.arena.alloc(len(b)/rowBytes), b)
+	rows, ran := e.flights.do(id, func() []Row {
+		return e.materialize(t, r.BlockInfo(p), e.computeRows(t, r, p))
+	})
+	if ran {
+		t.tally.lineageRecomputes++
+	}
+	return rows
 }
 
-// materialize encodes a computed cached block and lands the bytes
-// where the accounting says the block lives: memory if resident, disk
-// if the boundary spilled it before any task produced it, nowhere
-// otherwise (the accounting refused or already dropped it — the next
-// read recomputes).
-func (e *Engine) materialize(t *taskCtx, info block.Info, rows []Row) []byte {
+// materialize stores a copy of a computed cached block's rows where the
+// accounting says the block lives: memory if resident, disk if the
+// boundary spilled it before any task produced it, nowhere otherwise
+// (the accounting refused or already dropped it — the next read
+// recomputes). It returns the copy: its own allocation, with block
+// lifetime, clipped like an arena allocation so an append copies out.
+func (e *Engine) materialize(t *taskCtx, info block.Info, rows []Row) []Row {
 	home := e.home(info.ID)
-	b := EncodeRows(rows)
+	b := slices.Clip(slices.Clone(rows))
 	if e.adv.Resident(home.id, info.ID) {
 		home.storeMem(info.ID, b)
 	} else if e.adv.OnDisk(home.id, info.ID) && home.storeDisk(info.ID, b) {
 		t.tally.spills++
-		t.tally.spillBytes += int64(len(b))
+		t.tally.spillBytes += int64(len(b)) * rowBytes
 	}
 	return b
 }
@@ -380,60 +381,64 @@ func joinRows(mem *arena, a, b []Row, inner bool) []Row {
 	return mem.trim(out, n)
 }
 
-// gather fetches every map task's bucket for reduce partition p of the
-// shuffle, sums their lengths and decodes them into one arena
-// allocation. The buckets wait on t.buckets above mark: a fetch that
-// finds its map output lost recomputes it in this task, which gathers
-// for another stage and pushes above ours.
+// gather reads every map task's bucket for reduce partition p of the
+// shuffle and copies them into one arena allocation — a copy, because
+// the wide operators sort and fold their gathered side in place. It
+// takes the shuffle's lock once, pushing each present bucket onto
+// t.buckets above mark, and nil for a map output that is missing: the
+// worker that wrote it died since the map stage ran. A missing output
+// is recomputed in this task, which evaluates another stage's target
+// and may gather, pushing above ours — so the buckets are a stack.
 func (e *Engine) gather(t *taskCtx, sid, p int) []Row {
 	si := e.shuffles[sid]
-	mark, n := len(t.buckets), 0
-	for m := 0; m < si.mapParts; m++ {
-		b := e.fetchBucket(t, si, m, p)
+	mark := len(t.buckets)
+	si.mu.Lock()
+	for _, o := range si.out {
+		var b []Row // a present output's bucket is never nil (see bucket)
+		if o.off != nil {
+			b = o.bucket(p)
+		}
 		t.buckets = append(t.buckets, b)
-		n += len(b)
 	}
-	out := t.arena.alloc(n / rowBytes)
+	si.mu.Unlock()
+	n := 0
+	for m := range si.out {
+		if t.buckets[mark+m] == nil {
+			t.buckets[mark+m] = e.recomputeOutput(t, si, m).bucket(p)
+		}
+		n += len(t.buckets[mark+m])
+		if cluster.HomePartition(m, len(e.nodes)) != t.worker {
+			t.tally.remoteFetches++
+		}
+	}
+	t.tally.shuffleBytes += int64(n) * rowBytes
+	out := t.arena.alloc(n)
 	at := 0
 	for _, b := range t.buckets[mark:] {
-		at += len(decodeInto(out[at:], b))
+		at += copy(out[at:], b)
 	}
 	t.buckets = t.buckets[:mark]
 	return out
 }
 
-// fetchBucket reads reduce partition p's range of map task m's output
-// from the worker that ran it. A missing output means that worker died
-// since the map stage ran: the map task is recomputed from lineage
-// (once, via singleflight) and its output rewritten, then the read
-// retries — Spark's FetchFailed → map-stage resubmission path,
-// collapsed to the task that needs it.
-func (e *Engine) fetchBucket(t *taskCtx, si *shuffleInfo, m, p int) []byte {
-	w := e.nodes[cluster.HomePartition(m, len(e.nodes))]
-	k := shuffleKey{sid: si.id, mapPart: m}
-	o, ok := w.getOutput(k)
-	if !ok {
-		_, ran := e.flights.do(k, func() []byte {
-			e.writeOutput(t, si, m, e.eval(t, si.mapStage.Target, m))
-			return nil
-		})
-		if ran {
-			t.tally.lineageRecomputes++
-		}
-		o, _ = w.getOutput(k)
+// recomputeOutput rebuilds map task m's lost output from lineage (once,
+// via singleflight), rewrites it and returns it — Spark's FetchFailed →
+// map-stage resubmission path, collapsed to the task that needs it.
+func (e *Engine) recomputeOutput(t *taskCtx, si *shuffleInfo, m int) mapOutput {
+	_, ran := e.flights.do(shuffleKey{sid: si.id, mapPart: m}, func() []Row {
+		e.writeOutput(t, si, m, e.eval(t, si.mapStage.Target, m))
+		return nil
+	})
+	if ran {
+		t.tally.lineageRecomputes++
 	}
-	b := o.bucket(p)
-	t.tally.shuffleBytes += int64(len(b))
-	if w.id != t.worker {
-		t.tally.remoteFetches++
-	}
-	return b
+	o, _ := si.get(m)
+	return o
 }
 
 // writeOutput stores map task m's output rows, laid out by reduce
-// partition, in the map worker's shuffle store.
+// partition, in the shuffle's table.
 func (e *Engine) writeOutput(t *taskCtx, si *shuffleInfo, m int, rows []Row) {
-	w := e.nodes[cluster.HomePartition(m, len(e.nodes))]
 	t.rowBucket = slices.Grow(t.rowBucket[:0], len(rows))[:len(rows)]
-	w.putOutput(shuffleKey{sid: si.id, mapPart: m}, newMapOutput(rows, si.reduceParts, t.rowBucket))
+	si.put(m, newMapOutput(rows, si.reduceParts, t.rowBucket))
 }
