@@ -8,9 +8,9 @@ import (
 )
 
 // Recorder is a bus subscriber that keeps the full event stream in
-// emission order — the backing store for JSON-lines traces and the
-// legacy sim trace API. A full SCC run produces tens of thousands of
-// events, so recorders are opt-in.
+// emission order — the backing store for JSON-lines traces, which
+// ReadJSONL and cmd/mrdreport read back. A full SCC run produces tens of
+// thousands of events, so recorders are opt-in.
 type Recorder struct {
 	events []Event
 }

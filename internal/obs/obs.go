@@ -224,10 +224,10 @@ type wireEvent struct {
 	Verdict string `json:"verdict,omitempty"`
 }
 
-// MarshalJSON renders the event in the JSON-lines wire format. Field
-// names are a superset of the legacy sim.TraceEvent format: at, node,
-// kind, block, stage, job exactly as before (stage and job now always
-// present and correct), plus bytes, value and verdict when set.
+// MarshalJSON renders the event in the JSON-lines wire format: at,
+// node, kind, block (when the event names one), stage and job always,
+// plus bytes, value and verdict when set. ReadJSONL parses it back, and
+// cmd/mrdreport replays recorded traces in this format.
 func (e Event) MarshalJSON() ([]byte, error) {
 	w := wireEvent{At: e.At, Node: e.Node, Kind: e.Kind, Stage: e.Stage, Job: e.Job,
 		Bytes: e.Bytes, Value: e.Value, Verdict: e.Verdict}

@@ -9,10 +9,11 @@ import (
 )
 
 // TestEventWireGolden pins the exact JSONL wire format. These strings
-// are a compatibility contract: the legacy sim.TraceEvent consumer
-// fields (at, node, kind, block, stage, job) must keep their names and
-// the extension fields must stay omitempty. Changing any of them
-// breaks recorded traces and external tooling.
+// are a compatibility contract: the core fields (at, node, kind, block,
+// stage, job) keep their names and bytes, value and verdict stay
+// omitempty, because ReadJSONL and cmd/mrdreport read recorded traces
+// back. Changing any of them breaks recorded traces and external
+// tooling.
 func TestEventWireGolden(t *testing.T) {
 	id := block.ID{RDD: 7, Partition: 3}
 	cases := []struct {
