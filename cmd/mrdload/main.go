@@ -5,19 +5,20 @@
 // schedule — the subsystem's correctness oracle: if the server's advice
 // ever diverges from the library, mrdload exits nonzero.
 //
-// A shard group is driven through its router (mrdserver -router): -addr
-// names the router like any one server. With -kill-after N -kill-pid P
-// mrdload SIGKILLs process P after the Nth successful advance — the
-// chaos harness: the oracle never dies, so parity still proves every
-// post-failover decision (served by a snapshot-restored session on the
-// surviving shard) is byte-identical to an uninterrupted run.
+// With -kill-after N -kill-pid P mrdload SIGKILLs process P after the
+// Nth successful advance — the chaos harness: point it at a server run
+// with -snapshot-dir, restart that server on the same addresses, and
+// every call retries until it answers again or -retry-wait runs out.
+// The oracle never dies, so parity still proves every post-restart
+// decision (served by a session restored from the snapshot directory)
+// is byte-identical to an uninterrupted run.
 //
 // Usage:
 //
 //	mrdload -sessions 8 -workload scc -parity
 //	mrdload -sessions 64 -workload all -parity
 //	mrdload -addr http://127.0.0.1:7788 -workload hibench -policy LRU
-//	mrdload -addr http://127.0.0.1:7700 -parity -kill-after 100 -kill-pid $SHARD2_PID
+//	mrdload -addr http://127.0.0.1:7788 -parity -kill-after 100 -kill-pid $SERVER_PID -retry-wait 10s
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 
 	"mrdspark/internal/cli"
 	"mrdspark/internal/cluster"
+	"mrdspark/internal/fault"
 	"mrdspark/internal/obs/trace"
 	"mrdspark/internal/policyspec"
 	"mrdspark/internal/service"
@@ -81,7 +83,7 @@ func (k *killer) tick() {
 
 // hopNames are the tiers a response's X-Mrd-* headers can time, outermost
 // first.
-var hopNames = [...]string{"router", "shard", "compute"}
+var hopNames = [...]string{"shard", "compute"}
 
 // hopStats folds every successful call's per-hop breakdown (parsed
 // from the X-Mrd-* response headers) into one latency sample set per
@@ -100,7 +102,7 @@ func (h *hopStats) add(hp client.Hops) {
 	if hp.TraceID != "" {
 		h.traced++
 	}
-	for i, us := range [...]int64{hp.RouterUs, hp.ShardUs, hp.ComputeUs} {
+	for i, us := range [...]int64{hp.ShardUs, hp.ComputeUs} {
 		if us >= 0 {
 			h.samples[i] = append(h.samples[i], time.Duration(us)*time.Microsecond)
 		}
@@ -108,8 +110,7 @@ func (h *hopStats) add(hp client.Hops) {
 }
 
 // report prints the per-hop breakdown next to the end-to-end latency
-// percentiles; hops a tier never stamped (e.g. router with -addr) are
-// omitted.
+// percentiles; hops a tier never stamped are omitted.
 func (h *hopStats) report(stdout io.Writer) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -138,7 +139,7 @@ func main() { cli.Main("mrdload", run) }
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.Flags("mrdload", stderr)
-	addr := fs.String("addr", "http://127.0.0.1:7788", "mrdserver base URL: one shard, or the router of a shard group")
+	addr := fs.String("addr", "http://127.0.0.1:7788", "mrdserver base URL")
 	sessions := fs.Int("sessions", 8, "concurrent sessions to run")
 	group := fs.String("workload", "scc", "workload group (scc, hibench, mllib, all) or one workload name")
 	parity := fs.Bool("parity", false, "cross-check every server decision against an in-process advisor")
@@ -149,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	killPid := fs.Int("kill-pid", 0, "process to SIGKILL in chaos mode")
 	bin := fs.Bool("bin", false, "drive the binary frame protocol instead of JSON (server needs -frame-addr)")
 	batch := fs.Bool("batch", false, "submit each job's steps as one batch call instead of per-step requests")
-	retryWait := fs.Duration("retry-wait", 3*time.Second, "per-call retry wall-time cap")
+	retryWait := fs.Duration("retry-wait", 3*time.Second, "per-call retry wall-time cap; a failing call retries until it runs out")
 	traceCap := fs.Int("trace-capacity", 4*trace.DefaultCapacity, "client span ring capacity; 0 disables client-side tracing")
 	traceOut := fs.String("trace-out", "", "write the client span export (JSONL) here at exit")
 	traceChrome := fs.String("trace-chrome", "", "write the Chrome trace_event export here at exit")
@@ -177,8 +178,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *bin {
 		transport = "bin"
 	}
+	// Sixteen doublings of the 1 ms backoff base outlast any sane
+	// -retry-wait, so the wall-time cap, not the count, ends a call's
+	// retries: a call rides out a server restart of up to that long.
 	c := client.New(client.Config{
-		BaseURL: *addr, MaxRetryWait: *retryWait,
+		BaseURL: *addr, MaxRetryWait: *retryWait, Retry: &fault.Schedule{MaxFetchRetries: 16},
 		Tracer: tracer, OnHops: hops.add, Binary: *bin,
 	})
 	defer c.Close()
@@ -196,11 +200,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// Distinct seeds mean each session is "the same workflow over
 			// new data" — the paper's recurring-application model.
 			params := workload.Params{Seed: int64(i + 1)}
-			// Client-chosen IDs decide each session's shard behind a
-			// router before the session exists, so which sessions a
-			// -kill-pid hits is the same every run; the hello frame's
-			// session ID is also what gives a frame connection its
-			// routing affinity.
+			// Client-chosen IDs let every call, a create retried across
+			// a restart included, name its session before it exists.
 			res := &results[i]
 			res.workload = names[i%len(names)]
 			res.err = runSession(res, c, fmt.Sprintf("load-%d", i+1), params, advCfg, *parity, *batch, chaos)

@@ -14,7 +14,7 @@
 //	mrdsim -workload SCC -trace trace.jsonl
 //	mrdreport -trace trace.jsonl -o report.html
 //	mrdreport -trace trace.jsonl -prom metrics.txt
-//	mrdreport -spans client.jsonl,router.jsonl,shard.jsonl -o waterfall.html
+//	mrdreport -spans client.jsonl,server.jsonl -o waterfall.html
 package main
 
 import (
@@ -89,8 +89,8 @@ func readFrom[T any](path string, read func(io.Reader) (T, error)) (got T, err e
 // runSpans merges one or more span JSONL exports and renders the
 // request waterfall (plus, optionally, a Chrome trace_event file).
 // Merging matters because each tier exports its own ring: the stitch
-// into full request trees only appears once client, router, and shard
-// spans sit in one timeline.
+// into full request trees only appears once client and server spans
+// sit in one timeline.
 func runSpans(stdout io.Writer, files []string, out, chromeOut, title string) error {
 	var spans []trace.Span
 	for _, path := range files {

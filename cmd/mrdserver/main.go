@@ -9,12 +9,11 @@
 //	curl -s localhost:7788/healthz
 //	curl -s localhost:7788/metrics
 //
-// A shard group — N shards over one snapshot directory, fronted
-// by a router, the one route to a shard (see DESIGN.md §12):
+// With -snapshot-dir every acknowledged step is on disk, so a server
+// killed and restarted on the same directory resumes every session
+// where it stopped (see DESIGN.md §12):
 //
-//	mrdserver -addr 127.0.0.1:7701 -snapshot-dir /tmp/snaps   # likewise :7702, :7703
-//	mrdserver -addr 127.0.0.1:7700 -router \
-//	    -shards http://127.0.0.1:7701,http://127.0.0.1:7702,http://127.0.0.1:7703
+//	mrdserver -addr 127.0.0.1:7788 -frame-addr 127.0.0.1:7790 -snapshot-dir /tmp/snaps
 //
 // SIGTERM or SIGINT drains: first the store is made to hold every live
 // session, writing again any whose last snapshot failed (the count is
@@ -59,18 +58,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	inflight := fs.Int("max-inflight", service.DefaultMaxInflight, "concurrent-request cap; excess requests are shed with 503")
 	reqTimeout := fs.Duration("request-timeout", service.DefaultRequestTimeout, "per-request timeout")
 	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT")
-	snapDir := fs.String("snapshot-dir", "", "session snapshot directory; empty disables persistence. Shards sharing one directory can adopt each other's sessions")
+	snapDir := fs.String("snapshot-dir", "", "session snapshot directory; empty disables persistence. A restarted server resumes its sessions from it; two servers may share one, and neither serves a copy the other has advanced")
 	drainLinger := fs.Duration("drain-linger", 0, "keep serving (metrics included) this long after drain snapshots are written, before closing the listener")
-	router := fs.Bool("router", false, "run as a stateless routing tier over -shards instead of an advisory shard")
-	shards := fs.String("shards", "", "comma-separated shard base URLs (router mode)")
-	probeEvery := fs.Duration("probe-every", service.DefaultProbeEvery, "shard health-probe period (router mode)")
 	traceCap := fs.Int("trace-capacity", trace.DefaultCapacity, "span ring-buffer capacity; 0 disables tracing entirely (zero-alloc hot path)")
 	traceOut := fs.String("trace-out", "", "write the span export (JSONL) here on drain")
 	traceChrome := fs.String("trace-chrome", "", "write the Chrome trace_event export here on drain")
 	debugAddr := fs.String("debug-addr", "", "separate listener for pprof and live span exports (/debug/pprof/, /debug/spans.jsonl, /debug/trace.json); empty disables")
 	slowReq := fs.Duration("slow-request", 0, "log requests slower than this; 0 disables")
 	queueGrace := fs.Duration("queue-grace", 0, "at capacity, wait up to this long for an inflight slot before shedding; 0 sheds immediately")
-	frameAddr := fs.String("frame-addr", "", "listen address for the binary frame protocol (advertised on /healthz); empty disables. In router mode frames splice through to the owning shard")
+	frameAddr := fs.String("frame-addr", "", "listen address for the binary frame protocol (advertised on /healthz); empty disables")
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
@@ -94,60 +90,76 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		lg.Printf("mrdserver: debug endpoints on %s (pprof, spans.jsonl, trace.json)", ln.Addr())
 	}
 
-	var t tier
-	if *router {
-		shardList := cli.SplitList(*shards)
-		if len(shardList) == 0 {
-			return errors.New("-router requires -shards")
+	var snapStore service.SnapshotStore
+	if *snapDir != "" {
+		ds, err := service.NewDirStore(*snapDir)
+		if err != nil {
+			return err
 		}
-		rt := service.NewRouter(service.RouterConfig{
-			Shards: shardList, ProbeEvery: *probeEvery,
-			Trace: service.TraceConfig{Tracer: tracer},
-		})
-		defer rt.Close()
-		t = tier{name: "router ", detail: fmt.Sprintf("over %d shards", len(shardList)), handler: rt, serveFrames: rt.ServeFrames}
-	} else {
-		var snapStore service.SnapshotStore
-		if *snapDir != "" {
-			ds, err := service.NewDirStore(*snapDir)
-			if err != nil {
-				return err
-			}
-			snapStore = ds
-		}
-		srv := service.NewServer(service.ServerConfig{
-			Registry:       service.RegistryConfig{MaxSessions: *maxSessions, IdleTimeout: *idle},
-			MaxInflight:    *inflight,
-			RequestTimeout: *reqTimeout,
-			QueueGrace:     *queueGrace,
-			Snapshots:      service.SnapshotPolicy{Store: snapStore},
-			Trace:          service.TraceConfig{Tracer: tracer, SlowRequest: *slowReq},
-		})
-		defer srv.Close()
-		t = tier{
-			detail: fmt.Sprintf("(max-sessions=%d, max-inflight=%d, snapshots=%v)",
-				*maxSessions, *inflight, snapStore != nil),
-			handler: srv.Handler(), serveFrames: srv.ServeFrames,
-			// Drain order matters: persist every live session FIRST, while
-			// the listener still answers, so (a) no session state is lost if
-			// the drain budget expires, and (b) CI can scrape
-			// mrdserver_drain_snapshots_written from /metrics during the
-			// linger window to assert the store holds everything.
-			draining: func() {
-				if n := srv.DrainSnapshots(); snapStore != nil {
-					lg.Printf("mrdserver: drain snapshots written: %d", n)
-				}
-				if *drainLinger > 0 {
-					time.Sleep(*drainLinger)
-				}
-			},
-			// A final pass catches mutations that raced the first drain pass.
-			closed: func() { srv.DrainSnapshots() },
-		}
+		snapStore = ds
 	}
-	if err := t.serve(ctx, lg, *addr, *frameAddr, *drain); err != nil {
+	srv := service.NewServer(service.ServerConfig{
+		Registry:       service.RegistryConfig{MaxSessions: *maxSessions, IdleTimeout: *idle},
+		MaxInflight:    *inflight,
+		RequestTimeout: *reqTimeout,
+		QueueGrace:     *queueGrace,
+		Snapshots:      service.SnapshotPolicy{Store: snapStore},
+		Trace:          service.TraceConfig{Tracer: tracer, SlowRequest: *slowReq},
+	})
+	defer srv.Close()
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		return err
 	}
+	hs := &http.Server{Handler: srv.Handler()}
+	defer hs.Close()
+	errCh := make(chan error, 1)
+	go func() { errCh <- hs.Serve(ln) }()
+	var frameLn net.Listener
+	if *frameAddr != "" {
+		if frameLn, err = listen(lg, "frame", *frameAddr, srv.ServeFrames); err != nil {
+			return err
+		}
+		defer frameLn.Close()
+		lg.Printf("mrdserver: frame protocol on %s", frameLn.Addr())
+	}
+	lg.Printf("mrdserver: listening on %s (max-sessions=%d, max-inflight=%d, snapshots=%v)",
+		ln.Addr(), *maxSessions, *inflight, snapStore != nil)
+
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+
+	// The drain. The frame listener closes first, so no new mutations
+	// slip in behind it (in-flight frame requests on live connections
+	// still finish serially). Then every live session is persisted while
+	// HTTP still answers, so (a) no session state is lost if the drain
+	// budget expires, and (b) CI can scrape
+	// mrdserver_drain_snapshots_written from /metrics during the linger
+	// window. Then in-flight requests get the drain budget to finish.
+	lg.Printf("mrdserver: signal received, draining")
+	if frameLn != nil {
+		frameLn.Close()
+	}
+	if n := srv.DrainSnapshots(); snapStore != nil {
+		lg.Printf("mrdserver: drain snapshots written: %d", n)
+	}
+	if *drainLinger > 0 {
+		time.Sleep(*drainLinger)
+	}
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drain)
+	defer cancel()
+	if err := hs.Shutdown(dctx); err != nil {
+		return fmt.Errorf("drain failed: %w", err)
+	}
+	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	// A final pass catches mutations that raced the first drain pass.
+	srv.DrainSnapshots()
 
 	// A nil tracer writes empty-but-valid files so callers can rely on
 	// the artifact existing.
@@ -159,67 +171,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		lg.Printf("mrdserver: %s", summary)
 	}
 	lg.Printf("mrdserver: drained")
-	return nil
-}
-
-// tier is one serving role: an advisory shard (name ""), or the
-// "router ". draining and closed, when set, hook into serve's drain.
-type tier struct {
-	name, detail     string
-	handler          http.Handler
-	serveFrames      func(net.Listener) error
-	draining, closed func()
-}
-
-// serve runs the tier on addr, and on frameAddr for the binary protocol
-// when set, until ctx is cancelled. Then it drains: the frame listener
-// closes first, so no new mutations slip in behind the drain (in-flight
-// frame requests on live connections still finish serially); draining
-// runs while HTTP still answers; in-flight requests get the drain
-// budget to finish; closed runs once the HTTP listener is gone.
-func (t tier) serve(ctx context.Context, lg *log.Logger, addr, frameAddr string, drain time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: t.handler}
-	defer hs.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	var frameLn net.Listener
-	if frameAddr != "" {
-		if frameLn, err = listen(lg, "frame", frameAddr, t.serveFrames); err != nil {
-			return err
-		}
-		defer frameLn.Close()
-		lg.Printf("mrdserver: %sframe protocol on %s", t.name, frameLn.Addr())
-	}
-	lg.Printf("mrdserver: %slistening on %s %s", t.name, ln.Addr(), t.detail)
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	lg.Printf("mrdserver: signal received, draining")
-	if frameLn != nil {
-		frameLn.Close()
-	}
-	if t.draining != nil {
-		t.draining()
-	}
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		return fmt.Errorf("drain failed: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if t.closed != nil {
-		t.closed()
-	}
 	return nil
 }
 

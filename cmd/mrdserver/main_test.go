@@ -153,30 +153,6 @@ func TestShardServesToParityAndDrains(t *testing.T) {
 	}
 }
 
-// TestRouterFrontsAShard: one -router -shards start, a session created
-// through it lands on the shard, and both stop cleanly.
-func TestRouterFrontsAShard(t *testing.T) {
-	shard := start(t, "-addr", "127.0.0.1:0")
-	shardURL := "http://" + shard.await(`mrdserver: listening on (\S+) `)[1]
-	router := start(t, "-addr", "127.0.0.1:0", "-router", "-shards", shardURL)
-	routerURL := "http://" + router.await(`mrdserver: router listening on (\S+) over 1 shards$`)[1]
-
-	ctx := context.Background()
-	cfg := service.AdvisorConfig{Nodes: 4, CacheBytes: 64 << 20, Policy: policyspec.MRD}
-	via := client.New(client.Config{BaseURL: routerURL})
-	defer via.Close()
-	if _, err := via.CreateSession(ctx, service.CreateSessionRequest{ID: "routed", Workload: "SP", Advisor: cfg}); err != nil {
-		t.Fatal(err)
-	}
-	direct := client.New(client.Config{BaseURL: shardURL})
-	defer direct.Close()
-	if st, err := direct.GetSession(ctx, "routed"); err != nil {
-		t.Errorf("the shard does not hold the routed session: %+v, %v", st, err)
-	}
-	router.stop()
-	shard.stop()
-}
-
 func TestExitStatuses(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -184,7 +160,7 @@ func TestExitStatuses(t *testing.T) {
 		stderr string
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\nUsage of mrdserver:"},
-		{[]string{"-router"}, 1, "mrdserver: -router requires -shards\n"},
+		{[]string{"-router"}, 2, "flag provided but not defined: -router\nUsage of mrdserver:"},
 		{[]string{"-addr", "not-an-address"}, 1, "mrdserver: listen tcp: "},
 		{[]string{"-addr", "127.0.0.1:0", "-frame-addr", "not-an-address"}, 1, "mrdserver: frame listener: listen tcp: "},
 		{[]string{"-addr", "127.0.0.1:0", "-debug-addr", "not-an-address"}, 1, "mrdserver: debug listener: listen tcp: "},

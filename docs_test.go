@@ -30,7 +30,7 @@ var designTitles = []string{
 	"Online service",
 	"Correctness harness",
 	"Status / deviations",
-	"Sharded deployment & crash recovery",
+	"Snapshots & crash recovery",
 	"Request tracing & service telemetry",
 	"Binary wire protocol & batch advisory",
 	"Execution engine",

@@ -56,8 +56,8 @@ const hotKeys = 16
 const keySpace = 1 << 20
 
 // splitmix64 is the project-standard bit mixer (same finalizer the
-// fault RNG and shard router use): a bijective avalanche over one
-// 64-bit word.
+// fault RNG and the client's retry jitter use): a bijective avalanche
+// over one 64-bit word.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

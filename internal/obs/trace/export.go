@@ -85,7 +85,7 @@ func WriteJSONL(w io.Writer, spans []Span) error {
 }
 
 // ReadJSONL parses a span JSONL stream back (blank lines skipped).
-// Concatenating exports from several processes — router plus shards —
+// Concatenating exports from several processes — client plus server —
 // is valid input: the trace IDs stitch them back together.
 func ReadJSONL(r io.Reader) ([]Span, error) {
 	var out []Span

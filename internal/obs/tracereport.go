@@ -11,10 +11,10 @@ import (
 // Trace-waterfall rendering: turns a span export (spans.jsonl from
 // mrdserver's -debug-addr endpoint or mrdload's -trace-out) into the
 // same self-contained HTML style as the run report, one SVG Gantt per
-// trace with spans nested under their parents. Router and shard
+// trace with spans nested under their parents. Client and server
 // exports concatenate into one file; the trace IDs stitch the hops of
-// each request back together, so a waterfall row reads client →
-// router-proxy → shard handler → advisor-compute top to bottom.
+// each request back together, so a waterfall row reads client-call →
+// shard-handler → advisor-compute top to bottom.
 
 // waterfallMaxTraces bounds the report: the slowest traces are the
 // ones worth reading, and a 64k-span export would otherwise produce an

@@ -5,8 +5,8 @@
 // simulator's fetch-retry path uses. Retries honor the server's
 // Retry-After hint, spread under jittered exponential backoff, and are
 // capped by a total retry wall-time so a dead server fails fast instead
-// of hanging the caller. A sharded deployment is reached through its
-// router, like any one server.
+// of hanging the caller. Over frames, sessions share a small set of
+// persistent connections instead of holding one each.
 package client
 
 import (
@@ -63,15 +63,12 @@ type Config struct {
 }
 
 // Hops is one successful call's per-hop latency breakdown. Hop fields
-// are -1 when that tier didn't report (e.g. ShardUs without a router in
-// the path is the whole server time; RouterUs is -1).
+// are -1 when that tier didn't report (ComputeUs off the advice path).
 type Hops struct {
 	// Path is the request path the breakdown belongs to.
 	Path string
 	// Total is this attempt's full round-trip as the client saw it.
 	Total time.Duration
-	// RouterUs is the routing tier's proxy time (retries included).
-	RouterUs int64
 	// ShardUs is the shard's total handler time (queue wait included).
 	ShardUs int64
 	// ComputeUs is the advisor policy-compute time inside the shard.
@@ -197,8 +194,9 @@ func (c *Client) DeleteSession(ctx context.Context, sessionID string) error {
 	return c.t.deleteSession(ctx, sessionID)
 }
 
-// Close closes every open frame connection (a no-op on the JSON
-// transport). The client stays usable — the next call redials.
+// Close closes every idle frame connection (a no-op on the JSON
+// transport); one a call holds rejoins the idle set when the call ends.
+// The client stays usable — the next call redials.
 func (c *Client) Close() { c.t.close() }
 
 // httpTransport is the JSON-over-HTTP transport: each operation is one
@@ -390,7 +388,6 @@ func parseHops(path string, total time.Duration, h http.Header) Hops {
 	hops := Hops{
 		Path:      path,
 		Total:     total,
-		RouterUs:  hopUs(h, service.HeaderRouterUs),
 		ShardUs:   hopUs(h, service.HeaderShardUs),
 		ComputeUs: hopUs(h, service.HeaderComputeUs),
 	}

@@ -17,12 +17,12 @@ import (
 )
 
 // frameTransport is the client side of the binary frame protocol:
-// Config.Binary reroutes the session operations onto persistent frame
-// connections, one per session (the router splices a connection to the
-// shard owning the session named in its hello, so connection-per-session
-// is what keeps routing affinity). Transport and protocol errors poison
-// the connection (it is closed and redialed on the next attempt), API
-// errors keep it.
+// Config.Binary moves the session operations onto persistent frame
+// connections that any session may use. A call takes an idle connection,
+// or dials one when none is idle, and holds it until the call ends, so
+// the idle set never outgrows the most calls the client has had in
+// flight at once. Transport and protocol errors poison the connection
+// (it is closed, and the retry takes another), API errors keep it.
 type frameTransport struct {
 	c *Client
 	// pin is Config.FrameAddr; empty means discover the listener through
@@ -30,13 +30,12 @@ type frameTransport struct {
 	pin       string
 	addrCache atomic.Value // string
 
-	mu    sync.Mutex
-	conns map[string]*frameConn
+	mu   sync.Mutex
+	idle []*frameConn
 }
 
 // frameConn is one persistent frame-protocol connection with its
-// reusable encode/decode state. Calls on a connection are serialized by
-// the caller; a caller wanting concurrency uses more sessions.
+// reusable encode/decode state. One call at a time holds it.
 type frameConn struct {
 	nc   net.Conn
 	br   *bufio.Reader
@@ -109,56 +108,43 @@ func (fc *frameConn) exchange(reqOp, okOp byte, encode func(*wire.Enc), decode f
 	return decode(payload)
 }
 
-// connFor returns the session's live frame connection, dialing on
-// first use.
-func (t *frameTransport) connFor(ctx context.Context, sessionID string) (*frameConn, error) {
+// get takes the most recently used idle connection, dialing one when
+// none is idle.
+func (t *frameTransport) get(ctx context.Context) (*frameConn, error) {
 	t.mu.Lock()
-	fc, ok := t.conns[sessionID]
-	t.mu.Unlock()
-	if ok {
+	if n := len(t.idle); n > 0 {
+		fc := t.idle[n-1]
+		t.idle = t.idle[:n-1]
+		t.mu.Unlock()
 		return fc, nil
 	}
-	fc, err := t.dial(ctx, sessionID)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if prev, ok := t.conns[sessionID]; ok {
-		fc.nc.Close()
-		return prev, nil
-	}
-	if t.conns == nil {
-		t.conns = map[string]*frameConn{}
-	}
-	t.conns[sessionID] = fc
-	return fc, nil
+	t.mu.Unlock()
+	return t.dial(ctx)
 }
 
-// drop retires a poisoned connection; the next call redials.
-func (t *frameTransport) drop(sessionID string, fc *frameConn) {
-	fc.nc.Close()
+// put returns a connection whose framing is intact to the idle set.
+func (t *frameTransport) put(fc *frameConn) {
 	t.mu.Lock()
-	if t.conns[sessionID] == fc {
-		delete(t.conns, sessionID)
-	}
+	t.idle = append(t.idle, fc)
 	t.mu.Unlock()
 }
 
+// close closes the idle connections; one a call holds rejoins the idle
+// set when its call ends.
 func (t *frameTransport) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for id, fc := range t.conns {
+	for _, fc := range t.idle {
 		fc.nc.Close()
-		delete(t.conns, id)
 	}
+	t.idle = nil
 }
 
 // dial resolves the frame listener address (pinned, cached, or
 // discovered via /healthz) and performs the hello handshake. A stale
 // cached address (server restarted onto a new port) gets one
 // re-discovery.
-func (t *frameTransport) dial(ctx context.Context, sessionID string) (*frameConn, error) {
+func (t *frameTransport) dial(ctx context.Context) (*frameConn, error) {
 	addr := t.pin
 	cached := false
 	if addr == "" {
@@ -173,20 +159,19 @@ func (t *frameTransport) dial(ctx context.Context, sessionID string) (*frameConn
 		}
 		addr = a
 	}
-	fc, err := dialFrameAddr(ctx, addr, sessionID)
+	fc, err := dialFrameAddr(ctx, addr)
 	if err != nil && cached {
 		t.addrCache.Store("")
 		a, derr := t.discover(ctx)
 		if derr != nil {
 			return nil, err
 		}
-		return dialFrameAddr(ctx, a, sessionID)
+		return dialFrameAddr(ctx, a)
 	}
 	return fc, err
 }
 
-// discover asks the server's /healthz (which both shards and routers
-// serve, each advertising their own frame listener).
+// discover asks the server's /healthz for its frame listener.
 func (t *frameTransport) discover(ctx context.Context) (string, error) {
 	hz, err := t.c.Healthz(ctx)
 	if err != nil {
@@ -199,7 +184,9 @@ func (t *frameTransport) discover(ctx context.Context) (string, error) {
 	return hz.FrameAddr, nil
 }
 
-func dialFrameAddr(ctx context.Context, addr, sessionID string) (*frameConn, error) {
+// dialFrameAddr connects and says hello with an empty session ID: the
+// connection belongs to no session.
+func dialFrameAddr(ctx context.Context, addr string) (*frameConn, error) {
 	d := net.Dialer{Timeout: 5 * time.Second}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -211,29 +198,31 @@ func dialFrameAddr(ctx context.Context, addr, sessionID string) (*frameConn, err
 		bw:   bufio.NewWriterSize(nc, 32<<10),
 		rbuf: make([]byte, 4<<10),
 	}
-	if err := fc.exchange(wire.OpHello, wire.OpHelloOK, func(e *wire.Enc) { e.Str(sessionID) }, nil); err != nil {
+	if err := fc.exchange(wire.OpHello, wire.OpHelloOK, func(e *wire.Enc) { e.Str("") }, nil); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	return fc, nil
 }
 
-// do runs fn on the session's connection under the client's retry
-// loop, with "the server answered an error frame" playing the role of
-// an HTTP status: only 503s retry; transport and protocol failures
-// retry on a fresh connection. The frame protocol carries no
-// Retry-After, so the wait is always the backoff.
-func (t *frameTransport) do(ctx context.Context, sessionID string, fn func(fc *frameConn) error) error {
+// do runs fn on a held connection under the client's retry loop, with
+// "the server answered an error frame" playing the role of an HTTP
+// status: only 503s retry; transport and protocol failures retry on
+// another connection. The frame protocol carries no Retry-After, so the
+// wait is always the backoff.
+func (t *frameTransport) do(ctx context.Context, fn func(fc *frameConn) error) error {
 	return t.c.retryLoop(ctx, func(ctx context.Context) (bool, time.Duration, error) {
-		fc, err := t.connFor(ctx, sessionID)
+		fc, err := t.get(ctx)
 		if err == nil {
 			dl, _ := ctx.Deadline() // zero (no deadline) when the context has none
 			fc.nc.SetDeadline(dl)
-			if err = fn(fc); err != nil && !isAPIError(err) {
+			if err = fn(fc); err == nil || isAPIError(err) {
+				t.put(fc)
+			} else {
 				// Anything but a well-formed error frame leaves the
 				// connection's framing in an unknown state; redial rather
 				// than resync.
-				t.drop(sessionID, fc)
+				fc.nc.Close()
 			}
 		}
 		var apiErr *Error
@@ -242,8 +231,8 @@ func (t *frameTransport) do(ctx context.Context, sessionID string, fn func(fc *f
 }
 
 // call is one unary operation: exchange under do.
-func (t *frameTransport) call(ctx context.Context, sessionID string, reqOp, okOp byte, encode func(*wire.Enc), decode func(payload []byte) error) error {
-	return t.do(ctx, sessionID, func(fc *frameConn) error { return fc.exchange(reqOp, okOp, encode, decode) })
+func (t *frameTransport) call(ctx context.Context, reqOp, okOp byte, encode func(*wire.Enc), decode func(payload []byte) error) error {
+	return t.do(ctx, func(fc *frameConn) error { return fc.exchange(reqOp, okOp, encode, decode) })
 }
 
 // createSession is OpCreate (JSON-in-frame: create is once per session,
@@ -253,7 +242,7 @@ func (t *frameTransport) createSession(ctx context.Context, req service.CreateSe
 	if err != nil {
 		return resp, err
 	}
-	err = t.call(ctx, req.ID, wire.OpCreate, wire.OpCreateOK,
+	err = t.call(ctx, wire.OpCreate, wire.OpCreateOK,
 		func(e *wire.Enc) { e.Raw(body) },
 		func(p []byte) error { return json.Unmarshal(p, &resp) })
 	return resp, err
@@ -261,14 +250,14 @@ func (t *frameTransport) createSession(ctx context.Context, req service.CreateSe
 
 // getSession is OpStatus (JSON-in-frame, cold path).
 func (t *frameTransport) getSession(ctx context.Context, sessionID string) (resp service.SessionStatus, err error) {
-	err = t.call(ctx, sessionID, wire.OpStatus, wire.OpStatusOK,
+	err = t.call(ctx, wire.OpStatus, wire.OpStatusOK,
 		func(e *wire.Enc) { e.Str(sessionID) },
 		func(p []byte) error { return json.Unmarshal(p, &resp) })
 	return resp, err
 }
 
 func (t *frameTransport) submitJob(ctx context.Context, sessionID string, job int) (resp service.SubmitJobResponse, err error) {
-	err = t.call(ctx, sessionID, wire.OpSubmitJob, wire.OpSubmitJobOK,
+	err = t.call(ctx, wire.OpSubmitJob, wire.OpSubmitJobOK,
 		func(e *wire.Enc) {
 			e.Str(sessionID)
 			e.Uvarint(uint64(job))
@@ -284,7 +273,7 @@ func (t *frameTransport) submitJob(ctx context.Context, sessionID string, job in
 }
 
 func (t *frameTransport) advance(ctx context.Context, sessionID string, stage int) (adv service.Advice, err error) {
-	err = t.call(ctx, sessionID, wire.OpAdvance, wire.OpAdvice,
+	err = t.call(ctx, wire.OpAdvance, wire.OpAdvice,
 		func(e *wire.Enc) {
 			e.Str(sessionID)
 			e.Uvarint(uint64(stage))
@@ -302,7 +291,7 @@ func (t *frameTransport) advance(ctx context.Context, sessionID string, stage in
 // stream of advice frames, and an OpBatchEnd trailer carrying the
 // totals.
 func (t *frameTransport) runBatch(ctx context.Context, sessionID string, steps []service.Step) (resp service.BatchResponse, err error) {
-	err = t.do(ctx, sessionID, func(fc *frameConn) error {
+	err = t.do(ctx, func(fc *frameConn) error {
 		// Reset on retry: a batch that died mid-stream replays
 		// idempotently, and its advices must not double up.
 		resp = service.BatchResponse{}
@@ -341,15 +330,7 @@ func (t *frameTransport) runBatch(ctx context.Context, sessionID string, steps [
 	return resp, err
 }
 
-// deleteSession is OpDelete. The session's connection is closed
-// afterwards — its routing affinity died with the session.
+// deleteSession is OpDelete; the connection stays for the next session.
 func (t *frameTransport) deleteSession(ctx context.Context, sessionID string) error {
-	err := t.call(ctx, sessionID, wire.OpDelete, wire.OpDeleteOK, func(e *wire.Enc) { e.Str(sessionID) }, nil)
-	t.mu.Lock()
-	if fc, ok := t.conns[sessionID]; ok {
-		fc.nc.Close()
-		delete(t.conns, sessionID)
-	}
-	t.mu.Unlock()
-	return err
+	return t.call(ctx, wire.OpDelete, wire.OpDeleteOK, func(e *wire.Enc) { e.Str(sessionID) }, nil)
 }

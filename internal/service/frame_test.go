@@ -156,59 +156,28 @@ func TestFrameStatusAndReplay(t *testing.T) {
 	}
 }
 
-// TestRouterFrameSplice runs the full frame path through the routing
-// tier: hello-routed splice to the owning shard, discovery of the
-// router's frame address via its /healthz, and parity on the far side —
-// also when the owner is killed mid-schedule under the splice.
-func TestRouterFrameSplice(t *testing.T) {
-	store := service.NewMemStore()
-	// Every shard has a frame listener; the router learns them from the
-	// shards' /healthz.
-	g := newShardGroup(t, 3, store)
-	rt, base := newRouter(t, g)
-
-	// No pinned FrameAddr: the client must discover the router's frame
-	// listener through the router's own /healthz.
-	c := client.New(client.Config{BaseURL: base, Binary: true})
-	t.Cleanup(c.Close)
-	requireOracle(t, "SCC", driveBin(t, c, "spliced-scc", "SCC"))
-	ctx := context.Background()
-	hz, err := c.Healthz(ctx)
+// TestFrameClientKeepsOneConnection: a frame client that runs sessions
+// one after another holds no connection per session. Three sessions,
+// created, driven and deleted in turn, arrive on one connection, as
+// the server's connection counter reports.
+func TestFrameClientKeepsOneConnection(t *testing.T) {
+	_, base, frameAddr := newFrameServer(t)
+	c := binClient(t, base, frameAddr)
+	for _, id := range []string{"one", "two", "three"} {
+		requireOracle(t, "TC", driveBin(t, c, id, "TC"))
+	}
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hz.FrameAddr == "" {
-		t.Fatal("router /healthz advertises no frame address")
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The -bin -batch shape, a job per batch, with the owner killed
-	// halfway: the spliced connection breaks, the client redials, the
-	// router's walk skips the dead shard, and the successor restores the
-	// session from the store.
-	const id = "spliced-kill"
-	var jobs [][]service.Step
-	for _, st := range createSCC(t, c, id) {
-		if st.Stage < 0 {
-			jobs = append(jobs, nil)
-		}
-		jobs[len(jobs)-1] = append(jobs[len(jobs)-1], st)
+	if !strings.Contains(string(body), "\nmrdserver_wire_connections_total 1\n") {
+		t.Errorf("three sessions in turn did not share one frame connection:\n%s", body)
 	}
-	owner := rt.Shards().Owner(id)
-	var got []service.Advice
-	for i, steps := range jobs {
-		if i == len(jobs)/2 {
-			g.kill(owner)
-		}
-		resp, err := c.RunBatch(ctx, id, steps)
-		if err != nil {
-			t.Fatalf("batch of job %d: %v", steps[0].Job, err)
-		}
-		got = append(got, resp.Advices...)
-	}
-	if successor := rt.Shards().Owner(id); successor == owner || successor == "" {
-		t.Fatalf("router still routes %s to the dead shard %q", id, successor)
-	}
-	requireOracle(t, "SCC", got)
 }
 
 // TestFrameMetricsCounters: the wire counters must move when the

@@ -60,7 +60,8 @@ var readBufPool = sync.Pool{New: func() any { return make([]byte, 16<<10) }}
 
 // SetFrameAddr records the frame listener's advertised address
 // (surfaced on /healthz for client discovery). ServeFrames calls it
-// with the bound address; a fronting proxy may override afterwards.
+// with the bound address; a caller that must advertise before that
+// goroutine runs sets it first.
 func (s *Server) SetFrameAddr(addr string) { s.frameAddr.Store(addr) }
 
 // FrameAddr is the advertised frame-listener address, "" when the
@@ -106,9 +107,9 @@ func (c countWriter) Write(p []byte) (int, error) {
 
 // frameConnState is the per-connection reusable state.
 type frameConnState struct {
-	// Interned session ID: the overwhelmingly common case is one
-	// session per connection (the router's splice affinity guarantees
-	// it), so the []byte→string conversion happens once, not per frame.
+	// Interned session ID: a client's connection serves one session's
+	// calls in a run before it moves to the next, so the []byte→string
+	// conversion happens once per run of frames, not per frame.
 	idBytes []byte
 	id      string
 }
@@ -223,9 +224,9 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 	d := wire.NewDec(payload)
 	switch h.Op {
 	case wire.OpHello:
-		// The hello's session ID is routing affinity (the router reads
-		// it), not authentication; the shard just acknowledges with its
-		// epoch so the client can detect restarts.
+		// The hello's session ID is read and ignored (clients send it
+		// empty); the server acknowledges with its epoch so the client can
+		// detect restarts.
 		_ = d.Bytes()
 		if d.Err() != nil {
 			s.writeErrorFrame(bw, h.Seq, 400, "malformed hello")

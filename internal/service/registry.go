@@ -154,10 +154,9 @@ func (r *Registry) Create(workloadName string, a *Advisor, fold, cleanup func())
 	}
 }
 
-// CreateWithID registers a session under a caller-chosen ID — the
-// sharded deployment's contract, where the client (or router) picks
-// IDs so that consistent-hash routing works before the session
-// exists. restored marks sessions rebuilt from a snapshot. It fails
+// CreateWithID registers a session under a caller-chosen ID, which
+// lets a client retry a create or find its session again after a
+// restart. restored marks sessions rebuilt from a snapshot. It fails
 // if the ID is already live.
 func (r *Registry) CreateWithID(id, workloadName string, a *Advisor, fold, cleanup func(), restored bool) (*Session, error) {
 	r.mu.Lock()

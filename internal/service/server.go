@@ -14,6 +14,7 @@ import (
 
 	"mrdspark/internal/obs"
 	"mrdspark/internal/obs/trace"
+	"mrdspark/internal/service/wire"
 	"mrdspark/internal/workload"
 )
 
@@ -44,8 +45,8 @@ type ServerConfig struct {
 
 // SnapshotPolicy is the server's session persistence. A session is
 // snapshotted after every mutation, before the mutation is answered, so
-// the store holds every acknowledged step and a successor resumes
-// exactly where this shard stopped.
+// the store holds every acknowledged step and a restarted server resumes
+// exactly where this one stopped.
 type SnapshotPolicy struct {
 	// Store receives snapshots; nil disables persistence.
 	Store SnapshotStore
@@ -131,12 +132,12 @@ func NewServer(cfg ServerConfig) *Server {
 }
 
 // Close stops the idle-session janitor. It is safe to call more than
-// once: failover tests (and belt-and-braces shutdown paths) may close a
-// killed shard again.
+// once: restart tests (and belt-and-braces shutdown paths) may close a
+// killed server again.
 func (s *Server) Close() { s.loops.stop() }
 
-// tickers runs periodic background work — the server's janitor, the
-// router's health prober — until stopped.
+// tickers runs periodic background work (the server's janitor) until
+// stopped.
 type tickers struct {
 	quit     chan struct{}
 	stopOnce sync.Once
@@ -185,12 +186,11 @@ type CreateSessionRequest struct {
 	Params workload.Params `json:"params,omitempty"`
 	// Advisor shapes the model cluster and selects the policy.
 	Advisor AdvisorConfig `json:"advisor,omitempty"`
-	// ID, when set, is the client-chosen session ID (required for
-	// consistent-hash shard routing, where the ID must determine the
-	// owning shard before the session exists). Create is idempotent
-	// per ID: re-creating a live or snapshotted session returns the
-	// existing one instead of failing, so a client retrying across a
-	// failover handover converges. Empty means the server assigns one.
+	// ID, when set, is the client-chosen session ID. Create is
+	// idempotent per ID: re-creating a live or snapshotted session
+	// returns the existing one instead of failing, so a client retrying
+	// across a server restart converges. Empty means the server assigns
+	// one.
 	ID string `json:"id,omitempty"`
 }
 
@@ -788,9 +788,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // session resolves the {id} path segment, restoring the session from
-// the snapshot store on demand — the failover adoption path: when a
-// shard dies, its sessions' next requests land here on the successor,
-// which rebuilds them from the shared store. A miss writes 404.
+// the snapshot store on demand — the restart path: after a crash, a
+// session's next request lands on the restarted server, which rebuilds
+// it from the store. A miss writes 404.
 func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool) {
 	sess, status, err := s.lookupSession(r.Context(), r.PathValue("id"))
 	if err != nil {
@@ -802,7 +802,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 
 // lookupSession is the transport-independent session resolver (the
 // frame server shares it); a miss returns 404, a failed restore 500. A
-// live copy is served only while it is current; a copy another shard
+// live copy is served only while it is current; a copy another server
 // has advanced since is re-adopted from the store first.
 func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, error) {
 	if sess, ok := s.registry.Get(id); ok {
@@ -826,12 +826,14 @@ func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, e
 
 // current reports whether a live copy is the store's latest state: the
 // store's stamp is still that of the snapshot this copy last wrote or
-// was restored from. A different stamp means another shard advanced the
-// session while this one was routed around — a router's hand-back after
-// a dead-marking. A failed probe is an error for the request, not a
-// verdict: the copy stays, and may hold steps whose Save failed. The
+// was restored from. A different stamp means another server on the same
+// store advanced the session since. With one server per session that
+// never happens, but two servers pointed at one -snapshot-dir is a
+// configuration the flag allows, and this check is what stops a stale
+// copy being served there. A failed probe is an error for the request,
+// not a verdict: the copy stays, and may hold steps whose Save failed. The
 // probe runs under the session lock, which every snapshot write holds,
-// so this shard's own writes never look foreign. Without a store every
+// so this server's own writes never look foreign. Without a store every
 // copy is current and nothing is probed.
 func (s *Server) current(sess *Session) (bool, error) {
 	if s.snapStore == nil {
@@ -857,7 +859,7 @@ func (s *Server) holdsLatest(sess *Session) (bool, error) {
 // so its fold and cleanup run as on any other exit — but only once its
 // replacement is built, so a store that fails the restore leaves it be.
 // A store that holds no snapshot at all retires it too: the session was
-// deleted on another shard.
+// deleted through another server.
 func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error) {
 	if s.snapStore == nil {
 		return nil, ErrNoSnapshot
@@ -944,7 +946,7 @@ func (s *Server) writeSnapshot(sess *Session, a *Advisor) bool {
 // accepting (so /metrics can report drain_snapshots_written before the
 // process exits). A create and every mutation were saved before they
 // were answered, so only a copy whose last Save failed is written again.
-// A copy that is not current is skipped: another shard has advanced the
+// A copy that is not current is skipped: another server has advanced the
 // session since, and writing it would put stale state over the newer.
 // It returns how many live sessions the store holds current.
 func (s *Server) DrainSnapshots() int {
@@ -965,11 +967,9 @@ func (s *Server) DrainSnapshots() int {
 	return n
 }
 
-// maxRequestBody caps request bodies at the shard itself, matched to
-// the router's routerMaxBody so a shard hit directly accepts exactly
-// what a routed request could carry — before this cap a direct hit
-// could stream an unbounded body into the decoder.
-const maxRequestBody = routerMaxBody
+// maxRequestBody caps JSON request bodies at the frame protocol's own
+// bound, so both transports accept the same largest request.
+const maxRequestBody = wire.MaxFrame
 
 // readJSON decodes the request body, rejecting unknown fields and
 // bodies over maxRequestBody; a failure writes 400 (or 413 for an

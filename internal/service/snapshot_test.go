@@ -204,7 +204,7 @@ func TestSnapshotTamperFailsRestore(t *testing.T) {
 	}
 }
 
-// TestDirStore exercises the on-disk store: round trip, list, delete,
+// TestDirStore exercises the on-disk store: round trip, stamps, delete,
 // and rejection of IDs that could escape the directory.
 func TestDirStore(t *testing.T) {
 	ds, err := service.NewDirStore(t.TempDir())
@@ -218,8 +218,15 @@ func TestDirStore(t *testing.T) {
 	if _, err := ds.Save(adv.Snapshot("beta")); err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := ds.List(); len(ids) != 2 || ids[0] != "alpha" || ids[1] != "beta" {
-		t.Fatalf("List = %v, want [alpha beta]", ids)
+	stamped := func(id string) bool {
+		stamp, err := ds.Stamp(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stamp != ""
+	}
+	if !stamped("alpha") || !stamped("beta") || stamped("gamma") {
+		t.Fatal("the store stamps other than exactly alpha and beta")
 	}
 	back, err := ds.Load("alpha")
 	if err != nil {
@@ -240,8 +247,11 @@ func TestDirStore(t *testing.T) {
 	if err := ds.Delete("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := ds.List(); len(ids) != 1 || ids[0] != "beta" {
-		t.Fatalf("List after delete = %v, want [beta]", ids)
+	if stamped("alpha") || !stamped("beta") {
+		t.Fatal("after deleting alpha the store does not hold exactly beta")
+	}
+	if _, err := ds.Load("alpha"); err != service.ErrNoSnapshot {
+		t.Fatalf("Load(deleted) = %v, want ErrNoSnapshot", err)
 	}
 }
 
@@ -548,8 +558,7 @@ func TestStoreOutageKeepsTheLiveCopy(t *testing.T) {
 // and a create under its ID starts afresh.
 func TestDeleteElsewhereRetiresTheLiveCopy(t *testing.T) {
 	g := newShardGroup(t, 2, service.NewMemStore())
-	holder := client.New(client.Config{BaseURL: g.urls[0]})
-	other := client.New(client.Config{BaseURL: g.urls[1]})
+	holder, other := g.client(t, 0, false), g.client(t, 1, false)
 	ctx := context.Background()
 	const id = "deleted-elsewhere"
 	steps := createSCC(t, holder, id)
@@ -609,8 +618,10 @@ func TestDrainSnapshotsAndMetrics(t *testing.T) {
 	if n := srv.DrainSnapshots(); n != 2 {
 		t.Fatalf("DrainSnapshots = %d, want 2", n)
 	}
-	if ids, _ := store.List(); len(ids) != 2 {
-		t.Fatalf("store holds %v after drain, want 2 snapshots", ids)
+	for _, id := range []string{"drain-1", "drain-2"} {
+		if _, err := store.Load(id); err != nil {
+			t.Fatalf("the store holds no snapshot of %s after the drain: %v", id, err)
+		}
 	}
 	body := metrics()
 	if !strings.Contains(body, "mrdserver_drain_snapshots_written 2") {

@@ -7,9 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 )
@@ -18,10 +16,10 @@ import (
 // exists for the session.
 var ErrNoSnapshot = errors.New("service: no snapshot")
 
-// SnapshotStore persists session snapshots. A store shared between
-// shards (a shared directory first; an object store fits the same
-// interface) is what lets a surviving shard adopt a dead shard's
-// sessions. Implementations must be safe for concurrent use.
+// SnapshotStore persists session snapshots, so a restarted server
+// resumes every acknowledged session. Two servers may share one store;
+// Stamp is what keeps either from serving a copy the other has
+// advanced. Implementations must be safe for concurrent use.
 type SnapshotStore interface {
 	// Save writes (or atomically replaces) the session's snapshot and
 	// returns the stamp the write left.
@@ -30,15 +28,13 @@ type SnapshotStore interface {
 	Load(sessionID string) (*Snapshot, error)
 	// Stamp identifies the session's current snapshot without reading
 	// it: every Save leaves a stamp different from the one it replaced,
-	// and "" means no snapshot exists. A shard compares it with the stamp
+	// and "" means no snapshot exists. A server compares it with the stamp
 	// of the snapshot it last wrote or restored to learn, for the price
-	// of a stat and no op-log decode, whether another shard has advanced
+	// of a stat and no op-log decode, whether another server has advanced
 	// the session since.
 	Stamp(sessionID string) (string, error)
 	// Delete removes the session's snapshot; absent is not an error.
 	Delete(sessionID string) error
-	// List returns the stored session IDs in sorted order.
-	List() ([]string, error)
 }
 
 // sessionIDPattern is the shape of session IDs that may name snapshot
@@ -53,7 +49,7 @@ func ValidSessionID(id string) bool {
 
 // DirStore is a SnapshotStore over a local directory: one JSON file
 // per session, written via temp-file + rename so readers never observe
-// a torn snapshot even when shards share the directory.
+// a torn snapshot even when servers share the directory.
 type DirStore struct {
 	dir string
 }
@@ -163,25 +159,8 @@ func (d *DirStore) Delete(sessionID string) error {
 	return err
 }
 
-// List implements SnapshotStore.
-func (d *DirStore) List() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	for _, e := range entries {
-		if name := e.Name(); strings.HasSuffix(name, snapSuffix) {
-			ids = append(ids, strings.TrimSuffix(name, snapSuffix))
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// MemStore is an in-memory SnapshotStore for tests and single-process
-// multi-shard setups (several Servers sharing one MemStore model a
-// shared snapshot service without touching disk).
+// MemStore is an in-memory SnapshotStore for tests (several Servers
+// sharing one MemStore model a shared store without touching disk).
 type MemStore struct {
 	mu    sync.Mutex
 	snaps map[string]memSnap
@@ -239,16 +218,4 @@ func (m *MemStore) Delete(sessionID string) error {
 	defer m.mu.Unlock()
 	delete(m.snaps, sessionID)
 	return nil
-}
-
-// List implements SnapshotStore.
-func (m *MemStore) List() ([]string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.snaps))
-	for id := range m.snaps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids, nil
 }

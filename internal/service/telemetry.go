@@ -20,8 +20,8 @@ import (
 // listener. The tracing side lives in internal/obs/trace; this file is
 // where the service wires it to HTTP.
 
-// TraceConfig attaches a tracer and slow-request logging to a server
-// or router. The zero value disables both at zero per-request cost.
+// TraceConfig attaches a tracer and slow-request logging to a server.
+// The zero value disables both at zero per-request cost.
 type TraceConfig struct {
 	// Tracer records request spans; nil disables tracing (the hot path
 	// then costs one nil compare per emission site, no allocations).
@@ -41,7 +41,7 @@ func (c TraceConfig) logf(format string, args ...any) {
 }
 
 // Per-hop latency headers: each tier stamps its own wall time onto the
-// response so the client can print a router/shard/compute breakdown
+// response so the client can print a shard/compute breakdown
 // without needing the span export.
 const (
 	// HeaderShardUs is the shard's total handler time in microseconds
@@ -50,9 +50,6 @@ const (
 	// HeaderComputeUs is the advisor policy-compute time in
 	// microseconds, stamped by the advance/submit handlers.
 	HeaderComputeUs = "X-Mrd-Compute-Us"
-	// HeaderRouterUs is the router's total proxy time in microseconds
-	// (retries included), stamped by the routing tier.
-	HeaderRouterUs = "X-Mrd-Router-Us"
 )
 
 // routeBucketBoundsUs are the fixed request-duration bucket bounds in

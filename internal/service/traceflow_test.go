@@ -15,10 +15,10 @@ import (
 	"mrdspark/internal/workload"
 )
 
-// traceflow_test drives the full client → router → shard path with a
-// tracer on every tier and checks the spans stitch into one trace with
-// the right parent/child nesting — the end-to-end contract behind the
-// waterfall report.
+// traceflow_test drives the full client → server path with a tracer on
+// both sides and checks the spans stitch into one trace with the right
+// parent/child nesting — the end-to-end contract behind the waterfall
+// report.
 
 func traceAdvisorConfig() service.AdvisorConfig {
 	return service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: policyspec.MRD}
@@ -54,7 +54,6 @@ func (idx spanIndex) find(name, substr string) (trace.Span, bool) {
 
 func TestTracePropagationEndToEnd(t *testing.T) {
 	shardTr := trace.NewTracer(2048)
-	routerTr := trace.NewTracer(2048)
 	clientTr := trace.NewTracer(2048)
 
 	srv := service.NewServer(service.ServerConfig{Trace: service.TraceConfig{Tracer: shardTr}})
@@ -62,18 +61,10 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	shardTS := httptest.NewServer(srv.Handler())
 	defer shardTS.Close()
 
-	rt := service.NewRouter(service.RouterConfig{
-		Shards: []string{shardTS.URL}, ProbeEvery: -1,
-		Trace: service.TraceConfig{Tracer: routerTr},
-	})
-	defer rt.Close()
-	routerTS := httptest.NewServer(rt)
-	defer routerTS.Close()
-
 	var mu sync.Mutex
 	var hops []client.Hops
 	c := client.New(client.Config{
-		BaseURL: routerTS.URL,
+		BaseURL: shardTS.URL,
 		Tracer:  clientTr,
 		OnHops: func(h client.Hops) {
 			mu.Lock()
@@ -106,7 +97,8 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 
 	// Every advice response reported a trace ID and a full per-hop
-	// breakdown, with each inner hop no larger than the one around it.
+	// breakdown, with each inner hop no larger than the one around it:
+	// client total ≥ shard ≥ compute.
 	mu.Lock()
 	defer mu.Unlock()
 	if len(hops) == 0 {
@@ -116,11 +108,11 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		if h.TraceID == "" {
 			t.Fatalf("call %s came back without a trace ID", h.Path)
 		}
-		if h.RouterUs < 0 || h.ShardUs < 0 {
-			t.Fatalf("call %s missing hop headers: router=%d shard=%d", h.Path, h.RouterUs, h.ShardUs)
+		if h.ShardUs < 0 {
+			t.Fatalf("call %s missing the shard hop header", h.Path)
 		}
-		if h.RouterUs < h.ShardUs {
-			t.Errorf("call %s: router time %dus < shard time %dus", h.Path, h.RouterUs, h.ShardUs)
+		if h.Total.Microseconds() < h.ShardUs {
+			t.Errorf("call %s: client total %v < shard time %dus", h.Path, h.Total, h.ShardUs)
 		}
 		if strings.HasSuffix(h.Path, "/stage") {
 			if h.ComputeUs < 0 {
@@ -133,14 +125,13 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 
 	// The span chain for an advance nests advisor-compute under
-	// shard-handler under the router's attempt under router-proxy under
-	// the client's call — all in one trace.
-	idx := indexSpans(shardTr, routerTr, clientTr)
+	// shard-handler under the client's call — all in one trace.
+	idx := indexSpans(shardTr, clientTr)
 	compute, ok := idx.find("advisor-compute", "stage=")
 	if !ok {
 		t.Fatal("no advisor-compute span carrying a decision fingerprint")
 	}
-	wantChain := []string{"shard-handler", "proxy-attempt", "router-proxy", "client-call"}
+	wantChain := []string{"shard-handler", "client-call"}
 	sp := compute
 	for _, wantName := range wantChain {
 		parent, ok := idx.byID[sp.Parent]
@@ -157,53 +148,6 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 	if sp.Parent != 0 {
 		t.Errorf("client-call should be the trace root, has parent %s", sp.Parent)
-	}
-}
-
-// TestRouterRerouteSpan: a request whose owner was killed reads in the
-// router's spans as a dead proxy-attempt followed by a re-route to the
-// successor, both under one router-proxy root.
-func TestRouterRerouteSpan(t *testing.T) {
-	routerTr := trace.NewTracer(256)
-	g := newShardGroup(t, 2, service.NewMemStore())
-	rt := service.NewRouter(service.RouterConfig{
-		Shards: g.urls, ProbeEvery: -1,
-		Trace: service.TraceConfig{Tracer: routerTr},
-	})
-	defer rt.Close()
-	routerTS := httptest.NewServer(rt)
-	defer routerTS.Close()
-	c := client.New(client.Config{BaseURL: routerTS.URL})
-	ctx := context.Background()
-
-	const id = "reroute-1"
-	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: traceAdvisorConfig()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SubmitJob(ctx, id, 0); err != nil {
-		t.Fatal(err)
-	}
-	owner := rt.Shards().Owner(id)
-	g.kill(owner)
-	spec, err := workload.Build("SCC", workload.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Advance(ctx, id, spec.Graph.Jobs[0].NewStages[0].ID); err != nil {
-		t.Fatal(err)
-	}
-
-	idx := indexSpans(routerTr)
-	dead, ok := idx.find("proxy-attempt", "dead: "+owner)
-	if !ok {
-		t.Fatalf("no proxy-attempt span marking %s dead", owner)
-	}
-	reroute, ok := idx.find("re-route", "shard=")
-	if !ok {
-		t.Fatal("no re-route span to the successor")
-	}
-	if root := idx.byID[reroute.Parent]; reroute.Parent != dead.Parent || root.Name != "router-proxy" {
-		t.Fatalf("re-route and the dead attempt hang off %s and %s, want one router-proxy", reroute.Parent, dead.Parent)
 	}
 }
 

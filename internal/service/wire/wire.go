@@ -50,9 +50,9 @@ const (
 // the response op(s) it expects back. Any request may instead be
 // answered by OpError.
 const (
-	// OpHello opens a connection: payload is a varstr session ID (may
-	// be empty on direct shard connections). The router reads exactly
-	// this first frame to pick the owning shard, then splices bytes.
+	// OpHello opens a connection: payload is a varstr session ID, which
+	// the server ignores and clients send empty. A connection is not
+	// bound to a session: any session's frames may follow.
 	OpHello byte = 0x01
 	// OpHelloOK acknowledges the hello; empty payload. Its header
 	// carries the shard's session epoch.
