@@ -84,7 +84,7 @@ type Result struct {
 	TaskRetries       int64 // tasks re-run because their worker died under them
 	Spills            int64 // blocks whose bytes moved (or landed) on disk under memory pressure
 	SpillBytes        int64
-	ShuffleBytes      int64 // bucket bytes read by reduce tasks
+	ShuffleBytes      int64 // bucket bytes read by reduce tasks, after map-side combine
 	RemoteFetches     int64 // cached-block and bucket reads served by another worker
 	LineageRecomputes int64 // blocks/map outputs recomputed because their bytes were gone
 
@@ -93,13 +93,15 @@ type Result struct {
 }
 
 // shuffleInfo is the engine's registry entry for one shuffle: the map
-// stage that writes it, its reduce partition count, and its map outputs
-// — one table per shuffle, so a reducer reads all of its buckets under
-// one lock (see gather).
+// stage that writes it, its reduce partition count, the fold its map
+// tasks apply before bucketing (nil for none, see mapSideCombine), and
+// its map outputs — one table per shuffle, so a reducer reads all of
+// its buckets under one lock (see gather).
 type shuffleInfo struct {
 	id          int
 	mapStage    *dag.Stage
 	reduceParts int
+	combine     func(*arena, []Row) []Row
 
 	mu  sync.Mutex
 	out []mapOutput // by map partition; the zero mapOutput is absent
@@ -239,7 +241,7 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 		for _, d := range r.Deps {
 			if d.Type == dag.Shuffle {
 				if si, ok := e.shuffles[d.ShuffleID]; ok {
-					si.reduceParts = r.NumPartitions
+					si.reduceParts, si.combine = r.NumPartitions, mapSideCombine(r.Op)
 				}
 			}
 		}

@@ -318,6 +318,23 @@ func (e *Engine) computeWide(t *taskCtx, r *dag.RDD, p int) []Row {
 	}
 }
 
+// mapSideCombine is the fold a map task applies to its rows before it
+// buckets them when op consumes the shuffle, as Spark's combineByKey
+// does with mapSideCombine: the per-key sum where the reduce side sums
+// (joinRows sums each side first), the dedup for distinct, and none for
+// the operators that keep every row. Wrapping sums and dedups fold the
+// same whether partly folded first or not, so only the shuffled volume
+// moves.
+func mapSideCombine(op string) func(*arena, []Row) []Row {
+	switch op {
+	case "reduceByKey", "aggregateByKey", "join", "cogroup":
+		return reduceRows
+	case "distinct":
+		return distinctRows
+	}
+	return nil
+}
+
 // reduceRows sums values per key (wrapping uint64 addition is
 // order-independent, so the result is deterministic regardless of
 // gather order): sort by key, then fold equal neighbours over the front
@@ -436,9 +453,16 @@ func (e *Engine) recomputeOutput(t *taskCtx, si *shuffleInfo, m int) mapOutput {
 	return o
 }
 
-// writeOutput stores map task m's output rows, laid out by reduce
-// partition, in the shuffle's table.
+// writeOutput stores map task m's output rows, folded by the shuffle's
+// combine and laid out by reduce partition, in the shuffle's table. The
+// fold works on an arena copy: rows may be a stored block or a memo
+// entry, which no operator writes.
 func (e *Engine) writeOutput(t *taskCtx, si *shuffleInfo, m int, rows []Row) {
+	if si.combine != nil {
+		own := t.arena.alloc(len(rows))
+		copy(own, rows)
+		rows = si.combine(&t.arena, own)
+	}
 	t.rowBucket = slices.Grow(t.rowBucket[:0], len(rows))[:len(rows)]
 	si.put(m, newMapOutput(rows, si.reduceParts, t.rowBucket))
 }

@@ -197,8 +197,111 @@ func TestWideKernelsMatchReference(t *testing.T) {
 	})
 }
 
+// combiningOps are the operators whose map side folds, each with its
+// reduce-side kernel over the two gathered sides (one-sided operators
+// ignore the second).
+var combiningOps = []struct {
+	op     string
+	reduce func(mem *arena, a, b []Row) []Row
+}{
+	{"reduceByKey", func(mem *arena, a, _ []Row) []Row { return reduceRows(mem, a) }},
+	{"aggregateByKey", func(mem *arena, a, _ []Row) []Row { return reduceRows(mem, a) }},
+	{"distinct", func(mem *arena, a, _ []Row) []Row { return distinctRows(mem, a) }},
+	{"join", func(mem *arena, a, b []Row) []Row { return joinRows(mem, a, b, true) }},
+	{"cogroup", func(mem *arena, a, b []Row) []Row { return joinRows(mem, a, b, false) }},
+}
+
+// checkMapSideCombine shuffles the sides a and b over maps map tasks,
+// cut at random points (so some map partitions are empty or one row
+// long), and reduceParts reducers, once with each map task's rows as
+// they are and once folded by mapSideCombine first. Every combining
+// operator's reduce side must give the same rows from both.
+func checkMapSideCombine(t *testing.T, rng *rand.Rand, a, b []Row, maps, reduceParts int) {
+	t.Helper()
+	var mem arena
+	own := func(rows []Row) []Row {
+		out := mem.alloc(len(rows))
+		copy(out, rows)
+		return out
+	}
+	cuts := func(n int) []int {
+		c := []int{0, n}
+		for range maps - 1 {
+			c = append(c, rng.Intn(n+1))
+		}
+		slices.Sort(c)
+		return c
+	}
+	ca, cb := cuts(len(a)), cuts(len(b))
+	outputs := func(side []Row, cuts []int, fold func(*arena, []Row) []Row) []mapOutput {
+		outs := make([]mapOutput, maps)
+		for m := range outs {
+			rows := side[cuts[m]:cuts[m+1]]
+			if fold != nil {
+				rows = fold(&mem, own(rows))
+			}
+			outs[m] = newMapOutput(rows, reduceParts, make([]int32, len(rows)))
+		}
+		return outs
+	}
+	gather := func(outs []mapOutput, q int) []Row {
+		var rows []Row
+		for _, o := range outs {
+			rows = append(rows, o.bucket(q)...)
+		}
+		return own(rows)
+	}
+	rawA, rawB := outputs(a, ca, nil), outputs(b, cb, nil)
+	for _, c := range combiningOps {
+		fold := mapSideCombine(c.op)
+		if fold == nil {
+			t.Fatalf("%s: no map-side combine", c.op)
+		}
+		foldA, foldB := outputs(a, ca, fold), outputs(b, cb, fold)
+		for q := range reduceParts {
+			want := c.reduce(&mem, gather(rawA, q), gather(rawB, q))
+			if got := c.reduce(&mem, gather(foldA, q), gather(foldB, q)); !slices.Equal(got, want) {
+				t.Errorf("%s of %d and %d rows over %d maps, reducer %d of %d: %d rows from folded buckets, want %d (first difference at %d)",
+					c.op, len(a), len(b), maps, q, reduceParts, len(got), len(want), firstDiff(got, want))
+			}
+		}
+	}
+}
+
+// TestMapSideCombineIsInvisible: folding each map task's rows before
+// they are bucketed changes no reduce side's output — for hot-key skew,
+// sums that wrap, and empty and one-row map partitions — and the
+// operators that keep every row do not fold.
+func TestMapSideCombineIsInvisible(t *testing.T) {
+	for _, op := range []string{"groupByKey", "sortByKey", "partitionBy"} {
+		if mapSideCombine(op) != nil {
+			t.Errorf("%s folds on the map side; it must keep every row", op)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	hot := func(r *rand.Rand) uint64 {
+		if r.Intn(3) == 0 {
+			return r.Uint64() % keySpace
+		}
+		return r.Uint64() % hotKeys
+	}
+	for trial := range 200 {
+		a, b := keyed(rng, rng.Intn(600), hot), keyed(rng, rng.Intn(300), hot)
+		if trial%4 == 0 {
+			for i := range a {
+				a[i].Val = ^uint64(0) - uint64(i) // every pair of rows wraps
+			}
+		}
+		checkMapSideCombine(t, rng, a, b, 1+rng.Intn(8), 1+rng.Intn(5))
+	}
+	for _, n := range []int{0, 1, 2} {
+		checkMapSideCombine(t, rng, keyed(rng, n, hot), keyed(rng, n, hot), 4, 3)
+	}
+}
+
 // FuzzWideKernels: any byte string, cut in two at any point, read as the
-// two sides of a wide operator — every kernel matches its reference and
+// two sides of a wide operator — every kernel matches its reference,
+// folding the sides on the map side first changes no reduce side, and
 // every digest lane matches the hash/fnv oracle.
 func FuzzWideKernels(f *testing.F) {
 	f.Add(EncodeRows(GenPartition(1, 0, 0, 200, 0.5)), uint16(120))
@@ -209,6 +312,7 @@ func FuzzWideKernels(f *testing.F) {
 		at := min(int(cut), len(rows))
 		a, b := rows[:at], rows[at:]
 		checkWideKernels(t, a, b)
+		checkMapSideCombine(t, rand.New(rand.NewSource(int64(cut))), a, b, 1+int(cut)%6, 1+int(cut/6)%4)
 		p := [lanes][]Row{a, b, b[:len(b)/2], a[len(a)/2:]}
 		for l, h := range digestLanes(p) {
 			if want := digestOracle(p[l]); h != want {
