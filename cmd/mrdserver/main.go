@@ -15,6 +15,10 @@
 //
 //	mrdserver -addr 127.0.0.1:7788 -frame-addr 127.0.0.1:7790 -snapshot-dir /tmp/snaps
 //
+// The server locks the directory while it runs: a second server on it
+// exits 1 with "held by another server". The kernel drops the lock when
+// its holder dies, so a restart after a kill opens the directory at once.
+//
 // SIGTERM or SIGINT drains: first the store is made to hold every live
 // session, writing again any whose last snapshot failed (the count is
 // mrdserver_drain_snapshots_written on /metrics during the -drain-linger
@@ -58,14 +62,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	inflight := fs.Int("max-inflight", service.DefaultMaxInflight, "concurrent-request cap; excess requests are shed with 503")
 	reqTimeout := fs.Duration("request-timeout", service.DefaultRequestTimeout, "per-request timeout")
 	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT")
-	snapDir := fs.String("snapshot-dir", "", "session snapshot directory; empty disables persistence. A restarted server resumes its sessions from it; two servers may share one, and neither serves a copy the other has advanced")
+	snapDir := fs.String("snapshot-dir", "", "session snapshot directory; empty disables persistence. A restarted server resumes its sessions from it; the server locks it, so a second server on it fails")
 	drainLinger := fs.Duration("drain-linger", 0, "keep serving (metrics included) this long after drain snapshots are written, before closing the listener")
 	traceCap := fs.Int("trace-capacity", trace.DefaultCapacity, "span ring-buffer capacity; 0 disables tracing entirely (zero-alloc hot path)")
 	traceOut := fs.String("trace-out", "", "write the span export (JSONL) here on drain")
 	traceChrome := fs.String("trace-chrome", "", "write the Chrome trace_event export here on drain")
 	debugAddr := fs.String("debug-addr", "", "separate listener for pprof and live span exports (/debug/pprof/, /debug/spans.jsonl, /debug/trace.json); empty disables")
 	slowReq := fs.Duration("slow-request", 0, "log requests slower than this; 0 disables")
-	queueGrace := fs.Duration("queue-grace", 0, "at capacity, wait up to this long for an inflight slot before shedding; 0 sheds immediately")
 	frameAddr := fs.String("frame-addr", "", "listen address for the binary frame protocol (advertised on /healthz); empty disables")
 	if err := cli.Parse(fs, args); err != nil {
 		return err
@@ -96,13 +99,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer ds.Close()
 		snapStore = ds
 	}
 	srv := service.NewServer(service.ServerConfig{
 		Registry:       service.RegistryConfig{MaxSessions: *maxSessions, IdleTimeout: *idle},
 		MaxInflight:    *inflight,
 		RequestTimeout: *reqTimeout,
-		QueueGrace:     *queueGrace,
 		Snapshots:      service.SnapshotPolicy{Store: snapStore},
 		Trace:          service.TraceConfig{Tracer: tracer, SlowRequest: *slowReq},
 	})

@@ -82,8 +82,9 @@ func (s *server) stop() {
 // TestShardServesToParityAndDrains is CI's service smoke in one
 // process: a shard with the frame listener, a snapshot directory and a
 // span export serves a session whose every decision equals the
-// library's; cancelled, it snapshots the live session, exports its
-// spans and logs "drained".
+// library's, and a second server on its snapshot directory fails;
+// cancelled, it snapshots the live session, exports its spans, logs
+// "drained" and releases the directory.
 func TestShardServesToParityAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	snaps, spans := filepath.Join(dir, "snaps"), filepath.Join(dir, "spans.jsonl")
@@ -91,6 +92,15 @@ func TestShardServesToParityAndDrains(t *testing.T) {
 	frameAddr := s.await(`mrdserver: frame protocol on (\S+)$`)[1]
 	listening := s.await(`mrdserver: listening on (\S+) \(max-sessions=256, max-inflight=64, snapshots=true\)$`)
 	base := "http://" + listening[1]
+
+	// The directory has one owner: a second server on it exits 1 naming it.
+	var stdout, stderr bytes.Buffer
+	status := cli.Run("mrdserver", func(args []string, stdout, stderr io.Writer) error {
+		return run(context.Background(), args, stdout, stderr)
+	}, []string{"-addr", "127.0.0.1:0", "-snapshot-dir", snaps}, &stdout, &stderr)
+	if want := "mrdserver: service: snapshot dir " + snaps + " is held by another server\n"; status != 1 || stderr.String() != want {
+		t.Errorf("a second server on %s: status %d, stderr %q; want status 1 and %q", snaps, status, stderr.String(), want)
+	}
 
 	spec, err := workload.Build("SCC", workload.Params{})
 	if err != nil {
@@ -146,6 +156,11 @@ func TestShardServesToParityAndDrains(t *testing.T) {
 		t.Error("the drain exported no spans")
 	}
 	s.stop()
+	ds, err := service.NewDirStore(snaps)
+	if err != nil {
+		t.Fatalf("the drained server still holds its snapshot directory: %v", err)
+	}
+	ds.Close()
 	for _, path := range []string{filepath.Join(snaps, "probe-json.snap.json"), filepath.Join(snaps, "probe-bin.snap.json"), spans} {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("%s missing or empty after the drain (%v)", filepath.Base(path), err)

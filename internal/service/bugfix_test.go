@@ -8,12 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"mrdspark/internal/service"
-	"mrdspark/internal/service/client"
 	"mrdspark/internal/workload"
 )
 
@@ -123,62 +121,5 @@ func TestTimedOutAdvanceRetryConverges(t *testing.T) {
 	}
 	if again.Fingerprint() != first.Fingerprint() {
 		t.Fatalf("retry diverged:\n  first: %s\n  retry: %s", first.Fingerprint(), again.Fingerprint())
-	}
-}
-
-// countingStore wraps a SnapshotStore counting Load and Stamp calls.
-type countingStore struct {
-	service.SnapshotStore
-	loads  atomic.Int64
-	stamps atomic.Int64
-}
-
-func (c *countingStore) Load(id string) (*service.Snapshot, error) {
-	c.loads.Add(1)
-	return c.SnapshotStore.Load(id)
-}
-
-func (c *countingStore) Stamp(id string) (string, error) {
-	c.stamps.Add(1)
-	return c.SnapshotStore.Stamp(id)
-}
-
-// TestDeleteProbesWithStampNotLoad: deciding whether a snapshot exists
-// must not deserialize the full op-log snapshot.
-func TestDeleteProbesWithStampNotLoad(t *testing.T) {
-	store := &countingStore{SnapshotStore: service.NewMemStore()}
-	srv := service.NewServer(service.ServerConfig{
-		Snapshots: service.SnapshotPolicy{Store: store},
-	})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	c := client.New(client.Config{BaseURL: ts.URL})
-
-	ctx := context.Background()
-	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{
-		ID: "probe-scc", Workload: "SCC", Advisor: testAdvisorConfig(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SubmitJob(ctx, "probe-scc", 0); err != nil {
-		t.Fatal(err)
-	}
-	if stamp, err := store.SnapshotStore.Stamp("probe-scc"); err != nil || stamp == "" {
-		t.Fatalf("snapshot not written before delete (stamp=%q err=%v)", stamp, err)
-	}
-
-	store.loads.Store(0)
-	store.stamps.Store(0)
-	if err := c.DeleteSession(ctx, "probe-scc"); err != nil {
-		t.Fatal(err)
-	}
-	if store.stamps.Load() == 0 {
-		t.Fatal("delete never probed the store for a stamp")
-	}
-	if n := store.loads.Load(); n != 0 {
-		t.Fatalf("delete deserialized %d full snapshots; existence must use Stamp", n)
 	}
 }

@@ -69,7 +69,7 @@ type Hops struct {
 	Path string
 	// Total is this attempt's full round-trip as the client saw it.
 	Total time.Duration
-	// ShardUs is the shard's total handler time (queue wait included).
+	// ShardUs is the shard's total handler time.
 	ShardUs int64
 	// ComputeUs is the advisor policy-compute time inside the shard.
 	ComputeUs int64

@@ -20,7 +20,13 @@ import (
 // httptest, frames via a real TCP listener advertised on /healthz.
 func newFrameServer(t testing.TB) (*service.Server, string, string) {
 	t.Helper()
-	srv := service.NewServer(service.ServerConfig{})
+	return newFrameServerWith(t, service.ServerConfig{})
+}
+
+// newFrameServerWith is newFrameServer over cfg.
+func newFrameServerWith(t testing.TB, cfg service.ServerConfig) (*service.Server, string, string) {
+	t.Helper()
+	srv := service.NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -336,7 +336,12 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 			s.writeErrorFrame(bw, h.Seq, 400, "malformed delete")
 			return true
 		}
-		if !s.deleteSession(id) {
+		deleted, err := s.deleteSession(id)
+		if err != nil {
+			s.writeErrorFrame(bw, h.Seq, 500, err.Error())
+			return false
+		}
+		if !deleted {
 			s.writeErrorFrame(bw, h.Seq, 404, fmt.Sprintf("no session %q", id))
 			return false
 		}

@@ -15,19 +15,15 @@ import (
 type Session struct {
 	ID       string
 	Workload string
-	Created  time.Time
-	// Restored marks a session rebuilt from a snapshot (server restart
-	// or shard failover adoption) rather than created fresh.
+	// Restored marks a session rebuilt from a snapshot (a server
+	// restart) rather than created fresh.
 	Restored bool
 
 	mu       sync.Mutex
 	advisor  *Advisor
 	advances int64
-	// stamp is the snapshot store's stamp of the snapshot this copy last
-	// wrote or was restored from ("" before either); the server compares
-	// it with the store's before serving the copy. unsaved marks a copy
-	// whose last Save failed. Both are owned by the session lock.
-	stamp   string
+	// unsaved marks a copy whose last Save failed; it is owned by the
+	// session lock.
 	unsaved bool
 	// fold runs under the session lock at the end of every WithAdvisor
 	// call: the server passes the flush of the session's obs.Fold here,
@@ -171,7 +167,6 @@ func (r *Registry) createLocked(id, workloadName string, a *Advisor, fold, clean
 	s := &Session{
 		ID:       id,
 		Workload: workloadName,
-		Created:  r.now(),
 		Restored: restored,
 		advisor:  a,
 		fold:     fold,

@@ -29,13 +29,6 @@ type ServerConfig struct {
 	// RequestTimeout aborts requests that run longer; 0 means
 	// DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// SweepEvery is the idle-session janitor period; 0 means
-	// DefaultSweepEvery.
-	SweepEvery time.Duration
-	// QueueGrace, when positive, lets a request at capacity wait up to
-	// this long for an inflight slot (recorded as a queue-wait span)
-	// before being shed. 0 preserves the immediate-shed behavior.
-	QueueGrace time.Duration
 	// Snapshots configures session persistence; a nil Store disables
 	// both snapshotting and restore-on-demand.
 	Snapshots SnapshotPolicy
@@ -56,8 +49,10 @@ type SnapshotPolicy struct {
 const (
 	DefaultMaxInflight    = 64
 	DefaultRequestTimeout = 30 * time.Second
-	DefaultSweepEvery     = time.Minute
 )
+
+// sweepEvery is the idle-session janitor's period.
+const sweepEvery = time.Minute
 
 func (c ServerConfig) normalize() ServerConfig {
 	if c.MaxInflight == 0 {
@@ -65,9 +60,6 @@ func (c ServerConfig) normalize() ServerConfig {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.SweepEvery == 0 {
-		c.SweepEvery = DefaultSweepEvery
 	}
 	return c
 }
@@ -90,7 +82,7 @@ type Server struct {
 	tracer *trace.Tracer
 	http   *httpStats
 
-	// Snapshot persistence and failover adoption.
+	// Snapshot persistence and restore-on-demand.
 	snapStore    SnapshotStore
 	restoreMu    sync.Mutex // serializes restore-on-demand per server
 	snapsWritten atomic.Int64
@@ -127,7 +119,7 @@ func NewServer(cfg ServerConfig) *Server {
 	// idempotent replay is what reconciles its state.
 	s.epoch = uint32(s.started.Unix())
 	s.frameAddr.Store("")
-	s.loops.every(cfg.SweepEvery, func() { s.registry.SweepIdle() })
+	s.loops.every(sweepEvery, func() { s.registry.SweepIdle() })
 	return s
 }
 
@@ -352,39 +344,19 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 // telemetry root: it opens the request's shard-handler span (continuing
 // an incoming traceparent), echoes the span context on the response,
 // and attributes the finished request to its route's latency histogram.
-// Requests beyond the cap are shed with 503 — immediately by default,
-// or after waiting up to QueueGrace for a slot (recorded as a
-// queue-wait span) — so a traffic spike degrades to client-side
-// retries instead of queue collapse.
+// Requests beyond the cap are shed with 503 at once, so a traffic spike
+// degrades to client-side retries instead of queue collapse.
 func (s *Server) limitInflight(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
-		// The root span starts before slot acquisition so queue wait is
+		// The root span starts before slot acquisition so a shed is
 		// inside it; a disabled tracer makes Start a nil compare.
 		parent, _ := trace.Parse(r.Header.Get(trace.Header))
 		root := s.tracer.Start(parent, "shard-handler")
 
-		acquired := false
 		select {
 		case s.inflight <- struct{}{}:
-			acquired = true
 		default:
-			if s.cfg.QueueGrace > 0 {
-				qs := s.tracer.Start(root.Context(), "queue-wait")
-				timer := time.NewTimer(s.cfg.QueueGrace)
-				start := time.Now()
-				select {
-				case s.inflight <- struct{}{}:
-					acquired = true
-					qs.EndWith(fmt.Sprintf("waited=%dus", time.Since(start).Microseconds()))
-				case <-timer.C:
-					qs.EndWith("gave-up")
-				}
-				timer.Stop()
-				s.http.add(&s.http.queueWaits, 1)
-			}
-		}
-		if !acquired {
 			s.http.add(&s.http.shed, 1)
 			root.EndWith("shed")
 			w.Header().Set("Retry-After", "1")
@@ -726,28 +698,33 @@ func (s *Server) sessionStatus(sess *Session) SessionStatus {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.deleteSession(r.PathValue("id")) {
-		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("no session %q", r.PathValue("id"))})
-		return
+	id := r.PathValue("id")
+	deleted, err := s.deleteSession(id)
+	switch {
+	case err != nil:
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+	case !deleted:
+		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("no session %q", id)})
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
-// deleteSession tears a session down everywhere it exists, reporting
-// whether anything was actually deleted.
-func (s *Server) deleteSession(id string) bool {
-	deleted := s.registry.Delete(id)
-	// An explicit delete also retires the persisted snapshot: the
-	// session is gone on purpose, not lost. The existence probe is a
-	// stamp, not Load — deciding whether to delete must not deserialize
-	// a full op-log snapshot.
+// deleteSession tears a session down, live copy and snapshot, reporting
+// whether it existed in either. An explicit delete retires the snapshot
+// too: the session is gone on purpose, not lost. The snapshot goes
+// first, so a store that fails the delete fails the request and keeps
+// the live copy; dropping the copy first would let the next lookup
+// restore the session from the snapshot still there.
+func (s *Server) deleteSession(id string) (bool, error) {
+	onDisk := false
 	if s.snapStore != nil {
-		if stamp, err := s.snapStore.Stamp(id); err == nil && stamp != "" {
-			_ = s.snapStore.Delete(id)
-			deleted = true
+		var err error
+		if onDisk, err = s.snapStore.Delete(id); err != nil {
+			return false, fmt.Errorf("delete session %q: %w", id, err)
 		}
 	}
-	return deleted
+	return s.registry.Delete(id) || onDisk, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -801,18 +778,11 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 }
 
 // lookupSession is the transport-independent session resolver (the
-// frame server shares it); a miss returns 404, a failed restore 500. A
-// live copy is served only while it is current; a copy another server
-// has advanced since is re-adopted from the store first.
+// frame server shares it); a miss returns 404, a failed restore 500.
+// The server owns its store, so a live copy is always the latest state.
 func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, error) {
 	if sess, ok := s.registry.Get(id); ok {
-		fresh, err := s.current(sess)
-		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("probe session %q: %w", id, err)
-		}
-		if fresh {
-			return sess, http.StatusOK, nil
-		}
+		return sess, http.StatusOK, nil
 	}
 	sess, err := s.restoreSession(ctx, id)
 	if err == nil {
@@ -824,42 +794,10 @@ func (s *Server) lookupSession(ctx context.Context, id string) (*Session, int, e
 	return nil, http.StatusInternalServerError, fmt.Errorf("restore session %q: %w", id, err)
 }
 
-// current reports whether a live copy is the store's latest state: the
-// store's stamp is still that of the snapshot this copy last wrote or
-// was restored from. A different stamp means another server on the same
-// store advanced the session since. With one server per session that
-// never happens, but two servers pointed at one -snapshot-dir is a
-// configuration the flag allows, and this check is what stops a stale
-// copy being served there. A failed probe is an error for the request,
-// not a verdict: the copy stays, and may hold steps whose Save failed. The
-// probe runs under the session lock, which every snapshot write holds,
-// so this server's own writes never look foreign. Without a store every
-// copy is current and nothing is probed.
-func (s *Server) current(sess *Session) (bool, error) {
-	if s.snapStore == nil {
-		return true, nil
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return s.holdsLatest(sess)
-}
-
-// holdsLatest is current's probe, for a caller already holding the
-// session lock.
-func (s *Server) holdsLatest(sess *Session) (bool, error) {
-	stamp, err := s.snapStore.Stamp(sess.ID)
-	return err == nil && stamp == sess.stamp, err
-}
-
 // restoreSession adopts a snapshotted session into this server's
 // registry: rebuild the advisor by op-log replay on the same adoption
 // path a fresh session takes (adopt). Concurrent requests for the same
-// session are serialized; the losers find it registered and current. A
-// registered copy that is not current is retired through the registry,
-// so its fold and cleanup run as on any other exit — but only once its
-// replacement is built, so a store that fails the restore leaves it be.
-// A store that holds no snapshot at all retires it too: the session was
-// deleted through another server.
+// session are serialized; the losers find it registered.
 func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error) {
 	if s.snapStore == nil {
 		return nil, ErrNoSnapshot
@@ -867,31 +805,12 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 	sp := s.tracer.Start(trace.FromContext(ctx), "snapshot-restore")
 	s.restoreMu.Lock()
 	defer s.restoreMu.Unlock()
-	stale, ok := s.registry.Get(id)
-	if ok {
-		fresh, err := s.current(stale)
-		if err != nil {
-			sp.EndWith("stamp-error: " + err.Error())
-			return nil, err
-		}
-		if fresh {
-			sp.EndWith("already-restored")
-			return stale, nil // lost the race to a concurrent restore
-		}
-	}
-	// The stamp is read before the snapshot: a write landing between the
-	// two leaves the copy newer than its stamp, which the next probe
-	// calls stale and reloads — never the other way round.
-	stamp, err := s.snapStore.Stamp(id)
-	if err != nil {
-		sp.EndWith("stamp-error: " + err.Error())
-		return nil, err
+	if sess, ok := s.registry.Get(id); ok {
+		sp.EndWith("already-restored")
+		return sess, nil // lost the race to a concurrent restore
 	}
 	snap, err := s.snapStore.Load(id)
 	if err != nil {
-		if ok && errors.Is(err, ErrNoSnapshot) {
-			s.registry.Delete(id)
-		}
 		sp.EndWith("no-snapshot")
 		return nil, err
 	}
@@ -901,18 +820,12 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*Session, error
 		rsp := s.tracer.Start(sp.Context(), "replay")
 		adv, err := RestoreAdvisor(snap, nil, bus)
 		rsp.EndWith(fmt.Sprintf("ops=%d", len(snap.Ops)))
-		if err == nil && ok {
-			s.registry.Delete(id)
-		}
 		return adv, err
 	})
 	if err != nil {
 		sp.EndWith("restore-error: " + err.Error())
 		return nil, err
 	}
-	sess.mu.Lock()
-	sess.stamp = stamp
-	sess.mu.Unlock()
 	s.restored.Add(1)
 	sp.EndWith("session=" + id)
 	return sess, nil
@@ -928,15 +841,14 @@ func (s *Server) noteMutation(sess *Session, a *Advisor) {
 }
 
 // writeSnapshot persists one session snapshot under the session lock,
-// keeping the stamp the write left and counting the outcome.
+// counting the outcome.
 func (s *Server) writeSnapshot(sess *Session, a *Advisor) bool {
-	stamp, err := s.snapStore.Save(a.Snapshot(sess.ID))
+	err := s.snapStore.Save(a.Snapshot(sess.ID))
 	sess.unsaved = err != nil
 	if err != nil {
 		s.snapErrors.Add(1)
 		return false
 	}
-	sess.stamp = stamp
 	s.snapsWritten.Add(1)
 	return true
 }
@@ -946,8 +858,6 @@ func (s *Server) writeSnapshot(sess *Session, a *Advisor) bool {
 // accepting (so /metrics can report drain_snapshots_written before the
 // process exits). A create and every mutation were saved before they
 // were answered, so only a copy whose last Save failed is written again.
-// A copy that is not current is skipped: another server has advanced the
-// session since, and writing it would put stale state over the newer.
 // It returns how many live sessions the store holds current.
 func (s *Server) DrainSnapshots() int {
 	if s.snapStore == nil {
@@ -956,8 +866,7 @@ func (s *Server) DrainSnapshots() int {
 	n := 0
 	for _, sess := range s.registry.Sessions() {
 		_ = sess.WithAdvisor(func(a *Advisor) error {
-			fresh, _ := s.holdsLatest(sess) // a failed probe proves nothing current: skip
-			if fresh && (!sess.unsaved || s.writeSnapshot(sess, a)) {
+			if !sess.unsaved || s.writeSnapshot(sess, a) {
 				n++
 			}
 			return nil

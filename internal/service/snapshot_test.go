@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,29 +202,19 @@ func TestSnapshotTamperFailsRestore(t *testing.T) {
 	}
 }
 
-// TestDirStore exercises the on-disk store: round trip, stamps, delete,
-// and rejection of IDs that could escape the directory.
+// TestDirStore exercises the on-disk store: round trip, delete, and
+// rejection of IDs that could escape the directory.
 func TestDirStore(t *testing.T) {
 	ds, err := service.NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ds.Close() })
 	adv := newOriginAdvisor(t, "SCC")
-	if _, err := ds.Save(adv.Snapshot("alpha")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.Save(adv.Snapshot("beta")); err != nil {
-		t.Fatal(err)
-	}
-	stamped := func(id string) bool {
-		stamp, err := ds.Stamp(id)
-		if err != nil {
+	for _, id := range []string{"alpha", "beta"} {
+		if err := ds.Save(adv.Snapshot(id)); err != nil {
 			t.Fatal(err)
 		}
-		return stamp != ""
-	}
-	if !stamped("alpha") || !stamped("beta") || stamped("gamma") {
-		t.Fatal("the store stamps other than exactly alpha and beta")
 	}
 	back, err := ds.Load("alpha")
 	if err != nil {
@@ -238,123 +226,60 @@ func TestDirStore(t *testing.T) {
 	if _, err := ds.Load("missing"); err != service.ErrNoSnapshot {
 		t.Fatalf("Load(missing) = %v, want ErrNoSnapshot", err)
 	}
-	if _, err := ds.Save(adv.Snapshot("../escape")); err == nil {
+	if err := ds.Save(adv.Snapshot("../escape")); err == nil {
 		t.Fatal("Save accepted a path-traversal session ID")
 	}
 	if _, err := ds.Load("../../etc/passwd"); err != service.ErrNoSnapshot {
 		t.Fatalf("Load(traversal) = %v, want ErrNoSnapshot", err)
 	}
-	if err := ds.Delete("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if stamped("alpha") || !stamped("beta") {
-		t.Fatal("after deleting alpha the store does not hold exactly beta")
+	for _, tc := range []struct {
+		id   string
+		want bool
+	}{{"alpha", true}, {"alpha", false}, {"gamma", false}, {"../beta", false}} {
+		if had, err := ds.Delete(tc.id); err != nil || had != tc.want {
+			t.Fatalf("Delete(%s) = %v, %v; want %v", tc.id, had, err, tc.want)
+		}
 	}
 	if _, err := ds.Load("alpha"); err != service.ErrNoSnapshot {
 		t.Fatalf("Load(deleted) = %v, want ErrNoSnapshot", err)
 	}
+	if _, err := ds.Load("beta"); err != nil {
+		t.Fatalf("deleting alpha took beta with it: %v", err)
+	}
 }
 
-// TestStampChangesOnEverySave: on either store a missing snapshot has
-// no stamp, Stamp reads what Save returned, and a second Save of the
-// same bytes leaves a new stamp — on the directory store even with the
-// file's mtime put back, so that size and mtime both read as before.
-func TestStampChangesOnEverySave(t *testing.T) {
+// TestSnapshotDirHasOneOwner: an open DirStore holds its directory, so
+// a second store on it fails with an error naming the directory; once
+// the first closes, the next store opens it and loads what the first
+// saved.
+func TestSnapshotDirHasOneOwner(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := service.NewDirStore(dir)
+	first, err := service.NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := newOriginAdvisor(t, "SCC").Snapshot("alpha")
-	for _, st := range []struct {
-		name  string
-		store service.SnapshotStore
-		file  string // the snapshot's file, on the directory store
-	}{
-		{"MemStore", service.NewMemStore(), ""},
-		{"DirStore", ds, filepath.Join(dir, "alpha.snap.json")},
-	} {
-		if stamp, err := st.store.Stamp("alpha"); err != nil || stamp != "" {
-			t.Fatalf("%s: Stamp before any Save = %q, %v; want none", st.name, stamp, err)
-		}
-		first, err := st.store.Save(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stamp, err := st.store.Stamp("alpha"); err != nil || stamp != first {
-			t.Fatalf("%s: Stamp = %q, %v; Save returned %q", st.name, stamp, err, first)
-		}
-		var mtime time.Time
-		if st.file != "" {
-			fi, err := os.Stat(st.file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mtime = fi.ModTime()
-		}
-		if _, err := st.store.Save(snap); err != nil {
-			t.Fatal(err)
-		}
-		if st.file != "" {
-			if err := os.Chtimes(st.file, mtime, mtime); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if second, err := st.store.Stamp("alpha"); err != nil || second == first {
-			t.Fatalf("%s: the second Save left stamp %q, %v; want one other than %q", st.name, second, err, first)
-		}
-	}
-}
-
-// TestOwnSnapshotsNeverLookForeign: while one client drives a session,
-// others read its status and drain it, so the shard probes the store's
-// stamp while its own requests and drains write snapshots. It must
-// never take its own writes for another shard's: nothing is restored,
-// and the advice stays the oracle's.
-func TestOwnSnapshotsNeverLookForeign(t *testing.T) {
-	srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: service.NewMemStore()}})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	c := client.New(client.Config{BaseURL: ts.URL, HTTPClient: ts.Client()})
-	ctx := context.Background()
-	const id = "own-writes"
-	if _, err := c.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()}); err != nil {
+	if err := first.Save(snap); err != nil {
 		t.Fatal(err)
 	}
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if _, err := c.GetSession(ctx, id); err != nil {
-					t.Error(err)
-					return
-				}
-				srv.DrainSnapshots()
-			}
-		}()
+	second, err := service.NewDirStore(dir)
+	if err == nil {
+		second.Close()
+		t.Fatal("a second store opened a directory the first holds")
 	}
-	spec, err := workload.Build("SCC", workload.Params{})
+	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "held by another server") {
+		t.Fatalf("second store: %v; want the directory named as held by another server", err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := service.NewDirStore(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the directory stayed held after Close: %v", err)
 	}
-	resp, err := c.RunBatch(ctx, id, service.Schedule(spec.Graph))
-	close(done)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireOracle(t, "SCC", resp.Advices)
-	if st, err := c.GetSession(ctx, id); err != nil || st.Restored {
-		t.Fatalf("status = %+v, %v; the shard re-adopted a session only it wrote", st, err)
+	defer next.Close()
+	if back, err := next.Load("alpha"); err != nil || back.GraphHash != snap.GraphHash {
+		t.Fatalf("the next owner loads %+v, %v; want the snapshot the first saved", back, err)
 	}
 }
 
@@ -444,6 +369,13 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 	if created.Existing {
 		t.Error("fresh create reported Existing")
 	}
+	// A second session the successor never restores: it exists only on
+	// disk there.
+	if _, err := c1.CreateSession(ctx, service.CreateSessionRequest{
+		ID: "restart-2", Workload: name, Advisor: testAdvisorConfig(),
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	want := oracle(t, name)
 	var got []service.Advice
@@ -502,76 +434,76 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 	if !again.Existing {
 		t.Error("re-create of a live session did not report Existing")
 	}
+
+	// Deleting the session the successor never restored removes its
+	// snapshot: 204, and it is gone from the store and from the server.
+	if err := c2.DeleteSession(ctx, "restart-2"); err != nil {
+		t.Fatalf("DeleteSession of a session only on disk: %v", err)
+	}
+	if _, err := store.Load("restart-2"); !errors.Is(err, service.ErrNoSnapshot) {
+		t.Fatalf("Load after the delete = %v; want ErrNoSnapshot", err)
+	}
+	if _, err := c2.GetSession(ctx, "restart-2"); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("GetSession after the delete = %v; want a 404", err)
+	}
 }
 
-// flakyStore is a SnapshotStore whose Save and Stamp fail while told to:
-// a store outage as a shard sees it.
+// flakyStore is a SnapshotStore whose Save and Delete fail while told
+// to: a store outage as a server sees it.
 type flakyStore struct {
 	service.SnapshotStore
-	failSaves, failStamps atomic.Bool
+	failSaves, failDeletes atomic.Bool
 }
 
 var errStoreDown = errors.New("store down")
 
-func (f *flakyStore) Save(s *service.Snapshot) (string, error) {
+func (f *flakyStore) Save(s *service.Snapshot) error {
 	if f.failSaves.Load() {
-		return "", errStoreDown
+		return errStoreDown
 	}
 	return f.SnapshotStore.Save(s)
 }
 
-func (f *flakyStore) Stamp(id string) (string, error) {
-	if f.failStamps.Load() {
-		return "", errStoreDown
+func (f *flakyStore) Delete(id string) (bool, error) {
+	if f.failDeletes.Load() {
+		return false, errStoreDown
 	}
-	return f.SnapshotStore.Stamp(id)
+	return f.SnapshotStore.Delete(id)
 }
 
 // TestStoreOutageKeepsTheLiveCopy: while the store fails its saves, a
-// shard answers from its live copy, which holds steps the store does
-// not; a failed stamp probe then fails the request but drops nothing.
-// Once the store is back the session finishes at the oracle's advice.
+// server answers from its live copy, which holds steps the store does
+// not. A delete the store fails then fails the request, on either
+// transport, and keeps that copy: dropping it would leave the next
+// request to restore the session from the older snapshot, or restore a
+// session the client was told is gone. Once the store is back the
+// session finishes at the oracle's advice.
 func TestStoreOutageKeepsTheLiveCopy(t *testing.T) {
-	store := &flakyStore{SnapshotStore: service.NewMemStore()}
-	srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	c := client.New(client.Config{BaseURL: ts.URL, HTTPClient: ts.Client()})
-	const id = "outage"
-	steps := createSCC(t, c, id)
-	third := len(steps) / 3
-	got := driveSteps(t, c, id, steps[:third])
-	store.failSaves.Store(true)
-	got = append(got, driveSteps(t, c, id, steps[third:2*third])...)
-	store.failStamps.Store(true)
-	if _, err := c.GetSession(context.Background(), id); !isStatus(err, http.StatusInternalServerError) {
-		t.Fatalf("GetSession while the stamp probe fails = %v; want a 500", err)
-	}
-	store.failSaves.Store(false)
-	store.failStamps.Store(false)
-	got = append(got, driveSteps(t, c, id, steps[2*third:])...)
-	requireOracle(t, "SCC", got)
-}
-
-// TestDeleteElsewhereRetiresTheLiveCopy: a session deleted through
-// another shard is gone on the shard that still holds a live copy too,
-// and a create under its ID starts afresh.
-func TestDeleteElsewhereRetiresTheLiveCopy(t *testing.T) {
-	g := newShardGroup(t, 2, service.NewMemStore())
-	holder, other := g.client(t, 0, false), g.client(t, 1, false)
-	ctx := context.Background()
-	const id = "deleted-elsewhere"
-	steps := createSCC(t, holder, id)
-	driveSteps(t, holder, id, steps[:2])
-	if err := other.DeleteSession(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := holder.GetSession(ctx, id); !isStatus(err, http.StatusNotFound) {
-		t.Fatalf("GetSession on the holder after the delete = %v; want a 404", err)
-	}
-	created, err := holder.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()})
-	if err != nil || created.Existing {
-		t.Fatalf("re-create after the delete = %+v, %v; want a fresh session", created, err)
+	for _, binary := range []bool{false, true} {
+		t.Run(map[bool]string{false: "json", true: "frames"}[binary], func(t *testing.T) {
+			store := &flakyStore{SnapshotStore: service.NewMemStore()}
+			_, url, frameAddr := newFrameServerWith(t, service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
+			c := client.New(client.Config{BaseURL: url, Binary: binary, FrameAddr: frameAddr})
+			t.Cleanup(c.Close)
+			ctx := context.Background()
+			const id = "outage"
+			steps := createSCC(t, c, id)
+			third := len(steps) / 3
+			got := driveSteps(t, c, id, steps[:third])
+			store.failSaves.Store(true)
+			got = append(got, driveSteps(t, c, id, steps[third:2*third])...)
+			store.failDeletes.Store(true)
+			if err := c.DeleteSession(ctx, id); !isStatus(err, http.StatusInternalServerError) {
+				t.Fatalf("DeleteSession while the store fails deletes = %v; want a 500", err)
+			}
+			if st, err := c.GetSession(ctx, id); err != nil || st.Restored {
+				t.Fatalf("status after the failed delete = %+v, %v; want the live copy", st, err)
+			}
+			store.failSaves.Store(false)
+			store.failDeletes.Store(false)
+			got = append(got, driveSteps(t, c, id, steps[2*third:])...)
+			requireOracle(t, "SCC", got)
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"sync"
 	"syscall"
 )
@@ -17,24 +16,18 @@ import (
 var ErrNoSnapshot = errors.New("service: no snapshot")
 
 // SnapshotStore persists session snapshots, so a restarted server
-// resumes every acknowledged session. Two servers may share one store;
-// Stamp is what keeps either from serving a copy the other has
-// advanced. Implementations must be safe for concurrent use.
+// resumes every acknowledged session. One server owns a store, so its
+// live copy of a session is always the latest state; the store is read
+// back only for a session the server does not hold. Implementations must
+// be safe for concurrent use.
 type SnapshotStore interface {
-	// Save writes (or atomically replaces) the session's snapshot and
-	// returns the stamp the write left.
-	Save(s *Snapshot) (stamp string, err error)
+	// Save writes (or atomically replaces) the session's snapshot.
+	Save(s *Snapshot) error
 	// Load returns the session's snapshot, or ErrNoSnapshot.
 	Load(sessionID string) (*Snapshot, error)
-	// Stamp identifies the session's current snapshot without reading
-	// it: every Save leaves a stamp different from the one it replaced,
-	// and "" means no snapshot exists. A server compares it with the stamp
-	// of the snapshot it last wrote or restored to learn, for the price
-	// of a stat and no op-log decode, whether another server has advanced
-	// the session since.
-	Stamp(sessionID string) (string, error)
-	// Delete removes the session's snapshot; absent is not an error.
-	Delete(sessionID string) error
+	// Delete removes the session's snapshot and reports whether there
+	// was one; absent is not an error.
+	Delete(sessionID string) (bool, error)
 }
 
 // sessionIDPattern is the shape of session IDs that may name snapshot
@@ -48,48 +41,63 @@ func ValidSessionID(id string) bool {
 }
 
 // DirStore is a SnapshotStore over a local directory: one JSON file
-// per session, written via temp-file + rename so readers never observe
-// a torn snapshot even when servers share the directory.
+// per session, written via temp-file + rename so a reader never observes
+// a torn snapshot. The store holds an exclusive lock on the directory
+// from NewDirStore to Close, so one server owns it.
 type DirStore struct {
-	dir string
+	dir  string
+	lock *os.File // <dir>/.lock, flocked while the store is open
 }
 
 const snapSuffix = ".snap.json"
 
-// NewDirStore creates the directory if needed and returns the store.
+// NewDirStore creates the directory if needed, takes its lock and
+// returns the store. A directory another open store holds — in this
+// process or another — is an error naming it. The kernel drops the lock
+// when its holder dies, so the successor of a killed server opens the
+// directory at once.
 func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: snapshot dir: %w", err)
 	}
-	return &DirStore{dir: dir}, nil
+	lock, err := os.OpenFile(filepath.Join(dir, ".lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("service: snapshot dir: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("service: snapshot dir %s is held by another server", dir)
+		}
+		return nil, fmt.Errorf("service: snapshot dir %s: lock: %w", dir, err)
+	}
+	return &DirStore{dir: dir, lock: lock}, nil
 }
+
+// Close releases the directory's lock; the store must not be used after.
+func (d *DirStore) Close() error { return d.lock.Close() }
 
 func (d *DirStore) path(id string) string { return filepath.Join(d.dir, id+snapSuffix) }
 
-// Save implements SnapshotStore. The stamp is read off the temp file
-// before the rename, which keeps its inode, size and mtime.
-func (d *DirStore) Save(s *Snapshot) (string, error) {
+// Save implements SnapshotStore.
+func (d *DirStore) Save(s *Snapshot) error {
 	if !ValidSessionID(s.SessionID) {
-		return "", fmt.Errorf("service: snapshot has unusable session ID %q", s.SessionID)
+		return fmt.Errorf("service: snapshot has unusable session ID %q", s.SessionID)
 	}
 	data, err := json.Marshal(s)
 	if err != nil {
-		return "", err
+		return err
 	}
 	tmp, err := os.CreateTemp(d.dir, s.SessionID+".tmp-*")
 	if err != nil {
-		return "", err
+		return err
 	}
-	fail := func(err error) (string, error) {
+	fail := func(err error) error {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return "", err
+		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
-		return fail(err)
-	}
-	fi, err := tmp.Stat()
-	if err != nil {
 		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
@@ -97,20 +105,9 @@ func (d *DirStore) Save(s *Snapshot) (string, error) {
 	}
 	if err := os.Rename(tmp.Name(), d.path(s.SessionID)); err != nil {
 		os.Remove(tmp.Name())
-		return "", err
+		return err
 	}
-	return fileStamp(fi), nil
-}
-
-// fileStamp is a snapshot file's identity: inode, size and mtime. Save
-// creates its temp file while the file it replaces still exists, so the
-// new inode differs from the old one even when size and mtime do not.
-func fileStamp(fi os.FileInfo) string {
-	var ino uint64
-	if st, ok := fi.Sys().(*syscall.Stat_t); ok {
-		ino = st.Ino
-	}
-	return fmt.Sprintf("%x-%x-%x", ino, fi.Size(), fi.ModTime().UnixNano())
+	return nil
 }
 
 // Load implements SnapshotStore.
@@ -132,90 +129,61 @@ func (d *DirStore) Load(sessionID string) (*Snapshot, error) {
 	return &s, nil
 }
 
-// Stamp implements SnapshotStore with one stat, never reading the file.
-func (d *DirStore) Stamp(sessionID string) (string, error) {
-	if !ValidSessionID(sessionID) {
-		return "", nil
-	}
-	fi, err := os.Stat(d.path(sessionID))
-	if errors.Is(err, os.ErrNotExist) {
-		return "", nil
-	}
-	if err != nil {
-		return "", err
-	}
-	return fileStamp(fi), nil
-}
-
 // Delete implements SnapshotStore.
-func (d *DirStore) Delete(sessionID string) error {
+func (d *DirStore) Delete(sessionID string) (bool, error) {
 	if !ValidSessionID(sessionID) {
-		return nil
+		return false, nil
 	}
 	err := os.Remove(d.path(sessionID))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return false, nil
 	}
-	return err
+	return err == nil, err
 }
 
-// MemStore is an in-memory SnapshotStore for tests (several Servers
-// sharing one MemStore model a shared store without touching disk).
+// MemStore is an in-memory SnapshotStore for tests (a second Server on
+// the same MemStore models a restart on the same directory without
+// touching disk).
 type MemStore struct {
 	mu    sync.Mutex
-	snaps map[string]memSnap
-	saves uint64 // the stamp of the latest Save, store-wide
-}
-
-// memSnap is one stored snapshot and the stamp its Save left.
-type memSnap struct {
-	data  []byte
-	stamp string
+	snaps map[string][]byte
 }
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{snaps: map[string]memSnap{}} }
+func NewMemStore() *MemStore { return &MemStore{snaps: map[string][]byte{}} }
 
-// Save implements SnapshotStore; the stamp counts Saves store-wide.
-func (m *MemStore) Save(s *Snapshot) (string, error) {
+// Save implements SnapshotStore.
+func (m *MemStore) Save(s *Snapshot) error {
 	data, err := json.Marshal(s)
 	if err != nil {
-		return "", err
+		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.saves++
-	stamp := strconv.FormatUint(m.saves, 10)
-	m.snaps[s.SessionID] = memSnap{data: data, stamp: stamp}
-	return stamp, nil
+	m.snaps[s.SessionID] = data
+	return nil
 }
 
 // Load implements SnapshotStore.
 func (m *MemStore) Load(sessionID string) (*Snapshot, error) {
 	m.mu.Lock()
-	snap, ok := m.snaps[sessionID]
+	data, ok := m.snaps[sessionID]
 	m.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSnapshot
 	}
 	var s Snapshot
-	if err := json.Unmarshal(snap.data, &s); err != nil {
+	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
-// Stamp implements SnapshotStore.
-func (m *MemStore) Stamp(sessionID string) (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snaps[sessionID].stamp, nil
-}
-
 // Delete implements SnapshotStore.
-func (m *MemStore) Delete(sessionID string) error {
+func (m *MemStore) Delete(sessionID string) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	_, ok := m.snaps[sessionID]
 	delete(m.snaps, sessionID)
-	return nil
+	return ok, nil
 }

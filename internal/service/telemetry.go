@@ -44,8 +44,8 @@ func (c TraceConfig) logf(format string, args ...any) {
 // response so the client can print a shard/compute breakdown
 // without needing the span export.
 const (
-	// HeaderShardUs is the shard's total handler time in microseconds
-	// (queue wait included), stamped by the shard middleware.
+	// HeaderShardUs is the shard's total handler time in microseconds,
+	// stamped by the shard middleware.
 	HeaderShardUs = "X-Mrd-Shard-Us"
 	// HeaderComputeUs is the advisor policy-compute time in
 	// microseconds, stamped by the advance/submit handlers.
@@ -66,10 +66,9 @@ type httpStats struct {
 	mu     sync.Mutex
 	routes map[string]*metrics.Histogram // route -> duration histogram (µs)
 
-	inflight   int64 // requests currently holding an inflight slot
-	shed       int64 // requests refused with 503 at capacity
-	queueWaits int64 // requests that waited for a slot under QueueGrace
-	slow       int64 // requests logged as slow
+	inflight int64 // requests currently holding an inflight slot
+	shed     int64 // requests refused with 503 at capacity
+	slow     int64 // requests logged as slow
 }
 
 func newHTTPStats() *httpStats {
@@ -160,7 +159,6 @@ func (h *httpStats) writePrometheus(bw *obs.PromWriter) {
 
 	bw.Scalar("mrdserver_inflight", "gauge", "Requests currently holding an inflight slot.", h.inflight)
 	bw.Scalar("mrdserver_requests_shed_total", "counter", "Requests refused with 503 at capacity.", h.shed)
-	bw.Scalar("mrdserver_queue_waits_total", "counter", "Requests that waited for an inflight slot under the queue grace.", h.queueWaits)
 	bw.Scalar("mrdserver_slow_requests_total", "counter", "Requests logged as slower than the slow-request threshold.", h.slow)
 }
 

@@ -16,68 +16,8 @@ import (
 	"mrdspark/internal/policyspec"
 )
 
-// TestQueueGraceAvoidsShed: with QueueGrace set, a request arriving at
-// capacity waits for a slot instead of shedding, and the wait is
-// recorded as a queue-wait span under the request's root.
-func TestQueueGraceAvoidsShed(t *testing.T) {
-	tr := trace.NewTracer(64)
-	s := NewServer(ServerConfig{
-		MaxInflight: 1,
-		QueueGrace:  2 * time.Second,
-		Trace:       TraceConfig{Tracer: tr},
-	})
-	defer s.Close()
-
-	release := make(chan struct{})
-	entered := make(chan struct{}, 1) // buffered: the handler's send must not be lost if it comes before the receive
-	h := s.limitInflight(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-release
-		w.WriteHeader(http.StatusOK)
-	}))
-
-	var wg sync.WaitGroup
-	codes := make([]int, 2)
-	for i := range codes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-			codes[i] = rec.Code
-		}(i)
-		if i == 0 {
-			<-entered // first request holds the only slot
-		}
-	}
-	// Give the second request time to reach the full-queue wait before
-	// the slot frees up, so the queue-wait path actually runs.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if codes[0] != http.StatusOK || codes[1] != http.StatusOK {
-		t.Fatalf("statuses %v; QueueGrace should let both requests through", codes)
-	}
-	var waited bool
-	for _, sp := range tr.Spans() {
-		if sp.Name == "queue-wait" && strings.HasPrefix(sp.Attr, "waited=") {
-			waited = true
-			if parent, ok := findSpan(tr, sp.Parent); !ok || parent.Name != "shard-handler" {
-				t.Errorf("queue-wait's parent is %q, want shard-handler", parent.Name)
-			}
-		}
-	}
-	if !waited {
-		t.Error("no queue-wait span with a waited= annotation was recorded")
-	}
-}
-
-// TestShedRecordsSpanAndCounter: without QueueGrace a request at
-// capacity sheds immediately — 503 + Retry-After as before — and the
+// TestShedRecordsSpanAndCounter: a request at capacity sheds
+// immediately — 503 + Retry-After as before — and the
 // telemetry layer records a shed-annotated root span, echoes the
 // traceparent, and counts the shed on /metrics.
 func TestShedRecordsSpanAndCounter(t *testing.T) {
@@ -132,16 +72,6 @@ func TestShedRecordsSpanAndCounter(t *testing.T) {
 	}
 }
 
-// findSpan looks a recorded span up by ID.
-func findSpan(tr *trace.Tracer, id trace.SpanID) (trace.Span, bool) {
-	for _, sp := range tr.Spans() {
-		if sp.ID == id {
-			return sp, true
-		}
-	}
-	return trace.Span{}, false
-}
-
 // TestTelemetryPrometheusGolden pins the /metrics text for the new
 // HTTP-tier series the way internal/obs golden-tests its exposition:
 // exact lines, deterministic ordering.
@@ -174,7 +104,6 @@ func TestTelemetryPrometheusGolden(t *testing.T) {
 		`mrdserver_request_duration_us_quantile{route="healthz",quantile="0.99"}`,
 		"# TYPE mrdserver_inflight gauge\nmrdserver_inflight 1",
 		"mrdserver_requests_shed_total 0",
-		"mrdserver_queue_waits_total 0",
 		"mrdserver_slow_requests_total 0",
 		"mrdserver_trace_spans_total 2",
 		"mrdserver_trace_spans_dropped_total 0",
