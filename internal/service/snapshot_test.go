@@ -369,14 +369,6 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 	if created.Existing {
 		t.Error("fresh create reported Existing")
 	}
-	// A second session the successor never restores: it exists only on
-	// disk there.
-	if _, err := c1.CreateSession(ctx, service.CreateSessionRequest{
-		ID: "restart-2", Workload: name, Advisor: testAdvisorConfig(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	want := oracle(t, name)
 	var got []service.Advice
 	drive := func(c *client.Client, from, to int) {
@@ -434,17 +426,57 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 	if !again.Existing {
 		t.Error("re-create of a live session did not report Existing")
 	}
+}
 
-	// Deleting the session the successor never restored removes its
-	// snapshot: 204, and it is gone from the store and from the server.
-	if err := c2.DeleteSession(ctx, "restart-2"); err != nil {
+// A session written by a server that has since died is deleted by its
+// successor like a live one, without being restored first: the DELETE
+// answers 204, the snapshot is gone, a lookup 404s, and a re-create with
+// the same ID starts fresh instead of reviving the old state. Deleting
+// the fresh live copy then retires it the same way.
+func TestDeleteElsewhereRetiresTheLiveCopy(t *testing.T) {
+	store := service.NewMemStore()
+	newServer := func() (*service.Server, *httptest.Server, *client.Client) {
+		srv := service.NewServer(service.ServerConfig{Snapshots: service.SnapshotPolicy{Store: store}})
+		ts := httptest.NewServer(srv.Handler())
+		return srv, ts, client.New(client.Config{BaseURL: ts.URL, HTTPClient: ts.Client()})
+	}
+	ctx := context.Background()
+	const id = "deleted-elsewhere"
+
+	srv1, ts1, c1 := newServer()
+	steps := createSCC(t, c1, id)
+	driveSteps(t, c1, id, steps[:2])
+	ts1.Close()
+	srv1.Close()
+
+	srv2, ts2, c2 := newServer()
+	defer func() { ts2.Close(); srv2.Close() }()
+	if err := c2.DeleteSession(ctx, id); err != nil {
 		t.Fatalf("DeleteSession of a session only on disk: %v", err)
 	}
-	if _, err := store.Load("restart-2"); !errors.Is(err, service.ErrNoSnapshot) {
+	if _, err := store.Load(id); !errors.Is(err, service.ErrNoSnapshot) {
 		t.Fatalf("Load after the delete = %v; want ErrNoSnapshot", err)
 	}
-	if _, err := c2.GetSession(ctx, "restart-2"); !isStatus(err, http.StatusNotFound) {
+	if _, err := c2.GetSession(ctx, id); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("GetSession after the delete = %v; want a 404", err)
+	}
+	created, err := c2.CreateSession(ctx, service.CreateSessionRequest{ID: id, Workload: "SCC", Advisor: testAdvisorConfig()})
+	if err != nil || created.Existing {
+		t.Fatalf("re-create after the delete = %+v, %v; want a fresh session", created, err)
+	}
+	st, err := c2.GetSession(ctx, id)
+	if err != nil || st.Restored {
+		t.Fatalf("GetSession of the re-created session = %+v, %v; want a fresh, unrestored session", st, err)
+	}
+
+	if err := c2.DeleteSession(ctx, id); err != nil {
+		t.Fatalf("DeleteSession of the live copy: %v", err)
+	}
+	if _, err := c2.GetSession(ctx, id); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("GetSession after deleting the live copy = %v; want a 404", err)
+	}
+	if _, err := store.Load(id); !errors.Is(err, service.ErrNoSnapshot) {
+		t.Fatalf("Load after deleting the live copy = %v; want ErrNoSnapshot", err)
 	}
 }
 
