@@ -3,14 +3,12 @@ package mrdspark_test
 import (
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"mrdspark"
 	"mrdspark/internal/block"
 	"mrdspark/internal/core"
 	"mrdspark/internal/fault"
-	"mrdspark/internal/profile"
 	"mrdspark/internal/refdist"
 	"mrdspark/internal/sim"
 )
@@ -200,77 +198,41 @@ func Example_pagerank() {
 	// cells: job completion time, cache hit ratio
 }
 
-// Recurring applications: the paper's §4.1/§5.8 workflow end to end.
-// The first run of K-Means is ad-hoc — MRD learns the DAG one job at a
-// time and every cross-job reference initially looks infinite. The
-// observed profile is saved to a store; the second run loads it and
-// starts with the whole application DAG visible.
+// Recurring applications: the paper's §4.1/§5.8 comparison. An
+// ad-hoc run of K-Means learns the DAG one job at a time, so every
+// cross-job reference initially looks infinite. A recurring
+// application's DAG is known before it starts: its profile is
+// refdist.FromGraph of that DAG, and the run sees every reference from
+// the first stage.
 func Example_recurring() {
-	dir, err := os.MkdirTemp("", "mrd-profiles")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	store, err := profile.NewStore(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	const app = "KM-default"
 	cl := mrdspark.MainCluster().WithCache(180 << 20)
 	spec, err := mrdspark.BuildWorkload("KM", mrdspark.WorkloadParams{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// First run: no stored profile, so the AppProfiler runs ad-hoc.
-	stored, ok, err := store.LoadProfile(app)
+	adhoc := core.NewManager(spec.Graph, core.NewAppProfiler(), core.Options{})
+	run1, err := sim.Run(spec.Graph, cl, adhoc, spec.Name)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("first run:  stored profile found: %v\n", ok)
-	prof := core.NewAppProfiler()
-	mgr := core.NewManager(spec.Graph, prof, core.Options{})
-	run1, err := sim.Run(spec.Graph, cl, mgr, spec.Name)
+	fmt.Printf("ad-hoc:    JCT %v, hit %.1f%%\n", run1.JCTDuration(), 100*run1.HitRatio())
+
+	whole := refdist.FromGraph(spec.Graph)
+	recurring := core.NewManager(spec.Graph, core.NewRecurringProfiler(whole), core.Options{})
+	run2, err := sim.Run(spec.Graph, cl, recurring, spec.Name)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  ad-hoc:    JCT %v, hit %.1f%%\n", run1.JCTDuration(), 100*run1.HitRatio())
+	fmt.Printf("recurring: JCT %v, hit %.1f%% (%s)\n", run2.JCTDuration(), 100*run2.HitRatio(), whole)
 
-	// Persist what the profiler observed.
-	if _, err := store.Save(app, prof.Observed(), true, prof.Discrepancies()); err != nil {
-		log.Fatal(err)
-	}
-
-	// Second run: load the profile, run in recurring mode.
-	stored, ok, err = store.LoadProfile(app)
-	if err != nil || !ok {
-		log.Fatalf("expected a stored profile, got ok=%v err=%v", ok, err)
-	}
-	fmt.Printf("second run: stored profile found: %v (%s)\n", ok, stored)
-	prof2 := core.NewRecurringProfiler(stored)
-	mgr2 := core.NewManager(spec.Graph, prof2, core.Options{})
-	run2, err := sim.Run(spec.Graph, cl, mgr2, spec.Name)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  recurring: JCT %v, hit %.1f%% (discrepancies: %d)\n",
-		run2.JCTDuration(), 100*run2.HitRatio(), prof2.Discrepancies())
-
-	// The paper's §5.8 point: recurring-mode K-Means should beat the
-	// ad-hoc first run, because KM's 17 jobs hide most references
-	// behind job boundaries.
+	// The paper's §5.8 point: recurring-mode K-Means beats the ad-hoc
+	// run, because KM's 17 jobs hide most references behind job
+	// boundaries.
 	fmt.Printf("recurring vs ad-hoc JCT: %.0f%%\n", 100*float64(run2.JCT)/float64(run1.JCT))
-
-	// Sanity: the stored profile round-trips exactly.
-	if !stored.Equal(refdist.FromData(prof.Observed().Data())) {
-		fmt.Println("WARNING: stored profile does not match the observation")
-	}
 	// Output:
-	// first run:  stored profile found: false
-	//   ad-hoc:    JCT 1m10.631773s, hit 48.7%
-	// second run: stored profile found: true (Profile{7 cached RDDs, 7 with reads})
-	//   recurring: JCT 51.286509s, hit 87.3% (discrepancies: 0)
+	// ad-hoc:    JCT 1m10.631773s, hit 48.7%
+	// recurring: JCT 51.286509s, hit 87.3% (Profile{7 cached RDDs, 7 with reads})
 	// recurring vs ad-hoc JCT: 73%
 }
 

@@ -124,12 +124,10 @@ type Stats struct {
 // schedule with two cursors — one in stage coordinates, one in job
 // coordinates — advanced monotonically as execution progresses.
 // Distances are then computed on demand as reads[cursor] minus the
-// current position. A profile change (ad-hoc job submission, recurring
-// discrepancy fallback) or a backwards stage jump triggers a full
-// rebuild; the steady state per stage is a cursor check per RDD and
-// zero allocations.
+// current position. A profile change (an ad-hoc job submission) or a
+// backwards stage jump triggers a full rebuild; the steady state per
+// stage is a cursor check per RDD and zero allocations.
 type mrdTable struct {
-	profile *refdist.Profile
 	version int
 	valid   bool
 	// lastStage/lastJob are the positions the cursors were last
@@ -391,7 +389,7 @@ func (m *Manager) distance(rddID int) int {
 func (m *Manager) refreshTable() {
 	p := m.profiler.Profile()
 	t := &m.tbl
-	if !t.valid || t.profile != p || t.version != p.Version() ||
+	if !t.valid || t.version != p.Version() ||
 		m.curStage < t.lastStage || m.curJob < t.lastJob {
 		m.rebuildTable(p)
 	} else {
@@ -421,7 +419,7 @@ func (m *Manager) refreshTable() {
 // profile actually changes).
 func (m *Manager) rebuildTable(p *refdist.Profile) {
 	t := &m.tbl
-	t.profile, t.version, t.valid = p, p.Version(), true
+	t.version, t.valid = p.Version(), true
 	t.ids = append(t.ids[:0], p.RDDs()...)
 	n := len(m.graph.RDDs)
 	for _, id := range t.ids {
@@ -502,15 +500,13 @@ type pfRDD struct{ id, dist int }
 // only if the walk gets as far as ordering it.
 type pfCandidate struct{ rdd, part, dist int32 }
 
-// createdBefore reports whether the consulted or the observed profile
-// has the RDD created at a stage before the current one.
+// createdBefore reports whether the profile has the RDD created at a
+// stage before the current one. An ad-hoc profile holds what was
+// submitted; a recurring one, refdist.FromGraph, holds every creation
+// any prefix of the application makes, so no created RDD is missed.
 func (m *Manager) createdBefore(rddID int) bool {
-	for _, p := range [2]*refdist.Profile{m.tbl.profile, m.profiler.Observed()} {
-		if c, ok := p.Creation(rddID); ok && c.Stage < m.curStage {
-			return true
-		}
-	}
-	return false
+	c, ok := m.profiler.Profile().Creation(rddID)
+	return ok && c.Stage < m.curStage
 }
 
 // prefetch is the prefetching phase (Algorithm 1, lines 24–29): per
@@ -522,11 +518,10 @@ func (m *Manager) createdBefore(rddID int) bool {
 // disk or a replica — only once a stage before the current one has
 // created its RDD. Both hosts call OnStageStart(S) before stage S runs,
 // and the profiles and both hosts take creation from the one
-// dag.Materialized rule, so an RDD that neither the consulted nor the
-// observed profile has created before this stage gets no candidates and
-// costs no OnDisk question. For every other RDD OnDisk stays the
-// per-block authority: a profile that says created proves nothing about
-// a block's copies.
+// dag.Materialized rule, so an RDD that the profile has not created
+// before this stage gets no candidates and costs no OnDisk question.
+// For every other RDD OnDisk stays the per-block authority: a profile
+// that says created proves nothing about a block's copies.
 func (m *Manager) prefetch() {
 	if m.ops == nil {
 		return

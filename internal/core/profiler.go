@@ -20,8 +20,8 @@ const (
 	// time as jobs are submitted; references beyond the known jobs
 	// are treated as infinite.
 	AdHoc Mode = iota
-	// Recurring mode loads the whole-application profile saved from a
-	// previous run before execution begins.
+	// Recurring mode knows the whole application DAG before execution
+	// begins, so every reference is visible from the first stage.
 	Recurring
 )
 
@@ -55,37 +55,23 @@ func (m Metric) String() string {
 
 // AppProfiler receives job DAGs from the scheduler, parses them into a
 // reference-distance profile (the parseDAG API of Table 2), and hands
-// the profile to the MRDManager. For recurring applications it starts
-// from a stored whole-application profile and checks each submitted
-// job against it, counting discrepancies; for ad-hoc applications the
-// profile grows job by job.
+// the profile to the MRDManager. For recurring applications the whole
+// application DAG is known before the run, so the profile covers every
+// job up front; for ad-hoc applications the profile grows job by job.
 type AppProfiler struct {
 	mode    Mode
 	profile *refdist.Profile
-	// observed accumulates what the running application actually
-	// submits, so a recurring profile can be verified and a partial
-	// first run resumed (paper §4.4 fault tolerance).
-	observed      *refdist.Profile
-	discrepancies int
 }
 
 // NewAppProfiler creates an ad-hoc profiler with no prior knowledge.
 func NewAppProfiler() *AppProfiler {
-	return &AppProfiler{
-		mode:     AdHoc,
-		profile:  refdist.NewProfile(),
-		observed: refdist.NewProfile(),
-	}
+	return &AppProfiler{mode: AdHoc, profile: refdist.NewProfile()}
 }
 
-// NewRecurringProfiler creates a profiler preloaded with the stored
-// whole-application profile from a previous run.
-func NewRecurringProfiler(stored *refdist.Profile) *AppProfiler {
-	return &AppProfiler{
-		mode:     Recurring,
-		profile:  stored,
-		observed: refdist.NewProfile(),
-	}
+// NewRecurringProfiler creates a profiler holding the whole-application
+// profile, refdist.FromGraph of the application's DAG.
+func NewRecurringProfiler(whole *refdist.Profile) *AppProfiler {
+	return &AppProfiler{mode: Recurring, profile: whole}
 }
 
 // Mode returns the profiler's operating mode.
@@ -94,64 +80,11 @@ func (a *AppProfiler) Mode() Mode { return a.mode }
 // Profile returns the profile the MRDManager should consult.
 func (a *AppProfiler) Profile() *refdist.Profile { return a.profile }
 
-// Observed returns the profile of references actually submitted so
-// far; storing it after the run is how recurring profiles are created
-// and how interrupted first runs resume.
-func (a *AppProfiler) Observed() *refdist.Profile { return a.observed }
-
-// Discrepancies returns how many submitted jobs disagreed with the
-// stored recurring profile.
-func (a *AppProfiler) Discrepancies() int { return a.discrepancies }
-
 // ParseDAG ingests one submitted job (Table 2's parseDAG). In ad-hoc
-// mode the working profile grows; in recurring mode the stored profile
-// already covers the job, so the submission is only verified against
-// it, updating the profile if a discrepancy is found.
+// mode the profile grows by the job; in recurring mode the profile
+// already covers it.
 func (a *AppProfiler) ParseDAG(j *dag.Job) {
-	a.observed.AddJob(j)
 	if a.mode == AdHoc {
 		a.profile.AddJob(j)
-		return
 	}
-	// Recurring: verify the stored profile agrees with reality for
-	// everything observed so far. A prefix mismatch means the stored
-	// profile is stale; fall back to the observed references so the
-	// manager never acts on wrong data, and count the discrepancy.
-	for _, id := range a.observed.RDDs() {
-		obs := a.observed.Reads(id)
-		stored := a.profile.Reads(id)
-		if len(stored) < len(obs) {
-			a.discrepancies++
-			a.profile = mergeProfiles(a.profile, a.observed)
-			return
-		}
-		for i := range obs {
-			if stored[i] != obs[i] {
-				a.discrepancies++
-				a.profile = mergeProfiles(a.profile, a.observed)
-				return
-			}
-		}
-	}
-}
-
-// mergeProfiles overlays observed references onto a stored profile:
-// observed data wins for any RDD it covers, stored data fills in the
-// future the observation has not reached yet.
-func mergeProfiles(stored, observed *refdist.Profile) *refdist.Profile {
-	sd := stored.Data()
-	od := observed.Data()
-	for id, reads := range od.Reads {
-		if len(reads) > len(sd.Reads[id]) {
-			sd.Reads[id] = reads
-		} else {
-			merged := make([]refdist.Ref, len(reads))
-			copy(merged, reads)
-			sd.Reads[id] = append(merged, sd.Reads[id][len(reads):]...)
-		}
-	}
-	for id, c := range od.Creation {
-		sd.Creation[id] = c
-	}
-	return refdist.FromData(sd)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mrdspark/internal/dag"
 	"mrdspark/internal/refdist"
 )
 
@@ -19,86 +18,21 @@ func TestAdHocProfilerAccumulates(t *testing.T) {
 	if !p.Profile().Equal(refdist.FromGraph(g)) {
 		t.Error("ad-hoc profile differs from whole-graph profile after all jobs")
 	}
-	if !p.Observed().Equal(p.Profile()) {
-		t.Error("observed and working profiles must coincide in ad-hoc mode")
-	}
-	if p.Discrepancies() != 0 {
-		t.Errorf("discrepancies = %d", p.Discrepancies())
-	}
 }
 
-func TestRecurringProfilerNoDiscrepancyOnMatch(t *testing.T) {
+func TestRecurringProfilerKeepsItsProfile(t *testing.T) {
 	g, _, _, _ := testGraph(t)
-	stored := refdist.FromGraph(g)
-	p := NewRecurringProfiler(stored)
+	whole := refdist.FromGraph(g)
+	p := NewRecurringProfiler(whole)
 	if p.Mode() != Recurring {
 		t.Fatalf("mode = %v", p.Mode())
 	}
+	version := whole.Version()
 	for _, j := range g.Jobs {
 		p.ParseDAG(j)
 	}
-	if p.Discrepancies() != 0 {
-		t.Errorf("discrepancies on a faithful rerun = %d", p.Discrepancies())
-	}
-	if !p.Profile().Equal(stored) {
-		t.Error("profile changed despite matching submissions")
-	}
-}
-
-func TestRecurringProfilerDetectsStaleProfile(t *testing.T) {
-	g, near, _, _ := testGraph(t)
-	// Store a profile from a graph missing the later jobs: the rerun
-	// submits more references than stored.
-	partial := refdist.NewProfile()
-	partial.AddJob(g.Jobs[0])
-	p := NewRecurringProfiler(partial)
-	for _, j := range g.Jobs {
-		p.ParseDAG(j)
-	}
-	if p.Discrepancies() == 0 {
-		t.Fatal("stale profile not detected")
-	}
-	// After the merge the profile must cover the observed reads.
-	if got, want := len(p.Profile().Reads(near.ID)), len(refdist.FromGraph(g).Reads(near.ID)); got != want {
-		t.Errorf("merged reads = %d, want %d", got, want)
-	}
-}
-
-func TestRecurringProfilerDetectsChangedSchedule(t *testing.T) {
-	g, _, _, _ := testGraph(t)
-	// Store the profile of a DIFFERENT application shape.
-	g2 := dag.New()
-	data := g2.Source("other", 4, 1<<20).Map("m").Cache()
-	g2.Count(data)
-	g2.Count(data.Map("u"))
-	stored := refdist.FromGraph(g2)
-
-	p := NewRecurringProfiler(stored)
-	for _, j := range g.Jobs {
-		p.ParseDAG(j)
-	}
-	if p.Discrepancies() == 0 {
-		t.Error("mismatched application not detected")
-	}
-}
-
-func TestProfilerResumeAfterPartialRun(t *testing.T) {
-	// First run dies after two jobs; the observed partial profile is
-	// stored and the second run resumes from it (§4.4).
-	g, _, _, _ := testGraph(t)
-	first := NewAppProfiler()
-	first.ParseDAG(g.Jobs[0])
-	first.ParseDAG(g.Jobs[1])
-	stored := refdist.FromData(first.Observed().Data())
-
-	second := NewRecurringProfiler(stored)
-	for _, j := range g.Jobs {
-		second.ParseDAG(j)
-	}
-	// The stored prefix was correct but incomplete: treated as a
-	// discrepancy and extended with reality.
-	if !second.Profile().Equal(refdist.FromGraph(g)) {
-		t.Error("resumed profile incomplete")
+	if p.Profile() != whole || whole.Version() != version {
+		t.Error("recurring ParseDAG replaced or grew the whole-application profile")
 	}
 }
 

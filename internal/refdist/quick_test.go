@@ -7,14 +7,14 @@ import (
 	"testing/quick"
 )
 
-// randomData builds a structurally valid Data value from a seed:
+// randomProfile builds a structurally valid profile from a seed:
 // creations precede reads, reads are stage-sorted and job-monotone.
-func randomData(rng *rand.Rand) Data {
-	d := Data{Creation: map[int]Ref{}, Reads: map[int][]Ref{}}
+func randomProfile(rng *rand.Rand) *Profile {
+	p := NewProfile()
 	nRDDs := 1 + rng.Intn(8)
 	for id := 0; id < nRDDs; id++ {
 		cStage := rng.Intn(10)
-		d.Creation[id] = Ref{Stage: cStage, Job: cStage / 2}
+		p.creation[id] = Ref{Stage: cStage, Job: cStage / 2}
 		n := rng.Intn(6)
 		stages := map[int]bool{}
 		for len(stages) < n {
@@ -26,22 +26,10 @@ func randomData(rng *rand.Rand) Data {
 		}
 		sort.Slice(reads, func(a, b int) bool { return reads[a].Stage < reads[b].Stage })
 		if len(reads) > 0 {
-			d.Reads[id] = reads
+			p.reads[id] = reads
 		}
 	}
-	return d
-}
-
-// TestQuickDataRoundTrip: FromData(p.Data()) is always Equal to p.
-func TestQuickDataRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		d := randomData(rand.New(rand.NewSource(seed)))
-		p := FromData(d)
-		return p.Equal(FromData(p.Data()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	return p
 }
 
 // TestQuickDistanceLaws checks the distance algebra on random
@@ -54,7 +42,7 @@ func TestQuickDataRoundTrip(t *testing.T) {
 func TestQuickDistanceLaws(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := FromData(randomData(rng))
+		p := randomProfile(rng)
 		for _, id := range p.RDDs() {
 			for s := 0; s < 45; s++ {
 				d := p.StageDistance(id, s)
@@ -93,7 +81,7 @@ func TestQuickDistanceLaws(t *testing.T) {
 func TestQuickNextReadIsFirstAtOrAfter(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := FromData(randomData(rng))
+		p := randomProfile(rng)
 		for _, id := range p.RDDs() {
 			reads := p.Reads(id)
 			for s := 0; s < 45; s++ {
@@ -124,7 +112,7 @@ func TestQuickNextReadIsFirstAtOrAfter(t *testing.T) {
 // and maxima bound the averages.
 func TestQuickStatsNonNegative(t *testing.T) {
 	f := func(seed int64) bool {
-		p := FromData(randomData(rand.New(rand.NewSource(seed))))
+		p := randomProfile(rand.New(rand.NewSource(seed)))
 		st := p.Stats()
 		if st.AvgStageDistance < 0 || st.AvgJobDistance < 0 {
 			return false

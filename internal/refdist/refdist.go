@@ -172,6 +172,32 @@ func (p *Profile) StageDistanceConsumed(rddID, curStage int) int {
 	return next.Stage - curStage
 }
 
+// Equal reports whether two profiles record identical schedules: the
+// property that ad-hoc submission, job by job, ends at the recurring
+// whole-graph profile.
+func (p *Profile) Equal(q *Profile) bool {
+	if len(p.creation) != len(q.creation) || len(p.reads) != len(q.reads) {
+		return false
+	}
+	for id, r := range p.creation {
+		if q.creation[id] != r {
+			return false
+		}
+	}
+	for id, reads := range p.reads {
+		qr := q.reads[id]
+		if len(qr) != len(reads) {
+			return false
+		}
+		for i := range reads {
+			if reads[i] != qr[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // String summarizes the profile for debugging.
 func (p *Profile) String() string {
 	return fmt.Sprintf("Profile{%d cached RDDs, %d with reads}", len(p.creation), len(p.reads))

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -413,15 +414,20 @@ func hopUs(h http.Header, key string) int64 {
 
 // parseRetryAfter reads a Retry-After header leniently: RFC 9110
 // allows delay-seconds or an HTTP-date; real servers also emit
-// fractional seconds. Unparseable values mean no hint.
+// fractional seconds. Unparseable values, NaN and infinities mean no
+// hint; a finite delay at or past maxRetryAfter is the cap, converted
+// before it can overflow a Duration.
 func parseRetryAfter(v string) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0
 	}
 	if secs, err := strconv.ParseFloat(v, 64); err == nil {
-		if secs <= 0 {
+		switch {
+		case math.IsNaN(secs) || math.IsInf(secs, 0) || secs <= 0:
 			return 0
+		case secs >= maxRetryAfter.Seconds():
+			return maxRetryAfter
 		}
 		return time.Duration(secs * float64(time.Second))
 	}

@@ -20,7 +20,7 @@ func TestRetriesShedResponses(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
+			w.Header().Set("Retry-After", "0.01")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
@@ -156,6 +156,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{" 2 ", 2 * time.Second},
 		{"-1", 0},
 		{"soon", 0},
+		{"5", maxRetryAfter},
+		{"9999999999", maxRetryAfter},
+		{"1e10", maxRetryAfter},
+		{"1e300", maxRetryAfter},
+		{"Inf", 0},
+		{"-Inf", 0},
+		{"NaN", 0},
 		{time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat), 0},
 	}
 	for _, tc := range cases {

@@ -218,4 +218,7 @@ func TestRetryWait(t *testing.T) {
 	if w := c.retryWait(2, time.Hour); w != maxRetryAfter {
 		t.Errorf("runaway hint: wait %v, want the %v cap", w, maxRetryAfter)
 	}
+	if w := c.retryWait(2, parseRetryAfter("9999999999")); w != maxRetryAfter {
+		t.Errorf("hint past a Duration's range: wait %v, want the %v cap", w, maxRetryAfter)
+	}
 }
