@@ -270,6 +270,57 @@ func TestValidateAcceptsWorkloadsAndRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsEachCorruption corrupts a fresh two-job graph (the
+// second job reuses the first's map stage) once per invariant, and each
+// corruption must be rejected with its own message.
+func TestValidateRejectsEachCorruption(t *testing.T) {
+	build := func() *Graph {
+		g := New()
+		agg := g.Source("in", 4, 1<<20).Map("m").ReduceByKey("r")
+		g.Count(agg)
+		g.Count(agg.Map("m2"))
+		return g
+	}
+	if err := build().Validate(); err != nil {
+		t.Fatalf("valid graph rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(g *Graph)
+		want    string
+	}{
+		{"new stage outside the closure", func(g *Graph) {
+			j := g.Jobs[0]
+			j.Stages = j.Stages[1:] // drop the map stage, still new in j
+		}, "job 0: new stage 0 not in stage closure"},
+		{"wrong first job", func(g *Graph) {
+			g.Jobs[1].NewStages[0].FirstJob = g.Jobs[0]
+		}, "job 1: new stage 2 claims first job 0"},
+		{"parent with a later ID", func(g *Graph) {
+			s := g.Jobs[1].ResultStage
+			s.Parents = append(s.Parents, s)
+		}, "stage 2 has parent 2 with non-smaller ID"},
+		{"chain without its target", func(g *Graph) {
+			s := g.Jobs[0].ResultStage
+			s.Chain = s.Chain[:0:0]
+		}, "stage 1 chain does not contain target RDD2(r)"},
+		{"non-earlier dependency", func(g *Graph) {
+			g.RDDs[1].Deps[0].Parent = g.RDDs[3]
+		}, "RDD1(m) depends on non-earlier RDD3(m2)"},
+	} {
+		g := build()
+		c.corrupt(g)
+		err := g.Validate()
+		if err == nil {
+			t.Errorf("%s: not detected", c.name)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: Validate = %q, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 // randomGraph builds an arbitrary DAG through the public transformation
 // API: up to two dozen narrow and wide operators over random parents, a
 // third of the RDDs cached, an action on a quarter of them and on the
