@@ -1,6 +1,6 @@
 package dag
 
-import "sort"
+import "slices"
 
 // Ancestors returns every RDD reachable from r through any dependency
 // (narrow or shuffle), in ascending ID order, excluding r itself.
@@ -19,7 +19,7 @@ func (r *RDD) Ancestors() []*RDD {
 		}
 	}
 	walk(r)
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, byRDDID)
 	return out
 }
 

@@ -104,17 +104,16 @@ type Graph struct {
 
 	nextShuffleID int
 	nextStageID   int
-	// shuffleStages registers the ShuffleMapStage created for each
-	// shuffle dependency, so later jobs referencing the same shuffle
-	// reuse (and, at run time, skip) the stage — Spark's
+	// shuffleStages registers, by shuffle ID, the ShuffleMapStage
+	// created for each shuffle dependency, so later jobs referencing the
+	// same shuffle reuse (and, at run time, skip) the stage — Spark's
 	// shuffleIdToMapStage.
-	shuffleStages map[int]*Stage
+	shuffleStages []*Stage
+	sched         scratch
 }
 
 // New creates an empty application DAG.
-func New() *Graph {
-	return &Graph{shuffleStages: map[int]*Stage{}}
-}
+func New() *Graph { return &Graph{} }
 
 func (g *Graph) newRDD(op, name string, parts int, partSize, cost int64, deps []Dependency) *RDD {
 	r := &RDD{
@@ -131,39 +130,69 @@ func (g *Graph) newRDD(op, name string, parts int, partSize, cost int64, deps []
 	return r
 }
 
-// Opt configures a transformation. The zero behaviour (no options)
-// inherits the parent's partition count, keeps the partition size, and
-// charges a nominal per-partition compute cost.
-type Opt func(*opts)
+// Opt configures a transformation. Each option sets one setting, and
+// of several options setting the same one the last wins. The zero
+// behaviour (no options) inherits the parent's partition count, keeps
+// the partition size, and charges a nominal per-partition compute cost.
+type Opt struct {
+	set optSetting
+	n   int64
+	f   float64
+}
+
+type optSetting uint8
+
+const (
+	optPartitions optSetting = iota + 1
+	optSizeFactor
+	optPartSize
+	optCost
+)
+
+// WithPartitions sets the number of output partitions (used by wide
+// transformations to model repartitioning).
+func WithPartitions(n int) Opt { return Opt{set: optPartitions, n: int64(n)} }
+
+// WithSizeFactor scales the output partition size relative to the
+// input partition size (e.g. 0.1 for an aggressive aggregation).
+func WithSizeFactor(f float64) Opt { return Opt{set: optSizeFactor, f: f} }
+
+// WithPartSize sets the output partition size in bytes directly,
+// overriding any size factor.
+func WithPartSize(b int64) Opt { return Opt{set: optPartSize, n: b} }
+
+// WithCost sets the per-partition compute cost in microseconds.
+func WithCost(us int64) Opt { return Opt{set: optCost, n: us} }
 
 type opts struct {
 	partitions int
 	sizeFactor float64
 	partSize   int64
 	cost       int64
-	costSet    bool
 }
 
-// WithPartitions sets the number of output partitions (used by wide
-// transformations to model repartitioning).
-func WithPartitions(n int) Opt { return func(o *opts) { o.partitions = n } }
-
-// WithSizeFactor scales the output partition size relative to the
-// input partition size (e.g. 0.1 for an aggressive aggregation).
-func WithSizeFactor(f float64) Opt { return func(o *opts) { o.sizeFactor = f } }
-
-// WithPartSize sets the output partition size in bytes directly,
-// overriding any size factor.
-func WithPartSize(b int64) Opt { return func(o *opts) { o.partSize = b } }
-
-// WithCost sets the per-partition compute cost in microseconds.
-func WithCost(us int64) Opt { return func(o *opts) { o.cost = us; o.costSet = true } }
+// with returns o with the options applied in order.
+func (o opts) with(options []Opt) opts {
+	for _, opt := range options {
+		switch opt.set {
+		case optPartitions:
+			o.partitions = int(opt.n)
+		case optSizeFactor:
+			o.sizeFactor = opt.f
+		case optPartSize:
+			o.partSize = opt.n
+		case optCost:
+			o.cost = opt.n
+		}
+	}
+	return o
+}
 
 func applyOpts(parent *RDD, options []Opt) (parts int, size, cost int64) {
-	o := opts{sizeFactor: 1.0}
-	for _, f := range options {
-		f(&o)
-	}
+	// Default compute cost: proportional to the input processed, at a
+	// light 1 µs per 64 KiB — workloads override this to set their
+	// CPU intensity.
+	o := opts{sizeFactor: 1.0, cost: parent.PartSize >> 16}.with(options)
 	parts = parent.NumPartitions
 	if o.partitions > 0 {
 		parts = o.partitions
@@ -172,28 +201,15 @@ func applyOpts(parent *RDD, options []Opt) (parts int, size, cost int64) {
 	if o.partSize > 0 {
 		size = o.partSize
 	}
-	// Default compute cost: proportional to the input processed, at a
-	// light 1 µs per 64 KiB — workloads override this to set their
-	// CPU intensity.
-	cost = parent.PartSize >> 16
-	if o.costSet {
-		cost = o.cost
-	}
-	return parts, size, cost
+	return parts, size, o.cost
 }
 
 // Source creates an input RDD read from external storage (HDFS). The
 // per-partition compute cost models deserialization; reading the bytes
-// themselves is charged as I/O by the simulator.
+// themselves is charged as I/O by the simulator. Of the options only
+// WithCost applies.
 func (g *Graph) Source(name string, partitions int, partSize int64, options ...Opt) *RDD {
-	o := opts{}
-	for _, f := range options {
-		f(&o)
-	}
-	cost := partSize >> 16
-	if o.costSet {
-		cost = o.cost
-	}
+	cost := opts{cost: partSize >> 16}.with(options).cost
 	return g.newRDD("source", name, partitions, partSize, cost, nil)
 }
 

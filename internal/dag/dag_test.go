@@ -57,6 +57,56 @@ func TestTransformOptions(t *testing.T) {
 	}
 }
 
+// TestOptSemantics: of several options setting one setting the last
+// wins, an explicit zero applies (a zero size factor, a zero cost
+// against the nonzero default; a zero partition count or part size
+// means "inherit", as when unset), options setting different settings
+// combine, and Source honours only WithCost.
+func TestOptSemantics(t *testing.T) {
+	// The parent: 8 partitions of 1 MiB, so the default cost is 16 µs.
+	const parts, size, cost = 8, 1 << 20, (1 << 20) >> 16
+	for _, c := range []struct {
+		name       string
+		opts       []Opt
+		parts      int
+		size, cost int64
+	}{
+		{"none", nil, parts, size, cost},
+		{"partitions, last wins", []Opt{WithPartitions(3), WithPartitions(5)}, 5, size, cost},
+		{"partitions, zero inherits", []Opt{WithPartitions(3), WithPartitions(0)}, parts, size, cost},
+		{"size factor, last wins", []Opt{WithSizeFactor(0.5), WithSizeFactor(0.25)}, parts, size / 4, cost},
+		{"size factor, zero applies", []Opt{WithSizeFactor(0.5), WithSizeFactor(0)}, parts, 0, cost},
+		{"part size overrides the factor", []Opt{WithPartSize(100), WithSizeFactor(0.5)}, parts, 100, cost},
+		{"part size, last wins", []Opt{WithPartSize(100), WithPartSize(300)}, parts, 300, cost},
+		{"part size, zero falls back to the factor", []Opt{WithPartSize(100), WithSizeFactor(0.5), WithPartSize(0)}, parts, size / 2, cost},
+		{"cost, last wins", []Opt{WithCost(7), WithCost(9)}, parts, size, 9},
+		{"cost, zero applies", []Opt{WithCost(7), WithCost(0)}, parts, size, 0},
+		{"all four", []Opt{WithCost(1), WithPartSize(2), WithSizeFactor(3), WithPartitions(4)}, 4, 2, 1},
+	} {
+		r := New().Source("in", parts, size).Map("m", c.opts...)
+		if r.NumPartitions != c.parts || r.PartSize != c.size || r.CostPerPart != c.cost {
+			t.Errorf("%s: (partitions, size, cost) = (%d, %d, %d), want (%d, %d, %d)",
+				c.name, r.NumPartitions, r.PartSize, r.CostPerPart, c.parts, c.size, c.cost)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		opts []Opt
+		cost int64
+	}{
+		{"none", nil, cost},
+		{"only WithCost applies", []Opt{WithPartitions(3), WithPartSize(5), WithSizeFactor(2), WithCost(11)}, 11},
+		{"others ignored", []Opt{WithPartitions(3), WithPartSize(5), WithSizeFactor(0)}, cost},
+		{"zero cost applies", []Opt{WithCost(11), WithCost(0)}, 0},
+	} {
+		r := New().Source("in", parts, size, c.opts...)
+		if r.NumPartitions != parts || r.PartSize != size || r.CostPerPart != c.cost {
+			t.Errorf("Source, %s: (partitions, size, cost) = (%d, %d, %d), want (%d, %d, %d)",
+				c.name, r.NumPartitions, r.PartSize, r.CostPerPart, parts, int64(size), c.cost)
+		}
+	}
+}
+
 func TestShuffleIDsAreUnique(t *testing.T) {
 	g := New()
 	src := g.Source("in", 8, 1<<20)

@@ -7,13 +7,15 @@ import (
 )
 
 // checkStage holds one stage's walk under m to the rule and to the
-// reference: Frontier equals StageFrontier element for element; every
+// references: Walk makes refWalk's calls in refWalk's order; Frontier
+// equals StageFrontier element for element; every
 // read is a boundary and no compute is; no RDD is visited twice (diamond
 // paths included); read ∪ compute is exactly the narrow closure cut at
 // boundaries, found here by a worklist and not a recursion; the target
 // comes first, and a boundary target is read and nothing else happens.
 func checkStage(t testing.TB, m *Materialized, s *Stage) {
 	t.Helper()
+	checkWalk(t, m, s)
 	reads, creates := m.Frontier(s)
 	wantReads, wantCreates := StageFrontier(s, m.Has)
 	if !slices.Equal(reads, wantReads) || !slices.Equal(creates, wantCreates) {

@@ -22,3 +22,16 @@ func TestFrontierOnRegistryWorkloads(t *testing.T) {
 		dag.CheckGraph(t, spec.Graph, rng)
 	}
 }
+
+// TestSchedulerOnRegistryWorkloads runs dag.CheckScheduler — every job's
+// stages against the scheduler as it stood before its walks ran over
+// dense IDs — over every registry workload.
+func TestSchedulerOnRegistryWorkloads(t *testing.T) {
+	for _, name := range workload.Names() {
+		spec, err := workload.Build(name, workload.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dag.CheckScheduler(t, spec.Graph)
+	}
+}

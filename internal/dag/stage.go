@@ -3,7 +3,6 @@ package dag
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // StageKind distinguishes Spark's two stage classes.
@@ -101,27 +100,36 @@ func (m *Materialized) Mark(rddID int) {
 // ancestor short of a boundary, target first, and read once for each
 // boundary it reaches, stopping there. A stage whose target is itself a
 // boundary (a repeated action on a fully cached RDD) reads it and
-// computes nothing.
+// computes nothing. The order is a depth-first walk taking each RDD's
+// dependencies in order; the visited set is a bitset by RDD ID, on the
+// stack for IDs below 512.
 func (m *Materialized) Walk(s *Stage, read, compute func(*RDD)) {
-	seen := map[int]bool{}
-	var walk func(r *RDD)
-	walk = func(r *RDD) {
-		if seen[r.ID] {
-			return
+	var words [8]uint64
+	seen := words[:]
+	var buf [32]*RDD
+	stack := append(buf[:0], s.Target)
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		i, bit := r.ID>>6, uint64(1)<<(r.ID&63)
+		if i >= len(seen) {
+			seen = append(seen, make([]uint64, i+1-len(seen))...)
 		}
-		seen[r.ID] = true
+		if seen[i]&bit != 0 {
+			continue
+		}
+		seen[i] |= bit
 		if m.Boundary(r) {
 			read(r)
-			return
+			continue
 		}
 		compute(r)
-		for _, d := range r.Deps {
-			if d.Type == Narrow {
-				walk(d.Parent)
+		for d := len(r.Deps) - 1; d >= 0; d-- {
+			if r.Deps[d].Type == Narrow {
+				stack = append(stack, r.Deps[d].Parent)
 			}
 		}
 	}
-	walk(s.Target)
 }
 
 // Frontier returns the cached RDDs the stage reads (the boundaries its
@@ -133,9 +141,8 @@ func (m *Materialized) Frontier(s *Stage) (reads, creates []*RDD) {
 			creates = append(creates, r)
 		}
 	})
-	byID := func(a, b *RDD) int { return a.ID - b.ID }
-	slices.SortFunc(reads, byID)
-	slices.SortFunc(creates, byID)
+	slices.SortFunc(reads, byRDDID)
+	slices.SortFunc(creates, byRDDID)
 	return reads, creates
 }
 
@@ -160,123 +167,131 @@ type Job struct {
 // earlier jobs and therefore skipped at execution time.
 func (j *Job) SkippedStages() int { return len(j.Stages) - len(j.NewStages) }
 
-// narrowClosure collects Target plus all ancestors reachable through
-// narrow dependencies, in deterministic RDD-ID order.
-func narrowClosure(target *RDD) []*RDD {
-	seen := map[int]bool{}
-	var out []*RDD
-	var walk func(r *RDD)
-	walk = func(r *RDD) {
-		if seen[r.ID] {
-			return
-		}
-		seen[r.ID] = true
-		out = append(out, r)
-		for _, d := range r.Deps {
-			if d.Type == Narrow {
-				walk(d.Parent)
-			}
-		}
-	}
-	walk(target)
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+// scratch is the scheduler's working memory, reused by every action:
+// a stamp per RDD and per stage ID, set while a walk runs and cleared
+// from its output before it returns; the walks' worklists; and the
+// frames of shuffle dependencies and new stages that one action's
+// recursion holds open. It points only at RDDs and stages the graph
+// holds anyway.
+type scratch struct {
+	onRDD   []bool
+	onStage []bool
+	rdds    []*RDD
+	stages  []*Stage
+	deps    []Dependency
+	created []*Stage
 }
 
-// shuffleDeps collects the shuffle dependencies reachable from target
-// without crossing another shuffle boundary, in deterministic order.
-func shuffleDeps(target *RDD) []Dependency {
-	seen := map[int]bool{}
-	var deps []Dependency
-	var walk func(r *RDD)
-	walk = func(r *RDD) {
-		if seen[r.ID] {
-			return
-		}
-		seen[r.ID] = true
-		for _, d := range r.Deps {
+func byRDDID(a, b *RDD) int     { return a.ID - b.ID }
+func byStageID(a, b *Stage) int { return a.ID - b.ID }
+
+// closure returns target's narrow closure — target plus every ancestor
+// reachable without crossing a shuffle boundary — in RDD-ID order, and
+// pushes the shuffle dependencies it reaches onto g.sched.deps in
+// shuffle-ID order, for the caller to pop.
+func (g *Graph) closure(target *RDD) []*RDD {
+	w := &g.sched
+	if n := len(g.RDDs); len(w.onRDD) < n {
+		w.onRDD = append(w.onRDD, make([]bool, n-len(w.onRDD))...)
+	}
+	base := len(w.deps)
+	work := append(w.rdds[:0], target)
+	w.onRDD[target.ID] = true
+	for i := 0; i < len(work); i++ {
+		for _, d := range work[i].Deps {
 			if d.Type == Shuffle {
-				deps = append(deps, d)
-			} else {
-				walk(d.Parent)
+				w.deps = append(w.deps, d)
+			} else if !w.onRDD[d.Parent.ID] {
+				w.onRDD[d.Parent.ID] = true
+				work = append(work, d.Parent)
 			}
 		}
 	}
-	walk(target)
-	sort.Slice(deps, func(a, b int) bool { return deps[a].ShuffleID < deps[b].ShuffleID })
-	return deps
+	for _, r := range work {
+		w.onRDD[r.ID] = false
+	}
+	w.rdds = work
+	chain := slices.Clone(work)
+	slices.SortFunc(chain, byRDDID)
+	slices.SortFunc(w.deps[base:], func(a, b Dependency) int { return a.ShuffleID - b.ShuffleID })
+	return chain
 }
 
-// getOrCreateShuffleStage returns the registered map stage for dep,
-// creating it (and, recursively, its ancestors) on first sight. This
-// is the mechanism behind Spark's skipped stages: a later job that
-// needs the same shuffle gets the already-registered stage back.
-func (g *Graph) getOrCreateShuffleStage(dep Dependency, job *Job) *Stage {
-	if s, ok := g.shuffleStages[dep.ShuffleID]; ok {
-		return s
+// newStage creates the stage that computes target — the map side of
+// shuffle shuffleID, or the job's result stage — once every map stage
+// it fetches from exists, creating those first.
+func (g *Graph) newStage(kind StageKind, target *RDD, shuffleID int, job *Job) *Stage {
+	w := &g.sched
+	base := len(w.deps)
+	chain := g.closure(target)
+	end := len(w.deps)
+	parents := make([]*Stage, 0, end-base)
+	for i := base; i < end; i++ {
+		parents = append(parents, g.mapStage(w.deps[i], job)) // pushes and pops above end
 	}
-	parents := g.parentStages(dep.Parent, job)
+	w.deps = w.deps[:base]
 	s := &Stage{
 		ID:        g.nextStageID,
-		Kind:      ShuffleMap,
-		Target:    dep.Parent,
-		ShuffleID: dep.ShuffleID,
+		Kind:      kind,
+		Target:    target,
+		ShuffleID: shuffleID,
 		Parents:   parents,
 		FirstJob:  job,
-		Chain:     narrowClosure(dep.Parent),
-		NumTasks:  dep.Parent.NumPartitions,
+		Chain:     chain,
+		NumTasks:  target.NumPartitions,
 	}
 	g.nextStageID++
-	g.shuffleStages[dep.ShuffleID] = s
-	job.NewStages = append(job.NewStages, s)
+	w.created = append(w.created, s)
 	return s
 }
 
-// parentStages returns the map stages feeding rdd's narrow closure.
-func (g *Graph) parentStages(rdd *RDD, job *Job) []*Stage {
-	deps := shuffleDeps(rdd)
-	stages := make([]*Stage, 0, len(deps))
-	for _, d := range deps {
-		stages = append(stages, g.getOrCreateShuffleStage(d, job))
+// mapStage returns the registered map stage for dep, creating it (and,
+// recursively, its ancestors) on first sight. This is the mechanism
+// behind Spark's skipped stages: a later job that needs the same
+// shuffle gets the already-registered stage back.
+func (g *Graph) mapStage(dep Dependency, job *Job) *Stage {
+	if dep.ShuffleID < len(g.shuffleStages) && g.shuffleStages[dep.ShuffleID] != nil {
+		return g.shuffleStages[dep.ShuffleID]
 	}
-	return stages
+	s := g.newStage(ShuffleMap, dep.Parent, dep.ShuffleID, job)
+	if n := dep.ShuffleID + 1; len(g.shuffleStages) < n {
+		g.shuffleStages = append(g.shuffleStages, make([]*Stage, n-len(g.shuffleStages))...)
+	}
+	g.shuffleStages[dep.ShuffleID] = s
+	return s
 }
 
 // action runs the DAGScheduler for one action on target, creating the
-// job and its stages.
+// job and its stages. Stage IDs are assigned parents first, so the new
+// stages are created in ID order.
 func (g *Graph) action(target *RDD, name string) *Job {
+	w := &g.sched
 	job := &Job{ID: len(g.Jobs), Name: name, Target: target}
-	parents := g.parentStages(target, job)
-	result := &Stage{
-		ID:       g.nextStageID,
-		Kind:     Result,
-		Target:   target,
-		Parents:  parents,
-		FirstJob: job,
-		Chain:    narrowClosure(target),
-		NumTasks: target.NumPartitions,
-	}
-	g.nextStageID++
-	job.ResultStage = result
-	job.NewStages = append(job.NewStages, result)
-	sort.Slice(job.NewStages, func(a, b int) bool { return job.NewStages[a].ID < job.NewStages[b].ID })
+	job.ResultStage = g.newStage(Result, target, 0, job)
+	job.NewStages = slices.Clone(w.created)
+	w.created = w.created[:0]
 
 	// Transitive closure over parents gives the job's full stage set,
 	// including reused (skipped) stages.
-	seen := map[int]bool{}
-	var walk func(s *Stage)
-	walk = func(s *Stage) {
-		if seen[s.ID] {
-			return
-		}
-		seen[s.ID] = true
-		job.Stages = append(job.Stages, s)
-		for _, p := range s.Parents {
-			walk(p)
+	if n := g.nextStageID; len(w.onStage) < n {
+		w.onStage = append(w.onStage, make([]bool, n-len(w.onStage))...)
+	}
+	work := append(w.stages[:0], job.ResultStage)
+	w.onStage[job.ResultStage.ID] = true
+	for i := 0; i < len(work); i++ {
+		for _, p := range work[i].Parents {
+			if !w.onStage[p.ID] {
+				w.onStage[p.ID] = true
+				work = append(work, p)
+			}
 		}
 	}
-	walk(result)
-	sort.Slice(job.Stages, func(a, b int) bool { return job.Stages[a].ID < job.Stages[b].ID })
+	for _, s := range work {
+		w.onStage[s.ID] = false
+	}
+	w.stages = work
+	job.Stages = slices.Clone(work)
+	slices.SortFunc(job.Stages, byStageID)
 
 	g.Jobs = append(g.Jobs, job)
 	return job
@@ -318,11 +333,11 @@ func (g *Graph) StageReads() map[int][]*RDD {
 // whole application, in global stage-ID order (the execution order:
 // jobs run serially and stage IDs are assigned parents-first).
 func (g *Graph) ExecutedStages() []*Stage {
-	var out []*Stage
+	out := make([]*Stage, 0, g.ActiveStages())
 	for _, j := range g.Jobs {
 		out = append(out, j.NewStages...)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, byStageID)
 	return out
 }
 
@@ -349,15 +364,19 @@ func (g *Graph) ActiveStages() int {
 // lower IDs, chains contain the target, dependency edges are acyclic
 // (guaranteed by construction, verified defensively), and every job's
 // new stages are a subset of its stage closure. It returns the first
-// violation found.
+// violation found. Each stage is checked once, however many jobs
+// reuse it.
 func (g *Graph) Validate() error {
+	checked := make([]bool, g.nextStageID)
 	for _, j := range g.Jobs {
-		inClosure := map[int]bool{}
-		for _, s := range j.Stages {
-			inClosure[s.ID] = true
-		}
+		// Both lists are in stage-ID order, so one merge finds each new
+		// stage in the closure.
+		k := 0
 		for _, s := range j.NewStages {
-			if !inClosure[s.ID] {
+			for k < len(j.Stages) && j.Stages[k].ID < s.ID {
+				k++
+			}
+			if k == len(j.Stages) || j.Stages[k].ID != s.ID {
 				return fmt.Errorf("job %d: new stage %d not in stage closure", j.ID, s.ID)
 			}
 			if s.FirstJob != j {
@@ -365,19 +384,18 @@ func (g *Graph) Validate() error {
 			}
 		}
 		for _, s := range j.Stages {
+			if uint(s.ID) < uint(len(checked)) {
+				if checked[s.ID] {
+					continue
+				}
+				checked[s.ID] = true
+			}
 			for _, p := range s.Parents {
 				if p.ID >= s.ID {
 					return fmt.Errorf("stage %d has parent %d with non-smaller ID", s.ID, p.ID)
 				}
 			}
-			found := false
-			for _, r := range s.Chain {
-				if r == s.Target {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(s.Chain, s.Target) {
 				return fmt.Errorf("stage %d chain does not contain target %s", s.ID, s.Target)
 			}
 		}
