@@ -222,29 +222,3 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		CheckScheduler(t, randomGraph(rng))
 	}
 }
-
-// TestWalkOrderIsDepthFirstInDependencyOrder pins the order on a shape
-// where it shows: a union of two chains over one cached base computes
-// the left chain to the base before the right one, and reads or
-// computes the base once, where the left chain reaches it.
-func TestWalkOrderIsDepthFirstInDependencyOrder(t *testing.T) {
-	g := New()
-	base := g.Source("in", 4, 1<<20).Cache()
-	l1 := base.Map("l1")
-	l2 := l1.Map("l2")
-	r1 := base.Map("r1")
-	u := l2.Union("u", r1)
-	st := g.Count(u).ResultStage
-	for _, c := range []struct {
-		m    *Materialized
-		want []int
-	}{
-		{marked(), []int{u.ID, l2.ID, l1.ID, base.ID, r1.ID}},
-		{marked(base), []int{u.ID, l2.ID, l1.ID, -(base.ID + 1), r1.ID}},
-	} {
-		if got := walkCalls((*Materialized).Walk, c.m, st); !slices.Equal(got, c.want) {
-			t.Errorf("base marked=%v: Walk calls %v, want %v", c.m.Has(base.ID), got, c.want)
-		}
-		checkWalk(t, c.m, st)
-	}
-}
