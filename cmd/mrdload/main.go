@@ -81,50 +81,6 @@ func (k *killer) tick() {
 	fmt.Fprintf(k.stdout, "mrdload: killed pid %d after %d advances\n", k.pid, k.after)
 }
 
-// hopNames are the tiers a response's X-Mrd-* headers can time, outermost
-// first.
-var hopNames = [...]string{"shard", "compute"}
-
-// hopStats folds every successful call's per-hop breakdown (parsed
-// from the X-Mrd-* response headers) into one latency sample set per
-// hop plus a traced-response tally.
-type hopStats struct {
-	mu      sync.Mutex
-	samples [len(hopNames)][]time.Duration
-	traced  int
-	total   int
-}
-
-func (h *hopStats) add(hp client.Hops) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.total++
-	if hp.TraceID != "" {
-		h.traced++
-	}
-	for i, us := range [...]int64{hp.ShardUs, hp.ComputeUs} {
-		if us >= 0 {
-			h.samples[i] = append(h.samples[i], time.Duration(us)*time.Microsecond)
-		}
-	}
-}
-
-// report prints the per-hop breakdown next to the end-to-end latency
-// percentiles; hops a tier never stamped are omitted.
-func (h *hopStats) report(stdout io.Writer) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return
-	}
-	fmt.Fprintf(stdout, "per-hop:       %d/%d responses traced\n", h.traced, h.total)
-	for i, d := range h.samples {
-		if len(d) > 0 {
-			fmt.Fprintf(stdout, "  %-8s p50 %v  p99 %v  (%d samples)\n", hopNames[i], percentile(d, 50), percentile(d, 99), len(d))
-		}
-	}
-}
-
 // sessionResult is one worker's tally.
 type sessionResult struct {
 	workload   string
@@ -172,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *traceCap > 0 {
 		tracer = trace.NewTracer(*traceCap)
 	}
-	hops := &hopStats{}
 
 	transport := "json"
 	if *bin {
@@ -183,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// retries: a call rides out a server restart of up to that long.
 	c := client.New(client.Config{
 		BaseURL: *addr, MaxRetryWait: *retryWait, Retry: &fault.Schedule{MaxFetchRetries: 16},
-		Tracer: tracer, OnHops: hops.add, Binary: *bin,
+		Tracer: tracer, Binary: *bin,
 	})
 	defer c.Close()
 	fmt.Fprintf(stdout, "mrdload: %d sessions x %s (%d workloads) against %s (%s), policy %s, parity %v\n",
@@ -229,7 +184,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		okSessions, failed, float64(okSessions)/elapsed.Seconds())
 	fmt.Fprintf(stdout, "advice calls:  %d (%.1f calls/s)\n", advances, float64(advances)/elapsed.Seconds())
 	fmt.Fprintf(stdout, "latency:       p50 %v  p99 %v\n", percentile(latencies, 50), percentile(latencies, 99))
-	hops.report(stdout)
 	if *parity {
 		fmt.Fprintf(stdout, "parity:        %d advice checked, %d mismatches\n", checked, len(mismatches))
 		for i, m := range mismatches {

@@ -89,16 +89,15 @@ func TestParityHoldsOnEveryTransport(t *testing.T) {
 	}
 }
 
-// TestClientSpansAreExported: every JSON response carries its trace ID
-// back, and the client's own spans land where -trace-out says.
+// TestClientSpansAreExported: the client's own spans land where
+// -trace-out says.
 func TestClientSpansAreExported(t *testing.T) {
 	spans := filepath.Join(t.TempDir(), "client-spans.jsonl")
 	stdout, stderr, status := drive("-addr", serve(t), "-sessions", "1", "-workload", "SP", "-trace-out", spans)
 	if status != 0 {
 		t.Fatalf("exit status %d\n%s%s", status, stdout, stderr)
 	}
-	if !regexp.MustCompile(`(?m)^per-hop: +[1-9]\d*/\d+ responses traced$`).MatchString(stdout) ||
-		!regexp.MustCompile(`(?m)^traces: +exported [1-9]\d* spans `).MatchString(stdout) || strings.Contains(stdout, "parity:") {
+	if !regexp.MustCompile(`(?m)^traces: +exported [1-9]\d* spans `).MatchString(stdout) || strings.Contains(stdout, "parity:") {
 		t.Errorf("summary:\n%s", stdout)
 	}
 	if data, _ := os.ReadFile(spans); !bytes.Contains(data, []byte(`"name":"client-call"`)) {

@@ -150,7 +150,7 @@ func audit(w *Workload, events []obs.Event) error {
 //     and rebuilt from the JSON-round-tripped snapshot at two points
 //     mid-schedule — produces byte-identical advice fingerprints, the
 //     same event stream, the same Prometheus exposition, and a green
-//     audit (the shard-failover guarantee).
+//     audit (the restart guarantee).
 //   - Both streams survive the JSONL wire format exactly, and an
 //     aggregator rebuilt by replaying the recorded stream renders the
 //     same Prometheus exposition as the live one.

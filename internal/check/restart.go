@@ -11,7 +11,7 @@ import (
 
 // runRestartLeg replays the workload like runAdvisorLeg, but kills the
 // advisor at every step index in restoreAt and resurrects it the way a
-// failed-over shard would: snapshot, JSON wire round trip (the exact
+// restarted server would: snapshot, JSON wire round trip (the exact
 // bytes a DirStore persists), then RestoreAdvisor into a fresh
 // process-equivalent — new bus, new recorder, new aggregator, attached
 // before op-log replay so the rebuilt session re-emits its whole event

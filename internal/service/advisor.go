@@ -168,8 +168,8 @@ type Advice struct {
 	Decisions []Decision `json:"decisions"`
 	Counters  Counters   `json:"counters"`
 	// Replayed marks advice served from the session's decision log
-	// rather than freshly computed — the response to a retried advance
-	// after a failover handover. Replayed advice is byte-identical to
+	// rather than freshly computed — the response to an advance retried
+	// across a server restart. Replayed advice is byte-identical to
 	// the original (it is the original) and is excluded from the
 	// fingerprint, which covers only the decision content.
 	Replayed bool `json:"replayed,omitempty"`
@@ -314,7 +314,7 @@ type Advisor struct {
 	ops []Op
 	// history is the session's decision log: every advice ever issued,
 	// in advance order. Deterministic replay regenerates it, so it is
-	// never serialized; it makes post-failover retries idempotent (a
+	// never serialized; it makes retries after a restart idempotent (a
 	// re-advanced stage is served its recorded advice).
 	history []Advice
 
@@ -395,8 +395,8 @@ func (a *Advisor) SetOrigin(name string, p workload.Params) {
 
 // AdviceFor returns the recorded advice of an already-advanced stage.
 // It lets the server serve idempotent retries: a client that re-issues
-// an advance after a failover handover gets the byte-identical advice
-// the original advance produced.
+// an advance after a timeout or a server restart gets the
+// byte-identical advice the original advance produced.
 func (a *Advisor) AdviceFor(stageID int) (Advice, bool) {
 	// history is ordered by strictly increasing stage ID.
 	i := sort.Search(len(a.history), func(i int) bool { return a.history[i].Stage >= stageID })

@@ -50,10 +50,6 @@ type Config struct {
 	// Tracer, a span context already on the call's context (e.g. from a
 	// traced caller) is still propagated on the wire.
 	Tracer *trace.Tracer
-	// OnHops, when set, receives the per-hop latency breakdown of every
-	// successful call, parsed from the X-Mrd-* response headers each
-	// tier stamps.
-	OnHops func(Hops)
 	// Binary moves session operations onto the persistent-connection
 	// frame protocol (wire.go); healthz and discovery stay HTTP. The
 	// typed API and error values are identical on both transports.
@@ -61,22 +57,6 @@ type Config struct {
 	// FrameAddr pins the frame listener's host:port, skipping /healthz
 	// discovery. Only meaningful with Binary.
 	FrameAddr string
-}
-
-// Hops is one successful call's per-hop latency breakdown. Hop fields
-// are -1 when that tier didn't report (ComputeUs off the advice path).
-type Hops struct {
-	// Path is the request path the breakdown belongs to.
-	Path string
-	// Total is this attempt's full round-trip as the client saw it.
-	Total time.Duration
-	// ShardUs is the shard's total handler time.
-	ShardUs int64
-	// ComputeUs is the advisor policy-compute time inside the shard.
-	ComputeUs int64
-	// TraceID is the trace the response belongs to ("" when the service
-	// ran untraced).
-	TraceID string
 }
 
 // DefaultMaxRetryWait bounds one call's cumulative retry wall-time.
@@ -95,7 +75,6 @@ type Client struct {
 	maxWait time.Duration
 	jitter  atomic.Uint64 // splitmix64 state
 	tracer  *trace.Tracer
-	onHops  func(Hops)
 	// t carries the session operations; New picks it once.
 	t transport
 }
@@ -116,7 +95,7 @@ func New(cfg Config) *Client {
 	}
 	c := &Client{
 		base: strings.TrimRight(cfg.BaseURL, "/"), hc: hc, retry: cfg.Retry,
-		maxWait: maxWait, tracer: cfg.Tracer, onHops: cfg.OnHops,
+		maxWait: maxWait, tracer: cfg.Tracer,
 	}
 	c.jitter.Store(seed)
 	if cfg.Binary {
@@ -349,7 +328,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if !hdr.IsZero() {
 		req.Header.Set(trace.Header, hdr.Traceparent())
 	}
-	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		sp.EndWith("transport-error " + path)
@@ -358,9 +336,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	defer resp.Body.Close()
 	sp.EndWith(fmt.Sprintf("%s %s status=%d", method, path, resp.StatusCode))
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if c.onHops != nil {
-			c.onHops(parseHops(path, time.Since(start), resp.Header))
-		}
 		if out == nil {
 			io.Copy(io.Discard, resp.Body)
 			return false, 0, nil
@@ -381,35 +356,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	io.Copy(io.Discard, resp.Body) // keep the connection reusable (see above)
 	return resp.StatusCode == http.StatusServiceUnavailable, parseRetryAfter(resp.Header.Get("Retry-After")), apiErr
-}
-
-// parseHops reads the per-hop latency headers each tier stamped onto
-// the response into one breakdown record.
-func parseHops(path string, total time.Duration, h http.Header) Hops {
-	hops := Hops{
-		Path:      path,
-		Total:     total,
-		ShardUs:   hopUs(h, service.HeaderShardUs),
-		ComputeUs: hopUs(h, service.HeaderComputeUs),
-	}
-	if sc, ok := trace.Parse(h.Get(trace.Header)); ok {
-		hops.TraceID = sc.Trace.String()
-	}
-	return hops
-}
-
-// hopUs parses one microsecond hop header; -1 means the tier didn't
-// report.
-func hopUs(h http.Header, key string) int64 {
-	v := h.Get(key)
-	if v == "" {
-		return -1
-	}
-	us, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || us < 0 {
-		return -1
-	}
-	return us
 }
 
 // parseRetryAfter reads a Retry-After header leniently: RFC 9110

@@ -104,7 +104,7 @@ func TestBatchOverJSON(t *testing.T) {
 }
 
 // TestFrameErrorsAreAPIErrors: error frames must decode into the same
-// *client.Error the JSON path returns, so failover logic stays
+// *client.Error the JSON path returns, so retry logic stays
 // transport-blind.
 func TestFrameErrorsAreAPIErrors(t *testing.T) {
 	_, base, frameAddr := newFrameServer(t)

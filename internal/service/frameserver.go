@@ -266,7 +266,7 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 		if sess == nil {
 			return fatal
 		}
-		resp, _, err := s.submitJob(ctx, sess, job)
+		resp, err := s.submitJob(ctx, sess, job)
 		if err != nil {
 			s.writeErrorFrame(bw, h.Seq, 409, err.Error())
 			return false
@@ -287,7 +287,7 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 		if sess == nil {
 			return fatal
 		}
-		advice, _, err := s.advance(ctx, sess, stage)
+		advice, err := s.advance(ctx, sess, stage)
 		if err != nil {
 			s.writeErrorFrame(bw, h.Seq, 409, err.Error())
 			return false
@@ -309,7 +309,7 @@ func (s *Server) dispatchFrame(ctx context.Context, bw *bufio.Writer, enc *wire.
 		}
 		s.wire.batches.Add(1)
 		jobs, advices := 0, 0
-		_, status, err := s.runBatch(ctx, sess, steps, func(a Advice) error {
+		status, err := s.runBatch(ctx, sess, steps, func(a Advice) error {
 			// Stream each advice as its own frame the moment it exists;
 			// bufio coalesces writes, the client reads until OpBatchEnd.
 			s.wire.advices.Add(1)

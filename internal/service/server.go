@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,7 +114,7 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	// The session epoch identifies this server incarnation on the wire
 	// protocol: a client that reconnects and sees a new epoch knows the
-	// in-memory session table was rebuilt (restart or failover) and that
+	// in-memory session table was rebuilt by a restart and that
 	// idempotent replay is what reconciles its state.
 	s.epoch = uint32(s.started.Unix())
 	s.frameAddr.Store("")
@@ -225,7 +224,7 @@ type SubmitJobResponse struct {
 	Job     int `json:"job"`
 	NextJob int `json:"nextJob"`
 	// Replayed marks an idempotent re-submission of an
-	// already-submitted job (a retry across a failover handover).
+	// already-submitted job (a retry across a server restart).
 	Replayed bool `json:"replayed,omitempty"`
 }
 
@@ -238,7 +237,7 @@ type AdvanceRequest struct {
 // submission followed by that job's stage advances — in a single call,
 // replacing a round trip per step. Steps execute in order; the first
 // failure aborts the rest. Every step is individually idempotent, so
-// retrying a whole batch after a timeout or failover converges by
+// retrying a whole batch after a timeout or restart converges by
 // replay exactly like retrying single calls does.
 type BatchRequest struct {
 	Steps []Step `json:"steps"`
@@ -342,8 +341,8 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 
 // limitInflight is the bounded-concurrency middleware and the shard's
 // telemetry root: it opens the request's shard-handler span (continuing
-// an incoming traceparent), echoes the span context on the response,
-// and attributes the finished request to its route's latency histogram.
+// an incoming traceparent) and attributes the finished request to its
+// route's latency histogram.
 // Requests beyond the cap are shed with 503 at once, so a traffic spike
 // degrades to client-side retries instead of queue collapse.
 func (s *Server) limitInflight(next http.Handler) http.Handler {
@@ -360,9 +359,6 @@ func (s *Server) limitInflight(next http.Handler) http.Handler {
 			s.http.add(&s.http.shed, 1)
 			root.EndWith("shed")
 			w.Header().Set("Retry-After", "1")
-			if root.Recording() {
-				w.Header().Set(trace.Header, root.Context().Traceparent())
-			}
 			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server at capacity"})
 			return
 		}
@@ -371,14 +367,14 @@ func (s *Server) limitInflight(next http.Handler) http.Handler {
 		s.http.add(&s.http.inflight, 1)
 		defer s.http.add(&s.http.inflight, -1)
 
-		sw := &statusWriter{ResponseWriter: w, start: time.Now()}
+		start := time.Now()
+		sw := &statusWriter{ResponseWriter: w}
 		if root.Recording() {
-			sw.trace = root.Context()
 			r = r.WithContext(trace.ContextWith(r.Context(), root.Context()))
 		}
 		next.ServeHTTP(sw, r)
 
-		dur := time.Since(sw.start)
+		dur := time.Since(start)
 		route := sw.route
 		if route == "" {
 			route = "other"
@@ -418,8 +414,8 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (C
 		}
 		// Idempotent create: a live session under this ID — or one
 		// restorable from the snapshot store — is returned instead of
-		// conflicting, so a client retrying across a failover handover
-		// converges on the surviving state.
+		// conflicting, so a client retrying across a restart converges
+		// on the state the snapshot store kept.
 		if sess, status, err := s.lookupSession(ctx, req.ID); err == nil {
 			return s.describeSession(sess), http.StatusOK, nil
 		} else if status != http.StatusNotFound {
@@ -516,9 +512,9 @@ func (s *Server) describeSession(sess *Session) CreateSessionResponse {
 
 // serveSessionOp is the JSON shape every session operation shares:
 // resolve the {id} path segment (restoring on demand), decode the
-// request body, run op, stamp the compute-time header, and answer with
-// op's response or — under the status op chose — its error.
-func serveSessionOp[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, op func(sess *Session, req Req) (Resp, int64, int, error)) {
+// request body, run op, and answer with op's response or — under the
+// status op chose — its error.
+func serveSessionOp[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, op func(sess *Session, req Req) (Resp, int, error)) {
 	sess, ok := s.session(w, r)
 	if !ok {
 		return
@@ -527,8 +523,7 @@ func serveSessionOp[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Req
 	if !readJSON(w, r, &req) {
 		return
 	}
-	resp, computeUs, status, err := op(sess, req)
-	w.Header().Set(HeaderComputeUs, strconv.FormatInt(computeUs, 10))
+	resp, status, err := op(sess, req)
 	if err != nil {
 		writeJSON(w, status, apiError{Error: err.Error()})
 		return
@@ -537,23 +532,22 @@ func serveSessionOp[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Req
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	serveSessionOp(s, w, r, func(sess *Session, req SubmitJobRequest) (SubmitJobResponse, int64, int, error) {
-		resp, computeUs, err := s.submitJob(r.Context(), sess, req.Job)
-		return resp, computeUs, http.StatusConflict, err
+	serveSessionOp(s, w, r, func(sess *Session, req SubmitJobRequest) (SubmitJobResponse, int, error) {
+		resp, err := s.submitJob(r.Context(), sess, req.Job)
+		return resp, http.StatusConflict, err
 	})
 }
 
 // submitJob is the transport-independent job-submission core. Errors
 // map to HTTP 409 (the session exists but rejected the op) on every
 // transport.
-func (s *Server) submitJob(ctx context.Context, sess *Session, job int) (SubmitJobResponse, int64, error) {
+func (s *Server) submitJob(ctx context.Context, sess *Session, job int) (SubmitJobResponse, error) {
 	var resp SubmitJobResponse
 	sp := s.tracer.Start(trace.FromContext(ctx), "advisor-compute")
-	computeStart := time.Now()
 	err := sess.WithAdvisor(func(a *Advisor) error {
 		// Idempotent replay: a job the session has already consumed is
 		// acknowledged again rather than conflicting, so a client
-		// retrying across a failover converges.
+		// retrying across a restart converges.
 		if job >= 0 && job < a.NextJob() {
 			resp = SubmitJobResponse{Job: job, NextJob: a.NextJob(), Replayed: true}
 			return nil
@@ -565,38 +559,36 @@ func (s *Server) submitJob(ctx context.Context, sess *Session, job int) (SubmitJ
 		s.noteMutation(sess, a)
 		return nil
 	})
-	computeUs := time.Since(computeStart).Microseconds()
 	if err != nil {
 		sp.EndWith("error: " + err.Error())
-		return SubmitJobResponse{}, computeUs, err
+		return SubmitJobResponse{}, err
 	}
 	if sp.Recording() { // the annotation is rendered only when a span will keep it
 		sp.EndWith(fmt.Sprintf("job=%d replayed=%t", resp.Job, resp.Replayed))
 	}
-	return resp, computeUs, nil
+	return resp, nil
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	serveSessionOp(s, w, r, func(sess *Session, req AdvanceRequest) (Advice, int64, int, error) {
-		advice, computeUs, err := s.advance(r.Context(), sess, req.Stage)
-		return advice, computeUs, http.StatusConflict, err
+	serveSessionOp(s, w, r, func(sess *Session, req AdvanceRequest) (Advice, int, error) {
+		advice, err := s.advance(r.Context(), sess, req.Stage)
+		return advice, http.StatusConflict, err
 	})
 }
 
 // advance is the transport-independent stage-advance core; errors map
 // to HTTP 409 on every transport.
-func (s *Server) advance(ctx context.Context, sess *Session, stage int) (Advice, int64, error) {
+func (s *Server) advance(ctx context.Context, sess *Session, stage int) (Advice, error) {
 	var advice Advice
 	// The policy-compute span is the one the waterfall reads the
 	// decision off: its annotation is the advice Fingerprint, the same
 	// canonical string the parity oracle compares.
 	sp := s.tracer.Start(trace.FromContext(ctx), "advisor-compute")
-	computeStart := time.Now()
 	err := sess.WithAdvisor(func(a *Advisor) error {
 		// Idempotent replay: an already-advanced stage is served its
 		// recorded advice — byte-identical to the original response —
 		// so a retry that lands after the original advance (or after a
-		// failover handover) cannot fork the session.
+		// server restart) cannot fork the session.
 		if recorded, ok := a.AdviceFor(stage); ok {
 			advice = recorded
 			advice.Replayed = true
@@ -610,15 +602,14 @@ func (s *Server) advance(ctx context.Context, sess *Session, stage int) (Advice,
 		}
 		return err
 	})
-	computeUs := time.Since(computeStart).Microseconds()
 	if err != nil {
 		sp.EndWith("error: " + err.Error())
-		return Advice{}, computeUs, err
+		return Advice{}, err
 	}
 	if sp.Recording() { // the annotation is rendered only when a span will keep it
 		sp.EndWith(advice.Fingerprint())
 	}
-	return advice, computeUs, nil
+	return advice, nil
 }
 
 // handleBatch runs a whole run of schedule steps in one request and
@@ -626,13 +617,13 @@ func (s *Server) advance(ctx context.Context, sess *Session, stage int) (Advice,
 // execution as individual advice frames; here the advices buffer into
 // one JSON response.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	serveSessionOp(s, w, r, func(sess *Session, req BatchRequest) (BatchResponse, int64, int, error) {
+	serveSessionOp(s, w, r, func(sess *Session, req BatchRequest) (BatchResponse, int, error) {
 		resp := BatchResponse{Advices: make([]Advice, 0, len(req.Steps))}
-		computeUs, status, err := s.runBatch(r.Context(), sess, req.Steps, func(a Advice) error {
+		status, err := s.runBatch(r.Context(), sess, req.Steps, func(a Advice) error {
 			resp.Advices = append(resp.Advices, a)
 			return nil
 		}, &resp.Jobs)
-		return resp, computeUs, status, err
+		return resp, status, err
 	})
 }
 
@@ -642,31 +633,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // aborts the batch — steps already applied stay applied, which is safe
 // because a batch retry replays them idempotently. An emit error also
 // aborts (the connection is gone; nothing to report to).
-func (s *Server) runBatch(ctx context.Context, sess *Session, steps []Step, emit func(Advice) error, jobs *int) (int64, int, error) {
+func (s *Server) runBatch(ctx context.Context, sess *Session, steps []Step, emit func(Advice) error, jobs *int) (int, error) {
 	if len(steps) > MaxBatchSteps {
-		return 0, http.StatusBadRequest, fmt.Errorf("batch of %d steps exceeds %d", len(steps), MaxBatchSteps)
+		return http.StatusBadRequest, fmt.Errorf("batch of %d steps exceeds %d", len(steps), MaxBatchSteps)
 	}
-	var computeUs int64
 	for i, st := range steps {
 		if st.Stage < 0 {
-			_, us, err := s.submitJob(ctx, sess, st.Job)
-			computeUs += us
-			if err != nil {
-				return computeUs, http.StatusConflict, fmt.Errorf("batch step %d (job %d): %w", i, st.Job, err)
+			if _, err := s.submitJob(ctx, sess, st.Job); err != nil {
+				return http.StatusConflict, fmt.Errorf("batch step %d (job %d): %w", i, st.Job, err)
 			}
 			*jobs++
 			continue
 		}
-		advice, us, err := s.advance(ctx, sess, st.Stage)
-		computeUs += us
+		advice, err := s.advance(ctx, sess, st.Stage)
 		if err != nil {
-			return computeUs, http.StatusConflict, fmt.Errorf("batch step %d (stage %d): %w", i, st.Stage, err)
+			return http.StatusConflict, fmt.Errorf("batch step %d (stage %d): %w", i, st.Stage, err)
 		}
 		if err := emit(advice); err != nil {
-			return computeUs, http.StatusInternalServerError, err
+			return http.StatusInternalServerError, err
 		}
 	}
-	return computeUs, http.StatusOK, nil
+	return http.StatusOK, nil
 }
 
 // handleGetSession reports the session's replay cursor (and restores

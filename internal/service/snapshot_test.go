@@ -173,7 +173,7 @@ func TestSnapshotRestoreWithNodeFailure(t *testing.T) {
 
 // TestSnapshotTamperFailsRestore checks restore refuses snapshots whose
 // verification data no longer matches the op log — silent divergence
-// after a failover would be far worse than a loud error.
+// after a restart would be far worse than a loud error.
 func TestSnapshotTamperFailsRestore(t *testing.T) {
 	adv := newOriginAdvisor(t, "SCC")
 	if err := adv.SubmitJob(0); err != nil {

@@ -15,10 +15,11 @@ import (
 )
 
 // Service telemetry: per-route latency histograms, the inflight gauge,
-// slow-request logging, per-hop latency response headers, and the
-// debug endpoints (pprof + span exports) gated behind a separate
-// listener. The tracing side lives in internal/obs/trace; this file is
-// where the service wires it to HTTP.
+// slow-request logging, and the debug endpoints (pprof + span exports)
+// gated behind a separate listener. The tracing side lives in
+// internal/obs/trace; this file is where the service wires it to HTTP.
+// An advisory call's breakdown is its span tree (client-call ⊇
+// shard-handler ⊇ advisor-compute), read from the span exports.
 
 // TraceConfig attaches a tracer and slow-request logging to a server.
 // The zero value disables both at zero per-request cost.
@@ -39,18 +40,6 @@ func (c TraceConfig) logf(format string, args ...any) {
 	}
 	log.Printf(format, args...)
 }
-
-// Per-hop latency headers: each tier stamps its own wall time onto the
-// response so the client can print a shard/compute breakdown
-// without needing the span export.
-const (
-	// HeaderShardUs is the shard's total handler time in microseconds,
-	// stamped by the shard middleware.
-	HeaderShardUs = "X-Mrd-Shard-Us"
-	// HeaderComputeUs is the advisor policy-compute time in
-	// microseconds, stamped by the advance/submit handlers.
-	HeaderComputeUs = "X-Mrd-Compute-Us"
-)
 
 // routeBucketBoundsUs are the fixed request-duration bucket bounds in
 // microseconds (0.5 ms .. 10 s); rendered as seconds on /metrics per
@@ -94,30 +83,9 @@ func (h *httpStats) add(field *int64, delta int64) {
 	h.mu.Unlock()
 }
 
-// quantileUs estimates a quantile from the histogram's buckets: the
-// upper bound of the bucket where the cumulative count crosses q.
-func quantileUs(hist *metrics.Histogram, q float64) int64 {
-	if hist.Count == 0 {
-		return 0
-	}
-	target := int64(q * float64(hist.Count))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, b := range hist.Bounds {
-		cum += hist.Counts[i]
-		if cum >= target {
-			return b
-		}
-	}
-	return hist.Max
-}
-
 // writePrometheus renders the HTTP-tier metrics in the exposition
 // format: cumulative-le duration histograms per route (le labels in
-// seconds), quantile gauges, the inflight gauge, and the shed/slow
-// counters. Routes render in sorted order so the output golden-tests.
+// seconds), the inflight gauge, and the shed/slow counters. Routes render in sorted order so the output golden-tests.
 func (h *httpStats) writePrometheus(bw *obs.PromWriter) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -144,19 +112,6 @@ func (h *httpStats) writePrometheus(bw *obs.PromWriter) {
 		bw.Printf("mrdserver_request_duration_seconds_count{route=%q} %d\n", name, hist.Count)
 	}
 
-	bw.Printf("# HELP mrdserver_request_duration_us_quantile Estimated request-duration quantiles by route (bucket upper bounds, microseconds).\n")
-	bw.Printf("# TYPE mrdserver_request_duration_us_quantile gauge\n")
-	for _, name := range names {
-		hist := h.routes[name]
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}} {
-			bw.Printf("mrdserver_request_duration_us_quantile{route=%q,quantile=%q} %d\n",
-				name, q.label, quantileUs(hist, q.q))
-		}
-	}
-
 	bw.Scalar("mrdserver_inflight", "gauge", "Requests currently holding an inflight slot.", h.inflight)
 	bw.Scalar("mrdserver_requests_shed_total", "counter", "Requests refused with 503 at capacity.", h.shed)
 	bw.Scalar("mrdserver_slow_requests_total", "counter", "Requests logged as slower than the slow-request threshold.", h.slow)
@@ -168,18 +123,13 @@ func secondsLabel(us int64) string {
 	return strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64)
 }
 
-// statusWriter wraps the response writer to capture the status code
-// and stamp the shard's per-hop latency header the moment the header
-// section is flushed (headers are immutable after WriteHeader, so the
-// stamp cannot wait for the handler to return). The route field is
-// filled in by the route wrapper so the outer middleware can attribute
-// the request after serving it.
+// statusWriter wraps the response writer to capture the status code.
+// The route field is filled in by the route wrapper so the outer
+// middleware can attribute the request after serving it.
 type statusWriter struct {
 	http.ResponseWriter
 	status      int
 	wroteHeader bool
-	start       time.Time
-	trace       trace.SpanContext // zero unless tracing is on
 	route       string
 }
 
@@ -189,10 +139,6 @@ func (sw *statusWriter) WriteHeader(code int) {
 	}
 	sw.wroteHeader = true
 	sw.status = code
-	sw.Header().Set(HeaderShardUs, strconv.FormatInt(time.Since(sw.start).Microseconds(), 10))
-	if !sw.trace.IsZero() {
-		sw.Header().Set(trace.Header, sw.trace.Traceparent())
-	}
 	sw.ResponseWriter.WriteHeader(code)
 }
 

@@ -18,8 +18,8 @@ import (
 
 // TestShedRecordsSpanAndCounter: a request at capacity sheds
 // immediately — 503 + Retry-After as before — and the
-// telemetry layer records a shed-annotated root span, echoes the
-// traceparent, and counts the shed on /metrics.
+// telemetry layer records a shed-annotated root span and counts the
+// shed on /metrics.
 func TestShedRecordsSpanAndCounter(t *testing.T) {
 	tr := trace.NewTracer(64)
 	s := NewServer(ServerConfig{MaxInflight: 1, Trace: TraceConfig{Tracer: tr}})
@@ -51,9 +51,6 @@ func TestShedRecordsSpanAndCounter(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("shed response lost its Retry-After hint")
-	}
-	if _, ok := trace.Parse(rec.Header().Get(trace.Header)); !ok {
-		t.Error("shed response carries no valid traceparent")
 	}
 	var shed bool
 	for _, sp := range tr.Spans() {
@@ -99,9 +96,6 @@ func TestTelemetryPrometheusGolden(t *testing.T) {
 		`mrdserver_request_duration_seconds_bucket{route="healthz",le="0.0005"}`,
 		`mrdserver_request_duration_seconds_bucket{route="healthz",le="+Inf"} 2`,
 		`mrdserver_request_duration_seconds_count{route="healthz"} 2`,
-		`mrdserver_request_duration_us_quantile{route="healthz",quantile="0.5"}`,
-		`mrdserver_request_duration_us_quantile{route="healthz",quantile="0.95"}`,
-		`mrdserver_request_duration_us_quantile{route="healthz",quantile="0.99"}`,
 		"# TYPE mrdserver_inflight gauge\nmrdserver_inflight 1",
 		"mrdserver_requests_shed_total 0",
 		"mrdserver_slow_requests_total 0",
@@ -192,22 +186,22 @@ func TestUntracedReplayRendersNoAnnotation(t *testing.T) {
 		stage = a.Graph().Jobs[0].NewStages[0].ID
 		return nil
 	})
-	if _, _, err := s.submitJob(ctx, sess, 0); err != nil {
+	if _, err := s.submitJob(ctx, sess, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.advance(ctx, sess, stage); err != nil {
+	if _, err := s.advance(ctx, sess, stage); err != nil {
 		t.Fatal(err)
 	}
 
 	if n := testing.AllocsPerRun(100, func() {
-		if adv, _, err := s.advance(ctx, sess, stage); err != nil || !adv.Replayed {
+		if adv, err := s.advance(ctx, sess, stage); err != nil || !adv.Replayed {
 			t.Fatalf("replayed advance: %+v, %v", adv, err)
 		}
 	}); n != 0 {
 		t.Errorf("untraced replayed advance allocates %v times per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if r, _, err := s.submitJob(ctx, sess, 0); err != nil || !r.Replayed {
+		if r, err := s.submitJob(ctx, sess, 0); err != nil || !r.Replayed {
 			t.Fatalf("replayed submit: %+v, %v", r, err)
 		}
 	}); n != 0 {

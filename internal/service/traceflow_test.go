@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"mrdspark/internal/cluster"
@@ -61,17 +60,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	shardTS := httptest.NewServer(srv.Handler())
 	defer shardTS.Close()
 
-	var mu sync.Mutex
-	var hops []client.Hops
-	c := client.New(client.Config{
-		BaseURL: shardTS.URL,
-		Tracer:  clientTr,
-		OnHops: func(h client.Hops) {
-			mu.Lock()
-			hops = append(hops, h)
-			mu.Unlock()
-		},
-	})
+	c := client.New(client.Config{BaseURL: shardTS.URL, Tracer: clientTr})
 	ctx := context.Background()
 
 	const id = "traceflow-1"
@@ -84,6 +73,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	advances := 0
 	for i, st := range service.Schedule(spec.Graph) {
 		if st.Stage < 0 {
 			if _, err := c.SubmitJob(ctx, id, st.Job); err != nil {
@@ -94,60 +84,53 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		if _, err := c.Advance(ctx, id, st.Stage); err != nil {
 			t.Fatalf("step %d stage %d: %v", i, st.Stage, err)
 		}
+		advances++
 	}
 
-	// Every advice response reported a trace ID and a full per-hop
-	// breakdown, with each inner hop no larger than the one around it:
-	// client total ≥ shard ≥ compute.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(hops) == 0 {
-		t.Fatal("OnHops never fired")
-	}
-	for _, h := range hops {
-		if h.TraceID == "" {
-			t.Fatalf("call %s came back without a trace ID", h.Path)
-		}
-		if h.ShardUs < 0 {
-			t.Fatalf("call %s missing the shard hop header", h.Path)
-		}
-		if h.Total.Microseconds() < h.ShardUs {
-			t.Errorf("call %s: client total %v < shard time %dus", h.Path, h.Total, h.ShardUs)
-		}
-		if strings.HasSuffix(h.Path, "/stage") {
-			if h.ComputeUs < 0 {
-				t.Errorf("advance %s missing the compute hop header", h.Path)
-			}
-			if h.ShardUs < h.ComputeUs {
-				t.Errorf("advance %s: shard time %dus < compute time %dus", h.Path, h.ShardUs, h.ComputeUs)
-			}
-		}
-	}
-
-	// The span chain for an advance nests advisor-compute under
-	// shard-handler under the client's call — all in one trace.
+	// Every advance is one span tree in one trace: its client-call span
+	// is the root and has a shard-handler child, and that an
+	// advisor-compute child carrying the decision fingerprint. Each
+	// interval contains the next, so the durations nest: client ≥
+	// handler ≥ compute.
 	idx := indexSpans(shardTr, clientTr)
-	compute, ok := idx.find("advisor-compute", "stage=")
-	if !ok {
-		t.Fatal("no advisor-compute span carrying a decision fingerprint")
+	children := map[trace.SpanID][]trace.Span{}
+	for _, sp := range idx.all {
+		children[sp.Parent] = append(children[sp.Parent], sp)
 	}
-	wantChain := []string{"shard-handler", "client-call"}
-	sp := compute
-	for _, wantName := range wantChain {
-		parent, ok := idx.byID[sp.Parent]
-		if !ok {
-			t.Fatalf("span %s (%s) has no recorded parent; wanted %s", sp.Name, sp.ID, wantName)
+	child := func(parent trace.Span, name string) trace.Span {
+		t.Helper()
+		for _, sp := range children[parent.ID] {
+			if sp.Name == name {
+				if sp.Trace != parent.Trace {
+					t.Fatalf("%s %s crossed into trace %s; its parent %s is in %s", name, sp.ID, sp.Trace, parent.Name, parent.Trace)
+				}
+				return sp
+			}
 		}
-		if parent.Name != wantName {
-			t.Fatalf("parent of %s is %s, want %s", sp.Name, parent.Name, wantName)
-		}
-		if parent.Trace != compute.Trace {
-			t.Fatalf("span %s crossed into trace %s; the chain must share %s", parent.Name, parent.Trace, compute.Trace)
-		}
-		sp = parent
+		t.Fatalf("%s %s (%s) has no %s child", parent.Name, parent.ID, parent.Attr, name)
+		return trace.Span{}
 	}
-	if sp.Parent != 0 {
-		t.Errorf("client-call should be the trace root, has parent %s", sp.Parent)
+	calls := 0
+	for _, call := range idx.all {
+		if call.Name != "client-call" || !strings.Contains(call.Attr, "/stage status=200") {
+			continue
+		}
+		calls++
+		if call.Parent != 0 {
+			t.Errorf("%s: client-call should be the trace root, has parent %s", call.Attr, call.Parent)
+		}
+		handler := child(call, "shard-handler")
+		compute := child(handler, "advisor-compute")
+		if !strings.Contains(compute.Attr, "stage=") {
+			t.Errorf("%s: advisor-compute carries no decision fingerprint: %q", call.Attr, compute.Attr)
+		}
+		if call.DurNs < handler.DurNs || handler.DurNs < compute.DurNs {
+			t.Errorf("%s: durations do not nest: client %dns, handler %dns, compute %dns",
+				call.Attr, call.DurNs, handler.DurNs, compute.DurNs)
+		}
+	}
+	if calls != advances {
+		t.Fatalf("%d advance client-call spans, want one per advance (%d)", calls, advances)
 	}
 }
 
