@@ -110,10 +110,25 @@ func (m *Map[V]) Put(id ID, v V) {
 	m.n++
 }
 
-// grow doubles the table and re-inserts every entry.
-func (m *Map[V]) grow() {
+// grow doubles the table.
+func (m *Map[V]) grow() { m.resize(max(2*len(m.keys), minMapSlots)) }
+
+// Reserve sizes the table to take n entries without doubling, so a
+// holder that knows its map's final size pays for the table once. A
+// table already that large is left as it is.
+func (m *Map[V]) Reserve(n int) {
+	size := minMapSlots
+	for size < 2*n {
+		size <<= 1
+	}
+	if size > len(m.keys) {
+		m.resize(size)
+	}
+}
+
+// resize moves every entry into a table of size slots, a power of two.
+func (m *Map[V]) resize(size int) {
 	keys, vals := m.keys, m.vals
-	size := max(2*len(keys), minMapSlots)
 	m.keys, m.vals = make([]uint64, size), make([]V, size)
 	m.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	mask := uint64(size - 1)

@@ -228,6 +228,34 @@ func TestMapZeroValue(t *testing.T) {
 	}
 }
 
+// TestMapReserve: a reserved table takes that many entries without
+// doubling, a reserve on a populated table keeps its entries, and a
+// smaller reserve never shrinks it.
+func TestMapReserve(t *testing.T) {
+	var m Map[int]
+	m.Put(ID{7, 7}, 77)
+	m.Reserve(500)
+	size := len(m.keys)
+	for p := 0; p < 499; p++ {
+		m.Put(ID{1, p}, p)
+	}
+	if len(m.keys) != size {
+		t.Errorf("a table reserved for 500 entries grew from %d to %d slots by its 500th", size, len(m.keys))
+	}
+	m.Reserve(10)
+	if len(m.keys) != size {
+		t.Errorf("Reserve(10) resized a %d-slot table to %d", size, len(m.keys))
+	}
+	if v, ok := m.Get(ID{7, 7}); !ok || v != 77 || m.Len() != 500 {
+		t.Errorf("after Reserve: Get = %d, %v, Len = %d; want 77, true, 500", v, ok, m.Len())
+	}
+	for p := 0; p < 499; p++ {
+		if v, _ := m.Get(ID{1, p}); v != p {
+			t.Fatalf("Get(1/%d) = %d", p, v)
+		}
+	}
+}
+
 // TestMapSteadyStateAllocs: fill, Clear, refill — the simulator's
 // per-stage resolved set — allocates nothing once the table has reached
 // its size, and neither does churn at a steady population.

@@ -77,6 +77,16 @@ func NewMemoryStore(capacity int64, pol policy.Policy) *MemoryStore {
 	return s
 }
 
+// Reserve sizes the store's table, and its policy's when the policy is
+// a policy.Reserver, for the given number of blocks: a host that has
+// taken the graph's Census pays for them once.
+func (s *MemoryStore) Reserve(blocks int) {
+	s.blocks.Reserve(blocks)
+	if r, ok := s.pol.(policy.Reserver); ok {
+		r.Reserve(blocks)
+	}
+}
+
 // Capacity returns the store's byte capacity.
 func (s *MemoryStore) Capacity() int64 { return s.capacity }
 
@@ -276,6 +286,9 @@ type diskEntry struct {
 
 // NewDiskStore creates an empty disk store.
 func NewDiskStore() *DiskStore { return &DiskStore{} }
+
+// Reserve sizes the disk's table for the given number of blocks.
+func (d *DiskStore) Reserve(blocks int) { d.blocks.Reserve(blocks) }
 
 // Has reports whether any copy of the block's bytes — primary or
 // replica — is on this disk.

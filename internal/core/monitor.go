@@ -80,6 +80,15 @@ func (c *CacheMonitor) OnAdd(id block.ID) {
 	}
 }
 
+// Reserve implements policy.Reserver. The list of RDDs with blocks
+// here is sized too: it holds at most one entry a block.
+func (c *CacheMonitor) Reserve(blocks int) {
+	c.order.Reserve(blocks)
+	if n := min(blocks, len(c.count)); cap(c.rdds) < n {
+		c.rdds = slices.Grow(c.rdds, n-len(c.rdds))
+	}
+}
+
 // OnAccess implements policy.Policy.
 func (c *CacheMonitor) OnAccess(id block.ID) { c.order.Promote(id) }
 

@@ -38,6 +38,8 @@ func (n *lfuNode) OnRemove(id block.ID) {
 	n.list.Remove(id)
 }
 
+func (n *lfuNode) Reserve(blocks int) { n.list.Reserve(blocks) }
+
 func (n *lfuNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	best, found := block.ID{}, false
 	bestCount := 0

@@ -77,6 +77,7 @@ type lrcNode struct {
 func (n *lrcNode) OnAdd(id block.ID)    { n.list.Touch(id) }
 func (n *lrcNode) OnAccess(id block.ID) { n.list.Touch(id) }
 func (n *lrcNode) OnRemove(id block.ID) { n.list.Remove(id) }
+func (n *lrcNode) Reserve(blocks int)   { n.list.Reserve(blocks) }
 
 func (n *lrcNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	best, found := block.ID{}, false

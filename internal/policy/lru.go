@@ -23,6 +23,7 @@ type lruNode struct {
 func (n *lruNode) OnAdd(id block.ID)    { n.list.Touch(id) }
 func (n *lruNode) OnAccess(id block.ID) { n.list.Touch(id) }
 func (n *lruNode) OnRemove(id block.ID) { n.list.Remove(id) }
+func (n *lruNode) Reserve(blocks int)   { n.list.Reserve(blocks) }
 
 func (n *lruNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	return n.list.Victim(evictable)
@@ -48,6 +49,7 @@ type fifoNode struct {
 func (n *fifoNode) OnAdd(id block.ID)    { n.list.Touch(id) }
 func (n *fifoNode) OnAccess(block.ID)    {}
 func (n *fifoNode) OnRemove(id block.ID) { n.list.Remove(id) }
+func (n *fifoNode) Reserve(blocks int)   { n.list.Reserve(blocks) }
 
 func (n *fifoNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	return n.list.Victim(evictable)

@@ -79,6 +79,7 @@ type memTuneNode struct {
 func (n *memTuneNode) OnAdd(id block.ID)    { n.list.Touch(id) }
 func (n *memTuneNode) OnAccess(id block.ID) { n.list.Touch(id) }
 func (n *memTuneNode) OnRemove(id block.ID) { n.list.Remove(id) }
+func (n *memTuneNode) Reserve(blocks int)   { n.list.Reserve(blocks) }
 
 func (n *memTuneNode) Victim(evictable func(block.ID) bool) (block.ID, bool) {
 	// First pass: LRU among blocks outside the protection window.

@@ -115,3 +115,10 @@ type NodeFailureObserver interface {
 type PrefetchArbiter interface {
 	AllowPrefetchEviction(incoming block.Info, victim block.ID) bool
 }
+
+// Reserver is implemented by node policies whose tables can be sized up
+// front: a store that knows how many blocks it may hold passes the
+// count on, and the policy tracks that many without growing.
+type Reserver interface {
+	Reserve(blocks int)
+}

@@ -32,6 +32,15 @@ func NewRecency() *Recency {
 	return &Recency{entries: make([]recencyEntry, 1)}
 }
 
+// Reserve sizes the ordering to track the given number of blocks
+// without growing.
+func (l *Recency) Reserve(blocks int) {
+	if cap(l.entries) < blocks+1 {
+		l.entries = append(make([]recencyEntry, 0, blocks+1), l.entries...)
+	}
+	l.slot.Reserve(blocks)
+}
+
 // Touch moves the block to the most-recently-used position, inserting
 // it if absent. It reports whether the block was inserted.
 func (l *Recency) Touch(id block.ID) (inserted bool) {

@@ -361,11 +361,16 @@ func NewAdvisor(g *dag.Graph, cfg AdvisorConfig) (*Advisor, error) {
 	if ca, ok := factory.(policy.ClusterAware); ok {
 		ca.Attach(advOps{a})
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		a.nodes = append(a.nodes, &advNode{
+	// A node's disk takes only the MEMORY_AND_DISK blocks it spills, so
+	// the census bounds it and its table is paid for once.
+	for i, c := range cluster.TakeCensus(g, cfg.Nodes, cfg.CacheBytes) {
+		n := &advNode{
 			mem:  cluster.NewMemoryStore(cfg.CacheBytes, factory.NewNodePolicy(i)),
 			disk: cluster.NewDiskStore(),
-		})
+		}
+		n.disk.Reserve(c.Spillable)
+		n.mem.Reserve(c.Resident)
+		a.nodes = append(a.nodes, n)
 	}
 	return a, nil
 }

@@ -97,8 +97,10 @@ func mallocs(fn func()) (objects, bytes uint64) {
 // memory; 759 268, Resident included, when it interrogated every
 // partition at every boundary). internal/service holds the advisor's
 // shape of the same pass to the same law under the same name. The
-// second budget is what one SCC run may allocate in objects: 4 432
-// measured, the budget 1.15 × that (5 286 when the budget was first
+// second budget is what one SCC run may allocate in objects: 1 178
+// measured, the budget 1.15 × that (4 432 while every task slot bound a
+// method value, every prefetch record was made on its own and the
+// node tables doubled as they filled; 5 286 when the budget was first
 // set at 5 815; 6 381 while every issued prefetch allocated two
 // closures; 13 953 when the stores, the recency lists and the sim's
 // block sets were runtime maps and every stage made its own scratch;
@@ -129,36 +131,84 @@ func TestBoundaryProbeBudget(t *testing.T) {
 	}
 	objs, _ := mallocs(func() { runMRD(t, specs[0], bare) })
 	t.Logf("SCC under MRD: %d objects", objs)
-	const budget = 5_095
+	const budget = 1_354
 	if objs > budget {
 		t.Errorf("one SCC run under MRD allocated %d objects, budget %d", objs, budget)
 	}
 }
 
 // TestSimAllocationBudget holds the simulated run's own allocation on
-// any hardware: one D4 pass under LRU — no stage observer, so engine,
-// stores and stage scratch are all there is — at seed 0. 14 431 objects
-// and 3 850 KB measured; 15 084 and 3 999 KB while Validate built a map
-// per job and Walk a map per stage; 16 517 and 4 057 KB while planStage
-// walked every stage's chain twice; 45.8 k and 7 850 KB before the
-// stores' tables, the inline event heap and the run-owned stage
-// scratch.
+// any hardware: one D4 pass at seed 0 under LRU — no stage observer, so
+// engine, stores and stage scratch are all there is — and under full
+// MRD, the benchmark's sim-mrd. Each budget is at most 1.15 × what was
+// measured once New paid for the run's tables and slabs: 2 912 objects
+// and 2 744 KB under LRU, 4 417 and 3 235 KB under MRD (14 431 and
+// 3 850 KB, and 20 394 and 4 136 KB, while task slots, prefetch records
+// and table doublings allocated as the run went; under LRU 15 084 and
+// 3 999 KB while Validate built a map per job and Walk a map per stage,
+// 16 517 and 4 057 KB while planStage walked every stage's chain twice,
+// 45.8 k and 7 850 KB before the stores' tables, the inline event heap
+// and the run-owned stage scratch).
 func TestSimAllocationBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs the benchmark's D4 pass; the race detector's instrumentation allocates too")
 	}
 	specs := buildD4(t, 0)
-	objs, bytes := mallocs(func() {
-		for _, spec := range specs {
-			runD4(t, spec, policy.NewLRU())
+	for _, c := range []struct {
+		name           string
+		run            func(*workload.Spec)
+		maxObjs, maxKB uint64
+	}{
+		{"LRU", func(spec *workload.Spec) { runD4(t, spec, policy.NewLRU()) }, 3_348, 3_155},
+		{"MRD", func(spec *workload.Spec) { runMRD(t, spec, bare) }, 5_079, 3_720},
+	} {
+		objs, bytes := mallocs(func() {
+			for _, spec := range specs {
+				c.run(spec)
+			}
+		})
+		t.Logf("D4 pass under %s: %d objects, %d KB", c.name, objs, bytes>>10)
+		if objs > c.maxObjs || bytes>>10 > c.maxKB {
+			t.Errorf("one D4 pass under %s allocated %d objects and %d KB, budget %d and %d KB",
+				c.name, objs, bytes>>10, c.maxObjs, c.maxKB)
 		}
-	})
-	t.Logf("D4 pass under LRU: %d objects, %d KB", objs, bytes>>10)
-	if objs > 15_300 {
-		t.Errorf("one D4 pass under LRU allocated %d objects, budget 15300", objs)
 	}
-	if bytes>>10 > 4_530 {
-		t.Errorf("one D4 pass under LRU allocated %d KB, budget 4530", bytes>>10)
+}
+
+// TestAllocationDoesNotFollowTaskCount: what a simulated run holds is
+// paid for in New, sized from the cluster and the graph, so executing
+// four times the tasks allocates no more. SCC under MRD on Main at
+// 160 MB a node, at 48 and 192 partitions (5 712 and 22 848 tasks),
+// allocates 1 178 and 1 177 objects; 4 432 and 10 488 (2.37 ×) while
+// every task slot bound a method value, every prefetch made its own
+// record and the node tables doubled as they filled.
+func TestAllocationDoesNotFollowTaskCount(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("counts the allocations of whole runs; the race detector's instrumentation allocates too")
+	}
+	var objs, tasks [2]uint64
+	for i, parts := range []int{48, 192} {
+		spec, err := workload.Build("SCC", workload.Params{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			r, err := Run(spec.Graph, cluster.Main().WithCache(160*cluster.MB), core.NewFull(spec.Graph), spec.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks[i] = uint64(r.TasksExecuted)
+		}
+		run() // warm: lazy set-up in the packages underneath is not the run's
+		objs[i], _ = mallocs(run)
+	}
+	t.Logf("SCC under MRD: %d objects for %d tasks, %d for %d", objs[0], tasks[0], objs[1], tasks[1])
+	if tasks[1] < 4*tasks[0] {
+		t.Fatalf("192 partitions ran %d tasks against %d at 48: the test needs four times the tasks", tasks[1], tasks[0])
+	}
+	if 10*objs[1] > 13*objs[0] {
+		t.Errorf("four times the tasks took %d objects against %d (%.2f ×), want at most 1.3 ×",
+			objs[1], objs[0], float64(objs[1])/float64(objs[0]))
 	}
 }
 

@@ -10,8 +10,13 @@ package sim
 // in timestamp order; ties break in scheduling order, which keeps runs
 // reproducible bit for bit.
 //
+// What an event fires is a Handler. The run's long-lived actors — a
+// task, a prefetch leg, a device — are their own handlers, so handing
+// one to the engine, a device or a slot queue binds no closure; At and
+// After take a closure and wrap it as a Func.
+//
 // Only the future is ordered by a heap: a binary heap holding the
-// events themselves, (at, seq, fn) inline, so a comparison reads two
+// events themselves, (at, seq, handler) inline, so a comparison reads two
 // adjacent array elements and nothing else. An event scheduled for now
 // or earlier — a zero-byte transfer, a slot hand-off: over a third of a
 // run's events — goes to a FIFO instead, because among events due at one
@@ -21,15 +26,25 @@ package sim
 type Engine struct {
 	now    int64 // microseconds of simulated time
 	nextID int64
-	heap   []event       // binary heap ordered by (at, seq); every at > now when scheduled
-	due    queue[func()] // events scheduled for now, in scheduling order
+	heap   []event        // binary heap ordered by (at, seq); every at > now when scheduled
+	due    queue[Handler] // events scheduled for now, in scheduling order
 }
 
 type event struct {
 	at  int64
 	seq int64
-	fn  func()
+	h   Handler
 }
+
+// Handler is what an event fires and what a device or a slot queue
+// calls back. Its method is unexported: the handlers are this
+// package's own types and Func.
+type Handler interface{ fire() }
+
+// Func is a closure as a Handler.
+type Func func()
+
+func (f Func) fire() { f() }
 
 // NewEngine returns an engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
@@ -39,18 +54,28 @@ func (e *Engine) Now() int64 { return e.now }
 
 // At schedules fn at absolute time t (clamped to now: the past is not
 // rewritable).
-func (e *Engine) At(t int64, fn func()) {
+func (e *Engine) At(t int64, fn func()) { e.schedule(t, Func(fn)) }
+
+// After schedules fn d microseconds from now.
+func (e *Engine) After(d int64, fn func()) { e.schedule(e.now+d, Func(fn)) }
+
+// schedule fires h at absolute time t, clamped to now.
+func (e *Engine) schedule(t int64, h Handler) {
 	if t <= e.now {
-		e.due.push(fn)
+		e.due.push(h)
 		return
 	}
-	e.heap = append(e.heap, event{at: t, seq: e.nextID, fn: fn})
+	e.heap = append(e.heap, event{at: t, seq: e.nextID, h: h})
 	e.nextID++
 	e.siftUp(len(e.heap) - 1)
 }
 
-// After schedules fn d microseconds from now.
-func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
+// reserve sizes the heap and the now-FIFO for the given numbers of
+// events pending at once.
+func (e *Engine) reserve(future, now int) {
+	e.heap = make([]event, 0, future)
+	e.due.reserve(now)
+}
 
 // Run processes events until the queues drain, returning the final
 // simulated time. The order is the strict (at, scheduling order) one:
@@ -58,17 +83,27 @@ func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 // before anything the FIFO holds, and fires first; then the FIFO, which
 // only handlers running at this instant append to; and only when both
 // are spent does the clock move to the heap's next timestamp.
+//
+// A Func is called directly, so the closures At and After schedule skip
+// the adapter's frame.
 func (e *Engine) Run() int64 {
 	for {
+		var h Handler
 		switch {
 		case len(e.heap) > 0 && e.heap[0].at <= e.now:
-			e.pop()()
+			h = e.pop()
 		case e.due.len() > 0:
-			e.due.pop()()
+			h = e.due.pop()
 		case len(e.heap) > 0:
 			e.now = e.heap[0].at
+			h = e.pop()
 		default:
 			return e.now
+		}
+		if f, ok := h.(Func); ok {
+			f()
+		} else {
+			h.fire()
 		}
 	}
 }
@@ -102,18 +137,18 @@ func (e *Engine) siftUp(i int) {
 
 // pop removes the minimum event from the heap and returns its handler.
 // The vacated tail slot is zeroed: the backing array must not keep a
-// fired closure (and everything it captures) live until the slot is
+// fired handler (and everything it reaches) live until the slot is
 // overwritten.
-func (e *Engine) pop() func() {
+func (e *Engine) pop() Handler {
 	h := e.heap
-	fn := h[0].fn
+	first := h[0].h
 	n := len(h) - 1
 	ev := h[n] // the last event goes down from the root
 	h[n] = event{}
 	h = h[:n]
 	e.heap = h
 	if n == 0 {
-		return fn
+		return first
 	}
 	i := 0
 	for {
@@ -131,22 +166,22 @@ func (e *Engine) pop() func() {
 		i = child
 	}
 	h[i] = ev
-	return fn
+	return first
 }
 
 // slabLive returns how many slots of the two backing arrays, up to
-// capacity, still hold a closure (test helper: after Run drains the
-// queues it must be zero, or fired events would pin their captured
-// state until the slot is overwritten).
+// capacity, still hold a handler (test helper: after Run drains the
+// queues it must be zero, or fired events would pin what they reach
+// until the slot is overwritten).
 func (e *Engine) slabLive() int {
 	live := 0
 	for _, ev := range e.heap[:cap(e.heap)] {
-		if ev.fn != nil {
+		if ev.h != nil {
 			live++
 		}
 	}
-	for _, fn := range e.due.buf[:cap(e.due.buf)] {
-		if fn != nil {
+	for _, h := range e.due.buf[:cap(e.due.buf)] {
+		if h != nil {
 			live++
 		}
 	}

@@ -12,34 +12,51 @@ import (
 	"mrdspark/internal/policy"
 )
 
+// ticker is a Handler that reschedules itself, as a task does.
+type ticker struct {
+	e       *Engine
+	n       int
+	payload []byte
+}
+
+func (k *ticker) fire() {
+	if k.n++; k.n < 100 {
+		k.e.schedule(k.e.now+2, k)
+	}
+}
+
 // TestEngineSteadyStateAllocs pins the engine's hot path at zero
 // allocations: once the heap and the now-FIFO have grown to the run's
-// high-water mark, scheduling and firing events must reuse those
-// arrays. The original container/heap engine boxed every event twice
-// (Push and Pop each box the struct into `any`), which dominated the
-// allocation profile of full simulations.
+// high-water mark, scheduling and firing events — a handler, as the
+// run's tasks, prefetch legs and devices are, or a closure given to
+// After — must reuse those arrays. The original container/heap engine
+// boxed every event twice (Push and Pop each box the struct into
+// `any`), which dominated the allocation profile of full simulations.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
+	k := &ticker{e: e}
 	var tick func()
 	n := 0
 	tick = func() {
 		if n++; n < 100 {
-			// Two events live at once so the heap genuinely reorders,
+			// Three events live at once so the heap genuinely reorders,
 			// and one due now so the FIFO turns over too.
 			e.After(3, tick)
 			e.After(1, func() {})
 			e.After(0, func() {})
 		}
 	}
-	e.After(1, tick)
-	e.Run() // warm the heap's and the FIFO's arrays
-
-	allocs := testing.AllocsPerRun(100, func() {
-		n = 0
+	cycle := func() {
+		n, k.n = 0, 0
 		e.After(1, tick)
+		e.schedule(1, k)
 		e.Run()
-	})
-	if allocs > 0 {
+	}
+	cycle() // warm the heap's and the FIFO's arrays
+	if k.n != 100 || n != 100 {
+		t.Fatalf("the handler fired %d times and the closure %d, want 100 each", k.n, n)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
 		t.Errorf("warmed engine allocates %.1f times per run, want 0", allocs)
 	}
 }
@@ -48,24 +65,26 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // eventHeap.Pop bug: the popped element was not zeroed, so the backing
 // array kept the fired closure — and everything it captured — live
 // until the slot happened to be overwritten. The engine must clear the
-// slot an event leaves, in the heap (the vacated tail) and in the
-// now-FIFO (the popped head, and the old slots of entries it moves down
-// when it compacts — 100 events due at one instant make it compact).
+// slot an event leaves, whether a closure or a handler held it, in the
+// heap (the vacated tail) and in the now-FIFO (the popped head; 100
+// events due at one instant make its ring grow, moving the entries).
 func TestEnginePopClearsSlot(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 64; i++ {
 		payload := make([]byte, 1<<10)
 		e.After(int64(i%7), func() { _ = payload })
+		e.schedule(int64(i%5), &ticker{e: e, n: 100, payload: payload})
 	}
 	e.At(3, func() {
 		for i := 0; i < 100; i++ {
 			payload := make([]byte, 1<<10)
 			e.After(0, func() { _ = payload })
+			e.schedule(0, &ticker{e: e, n: 100, payload: payload})
 		}
 	})
 	e.Run()
 	if live := e.slabLive(); live != 0 {
-		t.Errorf("%d slots still hold closures after Run; popped events must be cleared", live)
+		t.Errorf("%d slots still hold handlers after Run; popped events must be cleared", live)
 	}
 	if e.Pending() != 0 {
 		t.Errorf("pending = %d after Run", e.Pending())
@@ -153,7 +172,8 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 // simulation at zero allocations: issued by the manager's ClusterOps,
 // read from the local disk — or, when the local copy is gone, from a
 // replica's disk and across the NIC — and landed in memory. Each issued
-// prefetch used to allocate two closures; its record is now reused.
+// prefetch used to allocate two closures; its record now comes from the
+// run's slab, and a landed one goes back to it.
 func TestPrefetchSteadyStateAllocs(t *testing.T) {
 	g := dag.New()
 	g.Count(g.Source("in", 4, 1<<20).Map("c").Persist(block.MemoryAndDisk))

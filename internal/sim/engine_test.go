@@ -89,7 +89,7 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 		})
 	}
 	for i := 0; i < 5; i++ {
-		s.Acquire(task)
+		s.Acquire(Func(task))
 	}
 	e.Run()
 	if maxRunning != 2 {
@@ -109,10 +109,10 @@ func TestSlotsFIFOHandoff(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		s.Acquire(func() {
+		s.Acquire(Func(func() {
 			order = append(order, i)
 			e.After(1, s.Release)
-		})
+		}))
 	}
 	e.Run()
 	for i, v := range order {
@@ -126,7 +126,7 @@ func TestDeviceServiceTime(t *testing.T) {
 	e := NewEngine()
 	d := NewDevice(e, 1_000_000) // 1 MB/s => 1 byte/µs
 	var doneAt int64
-	d.Transfer(500, Demand, func() { doneAt = e.Now() })
+	d.Transfer(500, Demand, Func(func() { doneAt = e.Now() }))
 	e.Run()
 	if doneAt != 500 {
 		t.Errorf("500-byte transfer at 1B/µs finished at %d", doneAt)
@@ -143,9 +143,9 @@ func TestDeviceDemandBeatsBackground(t *testing.T) {
 	// Occupy the device, then queue one background and one demand
 	// request; demand must be served first even though it arrived
 	// second.
-	d.Transfer(100, Demand, func() { order = append(order, "first") })
-	d.Transfer(100, Background, func() { order = append(order, "bg") })
-	d.Transfer(100, Demand, func() { order = append(order, "demand") })
+	d.Transfer(100, Demand, Func(func() { order = append(order, "first") }))
+	d.Transfer(100, Background, Func(func() { order = append(order, "bg") }))
+	d.Transfer(100, Demand, Func(func() { order = append(order, "demand") }))
 	e.Run()
 	if len(order) != 3 || order[0] != "first" || order[1] != "demand" || order[2] != "bg" {
 		t.Errorf("service order = %v", order)
@@ -156,7 +156,7 @@ func TestDeviceZeroBytesCompletesImmediately(t *testing.T) {
 	e := NewEngine()
 	d := NewDevice(e, 1_000_000)
 	fired := false
-	d.Transfer(0, Demand, func() { fired = true })
+	d.Transfer(0, Demand, Func(func() { fired = true }))
 	e.Run()
 	if !fired || e.Now() != 0 {
 		t.Errorf("zero transfer: fired=%v now=%d", fired, e.Now())
@@ -167,9 +167,9 @@ func TestDeviceNoPreemption(t *testing.T) {
 	e := NewEngine()
 	d := NewDevice(e, 1_000_000)
 	var bgDone, demandDone int64
-	d.Transfer(1000, Background, func() { bgDone = e.Now() })
+	d.Transfer(1000, Background, Func(func() { bgDone = e.Now() }))
 	e.At(10, func() {
-		d.Transfer(10, Demand, func() { demandDone = e.Now() })
+		d.Transfer(10, Demand, Func(func() { demandDone = e.Now() }))
 	})
 	e.Run()
 	if bgDone != 1000 {
@@ -184,7 +184,7 @@ func TestDeviceMinimumServiceTime(t *testing.T) {
 	e := NewEngine()
 	d := NewDevice(e, 1<<40) // absurd bandwidth
 	var doneAt int64 = -1
-	d.Transfer(1, Demand, func() { doneAt = e.Now() })
+	d.Transfer(1, Demand, Func(func() { doneAt = e.Now() }))
 	e.Run()
 	if doneAt < 1 {
 		t.Errorf("service time below 1µs floor: %d", doneAt)

@@ -75,7 +75,7 @@ func (s *Simulation) crashNode(ev fault.Event) {
 	n.mem.Clear()
 	n.disk.Clear()
 	ledger := n.mem.Prefetch
-	n.mem = cluster.NewMemoryStore(s.cfg.CacheBytes, s.factory.NewNodePolicy(n.id))
+	n.mem = s.newMemoryStore(n.id)
 	n.mem.Prefetch = ledger
 	s.noteUsed(n)
 
@@ -87,7 +87,7 @@ func (s *Simulation) crashNode(ev fault.Event) {
 		if lost > 0 {
 			s.run.RecomputeBytes += lost
 			s.run.DiskWriteBytes += lost
-			n.diskDev.Transfer(lost, Background, func() {})
+			n.diskDev.Transfer(lost, Background, noop)
 		}
 	}
 
@@ -154,8 +154,8 @@ func (s *Simulation) replicate(home *node, info block.Info) {
 			s.bus.Emit(obs.BlockEv(obs.KindReplicaWrite, rn.id, info.ID, info.Size))
 			// The copy crosses the home NIC and lands on the replica
 			// node's disk, both off the critical path.
-			home.netDev.Transfer(info.Size, Background, func() {})
-			rn.diskDev.Transfer(info.Size, Background, func() {})
+			home.netDev.Transfer(info.Size, Background, noop)
+			rn.diskDev.Transfer(info.Size, Background, noop)
 		}
 	}
 }

@@ -74,49 +74,66 @@ func (o clusterOps) Prefetch(node int, info block.Info) {
 		// land in the home node's memory (and disk, for later promotes).
 		src, _ = s.findReplica(info.ID)
 	}
-	src.diskDev.Transfer(info.Size, Background, r.diskDone)
+	src.diskDev.Transfer(info.Size, Background, (*diskLeg)(r))
 }
 
-// prefetchReq is one issued prefetch in flight. Its device and arrival
-// handlers are bound once, when the record is made, and a landed
-// prefetch hands its record back to the run for the next one, so a
-// warmed simulation issues and lands a prefetch without allocating.
+// prefetchReq is one issued prefetch in flight. Its two legs are its
+// own handlers, and the records come from a slab the run owns, to which
+// a landed prefetch returns its record, so issuing and landing a
+// prefetch allocates nothing once the slab holds the run's peak.
 type prefetchReq struct {
 	s    *Simulation
 	n    *node // the home node the block lands on
 	info block.Info
 	// replica marks a restore from another node's replica copy.
 	replica bool
-	// diskDone and netDone are the bound handlers of the two legs.
-	diskDone, netDone func()
+	next    *prefetchReq // on the run's free list
 }
 
-// newPrefetch takes a record from the run's free list, or makes one.
+// diskLeg and netLeg are a prefetch record as the handler of its disk
+// read and of its NIC crossing.
+type (
+	diskLeg prefetchReq
+	netLeg  prefetchReq
+)
+
+// pfChunk is the size of the run's first slab of prefetch records;
+// each later one is as large as all before it.
+const pfChunk = 32
+
+// newPrefetch takes a record from the run's free list, or carves one
+// from its slab.
 func (s *Simulation) newPrefetch() *prefetchReq {
-	if k := len(s.pfFree) - 1; k >= 0 {
-		r := s.pfFree[k]
-		s.pfFree = s.pfFree[:k]
+	if r := s.pfFree; r != nil {
+		s.pfFree = r.next
 		return r
 	}
-	r := &prefetchReq{s: s}
-	r.diskDone, r.netDone = r.readDisk, r.crossNIC
+	if len(s.pfSlab) == 0 {
+		s.pfSlab = make([]prefetchReq, max(pfChunk, s.pfMade))
+		s.pfMade += len(s.pfSlab)
+	}
+	r := &s.pfSlab[0]
+	s.pfSlab = s.pfSlab[1:]
+	r.s = s
 	return r
 }
 
-// readDisk ends the disk read: a local copy arrives, a replica's bytes
-// go on to cross the home node's NIC.
-func (r *prefetchReq) readDisk() {
+// fire ends the disk read: a local copy arrives, a replica's bytes go
+// on to cross the home node's NIC.
+func (l *diskLeg) fire() {
+	r := (*prefetchReq)(l)
 	r.s.run.DiskReadBytes += r.info.Size
 	if !r.replica {
 		r.arrive()
 		return
 	}
-	r.n.netDev.Transfer(r.info.Size, Background, r.netDone)
+	r.n.netDev.Transfer(r.info.Size, Background, (*netLeg)(r))
 }
 
-// crossNIC ends a replica restore's network leg: the block lands on the
+// fire ends a replica restore's network leg: the block lands on the
 // home node's disk too, for later promotes.
-func (r *prefetchReq) crossNIC() {
+func (l *netLeg) fire() {
+	r := (*prefetchReq)(l)
 	r.s.run.NetReadBytes += r.info.Size
 	if !r.n.down {
 		r.n.disk.Put(r.info.ID, r.info.Size)
@@ -128,7 +145,7 @@ func (r *prefetchReq) crossNIC() {
 // record to the run's free list.
 func (r *prefetchReq) arrive() {
 	s, n, info := r.s, r.n, r.info
-	s.pfFree = append(s.pfFree, r)
+	r.next, s.pfFree = s.pfFree, r
 	s.inFlight.Delete(info.ID)
 	// An arrival no store takes is aborted — wasted without entering
 	// a store's ledger — and its event says why: the node crashed

@@ -19,59 +19,38 @@ import (
 // task count differs from a read RDD's partition count reads some
 // blocks remotely; remote reads are charged to the reader's NIC.
 func (s *Simulation) planStage(st *dag.Stage) []taskWork {
-	if len(s.works) < st.NumTasks {
-		s.works = append(s.works, make([]taskWork, st.NumTasks-len(s.works))...)
-	}
 	works := s.works[:st.NumTasks]
-	for p := range works {
-		works[p] = taskWork{inserts: works[p].inserts[:0]}
-	}
+	clear(works)
+	s.inserts = s.inserts[:0]
 	s.resolved.Clear()
-	ctx := &planCtx{sim: s, works: works, numTasks: st.NumTasks}
+	p := &s.plan
+	*p = stagePlan{st: st, works: works, reads: p.reads[:0], creations: p.creations[:0]}
 
 	// One walk from the target: what lies short of a read boundary is
 	// the pipelined chain each task computes — its cached members are
 	// created, inserted in walk order — and the boundaries reached are
 	// the stage's read frontier, the nearest materialized cached RDD on
 	// each narrow path.
-	var computeUs, srcBytes, shufLocal, shufRemote int64
-	var reads, creations []*dag.RDD
-	s.created.Walk(st, func(r *dag.RDD) { reads = append(reads, r) }, func(m *dag.RDD) {
-		computeUs += m.CostPerPart
-		if m.IsSource() {
-			srcBytes += m.PartSize
-		}
-		for _, d := range m.Deps {
-			if d.Type != dag.Shuffle {
-				continue
-			}
-			per := d.Parent.Size() / int64(st.NumTasks)
-			n := int64(len(s.nodes))
-			shufRemote += per * (n - 1) / n
-			shufLocal += per - per*(n-1)/n
-		}
-		if m.Cached {
-			creations = append(creations, m)
-		}
-	})
-	slices.SortFunc(reads, func(a, b *dag.RDD) int { return a.ID - b.ID })
-	for _, r := range reads {
+	s.created.Walk(st, s.onRead, s.onCompute)
+	slices.SortFunc(p.reads, func(a, b *dag.RDD) int { return a.ID - b.ID })
+	for _, r := range p.reads {
 		for q := 0; q < r.NumPartitions; q++ {
-			ctx.resolveBlock(r, q)
+			s.resolveBlock(r, q)
 		}
 	}
+	srcBytes, shufLocal, shufRemote := p.srcBytes, p.shufLocal, p.shufRemote
 	s.run.StageInputBytes += (srcBytes + shufLocal + shufRemote) * int64(st.NumTasks)
 	s.run.ShuffleReadBytes += (shufLocal + shufRemote) * int64(st.NumTasks)
-	for p := range works {
-		w := &works[p]
-		w.computeUs += computeUs
+	for i := range works {
+		w := &works[i]
+		w.computeUs += p.computeUs
 		w.diskBytes += srcBytes + shufLocal
 		// The task's remote shuffle read crosses the network and is
 		// subject to the fault schedule's fetch-failure model; an
 		// exhausted retry budget is Spark's shuffle-fetch failure —
 		// the missing map outputs are regenerated, charged here as
 		// local recomputation I/O.
-		if shufRemote > 0 && !s.fetchWithRetry(s.execNode(p).id, w, shufRemote) {
+		if shufRemote > 0 && !s.fetchWithRetry(s.execNode(i).id, w, shufRemote) {
 			s.run.RecomputeBytes += shufRemote
 			w.diskBytes += shufRemote
 		}
@@ -79,27 +58,51 @@ func (s *Simulation) planStage(st *dag.Stage) []taskWork {
 			w.shuffleWrite = st.Target.PartSize
 			s.run.ShuffleWriteBytes += w.shuffleWrite
 		}
-		for _, m := range creations {
-			q := p % m.NumPartitions
-			w.inserts = append(w.inserts, insert{node: cluster.HomePartition(q, len(s.nodes)), info: m.BlockInfo(q)})
+		for _, m := range p.creations {
+			q := i % m.NumPartitions
+			s.addInsert(w, cluster.HomePartition(q, len(s.nodes)), m.BlockInfo(q))
 		}
 	}
 	// Mark chain creations materialized: from the next stage on they
 	// are read boundaries.
-	for _, m := range creations {
+	for _, m := range p.creations {
 		s.created.Mark(m.ID)
 	}
 	return works
 }
 
-// planCtx carries per-stage planning state. Which blocks were already
-// resolved (a block is read once per stage even if reachable through
-// several chain paths) is the simulation's resolved set, cleared per
-// stage.
-type planCtx struct {
-	sim      *Simulation
-	works    []taskWork
-	numTasks int
+// stagePlan is planStage's state for the stage it plans: the work
+// units, and what the walk found — the reads, the creations and the
+// per-task totals of the chain each task computes.
+type stagePlan struct {
+	st                                         *dag.Stage
+	works                                      []taskWork
+	computeUs, srcBytes, shufLocal, shufRemote int64
+	reads, creations                           []*dag.RDD
+}
+
+// planRead is the walk's read callback: r is on the stage's frontier.
+func (s *Simulation) planRead(r *dag.RDD) { s.plan.reads = append(s.plan.reads, r) }
+
+// planCompute is the walk's compute callback: every task computes m.
+func (s *Simulation) planCompute(m *dag.RDD) {
+	p := &s.plan
+	p.computeUs += m.CostPerPart
+	if m.IsSource() {
+		p.srcBytes += m.PartSize
+	}
+	for _, d := range m.Deps {
+		if d.Type != dag.Shuffle {
+			continue
+		}
+		per := d.Parent.Size() / int64(p.st.NumTasks)
+		n := int64(len(s.nodes))
+		p.shufRemote += per * (n - 1) / n
+		p.shufLocal += per - per*(n-1)/n
+	}
+	if m.Cached {
+		p.creations = append(p.creations, m)
+	}
 }
 
 // resolveBlock resolves one read of a cached block down the recovery
@@ -109,9 +112,8 @@ type planCtx struct {
 // the fault schedule's failure rate with bounded retry; an exhausted
 // budget drops to the next rung. Costs are charged to the reader task
 // q mod numTasks; the block's home is node q mod N.
-func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
+func (s *Simulation) resolveBlock(r *dag.RDD, q int) {
 	id := r.Block(q)
-	s := c.sim
 	if s.resolved.Has(id) {
 		return
 	}
@@ -119,9 +121,9 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 
 	home := cluster.HomeNode(id, len(s.nodes))
 	hn := s.nodes[home]
-	reader := q % c.numTasks
+	reader := q % len(s.plan.works)
 	readerNode := s.execNode(reader).id
-	w := &c.works[reader]
+	w := &s.plan.works[reader]
 	// deserUs: reading spilled or replicated bytes back costs CPU too;
 	// Spark deserializes disk bytes into JVM objects (~150 MB/s).
 	deserUs := r.PartSize * 1_000_000 / (150 << 20)
@@ -137,7 +139,7 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 		// what a miss ends in, the rebuild only RecomputeBytes.
 		if home != readerNode && !s.fetchWithRetry(readerNode, w, r.PartSize) {
 			s.run.RecomputeBytes += r.PartSize
-			c.chainCost(r, q, w)
+			s.chainCost(r, q, w)
 		}
 		return
 	}
@@ -160,7 +162,7 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 		if fetched {
 			s.bus.Emit(obs.BlockEv(obs.KindPromote, home, id, r.PartSize))
 			w.computeUs += deserUs
-			w.inserts = append(w.inserts, insert{node: home, info: r.BlockInfo(q)})
+			s.addInsert(w, home, r.BlockInfo(q))
 			return
 		}
 	}
@@ -177,7 +179,7 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 		if fetched {
 			s.bus.Emit(obs.BlockEv(obs.KindReplicaHit, rn.id, id, r.PartSize))
 			w.computeUs += deserUs
-			w.inserts = append(w.inserts, insert{node: home, info: r.BlockInfo(q)})
+			s.addInsert(w, home, r.BlockInfo(q))
 			return
 		}
 	}
@@ -185,16 +187,15 @@ func (c *planCtx) resolveBlock(r *dag.RDD, q int) {
 	// Last rung: recompute from lineage, then re-cache.
 	s.run.RecomputeBytes += r.PartSize
 	s.bus.Emit(obs.BlockEv(obs.KindRecompute, home, id, r.PartSize))
-	c.chainCost(r, q, w)
-	w.inserts = append(w.inserts, insert{node: home, info: r.BlockInfo(q)})
+	s.chainCost(r, q, w)
+	s.addInsert(w, home, r.BlockInfo(q))
 }
 
 // chainCost charges the work to recompute one partition of r from its
 // lineage: compute costs up the narrow chain, source re-reads, shuffle
 // re-reads (shuffle outputs stay materialized on disk for the whole
 // application), and reads of materialized cached ancestors.
-func (c *planCtx) chainCost(r *dag.RDD, q int, w *taskWork) {
-	s := c.sim
+func (s *Simulation) chainCost(r *dag.RDD, q int, w *taskWork) {
 	w.computeUs += r.CostPerPart
 	if r.IsSource() {
 		w.diskBytes += r.PartSize
@@ -212,9 +213,9 @@ func (c *planCtx) chainCost(r *dag.RDD, q int, w *taskWork) {
 		p := d.Parent
 		pq := q % p.NumPartitions
 		if s.created.Boundary(p) {
-			c.resolveBlock(p, pq)
+			s.resolveBlock(p, pq)
 			continue
 		}
-		c.chainCost(p, pq, w)
+		s.chainCost(p, pq, w)
 	}
 }

@@ -69,10 +69,10 @@ func TestQuickDeviceConservation(t *testing.T) {
 			i := i
 			if rng.Intn(2) == 0 {
 				demandOrder = append(demandOrder, i)
-				d.Transfer(bytes, Demand, func() { demandDone = append(demandDone, i) })
+				d.Transfer(bytes, Demand, Func(func() { demandDone = append(demandDone, i) }))
 			} else {
 				bgOrder = append(bgOrder, i)
-				d.Transfer(bytes, Background, func() { bgDone = append(bgDone, i) })
+				d.Transfer(bytes, Background, Func(func() { bgDone = append(bgDone, i) }))
 			}
 		}
 		e.Run()
@@ -109,7 +109,7 @@ func TestQuickSlotsNeverOverSubscribe(t *testing.T) {
 		running, peak, done := 0, 0, 0
 		for i := 0; i < n; i++ {
 			hold := int64(1 + rng.Intn(20))
-			s.Acquire(func() {
+			s.Acquire(Func(func() {
 				running++
 				if running > peak {
 					peak = running
@@ -119,7 +119,7 @@ func TestQuickSlotsNeverOverSubscribe(t *testing.T) {
 					done++
 					s.Release()
 				})
-			})
+			}))
 		}
 		e.Run()
 		return peak <= width && done == n

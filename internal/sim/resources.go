@@ -1,36 +1,55 @@
 package sim
 
-// queue is an allocation-friendly FIFO: a slice with a head index.
-// Popping clears the vacated slot (so completed callbacks are
-// GC-reclaimable) and the backing array is reused — either by
-// resetting when the queue drains or by compacting once the dead
-// prefix dominates — instead of the repeated re-allocation the old
-// `q = q[1:]; append(q, ...)` pattern caused.
+// queue is an allocation-free FIFO: a ring buffer that grows, by
+// doubling, only when it is full, so a queue reserved for its peak
+// population never allocates again. Popping clears the vacated slot, so
+// a fired handler is GC-reclaimable.
 type queue[T any] struct {
-	buf  []T
+	buf  []T // the ring; every slot outside the n from head is zero
 	head int
+	n    int
 }
 
-func (q *queue[T]) push(v T) { q.buf = append(q.buf, v) }
+func (q *queue[T]) push(v T) {
+	if q.n == len(q.buf) {
+		q.resize(max(2*len(q.buf), 8))
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
+	q.n++
+}
 
-func (q *queue[T]) len() int { return len(q.buf) - q.head }
+func (q *queue[T]) len() int { return q.n }
 
 func (q *queue[T]) pop() T {
 	var zero T
 	v := q.buf[q.head]
 	q.buf[q.head] = zero
-	q.head++
-	switch {
-	case q.head == len(q.buf):
-		q.buf = q.buf[:0]
-		q.head = 0
-	case q.head > 32 && q.head*2 >= len(q.buf):
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:]) // the moved entries' old slots
-		q.buf = q.buf[:n]
+	if q.head++; q.head == len(q.buf) {
 		q.head = 0
 	}
+	q.n--
 	return v
+}
+
+// reserve gives the queue room for n entries.
+func (q *queue[T]) reserve(n int) {
+	if n > len(q.buf) {
+		q.resize(n)
+	}
+}
+
+// resize moves the entries, in order, to the front of a ring of size
+// slots.
+func (q *queue[T]) resize(size int) {
+	buf := make([]T, size)
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+	}
+	q.buf, q.head = buf, 0
 }
 
 // Slots models a node's CPU task slots (Spark executor cores) as a
@@ -40,21 +59,21 @@ func (q *queue[T]) pop() T {
 type Slots struct {
 	eng     *Engine
 	free    int
-	waiting queue[func()]
+	waiting queue[Handler]
 }
 
 // NewSlots creates a slot pool of the given width.
 func NewSlots(eng *Engine, n int) *Slots { return &Slots{eng: eng, free: n} }
 
-// Acquire runs fn as soon as a slot is available (possibly
+// Acquire fires h as soon as a slot is available (possibly
 // immediately, in the current event).
-func (s *Slots) Acquire(fn func()) {
+func (s *Slots) Acquire(h Handler) {
 	if s.free > 0 {
 		s.free--
-		fn()
+		h.fire()
 		return
 	}
-	s.waiting.push(fn)
+	s.waiting.push(h)
 }
 
 // Release frees a slot, handing it to the oldest waiter if any. The
@@ -62,7 +81,7 @@ func (s *Slots) Acquire(fn func()) {
 // don't nest arbitrarily deep.
 func (s *Slots) Release() {
 	if s.waiting.len() > 0 {
-		s.eng.After(0, s.waiting.pop())
+		s.eng.schedule(s.eng.now, s.waiting.pop())
 		return
 	}
 	s.free++
@@ -88,7 +107,7 @@ const (
 
 type ioReq struct {
 	bytes int64
-	done  func()
+	done  Handler
 }
 
 // Device is a single-server FIFO queue with two priority classes,
@@ -102,11 +121,9 @@ type Device struct {
 	busy        bool
 	demand      queue[ioReq]
 	background  queue[ioReq]
-	// cur is the completion callback of the request in service;
-	// completeFn is the service-end event handler, bound once at
-	// construction so entering service allocates no closure.
-	cur        func()
-	completeFn func()
+	// cur is the completion handler of the request in service; the
+	// service-end event is the device itself.
+	cur Handler
 	// slow multiplies service times (>= 1); fault injection uses it to
 	// model transient stragglers (a degraded disk or congested NIC).
 	slow float64
@@ -118,9 +135,7 @@ type Device struct {
 // NewDevice creates a device with the given bandwidth in bytes per
 // second of simulated time.
 func NewDevice(eng *Engine, bytesPerSec int64) *Device {
-	d := &Device{eng: eng, bytesPerSec: bytesPerSec, slow: 1}
-	d.completeFn = d.complete
-	return d
+	return &Device{eng: eng, bytesPerSec: bytesPerSec, slow: 1}
 }
 
 // SetSlowdown sets the service-time multiplier; factors below 1 are
@@ -136,9 +151,9 @@ func (d *Device) SetSlowdown(f float64) {
 // Transfer enqueues a request for the given byte count; done fires
 // when the transfer completes. Zero-byte requests complete in a fresh
 // immediate event.
-func (d *Device) Transfer(bytes int64, prio Priority, done func()) {
+func (d *Device) Transfer(bytes int64, prio Priority, done Handler) {
 	if bytes <= 0 {
-		d.eng.After(0, done)
+		d.eng.schedule(d.eng.now, done)
 		return
 	}
 	req := ioReq{bytes: bytes, done: done}
@@ -173,16 +188,20 @@ func (d *Device) serve() {
 	}
 	d.Busy += dur
 	d.cur = req.done
-	d.eng.After(dur, d.completeFn)
+	d.eng.schedule(d.eng.now+dur, d)
 }
 
-// complete ends the in-service request: identical ordering to the old
-// per-request closure (clear busy, fire the callback — which may
-// enqueue and immediately start new work — then serve the queue).
-func (d *Device) complete() {
+// fire ends the in-service request: clear busy, fire its handler —
+// which may enqueue and immediately start new work — then serve the
+// queue.
+func (d *Device) fire() {
 	done := d.cur
 	d.cur = nil
 	d.busy = false
-	done()
+	done.fire()
 	d.serve()
 }
+
+// noop is the completion handler of a transfer nothing waits on: a
+// write-behind, a replica copy, a lost shuffle's rewrite.
+var noop Handler = Func(func() {})

@@ -59,13 +59,21 @@ type Simulation struct {
 	// created marks RDDs whose blocks have been materialized, which
 	// turns them into read boundaries for later stages.
 	created dag.Materialized
+	// census bounds what the graph homes on each node, which sizes the
+	// node's tables (a replacement store's too).
+	census []cluster.Census
+
 	// inFlight guards against duplicate prefetch orders for a block, and
 	// aborted counts the arrivals no store took: the two things about a
 	// prefetch the stores' ledgers cannot see (DESIGN §4).
 	inFlight blockSet
 	aborted  int64
-	// pfFree holds the records of landed prefetches, for reuse.
-	pfFree []*prefetchReq
+	// pfSlab is the run's chunk of prefetch records not yet handed out,
+	// pfMade how many its chunks have held so far, and pfFree the landed
+	// records, linked through their next field.
+	pfSlab []prefetchReq
+	pfMade int
+	pfFree *prefetchReq
 	// corrupt marks blocks whose home-node disk copy has rotted (fault
 	// injection); detection happens at the next demand read.
 	corrupt blockSet
@@ -83,16 +91,24 @@ type Simulation struct {
 	ran      bool
 	timeline []metrics.StageSpan
 
+	// The stage in progress: its job's index, its index among the job's
+	// new stages, and its span so far.
+	jobIx, stageK int
+	span          metrics.StageSpan
+
 	// Stage scratch. Stages execute one at a time, so what one stage
-	// plans and runs with is the next stage's to reuse: the per-stage set
-	// of blocks already resolved, the work units (each keeping its
-	// inserts' capacity), the tasks (each with its step bound once, when
-	// the slab grows) and the countdown that ends the stage.
+	// plans and runs with is the next stage's to reuse: the walk's
+	// totals, the per-stage set of blocks already resolved, the work
+	// units, the inserts they link, the tasks — slabs sized in New to the
+	// widest stage — and the countdown that ends the stage.
+	plan      stagePlan
 	resolved  blockSet
 	works     []taskWork
+	inserts   []insert
 	tasks     []task
-	remaining int    // tasks of the current stage still running
-	stageDone func() // what the last of them calls
+	remaining int // tasks of the current stage still running
+	// onRead and onCompute are planStage's walk callbacks, bound once.
+	onRead, onCompute func(*dag.RDD)
 
 	// bus is the run's observability event bus (internal/obs): its tally
 	// is the run's count of every fact an event carries. It delivers
@@ -116,6 +132,7 @@ func New(g *dag.Graph, cfg cluster.Config, factory policy.Factory, workload stri
 		g:        g,
 		factory:  factory,
 		faultsAt: map[int][]fault.Event{},
+		census:   cluster.TakeCensus(g, cfg.Nodes, cfg.CacheBytes),
 		bus:      obs.New(),
 	}
 	s.bus.SetClock(s.eng.Now)
@@ -124,20 +141,59 @@ func New(g *dag.Graph, cfg cluster.Config, factory policy.Factory, workload stri
 	}
 	s.run.Workload = workload
 	s.run.Policy = factory.Name()
+
+	// What the run holds for its whole length is paid for here, sized
+	// from the graph and the cluster, so executing a task, issuing a
+	// prefetch or filling a table allocates nothing. A task waits in one
+	// place at a time — its node's slot queue, one of its node's device
+	// queues, the engine's heap or its now-FIFO — and a node runs at
+	// most CoresPerNode of them; the heap also holds each device's
+	// service end.
+	widest, stages := 0, 0
+	for _, j := range g.Jobs {
+		for _, st := range j.NewStages {
+			widest = max(widest, st.NumTasks)
+		}
+		stages += len(j.NewStages)
+	}
+	s.works, s.tasks = make([]taskWork, widest), make([]task, widest)
+	for i := range s.tasks {
+		s.tasks[i].s = s
+	}
+	s.timeline = make([]metrics.StageSpan, 0, stages)
+	s.onRead, s.onCompute = s.planRead, s.planCompute
+	running := cfg.Nodes * cfg.CoresPerNode
+	s.eng.reserve(running+2*cfg.Nodes, running)
+	perNode := (widest + cfg.Nodes - 1) / cfg.Nodes
+	s.nodes = make([]*node, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		s.nodes = append(s.nodes, &node{
+		n := &node{
 			id:      i,
-			mem:     cluster.NewMemoryStore(cfg.CacheBytes, factory.NewNodePolicy(i)),
+			mem:     s.newMemoryStore(i),
 			disk:    cluster.NewDiskStore(),
 			cpu:     NewSlots(s.eng, cfg.CoresPerNode),
 			diskDev: NewDevice(s.eng, cfg.DiskBytesPerSec),
 			netDev:  NewDevice(s.eng, cfg.NetBytesPerSec),
-		})
+		}
+		n.disk.Reserve(s.census[i].Spillable)
+		n.cpu.waiting.reserve(max(perNode-cfg.CoresPerNode, 0))
+		n.diskDev.demand.reserve(cfg.CoresPerNode)
+		n.netDev.demand.reserve(cfg.CoresPerNode)
+		n.diskDev.background.reserve(s.census[i].Spillable)
+		s.nodes = append(s.nodes, n)
 	}
 	if ca, ok := factory.(policy.ClusterAware); ok {
 		ca.Attach(clusterOps{s})
 	}
 	return s, nil
+}
+
+// newMemoryStore mints node i's memory store, sized for the most blocks
+// it can hold.
+func (s *Simulation) newMemoryStore(i int) *cluster.MemoryStore {
+	m := cluster.NewMemoryStore(s.cfg.CacheBytes, s.factory.NewNodePolicy(i))
+	m.Reserve(s.census[i].Resident)
+	return m
 }
 
 // SetOptions replaces the simulation options (before Run), validating
@@ -280,6 +336,8 @@ func Run(g *dag.Graph, cfg cluster.Config, factory policy.Factory, workload stri
 	return s.Run(), nil
 }
 
+// startJob submits job i and starts its first new stage, or ends the
+// run after the last job.
 func (s *Simulation) startJob(i int) {
 	if i >= len(s.g.Jobs) {
 		s.finish = s.eng.Now()
@@ -291,15 +349,19 @@ func (s *Simulation) startJob(i int) {
 	if jo, ok := s.factory.(policy.JobObserver); ok {
 		jo.OnJobSubmit(job)
 	}
-	s.startStage(job, 0, func() { s.startJob(i + 1) })
+	s.jobIx, s.stageK = i, 0
+	s.startStage()
 }
 
-func (s *Simulation) startStage(job *dag.Job, k int, done func()) {
-	if k >= len(job.NewStages) {
-		done()
+// startStage starts the current job's stage stageK, or the next job
+// once the job has none left.
+func (s *Simulation) startStage() {
+	job := s.g.Jobs[s.jobIx]
+	if s.stageK >= len(job.NewStages) {
+		s.startJob(s.jobIx + 1)
 		return
 	}
-	st := job.NewStages[k]
+	st := job.NewStages[s.stageK]
 	// Stage context is set — and the boundary announced — before fault
 	// injection and policy callbacks run, so every event they emit
 	// carries the stage that is about to execute.
@@ -311,49 +373,63 @@ func (s *Simulation) startStage(job *dag.Job, k int, done func()) {
 	if so, ok := s.factory.(policy.StageObserver); ok {
 		so.OnStageStart(st.ID, job.ID)
 	}
-	span := metrics.StageSpan{
+	s.span = metrics.StageSpan{
 		StageID: st.ID, JobID: job.ID, Kind: st.Kind.String(),
 		Tasks: st.NumTasks, Start: s.eng.Now(),
 	}
-	s.execStage(st, func() {
-		span.End = s.eng.Now()
-		s.timeline = append(s.timeline, span)
-		s.bus.Emit(obs.Ev(obs.KindStageEnd, obs.ClusterScope).
-			WithValue(span.End - span.Start))
-		s.startStage(job, k+1, done)
-	})
+	s.execStage(st)
+}
+
+// endStage is what the last task of a stage calls: it closes the
+// stage's span and starts the next stage.
+func (s *Simulation) endStage() {
+	s.span.End = s.eng.Now()
+	s.timeline = append(s.timeline, s.span)
+	s.bus.Emit(obs.Ev(obs.KindStageEnd, obs.ClusterScope).
+		WithValue(s.span.End - s.span.Start))
+	s.stageK++
+	s.startStage()
 }
 
 // taskWork is everything one task does: demand disk I/O, demand
 // network I/O, compute, a shuffle write, and cache inserts at the end.
+// The inserts are a list through the stage's insert slab, first and
+// last being 1-based indexes into it (0: none).
 type taskWork struct {
 	diskBytes    int64
 	netBytes     int64
 	computeUs    int64
 	shuffleWrite int64
-	inserts      []insert
+	first, last  int32
 }
 
-// insert is a cache write targeted at a block's home node.
+// insert is a cache write targeted at a block's home node; next links
+// the task's following insert, as first does its first.
 type insert struct {
 	node int
 	info block.Info
+	next int32
 }
 
-func (s *Simulation) execStage(st *dag.Stage, done func()) {
-	works := s.planStage(st)
-	s.remaining, s.stageDone = len(works), done
-	if len(s.tasks) < len(works) {
-		s.tasks = make([]task, len(works))
-		for i := range s.tasks {
-			t := &s.tasks[i]
-			t.s, t.step = s, t.advance
-		}
+// addInsert appends a cache write to the task's inserts.
+func (s *Simulation) addInsert(w *taskWork, node int, info block.Info) {
+	s.inserts = append(s.inserts, insert{node: node, info: info})
+	i := int32(len(s.inserts))
+	if w.last == 0 {
+		w.first = i
+	} else {
+		s.inserts[w.last-1].next = i
 	}
+	w.last = i
+}
+
+func (s *Simulation) execStage(st *dag.Stage) {
+	works := s.planStage(st)
+	s.remaining = len(works)
 	for p := range works {
 		t := &s.tasks[p]
 		t.n, t.w, t.phase = s.execNode(p), &works[p], 0
-		t.n.cpu.Acquire(t.step)
+		t.n.cpu.Acquire(t)
 	}
 }
 
@@ -361,24 +437,23 @@ func (s *Simulation) execStage(st *dag.Stage, done func()) {
 // stage with the last one.
 func (s *Simulation) taskDone() {
 	if s.remaining--; s.remaining == 0 {
-		s.stageDone()
+		s.endStage()
 	}
 }
 
-// task is one task in flight. A task holds its CPU slot from phase 1 to
-// the end; step is advance bound once, so handing the task to a device,
-// the engine or the slot queue allocates nothing per phase.
+// task is one task in flight, and its own Handler: handing it to a
+// device, the engine or the slot queue allocates nothing. A task holds
+// its CPU slot from phase 1 to the end.
 type task struct {
 	s     *Simulation
 	n     *node
 	w     *taskWork
 	phase int
-	step  func()
 }
 
-// advance runs the task's next phase: demand disk read, demand network
+// fire runs the task's next phase: demand disk read, demand network
 // read, compute, shuffle write, then cache inserts and slot release.
-func (t *task) advance() {
+func (t *task) fire() {
 	s, n, w := t.s, t.n, t.w
 	t.phase++
 	switch t.phase {
@@ -386,17 +461,17 @@ func (t *task) advance() {
 		s.run.DiskReadBytes += w.diskBytes
 		s.run.NetReadBytes += w.netBytes
 		s.bus.Emit(obs.Ev(obs.KindTaskStart, n.id).WithValue(w.computeUs))
-		n.diskDev.Transfer(w.diskBytes, Demand, t.step)
+		n.diskDev.Transfer(w.diskBytes, Demand, t)
 	case 2:
-		n.netDev.Transfer(w.netBytes, Demand, t.step)
+		n.netDev.Transfer(w.netBytes, Demand, t)
 	case 3:
-		s.eng.After(w.computeUs, t.step)
+		s.eng.schedule(s.eng.now+w.computeUs, t)
 	case 4:
 		s.run.DiskWriteBytes += w.shuffleWrite
-		n.diskDev.Transfer(w.shuffleWrite, Demand, t.step)
+		n.diskDev.Transfer(w.shuffleWrite, Demand, t)
 	case 5:
-		for _, ins := range w.inserts {
-			s.insertBlock(ins)
+		for i := w.first; i != 0; i = s.inserts[i-1].next {
+			s.insertBlock(&s.inserts[i-1])
 		}
 		s.bus.Emit(obs.Ev(obs.KindTaskEnd, n.id))
 		n.cpu.Release()
@@ -411,7 +486,7 @@ func (t *task) advance() {
 // are shipped to the next nodes' disks at background priority. While
 // the home node is down (crashed, awaiting rejoin) the insert is
 // dropped: the block stays uncached and later references recompute it.
-func (s *Simulation) insertBlock(ins insert) {
+func (s *Simulation) insertBlock(ins *insert) {
 	n := s.nodes[ins.node]
 	if n.down {
 		return
@@ -420,7 +495,7 @@ func (s *Simulation) insertBlock(ins insert) {
 		n.disk.Put(ins.info.ID, ins.info.Size)
 		s.corrupt.Delete(ins.info.ID)
 		s.run.DiskWriteBytes += ins.info.Size
-		n.diskDev.Transfer(ins.info.Size, Background, func() {})
+		n.diskDev.Transfer(ins.info.Size, Background, noop)
 	}
 	resident := n.mem.Contains(ins.info.ID)
 	evicted, ok := n.mem.Put(ins.info)
